@@ -529,8 +529,8 @@ mod tests {
     fn hull_scope_matches_join_oracle() {
         let p = Params::test();
         for pts in [points_in_disk(p.n, 5), points_on_circle(p.n, 6)] {
-            for mode in [numa_ws::SchedulerMode::NumaWs, numa_ws::SchedulerMode::Classic] {
-                let pool = Pool::builder().workers(8).places(4).mode(mode).build().unwrap();
+            for policy in [numa_ws::SchedPolicy::numa_ws(), numa_ws::SchedPolicy::vanilla()] {
+                let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
                 let oracle = pool.install(|| hull_parallel_join(&pts, p));
                 let scoped = pool.install(|| hull_parallel(&pts, p));
                 let exact = |h: &[Point]| -> Vec<(i64, i64)> {
@@ -538,7 +538,7 @@ mod tests {
                         .map(|q| ((q.x * 1e9).round() as i64, (q.y * 1e9).round() as i64))
                         .collect()
                 };
-                assert_eq!(exact(&scoped), exact(&oracle), "scope hull diverged under {mode}");
+                assert_eq!(exact(&scoped), exact(&oracle), "scope hull diverged under {policy}");
             }
         }
     }

@@ -3,13 +3,15 @@
 //! vs Classic (hints ignored).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use numa_ws::{join_at, Place, Pool, SchedulerMode};
+use numa_ws::{join_at, Place, Pool, SchedPolicy};
 
 fn bench_hinted_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("mailbox_pressure");
-    for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
-        let pool = Pool::builder().workers(4).places(2).mode(mode).stats(false).build().unwrap();
-        g.bench_function(format!("hinted_join_{mode}"), |b| {
+    for (name, policy) in [("classic", SchedPolicy::vanilla()), ("numa-ws", SchedPolicy::numa_ws())]
+    {
+        let pool =
+            Pool::builder().workers(4).places(2).policy(policy).stats(false).build().unwrap();
+        g.bench_function(format!("hinted_join_{name}"), |b| {
             b.iter(|| {
                 pool.install(|| {
                     fn tree(d: u32) -> u64 {

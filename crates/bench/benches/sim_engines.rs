@@ -26,7 +26,7 @@ fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_tree4k_p32");
     g.bench_function("classic", |b| {
         b.iter(|| {
-            let sim = Simulation::new(&topo, SimConfig::classic(32), &dag).unwrap();
+            let sim = Simulation::new(&topo, SimConfig::vanilla(32), &dag).unwrap();
             std::hint::black_box(sim.run().makespan)
         })
     });
@@ -38,7 +38,7 @@ fn bench_engines(c: &mut Criterion) {
     });
     g.bench_function("serial_elision", |b| {
         b.iter(|| {
-            std::hint::black_box(Simulation::serial_elision(&topo, &SimConfig::classic(1), &dag))
+            std::hint::black_box(Simulation::serial_elision(&topo, &SimConfig::vanilla(1), &dag))
         })
     });
     g.finish();

@@ -4,7 +4,7 @@
 //! paper's "does not adversely impact scheduling time").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use numa_ws::{join, Pool, SchedulerMode};
+use numa_ws::{join, Pool, SchedPolicy};
 
 fn tree(d: u32) -> u64 {
     if d == 0 {
@@ -23,10 +23,11 @@ fn tree(d: u32) -> u64 {
 fn bench_modes(c: &mut Criterion) {
     let workers = 8.min(std::thread::available_parallelism().map_or(8, |n| n.get()));
     let mut g = c.benchmark_group(format!("steal_protocol_p{workers}"));
-    for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
+    for (name, policy) in [("classic", SchedPolicy::vanilla()), ("numa-ws", SchedPolicy::numa_ws())]
+    {
         let pool =
-            Pool::builder().workers(workers).places(2).mode(mode).stats(false).build().unwrap();
-        g.bench_function(format!("tree12_{mode}"), |b| {
+            Pool::builder().workers(workers).places(2).policy(policy).stats(false).build().unwrap();
+        g.bench_function(format!("tree12_{name}"), |b| {
             b.iter(|| pool.install(|| std::hint::black_box(tree(12))))
         });
     }

@@ -121,9 +121,9 @@ fn hints() {
     }
     // Classic for reference.
     let dag = heat::dag(heat::Params::sim(), 4);
-    let r = Simulation::new(&topo, SimConfig::classic(32), &dag).expect("fits").run();
+    let r = Simulation::new(&topo, SimConfig::vanilla(32), &dag).expect("fits").run();
     let dag1 = heat::dag(heat::Params::sim(), 1);
-    let t1 = Simulation::new(&topo, SimConfig::classic(1), &dag1).expect("fits").run().makespan;
+    let t1 = Simulation::new(&topo, SimConfig::vanilla(1), &dag1).expect("fits").run().makespan;
     t.row(vec![
         "classic (reference)".to_string(),
         format!("{}", r.makespan / 1000),
@@ -146,7 +146,7 @@ fn policy() {
         ("partitioned", PagePolicy::Chunked { chunks: 4 }),
     ] {
         let dag = base.with_policy(pol);
-        let r = Simulation::new(&topo, SimConfig::classic(32), &dag).expect("fits").run();
+        let r = Simulation::new(&topo, SimConfig::vanilla(32), &dag).expect("fits").run();
         t.row(vec![
             name.to_string(),
             format!("{}", r.makespan / 1000),

@@ -17,7 +17,7 @@
 //! min/mean/max; this harness does its own sampling so the committed
 //! number is a median of `samples` fresh runs.
 
-use numa_ws::{join, Pool, SchedulerMode};
+use numa_ws::{join, Pool, SchedPolicy};
 use nws_deque::the_deque;
 use std::time::Instant;
 
@@ -264,7 +264,7 @@ fn main() {
         let pool = Pool::builder()
             .workers(workers)
             .places(2.min(workers))
-            .mode(SchedulerMode::NumaWs)
+            .policy(SchedPolicy::numa_ws())
             .stats(false)
             .build()
             .unwrap();
@@ -291,7 +291,7 @@ fn main() {
         let pool = Pool::builder()
             .workers(workers)
             .places(places)
-            .mode(SchedulerMode::NumaWs)
+            .policy(SchedPolicy::numa_ws())
             .stats(false)
             .build()
             .unwrap();
@@ -324,7 +324,7 @@ fn main() {
         let pool = Pool::builder()
             .workers(workers)
             .places(places)
-            .mode(SchedulerMode::NumaWs)
+            .policy(SchedPolicy::numa_ws())
             .stats(false)
             .build()
             .unwrap();

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release -p nws_bench --bin bounds`
 
-use nws_sim::{DagBuilder, SchedulerKind, SimConfig, Simulation, Strand};
+use nws_sim::{DagBuilder, SchedPolicy, SimConfig, Simulation, Strand};
 use nws_topology::Place;
 
 /// A balanced binary spawn tree: work = leaves*cycles, span ≈ cycles*log.
@@ -65,24 +65,15 @@ fn main() {
     for (name, dag) in &dags {
         let work = dag.work();
         let span = dag.span();
-        for kind in [SchedulerKind::Classic, SchedulerKind::NumaWs] {
+        for (sched, policy) in [("cl", SchedPolicy::vanilla()), ("nws", SchedPolicy::numa_ws())] {
             for p in [4usize, 16, 32] {
-                let cfg = match kind {
-                    SchedulerKind::Classic => SimConfig::classic(p),
-                    SchedulerKind::NumaWs => SimConfig::numa_ws(p),
-                };
+                let cfg = SimConfig::with_policy(policy, p);
                 let r = Simulation::new(&topo, cfg, dag).expect("fits").run();
                 let greedy = work as f64 / p as f64 + span as f64;
                 let steal_bound = (p as u64 * span) as f64;
                 table.row(vec![
                     name.to_string(),
-                    format!(
-                        "{}",
-                        match kind {
-                            SchedulerKind::Classic => "cl",
-                            SchedulerKind::NumaWs => "nws",
-                        }
-                    ),
+                    sched.to_string(),
                     p.to_string(),
                     format!("{:.0}k", greedy / 1000.0),
                     format!("{:.0}k", r.makespan as f64 / 1000.0),

@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use numa_ws::{join_at, PoisonedPool, Pool, SchedulerMode};
+use numa_ws::{join_at, PoisonedPool, Pool, SchedPolicy};
 use nws_apps::{cilksort, gcmark, pipeline};
 use nws_metrics::Table;
 use nws_sync::fault::{self, FaultPlan, InjectedFault};
@@ -107,7 +107,12 @@ impl Outcome {
 }
 
 fn build_pool() -> Pool {
-    Pool::builder().workers(4).places(2).mode(SchedulerMode::NumaWs).build().expect("pool builds")
+    Pool::builder()
+        .workers(4)
+        .places(2)
+        .policy(SchedPolicy::numa_ws())
+        .build()
+        .expect("pool builds")
 }
 
 // ---------------------------------------------------------------------------

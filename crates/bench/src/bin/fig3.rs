@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p nws_bench --bin fig3`
 
 use nws_bench::{measure, BenchId};
-use nws_sim::SchedulerKind;
+use nws_topology::SchedPolicy;
 
 fn main() {
     println!("Figure 3: normalized total processing time on the classic scheduler");
@@ -13,7 +13,7 @@ fn main() {
     let mut table =
         nws_metrics::Table::new(vec!["benchmark", "P=1", "P=32 total", "work", "sched", "idle"]);
     for bench in BenchId::fig3() {
-        let m = measure(bench, SchedulerKind::Classic, 32, 42);
+        let m = measure(bench, SchedPolicy::vanilla(), 32, 42);
         let ts = m.ts as f64;
         let b = nws_metrics::Breakdown::new(
             m.report.total_work() as f64,

@@ -6,7 +6,7 @@
 //! Host-scale work-efficiency check: `... --bin fig7 -- --real`
 
 use nws_bench::{measure, secs, BenchId};
-use nws_sim::SchedulerKind;
+use nws_topology::SchedPolicy;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,8 +26,8 @@ fn main() {
     println!("Figure 7: execution times in simulated seconds (2.2 GHz), P = {p}");
     println!("(parentheses: T1 column = spawn overhead T1/TS; T32 column = scalability T1/T32)\n");
     for bench in BenchId::all() {
-        let classic = measure(bench, SchedulerKind::Classic, p, 42);
-        let numa = measure(bench, SchedulerKind::NumaWs, p, 42);
+        let classic = measure(bench, SchedPolicy::vanilla(), p, 42);
+        let numa = measure(bench, SchedPolicy::numa_ws(), p, 42);
         table.row(vec![
             bench.name().to_string(),
             format!("{:.2}", secs(classic.ts)),
@@ -44,7 +44,7 @@ fn main() {
 /// reports TS, T1 and T_P wall-clock for each benchmark — the
 /// work-efficiency claim (`T1/TS ≈ 1`) on real hardware.
 fn real_mode() {
-    use numa_ws::{Pool, SchedulerMode};
+    use numa_ws::{Pool, SchedPolicy};
     use nws_apps::{cg, cilksort, heat, hull, matmul, strassen};
     use std::time::Instant;
 
@@ -65,11 +65,14 @@ fn real_mode() {
         f();
         t0.elapsed().as_secs_f64()
     };
-    let pool_t = |mode: SchedulerMode, workers: usize, f: &mut (dyn FnMut() + Send)| -> f64 {
+    // The four timed cells of every row: T1 and TP under each platform.
+    let (vanilla, numa) = (SchedPolicy::vanilla(), SchedPolicy::numa_ws());
+    let cells = [(vanilla, 1), (vanilla, host), (numa, 1), (numa, host)];
+    let pool_t = |policy: SchedPolicy, workers: usize, f: &mut (dyn FnMut() + Send)| -> f64 {
         let pool = Pool::builder()
             .workers(workers)
             .places(places.min(workers))
-            .mode(mode)
+            .policy(policy)
             .stats(false)
             .build()
             .expect("pool");
@@ -89,16 +92,12 @@ fn real_mode() {
         let mut d = data.clone();
         let ts = time(&mut || run_serial(&mut d));
         let mut row = vec!["cilksort".to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
+        for (policy, workers) in cells {
             let mut d = data.clone();
             let mut tmp = vec![0u64; d.len()];
-            let t =
-                pool_t(mode, workers, &mut || cilksort::sort_parallel(&mut d, &mut tmp, p, places));
+            let t = pool_t(policy, workers, &mut || {
+                cilksort::sort_parallel(&mut d, &mut tmp, p, places)
+            });
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
         }
         table.row(row);
@@ -112,15 +111,10 @@ fn real_mode() {
         let mut s = vec![0.0; g.len()];
         let ts = time(&mut || heat::run_serial(&mut g, &mut s, p));
         row.push(format!("{ts:.2}"));
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
+        for (policy, workers) in cells {
             let mut g = heat::initial_grid(p.rows, p.cols);
             let mut s = vec![0.0; g.len()];
-            let t = pool_t(mode, workers, &mut || heat::run_parallel(&mut g, &mut s, p, places));
+            let t = pool_t(policy, workers, &mut || heat::run_parallel(&mut g, &mut s, p, places));
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
         }
         table.row(row);
@@ -134,14 +128,9 @@ fn real_mode() {
         let mut c = nws_layout::Matrix::zeros(p.n, p.n);
         let ts = time(&mut || matmul::mul_serial(&a, &b, &mut c, p));
         let mut row = vec!["matmul".to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
+        for (policy, workers) in cells {
             let mut c = nws_layout::Matrix::zeros(p.n, p.n);
-            let t = pool_t(mode, workers, &mut || matmul::mul_parallel(&a, &b, &mut c, p));
+            let t = pool_t(policy, workers, &mut || matmul::mul_parallel(&a, &b, &mut c, p));
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
         }
         table.row(row);
@@ -151,15 +140,10 @@ fn real_mode() {
         let mut zc = nws_layout::BlockedZ::zeros(p.n, p.block);
         let ts = time(&mut || matmul::mul_blocked_serial(&za, &zb, &mut zc, p));
         let mut row = vec!["matmul-z".to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
+        for (policy, workers) in cells {
             let mut zc = nws_layout::BlockedZ::zeros(p.n, p.block);
             let t =
-                pool_t(mode, workers, &mut || matmul::mul_blocked_parallel(&za, &zb, &mut zc, p));
+                pool_t(policy, workers, &mut || matmul::mul_blocked_parallel(&za, &zb, &mut zc, p));
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
         }
         table.row(row);
@@ -174,13 +158,8 @@ fn real_mode() {
             let _ = strassen::mul_serial(&a, &b, p);
         });
         let mut row = vec!["strassen".to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
-            let t = pool_t(mode, workers, &mut || {
+        for (policy, workers) in cells {
+            let t = pool_t(policy, workers, &mut || {
                 let _ = strassen::mul_parallel(&a, &b, p);
             });
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
@@ -198,13 +177,8 @@ fn real_mode() {
             let _ = hull::hull_serial(&pts);
         });
         let mut row = vec![name.to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
-            let t = pool_t(mode, workers, &mut || {
+        for (policy, workers) in cells {
+            let t = pool_t(policy, workers, &mut || {
                 let _ = hull::hull_parallel(&pts, p);
             });
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));
@@ -221,13 +195,8 @@ fn real_mode() {
             let _ = cg::solve_serial(&a, &b, p);
         });
         let mut row = vec!["cg".to_string(), format!("{ts:.2}")];
-        for (mode, workers) in [
-            (SchedulerMode::Classic, 1),
-            (SchedulerMode::Classic, host),
-            (SchedulerMode::NumaWs, 1),
-            (SchedulerMode::NumaWs, host),
-        ] {
-            let t = pool_t(mode, workers, &mut || {
+        for (policy, workers) in cells {
+            let t = pool_t(policy, workers, &mut || {
                 let _ = cg::solve_parallel(&a, &b, p, places);
             });
             row.push(format!("{t:.2} ({:.2}x)", if workers == 1 { t / ts } else { ts / t }));

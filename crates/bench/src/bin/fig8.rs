@@ -4,7 +4,7 @@
 //! Run: `cargo run --release -p nws_bench --bin fig8`
 
 use nws_bench::{measure, secs, BenchId};
-use nws_sim::SchedulerKind;
+use nws_topology::SchedPolicy;
 
 fn main() {
     let p = 32;
@@ -22,8 +22,8 @@ fn main() {
         "I32 nws",
     ]);
     for bench in BenchId::all() {
-        let classic = measure(bench, SchedulerKind::Classic, p, 42);
-        let numa = measure(bench, SchedulerKind::NumaWs, p, 42);
+        let classic = measure(bench, SchedPolicy::vanilla(), p, 42);
+        let numa = measure(bench, SchedPolicy::numa_ws(), p, 42);
         table.row(vec![
             bench.name().to_string(),
             format!("{:.2}", secs(classic.t1)),

@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p nws_bench --bin fig9`
 
 use nws_bench::{measure, BenchId};
-use nws_sim::SchedulerKind;
+use nws_topology::SchedPolicy;
 
 fn main() {
     let ps = [1usize, 2, 4, 8, 12, 16, 20, 24, 28, 32];
@@ -19,7 +19,7 @@ fn main() {
         let mut row = vec![bench.name().to_string()];
         let mut curve = Vec::new();
         for &p in &ps {
-            let m = measure(bench, SchedulerKind::NumaWs, p, 42);
+            let m = measure(bench, SchedPolicy::numa_ws(), p, 42);
             let s = m.scalability();
             row.push(format!("{s:.1}"));
             curve.push(s);

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p nws_bench --bin many_clients`
 
-use numa_ws::{join, OverflowPolicy, Place, Pool, SchedulerMode};
+use numa_ws::{join, OverflowPolicy, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +45,7 @@ fn run(
         Pool::builder()
             .workers(workers)
             .places(places)
-            .mode(SchedulerMode::NumaWs)
+            .policy(SchedPolicy::numa_ws())
             .ingress_capacity(capacity)
             .overflow(OverflowPolicy::Reject)
             .build()

@@ -11,8 +11,8 @@
 #![warn(missing_docs)]
 
 use nws_apps::{cg, cilksort, heat, hull, matmul, strassen};
-use nws_sim::{Dag, SchedulerKind, SimConfig, SimReport, Simulation};
-use nws_topology::{presets, Topology};
+use nws_sim::{Dag, SimConfig, SimReport, Simulation};
+use nws_topology::{presets, SchedPolicy, Topology};
 use serde::Serialize;
 
 /// The nine rows of the paper's Figures 7/8.
@@ -128,8 +128,6 @@ pub fn places_for(p: usize) -> usize {
 pub struct Measurement {
     /// Benchmark name.
     pub bench: &'static str,
-    /// Scheduler.
-    pub scheduler: &'static str,
     /// Worker count.
     pub workers: usize,
     /// Serial elision cycles.
@@ -159,42 +157,23 @@ impl Measurement {
     }
 }
 
-/// Runs `bench` under `kind` with `workers` workers (packed placement on
+/// Runs `bench` under `policy` with `workers` workers (packed placement on
 /// the paper machine) and derives TS/T1/TP.
-pub fn measure(bench: BenchId, kind: SchedulerKind, workers: usize, seed: u64) -> Measurement {
+pub fn measure(bench: BenchId, policy: SchedPolicy, workers: usize, seed: u64) -> Measurement {
     let topo = machine();
     let places = places_for(workers);
     let dag = bench.dag(places);
-    let cfg_p = config(kind, workers).with_seed(seed);
+    let cfg_p = SimConfig::with_policy(policy, workers).with_seed(seed);
     let ts = Simulation::serial_elision(&topo, &cfg_p, &dag);
     // T1 on one worker uses a one-place DAG (hints collapse to one place)
     // with the same scheduler flavor.
     let dag1 = bench.dag(1);
-    let t1 = Simulation::new(&topo, config(kind, 1).with_seed(seed), &dag1)
+    let t1 = Simulation::new(&topo, SimConfig::with_policy(policy, 1).with_seed(seed), &dag1)
         .expect("one worker fits")
         .run()
         .makespan;
     let report = Simulation::new(&topo, cfg_p, &dag).expect("config fits").run();
-    Measurement {
-        bench: bench.name(),
-        scheduler: match kind {
-            SchedulerKind::Classic => "classic",
-            SchedulerKind::NumaWs => "numa-ws",
-        },
-        workers,
-        ts,
-        t1,
-        tp: report.makespan,
-        report,
-    }
-}
-
-/// The standard configuration for a scheduler kind.
-pub fn config(kind: SchedulerKind, workers: usize) -> SimConfig {
-    match kind {
-        SchedulerKind::Classic => SimConfig::classic(workers),
-        SchedulerKind::NumaWs => SimConfig::numa_ws(workers),
-    }
+    Measurement { bench: bench.name(), workers, ts, t1, tp: report.makespan, report }
 }
 
 /// Formats simulated cycles as seconds on the 2.2 GHz paper machine.
@@ -278,7 +257,7 @@ mod tests {
 
     #[test]
     fn small_measurement_is_consistent() {
-        let m = measure(BenchId::Cilksort, SchedulerKind::NumaWs, 4, 1);
+        let m = measure(BenchId::Cilksort, SchedPolicy::numa_ws(), 4, 1);
         assert!(m.ts > 0);
         assert!(m.t1 >= m.ts, "T1 includes spawn overhead");
         assert!(m.tp <= m.t1, "parallel run should not be slower than T1");

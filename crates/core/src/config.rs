@@ -2,61 +2,10 @@
 //!
 //! The scheduling knobs themselves live in the shared policy layer
 //! ([`nws_topology::SchedPolicy`]) so the runtime and the simulator
-//! provably describe the same protocols; [`SchedulerMode`] survives as a
-//! thin two-letter alias over the `vanilla`/`numa_ws` policy presets.
+//! provably describe the same protocols; a pool selects its scheduler with
+//! [`PoolBuilder::policy`](crate::PoolBuilder::policy) alone.
 
-use nws_topology::SchedPolicy;
 use std::fmt;
-
-/// Which scheduling algorithm a [`Pool`](crate::Pool) runs — a thin alias
-/// over the [`SchedPolicy`] presets (see [`SchedulerMode::policy`]). For
-/// the full ablation surface (bias, coin flip, mailbox capacity, pushback
-/// threshold, sleep parameters) configure the pool with
-/// [`PoolBuilder::policy`](crate::PoolBuilder::policy) directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerMode {
-    /// Classic work stealing as in Cilk Plus (paper Figure 2): uniform
-    /// victim selection, no mailboxes, locality hints ignored. The
-    /// evaluation's baseline platform ([`SchedPolicy::vanilla`]).
-    Classic,
-    /// NUMA-WS (paper Figure 5): locality-biased victim selection, a
-    /// single-entry mailbox per worker, lazy work pushing with a constant
-    /// threshold, and the coin-flip steal protocol
-    /// ([`SchedPolicy::numa_ws`]).
-    NumaWs,
-}
-
-impl SchedulerMode {
-    /// The policy preset this mode names.
-    pub fn policy(self) -> SchedPolicy {
-        match self {
-            SchedulerMode::Classic => SchedPolicy::vanilla(),
-            SchedulerMode::NumaWs => SchedPolicy::numa_ws(),
-        }
-    }
-
-    /// Classifies a policy back onto the two-mode axis: any NUMA
-    /// mechanism (mailboxes or a non-uniform bias) counts as NUMA-WS.
-    /// The classification itself lives on the shared policy layer
-    /// ([`SchedPolicy::has_numa_mechanisms`]) so the simulator's
-    /// `SimConfig::kind` can never disagree with it.
-    pub fn of(policy: &SchedPolicy) -> SchedulerMode {
-        if policy.has_numa_mechanisms() {
-            SchedulerMode::NumaWs
-        } else {
-            SchedulerMode::Classic
-        }
-    }
-}
-
-impl fmt::Display for SchedulerMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedulerMode::Classic => write!(f, "classic"),
-            SchedulerMode::NumaWs => write!(f, "numa-ws"),
-        }
-    }
-}
 
 /// What happens when a bounded ingress queue
 /// ([`PoolBuilder::ingress_capacity`](crate::PoolBuilder::ingress_capacity))
@@ -148,24 +97,6 @@ impl From<nws_topology::TopologyError> for BuildPoolError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_display() {
-        assert_eq!(SchedulerMode::Classic.to_string(), "classic");
-        assert_eq!(SchedulerMode::NumaWs.to_string(), "numa-ws");
-    }
-
-    #[test]
-    fn mode_is_a_thin_alias_over_policy_presets() {
-        assert_eq!(SchedulerMode::Classic.policy(), SchedPolicy::vanilla());
-        assert_eq!(SchedulerMode::NumaWs.policy(), SchedPolicy::numa_ws());
-        // Classification round-trips the presets...
-        assert_eq!(SchedulerMode::of(&SchedPolicy::vanilla()), SchedulerMode::Classic);
-        assert_eq!(SchedulerMode::of(&SchedPolicy::numa_ws()), SchedulerMode::NumaWs);
-        // ...and any NUMA mechanism pushes a policy onto the NumaWs side.
-        assert_eq!(SchedulerMode::of(&SchedPolicy::bias_only()), SchedulerMode::NumaWs);
-        assert_eq!(SchedulerMode::of(&SchedPolicy::mailbox_only()), SchedulerMode::NumaWs);
-    }
 
     #[test]
     fn overflow_policy_defaults_to_block() {

@@ -6,7 +6,7 @@
 //! continuation stealing, with the roles of "continuation" and "child"
 //! swapped as Rust's stack model requires (see DESIGN.md §2). [`join_at`]
 //! attaches a **place hint** to the stealable half; under
-//! [`SchedulerMode::NumaWs`](crate::SchedulerMode::NumaWs) a thief that
+//! [`SchedPolicy::numa_ws`](crate::SchedPolicy::numa_ws) a thief that
 //! steals it on the wrong socket lazily pushes it toward its designated
 //! place.
 //!

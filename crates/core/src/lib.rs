@@ -58,14 +58,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use numa_ws::{join_at, Pool, SchedulerMode};
-//! use nws_topology::Place;
+//! use numa_ws::{join_at, Place, Pool, SchedPolicy};
 //!
 //! // Four workers over two virtual places.
 //! let pool = Pool::builder()
 //!     .workers(4)
 //!     .places(2)
-//!     .mode(SchedulerMode::NumaWs)
+//!     .policy(SchedPolicy::numa_ws())
 //!     .build()
 //!     .expect("pool");
 //!
@@ -103,7 +102,7 @@ mod scope;
 mod sleep;
 mod stats;
 
-pub use config::{BuildPoolError, OverflowPolicy, PoisonedPool, SchedulerMode};
+pub use config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 pub use join::{join, join4, join4_at, join_at};
 pub use par_for::{par_for, par_for_banded};
 pub use pool::{Pool, PoolBuilder};

@@ -4,11 +4,9 @@
 //! every weak-memory outcome the facade's orderings admit, so these are
 //! proofs over the model where the sibling unit tests are samples.
 //!
-//! The regression tests for the two PR 4 bugs live here in their natural
-//! habitat: the mailbox `peek_place` use-after-free (fixed by mirroring
-//! the place hint into its own atomic word) and the shutdown path
-//! stranding a lazily-pushed heap job (fixed by executing leftovers in
-//! `Mailbox::drop`).
+//! The regression test for the shutdown path stranding a lazily-pushed
+//! heap job (fixed by executing leftovers in `Mailbox::drop`) lives here
+//! in its natural habitat.
 
 use crate::job::{HeapJob, JobRef};
 use crate::latch::{CountLatch, Latch, Probe, SpinLatch};
@@ -38,7 +36,7 @@ fn counting_job(hits: &Arc<AtomicUsize>, place: Place) -> JobRef {
 fn mailbox_concurrent_takers_get_exactly_one() {
     Builder::exhaustive(2, 200_000).run(|| {
         let hits = Arc::new(AtomicUsize::new(0));
-        let m = Arc::new(Mailbox::new(1));
+        let m = Arc::new(Mailbox::new());
         m.try_deposit(counting_job(&hits, Place(0))).ok().expect("deposit into empty mailbox");
         let m2 = Arc::clone(&m);
         let t = thread::spawn(move || m2.take());
@@ -65,7 +63,7 @@ fn mailbox_concurrent_takers_get_exactly_one() {
 fn mailbox_deposit_take_interleaving_is_exact() {
     Builder::exhaustive(2, 200_000).run(|| {
         let hits = Arc::new(AtomicUsize::new(0));
-        let m = Arc::new(Mailbox::new(1));
+        let m = Arc::new(Mailbox::new());
         m.try_deposit(counting_job(&hits, Place(0))).ok().expect("first deposit");
         let (m2, h2) = (Arc::clone(&m), Arc::clone(&hits));
         let t = thread::spawn(move || match m2.try_deposit(counting_job(&h2, Place(1))) {
@@ -87,33 +85,6 @@ fn mailbox_deposit_take_interleaving_is_exact() {
     });
 }
 
-/// PR 4 regression (use-after-free): `peek_place` races a `take`. The old
-/// probe dereferenced the slot's box, which the concurrent `take` may
-/// already have freed; the fix mirrors the hint into its own atomic word.
-/// Under the model every explored outcome must be a well-formed value the
-/// protocol can legally produce — `None` or the deposited place — and the
-/// probe performs no tracked access to the job box at all (a racing read
-/// of freed cell memory would be reported as a data race).
-#[test]
-fn mailbox_peek_never_reads_the_job_box() {
-    Builder::exhaustive(2, 200_000).run(|| {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let m = Arc::new(Mailbox::new(1));
-        m.try_deposit(counting_job(&hits, Place(3))).ok().expect("deposit");
-        let m2 = Arc::clone(&m);
-        let t = thread::spawn(move || m2.peek_place());
-        let taken = m.take();
-        let peeked = t.join().unwrap();
-        assert!(
-            matches!(peeked, None | Some(Place(3))),
-            "peek produced an impossible place: {peeked:?}"
-        );
-        // SAFETY: the deposit is live and unexecuted; exactly one take saw it.
-        unsafe { taken.expect("no competing taker").execute() }
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    });
-}
-
 /// PR 4 regression (shutdown stranding): a deposit racing the final
 /// shutdown drain must still run exactly once — either the drain takes
 /// it, or `Mailbox::drop` (the final safety net) executes the leftover.
@@ -121,7 +92,7 @@ fn mailbox_peek_never_reads_the_job_box() {
 fn mailbox_drop_never_strands_a_racing_deposit() {
     Builder::exhaustive(2, 200_000).run(|| {
         let hits = Arc::new(AtomicUsize::new(0));
-        let m = Arc::new(Mailbox::new(1));
+        let m = Arc::new(Mailbox::new());
         let (m2, h2) = (Arc::clone(&m), Arc::clone(&hits));
         let t = thread::spawn(move || {
             if let Err(job) = m2.try_deposit(counting_job(&h2, Place(0))) {

@@ -1,7 +1,7 @@
 //! The worker pool: construction, installation of root computations, and
 //! teardown.
 
-use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool, SchedulerMode};
+use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
 use crate::registry::{worker_main, Inject, PanicHandler, Registry, RegistryOptions, WorkerThread};
@@ -23,12 +23,12 @@ use std::time::Duration;
 /// # Example
 ///
 /// ```
-/// use numa_ws::{Pool, SchedulerMode};
+/// use numa_ws::{Pool, SchedPolicy};
 ///
 /// let pool = Pool::builder()
 ///     .workers(4)
 ///     .places(2)
-///     .mode(SchedulerMode::NumaWs)
+///     .policy(SchedPolicy::numa_ws())
 ///     .build()
 ///     .expect("valid config");
 /// let n = pool.install(|| {
@@ -47,7 +47,7 @@ impl std::fmt::Debug for Pool {
         f.debug_struct("Pool")
             .field("workers", &self.num_workers())
             .field("places", &self.num_places())
-            .field("mode", &self.mode())
+            .field("policy", self.policy())
             .finish()
     }
 }
@@ -121,18 +121,15 @@ impl PoolBuilder {
         self
     }
 
-    /// Scheduling algorithm by preset name; shorthand for
-    /// [`policy`](PoolBuilder::policy)`(mode.policy())`. Defaults to
-    /// [`SchedulerMode::NumaWs`].
-    pub fn mode(&mut self, mode: SchedulerMode) -> &mut Self {
-        self.policy = mode.policy();
-        self
-    }
-
-    /// The full scheduling policy: victim-selection bias, coin-flip
-    /// protocol, mailbox capacity, pushback threshold, and sleep/backoff
-    /// parameters. This is the same [`SchedPolicy`] the simulator's
-    /// `SimConfig` embeds, so one value sweeps both substrates.
+    /// The scheduling policy — the pool's only scheduler selector:
+    /// victim-selection bias, coin-flip protocol, mailbox capacity,
+    /// pushback threshold, and sleep/backoff parameters. Pass a preset
+    /// ([`SchedPolicy::vanilla`], [`SchedPolicy::numa_ws`], the default) or
+    /// any ablation cell. This is the same [`SchedPolicy`] the simulator's
+    /// `SimConfig` embeds, so one value sweeps both substrates. The runtime
+    /// mailbox holds at most one job (paper §III-B), so
+    /// [`build`](PoolBuilder::build) rejects `mailbox_capacity > 1`; larger
+    /// capacities are a simulator-only ablation.
     pub fn policy(&mut self, policy: SchedPolicy) -> &mut Self {
         self.policy = policy;
         self
@@ -145,13 +142,6 @@ impl PoolBuilder {
     /// DESIGN.md §2), the topology only drives the steal bias.
     pub fn topology(&mut self, topo: Topology) -> &mut Self {
         self.topology = Some(topo);
-        self
-    }
-
-    /// The PUSHBACK retry threshold (paper: a configurable constant).
-    /// Defaults to 4. Mutates the current [`policy`](PoolBuilder::policy).
-    pub fn push_threshold(&mut self, t: u32) -> &mut Self {
-        self.policy.push_threshold = t;
         self
     }
 
@@ -226,8 +216,14 @@ impl PoolBuilder {
     ///
     /// Returns [`BuildPoolError`] when the configuration is inconsistent
     /// (zero workers/places, more places than sockets, more workers than
-    /// cores).
+    /// cores, a policy mailbox capacity above 1).
     pub fn build(&self) -> Result<Pool, BuildPoolError> {
+        if self.policy.mailbox_capacity > 1 {
+            return Err(BuildPoolError::InvalidConfig(format!(
+                "mailbox_capacity ({}) must be 0 or 1: the runtime mailbox is a single slot",
+                self.policy.mailbox_capacity
+            )));
+        }
         if self.workers == 0 {
             return Err(BuildPoolError::InvalidConfig("workers must be >= 1".into()));
         }
@@ -581,12 +577,6 @@ impl Pool {
         self.registry.map.num_places()
     }
 
-    /// The scheduling mode: the two-way classification of
-    /// [`policy`](Pool::policy) (see [`SchedulerMode::of`]).
-    pub fn mode(&self) -> SchedulerMode {
-        SchedulerMode::of(&self.registry.policy)
-    }
-
     /// The full scheduling policy this pool runs.
     pub fn policy(&self) -> &SchedPolicy {
         &self.registry.policy
@@ -756,8 +746,7 @@ mod tests {
 
     #[test]
     fn classic_mode_pool() {
-        let pool = Pool::builder().workers(4).mode(SchedulerMode::Classic).build().unwrap();
-        assert_eq!(pool.mode(), SchedulerMode::Classic);
+        let pool = Pool::builder().workers(4).policy(SchedPolicy::vanilla()).build().unwrap();
         assert_eq!(*pool.policy(), SchedPolicy::vanilla());
         assert_eq!(pool.install(|| 5), 5);
     }
@@ -765,26 +754,39 @@ mod tests {
     #[test]
     fn builder_accepts_full_policy() {
         use nws_topology::{CoinFlip, StealBias};
-        let policy = SchedPolicy::numa_ws()
-            .with_coin_flip(CoinFlip::MailboxFirst)
-            .with_mailbox_capacity(4)
-            .with_push_threshold(9);
+        let policy =
+            SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst).with_push_threshold(9);
         let pool = Pool::builder().workers(4).places(2).policy(policy).build().unwrap();
         assert_eq!(*pool.policy(), policy);
-        assert_eq!(pool.mode(), SchedulerMode::NumaWs);
         assert_eq!(pool.install(|| 6), 6);
 
         let bias_only = SchedPolicy::vanilla().with_bias(StealBias::InverseDistance);
         let pool = Pool::builder().workers(2).policy(bias_only).build().unwrap();
         assert_eq!(pool.policy().mailbox_capacity, 0);
-        assert_eq!(pool.mode(), SchedulerMode::NumaWs, "bias alone is a NUMA mechanism");
         assert_eq!(pool.install(|| 8), 8);
     }
 
     #[test]
     fn push_threshold_mutates_policy() {
-        let pool = Pool::builder().workers(2).push_threshold(11).build().unwrap();
+        let policy = SchedPolicy::numa_ws().with_push_threshold(11);
+        let pool = Pool::builder().workers(2).policy(policy).build().unwrap();
         assert_eq!(pool.policy().push_threshold, 11);
+    }
+
+    #[test]
+    fn builder_rejects_multi_slot_mailboxes() {
+        for capacity in [2, 16] {
+            let policy = SchedPolicy::numa_ws().with_mailbox_capacity(capacity);
+            let err = Pool::builder().workers(2).policy(policy).build().unwrap_err();
+            assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "capacity {capacity}: {err}");
+        }
+        for capacity in [0, 1] {
+            let policy = SchedPolicy::numa_ws().with_mailbox_capacity(capacity);
+            let pool = Pool::builder().workers(2).places(2).policy(policy).build().unwrap();
+            assert_eq!(pool.policy().mailbox_capacity, capacity);
+            let (a, b) = pool.install(|| crate::join_at(|| 3, || 4, Place(1)));
+            assert_eq!(a + b, 7, "capacity {capacity} pool runs");
+        }
     }
 
     /// Parks the pool's single worker inside a job until the returned

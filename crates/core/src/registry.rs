@@ -178,7 +178,7 @@ impl Registry {
             .collect();
         let registry = Arc::new(Registry {
             stealers,
-            mailboxes: (0..p).map(|_| Mailbox::new(policy.mailbox_capacity)).collect(),
+            mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             worker_stats: (0..p).map(|_| WorkerStats::default()).collect(),
             dists,
             push_candidates,
@@ -580,6 +580,21 @@ impl WorkerThread {
         self.deque.pop()
     }
 
+    /// Runs `f` at a chaos-tier fault site. With the fault backend compiled
+    /// in, a panic out of `f` is caught here — it never unwinds the
+    /// caller's frame, which may own a live job ref — the pool is poisoned,
+    /// and `Err` sends the caller to its site's fallback. In default builds
+    /// `f` just runs. Allocation-free (it is on the steal and PUSHBACK hot
+    /// paths); only the panic payload itself is heap-allocated.
+    #[inline]
+    fn fault_guard<R>(&self, f: impl FnOnce() -> R) -> Result<R, ()> {
+        if !nws_sync::fault::enabled() {
+            return Ok(f());
+        }
+        panic::catch_unwind(AssertUnwindSafe(f))
+            .map_err(|payload| self.registry.poison(payload.as_ref()))
+    }
+
     /// Executes a job with work-time accounting.
     ///
     /// # Safety
@@ -594,13 +609,7 @@ impl WorkerThread {
         // exactly once below (a consumed ref must run or leak — and a
         // stranded latch means deadlock), then the poisoned pool drains and
         // shuts down via the normal exit path.
-        if nws_sync::fault::enabled() {
-            if let Err(payload) =
-                panic::catch_unwind(AssertUnwindSafe(|| nws_sync::fault::point("job.exec")))
-            {
-                self.registry.poison(payload.as_ref());
-            }
-        }
+        let _ = self.fault_guard(|| nws_sync::fault::point("job.exec"));
         let t = job.trace();
         let prev = self.trace_enter(t);
         job.execute();
@@ -710,18 +719,12 @@ impl WorkerThread {
         // sits here — not in the wake paths — because wake callers
         // (`take_injected`, pushback) hold live job refs an unwind would
         // strand; this worker holds nothing.
-        if nws_sync::fault::enabled() {
-            match panic::catch_unwind(AssertUnwindSafe(|| nws_sync::fault::hit("sleep.wake"))) {
-                Ok(false) => {}
-                // Injected spurious wakeup: return to the caller's loop
-                // without sleeping, exactly as a condvar spurious wake
-                // would look from the outside.
-                Ok(true) => return,
-                Err(payload) => {
-                    self.registry.poison(payload.as_ref());
-                    return;
-                }
-            }
+        match self.fault_guard(|| nws_sync::fault::hit("sleep.wake")) {
+            Ok(false) => {}
+            // Injected spurious wakeup: return to the caller's loop without
+            // sleeping, exactly as a condvar spurious wake would look from
+            // the outside. `Err`: the pool is now poisoned.
+            Ok(true) | Err(()) => return,
         }
         let sp = &self.registry.policy.sleep;
         *spins += 1;
@@ -751,8 +754,8 @@ impl WorkerThread {
             return Some(job);
         }
         // Fig 5 line 25-26: check own mailbox next; anything there is
-        // earmarked for our place. (A zero-capacity mailbox — vanilla
-        // policies — is a no-op probe over an empty slot array.)
+        // earmarked for our place. (Under vanilla policies nothing ever
+        // deposits, so this is one load of an empty slot.)
         if let Some(job) = self.registry.mailboxes[self.index].take() {
             bump!(self.local, mailbox_takes);
             return Some(job);
@@ -846,19 +849,10 @@ impl WorkerThread {
         // unwind from the point leaves the indices untouched and no item
         // consumed, so this simply becomes a failed steal attempt on a
         // now-poisoned pool.
-        let job = if nws_sync::fault::enabled() {
-            match panic::catch_unwind(AssertUnwindSafe(|| {
-                self.registry.stealers[victim].steal_batch(limit, &mut sink)
-            })) {
-                Ok(job) => job?,
-                Err(payload) => {
-                    self.registry.poison(payload.as_ref());
-                    return None;
-                }
-            }
-        } else {
-            self.registry.stealers[victim].steal_batch(limit, &mut sink)?
-        };
+        let job = self
+            .fault_guard(|| self.registry.stealers[victim].steal_batch(limit, &mut sink))
+            .ok()
+            .flatten()?;
         bump!(self.local, steals);
         // The only cross-worker counter write; it lands in the victim's
         // thief-block cacheline, never on its owner-counter lines.
@@ -949,19 +943,10 @@ impl WorkerThread {
             // is `Copy`, so this frame still owns `job` — poison the pool,
             // count the abandoned episode, and keep the job (the thief
             // executes it inline), exactly the threshold-exhausted path.
-            let deposit = if nws_sync::fault::enabled() {
-                match panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.registry.mailboxes[r].try_deposit(job)
-                })) {
-                    Ok(res) => res,
-                    Err(payload) => {
-                        self.registry.poison(payload.as_ref());
-                        bump!(self.local, push_failures);
-                        break PushOutcome::Kept(job);
-                    }
-                }
-            } else {
-                self.registry.mailboxes[r].try_deposit(job)
+            let Ok(deposit) = self.fault_guard(|| self.registry.mailboxes[r].try_deposit(job))
+            else {
+                bump!(self.local, push_failures);
+                break PushOutcome::Kept(job);
             };
             match deposit {
                 Ok(()) => {
@@ -991,16 +976,15 @@ impl WorkerThread {
 ///
 /// The supervisor's `catch_unwind` is the belt-and-braces net for
 /// **genuine runtime bugs** — injected faults never reach it, because each
-/// fault site catches its own panic (see the guards in `execute`,
-/// `steal_once`, `pushback`, `idle_backoff`; unwinding a worker stack at an
-/// arbitrary protocol point could abandon a frame another worker still
-/// writes to). If the net does fire, the pool is poisoned so the remaining
-/// workers drain and shut down instead of deadlocking on a latch the dead
-/// worker was responsible for, and `install` callers get a
-/// [`PoisonedPool`](crate::PoisonedPool) panic instead of a hang. Either
-/// way the exit bookkeeping below runs: counters flush, the thread-local is
-/// cleared, and the exit gate advances (the poisoning-aware install wait
-/// blocks on it).
+/// fault site catches its own panic (see `WorkerThread::fault_guard`;
+/// unwinding a worker stack at an arbitrary protocol point could abandon a
+/// frame another worker still writes to). If the net does fire, the pool
+/// is poisoned so the remaining workers drain and shut down instead of
+/// deadlocking on a latch the dead worker was responsible for, and
+/// `install` callers get a [`PoisonedPool`](crate::PoisonedPool) panic
+/// instead of a hang. Either way the exit bookkeeping below runs: counters
+/// flush, the thread-local is cleared, and the exit gate advances (the
+/// poisoning-aware install wait blocks on it).
 pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorker<JobRef>) {
     let worker = WorkerThread {
         rng: Cell::new(worker_rng_seed(registry.seed, index)),

@@ -29,7 +29,7 @@
 //! [`scope_at`]`(place, f)` sets the scope's *default* place hint: plain
 //! [`Scope::spawn`] tags jobs with it, [`Scope::spawn_at`] overrides per
 //! spawn. Hints behave exactly as in [`join_at`](crate::join_at) — under
-//! [`SchedulerMode::NumaWs`](crate::SchedulerMode) a thief that steals a
+//! [`SchedPolicy::numa_ws`](crate::SchedPolicy::numa_ws) a thief that steals a
 //! hinted job on the wrong socket lazily pushes it toward its designated
 //! place, and hints wrap modulo the pool's place count.
 //!

@@ -2,7 +2,7 @@
 //! multi-client stress, fire-and-forget spawns, shutdown draining, the
 //! cross-pool install hazard, and the new ingress/wake counters.
 
-use numa_ws::{join, Place, Pool};
+use numa_ws::{join, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -183,7 +183,8 @@ fn drop_with_jobs_parked_in_mailboxes_loses_nothing() {
     const JOBS: usize = 48;
     for round in 0..ROUNDS {
         let ran = Arc::new(AtomicUsize::new(0));
-        let pool = Pool::builder().workers(4).places(4).push_threshold(8).build().unwrap();
+        let policy = SchedPolicy::numa_ws().with_push_threshold(8);
+        let pool = Pool::builder().workers(4).places(4).policy(policy).build().unwrap();
         for i in 0..JOBS {
             let ran = Arc::clone(&ran);
             // Deliberately hint every job away from round-robin balance so

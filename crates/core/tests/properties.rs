@@ -2,7 +2,7 @@
 //! expression trees agrees with serial evaluation, under every scheduler
 //! mode and any hint assignment.
 
-use numa_ws::{join_at, par_for, Place, Pool, SchedulerMode};
+use numa_ws::{join_at, par_for, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
 
@@ -61,13 +61,13 @@ proptest! {
 
     #[test]
     fn parallel_eval_matches_serial(e in expr()) {
-        // One shared pool per mode would be nicer, but proptest shrinking
+        // One shared pool per policy would be nicer, but proptest shrinking
         // appreciates isolation; pools are cheap at 4 workers.
-        for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
-            let pool = Pool::builder().workers(4).places(2).mode(mode).build().unwrap();
+        for policy in [SchedPolicy::vanilla(), SchedPolicy::numa_ws()] {
+            let pool = Pool::builder().workers(4).places(2).policy(policy).build().unwrap();
             let serial = eval_serial(&e);
             let parallel = pool.install(|| eval_parallel(&e));
-            prop_assert_eq!(parallel, serial, "mode {}", mode);
+            prop_assert_eq!(parallel, serial, "policy {}", policy);
         }
     }
 

@@ -1,7 +1,7 @@
 //! End-to-end tests of the threaded runtime: correctness under real
 //! parallelism, hint routing, panic propagation, and statistics.
 
-use numa_ws::{join, join4_at, join_at, Place, Pool, SchedulerMode};
+use numa_ws::{join, join4_at, join_at, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicUsize, Ordering};
 
 fn fib(n: u64) -> u64 {
@@ -37,10 +37,11 @@ fn recursive_sum_all_modes_all_shapes() {
     }
     let xs: Vec<u64> = (0..100_000).collect();
     let expect: u64 = xs.iter().sum();
-    for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
+    for policy in [SchedPolicy::vanilla(), SchedPolicy::numa_ws()] {
         for (workers, places) in [(1, 1), (2, 1), (4, 2), (8, 4)] {
-            let pool = Pool::builder().workers(workers).places(places).mode(mode).build().unwrap();
-            assert_eq!(pool.install(|| sum(&xs)), expect, "mode={mode} P={workers} S={places}");
+            let pool =
+                Pool::builder().workers(workers).places(places).policy(policy).build().unwrap();
+            assert_eq!(pool.install(|| sum(&xs)), expect, "policy={policy} P={workers} S={places}");
         }
     }
 }
@@ -106,7 +107,7 @@ fn classic_mode_never_touches_mailboxes() {
         let (a, b) = join_at(|| tree(depth - 1), || tree(depth - 1), Place(3));
         a + b
     }
-    let pool = Pool::builder().workers(8).places(4).mode(SchedulerMode::Classic).build().unwrap();
+    let pool = Pool::builder().workers(8).places(4).policy(SchedPolicy::vanilla()).build().unwrap();
     pool.install(|| tree(12));
     let stats = pool.stats();
     let takes: u64 = stats.workers.iter().map(|w| w.mailbox_takes).sum();
@@ -219,7 +220,7 @@ fn hints_wrap_modulo_places() {
 fn remote_steals_counted_on_multi_place_pool() {
     // See steals_happen_under_load for the debug/release sizing rationale.
     let n = if cfg!(debug_assertions) { 24 } else { 29 };
-    let pool = Pool::builder().workers(8).places(4).mode(SchedulerMode::Classic).build().unwrap();
+    let pool = Pool::builder().workers(8).places(4).policy(SchedPolicy::vanilla()).build().unwrap();
     pool.install(|| fib(n));
     let stats = pool.stats();
     assert!(
@@ -236,11 +237,11 @@ fn biased_mode_prefers_local_steals() {
     // whereas successful-steal ratios are confounded by which victims
     // happen to hold work and are too noisy at the ~100-steal scale of a
     // unit test.
-    fn run(mode: SchedulerMode) -> (u64, u64) {
+    fn run(policy: SchedPolicy) -> (u64, u64) {
         let pool = Pool::builder()
             .workers(8)
             .places(4)
-            .mode(mode)
+            .policy(policy)
             .topology(nws_topology::presets::paper_machine())
             .seed(1234)
             .build()
@@ -255,8 +256,8 @@ fn biased_mode_prefers_local_steals() {
         let s = pool.stats();
         (s.total_remote_steal_attempts(), s.total_steal_attempts())
     }
-    let (classic_remote, classic_total) = run(SchedulerMode::Classic);
-    let (numa_remote, numa_total) = run(SchedulerMode::NumaWs);
+    let (classic_remote, classic_total) = run(SchedPolicy::vanilla());
+    let (numa_remote, numa_total) = run(SchedPolicy::numa_ws());
     assert!(classic_total > 100, "expected real stealing pressure: {classic_total} attempts");
     assert!(numa_total > 100, "expected real stealing pressure: {numa_total} attempts");
     let classic_share = classic_remote as f64 / classic_total as f64;

@@ -2,7 +2,7 @@
 //! panic propagation, nested scopes, dynamic sibling spawning, and place
 //! hints — the contract surface of `scope` / `scope_at`.
 
-use numa_ws::{scope, scope_at, Place, Pool, SchedulerMode, Scope};
+use numa_ws::{scope, scope_at, Place, Pool, SchedPolicy, Scope};
 use nws_sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -175,8 +175,8 @@ fn nested_scope_panic_does_not_leak_into_outer() {
 fn scope_at_hints_and_spawn_at_overrides() {
     // Correctness under heavy hinting: every task runs exactly once no
     // matter where it was earmarked, across both scheduler modes.
-    for mode in [SchedulerMode::NumaWs, SchedulerMode::Classic] {
-        let pool = Pool::builder().workers(8).places(4).mode(mode).build().unwrap();
+    for policy in [SchedPolicy::numa_ws(), SchedPolicy::vanilla()] {
+        let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
         let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
         pool.install(|| {
             scope_at(Place(1), |s| {
@@ -198,7 +198,7 @@ fn scope_at_hints_and_spawn_at_overrides() {
         });
         assert!(
             hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-            "every hinted task must run exactly once under {mode}"
+            "every hinted task must run exactly once under {policy}"
         );
     }
 }

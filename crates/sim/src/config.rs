@@ -1,4 +1,4 @@
-//! Simulation configuration: scheduler selection, costs, and ablation
+//! Simulation configuration: scheduling policy, costs, and ablation
 //! knobs.
 //!
 //! The scheduling knobs themselves (victim bias, coin flip, mailbox
@@ -12,21 +12,6 @@
 use crate::memory::{CacheConfig, ContentionModel, LatencyModel};
 use nws_topology::{Placement, SchedPolicy};
 use serde::{Deserialize, Serialize};
-
-/// Which scheduling algorithm a simulation runs — a thin two-way label
-/// over the policy (see [`SimConfig::kind`]); the mechanisms themselves
-/// are switched individually by the embedded [`SchedPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// The classic work-stealing scheduler of Cilk Plus (paper Figure 2):
-    /// uniform victim selection, no mailboxes, no work pushing. This is the
-    /// baseline platform of the evaluation ([`SchedPolicy::vanilla`]).
-    Classic,
-    /// The NUMA-WS scheduler (paper Figure 5): locality-biased steals,
-    /// single-entry mailboxes, lazy work pushing with a constant threshold,
-    /// and the coin-flip steal protocol ([`SchedPolicy::numa_ws`]).
-    NumaWs,
-}
 
 /// Scheduler operation costs in cycles. Work-path costs (spawn push, pop,
 /// trivial sync) are small constants; steal-path costs are larger and, for
@@ -108,14 +93,8 @@ pub struct SimConfig {
 impl SimConfig {
     /// Classic work stealing on `workers` packed workers — the Cilk Plus
     /// baseline ([`SchedPolicy::vanilla`]).
-    pub fn classic(workers: usize) -> Self {
-        Self::with_policy(SchedPolicy::vanilla(), workers)
-    }
-
-    /// Alias for [`classic`](SimConfig::classic), matching the policy
-    /// preset's name.
     pub fn vanilla(workers: usize) -> Self {
-        Self::classic(workers)
+        Self::with_policy(SchedPolicy::vanilla(), workers)
     }
 
     /// NUMA-WS on `workers` packed workers with the paper's protocol
@@ -157,19 +136,6 @@ impl SimConfig {
         }
     }
 
-    /// The two-way scheduler label of this configuration: any NUMA
-    /// mechanism counts as NUMA-WS. The classification lives on the
-    /// shared policy layer ([`SchedPolicy::has_numa_mechanisms`]), the
-    /// same definition behind the runtime's `SchedulerMode::of`, so the
-    /// two labels can never disagree about the same policy.
-    pub fn kind(&self) -> SchedulerKind {
-        if self.policy.has_numa_mechanisms() {
-            SchedulerKind::NumaWs
-        } else {
-            SchedulerKind::Classic
-        }
-    }
-
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -196,8 +162,7 @@ mod tests {
 
     #[test]
     fn classic_has_no_numa_machinery() {
-        let c = SimConfig::classic(32);
-        assert_eq!(c.kind(), SchedulerKind::Classic);
+        let c = SimConfig::vanilla(32);
         assert_eq!(c.policy, SchedPolicy::vanilla());
         assert_eq!(c.policy.mailbox_capacity, 0);
         assert_eq!(c.policy.bias, StealBias::Uniform);
@@ -207,29 +172,11 @@ mod tests {
     #[test]
     fn numa_ws_defaults_match_paper() {
         let c = SimConfig::numa_ws(32);
-        assert_eq!(c.kind(), SchedulerKind::NumaWs);
         assert_eq!(c.policy, SchedPolicy::numa_ws());
         assert_eq!(c.policy.mailbox_capacity, 1);
         assert_eq!(c.policy.bias, StealBias::InverseDistance);
         assert_eq!(c.policy.coin_flip, CoinFlip::Fair);
         assert!(c.policy.push_threshold >= 1);
-    }
-
-    #[test]
-    fn vanilla_is_classic() {
-        assert_eq!(SimConfig::vanilla(8).policy, SimConfig::classic(8).policy);
-    }
-
-    #[test]
-    fn kind_classifies_ablation_cells() {
-        assert_eq!(
-            SimConfig::with_policy(SchedPolicy::bias_only(), 8).kind(),
-            SchedulerKind::NumaWs
-        );
-        assert_eq!(
-            SimConfig::with_policy(SchedPolicy::mailbox_only(), 8).kind(),
-            SchedulerKind::NumaWs
-        );
     }
 
     #[test]

@@ -525,7 +525,7 @@ mod tests {
         let root = b.frame(Place::ANY).compute(100).compute(50).finish();
         let dag = b.build(root);
         let topo = presets::paper_machine();
-        let sim = Simulation::new(&topo, SimConfig::classic(1), &dag).unwrap();
+        let sim = Simulation::new(&topo, SimConfig::vanilla(1), &dag).unwrap();
         let r = sim.run();
         assert_eq!(r.makespan, 150);
         assert_eq!(r.workers[0].work, 150);
@@ -537,7 +537,7 @@ mod tests {
     fn one_worker_equals_work_plus_spawn_overhead() {
         let dag = tree_dag(64, 100);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::classic(1);
+        let cfg = SimConfig::vanilla(1);
         let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
         // T1 = work + (push + pop) per spawn + trivial sync per sync.
         let spawns = dag.num_spawns();
@@ -553,7 +553,7 @@ mod tests {
     fn serial_elision_strips_overhead() {
         let dag = tree_dag(64, 100);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::classic(1);
+        let cfg = SimConfig::vanilla(1);
         let ts = Simulation::serial_elision(&topo, &cfg, &dag);
         assert_eq!(ts, dag.work());
     }
@@ -562,8 +562,8 @@ mod tests {
     fn parallel_run_completes_and_speeds_up() {
         let dag = tree_dag(256, 2_000);
         let topo = presets::paper_machine();
-        let t1 = Simulation::new(&topo, SimConfig::classic(1), &dag).unwrap().run().makespan;
-        let r32 = Simulation::new(&topo, SimConfig::classic(32), &dag).unwrap().run();
+        let t1 = Simulation::new(&topo, SimConfig::vanilla(1), &dag).unwrap().run().makespan;
+        let r32 = Simulation::new(&topo, SimConfig::vanilla(32), &dag).unwrap().run();
         assert!(r32.counters.steals > 0, "32 workers must steal");
         let speedup = t1 as f64 / r32.makespan as f64;
         assert!(speedup > 8.0, "speedup {speedup:.2} too low for 256-way parallel work");
@@ -622,7 +622,7 @@ mod tests {
 
         let topo = presets::paper_machine();
         let numa = Simulation::new(&topo, SimConfig::numa_ws(32), &dag).unwrap().run();
-        let classic = Simulation::new(&topo, SimConfig::classic(32), &dag).unwrap().run();
+        let classic = Simulation::new(&topo, SimConfig::vanilla(32), &dag).unwrap().run();
         assert_eq!(classic.counters.push_attempts, 0);
         assert_eq!(classic.counters.mailbox_takes, 0);
         assert!(
@@ -682,7 +682,7 @@ mod tests {
         let topo = presets::paper_machine();
         let hinted = build(true);
         let r_numa = Simulation::new(&topo, SimConfig::numa_ws(32), &hinted).unwrap().run();
-        let r_classic = Simulation::new(&topo, SimConfig::classic(32), &hinted).unwrap().run();
+        let r_classic = Simulation::new(&topo, SimConfig::vanilla(32), &hinted).unwrap().run();
         assert!(
             r_numa.remote_fraction() < r_classic.remote_fraction(),
             "NUMA-WS remote fraction {:.3} should beat classic {:.3}",
@@ -704,7 +704,7 @@ mod tests {
         let topo = presets::paper_machine();
         for leaves in [64usize, 256] {
             let dag = tree_dag(leaves, 1_000);
-            let r = Simulation::new(&topo, SimConfig::classic(16), &dag).unwrap().run();
+            let r = Simulation::new(&topo, SimConfig::vanilla(16), &dag).unwrap().run();
             let bound = 16.0 * dag.span() as f64;
             let ratio = r.counters.steal_attempts as f64 / bound;
             assert!(
@@ -762,7 +762,7 @@ mod tests {
         let dag = tree_dag(128, 800);
         let topo = presets::paper_machine();
         let a = Simulation::new(&topo, SimConfig::vanilla_ws(16), &dag).unwrap().run();
-        let b = Simulation::new(&topo, SimConfig::classic(16), &dag).unwrap().run();
+        let b = Simulation::new(&topo, SimConfig::vanilla(16), &dag).unwrap().run();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.workers, b.workers);

@@ -40,7 +40,7 @@ mod replay;
 mod report;
 mod scheduler;
 
-pub use config::{SchedCosts, SchedulerKind, SimConfig};
+pub use config::{SchedCosts, SimConfig};
 // The scheduling-policy layer is shared with the real runtime; re-export
 // it so simulator users keep one import path for the ablation knobs.
 pub use dag::{Dag, DagBuilder, FrameBuilder, FrameDef, FrameId, Step, Strand};

@@ -2,7 +2,7 @@
 //! scheduling-theory sanity (span ≤ makespan, work/P lower bound), and
 //! determinism.
 
-use nws_sim::{DagBuilder, FrameId, SchedulerKind, SimConfig, Simulation, Strand};
+use nws_sim::{DagBuilder, FrameId, SimConfig, Simulation, Strand};
 use nws_topology::{presets, Place};
 use proptest::prelude::*;
 
@@ -76,11 +76,7 @@ proptest! {
     fn both_schedulers_complete_and_account_time(r in recipe()) {
         let dag = build(&r);
         let topo = presets::paper_machine();
-        for kind in [SchedulerKind::Classic, SchedulerKind::NumaWs] {
-            let cfg = match kind {
-                SchedulerKind::Classic => SimConfig::classic(8),
-                SchedulerKind::NumaWs => SimConfig::numa_ws(8),
-            };
+        for cfg in [SimConfig::vanilla(8), SimConfig::numa_ws(8)] {
             let report = Simulation::new(&topo, cfg, &dag).unwrap().run();
             // Work conservation: total work >= the DAG's strand cycles
             // (memory stalls and spawn overhead only add on top).
@@ -109,7 +105,7 @@ proptest! {
     fn one_worker_run_matches_serial_plus_overhead(r in recipe()) {
         let dag = build(&r);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::classic(1);
+        let cfg = SimConfig::vanilla(1);
         let ts = Simulation::serial_elision(&topo, &cfg, &dag);
         let t1 = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
         prop_assert!(t1 >= ts, "T1 {t1} must include TS {ts}");

@@ -149,9 +149,9 @@ pub struct SchedPolicy {
     pub coin_flip: CoinFlip,
     /// Mailbox capacity per worker; the paper requires exactly 1, and 0
     /// disables mailboxes (and with them lazy pushback) entirely.
-    /// Capacities above 1 are ablation-only, and there the substrates'
-    /// queueing disciplines differ (the runtime's lock-free slot array is
-    /// not FIFO under interleaving; the simulator's queues are).
+    /// Capacities above 1 are a simulator-only ablation (FIFO mailbox
+    /// queues); the runtime's mailbox is a single slot and its
+    /// `PoolBuilder::build` rejects them.
     pub mailbox_capacity: usize,
     /// PUSHBACK retry threshold (the paper's constant "pushing threshold").
     pub push_threshold: u32,
@@ -250,16 +250,6 @@ impl SchedPolicy {
     #[inline]
     pub fn uses_mailboxes(&self) -> bool {
         self.mailbox_capacity > 0
-    }
-
-    /// Does this policy employ any NUMA mechanism (mailboxes or a
-    /// non-uniform victim bias)? The shared two-way classification behind
-    /// the runtime's `SchedulerMode::of` and the simulator's
-    /// `SimConfig::kind` — one definition, so the two labels can never
-    /// disagree about the same policy.
-    #[inline]
-    pub fn has_numa_mechanisms(&self) -> bool {
-        self.uses_mailboxes() || self.bias != StealBias::Uniform
     }
 
     /// Builder-style algorithm override.
@@ -540,10 +530,12 @@ mod tests {
 
     #[test]
     fn numa_mechanism_classification() {
-        assert!(!SchedPolicy::vanilla().has_numa_mechanisms());
-        assert!(SchedPolicy::bias_only().has_numa_mechanisms());
-        assert!(SchedPolicy::mailbox_only().has_numa_mechanisms());
-        assert!(SchedPolicy::numa_ws().has_numa_mechanisms());
+        let b = SchedPolicy::bias_only();
+        assert_eq!(b.bias, StealBias::InverseDistance);
+        assert!(!b.uses_mailboxes());
+        let m = SchedPolicy::mailbox_only();
+        assert_eq!(m.bias, StealBias::Uniform);
+        assert!(m.uses_mailboxes());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Run: `cargo run --release --example heat_stencil`
 
 use numa_ws_repro::apps::heat;
-use numa_ws_repro::runtime::{Pool, SchedulerMode};
+use numa_ws_repro::runtime::{Pool, SchedPolicy};
 use std::time::Instant;
 
 fn main() {
@@ -21,8 +21,9 @@ fn main() {
     heat::run_serial(&mut reference, &mut scratch, params);
     println!("serial elision: {:.0?}", t0.elapsed());
 
-    for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
-        let pool = Pool::builder().workers(workers).places(places).mode(mode).build().unwrap();
+    for (name, policy) in [("classic", SchedPolicy::vanilla()), ("numa-ws", SchedPolicy::numa_ws())]
+    {
+        let pool = Pool::builder().workers(workers).places(places).policy(policy).build().unwrap();
         let mut grid = heat::initial_grid(params.rows, params.cols);
         let mut scratch = vec![0.0; grid.len()];
         let t0 = Instant::now();
@@ -33,7 +34,7 @@ fn main() {
         let stats = pool.stats();
         let remote_share = stats.total_remote_steals() as f64 / stats.total_steals().max(1) as f64;
         println!(
-            "{mode:>8}: {} steps on {}x{} in {:.0?}; steals {} (remote share {:.2}), \
+            "{name:>8}: {} steps on {}x{} in {:.0?}; steals {} (remote share {:.2}), \
              mailbox deliveries {}",
             params.steps,
             params.rows,

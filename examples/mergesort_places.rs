@@ -5,7 +5,7 @@
 //! Run: `cargo run --release --example mergesort_places`
 
 use numa_ws_repro::apps::{cilksort, common};
-use numa_ws_repro::runtime::{Pool, SchedulerMode};
+use numa_ws_repro::runtime::{Pool, SchedPolicy};
 use std::time::Instant;
 
 fn main() {
@@ -19,12 +19,13 @@ fn main() {
     cilksort::sort_serial(&mut serial, &mut tmp, params);
     let ts = t0.elapsed();
 
-    for mode in [SchedulerMode::Classic, SchedulerMode::NumaWs] {
+    for (name, policy) in [("classic", SchedPolicy::vanilla()), ("numa-ws", SchedPolicy::numa_ws())]
+    {
         let workers = std::thread::available_parallelism().map_or(8, |n| n.get()).min(16);
         let pool = Pool::builder()
             .workers(workers)
             .places(4.min(workers))
-            .mode(mode)
+            .policy(policy)
             .build()
             .expect("pool");
         let mut data = keys.clone();
@@ -35,7 +36,7 @@ fn main() {
         assert_eq!(data, serial, "parallel sort must agree with the serial elision");
         let stats = pool.stats();
         println!(
-            "{mode:>8}: P={workers} sorted {} keys in {:.0?} (serial {:.0?}, speedup {:.2}x); \
+            "{name:>8}: P={workers} sorted {} keys in {:.0?} (serial {:.0?}, speedup {:.2}x); \
              steals {} ({} remote), pushes {}",
             params.n,
             tp,

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use numa_ws_repro::runtime::{join, join_at, Place, Pool, SchedulerMode};
+use numa_ws_repro::runtime::{join, join_at, Place, Pool, SchedPolicy};
 
 /// Recursive parallel sum with the stealable half hinted at place 1.
 fn sum(xs: &[u64]) -> u64 {
@@ -22,7 +22,7 @@ fn main() {
     let pool = Pool::builder()
         .workers(4)
         .places(2)
-        .mode(SchedulerMode::NumaWs)
+        .policy(SchedPolicy::numa_ws())
         .build()
         .expect("pool construction");
 

@@ -23,10 +23,10 @@ fn main() {
 
     // One heat run per scheduler on the simulated machine.
     println!("\nheat ({} steps) on 32 simulated cores:", heat::Params::sim().steps);
-    for (name, cfg) in [("classic", SimConfig::classic(32)), ("numa-ws", SimConfig::numa_ws(32))] {
+    for (name, cfg) in [("classic", SimConfig::vanilla(32)), ("numa-ws", SimConfig::numa_ws(32))] {
         let dag = heat::dag(heat::Params::sim(), 4);
         let dag1 = heat::dag(heat::Params::sim(), 1);
-        let t1 = Simulation::new(&topo, SimConfig::classic(1), &dag1).unwrap().run().makespan;
+        let t1 = Simulation::new(&topo, SimConfig::vanilla(1), &dag1).unwrap().run().makespan;
         let r = Simulation::new(&topo, cfg, &dag).unwrap().run();
         println!(
             "  {name:>8}: makespan {:>6.1} Mcycles, inflation {:.2}x, steals {} \

@@ -29,12 +29,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use numa_ws_repro::runtime::{self, Pool, SchedulerMode};
+//! use numa_ws_repro::runtime::{self, Pool, SchedPolicy};
 //!
 //! let pool = Pool::builder()
 //!     .workers(4)
 //!     .places(2)
-//!     .mode(SchedulerMode::NumaWs)
+//!     .policy(SchedPolicy::numa_ws())
 //!     .build()
 //!     .expect("pool construction");
 //! let (a, b) = pool.install(|| runtime::join(|| 1 + 1, || 2 + 2));

@@ -26,8 +26,8 @@ fn greedy_bound_holds_for_both_schedulers() {
     let work = dag.work() as f64;
     let span = dag.span() as f64;
     for p in [2usize, 8, 16, 32] {
-        for cfg in [SimConfig::classic(p), SimConfig::numa_ws(p)] {
-            let name = format!("{:?}", cfg.kind());
+        for (name, cfg) in [("classic", SimConfig::vanilla(p)), ("numa-ws", SimConfig::numa_ws(p))]
+        {
             let r = Simulation::new(&topo, cfg, &dag).unwrap().run();
             // The engine adds ~11 cycles/spawn of work-path overhead and
             // steal-path costs on the span; generous constants keep the
@@ -79,7 +79,7 @@ fn single_socket_numa_ws_degenerates_to_classic() {
     // schedulers should perform near-identically.
     let topo = presets::single_socket(8);
     let dag = tree(512, 2_000);
-    let tc = Simulation::new(&topo, SimConfig::classic(8), &dag).unwrap().run();
+    let tc = Simulation::new(&topo, SimConfig::vanilla(8), &dag).unwrap().run();
     let tn = Simulation::new(&topo, SimConfig::numa_ws(8), &dag).unwrap().run();
     let ratio = tn.makespan as f64 / tc.makespan as f64;
     assert!(

@@ -5,7 +5,7 @@
 //! exists for.
 
 use numa_ws::sync::atomic::{AtomicUsize, Ordering};
-use numa_ws_repro::runtime::{join, Place, Pool, SchedulerMode};
+use numa_ws_repro::runtime::{join, Place, Pool, SchedPolicy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,8 +22,9 @@ fn sum(xs: &[u64]) -> u64 {
 fn one_pool_serves_many_clients_across_places() {
     const CLIENTS: usize = 6;
     const REQUESTS: usize = 25;
-    let pool =
-        Arc::new(Pool::builder().workers(4).places(2).mode(SchedulerMode::NumaWs).build().unwrap());
+    let pool = Arc::new(
+        Pool::builder().workers(4).places(2).policy(SchedPolicy::numa_ws()).build().unwrap(),
+    );
     let notifications = Arc::new(AtomicUsize::new(0));
     let xs: Arc<Vec<u64>> = Arc::new((0..20_000).collect());
     let expect: u64 = xs.iter().sum();

@@ -13,25 +13,22 @@
 //! the figure harnesses: `cargo run --release -p nws_bench --bin fig8`.
 
 use numa_ws_repro::apps::{cg, cilksort, heat, hull, matmul};
-use numa_ws_repro::sim::{SchedulerKind, SimConfig, Simulation};
+use numa_ws_repro::sim::{SchedPolicy, SimConfig, Simulation};
 use numa_ws_repro::topology::presets;
 
-fn inflation(dag: &nws_sim::Dag, dag1: &nws_sim::Dag, kind: SchedulerKind) -> f64 {
+fn inflation(dag: &nws_sim::Dag, dag1: &nws_sim::Dag, policy: SchedPolicy) -> f64 {
     let topo = presets::paper_machine();
-    let (cfg, cfg1) = match kind {
-        SchedulerKind::Classic => (SimConfig::classic(32), SimConfig::classic(1)),
-        SchedulerKind::NumaWs => (SimConfig::numa_ws(32), SimConfig::numa_ws(1)),
-    };
-    let t1 = Simulation::new(&topo, cfg1, dag1).unwrap().run().makespan;
-    let r = Simulation::new(&topo, cfg, dag).unwrap().run();
+    let t1 =
+        Simulation::new(&topo, SimConfig::with_policy(policy, 1), dag1).unwrap().run().makespan;
+    let r = Simulation::new(&topo, SimConfig::with_policy(policy, 32), dag).unwrap().run();
     r.total_work() as f64 / t1 as f64
 }
 
 #[test]
 fn heat_numa_ws_mitigates_inflation() {
     let p = heat::Params { rows: 1024, cols: 1024, steps: 6, rows_base: 8 };
-    let classic = inflation(&heat::dag(p, 4), &heat::dag(p, 1), SchedulerKind::Classic);
-    let numa = inflation(&heat::dag(p, 4), &heat::dag(p, 1), SchedulerKind::NumaWs);
+    let classic = inflation(&heat::dag(p, 4), &heat::dag(p, 1), SchedPolicy::vanilla());
+    let numa = inflation(&heat::dag(p, 4), &heat::dag(p, 1), SchedPolicy::numa_ws());
     assert!(
         numa < classic * 0.8,
         "NUMA-WS must cut heat inflation by >20%: classic {classic:.2}, numa {numa:.2}"
@@ -42,8 +39,8 @@ fn heat_numa_ws_mitigates_inflation() {
 #[test]
 fn cg_numa_ws_mitigates_inflation() {
     let p = cg::Params { n: 1 << 15, nnz_per_row: 48, iters: 4, rows_base: 1 << 9 };
-    let classic = inflation(&cg::dag(p, 4), &cg::dag(p, 1), SchedulerKind::Classic);
-    let numa = inflation(&cg::dag(p, 4), &cg::dag(p, 1), SchedulerKind::NumaWs);
+    let classic = inflation(&cg::dag(p, 4), &cg::dag(p, 1), SchedPolicy::vanilla());
+    let numa = inflation(&cg::dag(p, 4), &cg::dag(p, 1), SchedPolicy::numa_ws());
     assert!(
         numa < classic,
         "NUMA-WS must reduce cg inflation: classic {classic:.2}, numa {numa:.2}"
@@ -53,8 +50,8 @@ fn cg_numa_ws_mitigates_inflation() {
 #[test]
 fn cilksort_numa_ws_mitigates_inflation() {
     let p = cilksort::Params { n: 1 << 18, sort_base: 1 << 11, merge_base: 1 << 11 };
-    let classic = inflation(&cilksort::dag(p, 4), &cilksort::dag(p, 1), SchedulerKind::Classic);
-    let numa = inflation(&cilksort::dag(p, 4), &cilksort::dag(p, 1), SchedulerKind::NumaWs);
+    let classic = inflation(&cilksort::dag(p, 4), &cilksort::dag(p, 1), SchedPolicy::vanilla());
+    let numa = inflation(&cilksort::dag(p, 4), &cilksort::dag(p, 1), SchedPolicy::numa_ws());
     assert!(
         numa < classic,
         "NUMA-WS must reduce cilksort inflation: classic {classic:.2}, numa {numa:.2}"
@@ -68,7 +65,7 @@ fn matmul_is_unharmed_by_numa_ws() {
     let p = matmul::Params { n: 256, block: 32 };
     let dag = matmul::dag(p, matmul::Layout::RowMajor);
     let topo = presets::paper_machine();
-    let tc = Simulation::new(&topo, SimConfig::classic(32), &dag).unwrap().run().makespan;
+    let tc = Simulation::new(&topo, SimConfig::vanilla(32), &dag).unwrap().run().makespan;
     let tn = Simulation::new(&topo, SimConfig::numa_ws(32), &dag).unwrap().run().makespan;
     let ratio = tn as f64 / tc as f64;
     assert!(ratio < 1.15, "NUMA-WS must not slow matmul by more than noise: T32 ratio {ratio:.3}");
@@ -85,8 +82,8 @@ fn hull_inflates_and_numa_ws_helps_both_datasets() {
     for ds in [hull::Dataset::InDisk, hull::Dataset::OnCircle] {
         let dag = hull::dag(p, 4, ds);
         let dag1 = hull::dag(p, 1, ds);
-        let c = inflation(&dag, &dag1, SchedulerKind::Classic);
-        let n = inflation(&dag, &dag1, SchedulerKind::NumaWs);
+        let c = inflation(&dag, &dag1, SchedPolicy::vanilla());
+        let n = inflation(&dag, &dag1, SchedPolicy::numa_ws());
         assert!(c > 1.4, "{ds:?}: classic hull must inflate: {c:.2}");
         assert!(n < c, "{ds:?}: NUMA-WS must reduce hull inflation: {n:.2} vs {c:.2}");
     }
@@ -99,7 +96,7 @@ fn work_efficiency_t1_over_ts_near_one() {
     let topo = presets::paper_machine();
     let p = cilksort::Params { n: 1 << 17, sort_base: 1 << 11, merge_base: 1 << 11 };
     let dag = cilksort::dag(p, 1);
-    for cfg in [SimConfig::classic(1), SimConfig::numa_ws(1)] {
+    for cfg in [SimConfig::vanilla(1), SimConfig::numa_ws(1)] {
         let ts = Simulation::serial_elision(&topo, &cfg, &dag);
         let t1 = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
         let overhead = t1 as f64 / ts as f64;
@@ -115,7 +112,7 @@ fn layout_transformation_helps_serial_time() {
     // Paper Fig 7: matmul-z TS = 73.6s vs matmul TS = 190.9s.
     let topo = presets::paper_machine();
     let p = matmul::Params { n: 256, block: 32 };
-    let cfg = SimConfig::classic(1);
+    let cfg = SimConfig::vanilla(1);
     let ts_rm = Simulation::serial_elision(&topo, &cfg, &matmul::dag(p, matmul::Layout::RowMajor));
     let ts_bz = Simulation::serial_elision(&topo, &cfg, &matmul::dag(p, matmul::Layout::BlockedZ));
     assert!(ts_bz < ts_rm, "blocked Z-Morton must beat row-major serially: {ts_bz} vs {ts_rm}");

@@ -4,12 +4,12 @@
 
 use numa_ws_repro::apps::{cg, cilksort, common, heat, hull, matmul, strassen};
 use numa_ws_repro::layout::{BlockedZ, Matrix};
-use numa_ws_repro::runtime::{Pool, SchedulerMode};
+use numa_ws_repro::runtime::{Pool, SchedPolicy};
 
 fn pools() -> Vec<Pool> {
-    [SchedulerMode::Classic, SchedulerMode::NumaWs]
+    [SchedPolicy::vanilla(), SchedPolicy::numa_ws()]
         .into_iter()
-        .map(|mode| Pool::builder().workers(8).places(4).mode(mode).build().unwrap())
+        .map(|policy| Pool::builder().workers(8).places(4).policy(policy).build().unwrap())
         .collect()
 }
 
@@ -23,7 +23,7 @@ fn all_benchmarks_correct_on_both_modes() {
         expect.sort_unstable();
         let mut tmp = vec![0u64; p.n];
         pool.install(|| cilksort::sort_parallel(&mut data, &mut tmp, p, 4));
-        assert_eq!(data, expect, "cilksort on {}", pool.mode());
+        assert_eq!(data, expect, "cilksort on {}", pool.policy());
 
         // heat
         let p = heat::Params::test();
@@ -33,7 +33,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let mut g2 = heat::initial_grid(p.rows, p.cols);
         let mut s2 = vec![0.0; g2.len()];
         pool.install(|| heat::run_parallel(&mut g2, &mut s2, p, 4));
-        assert!(common::max_abs_diff(&g1, &g2) < 1e-12, "heat on {}", pool.mode());
+        assert!(common::max_abs_diff(&g1, &g2) < 1e-12, "heat on {}", pool.policy());
 
         // cg
         let p = cg::Params::test();
@@ -41,7 +41,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let b: Vec<f64> = (0..p.n).map(|i| (i as f64).sin()).collect();
         let xs = cg::solve_serial(&a, &b, p);
         let xp = pool.install(|| cg::solve_parallel(&a, &b, p, 4));
-        assert!(common::max_abs_diff(&xs, &xp) < 1e-6, "cg on {}", pool.mode());
+        assert!(common::max_abs_diff(&xs, &xp) < 1e-6, "cg on {}", pool.policy());
 
         // hull (both datasets)
         let p = hull::Params::test();
@@ -55,7 +55,7 @@ fn all_benchmarks_correct_on_both_modes() {
                 v.dedup();
                 v
             };
-            assert_eq!(norm(&hs), norm(&hp), "hull on {}", pool.mode());
+            assert_eq!(norm(&hs), norm(&hp), "hull on {}", pool.policy());
         }
 
         // matmul (both layouts)
@@ -66,13 +66,13 @@ fn all_benchmarks_correct_on_both_modes() {
         matmul::mul_serial(&a, &b, &mut c_serial, p);
         let mut c_par = Matrix::zeros(p.n, p.n);
         pool.install(|| matmul::mul_parallel(&a, &b, &mut c_par, p));
-        assert_eq!(c_par, c_serial, "matmul on {}", pool.mode());
+        assert_eq!(c_par, c_serial, "matmul on {}", pool.policy());
 
         let za = BlockedZ::from_matrix(&a, p.block);
         let zb = BlockedZ::from_matrix(&b, p.block);
         let mut zc = BlockedZ::zeros(p.n, p.block);
         pool.install(|| matmul::mul_blocked_parallel(&za, &zb, &mut zc, p));
-        assert_eq!(zc.to_matrix(), c_serial, "matmul-z on {}", pool.mode());
+        assert_eq!(zc.to_matrix(), c_serial, "matmul-z on {}", pool.policy());
 
         // strassen
         let p = strassen::Params::test();
@@ -80,7 +80,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let b = Matrix::from_fn(p.n, p.n, |i, j| ((i + 2 * j) % 6) as f64);
         let cs = strassen::mul_serial(&a, &b, p);
         let cp = pool.install(|| strassen::mul_parallel(&a, &b, p));
-        assert_eq!(cp, cs, "strassen on {}", pool.mode());
+        assert_eq!(cp, cs, "strassen on {}", pool.policy());
     }
 }
 
@@ -105,8 +105,9 @@ fn processor_obliviousness_same_code_any_pool_shape() {
 #[test]
 fn stats_expose_numa_ws_machinery_only_in_numa_mode() {
     let p = heat::Params::test();
-    for (mode, expect_pushes) in [(SchedulerMode::Classic, false), (SchedulerMode::NumaWs, true)] {
-        let pool = Pool::builder().workers(8).places(4).mode(mode).build().unwrap();
+    for (policy, expect_pushes) in [(SchedPolicy::vanilla(), false), (SchedPolicy::numa_ws(), true)]
+    {
+        let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
         // Run a few times to give stealing a window.
         for _ in 0..5 {
             let mut g = heat::initial_grid(p.rows, p.cols);

@@ -5,7 +5,7 @@
 //! chaos tier covers the same invariants under injected faults.
 
 use numa_ws::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use numa_ws_repro::runtime::{Place, Pool, SchedulerMode};
+use numa_ws_repro::runtime::{Place, Pool, SchedPolicy};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -44,7 +44,7 @@ fn dropping_a_stormed_pool_drains_every_accepted_job() {
         let pool = Pool::builder()
             .workers(4)
             .places(2)
-            .mode(SchedulerMode::NumaWs)
+            .policy(SchedPolicy::numa_ws())
             .ingress_capacity(64)
             .build()
             .unwrap();
@@ -104,7 +104,7 @@ fn staggered_handle_drops_never_double_run_or_lose_jobs() {
         const CLIENTS: usize = 5;
         const PER_CLIENT: usize = 400;
         let pool = Arc::new(
-            Pool::builder().workers(4).places(2).mode(SchedulerMode::NumaWs).build().unwrap(),
+            Pool::builder().workers(4).places(2).policy(SchedPolicy::numa_ws()).build().unwrap(),
         );
         let slots: Arc<Vec<AtomicU32>> =
             Arc::new((0..CLIENTS * PER_CLIENT).map(|_| AtomicU32::new(0)).collect());
