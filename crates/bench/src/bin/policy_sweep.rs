@@ -33,16 +33,33 @@
 
 use numa_ws::{join_at, Place, Pool};
 use nws_apps::{gcmark, pipeline};
-use nws_bench::{counters_of_pool, counters_of_sim, machine, BenchId};
-use nws_metrics::{counter_row, counter_table, SchedCounters, Table};
-use nws_sim::{trace_to_dag, Dag, SchedPolicy, SimConfig, SimReport, Simulation};
+use nws_bench::{machine, BenchId};
+use nws_metrics::{counter_table, Table};
+use nws_sim::{trace_to_dag, Counters, Dag, SchedPolicy, SimConfig, SimReport, Simulation};
 use std::time::{Duration, Instant};
 
 /// One grid cell's simulator measurement.
 struct SimCell {
     makespan: u64,
     remote_share: f64,
-    counters: SchedCounters,
+    counters: Vec<(&'static str, u64)>,
+}
+
+/// The simulator's counters by name. Spawns come from the DAG; the
+/// runtime-only counters (ingress, wakeups, overflow, scope spawns, batch
+/// steals) have no analogue in the simulator's single-root model.
+fn sim_counters(dag: &Dag, c: &Counters) -> Vec<(&'static str, u64)> {
+    vec![
+        ("spawns", dag.num_spawns()),
+        ("steal_attempts", c.steal_attempts),
+        ("steals", c.steals),
+        ("remote_steals", c.remote_steals),
+        ("mailbox_takes", c.mailbox_takes),
+        ("push_attempts", c.push_attempts),
+        ("push_deliveries", c.push_deliveries),
+        ("push_failures", c.push_failures),
+        ("epoch_waits", c.epoch_waits),
+    ]
 }
 
 fn run_sim(policy: SchedPolicy, quick: bool) -> SimCell {
@@ -54,7 +71,7 @@ fn run_sim(policy: SchedPolicy, quick: bool) -> SimCell {
     SimCell {
         makespan: report.makespan,
         remote_share: report.counters.remote_steals as f64 / report.counters.steals.max(1) as f64,
-        counters: counters_of_sim(&dag, &report),
+        counters: sim_counters(&dag, &report.counters),
     }
 }
 
@@ -84,7 +101,7 @@ fn hinted_tree(d: u32, place: usize, places: usize) -> u64 {
 struct RealCell {
     wall: Duration,
     remote_share: f64,
-    counters: SchedCounters,
+    counters: Vec<(&'static str, u64)>,
 }
 
 fn run_real(policy: SchedPolicy, quick: bool) -> RealCell {
@@ -133,7 +150,7 @@ fn run_real(policy: SchedPolicy, quick: bool) -> RealCell {
     RealCell {
         wall,
         remote_share: stats.total_remote_steals() as f64 / stats.total_steals().max(1) as f64,
-        counters: counters_of_pool(&stats),
+        counters: stats.counter_totals(),
     }
 }
 
@@ -297,18 +314,14 @@ fn main() {
     println!("{summary}");
 
     println!("-- simulator counters (heat DAG, 32 workers, paper machine) --");
-    let mut sim_table = counter_table("policy");
-    for (name, _, sim, _) in &cells {
-        sim_table.row(counter_row(name, &sim.counters));
-    }
-    println!("{sim_table}");
+    let sim_rows: Vec<_> =
+        cells.iter().map(|(name, _, sim, _)| (*name, sim.counters.clone())).collect();
+    println!("{}", counter_table("policy", &sim_rows));
 
     println!("-- runtime counters (hinted tree + scope round, this host) --");
-    let mut real_table = counter_table("policy");
-    for (name, _, _, real) in &cells {
-        real_table.row(counter_row(name, &real.counters));
-    }
-    println!("{real_table}");
+    let real_rows: Vec<_> =
+        cells.iter().map(|(name, _, _, real)| (*name, real.counters.clone())).collect();
+    println!("{}", counter_table("policy", &real_rows));
 
     for (name, policy, _, _) in &cells {
         println!("{name:>14}: {policy}");

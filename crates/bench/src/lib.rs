@@ -181,60 +181,6 @@ pub fn secs(cycles: u64) -> f64 {
     nws_metrics::cycles_to_seconds(cycles)
 }
 
-/// Projects a real pool's statistics onto the unified counter record the
-/// ablation tables render (`nws_metrics::SchedCounters`). Every runtime
-/// counter is present, including the service-shaped ones the simulator
-/// has no analogue for.
-pub fn counters_of_pool(stats: &numa_ws::PoolStats) -> nws_metrics::SchedCounters {
-    nws_metrics::SchedCounters {
-        spawns: stats.total_spawns(),
-        steal_attempts: stats.total_steal_attempts(),
-        steals: stats.total_steals(),
-        remote_steals: stats.total_remote_steals(),
-        steal_batches: Some(stats.total_steal_batches()),
-        batch_stolen_jobs: Some(stats.total_batch_stolen_jobs()),
-        mailbox_takes: stats.total_mailbox_takes(),
-        push_attempts: stats.total_push_attempts(),
-        push_deliveries: stats.total_push_deliveries(),
-        push_failures: stats.total_push_failures(),
-        spawn_overflows: Some(stats.total_spawn_overflows()),
-        injector_takes: Some(stats.total_injector_takes()),
-        wakeups: Some(stats.total_wakeups()),
-        scope_spawns: Some(stats.total_scope_spawns()),
-        epoch_waits: None,
-        job_panics: Some(stats.total_job_panics()),
-        ingress_rejects: Some(stats.ingress_rejects),
-        sheds: Some(stats.sheds),
-    }
-}
-
-/// Projects a simulation's counters onto the unified record. The
-/// runtime-only counters (ingress, wakeups, overflow, scope spawns) are
-/// structurally absent — the simulator's single-root model has no external
-/// ingress and its workers never sleep — and render as `-`.
-pub fn counters_of_sim(dag: &Dag, report: &SimReport) -> nws_metrics::SchedCounters {
-    nws_metrics::SchedCounters {
-        spawns: dag.num_spawns(),
-        steal_attempts: report.counters.steal_attempts,
-        steals: report.counters.steals,
-        remote_steals: report.counters.remote_steals,
-        steal_batches: None,
-        batch_stolen_jobs: None,
-        mailbox_takes: report.counters.mailbox_takes,
-        push_attempts: report.counters.push_attempts,
-        push_deliveries: report.counters.push_deliveries,
-        push_failures: report.counters.push_failures,
-        spawn_overflows: None,
-        injector_takes: None,
-        wakeups: None,
-        scope_spawns: None,
-        epoch_waits: Some(report.counters.epoch_waits),
-        job_panics: None,
-        ingress_rejects: None,
-        sheds: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,13 @@
 //!   (`stolen_from`, the only cross-worker write) lives in its own padded
 //!   [`ThiefStats`] block, so a steal dirties neither the victim's
 //!   owner-counter line nor a neighbouring worker's stats.
+//!
+//! ## The counter table
+//!
+//! Every counter is declared once, as one row of the `counters!` invocation
+//! below. The macro expands the table into the cells, the atomics, the
+//! flush, snapshot and reset, the public [`WorkerStatsSnapshot`] fields and
+//! the [`PoolStats`] totals, so adding a counter means adding one row.
 
 use nws_sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::cell::Cell;
@@ -45,68 +52,210 @@ pub(crate) enum Category {
     Idle,
 }
 
-/// Counters written into this worker's stats by *other* workers (thieves).
-/// Padded onto its own cacheline block so a steal never dirties the
-/// victim's own counter lines.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub(crate) struct ThiefStats {
-    pub stolen_from: AtomicU64,
+/// Expands the counter table. Rows are `name => PoolStats getter`, each
+/// with its doc comment (the getter name is spelled out because
+/// `macro_rules` cannot join identifiers). Three sections:
+///
+/// - `clocks`: atomic only, fed by [`Clock`] through
+///   [`WorkerStats::add_time`];
+/// - `owner`: a [`LocalCounters`] cell bumped on the work path plus a
+///   [`WorkerStats`] atomic it is flushed into;
+/// - `thief`: written by other workers straight into the padded
+///   [`ThiefStats`] block.
+macro_rules! counters {
+    (
+        clocks { $( $(#[$cdoc:meta])* $clock:ident => $clock_total:ident, )* }
+        owner { $( $(#[$odoc:meta])* $owner:ident => $owner_total:ident, )* }
+        thief { $( $(#[$tdoc:meta])* $thief:ident => $thief_total:ident, )* }
+    ) => {
+        /// Counters written into this worker's stats by *other* workers
+        /// (thieves). Padded onto its own cacheline block so a steal never
+        /// dirties the victim's own counter lines.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub(crate) struct ThiefStats {
+            $( pub $thief: AtomicU64, )*
+        }
+
+        /// Shared counters for one worker. All fields except [`ThiefStats`]
+        /// are written only by the owning worker (flushes from its
+        /// [`LocalCounters`] and clock), so readers race only with
+        /// single-writer relaxed stores. The 128-byte alignment keeps
+        /// adjacent workers' stats off each other's cachelines in the
+        /// registry's `Vec<WorkerStats>`.
+        #[derive(Debug, Default)]
+        #[repr(C, align(128))] // repr(C): keep the thief block *after* the owner fields
+        pub(crate) struct WorkerStats {
+            $( pub $clock: AtomicU64, )*
+            $( pub $owner: AtomicU64, )*
+            /// Thief-written block, on its own cacheline(s).
+            pub thief: ThiefStats,
+        }
+
+        /// Per-worker counter accumulator: plain cells, owned by the worker
+        /// thread, bumped on the work path without any atomic operation and
+        /// flushed into the shared [`WorkerStats`] at steal-path transitions
+        /// (see module docs for the flush points and the exactness argument).
+        #[derive(Debug, Default)]
+        pub(crate) struct LocalCounters {
+            $( pub $owner: Cell<u64>, )*
+        }
+
+        impl LocalCounters {
+            /// Drains every nonzero cell into the shared atomics. The owner
+            /// is the only flusher, so each `fetch_add` is uncontended;
+            /// skipping zero deltas keeps untouched counters' cachelines
+            /// clean.
+            pub(crate) fn flush_into(&self, stats: &WorkerStats) {
+                $( drain(&self.$owner, &stats.$owner); )*
+            }
+
+            #[cfg(test)]
+            fn cells(&self) -> Vec<(&'static str, &Cell<u64>)> {
+                vec![$( (stringify!($owner), &self.$owner), )*]
+            }
+        }
+
+        impl WorkerStats {
+            pub(crate) fn snapshot(&self) -> WorkerStatsSnapshot {
+                WorkerStatsSnapshot {
+                    $( $clock: self.$clock.load(Relaxed), )*
+                    $( $owner: self.$owner.load(Relaxed), )*
+                    $( $thief: self.thief.$thief.load(Relaxed), )*
+                }
+            }
+
+            pub(crate) fn reset(&self) {
+                $( self.$clock.store(0, Relaxed); )*
+                $( self.$owner.store(0, Relaxed); )*
+                $( self.thief.$thief.store(0, Relaxed); )*
+            }
+
+            #[cfg(test)]
+            fn atomics(&self) -> Vec<(&'static str, &AtomicU64)> {
+                vec![
+                    $( (stringify!($clock), &self.$clock), )*
+                    $( (stringify!($owner), &self.$owner), )*
+                    $( (stringify!($thief), &self.thief.$thief), )*
+                ]
+            }
+        }
+
+        counters! {
+            @public
+            $( $(#[$cdoc])* $clock => $clock_total, )*
+            $( $(#[$odoc])* $owner => $owner_total, )*
+            $( $(#[$tdoc])* $thief => $thief_total, )*
+        }
+    };
+    (@public $( $(#[$doc:meta])* $name:ident => $total:ident, )*) => {
+        /// A point-in-time copy of one worker's statistics.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct WorkerStatsSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl PoolStats {
+            $(
+                #[doc = concat!(
+                    "Sum of [`WorkerStatsSnapshot::", stringify!($name), "`] across workers."
+                )]
+                pub fn $total(&self) -> u64 {
+                    self.workers.iter().map(|w| w.$name).sum()
+                }
+            )*
+
+            /// `(name, total)` for every counter, in table order, followed
+            /// by the pool-level `ingress_rejects` and `sheds`.
+            pub fn counter_totals(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $( (stringify!($name), self.$total()), )*
+                    ("ingress_rejects", self.ingress_rejects),
+                    ("sheds", self.sheds),
+                ]
+            }
+        }
+    };
 }
 
-/// Shared counters for one worker. All fields except [`ThiefStats`] are
-/// written only by the owning worker (flushes from its [`LocalCounters`]
-/// and clock), so readers race only with single-writer relaxed stores.
-/// The 128-byte alignment keeps adjacent workers' stats off each other's
-/// cachelines in the registry's `Vec<WorkerStats>`.
-#[derive(Debug, Default)]
-#[repr(C, align(128))] // repr(C): keep the thief block *after* the owner fields
-pub(crate) struct WorkerStats {
-    pub work_ns: AtomicU64,
-    pub sched_ns: AtomicU64,
-    pub idle_ns: AtomicU64,
-    pub spawns: AtomicU64,
-    pub spawn_overflows: AtomicU64,
-    pub scope_spawns: AtomicU64,
-    pub injector_takes: AtomicU64,
-    pub wakeups: AtomicU64,
-    pub steal_attempts: AtomicU64,
-    pub remote_steal_attempts: AtomicU64,
-    pub steals: AtomicU64,
-    pub remote_steals: AtomicU64,
-    pub steal_batches: AtomicU64,
-    pub batch_stolen_jobs: AtomicU64,
-    pub mailbox_takes: AtomicU64,
-    pub push_attempts: AtomicU64,
-    pub push_deliveries: AtomicU64,
-    pub push_failures: AtomicU64,
-    pub job_panics: AtomicU64,
-    /// Thief-written block, on its own cacheline(s).
-    pub thief: ThiefStats,
-}
-
-/// Per-worker counter accumulator: plain cells, owned by the worker thread,
-/// bumped on the work path without any atomic operation and flushed into
-/// the shared [`WorkerStats`] at steal-path transitions (see module docs
-/// for the flush points and the exactness argument).
-#[derive(Debug, Default)]
-pub(crate) struct LocalCounters {
-    pub spawns: Cell<u64>,
-    pub spawn_overflows: Cell<u64>,
-    pub scope_spawns: Cell<u64>,
-    pub injector_takes: Cell<u64>,
-    pub wakeups: Cell<u64>,
-    pub steal_attempts: Cell<u64>,
-    pub remote_steal_attempts: Cell<u64>,
-    pub steals: Cell<u64>,
-    pub remote_steals: Cell<u64>,
-    pub steal_batches: Cell<u64>,
-    pub batch_stolen_jobs: Cell<u64>,
-    pub mailbox_takes: Cell<u64>,
-    pub push_attempts: Cell<u64>,
-    pub push_deliveries: Cell<u64>,
-    pub push_failures: Cell<u64>,
-    pub job_panics: Cell<u64>,
+counters! {
+    clocks {
+        /// Nanoseconds spent doing useful work (incl. spawn overhead). The
+        /// pool total is the paper's `W_P`.
+        work_ns => total_work_ns,
+        /// Nanoseconds spent on NUMA-WS scheduling bookkeeping (`S_P`).
+        sched_ns => total_sched_ns,
+        /// Nanoseconds spent idle (failed steals, spinning) (`I_P`).
+        idle_ns => total_idle_ns,
+    }
+    owner {
+        /// Jobs pushed onto the local deque (`cilk_spawn` count). Counts only
+        /// **accepted** pushes: a spawn that overflows the deque and degrades
+        /// to inline execution lands in [`spawn_overflows`] instead, so the
+        /// `T1/TS` work-efficiency metrics never see phantom spawns.
+        ///
+        /// [`spawn_overflows`]: WorkerStatsSnapshot::spawn_overflows
+        spawns => total_spawns,
+        /// Spawns rejected by a full deque and run inline by the spawner.
+        spawn_overflows => total_spawn_overflows,
+        /// Tasks spawned through the structured [`Scope`](crate::Scope)
+        /// subsystem (`Scope::spawn` / `spawn_at`). A subset of [`spawns`]
+        /// when the spawner was a pool worker (scope spawns also push onto
+        /// the spawner's deque), counted separately so ablation tables can
+        /// show dynamic-task-set traffic per policy.
+        ///
+        /// [`spawns`]: WorkerStatsSnapshot::spawns
+        scope_spawns => total_scope_spawns,
+        /// Jobs taken from the per-place external ingress queues (own place or,
+        /// as a last resort, a remote one).
+        injector_takes => total_injector_takes,
+        /// Times a sleeping worker was woken by a producer's signal (inject,
+        /// mailbox deposit, a deque push made while it slept, or a join latch
+        /// set while its waiter slept). Safety-net timeouts are not counted, so
+        /// this is zero both under sustained load (nobody sleeps) and under
+        /// sustained idleness (nobody signals); high `wakeups` with low
+        /// takes/steals indicates wake churn.
+        wakeups => total_wakeups,
+        /// Steal attempts made by this worker.
+        steal_attempts => total_steal_attempts,
+        /// Steal attempts that targeted a victim on another socket. The ratio
+        /// to `steal_attempts` mirrors the victim distribution directly
+        /// (uniform under [`SchedPolicy::vanilla()`](crate::SchedPolicy::vanilla),
+        /// distance-biased under NUMA-WS), unlike successful-steal ratios,
+        /// which are confounded by who has work.
+        remote_steal_attempts => total_remote_steal_attempts,
+        /// Successful deque steals by this worker.
+        steals => total_steals,
+        /// Successful steals from victims on another socket.
+        remote_steals => total_remote_steals,
+        /// Steal episodes by this worker that spilled at least one extra job
+        /// into its own deque (steal-half batching). A subset of [`steals`]:
+        /// each successful episode counts one steal regardless of batch size.
+        ///
+        /// [`steals`]: WorkerStatsSnapshot::steals
+        steal_batches => total_steal_batches,
+        /// Extra jobs claimed by this worker's batch steals beyond the one
+        /// returned to run — i.e. jobs spilled into its own deque (or relayed
+        /// onward via PUSHBACK when earmarked for another place).
+        batch_stolen_jobs => total_batch_stolen_jobs,
+        /// Jobs taken from mailboxes (own or a victim's).
+        mailbox_takes => total_mailbox_takes,
+        /// PUSHBACK deposit attempts made.
+        push_attempts => total_push_attempts,
+        /// PUSHBACK deposits that landed in a mailbox.
+        push_deliveries => total_push_deliveries,
+        /// PUSHBACK episodes abandoned at the threshold.
+        push_failures => total_push_failures,
+        /// Fire-and-forget job closures that panicked on this worker. The
+        /// panic is caught (never unwinds the worker), counted here, and routed
+        /// to the pool's panic handler — see
+        /// [`PoolBuilder::panic_handler`](crate::PoolBuilder::panic_handler).
+        job_panics => total_job_panics,
+    }
+    thief {
+        /// Times this worker's own deque was stolen from.
+        stolen_from => total_stolen_from,
+    }
 }
 
 /// Bumps a [`LocalCounters`] cell: a plain, non-atomic increment (or, with
@@ -123,34 +272,11 @@ macro_rules! bump {
 }
 pub(crate) use bump;
 
-impl LocalCounters {
-    /// Drains every nonzero cell into the shared atomics. The owner is the
-    /// only flusher, so each `fetch_add` is uncontended; skipping zero
-    /// deltas keeps untouched counters' cachelines clean.
-    pub(crate) fn flush_into(&self, stats: &WorkerStats) {
-        #[inline]
-        fn drain(cell: &Cell<u64>, into: &AtomicU64) {
-            let delta = cell.take();
-            if delta != 0 {
-                into.fetch_add(delta, Relaxed);
-            }
-        }
-        drain(&self.spawns, &stats.spawns);
-        drain(&self.spawn_overflows, &stats.spawn_overflows);
-        drain(&self.scope_spawns, &stats.scope_spawns);
-        drain(&self.injector_takes, &stats.injector_takes);
-        drain(&self.wakeups, &stats.wakeups);
-        drain(&self.steal_attempts, &stats.steal_attempts);
-        drain(&self.remote_steal_attempts, &stats.remote_steal_attempts);
-        drain(&self.steals, &stats.steals);
-        drain(&self.remote_steals, &stats.remote_steals);
-        drain(&self.steal_batches, &stats.steal_batches);
-        drain(&self.batch_stolen_jobs, &stats.batch_stolen_jobs);
-        drain(&self.mailbox_takes, &stats.mailbox_takes);
-        drain(&self.push_attempts, &stats.push_attempts);
-        drain(&self.push_deliveries, &stats.push_deliveries);
-        drain(&self.push_failures, &stats.push_failures);
-        drain(&self.job_panics, &stats.job_panics);
+#[inline]
+fn drain(cell: &Cell<u64>, into: &AtomicU64) {
+    let delta = cell.take();
+    if delta != 0 {
+        into.fetch_add(delta, Relaxed);
     }
 }
 
@@ -163,128 +289,6 @@ impl WorkerStats {
         };
         slot.fetch_add(ns, Relaxed);
     }
-
-    pub(crate) fn snapshot(&self) -> WorkerStatsSnapshot {
-        WorkerStatsSnapshot {
-            work_ns: self.work_ns.load(Relaxed),
-            sched_ns: self.sched_ns.load(Relaxed),
-            idle_ns: self.idle_ns.load(Relaxed),
-            spawns: self.spawns.load(Relaxed),
-            spawn_overflows: self.spawn_overflows.load(Relaxed),
-            scope_spawns: self.scope_spawns.load(Relaxed),
-            injector_takes: self.injector_takes.load(Relaxed),
-            wakeups: self.wakeups.load(Relaxed),
-            steal_attempts: self.steal_attempts.load(Relaxed),
-            remote_steal_attempts: self.remote_steal_attempts.load(Relaxed),
-            steals: self.steals.load(Relaxed),
-            remote_steals: self.remote_steals.load(Relaxed),
-            steal_batches: self.steal_batches.load(Relaxed),
-            batch_stolen_jobs: self.batch_stolen_jobs.load(Relaxed),
-            stolen_from: self.thief.stolen_from.load(Relaxed),
-            mailbox_takes: self.mailbox_takes.load(Relaxed),
-            push_attempts: self.push_attempts.load(Relaxed),
-            push_deliveries: self.push_deliveries.load(Relaxed),
-            push_failures: self.push_failures.load(Relaxed),
-            job_panics: self.job_panics.load(Relaxed),
-        }
-    }
-
-    pub(crate) fn reset(&self) {
-        self.work_ns.store(0, Relaxed);
-        self.sched_ns.store(0, Relaxed);
-        self.idle_ns.store(0, Relaxed);
-        self.spawns.store(0, Relaxed);
-        self.spawn_overflows.store(0, Relaxed);
-        self.scope_spawns.store(0, Relaxed);
-        self.injector_takes.store(0, Relaxed);
-        self.wakeups.store(0, Relaxed);
-        self.steal_attempts.store(0, Relaxed);
-        self.remote_steal_attempts.store(0, Relaxed);
-        self.steals.store(0, Relaxed);
-        self.remote_steals.store(0, Relaxed);
-        self.steal_batches.store(0, Relaxed);
-        self.batch_stolen_jobs.store(0, Relaxed);
-        self.thief.stolen_from.store(0, Relaxed);
-        self.mailbox_takes.store(0, Relaxed);
-        self.push_attempts.store(0, Relaxed);
-        self.push_deliveries.store(0, Relaxed);
-        self.push_failures.store(0, Relaxed);
-        self.job_panics.store(0, Relaxed);
-    }
-}
-
-/// A point-in-time copy of one worker's statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStatsSnapshot {
-    /// Nanoseconds spent doing useful work (incl. spawn overhead).
-    pub work_ns: u64,
-    /// Nanoseconds spent on NUMA-WS scheduling bookkeeping.
-    pub sched_ns: u64,
-    /// Nanoseconds spent idle (failed steals, spinning).
-    pub idle_ns: u64,
-    /// Jobs pushed onto the local deque (`cilk_spawn` count). Counts only
-    /// **accepted** pushes: a spawn that overflows the deque and degrades
-    /// to inline execution lands in [`spawn_overflows`] instead, so the
-    /// `T1/TS` work-efficiency metrics never see phantom spawns.
-    ///
-    /// [`spawn_overflows`]: WorkerStatsSnapshot::spawn_overflows
-    pub spawns: u64,
-    /// Spawns rejected by a full deque and run inline by the spawner.
-    pub spawn_overflows: u64,
-    /// Tasks spawned through the structured [`Scope`](crate::Scope)
-    /// subsystem (`Scope::spawn` / `spawn_at`). A subset of [`spawns`]
-    /// when the spawner was a pool worker (scope spawns also push onto
-    /// the spawner's deque), counted separately so ablation tables can
-    /// show dynamic-task-set traffic per policy.
-    ///
-    /// [`spawns`]: WorkerStatsSnapshot::spawns
-    pub scope_spawns: u64,
-    /// Jobs taken from the per-place external ingress queues (own place or,
-    /// as a last resort, a remote one).
-    pub injector_takes: u64,
-    /// Times a sleeping worker was woken by a producer's signal (inject,
-    /// mailbox deposit, a deque push made while it slept, or a join latch
-    /// set while its waiter slept). Safety-net timeouts are not counted, so
-    /// this is zero both under sustained load (nobody sleeps) and under
-    /// sustained idleness (nobody signals); high `wakeups` with low
-    /// takes/steals indicates wake churn.
-    pub wakeups: u64,
-    /// Steal attempts made by this worker.
-    pub steal_attempts: u64,
-    /// Steal attempts that targeted a victim on another socket. The ratio
-    /// to `steal_attempts` mirrors the victim distribution directly
-    /// (uniform under Classic, distance-biased under NUMA-WS), unlike
-    /// successful-steal ratios, which are confounded by who has work.
-    pub remote_steal_attempts: u64,
-    /// Successful deque steals by this worker.
-    pub steals: u64,
-    /// Successful steals from victims on another socket.
-    pub remote_steals: u64,
-    /// Steal episodes by this worker that spilled at least one extra job
-    /// into its own deque (steal-half batching). A subset of [`steals`]:
-    /// each successful episode counts one steal regardless of batch size.
-    ///
-    /// [`steals`]: WorkerStatsSnapshot::steals
-    pub steal_batches: u64,
-    /// Extra jobs claimed by this worker's batch steals beyond the one
-    /// returned to run — i.e. jobs spilled into its own deque (or relayed
-    /// onward via PUSHBACK when earmarked for another place).
-    pub batch_stolen_jobs: u64,
-    /// Times this worker's own deque was stolen from.
-    pub stolen_from: u64,
-    /// Jobs taken from mailboxes (own or a victim's).
-    pub mailbox_takes: u64,
-    /// PUSHBACK deposit attempts made.
-    pub push_attempts: u64,
-    /// PUSHBACK deposits that landed in a mailbox.
-    pub push_deliveries: u64,
-    /// PUSHBACK episodes abandoned at the threshold.
-    pub push_failures: u64,
-    /// Fire-and-forget job closures that panicked on this worker. The
-    /// panic is caught (never unwinds the worker), counted here, and routed
-    /// to the pool's panic handler — see
-    /// [`PoolBuilder::panic_handler`](crate::PoolBuilder::panic_handler).
-    pub job_panics: u64,
 }
 
 /// Statistics for a whole pool.
@@ -302,104 +306,6 @@ pub struct PoolStats {
     /// the ingress queue was full. Each shed closure is dropped (its
     /// destructor runs) but never executed.
     pub sheds: u64,
-}
-
-impl PoolStats {
-    /// Total work nanoseconds across workers (the paper's `W_P`).
-    pub fn total_work_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.work_ns).sum()
-    }
-
-    /// Total scheduling nanoseconds across workers (`S_P`).
-    pub fn total_sched_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.sched_ns).sum()
-    }
-
-    /// Total idle nanoseconds across workers (`I_P`).
-    pub fn total_idle_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.idle_ns).sum()
-    }
-
-    /// Total successful steals.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total steals that crossed sockets.
-    pub fn total_remote_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.remote_steals).sum()
-    }
-
-    /// Total steal attempts.
-    pub fn total_steal_attempts(&self) -> u64 {
-        self.workers.iter().map(|w| w.steal_attempts).sum()
-    }
-
-    /// Total steal attempts that targeted another socket.
-    pub fn total_remote_steal_attempts(&self) -> u64 {
-        self.workers.iter().map(|w| w.remote_steal_attempts).sum()
-    }
-
-    /// Total steal episodes that spilled extra jobs (steal-half batching).
-    pub fn total_steal_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.steal_batches).sum()
-    }
-
-    /// Total extra jobs claimed by batch steals beyond the ones run
-    /// directly by their thief.
-    pub fn total_batch_stolen_jobs(&self) -> u64 {
-        self.workers.iter().map(|w| w.batch_stolen_jobs).sum()
-    }
-
-    /// Total mailbox deliveries.
-    pub fn total_push_deliveries(&self) -> u64 {
-        self.workers.iter().map(|w| w.push_deliveries).sum()
-    }
-
-    /// Total PUSHBACK deposit attempts.
-    pub fn total_push_attempts(&self) -> u64 {
-        self.workers.iter().map(|w| w.push_attempts).sum()
-    }
-
-    /// Total PUSHBACK episodes abandoned at the threshold.
-    pub fn total_push_failures(&self) -> u64 {
-        self.workers.iter().map(|w| w.push_failures).sum()
-    }
-
-    /// Total jobs taken out of mailboxes.
-    pub fn total_mailbox_takes(&self) -> u64 {
-        self.workers.iter().map(|w| w.mailbox_takes).sum()
-    }
-
-    /// Total spawns.
-    pub fn total_spawns(&self) -> u64 {
-        self.workers.iter().map(|w| w.spawns).sum()
-    }
-
-    /// Total spawns that overflowed their deque and ran inline.
-    pub fn total_spawn_overflows(&self) -> u64 {
-        self.workers.iter().map(|w| w.spawn_overflows).sum()
-    }
-
-    /// Total tasks spawned through the structured scope subsystem.
-    pub fn total_scope_spawns(&self) -> u64 {
-        self.workers.iter().map(|w| w.scope_spawns).sum()
-    }
-
-    /// Total jobs taken from the external ingress queues.
-    pub fn total_injector_takes(&self) -> u64 {
-        self.workers.iter().map(|w| w.injector_takes).sum()
-    }
-
-    /// Total worker sleep/wake cycles.
-    pub fn total_wakeups(&self) -> u64 {
-        self.workers.iter().map(|w| w.wakeups).sum()
-    }
-
-    /// Total fire-and-forget job panics caught (and reported) by workers.
-    pub fn total_job_panics(&self) -> u64 {
-        self.workers.iter().map(|w| w.job_panics).sum()
-    }
 }
 
 /// Per-thread category clock; flushes elapsed time into the shared atomics
@@ -438,24 +344,42 @@ impl Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    /// Stores a distinct nonzero value (`base * (row + 1)`) into every
+    /// atomic of `s`, clocks and thief block included.
+    fn fill(s: &WorkerStats, base: u64) {
+        for (i, (_, atomic)) in s.atomics().into_iter().enumerate() {
+            atomic.store(base * (i as u64 + 1), Relaxed);
+        }
+    }
+
+    fn load(s: &WorkerStats, name: &str) -> u64 {
+        let (_, atomic) = s.atomics().into_iter().find(|(n, _)| *n == name).expect("known counter");
+        atomic.load(Relaxed)
+    }
 
     #[test]
     fn snapshot_copies_counters() {
         let s = WorkerStats::default();
-        s.spawns.store(3, Relaxed);
-        s.steals.store(2, Relaxed);
-        let snap = s.snapshot();
-        assert_eq!(snap.spawns, 3);
-        assert_eq!(snap.steals, 2);
+        fill(&s, 1);
+        let stats = PoolStats { workers: vec![s.snapshot()], ..Default::default() };
+        for ((name, atomic), (total_name, total)) in
+            s.atomics().into_iter().zip(stats.counter_totals())
+        {
+            assert_eq!(name, total_name);
+            assert_eq!(atomic.load(Relaxed), total, "{name}");
+        }
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let s = WorkerStats::default();
-        s.work_ns.store(10, Relaxed);
-        s.push_failures.store(4, Relaxed);
-        s.thief.stolen_from.store(2, Relaxed);
+        fill(&s, 1);
         s.reset();
+        for (name, atomic) in s.atomics() {
+            assert_eq!(atomic.load(Relaxed), 0, "{name}");
+        }
         assert_eq!(s.snapshot(), WorkerStatsSnapshot::default());
     }
 
@@ -463,15 +387,31 @@ mod tests {
     fn local_counters_flush_and_drain() {
         let s = WorkerStats::default();
         let local = LocalCounters::default();
+        for (i, (_, cell)) in local.cells().into_iter().enumerate() {
+            cell.set(i as u64 + 1);
+        }
+        // The named-field bump the work path uses adds to the same cell.
         bump!(local, spawns);
-        bump!(local, spawns);
-        bump!(local, steal_attempts);
+        bump!(local, steal_attempts, 10);
+        let want = |i: usize, name: &str| match name {
+            "spawns" => i as u64 + 2,
+            "steal_attempts" => i as u64 + 11,
+            _ => i as u64 + 1,
+        };
         local.flush_into(&s);
-        assert_eq!(s.snapshot().spawns, 2);
-        assert_eq!(s.snapshot().steal_attempts, 1);
+        for (i, (name, cell)) in local.cells().into_iter().enumerate() {
+            assert_eq!(cell.get(), 0, "{name} must be drained");
+            assert_eq!(load(&s, name), want(i, name), "{name} lands in its own atomic");
+        }
+        // Flushing touches only the owner atomics.
+        for name in ["work_ns", "sched_ns", "idle_ns", "stolen_from"] {
+            assert_eq!(load(&s, name), 0, "{name}");
+        }
         // Cells drained: a second flush adds nothing.
         local.flush_into(&s);
-        assert_eq!(s.snapshot().spawns, 2);
+        for (i, (name, _)) in local.cells().into_iter().enumerate() {
+            assert_eq!(load(&s, name), want(i, name), "{name}");
+        }
         // Deltas accumulate across flushes.
         bump!(local, spawns);
         local.flush_into(&s);
@@ -496,31 +436,60 @@ mod tests {
 
     #[test]
     fn pool_stats_totals() {
+        let workers = [WorkerStats::default(), WorkerStats::default()];
+        fill(&workers[0], 1);
+        fill(&workers[1], 2);
         let stats = PoolStats {
-            workers: vec![
-                WorkerStatsSnapshot {
-                    work_ns: 10,
-                    sched_ns: 1,
-                    idle_ns: 2,
-                    steals: 1,
-                    ..Default::default()
-                },
-                WorkerStatsSnapshot {
-                    work_ns: 20,
-                    sched_ns: 3,
-                    idle_ns: 4,
-                    steals: 2,
-                    job_panics: 1,
-                    ..Default::default()
-                },
-            ],
-            ..Default::default()
+            workers: workers.iter().map(WorkerStats::snapshot).collect(),
+            ingress_rejects: 1000,
+            sheds: 2000,
         };
-        assert_eq!(stats.total_work_ns(), 30);
-        assert_eq!(stats.total_sched_ns(), 4);
-        assert_eq!(stats.total_idle_ns(), 6);
-        assert_eq!(stats.total_steals(), 3);
-        assert_eq!(stats.total_job_panics(), 1);
+        let totals = stats.counter_totals();
+        let names: HashSet<&str> = totals.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), totals.len(), "counter names must be unique");
+        // Each row totals across both workers: 1·(i+1) + 2·(i+1).
+        let rows = workers[0].atomics().len();
+        for (i, &(name, total)) in totals[..rows].iter().enumerate() {
+            assert_eq!(total, 3 * (i as u64 + 1), "{name}");
+        }
+        assert_eq!(totals[rows..], [("ingress_rejects", 1000), ("sheds", 2000)]);
+        // The public getters, by the names downstream code calls them.
+        type Getter = fn(&PoolStats) -> u64;
+        let getters: [(&str, Getter); 20] = [
+            ("work_ns", PoolStats::total_work_ns),
+            ("sched_ns", PoolStats::total_sched_ns),
+            ("idle_ns", PoolStats::total_idle_ns),
+            ("spawns", PoolStats::total_spawns),
+            ("spawn_overflows", PoolStats::total_spawn_overflows),
+            ("scope_spawns", PoolStats::total_scope_spawns),
+            ("injector_takes", PoolStats::total_injector_takes),
+            ("wakeups", PoolStats::total_wakeups),
+            ("steal_attempts", PoolStats::total_steal_attempts),
+            ("remote_steal_attempts", PoolStats::total_remote_steal_attempts),
+            ("steals", PoolStats::total_steals),
+            ("remote_steals", PoolStats::total_remote_steals),
+            ("steal_batches", PoolStats::total_steal_batches),
+            ("batch_stolen_jobs", PoolStats::total_batch_stolen_jobs),
+            ("mailbox_takes", PoolStats::total_mailbox_takes),
+            ("push_attempts", PoolStats::total_push_attempts),
+            ("push_deliveries", PoolStats::total_push_deliveries),
+            ("push_failures", PoolStats::total_push_failures),
+            ("job_panics", PoolStats::total_job_panics),
+            ("stolen_from", PoolStats::total_stolen_from),
+        ];
+        assert_eq!(getters.len(), rows, "every row has a getter");
+        for (name, getter) in getters {
+            let (_, total) = totals.iter().find(|(n, _)| *n == name).expect("named in totals");
+            assert_eq!(getter(&stats), *total, "{name}");
+        }
+        // Reset both workers: every total reads zero.
+        for w in &workers {
+            w.reset();
+        }
+        let stats =
+            PoolStats { workers: workers.iter().map(WorkerStats::snapshot).collect(), ..stats };
+        assert!(stats.counter_totals()[..rows].iter().all(|&(_, v)| v == 0));
+        assert!(getters.iter().all(|(_, getter)| getter(&stats) == 0));
     }
 
     #[test]

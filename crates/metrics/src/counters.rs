@@ -1,136 +1,36 @@
-//! The unified scheduler-counter set and its table rendering.
+//! Per-policy scheduler-counter tables.
 //!
-//! Both substrates count the same protocol events — steal attempts,
-//! successful/remote steals, mailbox takes, PUSHBACK traffic — and the
-//! runtime adds the service-shaped counters the simulator's single-root
-//! model has no analogue for (external ingress takes, sleep wakeups,
-//! deque-overflow spawns, scope spawns). [`SchedCounters`] is the common
-//! record an ablation table renders per policy: the policy-sweep driver
-//! converts `numa_ws::PoolStats` and `nws_sim::Counters` into this one
-//! shape and feeds [`counter_table`] rows from it.
+//! Each substrate reports its counters as a name-keyed list — the runtime
+//! through `numa_ws::PoolStats::counter_totals`, the simulator through a
+//! list built from `nws_sim::Counters` — and [`counter_table`] renders one
+//! row per policy, taking its column names from the first row. A counter
+//! one substrate lacks is simply not in its list, so each table shows only
+//! what its substrate measures.
 
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
-/// One run's scheduler counters, unified across substrates. Fields that
-/// only exist on one substrate are `Option`: `None` renders as `-`
-/// (structurally absent), which is different from a measured zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedCounters {
-    /// Deque spawns (runtime) / spawn pushes (simulator).
-    pub spawns: u64,
-    /// Steal attempts, successful or not.
-    pub steal_attempts: u64,
-    /// Successful deque steals.
-    pub steals: u64,
-    /// Successful steals that crossed sockets.
-    pub remote_steals: u64,
-    /// Steal episodes that spilled extra jobs into the thief's own deque
-    /// (steal-half batching; runtime only — the simulator steals one
-    /// frame at a time).
-    pub steal_batches: Option<u64>,
-    /// Extra jobs claimed by batch steals beyond the one run directly
-    /// (runtime only).
-    pub batch_stolen_jobs: Option<u64>,
-    /// Jobs/frames taken out of mailboxes (own or a victim's).
-    pub mailbox_takes: u64,
-    /// PUSHBACK deposit attempts.
-    pub push_attempts: u64,
-    /// PUSHBACK deposits that landed in a mailbox.
-    pub push_deliveries: u64,
-    /// PUSHBACK episodes abandoned at the threshold.
-    pub push_failures: u64,
-    /// Spawns rejected by a full deque and run inline (runtime only).
-    pub spawn_overflows: Option<u64>,
-    /// Jobs taken from the external ingress queues (runtime only).
-    pub injector_takes: Option<u64>,
-    /// Producer-signalled sleeper wakeups (runtime only).
-    pub wakeups: Option<u64>,
-    /// Tasks spawned through the structured scope subsystem (runtime
-    /// only).
-    pub scope_spawns: Option<u64>,
-    /// Idle waits for an epoch boundary (simulator only, and only under
-    /// the epoch-sync scheduler — the steal-based schedulers never wait).
-    pub epoch_waits: Option<u64>,
-    /// Fire-and-forget job panics caught by workers (runtime only).
-    pub job_panics: Option<u64>,
-    /// Submissions bounced back to callers by full bounded ingress queues
-    /// (runtime only).
-    pub ingress_rejects: Option<u64>,
-    /// Accepted spawns dropped unrun under the shedding overflow policy
-    /// (runtime only).
-    pub sheds: Option<u64>,
-}
-
-impl SchedCounters {
-    /// Column headers for [`counter_table`], aligned with
-    /// [`row`](SchedCounters::row).
-    pub fn headers() -> Vec<&'static str> {
-        vec![
-            "spawns",
-            "steal att",
-            "steals",
-            "remote",
-            "batches",
-            "batch jobs",
-            "mbox takes",
-            "push att",
-            "push del",
-            "push fail",
-            "overflow",
-            "ingress",
-            "wakeups",
-            "scope",
-            "epoch wait",
-            "panics",
-            "rejects",
-            "sheds",
-        ]
+/// Renders one row per `(row name, counters)` entry: a leading column
+/// named `label`, then one column per counter, named after the first row's
+/// counters.
+///
+/// # Panics
+///
+/// Panics if a later row names different counters (or orders them
+/// differently) than the first.
+pub fn counter_table(label: &str, rows: &[(&str, Vec<(&str, u64)>)]) -> Table {
+    let names: Vec<&str> =
+        rows.first().map_or_else(Vec::new, |(_, counters)| counters.iter().map(|c| c.0).collect());
+    let mut table = Table::new(std::iter::once(label).chain(names.iter().copied()).collect());
+    for (name, counters) in rows {
+        assert!(
+            counters.iter().map(|c| c.0).eq(names.iter().copied()),
+            "row {name:?} must name the first row's counters"
+        );
+        let mut cells = vec![name.to_string()];
+        cells.extend(counters.iter().map(|c| c.1.to_string()));
+        table.row(cells);
     }
-
-    /// This record as table cells, in [`headers`](SchedCounters::headers)
-    /// order. Substrate-absent counters render as `-`.
-    pub fn row(&self) -> Vec<String> {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "-".to_string(), |n| n.to_string())
-        }
-        vec![
-            self.spawns.to_string(),
-            self.steal_attempts.to_string(),
-            self.steals.to_string(),
-            self.remote_steals.to_string(),
-            opt(self.steal_batches),
-            opt(self.batch_stolen_jobs),
-            self.mailbox_takes.to_string(),
-            self.push_attempts.to_string(),
-            self.push_deliveries.to_string(),
-            self.push_failures.to_string(),
-            opt(self.spawn_overflows),
-            opt(self.injector_takes),
-            opt(self.wakeups),
-            opt(self.scope_spawns),
-            opt(self.epoch_waits),
-            opt(self.job_panics),
-            opt(self.ingress_rejects),
-            opt(self.sheds),
-        ]
-    }
-}
-
-/// Builds the skeleton of a per-policy counter table: a leading column
-/// named `label` followed by the [`SchedCounters::headers`] columns. Append
-/// one row per policy with [`counter_row`].
-pub fn counter_table(label: &'static str) -> Table {
-    let mut headers = vec![label];
-    headers.extend(SchedCounters::headers());
-    Table::new(headers)
-}
-
-/// One table row: `name` followed by the counter cells.
-pub fn counter_row(name: &str, counters: &SchedCounters) -> Vec<String> {
-    let mut row = vec![name.to_string()];
-    row.extend(counters.row());
-    row
+    table
 }
 
 #[cfg(test)]
@@ -138,46 +38,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn headers_and_row_align() {
-        let c = SchedCounters {
-            spawns: 100,
-            steal_attempts: 40,
-            steals: 9,
-            remote_steals: 3,
-            steal_batches: Some(2),
-            batch_stolen_jobs: Some(6),
-            mailbox_takes: 2,
-            push_attempts: 5,
-            push_deliveries: 4,
-            push_failures: 1,
-            spawn_overflows: Some(0),
-            injector_takes: Some(7),
-            wakeups: Some(11),
-            scope_spawns: Some(13),
-            epoch_waits: None,
-            job_panics: Some(0),
-            ingress_rejects: Some(17),
-            sheds: Some(19),
-        };
-        assert_eq!(SchedCounters::headers().len(), c.row().len());
+    fn name_keyed_table_aligns_headers_and_cells() {
+        let rows = [
+            ("vanilla", vec![("steals", 1), ("mailbox_takes", 2222), ("push_failures", 333)]),
+            ("numa-ws", vec![("steals", 0), ("mailbox_takes", 0), ("push_failures", 0)]),
+        ];
+        let rendered = counter_table("policy", &rows).to_string();
+        let lines: Vec<&str> = rendered.lines().collect();
+        let end = |line: &str, s: &str| line.find(s).expect("present") + s.len();
+        assert!(lines[0].starts_with("policy "));
+        // Cells right-align under the header of the counter they carry.
+        for (name, cell) in [("steals", "1"), ("mailbox_takes", "2222"), ("push_failures", "333")] {
+            assert_eq!(end(lines[0], name), end(lines[2], cell), "{name}");
+        }
+        assert!(lines[3].starts_with("numa-ws"));
     }
 
     #[test]
-    fn absent_counters_render_as_dash() {
-        let sim_side = SchedCounters { steals: 5, ..Default::default() };
-        let row = sim_side.row();
-        assert_eq!(row[2], "5");
-        assert_eq!(&row[4..6], ["-", "-"], "batching counters absent on sim");
-        assert_eq!(&row[10..14], ["-", "-", "-", "-"], "runtime-only counters absent on sim");
+    #[should_panic(expected = "must name the first row's counters")]
+    fn rows_must_name_the_same_counters() {
+        counter_table("policy", &[("a", vec![("steals", 1)]), ("b", vec![("spawns", 1)])]);
     }
 
     #[test]
     fn table_accepts_counter_rows() {
-        let mut t = counter_table("policy");
-        t.row(counter_row("vanilla", &SchedCounters::default()));
-        t.row(counter_row("numa-ws", &SchedCounters { steals: 2, ..Default::default() }));
-        let rendered = t.to_string();
+        let rows = [("numa-ws", vec![("mailbox_takes", 2)])];
+        let rendered = counter_table("policy", &rows).to_string();
         assert!(rendered.contains("numa-ws"));
-        assert!(rendered.contains("mbox takes"));
+        assert!(rendered.contains("mailbox_takes"));
+        assert!(counter_table("policy", &[]).is_empty());
     }
 }

@@ -8,5 +8,5 @@ mod counters;
 mod table;
 
 pub use breakdown::{cycles_to_seconds, Breakdown, CYCLES_PER_SECOND};
-pub use counters::{counter_row, counter_table, SchedCounters};
+pub use counters::counter_table;
 pub use table::{cell_with_ratio, Table};

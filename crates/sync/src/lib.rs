@@ -8,8 +8,9 @@
 //! - **Passthrough** (the default): `#[repr(transparent)]`-style newtypes
 //!   with `#[inline(always)]` delegation to `std::sync::atomic` and the
 //!   vendored `parking_lot`. After inlining this compiles to exactly the
-//!   code the call sites had before the facade existed; the A/B
-//!   `bench_snapshot` committed with each PR keeps that claim honest.
+//!   code the call sites had before the facade existed; the repo
+//!   benchmark (`perfbench`, whose `core.join.ns_per_spawn` times the
+//!   spawn path) keeps that claim honest.
 //! - **Model checking** (`--cfg nws_model`, usually via
 //!   `RUSTFLAGS="--cfg nws_model"`): every atomic access, lock operation,
 //!   cell access, and yield becomes a *schedule point* of a cooperative
