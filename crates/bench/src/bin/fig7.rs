@@ -23,18 +23,19 @@ fn main() {
         "T1 numa-ws",
         "T32 numa-ws",
     ]);
-    println!("Figure 7: execution times in simulated seconds (2.2 GHz), P = {p}");
+    println!("Figure 7: execution times in simulated milliseconds (2.2 GHz), P = {p}");
     println!("(parentheses: T1 column = spawn overhead T1/TS; T32 column = scalability T1/T32)\n");
+    let ms = |cycles: u64| secs(cycles) * 1e3;
     for bench in BenchId::all() {
         let classic = measure(bench, SchedPolicy::vanilla(), p, 42);
         let numa = measure(bench, SchedPolicy::numa_ws(), p, 42);
         table.row(vec![
             bench.name().to_string(),
-            format!("{:.2}", secs(classic.ts)),
-            format!("{:.2} ({:.2}x)", secs(classic.t1), classic.spawn_overhead()),
-            format!("{:.2} ({:.2}x)", secs(classic.tp), classic.scalability()),
-            format!("{:.2} ({:.2}x)", secs(numa.t1), numa.spawn_overhead()),
-            format!("{:.2} ({:.2}x)", secs(numa.tp), numa.scalability()),
+            format!("{:.2}", ms(classic.ts)),
+            format!("{:.2} ({:.2}x)", ms(classic.t1), classic.spawn_overhead()),
+            format!("{:.2} ({:.2}x)", ms(classic.tp), classic.scalability()),
+            format!("{:.2} ({:.2}x)", ms(numa.t1), numa.spawn_overhead()),
+            format!("{:.2} ({:.2}x)", ms(numa.tp), numa.scalability()),
         ]);
     }
     println!("{table}");

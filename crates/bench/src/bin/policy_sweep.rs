@@ -16,26 +16,19 @@
 //! Figure-style ablation. Output is three `nws_metrics` tables: the
 //! side-by-side grid summary, then the full counter set per substrate.
 //!
-//! Since PR 7 the sweep also covers the *scheduler* axis: the three
-//! [`Scheduler`](nws_sim::Scheduler) implementations (`numa-ws`,
-//! `vanilla-ws`, `epoch-sync`, the presets of
-//! `SchedPolicy::scheduler_grid`) run over the regular heat DAG **and**
-//! the two irregular workloads (`gcmark`'s marking flood, `pipeline`'s
-//! service mix) in the simulator, with the steal-based pair mirrored on
-//! the real pool (`epoch-sync` needs the simulator's global clock and is
-//! sim-only). A final section records a trace from the real pool and
-//! replays it through every scheduler, asserting the replay is
-//! deterministic — the same record→replay loop the golden tests pin.
+//! A final section records a trace from the real pool and replays it
+//! under every ablation policy, asserting the replay is deterministic —
+//! the same record→replay loop the golden tests pin.
 //!
 //! Run: `cargo run --release -p nws_bench --bin policy_sweep [-- --quick]`
 //! (`--quick` is the CI smoke configuration: one grid cell, shrunk
 //! workloads).
 
 use numa_ws::{join_at, Place, Pool};
-use nws_apps::{gcmark, pipeline};
+use nws_apps::gcmark;
 use nws_bench::{machine, BenchId};
 use nws_metrics::{counter_table, Table};
-use nws_sim::{trace_to_dag, Counters, Dag, SchedPolicy, SimConfig, SimReport, Simulation};
+use nws_sim::{trace_to_dag, Counters, Dag, SchedPolicy, SimConfig, Simulation};
 use std::time::{Duration, Instant};
 
 /// One grid cell's simulator measurement.
@@ -58,7 +51,6 @@ fn sim_counters(dag: &Dag, c: &Counters) -> Vec<(&'static str, u64)> {
         ("push_attempts", c.push_attempts),
         ("push_deliveries", c.push_deliveries),
         ("push_failures", c.push_failures),
-        ("epoch_waits", c.epoch_waits),
     ]
 }
 
@@ -154,96 +146,10 @@ fn run_real(policy: SchedPolicy, quick: bool) -> RealCell {
     }
 }
 
-/// The scheduler-axis workloads: heat (regular) plus the two irregular
-/// additions, at a scale keyed to `--quick`.
-fn workloads(quick: bool) -> Vec<(&'static str, Dag)> {
-    let (gp, pp) = if quick {
-        (gcmark::Params::test(), pipeline::Params::test())
-    } else {
-        (gcmark::Params::sim(), pipeline::Params::sim())
-    };
-    vec![
-        ("heat", if quick { BenchId::Cilksort.dag(4) } else { BenchId::Heat.dag(4) }),
-        ("gcmark", gcmark::dag(gp, 4)),
-        ("pipeline", pipeline::dag(pp, 4)),
-    ]
-}
-
-fn sim_run(policy: &SchedPolicy, dag: &Dag, workers: usize) -> SimReport {
-    let cfg = SimConfig::with_policy(*policy, workers).with_seed(42);
-    Simulation::new(&machine(), cfg, dag).expect("workers fit").run()
-}
-
-/// Real-pool wall time for the two irregular workloads under a policy.
-fn real_irregular(policy: &SchedPolicy, quick: bool) -> (Duration, Duration) {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(2, 8);
-    let places = 2.min(workers);
-    let pool = Pool::builder()
-        .workers(workers)
-        .places(places)
-        .policy(*policy)
-        .seed(42)
-        .build()
-        .expect("pool");
-    let gp = if quick { gcmark::Params::test() } else { gcmark::Params::default() };
-    let g = gcmark::random_graph(gp);
-    let t0 = Instant::now();
-    let marked = pool.install(|| gcmark::run_parallel(&g, gp, places));
-    assert!(marked.iter().any(|&m| m), "the flood must mark something");
-    let gc_wall = t0.elapsed();
-    let pp = if quick { pipeline::Params::test() } else { pipeline::Params::default() };
-    let mut data = pipeline::initial_data(pp);
-    let t0 = Instant::now();
-    pool.install(|| pipeline::run_parallel(&mut data, pp, places));
-    assert!(pipeline::checksum(&data) != 0);
-    (gc_wall, t0.elapsed())
-}
-
-/// The scheduler-axis sweep: every `Scheduler` impl over every workload on
-/// the simulator, the steal-based pair mirrored on the real pool.
-fn scheduler_grid_section(quick: bool) {
-    println!("-- scheduler grid: three Scheduler impls x three workloads --");
-    let dags = workloads(quick);
-    let mut table = Table::new(vec![
-        "scheduler",
-        "workload",
-        "sim T32 (kcyc)",
-        "sim steals",
-        "epoch waits",
-        "real gc (ms)",
-        "real pipe (ms)",
-    ]);
-    for (name, policy) in SchedPolicy::scheduler_grid() {
-        // epoch-sync needs the simulator's global clock: sim-only.
-        let real =
-            (policy.algo != nws_sim::SchedAlgo::EpochSync).then(|| real_irregular(&policy, quick));
-        for (wname, dag) in &dags {
-            let r = sim_run(&policy, dag, 32);
-            let (gc, pipe) =
-                real.as_ref().map_or(("-".into(), "-".into()), |(g, p): &(Duration, Duration)| {
-                    (
-                        format!("{:.2}", g.as_secs_f64() * 1e3),
-                        format!("{:.2}", p.as_secs_f64() * 1e3),
-                    )
-                });
-            table.row(vec![
-                name.to_string(),
-                wname.to_string(),
-                format!("{}", r.makespan / 1000),
-                r.counters.steals.to_string(),
-                r.counters.epoch_waits.to_string(),
-                gc,
-                pipe,
-            ]);
-        }
-    }
-    println!("{table}");
-}
-
-/// Record a trace on the real pool, replay it through every scheduler, and
-/// assert the replay is deterministic (the record→replay loop).
+/// Record a trace on the real pool, replay it under every ablation policy,
+/// and assert the replay is deterministic (the record→replay loop).
 fn trace_replay_section(quick: bool) {
-    println!("-- record/replay: real-pool trace through every scheduler --");
+    println!("-- record/replay: real-pool trace under every ablation policy --");
     let pool =
         Pool::builder().workers(4).places(2).seed(42).record_trace(true).build().expect("pool");
     let gp = if quick { gcmark::Params::test() } else { gcmark::Params::sim() };
@@ -259,8 +165,8 @@ fn trace_replay_section(quick: bool) {
         trace.total_ns(),
         dag.num_frames()
     );
-    let mut table = Table::new(vec!["scheduler", "replay T32 (kcyc)", "steals", "deterministic"]);
-    for (name, policy) in SchedPolicy::scheduler_grid() {
+    let mut table = Table::new(vec!["policy", "replay T32 (kcyc)", "steals", "deterministic"]);
+    for (name, policy) in SchedPolicy::ablation_grid() {
         let cfg = SimConfig::with_policy(policy, 32).with_seed(42).with_log_schedule(true);
         let a = Simulation::new(&machine(), cfg.clone(), &dag).expect("fits").run();
         let b = Simulation::new(&machine(), cfg, &dag).expect("fits").run();
@@ -328,6 +234,5 @@ fn main() {
     }
     println!();
 
-    scheduler_grid_section(quick);
     trace_replay_section(quick);
 }

@@ -1,12 +1,13 @@
-//! Replay a recorded DAG trace through every `Scheduler` implementation.
+//! Replay a recorded DAG trace under every ablation policy.
 //!
 //! The committed golden trace (`crates/bench/traces/golden_fib.trace`) was
 //! recorded once from the real pool (`fib(12)` under join, 4 workers / 2
 //! places) and is the fixed input CI replays on every run: the binary
-//! validates the trace, lowers it with [`trace_to_dag`], runs it through
-//! the three schedulers twice each, and **asserts** that both runs of each
-//! scheduler produce the identical schedule — the record→replay
-//! determinism contract (DESIGN.md §8). A schedule drift fails CI.
+//! validates the trace, lowers it with [`trace_to_dag`], runs it under the
+//! four presets of `SchedPolicy::ablation_grid` twice each, and **asserts**
+//! that both runs of each policy produce the identical schedule — the
+//! record→replay determinism contract (DESIGN.md §8). A schedule drift
+//! fails CI.
 //!
 //! Usage:
 //!
@@ -78,8 +79,8 @@ fn main() {
 
     let topo = machine();
     let worker_counts: &[usize] = if quick { &[8] } else { &[4, 8, 32] };
-    let mut table = Table::new(vec!["scheduler", "P", "makespan (cyc)", "steals", "deterministic"]);
-    for (name, policy) in SchedPolicy::scheduler_grid() {
+    let mut table = Table::new(vec!["policy", "P", "makespan (cyc)", "steals", "deterministic"]);
+    for (name, policy) in SchedPolicy::ablation_grid() {
         for &p in worker_counts {
             let cfg = SimConfig::with_policy(policy, p).with_seed(42).with_log_schedule(true);
             let a = Simulation::new(&topo, cfg.clone(), &dag).expect("fits").run();

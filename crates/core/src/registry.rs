@@ -13,8 +13,7 @@ use nws_deque::{the_deque, Full, TheStealer, TheWorker};
 use nws_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use nws_sync::{CachePadded, Condvar, Mutex};
 use nws_topology::{
-    worker_rng_seed, CoinFlip, Place, SchedPolicy, SplitMix64, StealDistribution, Topology,
-    WorkerMap,
+    worker_rng_seed, Place, SchedPolicy, SplitMix64, StealDistribution, Topology, WorkerMap,
 };
 use nws_trace::{TraceEvent, TraceSink};
 use std::any::Any;
@@ -796,21 +795,15 @@ impl WorkerThread {
         /// batch is amortizing the trip, which 16 already does.
         const STEAL_BATCH_MAX: usize = 16;
         let dist = self.registry.dists[self.index].as_ref()?;
-        let victim = dist.sample(self.next_random());
+        // The victim, then the policy's choice between its deque and its
+        // mailbox: a fair coin under the paper's protocol (required for the
+        // §IV bounds), or the two ablation extremes. The simulator decides
+        // through the same method.
+        let (victim, try_mailbox) = self.registry.policy.steal_target(dist, || self.next_random());
         bump!(self.local, steal_attempts);
         if self.registry.map.socket_of(victim) != self.registry.map.socket_of(self.index) {
             bump!(self.local, remote_steal_attempts);
         }
-
-        // The policy's choice protocol between the victim's deque and its
-        // mailbox: a fair coin under the paper's protocol (required for the
-        // §IV bounds), or the two ablation extremes.
-        let try_mailbox = self.registry.policy.uses_mailboxes()
-            && match self.registry.policy.coin_flip {
-                CoinFlip::Fair => self.next_random() & 1 == 0,
-                CoinFlip::MailboxFirst => true,
-                CoinFlip::DequeOnly => false,
-            };
         if try_mailbox {
             if let Some(job) = self.registry.mailboxes[victim].take() {
                 bump!(self.local, mailbox_takes);

@@ -13,7 +13,7 @@ use crate::memory::{CacheConfig, ContentionModel, LatencyModel};
 use nws_topology::{Placement, SchedPolicy};
 use serde::{Deserialize, Serialize};
 
-/// Scheduler operation costs in cycles. Work-path costs (spawn push, pop,
+/// Scheduling operation costs in cycles. Work-path costs (spawn push, pop,
 /// trivial sync) are small constants; steal-path costs are larger and, for
 /// inter-socket operations, scale with the numactl distance — the model's
 /// rendering of "incur overhead on the thief, not the worker".
@@ -81,7 +81,7 @@ pub struct SimConfig {
     pub caches: CacheConfig,
     /// Interconnect bandwidth contention model.
     pub contention: ContentionModel,
-    /// Scheduler operation costs.
+    /// Scheduling operation costs.
     pub costs: SchedCosts,
     /// Record the run's full schedule (steal sequence and per-frame
     /// executors) into [`SimReport::schedule`](crate::SimReport) — the
@@ -102,22 +102,6 @@ impl SimConfig {
     /// to).
     pub fn numa_ws(workers: usize) -> Self {
         Self::with_policy(SchedPolicy::numa_ws(), workers)
-    }
-
-    /// Classic work stealing as a distinct *algorithm*
-    /// ([`SchedPolicy::vanilla_ws`]): uniform victims and deque-only
-    /// steals regardless of the policy knobs — see
-    /// [`VanillaWsScheduler`](crate::scheduler::VanillaWsScheduler).
-    pub fn vanilla_ws(workers: usize) -> Self {
-        Self::with_policy(SchedPolicy::vanilla_ws(), workers)
-    }
-
-    /// The TREES-style epoch-synchronized scheduler
-    /// ([`SchedPolicy::epoch_sync`]): deterministic longest-deque raids
-    /// and epoch-boundary waits, no RNG — see
-    /// [`EpochSyncScheduler`](crate::scheduler::EpochSyncScheduler).
-    pub fn epoch_sync(workers: usize) -> Self {
-        Self::with_policy(SchedPolicy::epoch_sync(), workers)
     }
 
     /// A simulation of `workers` packed workers under an arbitrary

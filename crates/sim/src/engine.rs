@@ -1,10 +1,10 @@
 //! The discrete-event scheduler engine.
 //!
-//! Executes a [`Dag`] on a simulated NUMA [`Topology`] under either the
-//! classic work-stealing algorithm (paper Figure 2) or the NUMA-WS
-//! algorithm (paper Figure 5). Both run in the same engine; the NUMA-WS
-//! mechanisms (mailboxes, lazy pushback, biased victims, coin flip) are
-//! switched by the [`SimConfig`] so ablations can toggle each one.
+//! Executes a [`Dag`] on a simulated NUMA [`Topology`] under the NUMA-WS
+//! algorithm (paper Figure 5). Its mechanisms (mailboxes, lazy pushback,
+//! biased victims, coin flip) are switched by the policy in [`SimConfig`],
+//! so ablations can toggle each one; with vanilla knobs the same engine
+//! runs classic work stealing (paper Figure 2).
 //!
 //! Time advances per worker: each simulation turn picks the worker with the
 //! smallest local clock (ties by index) and lets it perform one action —
@@ -13,20 +13,25 @@
 //! turns are serialized; the concurrency *protocol* (who may take what,
 //! when) follows the paper's pseudocode exactly.
 //!
-//! The engine owns the mechanisms only; the scheduling *decisions* (victim
-//! choice, coin flip, push-or-run, wait) are delegated to a pluggable
-//! [`Scheduler`](crate::scheduler::Scheduler) selected by the policy's
-//! [`SchedAlgo`](nws_topology::SchedAlgo) — see `crate::scheduler`.
+//! The engine makes the paper's two scheduling decisions the way the real
+//! runtime does. An idle worker picks its victim and coin through
+//! [`SchedPolicy::steal_target`](nws_topology::SchedPolicy::steal_target),
+//! the method the runtime's steal loop calls. A worker holding a ready full
+//! frame pushes it back toward its place when the policy uses mailboxes and
+//! the frame is foreign, and runs it otherwise.
 
 use crate::config::SimConfig;
 use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
-use crate::scheduler::{scheduler_for, Cont, IdleAction, ReadyAction, SchedView, Scheduler};
 use nws_topology::{worker_rng_seed, Place, StealDistribution, Topology, TopologyError, WorkerMap};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
+
+/// A ready continuation: a frame plus the step index to resume at (the
+/// element of the engine's deques and mailboxes).
+type Cont = (usize, u32);
 
 /// What a worker is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +128,6 @@ struct Engine<'a> {
     cfg: &'a SimConfig,
     map: WorkerMap,
     mem: MemorySystem,
-    /// The decision layer (victim choice, coin flip, push-or-run, wait),
-    /// selected by `cfg.policy.algo` — see `crate::scheduler`.
-    scheduler: Box<dyn Scheduler>,
 
     clocks: Vec<u64>,
     work: Vec<u64>,
@@ -163,7 +165,6 @@ impl<'a> Engine<'a> {
         let mut states = vec![WState::Steal; p];
         states[0] = WState::Exec { frame: dag.root().0, step: 0 };
         Engine {
-            scheduler: scheduler_for(&cfg.policy, topo, &map),
             schedule: cfg.log_schedule.then(|| ScheduleLog {
                 steals: Vec::new(),
                 executors: vec![None; dag.num_frames()],
@@ -220,29 +221,6 @@ impl<'a> Engine<'a> {
             class_lines: self.mem.class_lines,
             schedule: self.schedule,
         }
-    }
-
-    /// Consults the scheduler's idle decision for worker `w`. Split-borrows
-    /// the engine so the read-only view, the mutable scheduler state, and
-    /// `w`'s rng coexist.
-    fn idle_action(&mut self, w: usize) -> IdleAction {
-        let Engine { scheduler, rngs, cfg, dists, deques, mailboxes, clocks, dag, map, .. } = self;
-        let view = SchedView::new(&cfg.policy, dists, deques, mailboxes, clocks, dag, map);
-        scheduler.on_worker_idle(w, &view, &mut rngs[w])
-    }
-
-    /// Consults the scheduler's ready decision for `frame` held by `w`.
-    fn ready_action(&mut self, w: usize, frame: usize) -> ReadyAction {
-        let Engine { scheduler, rngs, cfg, dists, deques, mailboxes, clocks, dag, map, .. } = self;
-        let view = SchedView::new(&cfg.policy, dists, deques, mailboxes, clocks, dag, map);
-        scheduler.on_task_ready(w, frame, &view, &mut rngs[w])
-    }
-
-    /// Notifies the scheduler that `frame` finished on `w`.
-    fn notify_finished(&mut self, w: usize, frame: usize) {
-        let Engine { scheduler, cfg, dists, deques, mailboxes, clocks, dag, map, .. } = self;
-        let view = SchedView::new(&cfg.policy, dists, deques, mailboxes, clocks, dag, map);
-        scheduler.on_task_finished(w, frame, &view);
     }
 
     fn my_place(&self, w: usize) -> Place {
@@ -334,7 +312,6 @@ impl<'a> Engine<'a> {
         if let Some(log) = &mut self.schedule {
             log.executors[frame] = Some(w);
         }
-        self.notify_finished(w, frame);
         if frame == self.dag.root().0 {
             self.done_at = Some(self.clocks[w]);
             return;
@@ -374,18 +351,16 @@ impl<'a> Engine<'a> {
         self.states[w] = WState::Steal;
     }
 
-    /// A worker holds a ready full frame: the scheduler decides run-here
-    /// vs. PUSHBACK toward its place (Fig 5 l.5-11 / l.21-26 under
-    /// NUMA-WS); on push failure past the threshold the worker keeps it.
+    /// A worker holds a ready full frame: under a mailbox policy a frame
+    /// hinted for another place starts a PUSHBACK episode toward it (Fig 5
+    /// l.5-11 / l.21-26); otherwise, or when delivery fails past the
+    /// threshold, the worker runs it here (load balancing wins).
     fn resume_full(&mut self, w: usize, cont: Cont) {
-        match self.ready_action(w, cont.0) {
-            // The guard runs the PUSHBACK episode; a failed delivery falls
-            // through to executing the frame here (load balancing wins).
-            ReadyAction::PushBack if self.pushback(w, cont) => self.states[w] = WState::Steal,
-            ReadyAction::PushBack | ReadyAction::Run => {
-                self.states[w] = WState::Exec { frame: cont.0, step: cont.1 }
-            }
-        }
+        let pushed = self.cfg.policy.uses_mailboxes()
+            && self.is_foreign(w, cont.0)
+            && self.pushback(w, cont);
+        self.states[w] =
+            if pushed { WState::Steal } else { WState::Exec { frame: cont.0, step: cont.1 } };
     }
 
     /// One PUSHBACK episode. Returns `true` if the frame was delivered to a
@@ -424,8 +399,7 @@ impl<'a> Engine<'a> {
 
     fn step_steal(&mut self, w: usize) {
         // Check own mailbox first (Fig 5 l.25-26): anything there is for
-        // our place by construction. This is an engine mechanism, common to
-        // every scheduler: earmarked work is never re-decided.
+        // our place by construction.
         if let Some(cont) = self.mailboxes[w].pop_front() {
             let cost = self.cfg.costs.mailbox_take;
             self.clocks[w] += cost;
@@ -434,17 +408,11 @@ impl<'a> Engine<'a> {
             self.states[w] = WState::Exec { frame: cont.0, step: cont.1 };
             return;
         }
-        let (victim, try_mailbox) = match self.idle_action(w) {
-            IdleAction::Wait { until } => {
-                // An epoch-style scheduler sits out the rest of the epoch;
-                // the gap is idle time (makespan minus busy). Clamp forward
-                // so time always advances even on a stale boundary.
-                self.counters.epoch_waits += 1;
-                self.clocks[w] = until.max(self.clocks[w] + 1);
-                return;
-            }
-            IdleAction::Steal { victim, try_mailbox } => (victim, try_mailbox),
-        };
+        // The Figure 5 steal decision, shared with the runtime's steal
+        // loop: victim first, then (under a fair coin) the coin.
+        let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
+        let rng = &mut self.rngs[w];
+        let (victim, try_mailbox) = self.cfg.policy.steal_target(dist, || rng.next_u64());
         let probe_cost = self.cfg.costs.steal_base
             + self.cfg.costs.steal_per_distance * self.distance(w, victim);
         self.counters.steal_attempts += 1;
@@ -502,7 +470,7 @@ mod tests {
     use super::*;
     use crate::dag::{DagBuilder, Strand};
     use crate::memory::{PagePolicy, Touch};
-    use nws_topology::presets;
+    use nws_topology::{presets, SchedPolicy};
 
     /// Balanced binary spawn tree with `leaves` leaves of `cycles` each.
     fn tree_dag(leaves: usize, cycles: u64) -> Dag {
@@ -754,35 +722,37 @@ mod tests {
     }
 
     #[test]
-    fn vanilla_ws_algo_matches_numa_ws_scheduler_under_vanilla_knobs() {
-        // The refactor's behavior-preservation check: the dedicated
-        // VanillaWs scheduler and the NumaWs scheduler running on vanilla
-        // knobs draw the same RNG stream (one uniform victim sample, no
-        // coin) and must produce bit-identical runs.
-        let dag = tree_dag(128, 800);
+    fn foreign_frames_push_back_only_with_mailboxes() {
+        // Spread over all four sockets so a Place(3) hint really is
+        // foreign to worker 0 (packed 8 workers would share one place).
         let topo = presets::paper_machine();
-        let a = Simulation::new(&topo, SimConfig::vanilla_ws(16), &dag).unwrap().run();
-        let b = Simulation::new(&topo, SimConfig::vanilla(16), &dag).unwrap().run();
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.workers, b.workers);
-    }
-
-    #[test]
-    fn epoch_sync_completes_and_counts_waits() {
-        let dag = tree_dag(128, 800);
-        let topo = presets::paper_machine();
-        let r = Simulation::new(&topo, SimConfig::epoch_sync(16), &dag).unwrap().run();
-        assert!(r.counters.steals > 0, "epoch raids still move work");
-        assert!(r.counters.epoch_waits > 0, "idle workers wait at boundaries");
-        // And it is deterministic without any RNG involvement: the seed
-        // must not matter.
-        let s1 =
-            Simulation::new(&topo, SimConfig::epoch_sync(16).with_seed(1), &dag).unwrap().run();
-        let s2 =
-            Simulation::new(&topo, SimConfig::epoch_sync(16).with_seed(2), &dag).unwrap().run();
-        assert_eq!(s1.makespan, s2.makespan);
-        assert_eq!(s1.counters, s2.counters);
+        let dag = {
+            let mut b = DagBuilder::new();
+            let foreign = b.frame(Place(3)).compute(1).finish();
+            let local = b.frame(Place::ANY).spawn(foreign).sync().finish();
+            b.build(local)
+        };
+        let (foreign, local) = (0, 1);
+        let ready = |policy: SchedPolicy, frame: usize| {
+            let cfg = SimConfig::with_policy(policy, 8)
+                .with_placement(nws_topology::Placement::Spread { sockets: 4 });
+            let map = cfg.placement.assign(&topo, cfg.workers).unwrap();
+            let mut engine = Engine::new(&topo, &dag, &cfg, map);
+            engine.resume_full(0, (frame, 0));
+            (engine.states[0], engine.counters.push_deliveries)
+        };
+        let run_here = |frame| WState::Exec { frame, step: 0 };
+        assert_eq!(ready(SchedPolicy::numa_ws(), foreign), (WState::Steal, 1));
+        assert_eq!(
+            ready(SchedPolicy::numa_ws(), local),
+            (run_here(local), 0),
+            "ANY is never foreign"
+        );
+        assert_eq!(
+            ready(SchedPolicy::vanilla(), foreign),
+            (run_here(foreign), 0),
+            "no mailboxes, no pushback"
+        );
     }
 
     #[test]

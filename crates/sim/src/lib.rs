@@ -2,8 +2,9 @@
 //!
 //! The paper's evaluation needs a four-socket NUMA server; this container
 //! has none, so the evaluation substrate is simulated (see DESIGN.md §2).
-//! The simulator executes task DAGs under the paper's two schedulers —
-//! classic work stealing (Figure 2) and NUMA-WS (Figure 5) — over a machine
+//! The simulator executes task DAGs under the paper's scheduler — NUMA-WS
+//! (Figure 5), which with vanilla [`SchedPolicy`] knobs is classic work
+//! stealing (Figure 2) — over a machine
 //! model with per-socket shared LLCs, per-worker private caches, page homes
 //! set by allocation policy, and hop-scaled remote latencies. Work
 //! inflation, the phenomenon the paper measures, emerges from placement:
@@ -38,21 +39,16 @@ mod engine;
 mod memory;
 mod replay;
 mod report;
-mod scheduler;
 
 pub use config::{SchedCosts, SimConfig};
-// The scheduling-policy layer is shared with the real runtime; re-export
-// it so simulator users keep one import path for the ablation knobs.
 pub use dag::{Dag, DagBuilder, FrameBuilder, FrameDef, FrameId, Step, Strand};
 pub use engine::Simulation;
 pub use memory::{
     CacheConfig, ContentionModel, FifoCache, LatencyModel, MemorySystem, PageId, PagePolicy,
     Region, RegionId, Touch, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES, STREAM_DISCOUNT_PCT,
 };
-pub use nws_topology::{CoinFlip, SchedAlgo, SchedPolicy, SleepPolicy, StealBias};
+// The scheduling-policy layer is shared with the real runtime; re-export
+// it so simulator users keep one import path for the ablation knobs.
+pub use nws_topology::{CoinFlip, SchedPolicy, SleepPolicy, StealBias};
 pub use replay::{trace_to_dag, DEFAULT_NS_PER_CYCLE};
 pub use report::{Counters, ScheduleLog, SimReport, WorkerTimes};
-pub use scheduler::{
-    scheduler_for, EpochSyncScheduler, IdleAction, NumaWsScheduler, ReadyAction, SchedView,
-    Scheduler, VanillaWsScheduler,
-};

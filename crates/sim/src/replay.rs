@@ -5,10 +5,10 @@
 //! id-ordered task table: spawn edges, place hints, and per-task execution
 //! intervals. [`trace_to_dag`] rebuilds a [`Dag`] from it — each task
 //! becomes a frame that spawns its recorded children, executes its
-//! **exclusive** time as one strand, and syncs — which any
-//! [`Scheduler`](crate::scheduler::Scheduler) implementation can then
-//! re-execute under simulated costs. Record once on the real machine,
-//! replay under every policy cell: the trace-driven leg of the
+//! **exclusive** time as one strand, and syncs — which the simulator can
+//! then re-execute under simulated costs and any `SchedPolicy`. Record
+//! once on the real machine, replay under every policy cell: the
+//! trace-driven leg of the
 //! `policy_sweep`/`trace_replay` drivers.
 //!
 //! ## Exclusive time
@@ -124,7 +124,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::Simulation;
-    use nws_topology::presets;
+    use nws_topology::{presets, SchedPolicy};
     use nws_trace::{TraceMeta, TraceTask};
 
     fn meta() -> TraceMeta {
@@ -234,8 +234,8 @@ mod tests {
         trace.validate().unwrap();
         let dag = trace_to_dag(&trace, 1);
         let topo = presets::paper_machine();
-        for cfg in [SimConfig::numa_ws(8), SimConfig::vanilla_ws(8), SimConfig::epoch_sync(8)] {
-            let cfg = cfg.with_log_schedule(true);
+        for (_, policy) in SchedPolicy::ablation_grid() {
+            let cfg = SimConfig::with_policy(policy, 8).with_log_schedule(true);
             let a = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
             let b = Simulation::new(&topo, cfg, &dag).unwrap().run();
             assert_eq!(a.makespan, b.makespan);

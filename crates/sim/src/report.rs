@@ -43,9 +43,6 @@ pub struct Counters {
     pub suspensions: u64,
     /// Provoked continuations resumed via CHECKPARENT.
     pub parent_resumes: u64,
-    /// Idle waits for an epoch boundary (epoch-sync scheduler only; the
-    /// steal-based schedulers never wait).
-    pub epoch_waits: u64,
 }
 
 /// The exact schedule of one run, recorded when

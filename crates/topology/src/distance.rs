@@ -111,62 +111,6 @@ impl DistanceMatrix {
         t.dedup();
         t
     }
-
-    /// Parses the `node distances:` block of `numactl --hardware` output.
-    ///
-    /// Expected shape (header row then one row per node):
-    ///
-    /// ```text
-    /// node   0   1   2   3
-    ///   0:  10  21  21  31
-    ///   1:  21  10  31  21
-    ///   2:  21  31  10  21
-    ///   3:  31  21  21  10
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message if the text does not contain a
-    /// well-formed, symmetric matrix with `10` on the diagonal.
-    pub fn parse_numactl(text: &str) -> Result<Self, String> {
-        let mut rows: Vec<Vec<u32>> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            // Data rows look like "0:  10 21 21 31".
-            let Some((label, rest)) = line.split_once(':') else {
-                continue;
-            };
-            if label.trim().parse::<usize>().is_err() {
-                continue;
-            }
-            let row: Result<Vec<u32>, _> =
-                rest.split_whitespace().map(|t| t.parse::<u32>()).collect();
-            match row {
-                Ok(r) if !r.is_empty() => rows.push(r),
-                Ok(_) => return Err("empty distance row".to_string()),
-                Err(e) => return Err(format!("bad distance entry: {e}")),
-            }
-        }
-        if rows.is_empty() {
-            return Err("no distance rows found".to_string());
-        }
-        let n = rows.len();
-        if rows.iter().any(|r| r.len() != n) {
-            return Err(format!("expected {n} entries per row"));
-        }
-        let flat: Vec<u32> = rows.into_iter().flatten().collect();
-        for i in 0..n {
-            if flat[i * n + i] != Self::LOCAL {
-                return Err(format!("diagonal entry {i} is not {}", Self::LOCAL));
-            }
-            for j in 0..n {
-                if flat[i * n + j] != flat[j * n + i] {
-                    return Err(format!("matrix not symmetric at ({i},{j})"));
-                }
-            }
-        }
-        Ok(DistanceMatrix { n, d: flat })
-    }
 }
 
 impl fmt::Display for DistanceMatrix {
@@ -242,37 +186,6 @@ mod tests {
     fn tiers_sorted_and_deduped() {
         let m = paper_matrix();
         assert_eq!(m.tiers(), vec![10, 21, 31]);
-    }
-
-    #[test]
-    fn parse_numactl_roundtrip() {
-        let m = paper_matrix();
-        let text = format!("available: 4 nodes (0-3)\nnode distances:\n{m}");
-        let parsed = DistanceMatrix::parse_numactl(&text).unwrap();
-        assert_eq!(parsed, m);
-    }
-
-    #[test]
-    fn parse_rejects_asymmetric() {
-        let text = "node 0 1\n0: 10 21\n1: 22 10\n";
-        assert!(DistanceMatrix::parse_numactl(text).is_err());
-    }
-
-    #[test]
-    fn parse_rejects_bad_diagonal() {
-        let text = "node 0 1\n0: 11 21\n1: 21 11\n";
-        assert!(DistanceMatrix::parse_numactl(text).is_err());
-    }
-
-    #[test]
-    fn parse_rejects_ragged() {
-        let text = "node 0 1\n0: 10 21 33\n1: 21 10\n";
-        assert!(DistanceMatrix::parse_numactl(text).is_err());
-    }
-
-    #[test]
-    fn parse_rejects_empty() {
-        assert!(DistanceMatrix::parse_numactl("hello\n").is_err());
     }
 
     #[test]

@@ -15,63 +15,19 @@
 //! [`numa_ws`](SchedPolicy::numa_ws)) describe the same protocols on both
 //! substrates.
 //!
-//! Determinism is part of the contract: both substrates derive their
-//! per-worker random streams from [`worker_rng_seed`] and a SplitMix64
-//! generator ([`SplitMix64`], pinned to the vendored `SmallRng` stream), so
-//! the same seed and the same policy produce the identical victim-index
-//! sequence from [`StealDistribution::sample`] in the runtime's steal loop
-//! and the simulator's engine.
+//! The paper's Figure 5 steal decision lives here once, as
+//! [`SchedPolicy::steal_target`]: the runtime's steal loop and the
+//! simulator's engine both call it. Determinism is part of the contract:
+//! both substrates derive their per-worker random streams from
+//! [`worker_rng_seed`] and a SplitMix64 generator ([`SplitMix64`], pinned to
+//! the vendored `SmallRng` stream), so the same seed and the same policy
+//! produce the identical `(victim, try_mailbox)` sequence in the runtime
+//! and in the simulator.
 
 use crate::{StealDistribution, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-
-/// Which scheduler *algorithm* interprets the policy's knobs — the
-/// top-level selection behind the simulator's pluggable `Scheduler` trait
-/// (`nws_sim::scheduler`). The knobs below ([`StealBias`], [`CoinFlip`],
-/// mailbox capacity, pushback threshold) parameterize the work-first
-/// algorithms; `algo` switches the decision procedure itself.
-///
-/// The real runtime executes the work-first loop for every variant (its
-/// knob settings already span vanilla↔NUMA-WS); `EpochSync` is a
-/// simulator-only structural alternative (TREES-style epoch-synchronized
-/// scheduling) used to compare scheduling *structures* on the same DAGs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchedAlgo {
-    /// The paper's work-first scheduling loop, fully knob-driven: with
-    /// NUMA knobs it is NUMA-WS (Figure 5), with vanilla knobs it
-    /// degenerates to classic work stealing (Figure 2).
-    NumaWs,
-    /// Classic Cilk-style work stealing as a *dedicated* implementation:
-    /// uniform victims, deques only, every ready frame runs where it is.
-    /// Ignores the NUMA knobs entirely — the control for "is the knob
-    /// machinery itself free when disabled?".
-    VanillaWs,
-    /// TREES-style epoch-synchronized scheduling: idle workers
-    /// deterministically raid the longest deque; when the whole system is
-    /// out of stealable work they wait for the next epoch boundary
-    /// ([`SchedPolicy::epoch_cycles`]) instead of re-probing. No
-    /// randomness — two runs are identical by construction.
-    EpochSync,
-}
-
-impl SchedAlgo {
-    /// The canonical names, as accepted by [`SchedPolicy`]'s `FromStr`.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedAlgo::NumaWs => "numa-ws",
-            SchedAlgo::VanillaWs => "vanilla-ws",
-            SchedAlgo::EpochSync => "epoch-sync",
-        }
-    }
-}
-
-impl fmt::Display for SchedAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// How a thief chooses its victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,12 +93,6 @@ impl Default for SleepPolicy {
 /// | [`numa_ws`](SchedPolicy::numa_ws) | inverse-distance | capacity 1 | fair |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SchedPolicy {
-    /// Which scheduler implementation interprets the knobs (see
-    /// [`SchedAlgo`]). All four ablation presets keep the work-first
-    /// [`SchedAlgo::NumaWs`] loop; the scheduler presets
-    /// ([`vanilla_ws`](SchedPolicy::vanilla_ws),
-    /// [`epoch_sync`](SchedPolicy::epoch_sync)) select the alternatives.
-    pub algo: SchedAlgo,
     /// Victim-selection bias.
     pub bias: StealBias,
     /// Thief mailbox/deque choice protocol.
@@ -155,11 +105,6 @@ pub struct SchedPolicy {
     pub mailbox_capacity: usize,
     /// PUSHBACK retry threshold (the paper's constant "pushing threshold").
     pub push_threshold: u32,
-    /// Epoch length in simulated cycles for [`SchedAlgo::EpochSync`]
-    /// (ignored by the other algorithms): an idle worker that finds no
-    /// stealable work waits for the next multiple of this instead of
-    /// re-probing.
-    pub epoch_cycles: u64,
     /// Idle-worker backoff parameters (runtime substrate only).
     pub sleep: SleepPolicy,
 }
@@ -169,12 +114,10 @@ impl SchedPolicy {
     /// victims, no mailboxes, no work pushing. The evaluation baseline.
     pub fn vanilla() -> Self {
         SchedPolicy {
-            algo: SchedAlgo::NumaWs,
             bias: StealBias::Uniform,
             coin_flip: CoinFlip::DequeOnly,
             mailbox_capacity: 0,
             push_threshold: 4,
-            epoch_cycles: 10_000,
             sleep: SleepPolicy::default(),
         }
     }
@@ -183,30 +126,18 @@ impl SchedPolicy {
     /// victims, single-entry mailboxes, fair coin flip, lazy pushback.
     pub fn numa_ws() -> Self {
         SchedPolicy {
-            algo: SchedAlgo::NumaWs,
             bias: StealBias::InverseDistance,
             coin_flip: CoinFlip::Fair,
             mailbox_capacity: 1,
             push_threshold: 4,
-            epoch_cycles: 10_000,
             sleep: SleepPolicy::default(),
         }
     }
 
-    /// The dedicated classic work-stealing implementation
-    /// ([`SchedAlgo::VanillaWs`]): vanilla knobs and a decision procedure
-    /// that never consults them. With the same seed it selects the exact
-    /// victim sequence [`vanilla`](SchedPolicy::vanilla) does (one uniform
-    /// draw per steal attempt) — pinned by a simulator test.
+    /// Another name for [`vanilla`](SchedPolicy::vanilla), kept for
+    /// callers that label the classic baseline `vanilla-ws`.
     pub fn vanilla_ws() -> Self {
-        SchedPolicy { algo: SchedAlgo::VanillaWs, ..SchedPolicy::vanilla() }
-    }
-
-    /// TREES-style epoch-synchronized scheduling
-    /// ([`SchedAlgo::EpochSync`]): deterministic longest-deque raids,
-    /// epoch-paced idling, no mailboxes, no randomness.
-    pub fn epoch_sync() -> Self {
-        SchedPolicy { algo: SchedAlgo::EpochSync, ..SchedPolicy::vanilla() }
+        SchedPolicy::vanilla()
     }
 
     /// Distance-biased victims only — no mailboxes, no pushback. The
@@ -232,37 +163,11 @@ impl SchedPolicy {
         ]
     }
 
-    /// The scheduler-implementation comparison grid: the same DAGs run
-    /// under each [`SchedAlgo`], in paper-first order. This is the axis
-    /// `policy_sweep`'s scheduler section iterates; it is orthogonal to
-    /// [`ablation_grid`](SchedPolicy::ablation_grid), which sweeps the
-    /// knobs of the work-first algorithm alone.
-    pub fn scheduler_grid() -> [(&'static str, SchedPolicy); 3] {
-        [
-            ("numa-ws", SchedPolicy::numa_ws()),
-            ("vanilla-ws", SchedPolicy::vanilla_ws()),
-            ("epoch-sync", SchedPolicy::epoch_sync()),
-        ]
-    }
-
     /// Does this policy use mailboxes (and therefore lazy pushback) at
     /// all?
     #[inline]
     pub fn uses_mailboxes(&self) -> bool {
         self.mailbox_capacity > 0
-    }
-
-    /// Builder-style algorithm override.
-    pub fn with_algo(mut self, algo: SchedAlgo) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Builder-style epoch-length override (cycles;
-    /// [`SchedAlgo::EpochSync`] only).
-    pub fn with_epoch_cycles(mut self, cycles: u64) -> Self {
-        self.epoch_cycles = cycles;
-        self
     }
 
     /// Builder-style bias override.
@@ -314,6 +219,33 @@ impl SchedPolicy {
             StealBias::InverseDistance => StealDistribution::biased(topo, map, thief),
         })
     }
+
+    /// The steal decision of paper Figure 5 (BIASEDSTEALWITHPUSH, l.28):
+    /// which victim to probe and whether to look in its mailbox before its
+    /// deque. `dist` is the thief's [`victim_distribution`](Self::victim_distribution)
+    /// and `next` its random stream. The victim is drawn first; the coin
+    /// is drawn second, and only under a fair coin on a policy with
+    /// mailboxes. With vanilla knobs this is Figure 2's RANDOMSTEAL: one
+    /// uniform draw, deque only.
+    ///
+    /// Both substrates decide through this one method — the runtime over
+    /// its `SplitMix64` cell, the simulator over its `SmallRng` — so a
+    /// seeded policy makes the same decisions on both.
+    #[inline]
+    pub fn steal_target(
+        &self,
+        dist: &StealDistribution,
+        mut next: impl FnMut() -> u64,
+    ) -> (usize, bool) {
+        let victim = dist.sample(next());
+        let try_mailbox = self.uses_mailboxes()
+            && match self.coin_flip {
+                CoinFlip::Fair => next() & 1 == 0,
+                CoinFlip::MailboxFirst => true,
+                CoinFlip::DequeOnly => false,
+            };
+        (victim, try_mailbox)
+    }
 }
 
 impl Default for SchedPolicy {
@@ -324,12 +256,10 @@ impl Default for SchedPolicy {
 }
 
 /// The canonical flat text encoding of a policy, e.g.
-/// `algo=numa-ws bias=inverse-distance coin=fair mailbox=1 push=4
-/// epoch=10000 sleep=10/50/10000`. This is the round-trip format
-/// [`FromStr`] parses; the vendored `serde` is a no-op stand-in (see
-/// `vendor/serde`), so the repo's own encoding is what sweep drivers and
-/// snapshots persist. Pre-PR-7 encodings without the `algo=`/`epoch=`
-/// tokens still parse (both default from the NUMA-WS preset).
+/// `bias=inverse-distance coin=fair mailbox=1 push=4 sleep=10/50/10000`.
+/// This is the round-trip format [`FromStr`] parses; the vendored `serde`
+/// is a no-op stand-in (see `vendor/serde`), so the repo's own encoding is
+/// what sweep drivers and snapshots persist.
 impl fmt::Display for SchedPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let bias = match self.bias {
@@ -343,11 +273,9 @@ impl fmt::Display for SchedPolicy {
         };
         write!(
             f,
-            "algo={} bias={bias} coin={coin} mailbox={} push={} epoch={} sleep={}/{}/{}",
-            self.algo,
+            "bias={bias} coin={coin} mailbox={} push={} sleep={}/{}/{}",
             self.mailbox_capacity,
             self.push_threshold,
-            self.epoch_cycles,
             self.sleep.spin_rounds,
             self.sleep.yield_rounds,
             self.sleep.sleep_timeout_us
@@ -371,8 +299,9 @@ impl FromStr for SchedPolicy {
     type Err = ParsePolicyError;
 
     /// Parses the [`Display`](SchedPolicy#impl-Display-for-SchedPolicy)
-    /// encoding, or one of the preset names (`vanilla`, `bias-only`,
-    /// `mailbox-only`, `numa-ws`, `vanilla-ws`, `epoch-sync`).
+    /// encoding, or one of the four ablation preset names (`vanilla`,
+    /// `bias-only`, `mailbox-only`, `numa-ws`). Keys missing from the
+    /// encoding keep their NUMA-WS preset value; unknown keys are errors.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         if s.is_empty() {
@@ -380,12 +309,8 @@ impl FromStr for SchedPolicy {
             // full NUMA-WS preset.
             return Err(ParsePolicyError("empty policy string".into()));
         }
-        for (name, preset) in
-            SchedPolicy::ablation_grid().into_iter().chain(SchedPolicy::scheduler_grid())
-        {
-            if s == name {
-                return Ok(preset);
-            }
+        if let Some((_, preset)) = SchedPolicy::ablation_grid().into_iter().find(|(n, _)| *n == s) {
+            return Ok(preset);
         }
         let mut policy = SchedPolicy::numa_ws();
         for token in s.split_whitespace() {
@@ -393,19 +318,6 @@ impl FromStr for SchedPolicy {
                 .split_once('=')
                 .ok_or_else(|| ParsePolicyError(format!("token {token:?} is not key=value")))?;
             match key {
-                "algo" => {
-                    policy.algo = match value {
-                        "numa-ws" => SchedAlgo::NumaWs,
-                        "vanilla-ws" => SchedAlgo::VanillaWs,
-                        "epoch-sync" => SchedAlgo::EpochSync,
-                        other => return Err(ParsePolicyError(format!("unknown algo {other:?}"))),
-                    }
-                }
-                "epoch" => {
-                    policy.epoch_cycles = value
-                        .parse()
-                        .map_err(|e| ParsePolicyError(format!("epoch={value:?}: {e}")))?;
-                }
                 "bias" => {
                     policy.bias = match value {
                         "uniform" => StealBias::Uniform,
@@ -560,11 +472,9 @@ mod tests {
     #[test]
     fn display_roundtrips_custom_knobs() {
         let policy = SchedPolicy::numa_ws()
-            .with_algo(SchedAlgo::EpochSync)
             .with_coin_flip(CoinFlip::MailboxFirst)
             .with_mailbox_capacity(16)
             .with_push_threshold(64)
-            .with_epoch_cycles(4096)
             .with_sleep(SleepPolicy { spin_rounds: 3, yield_rounds: 7, sleep_timeout_us: 500 });
         let parsed: SchedPolicy = policy.to_string().parse().unwrap();
         assert_eq!(parsed, policy);
@@ -576,38 +486,51 @@ mod tests {
         assert_eq!("numa-ws".parse::<SchedPolicy>().unwrap(), SchedPolicy::numa_ws());
         assert_eq!("bias-only".parse::<SchedPolicy>().unwrap(), SchedPolicy::bias_only());
         assert_eq!("mailbox-only".parse::<SchedPolicy>().unwrap(), SchedPolicy::mailbox_only());
-        assert_eq!("vanilla-ws".parse::<SchedPolicy>().unwrap(), SchedPolicy::vanilla_ws());
-        assert_eq!("epoch-sync".parse::<SchedPolicy>().unwrap(), SchedPolicy::epoch_sync());
         assert!("no-such".parse::<SchedPolicy>().is_err());
+        assert!("epoch-sync".parse::<SchedPolicy>().is_err());
         assert!("bias=sideways".parse::<SchedPolicy>().is_err());
-        assert!("algo=heft".parse::<SchedPolicy>().is_err());
+        // The retired scheduler selector and epoch length are unknown keys.
+        assert!("algo=numa-ws".parse::<SchedPolicy>().is_err());
+        assert!("epoch=10000".parse::<SchedPolicy>().is_err());
         assert!("".parse::<SchedPolicy>().is_err(), "empty must not become a preset");
         assert!("  \n".parse::<SchedPolicy>().is_err());
     }
 
     #[test]
-    fn scheduler_grid_selects_algorithms() {
-        let grid = SchedPolicy::scheduler_grid();
-        assert_eq!(grid[0].1.algo, SchedAlgo::NumaWs);
-        assert_eq!(grid[1].1.algo, SchedAlgo::VanillaWs);
-        assert_eq!(grid[2].1.algo, SchedAlgo::EpochSync);
-        for (name, policy) in grid {
-            assert_eq!(policy.algo.name(), name, "grid names track the algo");
-            let parsed: SchedPolicy = policy.to_string().parse().unwrap();
-            assert_eq!(parsed, policy, "scheduler selection round-trips");
-        }
-        // Every ablation preset stays on the knob-driven work-first loop.
-        for (_, policy) in SchedPolicy::ablation_grid() {
-            assert_eq!(policy.algo, SchedAlgo::NumaWs);
-        }
+    fn pre_pr7_encodings_still_parse() {
+        // A committed sweep line in the original five-key form is the
+        // canonical encoding, and keeps meaning the same policy.
+        let old = "bias=uniform coin=deque-only mailbox=0 push=4 sleep=10/50/10000";
+        assert_eq!(old.parse::<SchedPolicy>().unwrap(), SchedPolicy::vanilla());
+        assert_eq!(SchedPolicy::vanilla().to_string(), old);
     }
 
     #[test]
-    fn pre_pr7_encodings_still_parse() {
-        // A committed sweep line from before the algo/epoch tokens existed
-        // must keep meaning the same work-first policy.
-        let old = "bias=uniform coin=deque-only mailbox=0 push=4 sleep=10/50/10000";
-        assert_eq!(old.parse::<SchedPolicy>().unwrap(), SchedPolicy::vanilla());
+    fn vanilla_ws_is_vanilla() {
+        assert_eq!(SchedPolicy::vanilla_ws(), SchedPolicy::vanilla());
+    }
+
+    #[test]
+    fn steal_target_draws_the_coin_only_when_fair_with_mailboxes() {
+        let dist = StealDistribution::uniform(32, 0);
+        // `(try_mailbox, draws)` when every draw is 1: an odd coin picks
+        // the deque.
+        let decide = |policy: SchedPolicy| {
+            let mut draws = 0;
+            let (_, try_mailbox) = policy.steal_target(&dist, || {
+                draws += 1;
+                1
+            });
+            (try_mailbox, draws)
+        };
+        assert_eq!(decide(SchedPolicy::numa_ws()), (false, 2));
+        assert_eq!(decide(SchedPolicy::vanilla()), (false, 1));
+        assert_eq!(decide(SchedPolicy::vanilla().with_coin_flip(CoinFlip::Fair)), (false, 1));
+        assert_eq!(
+            decide(SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst)),
+            (true, 1)
+        );
+        assert_eq!(decide(SchedPolicy::numa_ws().with_coin_flip(CoinFlip::DequeOnly)), (false, 1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! randomly-shaped machines.
 
 use nws_topology::{
-    CoinFlip, DistanceMatrix, Place, Placement, SchedAlgo, SchedPolicy, SleepPolicy, StealBias,
+    CoinFlip, DistanceMatrix, Place, Placement, SchedPolicy, SleepPolicy, StealBias,
     StealDistribution, Topology,
 };
 use proptest::prelude::*;
@@ -101,16 +101,11 @@ proptest! {
     }
 }
 
-/// Any reachable `SchedPolicy` value: every algorithm, bias, coin mode,
-/// and knob range the builders accept.
+/// Any reachable `SchedPolicy` value: every bias, coin mode, and knob
+/// range the builders accept.
 fn any_policy() -> impl Strategy<Value = SchedPolicy> {
     (
         (
-            prop_oneof![
-                Just(SchedAlgo::NumaWs),
-                Just(SchedAlgo::VanillaWs),
-                Just(SchedAlgo::EpochSync)
-            ],
             prop_oneof![Just(StealBias::Uniform), Just(StealBias::InverseDistance)],
             prop_oneof![
                 Just(CoinFlip::Fair),
@@ -118,17 +113,15 @@ fn any_policy() -> impl Strategy<Value = SchedPolicy> {
                 Just(CoinFlip::DequeOnly)
             ],
         ),
-        (0usize..=64, 0u32..=128, 1u64..=1_000_000),
+        (0usize..=64, 0u32..=128),
         (0u32..=1_000, 0u32..=1_000, 0u64..=100_000),
     )
-        .prop_map(|((algo, bias, coin), (mbox, push, epoch), (spin, yld, timeout))| {
+        .prop_map(|((bias, coin), (mbox, push), (spin, yld, timeout))| {
             SchedPolicy::vanilla()
-                .with_algo(algo)
                 .with_bias(bias)
                 .with_coin_flip(coin)
                 .with_mailbox_capacity(mbox)
                 .with_push_threshold(push)
-                .with_epoch_cycles(epoch)
                 .with_sleep(SleepPolicy {
                     spin_rounds: spin,
                     yield_rounds: yld,
@@ -141,7 +134,7 @@ proptest! {
     /// The canonical text encoding is total: Display → FromStr round-trips
     /// every reachable policy, not just the shipped presets. This is what
     /// guarantees a sweep row's label can always be parsed back into the
-    /// exact policy that produced it — scheduler selection included.
+    /// exact policy that produced it.
     #[test]
     fn sched_policy_encoding_roundtrips_everywhere(policy in any_policy()) {
         let text = policy.to_string();
@@ -154,7 +147,6 @@ proptest! {
 fn every_preset_roundtrips() {
     let mut presets: Vec<SchedPolicy> = vec![SchedPolicy::vanilla(), SchedPolicy::numa_ws()];
     presets.extend(SchedPolicy::ablation_grid().map(|(_, p)| p));
-    presets.extend(SchedPolicy::scheduler_grid().map(|(_, p)| p));
     for p in presets {
         let parsed: SchedPolicy = p.to_string().parse().unwrap();
         assert_eq!(parsed, p);

@@ -11,8 +11,8 @@
 //! layer's `Display` encoding is for `SchedPolicy`.
 //!
 //! The simulator side lives in `nws_sim::replay`, which lowers a [`Trace`]
-//! onto the series-parallel DAG model and replays it under any `Scheduler`
-//! implementation. This crate deliberately depends only on `nws_sync` (the
+//! onto the series-parallel DAG model and replays it under any
+//! `SchedPolicy`. This crate deliberately depends only on `nws_sync` (the
 //! recorder must obey the PR 6 facade rule so the checked-interleaving
 //! tier can explore it — see the `model_tests` module).
 //!

@@ -7,8 +7,9 @@
 //! build victim distributions through `SchedPolicy::victim_distribution`.
 //! These tests pin the consequence: the same seed and the same policy
 //! produce the identical victim-index sequence from
-//! `StealDistribution::sample` on both substrates — plus a golden fixture
-//! so the sequence itself cannot drift silently.
+//! `StealDistribution::sample`, and the identical `(victim, try_mailbox)`
+//! decisions from `SchedPolicy::steal_target`, on both substrates — plus
+//! golden fixtures so the sequences themselves cannot drift silently.
 
 use numa_ws_repro::topology::{
     presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64, StealBias,
@@ -65,6 +66,79 @@ fn golden_victim_sequence_fixture() {
     assert_ne!(uniform, biased);
 }
 
+/// Worker `worker`'s first `n` Figure 5 steal decisions, drawn from the
+/// runtime's `SplitMix64` stream and from the simulator's `SmallRng`
+/// stream; the two must agree.
+fn steal_decisions(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<(usize, bool)> {
+    let topo = presets::paper_machine();
+    let map = Placement::Packed.assign(&topo, WORKERS).unwrap();
+    let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
+    let mut runtime = SplitMix64::new(worker_rng_seed(SEED, worker));
+    let mut sim = SmallRng::seed_from_u64(worker_rng_seed(SEED, worker));
+    let a: Vec<_> = (0..n).map(|_| policy.steal_target(&dist, || runtime.next_u64())).collect();
+    let b: Vec<_> = (0..n).map(|_| policy.steal_target(&dist, || sim.next_u64())).collect();
+    assert_eq!(a, b, "both random streams must make the same decisions");
+    a
+}
+
+#[test]
+fn golden_steal_decision_fixture() {
+    // Worker 0's first sixteen (victim, try_mailbox) decisions under the
+    // two fair-coin presets, pinned as literals: the coin's place in the
+    // draw order (victim first, then the coin) cannot drift on either
+    // substrate without a diff here.
+    let numa = steal_decisions(&SchedPolicy::numa_ws(), 0, 16);
+    assert_eq!(
+        numa,
+        [
+            (6, false),
+            (3, false),
+            (21, true),
+            (12, false),
+            (2, false),
+            (28, true),
+            (12, false),
+            (26, true),
+            (16, true),
+            (16, true),
+            (17, true),
+            (17, false),
+            (13, true),
+            (24, true),
+            (27, true),
+            (2, true),
+        ]
+    );
+    let mailbox_only = steal_decisions(&SchedPolicy::mailbox_only(), 0, 16);
+    assert_eq!(
+        mailbox_only,
+        [
+            (9, false),
+            (22, false),
+            (28, true),
+            (2, false),
+            (4, false),
+            (11, true),
+            (11, false),
+            (2, true),
+            (31, true),
+            (25, true),
+            (19, true),
+            (1, false),
+            (18, true),
+            (31, true),
+            (4, true),
+            (6, true),
+        ]
+    );
+    // Without mailboxes no coin is drawn: the decisions are the victim
+    // sequence alone.
+    let vanilla = steal_decisions(&SchedPolicy::vanilla(), 0, 16);
+    assert!(vanilla.iter().all(|&(_, try_mailbox)| !try_mailbox));
+    let victims: Vec<usize> = vanilla.iter().map(|&(v, _)| v).collect();
+    assert_eq!(victims, victim_sequence_runtime_style(&SchedPolicy::vanilla(), 0, 16));
+}
+
 #[test]
 fn biased_fixture_prefers_local_socket() {
     // The inverse-distance bias must pick victims on worker 0's own
@@ -95,10 +169,6 @@ fn policy_presets_roundtrip_their_encoding() {
         let parsed: SchedPolicy = policy.to_string().parse().unwrap();
         assert_eq!(parsed, policy);
     }
-    for (_, policy) in SchedPolicy::scheduler_grid() {
-        let parsed: SchedPolicy = policy.to_string().parse().unwrap();
-        assert_eq!(parsed, policy, "scheduler selection must survive the round-trip");
-    }
     let custom = SchedPolicy::numa_ws().with_mailbox_capacity(8).with_bias(StealBias::Uniform);
     let parsed: SchedPolicy = custom.to_string().parse().unwrap();
     assert_eq!(parsed, custom);
@@ -109,7 +179,7 @@ fn policy_presets_roundtrip_their_encoding() {
 // ---------------------------------------------------------------------------
 
 use numa_ws_repro::runtime::Pool;
-use numa_ws_repro::sim::{trace_to_dag, ScheduleLog, SimConfig, Simulation};
+use numa_ws_repro::sim::{trace_to_dag, ScheduleLog, SimConfig, Simulation, DEFAULT_NS_PER_CYCLE};
 use numa_ws_repro::trace::Trace;
 
 fn fib(n: u64) -> u64 {
@@ -147,7 +217,7 @@ fn recorded_fib_replays_with_identical_victims_and_placements() {
     // fib(10)'s call tree has 88 internal calls; each join pushes one job,
     // plus the install root: 89 recorded tasks, every run.
     assert_eq!(trace.tasks.len(), 89);
-    for (name, policy) in SchedPolicy::scheduler_grid() {
+    for (name, policy) in SchedPolicy::ablation_grid() {
         let a = replay(&trace, &policy);
         let b = replay(&trace, &policy);
         assert_eq!(a.steals, b.steals, "{name}: victim sequence must be identical");
@@ -167,10 +237,43 @@ fn recorded_cilksort_replays_with_identical_victims_and_placements() {
     });
     assert!(keys.windows(2).all(|w| w[0] <= w[1]), "the sort must have sorted");
     assert!(trace.num_started() > 1, "the sort must actually fork");
-    for (name, policy) in SchedPolicy::scheduler_grid() {
+    for (name, policy) in SchedPolicy::ablation_grid() {
         let a = replay(&trace, &policy);
         let b = replay(&trace, &policy);
         assert_eq!(a.steals, b.steals, "{name}: victim sequence must be identical");
         assert_eq!(a.executors, b.executors, "{name}: placements must be identical");
+    }
+}
+
+/// The committed golden trace: `fib(12)` recorded once on the real pool.
+const GOLDEN_TRACE: &str = include_str!("../crates/bench/traces/golden_fib.trace");
+
+#[test]
+fn golden_trace_replay_outcomes_are_pinned() {
+    // Absolute simulator outcomes of the committed trace under every
+    // ablation preset, seed 42, as literals: `(makespan, steals,
+    // mailbox_takes, push_deliveries)`. The tests above only check that
+    // two runs agree with each other; a drift both runs share fails here.
+    // P = 8 packs one socket; P = 32 spans all four, where the bias shows.
+    let trace = Trace::parse(GOLDEN_TRACE).expect("the golden trace parses");
+    let dag = trace_to_dag(&trace, DEFAULT_NS_PER_CYCLE);
+    let topo = presets::paper_machine();
+    let expected = [
+        ("vanilla", [(16490, 36, 0, 0), (13373, 67, 0, 0)]),
+        ("bias-only", [(16490, 36, 0, 0), (12629, 73, 0, 0)]),
+        ("mailbox-only", [(16209, 27, 0, 0), (12097, 74, 0, 0)]),
+        ("numa-ws", [(16209, 27, 0, 0), (12847, 70, 0, 0)]),
+    ];
+    for ((name, policy), (expected_name, outcomes)) in
+        SchedPolicy::ablation_grid().into_iter().zip(expected)
+    {
+        assert_eq!(name, expected_name);
+        for (workers, want) in [8, 32].into_iter().zip(outcomes) {
+            let cfg = SimConfig::with_policy(policy, workers).with_seed(42);
+            let r = Simulation::new(&topo, cfg, &dag).expect("fits").run();
+            let c = r.counters;
+            let got = (r.makespan, c.steals, c.mailbox_takes, c.push_deliveries);
+            assert_eq!(got, want, "{name} at P = {workers}");
+        }
     }
 }
