@@ -137,8 +137,9 @@ fn flood<'s>(
             continue;
         }
         pending.extend_from_slice(g.successors(v));
-        // Spill the oldest half of an oversized worklist into a sibling
-        // task; thieves pick it up while we keep flooding locally.
+        // Spill the newest `chunk` entries (the tail, at most half) of an
+        // oversized worklist into a sibling task; thieves pick it up while
+        // we keep flooding locally from the older entries.
         if pending.len() >= 2 * chunk {
             let spill = pending.split_off(pending.len() - chunk);
             s.spawn(move |s| flood(s, g, bits, spill, chunk));

@@ -13,6 +13,13 @@
 //! turns are serialized; the concurrency *protocol* (who may take what,
 //! when) follows the paper's pseudocode exactly.
 //!
+//! While no deque or mailbox holds an entry, every steal attempt fails and
+//! touches nothing but its thief's random stream, clock and the attempt
+//! count, so idle workers' turns commute with each other. The engine then
+//! runs an idle worker's attempts back to back up to the next busy
+//! worker's turn instead of rescanning the clocks after each one; the
+//! outcome is the one turn-by-turn stepping gives (DESIGN.md §2).
+//!
 //! The engine makes the paper's two scheduling decisions the way the real
 //! runtime does. An idle worker picks its victim and coin through
 //! [`SchedPolicy::steal_target`](nws_topology::SchedPolicy::steal_target),
@@ -123,7 +130,6 @@ impl<'a> Simulation<'a> {
 }
 
 struct Engine<'a> {
-    topo: &'a Topology,
     dag: &'a Dag,
     cfg: &'a SimConfig,
     map: WorkerMap,
@@ -137,6 +143,12 @@ struct Engine<'a> {
     mailboxes: Vec<VecDeque<Cont>>,
     rngs: Vec<SmallRng>,
     dists: Vec<Option<StealDistribution>>,
+    /// The distance term of a steal probe or push attempt from worker `a`
+    /// to worker `b`, `steal_per_distance · distance`, at `hops[a * P + b]`.
+    hops: Vec<u64>,
+    /// Entries in all deques and mailboxes together: zero means every
+    /// steal attempt fails.
+    stealable: usize,
 
     join: Vec<u32>,
     stolen: Vec<bool>,
@@ -162,6 +174,12 @@ impl<'a> Engine<'a> {
         // registry calls, so a seeded policy selects victims identically
         // on both substrates.
         let dists = (0..p).map(|w| cfg.policy.victim_distribution(topo, &map, w)).collect();
+        let hops = (0..p * p)
+            .map(|i| {
+                let d = topo.distances().distance(map.socket_of(i / p), map.socket_of(i % p));
+                cfg.costs.steal_per_distance * d as u64
+            })
+            .collect();
         let mut states = vec![WState::Steal; p];
         states[0] = WState::Exec { frame: dag.root().0, step: 0 };
         Engine {
@@ -169,7 +187,6 @@ impl<'a> Engine<'a> {
                 steals: Vec::new(),
                 executors: vec![None; dag.num_frames()],
             }),
-            topo,
             dag,
             cfg,
             mem,
@@ -181,6 +198,8 @@ impl<'a> Engine<'a> {
             mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
             rngs: (0..p).map(|w| SmallRng::seed_from_u64(worker_rng_seed(cfg.seed, w))).collect(),
             dists,
+            hops,
+            stealable: 0,
             join: vec![0; dag.num_frames()],
             stolen: vec![false; dag.num_frames()],
             suspended: vec![None; dag.num_frames()],
@@ -201,7 +220,11 @@ impl<'a> Engine<'a> {
                     w = i;
                 }
             }
-            self.step(w);
+            if self.states[w] == WState::Steal && self.stealable == 0 {
+                self.fast_forward_idle();
+            } else {
+                self.step(w);
+            }
         }
         let makespan = self.done_at.unwrap();
         let workers = (0..p)
@@ -237,8 +260,40 @@ impl<'a> Engine<'a> {
         !p.is_any() && p.index().unwrap() % self.map.num_places() != self.my_place(w).0
     }
 
-    fn distance(&self, a: usize, b: usize) -> u64 {
-        self.topo.distances().distance(self.map.socket_of(a), self.map.socket_of(b)) as u64
+    fn hop_cost(&self, a: usize, b: usize) -> u64 {
+        self.hops[a * self.clocks.len() + b]
+    }
+
+    /// Nothing is stealable and an idle worker has the next turn. Until a
+    /// busy worker (one outside the scheduling loop) acts, every steal
+    /// attempt fails and changes only its thief's random stream and clock
+    /// and the attempt count, so idle workers' attempts commute. Each idle
+    /// worker therefore makes, back to back, every attempt that precedes
+    /// the next busy turn — the smallest `(clock, index)` outside the loop —
+    /// drawing exactly as [`step_steal`](Self::step_steal) does.
+    fn fast_forward_idle(&mut self) {
+        debug_assert_eq!(
+            self.stealable,
+            self.deques.iter().chain(&self.mailboxes).map(VecDeque::len).sum::<usize>()
+        );
+        let p = self.clocks.len();
+        let next_busy = (0..p)
+            .filter(|&w| self.states[w] != WState::Steal)
+            .map(|w| (self.clocks[w], w))
+            .min()
+            .expect("with nothing stealable, some worker holds the unfinished work");
+        for w in (0..p).filter(|&w| self.states[w] == WState::Steal) {
+            let dist = self.dists[w].as_ref().expect("a lone worker never enters the loop");
+            let rng = &mut self.rngs[w];
+            let hops = &self.hops[w * p..(w + 1) * p];
+            let mut clock = self.clocks[w];
+            while (clock, w) < next_busy {
+                let (victim, _) = self.cfg.policy.steal_target(dist, || rng.next_u64());
+                clock += self.cfg.costs.steal_base + hops[victim];
+                self.counters.steal_attempts += 1;
+            }
+            self.clocks[w] = clock;
+        }
     }
 
     fn step(&mut self, w: usize) {
@@ -268,6 +323,7 @@ impl<'a> Engine<'a> {
             Step::Spawn(c) => {
                 // Push the continuation; it becomes stealable (Fig 2 l.1-2).
                 self.deques[w].push_back((frame, step + 1));
+                self.stealable += 1;
                 self.join[frame] += 1;
                 let cost = self.cfg.costs.spawn_push;
                 self.clocks[w] += cost;
@@ -319,6 +375,7 @@ impl<'a> Engine<'a> {
         let parent = self.dag.frame(FrameId(frame)).parent.expect("non-root frame has a parent").0;
         self.join[parent] -= 1;
         if let Some((pf, pstep)) = self.deques[w].pop_back() {
+            self.stealable -= 1;
             // Parent not stolen: resume it (Fig 2 l.3-5). The tail entry is
             // necessarily our parent's continuation.
             debug_assert_eq!(pf, parent, "deque tail must be the parent continuation");
@@ -381,12 +438,12 @@ impl<'a> Engine<'a> {
             attempts += 1;
             self.counters.push_attempts += 1;
             let r = candidates[(self.rngs[w].next_u64() % candidates.len() as u64) as usize];
-            let cost = self.cfg.costs.push_attempt
-                + self.cfg.costs.steal_per_distance * self.distance(w, r);
+            let cost = self.cfg.costs.push_attempt + self.hop_cost(w, r);
             self.clocks[w] += cost;
             self.sched[w] += cost;
             if self.mailboxes[r].len() < self.cfg.policy.mailbox_capacity {
                 self.mailboxes[r].push_back(cont);
+                self.stealable += 1;
                 self.counters.push_deliveries += 1;
                 return true;
             }
@@ -401,6 +458,7 @@ impl<'a> Engine<'a> {
         // Check own mailbox first (Fig 5 l.25-26): anything there is for
         // our place by construction.
         if let Some(cont) = self.mailboxes[w].pop_front() {
+            self.stealable -= 1;
             let cost = self.cfg.costs.mailbox_take;
             self.clocks[w] += cost;
             self.sched[w] += cost;
@@ -413,25 +471,22 @@ impl<'a> Engine<'a> {
         let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
         let rng = &mut self.rngs[w];
         let (victim, try_mailbox) = self.cfg.policy.steal_target(dist, || rng.next_u64());
-        let probe_cost = self.cfg.costs.steal_base
-            + self.cfg.costs.steal_per_distance * self.distance(w, victim);
+        let probe_cost = self.cfg.costs.steal_base + self.hop_cost(w, victim);
         self.counters.steal_attempts += 1;
 
         if try_mailbox {
-            if let Some(&cont) = self.mailboxes[victim].front() {
+            if let Some(cont) = self.mailboxes[victim].pop_front() {
+                self.stealable -= 1;
+                self.counters.mailbox_takes += 1;
                 if !self.is_foreign(w, cont.0) {
                     // Earmarked for our socket: take it.
-                    self.mailboxes[victim].pop_front();
                     let cost = probe_cost + self.cfg.costs.mailbox_take;
                     self.clocks[w] += cost;
                     self.sched[w] += cost;
-                    self.counters.mailbox_takes += 1;
                     self.states[w] = WState::Exec { frame: cont.0, step: cont.1 };
                 } else {
                     // Earmarked elsewhere: relay it with lazy pushing; if
                     // the episode exhausts the threshold, take it ourselves.
-                    self.mailboxes[victim].pop_front();
-                    self.counters.mailbox_takes += 1;
                     self.clocks[w] += probe_cost;
                     self.sched[w] += probe_cost;
                     if self.pushback(w, cont) {
@@ -446,6 +501,7 @@ impl<'a> Engine<'a> {
         }
         if let Some(cont) = self.deques[victim].pop_front() {
             // Successful steal: promote to a full frame.
+            self.stealable -= 1;
             self.stolen[cont.0] = true;
             self.counters.steals += 1;
             if let Some(log) = &mut self.schedule {
@@ -499,6 +555,28 @@ mod tests {
         assert_eq!(r.workers[0].work, 150);
         assert_eq!(r.workers[0].sched, 0);
         assert_eq!(r.counters.steals, 0);
+    }
+
+    #[test]
+    fn idle_attempts_stop_at_the_busy_workers_turn() {
+        // Worker 0 runs one strand of `cycles` while worker 1, with nothing
+        // to steal, probes worker 0 at a fixed cost. Worker 1 acts while
+        // `(clock, 1) < (cycles, 0)`, i.e. while its clock is below
+        // `cycles`: a clock tie goes to the lower index, so an attempt that
+        // lands exactly on `cycles` is the last one.
+        let topo = presets::paper_machine();
+        let cfg = SimConfig::vanilla(2);
+        let map = cfg.placement.assign(&topo, 2).unwrap();
+        let hops = topo.distances().distance(map.socket_of(1), map.socket_of(0)) as u64;
+        let probe = cfg.costs.steal_base + cfg.costs.steal_per_distance * hops;
+        for (cycles, attempts) in [(100 * probe, 100), (100 * probe + 1, 101)] {
+            let mut b = DagBuilder::new();
+            let root = b.frame(Place::ANY).compute(cycles).finish();
+            let dag = b.build(root);
+            let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
+            assert_eq!(r.makespan, cycles);
+            assert_eq!(r.counters.steal_attempts, attempts, "strand of {cycles} cycles");
+        }
     }
 
     #[test]

@@ -277,3 +277,71 @@ fn golden_trace_replay_outcomes_are_pinned() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Absolute simulator outcomes of the app DAGs at P = 32
+// ---------------------------------------------------------------------------
+
+#[test]
+fn app_dag_outcomes_at_p32_are_pinned() {
+    // `(makespan, steal_attempts, steals, mailbox_takes, class_lines)` of
+    // the heat, cilksort and gcmark DAGs on the paper machine at P = 32,
+    // seed 0x5EED, under `numa-ws` and `vanilla`, as literals. Idle workers
+    // make almost all of the steal attempts, and every failed attempt
+    // advances its thief's random stream and clock; a change to how the
+    // engine orders or batches those turns shows up here first, in
+    // `steal_attempts`, before any makespan moves. The heat and cilksort
+    // sizes are those of the repo benchmark's `sim_replay` cells.
+    use numa_ws_repro::apps::{cilksort, gcmark, heat};
+    let topo = presets::paper_machine();
+    let places = topo.num_sockets();
+    let dags = [
+        ("heat", heat::dag(heat::Params { rows: 512, cols: 1024, steps: 2, rows_base: 8 }, places)),
+        (
+            "cilksort",
+            cilksort::dag(
+                cilksort::Params { n: 1 << 18, sort_base: 1 << 13, merge_base: 1 << 13 },
+                places,
+            ),
+        ),
+        ("gcmark", gcmark::dag(gcmark::Params { nodes: 1 << 14, ..gcmark::Params::sim() }, places)),
+    ];
+    type Outcome = (u64, u64, u64, u64, [u64; 5]);
+    let expected: [(&str, [Outcome; 2]); 3] = [
+        (
+            "heat",
+            [
+                (1367344, 307511, 242, 1095, [11904, 130816, 20608, 116608, 14464]),
+                (2466573, 238710, 221, 0, [6784, 51584, 104960, 44288, 86784]),
+            ],
+        ),
+        (
+            "cilksort",
+            [
+                (2280330, 337077, 402, 3196, [46592, 259584, 54272, 62976, 2560]),
+                (3280740, 467969, 403, 0, [35840, 177152, 147456, 11776, 53760]),
+            ],
+        ),
+        (
+            "gcmark",
+            [
+                (267649, 77160, 148, 463, [62800, 3584, 0, 256, 256]),
+                (290294, 74872, 147, 0, [50512, 14336, 1536, 256, 256]),
+            ],
+        ),
+    ];
+    for ((name, dag), (expected_name, outcomes)) in dags.iter().zip(expected) {
+        assert_eq!(*name, expected_name);
+        for ((policy_name, policy), want) in
+            [("numa-ws", SchedPolicy::numa_ws()), ("vanilla", SchedPolicy::vanilla())]
+                .into_iter()
+                .zip(outcomes)
+        {
+            let cfg = SimConfig::with_policy(policy, 32).with_seed(SEED);
+            let r = Simulation::new(&topo, cfg, dag).expect("fits").run();
+            let c = r.counters;
+            let got = (r.makespan, c.steal_attempts, c.steals, c.mailbox_takes, r.class_lines);
+            assert_eq!(got, want, "{name} under {policy_name}");
+        }
+    }
+}
