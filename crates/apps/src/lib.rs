@@ -28,6 +28,8 @@
 //! |---|---|---|
 //! | [`gcmark`] | GC mark-phase flood | random object graph |
 //! | [`pipeline`] | heterogeneous stage/service mix | seeded batches |
+//!
+//! `pipeline` has no simulator DAG; it runs on the real runtime only.
 
 #![warn(missing_docs)]
 

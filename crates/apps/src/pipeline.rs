@@ -9,14 +9,10 @@
 //! fork-join tree. The per-(stage, batch) cost varies cyclically, so the
 //! load is unbalanced by construction.
 //!
-//! The parallel version runs batches concurrently under one scope, hinting
-//! each batch's stage-`s` work at place `s % places`; the simulator DAG
-//! expresses the same structure as a fan-out of per-batch serial stage
-//! chains over stage-owned regions.
+//! The parallel version runs batches concurrently under one scope, one
+//! task per batch.
 
-use crate::common::pages_for;
 use numa_ws::{scope, Place};
-use nws_sim::{Dag, DagBuilder, PagePolicy, Strand, Touch};
 
 /// Benchmark parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,11 +34,6 @@ impl Default for Params {
 }
 
 impl Params {
-    /// Simulator-scale configuration.
-    pub fn sim() -> Self {
-        Params { stages: 6, batches: 48, items: 1 << 11, seed: 0xF00D }
-    }
-
     /// Tiny configuration for tests.
     pub fn test() -> Self {
         Params { stages: 4, batches: 10, items: 257, seed: 11 }
@@ -99,9 +90,7 @@ pub fn run_serial(data: &mut [u64], p: Params) {
 // ---------------------------------------------------------------------------
 
 /// Runs all batches concurrently (call inside
-/// [`Pool::install`](numa_ws::Pool::install)): one scope task per batch,
-/// re-hinted at stage boundaries so each stage's work leans toward the
-/// place owning that stage's tables.
+/// [`Pool::install`](numa_ws::Pool::install)): one scope task per batch.
 pub fn run_parallel(data: &mut [u64], p: Params, places: usize) {
     assert_eq!(data.len(), p.batches * p.items, "data shape mismatch");
     let places = places.max(1);
@@ -109,7 +98,7 @@ pub fn run_parallel(data: &mut [u64], p: Params, places: usize) {
         for (b, batch) in data.chunks_mut(p.items).enumerate() {
             // The batch enters at its first stage's place; later stages run
             // wherever the batch task landed (a real pipeline would re-queue
-            // per stage — the DAG form below does exactly that).
+            // per stage).
             s.spawn_at(Place(0), move |_| {
                 for st in 0..p.stages {
                     for _ in 0..passes(st, b) {
@@ -122,70 +111,6 @@ pub fn run_parallel(data: &mut [u64], p: Params, places: usize) {
             let _ = places;
         }
     });
-}
-
-// ---------------------------------------------------------------------------
-// Simulator DAG
-// ---------------------------------------------------------------------------
-
-/// Builds the simulator DAG: the root fans out one frame per batch; each
-/// batch frame is a serial spawn+sync chain of stage frames. Stage `s`
-/// frames are hinted at place `s % places` and touch that stage's table
-/// region plus the batch's slice of the data buffer — the conflicting
-/// affinities that make the mix interesting for placement policies.
-pub fn dag(p: Params, places: usize) -> Dag {
-    let places = places.max(1);
-    let mut b = DagBuilder::new();
-    // Batches are page-aligned: each owns `batch_pages` whole pages, so
-    // the region is sized by the rounded-up per-batch span.
-    let batch_pages = pages_for(p.items as u64, 8);
-    let data =
-        b.alloc("data", batch_pages * p.batches as u64, PagePolicy::Chunked { chunks: places });
-    let tables: Vec<_> = (0..p.stages)
-        .map(|s| {
-            b.alloc(format!("table{s}"), pages_for(p.items as u64, 8), PagePolicy::Bind(s % places))
-        })
-        .collect();
-
-    let mut batch_frames = Vec::new();
-    for batch in 0..p.batches {
-        let stage_frames: Vec<_> = (0..p.stages)
-            .map(|s| {
-                let cycles = (4 * p.items * passes(s, batch)) as u64;
-                b.frame(Place(s % places))
-                    .strand(Strand {
-                        cycles,
-                        touches: vec![
-                            Touch {
-                                region: data,
-                                start_page: batch as u64 * batch_pages,
-                                pages: batch_pages,
-                                lines_per_page: 64,
-                            },
-                            Touch {
-                                region: tables[s],
-                                start_page: 0,
-                                pages: batch_pages,
-                                lines_per_page: 16,
-                            },
-                        ],
-                    })
-                    .finish()
-            })
-            .collect();
-        // The chain: a batch's stage s+1 starts only after stage s.
-        let mut fb = b.frame(Place(batch % places));
-        for f in stage_frames {
-            fb = fb.spawn(f).sync();
-        }
-        batch_frames.push(fb.compute(1).finish());
-    }
-    let mut fb = b.frame(Place(0));
-    for f in batch_frames {
-        fb = fb.spawn(f);
-    }
-    let root = fb.sync().finish();
-    b.build(root)
 }
 
 #[cfg(test)]
@@ -221,21 +146,5 @@ mod tests {
         let per_batch: Vec<usize> =
             (0..p.batches).map(|b| (0..p.stages).map(|s| passes(s, b)).sum()).collect();
         assert!(per_batch.iter().max() > per_batch.iter().min(), "the mix must be unbalanced");
-    }
-
-    #[test]
-    fn dag_shape() {
-        let p = Params::test();
-        let d = dag(p, 4);
-        d.validate().unwrap();
-        // Root + one frame per batch + one per (batch, stage).
-        assert_eq!(d.num_frames(), 1 + p.batches * (1 + p.stages));
-        // Stages chain serially inside a batch: span covers the costliest
-        // batch's full chain.
-        let worst: u64 = (0..p.batches)
-            .map(|b| (0..p.stages).map(|s| (4 * p.items * passes(s, b)) as u64).sum())
-            .max()
-            .unwrap();
-        assert!(d.span() >= worst);
     }
 }

@@ -1,10 +1,9 @@
-//! Microbenchmark: THE-protocol deque vs a fully-locked deque vs
-//! crossbeam's Chase-Lev — the work-first principle at the data-structure
-//! level. The THE fast path (uncontended push/pop) should be within a small
-//! factor of Chase-Lev and far ahead of the mutex deque.
+//! Microbenchmark: the THE-protocol deque's owner path (uncontended
+//! push/pop at the tail) and its thief path (one CAS per steal at the
+//! head): the work-first principle at the data-structure level.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use nws_deque::{the_deque, MutexDeque};
+use nws_deque::the_deque;
 
 fn bench_push_pop(c: &mut Criterion) {
     let mut g = c.benchmark_group("deque_push_pop_1k");
@@ -13,28 +12,6 @@ fn bench_push_pop(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..1024u64 {
                 w.push(i).unwrap();
-            }
-            for _ in 0..1024 {
-                std::hint::black_box(w.pop());
-            }
-        })
-    });
-    g.bench_function("mutex", |b| {
-        let d = MutexDeque::new();
-        b.iter(|| {
-            for i in 0..1024u64 {
-                d.push(i);
-            }
-            for _ in 0..1024 {
-                std::hint::black_box(d.pop());
-            }
-        })
-    });
-    g.bench_function("crossbeam_chase_lev", |b| {
-        let w = crossbeam_deque::Worker::new_lifo();
-        b.iter(|| {
-            for i in 0..1024u64 {
-                w.push(i);
             }
             for _ in 0..1024 {
                 std::hint::black_box(w.pop());
@@ -59,23 +36,6 @@ fn bench_steal(c: &mut Criterion) {
             },
             |(_w, s)| {
                 while let Some(v) = s.steal() {
-                    std::hint::black_box(v);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("mutex", |b| {
-        b.iter_batched(
-            || {
-                let d = MutexDeque::new();
-                for i in 0..1024u64 {
-                    d.push(i);
-                }
-                d
-            },
-            |d| {
-                while let Some(v) = d.steal() {
                     std::hint::black_box(v);
                 }
             },

@@ -1,10 +1,12 @@
 //! Ablations of the NUMA-WS design choices the paper argues for (§III-B,
-//! §IV): mailbox capacity, pushing threshold, the coin flip, biased victim
-//! selection, and locality hints.
+//! §IV, §V-A): mailbox capacity, pushing threshold, the coin flip, biased
+//! victim selection, locality hints, the OS page policy, and strassen's
+//! top-eight-way hints.
 //!
 //! Run: `cargo run --release -p nws_bench --bin ablation [-- <name>]`
-//! where `<name>` is one of `mailbox`, `threshold`, `coinflip`, `bias`,
-//! `hints` (default: all).
+//! where `<name>` is `all` (the default) or one of `mailbox`,
+//! `threshold`, `coinflip`, `bias`, `hints`, `policy`, `top8`. Any other
+//! name prints the valid ones and exits with status 2.
 
 use nws_bench::{machine, BenchId};
 use nws_sim::{CoinFlip, SimConfig, Simulation, StealBias};
@@ -184,24 +186,29 @@ fn top8() {
     println!("{t}");
 }
 
+/// Every ablation, under the name that selects it.
+const ABLATIONS: [(&str, fn()); 7] = [
+    ("mailbox", mailbox),
+    ("threshold", threshold),
+    ("coinflip", coinflip),
+    ("bias", bias),
+    ("hints", hints),
+    ("policy", policy),
+    ("top8", top8),
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match which.as_str() {
-        "mailbox" => mailbox(),
-        "threshold" => threshold(),
-        "coinflip" => coinflip(),
-        "bias" => bias(),
-        "hints" => hints(),
-        "policy" => policy(),
-        "top8" => top8(),
-        _ => {
-            mailbox();
-            threshold();
-            coinflip();
-            bias();
-            hints();
-            policy();
-            top8();
+    if which == "all" {
+        ABLATIONS.iter().for_each(|(_, run)| run());
+        return;
+    }
+    match ABLATIONS.iter().find(|(name, _)| *name == which) {
+        Some((_, run)) => run(),
+        None => {
+            let names: Vec<&str> = ABLATIONS.iter().map(|(name, _)| *name).collect();
+            eprintln!("unknown ablation {which:?}; expected `all` or one of: {}", names.join(", "));
+            std::process::exit(2);
         }
     }
 }

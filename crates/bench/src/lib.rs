@@ -1,22 +1,22 @@
-//! Shared harness for the experiment binaries (`fig3`, `fig7`, `fig8`,
-//! `fig9`, `bounds`, ablations).
+//! Shared harness for the experiment binaries (`reproduce`, `bounds`,
+//! `ablation`, `policy_sweep`, `trace_replay`).
 //!
 //! The harness runs each paper benchmark's simulator DAG on the Figure 1
 //! machine under both schedulers and derives the quantities the paper's
 //! tables report: `TS`, `T1`, `T_P`, the work/scheduling/idle breakdown,
 //! spawn overhead `T1/TS`, scalability `T1/T_P`, and work inflation
-//! `W_P/T1`. Simulated cycles are echoed as seconds at the paper machine's
-//! 2.2 GHz.
+//! `W_P/T1`. [`Cells`] memoises those simulations, so a binary that prints
+//! several figures simulates each cell once.
 
 #![warn(missing_docs)]
 
 use nws_apps::{cg, cilksort, heat, hull, matmul, strassen};
 use nws_sim::{Dag, SimConfig, SimReport, Simulation};
 use nws_topology::{presets, SchedPolicy, Topology};
-use serde::Serialize;
+use std::collections::HashMap;
 
 /// The nine rows of the paper's Figures 7/8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchId {
     /// NAS conjugate gradient.
     Cg,
@@ -51,33 +51,6 @@ impl BenchId {
             BenchId::MatmulZ,
             BenchId::Strassen,
             BenchId::StrassenZ,
-        ]
-    }
-
-    /// The seven benchmarks of Figure 3 (no `-z` variants).
-    pub fn fig3() -> [BenchId; 7] {
-        [
-            BenchId::Cilksort,
-            BenchId::Heat,
-            BenchId::Strassen,
-            BenchId::Hull1,
-            BenchId::Hull2,
-            BenchId::Cg,
-            BenchId::Matmul,
-        ]
-    }
-
-    /// The seven curves of Figure 9 (the `-z` variants replace the plain
-    /// matrix benchmarks, as in the paper's legend).
-    pub fn fig9() -> [BenchId; 7] {
-        [
-            BenchId::Cilksort,
-            BenchId::Heat,
-            BenchId::StrassenZ,
-            BenchId::Hull1,
-            BenchId::Hull2,
-            BenchId::Cg,
-            BenchId::MatmulZ,
         ]
     }
 
@@ -123,24 +96,27 @@ pub fn places_for(p: usize) -> usize {
     p.div_ceil(8).max(1)
 }
 
-/// One full benchmark measurement at a given worker count.
-#[derive(Debug, Clone, Serialize)]
+/// The seed of every figure's simulations.
+const SEED: u64 = 42;
+
+/// One benchmark's `TS`, `T1` and `T_P` under one policy at one worker
+/// count.
+#[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Worker count.
-    pub workers: usize,
     /// Serial elision cycles.
     pub ts: u64,
     /// One-worker cycles (same scheduler).
     pub t1: u64,
-    /// P-worker makespan cycles.
-    pub tp: u64,
-    /// P-worker report (breakdown + counters).
+    /// P-worker report (makespan `T_P`, breakdown, counters).
     pub report: SimReport,
 }
 
 impl Measurement {
+    /// The P-worker makespan `T_P`.
+    pub fn tp(&self) -> u64 {
+        self.report.makespan
+    }
+
     /// Spawn overhead `T1/TS`.
     pub fn spawn_overhead(&self) -> f64 {
         self.t1 as f64 / self.ts as f64
@@ -148,7 +124,7 @@ impl Measurement {
 
     /// Scalability `T1/TP`.
     pub fn scalability(&self) -> f64 {
-        self.t1 as f64 / self.tp as f64
+        self.t1 as f64 / self.tp() as f64
     }
 
     /// Work inflation `W_P/T1`.
@@ -157,28 +133,61 @@ impl Measurement {
     }
 }
 
-/// Runs `bench` under `policy` with `workers` workers (packed placement on
-/// the paper machine) and derives TS/T1/TP.
-pub fn measure(bench: BenchId, policy: SchedPolicy, workers: usize, seed: u64) -> Measurement {
-    let topo = machine();
-    let places = places_for(workers);
-    let dag = bench.dag(places);
-    let cfg_p = SimConfig::with_policy(policy, workers).with_seed(seed);
-    let ts = Simulation::serial_elision(&topo, &cfg_p, &dag);
-    // T1 on one worker uses a one-place DAG (hints collapse to one place)
-    // with the same scheduler flavor.
-    let dag1 = bench.dag(1);
-    let t1 = Simulation::new(&topo, SimConfig::with_policy(policy, 1).with_seed(seed), &dag1)
-        .expect("one worker fits")
-        .run()
-        .makespan;
-    let report = Simulation::new(&topo, cfg_p, &dag).expect("config fits").run();
-    Measurement { bench: bench.name(), workers, ts, t1, tp: report.makespan, report }
+/// Memoised simulations of the paper benchmarks on the paper machine
+/// (packed placement, seed 42). Each cell is simulated once, however
+/// many figures read it:
+/// - a DAG per `(bench, places)`;
+/// - `TS` per `(bench, places)`: the serial elision reads only the memory
+///   model, which [`SimConfig::with_policy`] leaves at its defaults, so it
+///   depends on neither the policy nor P;
+/// - `T_P` and its report per `(bench, policy, P)`. `T1` is the `P = 1`
+///   cell, which runs the one-place DAG on one worker.
+pub struct Cells {
+    topo: Topology,
+    dags: HashMap<(BenchId, usize), Dag>,
+    ts: HashMap<(BenchId, usize), u64>,
+    tp: HashMap<(BenchId, SchedPolicy, usize), SimReport>,
 }
 
-/// Formats simulated cycles as seconds on the 2.2 GHz paper machine.
-pub fn secs(cycles: u64) -> f64 {
-    nws_metrics::cycles_to_seconds(cycles)
+impl Default for Cells {
+    fn default() -> Self {
+        Cells { topo: machine(), dags: HashMap::new(), ts: HashMap::new(), tp: HashMap::new() }
+    }
+}
+
+impl Cells {
+    /// `TS` of `bench` built for `places` places.
+    fn ts(&mut self, bench: BenchId, places: usize) -> u64 {
+        let Cells { topo, dags, ts, .. } = self;
+        *ts.entry((bench, places)).or_insert_with(|| {
+            let cfg = SimConfig::with_policy(SchedPolicy::numa_ws(), 1);
+            Simulation::serial_elision(topo, &cfg, dag(dags, bench, places))
+        })
+    }
+
+    /// The report of `bench` under `policy` on `workers` packed workers.
+    fn tp(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> &SimReport {
+        let Cells { topo, dags, tp, .. } = self;
+        tp.entry((bench, policy, workers)).or_insert_with(|| {
+            let cfg = SimConfig::with_policy(policy, workers).with_seed(SEED);
+            let dag = dag(dags, bench, places_for(workers));
+            Simulation::new(topo, cfg, dag).expect("config fits").run()
+        })
+    }
+
+    /// `TS`, `T1` and `T_P` of `bench` under `policy` on `workers` workers.
+    pub fn measure(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> Measurement {
+        Measurement {
+            ts: self.ts(bench, places_for(workers)),
+            t1: self.tp(bench, policy, 1).makespan,
+            report: self.tp(bench, policy, workers).clone(),
+        }
+    }
+}
+
+/// The memoised DAG of `bench` for `places` places.
+fn dag(dags: &mut HashMap<(BenchId, usize), Dag>, bench: BenchId, places: usize) -> &Dag {
+    dags.entry((bench, places)).or_insert_with(|| bench.dag(places))
 }
 
 #[cfg(test)]
@@ -201,13 +210,46 @@ mod tests {
         assert!(names.contains(&"matmul-z"));
     }
 
+    /// The uncached measurement: every quantity simulated from scratch,
+    /// `TS` under the measured policy and worker count.
+    fn fresh(bench: BenchId, policy: SchedPolicy, workers: usize) -> (u64, u64, u64) {
+        let topo = machine();
+        let cfg = SimConfig::with_policy(policy, workers).with_seed(SEED);
+        let dag = bench.dag(places_for(workers));
+        let ts = Simulation::serial_elision(&topo, &cfg, &dag);
+        let cfg1 = SimConfig::with_policy(policy, 1).with_seed(SEED);
+        let t1 = Simulation::new(&topo, cfg1, &bench.dag(1)).unwrap().run().makespan;
+        let tp = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
+        (ts, t1, tp)
+    }
+
     #[test]
-    fn small_measurement_is_consistent() {
-        let m = measure(BenchId::Cilksort, SchedPolicy::numa_ws(), 4, 1);
-        assert!(m.ts > 0);
-        assert!(m.t1 >= m.ts, "T1 includes spawn overhead");
-        assert!(m.tp <= m.t1, "parallel run should not be slower than T1");
-        assert!(m.spawn_overhead() >= 1.0);
-        assert!(m.scalability() >= 1.0);
+    fn cells_match_fresh_simulations() {
+        // Every key input takes two values: bench, places (1 and 2), policy
+        // and P (1, 4 and 12), so a key that drops an input aliases two
+        // cells and the counts below fall short.
+        let cases = [(BenchId::Cilksort, 4), (BenchId::Cilksort, 12), (BenchId::Hull1, 4)];
+        let policies = [SchedPolicy::vanilla(), SchedPolicy::numa_ws()];
+        let mut cells = Cells::default();
+        let mut first = Vec::new();
+        for (bench, p) in cases {
+            let fresh_ts: Vec<u64> = policies.iter().map(|&pol| fresh(bench, pol, p).0).collect();
+            assert_eq!(fresh_ts[0], fresh_ts[1], "{bench:?} P={p}: TS depends on the policy");
+            for policy in policies {
+                let m = cells.measure(bench, policy, p);
+                let got = (m.ts, m.t1, m.tp());
+                assert_eq!(got, fresh(bench, policy, p), "{bench:?} {policy:?} P={p}");
+                first.push(got);
+            }
+        }
+        let counts = |c: &Cells| (c.dags.len(), c.ts.len(), c.tp.len());
+        assert_eq!(counts(&cells), (3, 3, 10), "(dags, TS, T_P) cells");
+        // A second lookup is served from the memo.
+        let cells_again = cases.iter().flat_map(|&(bench, p)| policies.map(|pol| (bench, pol, p)));
+        for ((bench, policy, p), want) in cells_again.zip(first) {
+            let m = cells.measure(bench, policy, p);
+            assert_eq!((m.ts, m.t1, m.tp()), want);
+        }
+        assert_eq!(counts(&cells), (3, 3, 10), "a repeated lookup simulated again");
     }
 }

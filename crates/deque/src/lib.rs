@@ -11,9 +11,6 @@
 //! item, which is exactly the work-first principle — overhead lands on the
 //! steal path, not the work path.
 //!
-//! [`MutexDeque`] is a deliberately naive fully-locked deque used by the
-//! benchmark suite to quantify what the THE protocol buys on the work path.
-//!
 //! # Example
 //!
 //! ```
@@ -31,10 +28,8 @@
 
 #![warn(missing_docs)]
 
-mod mutex_deque;
 mod the;
 
-pub use mutex_deque::MutexDeque;
 pub use the::{
     the_deque, the_deque_naive_batch_for_model, the_deque_weak_fence_for_model, Full, TheStealer,
     TheWorker,

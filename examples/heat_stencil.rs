@@ -46,6 +46,6 @@ fn main() {
         );
     }
     println!("\n(on this non-NUMA container both modes run at similar speed; the remote-steal");
-    println!(" share shows the NUMA-WS protocol at work — see nws_bench fig7/fig8 for the");
+    println!(" share shows the NUMA-WS protocol at work — see nws_bench reproduce for the");
     println!(" simulated four-socket machine where the locality difference becomes time)");
 }

@@ -10,7 +10,7 @@
 //! future change pushes an input size up, prefer shrinking the input back
 //! to marking the test `#[ignore]`: these eight assertions are the claims
 //! the reproduction exists to check. Full-scale (paper-sized) runs live in
-//! the figure harnesses: `cargo run --release -p nws_bench --bin fig8`.
+//! the figure binary: `cargo run --release -p nws_bench --bin reproduce`.
 
 use numa_ws_repro::apps::{cg, cilksort, heat, hull, matmul};
 use numa_ws_repro::sim::{SchedPolicy, SimConfig, Simulation};
@@ -76,8 +76,8 @@ fn hull_inflates_and_numa_ws_helps_both_datasets() {
     // Paper: both hull inputs inflate substantially under classic work
     // stealing, and NUMA-WS recovers part of it. (The paper's *relative*
     // ordering between hull1 and hull2 emerges at full simulator scale —
-    // see `cargo run -p nws_bench --bin fig8`; at test scale only the
-    // direction is stable.)
+    // see Figure 8 in `cargo run -p nws_bench --bin reproduce`; at test
+    // scale only the direction is stable.)
     let p = hull::Params { n: 1 << 18, base: 1 << 11 };
     for ds in [hull::Dataset::InDisk, hull::Dataset::OnCircle] {
         let dag = hull::dag(p, 4, ds);
