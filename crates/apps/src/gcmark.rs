@@ -7,11 +7,15 @@
 //! regular benchmarks exercises this; `gcmark` adds it to the suite so the
 //! scheduler comparison (`policy_sweep`) covers flood-style traversal too.
 //!
-//! The parallel marker batches the worklist: a task pops nodes, sets their
-//! mark bit (an atomic fetch-or through the `nws_sync` facade — losing the
-//! race means someone else owns the node), appends the successors, and
-//! spills a fixed-size batch into a fresh scope task whenever the local
-//! list grows past two batches. The simulator DAG replays the *exact* BFS
+//! The parallel marker floods a local worklist: a task pops nodes, sets
+//! their mark bit (a load, then an atomic fetch-or through the `nws_sync`
+//! facade only if the bit was clear — losing the race means someone else
+//! owns the node), and appends the successors. Splitting is demand-driven:
+//! the task hands the newest `chunk` entries to a fresh scope task only
+//! when its list holds at least two chunks **and** its worker's deque is
+//! empty ([`numa_ws::split_wanted`]). A thief thus finds one split to take
+//! whenever the list is long enough, and a flood nobody steals runs as its
+//! serial elision plus one split. The simulator DAG replays the *exact* BFS
 //! wavefront of the same seeded graph: one serial phase per BFS level, each
 //! fanning out over frontier chunks whose cycle counts and page touches
 //! follow the real (irregular) frontier sizes.
@@ -32,7 +36,8 @@ pub struct Params {
     pub avg_degree: usize,
     /// Number of root nodes (first `roots` node ids).
     pub roots: usize,
-    /// Worklist batch size (coarsening).
+    /// Worklist entries handed to a thief per split (the real runtime),
+    /// and frontier nodes per leaf task (the simulator DAG).
     pub chunk: usize,
     /// Input seed.
     pub seed: u64,
@@ -119,10 +124,13 @@ pub fn run_serial(g: &Graph, p: Params) -> Vec<bool> {
 // ---------------------------------------------------------------------------
 
 /// Sets node `v`'s mark bit; `true` if this call won the marking race.
+/// Bits only ever go from clear to set, so a set bit seen by the plain
+/// load is final: most pops find their node already marked and skip the
+/// read-modify-write (test-and-test-and-set).
 fn try_mark(bits: &[AtomicU64], v: u32) -> bool {
     let word = &bits[v as usize / 64];
     let mask = 1u64 << (v % 64);
-    word.fetch_or(mask, Ordering::Relaxed) & mask == 0
+    word.load(Ordering::Relaxed) & mask == 0 && word.fetch_or(mask, Ordering::Relaxed) & mask == 0
 }
 
 fn flood<'s>(
@@ -137,10 +145,10 @@ fn flood<'s>(
             continue;
         }
         pending.extend_from_slice(g.successors(v));
-        // Spill the newest `chunk` entries (the tail, at most half) of an
-        // oversized worklist into a sibling task; thieves pick it up while
-        // we keep flooding locally from the older entries.
-        if pending.len() >= 2 * chunk {
+        // Spill the newest `chunk` entries (the tail, at most half) into a
+        // sibling task, but only when a thief could take it: our deque is
+        // empty. We keep flooding locally from the older entries.
+        if pending.len() >= 2 * chunk && numa_ws::split_wanted() {
             let spill = pending.split_off(pending.len() - chunk);
             s.spawn(move |s| flood(s, g, bits, spill, chunk));
         }
@@ -266,11 +274,30 @@ mod tests {
         let p = Params::test();
         let g = random_graph(p);
         let want = run_serial(&g, p);
-        for places in [1usize, 4] {
-            let pool = Pool::builder().workers(4).places(places).build().unwrap();
-            let got = pool.install(|| run_parallel(&g, p, places));
-            assert_eq!(got, want, "places={places}");
+        for workers in [2usize, 4] {
+            for places in [1usize, 4] {
+                // Hints wrap modulo the pool's places, so 4-place hints
+                // also run on a 2-worker, 2-place pool.
+                let pool =
+                    Pool::builder().workers(workers).places(places.min(workers)).build().unwrap();
+                let got = pool.install(|| run_parallel(&g, p, places));
+                assert_eq!(got, want, "workers={workers} places={places}");
+            }
         }
+    }
+
+    #[test]
+    fn single_worker_flood_barely_spawns() {
+        // With no thief the deque keeps the first split exposed, so the
+        // flood runs as its serial elision: the root batch plus a split or
+        // two, not one spawn per chunk.
+        let p = Params::test();
+        let g = random_graph(p);
+        let pool = Pool::builder().workers(1).build().unwrap();
+        let got = pool.install(|| run_parallel(&g, p, 1));
+        assert_eq!(got, run_serial(&g, p));
+        let spawns = pool.stats().total_scope_spawns();
+        assert!(spawns <= 4, "{spawns} scope spawns on one worker");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub use config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 pub use join::{join, join4, join4_at, join_at};
 pub use par_for::{par_for, par_for_banded};
 pub use pool::{Pool, PoolBuilder};
-pub use scope::{scope, scope_at, Scope};
+pub use scope::{scope, scope_at, split_wanted, Scope};
 pub use stats::{PoolStats, WorkerStatsSnapshot};
 
 // Re-export the place type and the shared scheduling-policy layer: both

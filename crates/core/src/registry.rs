@@ -579,6 +579,13 @@ impl WorkerThread {
         self.deque.pop()
     }
 
+    /// Whether the own deque is empty: nothing this worker spawned is
+    /// exposed to thieves. A racy snapshot (two `Relaxed` loads).
+    #[inline]
+    pub(crate) fn deque_is_empty(&self) -> bool {
+        self.deque.is_empty()
+    }
+
     /// Runs `f` at a chaos-tier fault site. With the fault backend compiled
     /// in, a panic out of `f` is caught here — it never unwinds the
     /// caller's frame, which may own a live job ref — the pool is poisoned,

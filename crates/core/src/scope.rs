@@ -24,6 +24,14 @@
 //! single worker therefore degenerates to depth-first sequential execution
 //! of its spawns in reverse spawn order — the same discipline as `join`.
 //!
+//! ## Demand-driven splitting
+//!
+//! A task that walks a local work list need not spawn a fixed share of
+//! it eagerly: [`split_wanted`] tells it whether its worker's deque is
+//! empty, i.e. whether a thief would find anything to take. Spawning only
+//! then keeps one exposed split per worker and makes an un-stolen list
+//! cost its serial elision (DESIGN.md §5).
+//!
 //! ## Place awareness
 //!
 //! [`scope_at`]`(place, f)` sets the scope's *default* place hint: plain
@@ -139,6 +147,21 @@ where
         worker.wait_until(&scope.latch);
     }
     scope.conclude(body)
+}
+
+/// Whether the calling worker should split off work for a thief now:
+/// `true` when its own deque is empty, so nothing it spawned is exposed to
+/// thieves. `false` outside a pool.
+///
+/// This is the signal for *demand-driven splitting* of scope work lists: a
+/// task holding a local list spawns part of it only while this returns
+/// `true`, so at most one split per worker waits on a deque and a list no
+/// thief takes costs what its serial elision does. The answer is advisory
+/// and may be stale the moment it is read; correctness never depends on
+/// it, only granularity does. Two `Relaxed` loads, no allocation.
+#[inline]
+pub fn split_wanted() -> bool {
+    WorkerThread::current().is_some_and(WorkerThread::deque_is_empty)
 }
 
 impl<'scope> Scope<'scope> {
@@ -408,6 +431,33 @@ mod tests {
             })
         });
         assert_eq!(hits.into_inner(), 50);
+    }
+
+    #[test]
+    fn split_wanted_is_false_outside_a_pool() {
+        assert!(!split_wanted());
+    }
+
+    #[test]
+    fn split_wanted_is_true_on_an_idle_worker() {
+        let pool = Pool::new(1).unwrap();
+        assert!(pool.install(split_wanted));
+    }
+
+    #[test]
+    fn split_wanted_is_false_while_a_spawn_is_exposed() {
+        // One worker, so nothing steals the spawn: it sits on the deque
+        // until the scope's exit wait pops it.
+        let pool = Pool::new(1).unwrap();
+        let (before, exposed) = pool.install(|| {
+            scope(|s| {
+                let before = split_wanted();
+                s.spawn(|_| {});
+                (before, split_wanted())
+            })
+        });
+        assert!(before, "empty deque must want a split");
+        assert!(!exposed, "an un-run spawn on the deque must suppress splitting");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!   interleavings *and* weak-memory outcomes exhaustively (bounded
 //!   preemptions). The tier proves exactly-once over every explored
 //!   schedule for the lock-free CAS steal — last-item arbitration,
-//!   two thieves racing one owner, the capacity-2 wrap-around, and a
-//!   batch steal racing the owner's pop — and, the teeth, proves the
+//!   two thieves racing one owner, the capacity-2 wrap-around, a batch
+//!   steal racing the owner's pop, and demand-driven splitting (the owner
+//!   exposes one item at a time) — and, the teeth, proves the
 //!   checker *finds* the double-take in two deliberately weakened
 //!   variants: the handshake fence demoted from `SeqCst` to `AcqRel`
 //!   (a weak-memory bug, reproduced both by exhaustive search and from
@@ -402,6 +403,82 @@ mod checked {
         }
         all.sort_unstable();
         all
+    }
+
+    /// Demand-driven splitting (`numa_ws::split_wanted`), as a reusable
+    /// body: the owner walks a four-item local list and spills an item to
+    /// the deque only while fewer than `exposed` items sit there; otherwise
+    /// it processes the item locally and pops back what it spilled. One
+    /// thief steals twice concurrently, then the owner drains. Returns
+    /// every item handed out, sorted — `[1, 2, 3, 4]` iff exactly-once.
+    /// With `exposed == 1` (the runtime's rule: split only into an empty
+    /// deque) at most one item is ever contested, so the owner's pop and
+    /// the thief's steal meet only on the CAS-arbitrated last item.
+    fn demand_split(weak: bool, exposed: usize) -> Vec<u32> {
+        let (w, s) =
+            if weak { the_deque_weak_fence_for_model::<u32>(4) } else { the_deque::<u32>(4) };
+        let t = thread::spawn(move || {
+            let mut got = Vec::new();
+            for _ in 0..2 {
+                if let Some(v) = s.steal() {
+                    got.push(v);
+                }
+            }
+            got
+        });
+        let mut all = Vec::new();
+        for v in 1..=4 {
+            if w.len() < exposed {
+                w.push(v).unwrap();
+            } else {
+                all.push(v);
+                all.extend(w.pop());
+            }
+        }
+        all.extend(t.join().unwrap());
+        while let Some(v) = w.pop() {
+            all.push(v);
+        }
+        all.sort_unstable();
+        all
+    }
+
+    /// Splitting on demand (one exposed item) hands every item out
+    /// exactly once on every schedule, and the exploration is complete.
+    #[test]
+    fn demand_split_exactly_once_complete() {
+        let explored = Builder::exhaustive(2, 200_000)
+            .check(|| {
+                assert_eq!(
+                    demand_split(false, 1),
+                    [1, 2, 3, 4],
+                    "items must change hands exactly once"
+                );
+            })
+            .expect("demand-driven splitting must verify clean");
+        assert!(explored.complete, "exploration must be exhaustive, not truncated");
+        assert!(explored.schedules > 1);
+    }
+
+    /// The teeth for the demand-split body: one exposed item never
+    /// reaches the weak-fence race, which needs two items in flight. Let
+    /// the body expose two (spill while `len() < 2`) on the `AcqRel`-fence
+    /// deque and the checker must find the double-take.
+    #[test]
+    fn demand_split_two_exposed_weak_fence_double_take_found() {
+        let failure = Builder::exhaustive(2, 200_000)
+            .check(|| {
+                assert_eq!(
+                    demand_split(true, 2),
+                    [1, 2, 3, 4],
+                    "items must change hands exactly once"
+                );
+            })
+            .expect_err("two exposed items on the AcqRel-fence deque must double-take");
+        assert!(
+            matches!(failure.kind, FailureKind::Panic(ref m) if m.contains("exactly once")),
+            "expected the double-take assertion, got: {failure}"
+        );
     }
 
     /// The correctly fenced deque hands out the contested items exactly
