@@ -9,7 +9,9 @@
 //! Time advances per worker: each simulation turn picks the worker with the
 //! smallest local clock (ties by index) and lets it perform one action —
 //! execute a strand, spawn, sync, return, or take one trip through the
-//! scheduling loop. Deques and mailboxes are plain sequential state because
+//! scheduling loop. A turn moves only the acting worker's clock, so a
+//! min-tree over `(clock, index)` ([`TurnTree`]) names the next worker in
+//! `O(log P)`. Deques and mailboxes are plain sequential state because
 //! turns are serialized; the concurrency *protocol* (who may take what,
 //! when) follows the paper's pseudocode exactly.
 //!
@@ -129,6 +131,52 @@ impl<'a> Simulation<'a> {
     }
 }
 
+/// A min-tree over the workers' `(clock, index)`: the root holds the
+/// worker whose turn is next. Leaves sit at `n..n + P` for `n` the next
+/// power of two; padding leaves hold `(u64::MAX, usize::MAX)` and never win.
+#[derive(Debug)]
+struct TurnTree {
+    nodes: Vec<(u64, usize)>,
+}
+
+impl TurnTree {
+    /// `workers` workers, every clock at 0.
+    fn new(workers: usize) -> Self {
+        let mut tree =
+            TurnTree { nodes: vec![(u64::MAX, usize::MAX); 2 * workers.next_power_of_two()] };
+        tree.rebuild(&vec![0; workers]);
+        tree
+    }
+
+    /// The worker with the smallest `(clock, index)`.
+    #[inline]
+    fn next(&self) -> usize {
+        self.nodes[1].1
+    }
+
+    /// Worker `w`'s clock became `clock`: refresh its leaf-to-root path.
+    #[inline]
+    fn update(&mut self, w: usize, clock: u64) {
+        let mut i = self.nodes.len() / 2 + w;
+        self.nodes[i] = (clock, w);
+        while i > 1 {
+            i /= 2;
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// Any number of clocks changed: refill every leaf and node in place.
+    fn rebuild(&mut self, clocks: &[u64]) {
+        let n = self.nodes.len() / 2;
+        for (w, &clock) in clocks.iter().enumerate() {
+            self.nodes[n + w] = (clock, w);
+        }
+        for i in (1..n).rev() {
+            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+        }
+    }
+}
+
 struct Engine<'a> {
     dag: &'a Dag,
     cfg: &'a SimConfig,
@@ -136,6 +184,8 @@ struct Engine<'a> {
     mem: MemorySystem,
 
     clocks: Vec<u64>,
+    /// Who acts next; kept in step with `clocks`.
+    turns: TurnTree,
     work: Vec<u64>,
     sched: Vec<u64>,
     states: Vec<WState>,
@@ -191,6 +241,7 @@ impl<'a> Engine<'a> {
             cfg,
             mem,
             clocks: vec![0; p],
+            turns: TurnTree::new(p),
             work: vec![0; p],
             sched: vec![0; p],
             states,
@@ -214,16 +265,14 @@ impl<'a> Engine<'a> {
         while self.done_at.is_none() {
             // Min-clock worker acts next; ties broken by index for
             // determinism.
-            let mut w = 0;
-            for i in 1..p {
-                if self.clocks[i] < self.clocks[w] {
-                    w = i;
-                }
-            }
+            let w = self.turns.next();
+            debug_assert_eq!(Some(w), (0..p).min_by_key(|&i| (self.clocks[i], i)));
             if self.states[w] == WState::Steal && self.stealable == 0 {
                 self.fast_forward_idle();
+                self.turns.rebuild(&self.clocks);
             } else {
                 self.step(w);
+                self.turns.update(w, self.clocks[w]);
             }
         }
         let makespan = self.done_at.unwrap();
@@ -429,7 +478,7 @@ impl<'a> Engine<'a> {
         let place = self.place_of_frame(cont.0);
         let place_idx =
             place.index().expect("foreign frame has a concrete place") % self.map.num_places();
-        let candidates: Vec<usize> = self.map.workers_of_place(Place(place_idx)).to_vec();
+        let candidates = self.map.workers_of_place(Place(place_idx));
         if candidates.is_empty() {
             return false;
         }
@@ -555,6 +604,33 @@ mod tests {
         assert_eq!(r.workers[0].work, 150);
         assert_eq!(r.workers[0].sched, 0);
         assert_eq!(r.counters.steals, 0);
+    }
+
+    #[test]
+    fn turn_tree_picks_the_linear_minimum() {
+        let mut rng = SmallRng::seed_from_u64(0x7EE5);
+        for p in [1usize, 2, 3, 32, 33] {
+            let mut clocks = vec![0u64; p];
+            let mut tree = TurnTree::new(p);
+            let linear_min = |clocks: &[u64]| (0..p).min_by_key(|&i| (clocks[i], i)).unwrap();
+            for round in 0..2_000 {
+                if round % 50 == 49 {
+                    // Several clocks move at once, as in a fast-forward.
+                    for c in clocks.iter_mut() {
+                        *c += rng.next_u64() % 3;
+                    }
+                    tree.rebuild(&clocks);
+                } else {
+                    // One clock moves, the next worker's or any other's,
+                    // often onto a tie (small bumps on clocks that start
+                    // equal).
+                    let w = if round % 2 == 0 { tree.next() } else { rng.next_u64() as usize % p };
+                    clocks[w] += rng.next_u64() % 4;
+                    tree.update(w, clocks[w]);
+                }
+                assert_eq!(tree.next(), linear_min(&clocks), "P={p} round {round}: {clocks:?}");
+            }
+        }
     }
 
     #[test]

@@ -30,11 +30,18 @@ const SCALE: u64 = 10_080; // divisible by 10, 21 and 31's rounding needs
 /// [`sample`]: StealDistribution::sample
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StealDistribution {
-    /// Cumulative weights per victim index; victims with zero weight (the
-    /// thief itself) contribute no increment.
+    /// Cumulative weights per victim index; the thief, the only victim
+    /// with zero weight, contributes no increment.
     cumulative: Vec<u64>,
-    /// Raw (non-cumulative) weights, kept for inspection and tests.
-    weights: Vec<u64>,
+    /// The total weight, `cumulative[P - 1]`.
+    total: u64,
+    /// The Lemire–Kaser–Kurz magic for `% total`, `u128::MAX / total + 1`.
+    magic: u128,
+    /// Guide table: `guide[b]` is the victim of `r = b << shift`. Since
+    /// `1 << shift` is at most the smallest nonzero weight, a bucket holds
+    /// at most one victim boundary.
+    guide: Vec<u32>,
+    shift: u32,
     thief: usize,
 }
 
@@ -50,7 +57,7 @@ impl StealDistribution {
         assert!(workers >= 2, "need at least two workers to steal");
         assert!(thief < workers, "thief index out of range");
         let weights: Vec<u64> = (0..workers).map(|v| if v == thief { 0 } else { SCALE }).collect();
-        Self::from_weights(weights, thief)
+        Self::from_weights(&weights, thief)
     }
 
     /// Distance-biased distribution for `thief` given the machine topology
@@ -58,8 +65,9 @@ impl StealDistribution {
     ///
     /// # Panics
     ///
-    /// Panics if the map has fewer than two workers or `thief` is out of
-    /// range.
+    /// Panics if the map has fewer than two workers, `thief` is out of
+    /// range, or a socket is so distant (over `LOCAL · 10080`) that its
+    /// workers would get no weight.
     pub fn biased(topo: &Topology, map: &WorkerMap, thief: usize) -> Self {
         assert!(map.num_workers() >= 2, "need at least two workers to steal");
         assert!(thief < map.num_workers(), "thief index out of range");
@@ -75,18 +83,35 @@ impl StealDistribution {
                 }
             })
             .collect();
-        Self::from_weights(weights, thief)
+        Self::from_weights(&weights, thief)
     }
 
-    fn from_weights(weights: Vec<u64>, thief: usize) -> Self {
+    fn from_weights(weights: &[u64], thief: usize) -> Self {
+        assert!(
+            weights.iter().enumerate().all(|(v, &w)| (w == 0) == (v == thief)),
+            "every victim but the thief needs a positive weight"
+        );
         let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0u64;
-        for &w in &weights {
-            acc += w;
-            cumulative.push(acc);
+        let mut total = 0u64;
+        for &w in weights {
+            total += w;
+            cumulative.push(total);
         }
-        assert!(acc > 0, "distribution must have positive total weight");
-        StealDistribution { cumulative, weights, thief }
+        let min_weight =
+            weights.iter().copied().filter(|&w| w > 0).min().expect("some victim has weight");
+        let shift = min_weight.ilog2();
+        let mut v = 0;
+        let guide = (0..=(total - 1) >> shift)
+            .map(|b| {
+                while cumulative[v] <= b << shift {
+                    v += 1;
+                }
+                u32::try_from(v).expect("victim index fits in u32")
+            })
+            .collect();
+        // Wraps to 0 for a total of 1, which still yields `r % 1 == 0`.
+        let magic = (u128::MAX / u128::from(total)).wrapping_add(1);
+        StealDistribution { cumulative, total, magic, guide, shift, thief }
     }
 
     /// Number of workers covered (including the thief, whose weight is 0).
@@ -104,34 +129,31 @@ impl StealDistribution {
     /// The raw weight assigned to a victim (0 for the thief itself).
     #[inline]
     pub fn weight_of(&self, victim: usize) -> u64 {
-        self.weights[victim]
+        self.cumulative[victim] - victim.checked_sub(1).map_or(0, |u| self.cumulative[u])
     }
 
     /// The probability of choosing `victim`, as a float (for tests/reports).
     pub fn probability_of(&self, victim: usize) -> f64 {
-        self.weights[victim] as f64 / *self.cumulative.last().unwrap() as f64
+        self.weight_of(victim) as f64 / self.total as f64
     }
 
-    /// Picks a victim from a uniformly random `u64`.
+    /// Picks a victim from a uniformly random `u64`: the first victim whose
+    /// cumulative weight exceeds `random % total`. Never returns the thief.
     ///
-    /// The value is reduced modulo the total weight and located in the
-    /// cumulative table by binary search, so sampling is `O(log P)` and
-    /// never returns the thief.
+    /// `O(1)` with no data-dependent branch. The remainder is the exact
+    /// Lemire–Kaser–Kurz one (four multiplies, no division). The guide
+    /// bucket of `r` names the victim of the bucket's first value; `r` lies
+    /// at most one boundary past it, and the victim after that boundary is
+    /// the next index, or the one after if the next is the thief.
+    #[inline]
     pub fn sample(&self, random: u64) -> usize {
-        let total = *self.cumulative.last().unwrap();
-        let r = random % total;
-        // First index whose cumulative weight exceeds r.
-        match self.cumulative.binary_search(&r) {
-            // cumulative[i] == r means r falls in the *next* nonempty bucket.
-            Ok(i) => {
-                let mut j = i + 1;
-                while self.weights[j] == 0 {
-                    j += 1;
-                }
-                j
-            }
-            Err(i) => i,
-        }
+        let low = self.magic.wrapping_mul(u128::from(random));
+        // The high 64 bits of the 192-bit `low * total`.
+        let carry = (u128::from(low as u64) * u128::from(self.total)) >> 64;
+        let r = (((low >> 64) * u128::from(self.total) + carry) >> 64) as u64;
+        let v = self.guide[(r >> self.shift) as usize] as usize;
+        let v = v + usize::from(r >= self.cumulative[v]);
+        v + usize::from(v == self.thief)
     }
 }
 
@@ -242,6 +264,80 @@ mod tests {
     #[should_panic(expected = "at least two workers")]
     fn lone_worker_rejected() {
         StealDistribution::uniform(1, 0);
+    }
+
+    /// The `O(log P)` binary-search sampler `sample` replaced, kept as its
+    /// oracle: the first victim whose cumulative weight exceeds
+    /// `random % total`.
+    fn binary_search_sample(d: &StealDistribution, random: u64) -> usize {
+        let r = random % d.total;
+        match d.cumulative.binary_search(&r) {
+            Ok(i) => {
+                let mut j = i + 1;
+                while d.weight_of(j) == 0 {
+                    j += 1;
+                }
+                j
+            }
+            Err(i) => i,
+        }
+    }
+
+    /// `sample` against the oracle on 10^5 SplitMix64 draws plus the edges:
+    /// `0`, `u64::MAX`, every cumulative boundary ±1 and multiples of the
+    /// total ±1.
+    fn assert_matches_binary_search(d: &StealDistribution) {
+        let total = d.total;
+        let top = u64::MAX / total;
+        let mut edges = vec![0, u64::MAX];
+        for base in [0, total, 7 * total, (top - 1) * total, top * total] {
+            for c in std::iter::once(0).chain(d.cumulative.iter().copied()) {
+                if let Some(x) = base.checked_add(c) {
+                    edges.extend([x.wrapping_sub(1), x, x.wrapping_add(1)]);
+                }
+            }
+        }
+        let mut rng = crate::SplitMix64::new(0x5A3D_0000 ^ d.thief as u64);
+        let draws = (0..100_000).map(|_| rng.next_u64());
+        for random in edges.into_iter().chain(draws) {
+            assert_eq!(
+                d.sample(random),
+                binary_search_sample(d, random),
+                "P={} thief={} random={random:#x}",
+                d.num_workers(),
+                d.thief
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_sample_matches_binary_search() {
+        for p in [2, 3, 5, 31, 32, 33, 64, 100] {
+            for thief in 0..p {
+                assert_matches_binary_search(&StealDistribution::uniform(p, thief));
+            }
+        }
+    }
+
+    #[test]
+    fn biased_sample_matches_binary_search() {
+        let (topo, map) = paper_setup(32);
+        for thief in 0..32 {
+            assert_matches_binary_search(&StealDistribution::biased(&topo, &map, thief));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive weight")]
+    fn unreachable_socket_rejected() {
+        let topo = crate::Topology::builder()
+            .sockets(2)
+            .cores_per_socket(1)
+            .distances(crate::DistanceMatrix::uniform(2, 200_000))
+            .build()
+            .unwrap();
+        let map = Placement::Spread { sockets: 2 }.assign(&topo, 2).unwrap();
+        StealDistribution::biased(&topo, &map, 0);
     }
 
     #[test]
