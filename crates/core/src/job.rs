@@ -2,10 +2,12 @@
 //!
 //! A [`JobRef`] is the runtime's "frame": a raw pointer to a job plus its
 //! execute thunk and the **place hint** the NUMA-WS protocol routes by.
-//! The shadow-frame/full-frame economy of the paper appears here as:
-//! pushing a `JobRef` costs two words of deque traffic (shadow), while a
-//! *steal* is where the runtime pays for latches, result plumbing, and
-//! possibly a PUSHBACK episode (promotion to full).
+//! The shadow-frame/full-frame economy of the paper appears here as: an
+//! unhinted `join` records its `JobRef` in the worker's owner-only frame
+//! stack (a few plain stores, see `crate::frames`) and runs it in place
+//! with [`StackJob::run_in_place`] unless the worker promoted it onto the
+//! deque; a *steal* is where the runtime pays for latches, result
+//! plumbing, and possibly a PUSHBACK episode (promotion to full).
 //!
 //! Three concrete representations implement [`Job`]: [`StackJob`] (a
 //! `join` branch / `install` root, owned by a blocked caller frame),
@@ -148,14 +150,17 @@ where
         JobRef::new(self, place)
     }
 
-    /// Runs the job on the owning worker (it was popped back un-stolen);
-    /// returns the result directly.
+    /// Runs the job on the owning worker, in place: its `JobRef` was never
+    /// exposed, or was popped back un-stolen. By reference, because the job
+    /// must not move while a `JobRef` to it exists (and moving it would copy
+    /// the closure for nothing).
     ///
     /// # Safety
     ///
-    /// The job must not have been executed (its `JobRef` is dead).
-    pub(crate) unsafe fn run_inline(self) -> R {
-        let func = ManuallyDrop::into_inner(self.func.into_inner());
+    /// The job must not have been executed, and no other thread may hold a
+    /// live `JobRef` to it; this consumes the closure, so it runs once.
+    pub(crate) unsafe fn run_in_place(&self) -> R {
+        let func = ManuallyDrop::take(&mut *self.func.get());
         func()
     }
 
@@ -304,7 +309,7 @@ mod tests {
         let sleep = Sleep::new();
         let job = StackJob::new(SpinLatch::new(&sleep), || 40 + 2);
         // SAFETY: never turned into a JobRef, so the job has not executed.
-        let r = unsafe { job.run_inline() };
+        let r = unsafe { job.run_in_place() };
         assert_eq!(r, 42);
     }
 

@@ -1,18 +1,25 @@
 //! Fork-join primitives with locality hints.
 //!
 //! [`join`] is the Rust rendering of `cilk_spawn`/`cilk_sync`: `join(a, b)`
-//! runs `a` on the current worker while `b` sits on the deque tail,
-//! stealable by other workers — the same LIFO/FIFO discipline as Cilk's
-//! continuation stealing, with the roles of "continuation" and "child"
-//! swapped as Rust's stack model requires (see DESIGN.md §2). [`join_at`]
-//! attaches a **place hint** to the stealable half; under
+//! runs `a` on the current worker while `b` waits to be stolen by other
+//! workers — the same LIFO/FIFO discipline as Cilk's continuation
+//! stealing, with the roles of "continuation" and "child" swapped as
+//! Rust's stack model requires (see DESIGN.md §2). [`join_at`] attaches a
+//! **place hint** to the stealable half; under
 //! [`SchedPolicy::numa_ws`](crate::SchedPolicy::numa_ws) a thief that
 //! steals it on the wrong socket lazily pushes it toward its designated
 //! place.
 //!
-//! Following the paper's work-first engineering, the fast path (no steal)
-//! costs one deque push and one pop — no allocation, no locks, no latch
-//! waits, no timestamps.
+//! Following the paper's work-first engineering, an unhinted `join` forks
+//! lazily: `b` is recorded in the worker's owner-only frame stack, not
+//! pushed, and runs in place after `a` unless the worker promoted it onto
+//! its deque meanwhile (it does so when the deque is empty, and before it
+//! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §5). The
+//! fast path (no promotion) is a few plain stores and two emptiness checks
+//! — no deque operation, no fence, no allocation, no latch wait. A hinted
+//! join (the paper's PUSHBACK and mailboxes must see it), a join on a
+//! trace-recording pool, and a join forked over a full frame stack push
+//! `b` eagerly and pop it back.
 
 use crate::job::{JobResult, StackJob};
 use crate::latch::SpinLatch;
@@ -82,17 +89,20 @@ where
     RB: Send,
 {
     let job_b = StackJob::new(SpinLatch::new(&worker.registry.sleep), b);
-    // SAFETY: job_b stays on this stack frame until resolved below, and is
-    // executed exactly once (inline xor stolen).
+    // SAFETY: job_b stays in place on this stack frame until resolved
+    // below, and is executed exactly once (in place xor stolen).
     let ref_b = unsafe { job_b.as_job_ref(place) };
     let id_b = ref_b.id();
 
-    if worker.push(ref_b).is_err() {
+    // A hinted `b` forks eagerly, so PUSHBACK and the mailboxes see it.
+    let frame = if place.index().is_none() { worker.fork_lazy(ref_b) } else { None };
+    if frame.is_none() && worker.push(ref_b).is_err() {
         // Deque full: degrade to serial execution (b loses stealability,
         // nothing else). Runs a first, preserving the spawn order.
         let ra = a();
-        // SAFETY: the JobRef was rejected by push, so job_b is unexecuted.
-        let rb = unsafe { job_b.run_inline() };
+        // SAFETY: the JobRef was rejected by push, so job_b is unexecuted
+        // and unshared.
+        let rb = unsafe { job_b.run_in_place() };
         return (ra, rb);
     }
 
@@ -100,37 +110,50 @@ where
     // lives on our stack and a thief may be running it right now.
     let status_a = panic::catch_unwind(AssertUnwindSafe(a));
 
-    let result_b: Result<RB, Box<dyn Any + Send>> = loop {
-        match worker.pop() {
-            Some(popped) if popped.id() == id_b => {
-                // The common un-stolen case: our spawn is still the tail.
-                // `run_inline` bypasses `WorkerThread::execute`, so open the
-                // trace bracket here with the id `push` attached to the
-                // popped copy (a no-op when recording is off).
-                let t = popped.trace();
-                let prev = worker.trace_enter(t);
-                // SAFETY: popped unexecuted JobRef; job_b is alive.
-                let r = panic::catch_unwind(AssertUnwindSafe(|| unsafe { job_b.run_inline() }));
-                worker.trace_exit(t, prev);
-                break r;
+    let result_b: Result<RB, Box<dyn Any + Send>> =
+        if frame.is_some_and(|f| worker.resolve_frame(f)) {
+            // Never promoted: nobody else has seen ref_b.
+            // SAFETY: the hidden frame was job_b's only JobRef, and resolving
+            // it removed that from the frame stack.
+            panic::catch_unwind(AssertUnwindSafe(|| unsafe { job_b.run_in_place() }))
+        } else {
+            loop {
+                match worker.pop() {
+                    Some(popped) if popped.id() == id_b => {
+                        // The common un-stolen case: our spawn is still the
+                        // tail. `run_in_place` bypasses `WorkerThread::execute`,
+                        // so open the trace bracket here with the id `push`
+                        // attached to the popped copy (a no-op when recording
+                        // is off).
+                        let t = popped.trace();
+                        let prev = worker.trace_enter(t);
+                        // SAFETY: popped unexecuted JobRef; job_b is alive.
+                        let run_b = || unsafe { job_b.run_in_place() };
+                        let r = panic::catch_unwind(AssertUnwindSafe(run_b));
+                        worker.trace_exit(t, prev);
+                        break r;
+                    }
+                    Some(other) => {
+                        // Not our spawn: `a` (or a waiting frame below us)
+                        // pushed jobs it did not consume — e.g. scope spawns,
+                        // which outlive the frame that pushed them by design.
+                        // Execute depth-first and keep looking; our entry, if
+                        // un-stolen, sits further down.
+                        // SAFETY: protocol-found jobs are live and unexecuted.
+                        unsafe { worker.execute(other) };
+                    }
+                    None => {
+                        // Stolen: steal-while-waiting until the thief finishes.
+                        worker.wait_until(&job_b.latch);
+                        // SAFETY: latch set — the thief stored the result.
+                        break unsafe { job_b.into_result() };
+                    }
+                }
             }
-            Some(other) => {
-                // Not our spawn: `a` (or a waiting frame below us) pushed
-                // jobs it did not consume — e.g. scope spawns, which
-                // outlive the frame that pushed them by design. Execute
-                // depth-first and keep looking; our entry, if un-stolen,
-                // sits further down.
-                // SAFETY: protocol-found jobs are live and unexecuted.
-                unsafe { worker.execute(other) };
-            }
-            None => {
-                // Stolen: steal-while-waiting until the thief finishes.
-                worker.wait_until(&job_b.latch);
-                // SAFETY: latch set — the thief stored the result.
-                break unsafe { job_b.into_result() };
-            }
-        }
-    };
+        };
+    // The join's exit: if its deque ran dry (`b` was stolen or popped back),
+    // expose the oldest frame still hidden below this join.
+    worker.promote_if_empty();
 
     match (status_a, result_b) {
         (Ok(ra), Ok(rb)) => (ra, rb),
@@ -197,3 +220,30 @@ const _: () = {
         matches!(r, JobResult::None | JobResult::Ok(_) | JobResult::Panicked(_))
     }
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Pool;
+
+    #[test]
+    fn frame_stack_is_balanced_after_nested_panics() {
+        fn nested() -> i32 {
+            let (a, b) = join(|| join(|| -> i32 { panic!("deep a") }, || 1), || join(|| 2, || 3));
+            a.0 + a.1 + b.0 + b.1
+        }
+        let pool = Pool::new(1).unwrap();
+        let depths = pool.install(|| {
+            let (inside, ()) = join(
+                || {
+                    assert!(panic::catch_unwind(nested).is_err());
+                    WorkerThread::current().unwrap().frame_depth()
+                },
+                || (),
+            );
+            assert!(panic::catch_unwind(nested).is_err());
+            (inside, WorkerThread::current().unwrap().frame_depth())
+        });
+        assert_eq!(depths, (1, 0), "only the enclosing join's frame may remain");
+    }
+}

@@ -86,6 +86,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod frames;
 mod injector;
 mod job;
 mod join;

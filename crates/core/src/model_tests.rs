@@ -8,12 +8,14 @@
 //! heap job (fixed by executing leftovers in `Mailbox::drop`) lives here
 //! in its natural habitat.
 
+use crate::frames::FrameStack;
 use crate::job::{HeapJob, JobRef};
 use crate::latch::{CountLatch, Latch, Probe, SpinLatch};
 use crate::mailbox::Mailbox;
 use crate::sleep::{Sleep, SleepOutcome};
 use nws_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use nws_sync::model::Builder;
+use nws_deque::the_deque;
+use nws_sync::model::{Builder, FailureKind};
 use nws_sync::thread;
 use nws_topology::Place;
 use std::sync::Arc;
@@ -181,4 +183,80 @@ fn sleep_wake_one_is_never_lost() {
         );
         assert_eq!(s.num_sleepers(), 0);
     });
+}
+
+/// Lazy join promotion (`crate::frames`) over the real THE deque, as a
+/// reusable body: the owner forks three nested joins, recording each
+/// branch `b` in `frames` and promoting the oldest hidden one whenever the
+/// deque is empty, then resolves them newest-first. A hidden branch runs
+/// in place; a promoted one is popped back (whatever else the pop yields
+/// runs too) or counts as stolen. Each join's exit promotes on empty
+/// again. One thief steals twice meanwhile. Returns every branch run,
+/// sorted — `[1, 2, 3]` iff each ran exactly once.
+fn lazy_join_promotion(frames: FrameStack<u32>) -> Vec<u32> {
+    let (w, s) = the_deque::<u32>(4);
+    let t = thread::spawn(move || (0..2).filter_map(|_| s.steal()).collect::<Vec<u32>>());
+    let forks: Vec<(u32, usize)> = (1..=3)
+        .map(|b| {
+            let frame = frames.record(b).expect("three frames fit");
+            frames.promote_if_empty(&w);
+            (b, frame)
+        })
+        .collect();
+    let mut ran = Vec::new();
+    for &(b, frame) in forks.iter().rev() {
+        if frames.resolve(frame) {
+            ran.push(b);
+        } else {
+            while let Some(v) = w.pop() {
+                ran.push(v);
+                if v == b {
+                    break;
+                }
+            }
+        }
+        frames.promote_if_empty(&w);
+    }
+    ran.extend(t.join().unwrap());
+    ran.sort_unstable();
+    ran
+}
+
+/// Every branch of a lazily forked join runs exactly once on every
+/// schedule, whether it stayed hidden, was popped back, or was stolen, and
+/// the exploration is complete.
+#[test]
+fn lazy_join_promotion_runs_each_branch_once() {
+    let explored = Builder::exhaustive(2, 200_000)
+        .check(|| {
+            assert_eq!(
+                lazy_join_promotion(FrameStack::new()),
+                [1, 2, 3],
+                "each branch must run exactly once"
+            );
+        })
+        .expect("lazy join promotion must verify clean");
+    assert!(explored.complete, "exploration must be exhaustive, not truncated");
+    assert!(explored.schedules > 1);
+}
+
+/// The teeth: a promotion that does not advance the promoted mark leaves
+/// the frame looking hidden, so its join runs it in place while the thief
+/// may take the same branch off the deque. The checker must find the
+/// double run.
+#[test]
+fn lazy_join_promotion_stale_mark_double_run_found() {
+    let failure = Builder::exhaustive(2, 200_000)
+        .check(|| {
+            assert_eq!(
+                lazy_join_promotion(FrameStack::stale_mark_for_model()),
+                [1, 2, 3],
+                "each branch must run exactly once"
+            );
+        })
+        .expect_err("a stale promoted mark must run a branch twice");
+    assert!(
+        matches!(failure.kind, FailureKind::Panic(ref m) if m.contains("exactly once")),
+        "expected the double-run assertion, got: {failure}"
+    );
 }

@@ -187,9 +187,9 @@ mod tests {
         // Regression: `places > range.len()` used to spawn empty-range
         // bands, churning the deque for nothing. Coverage must be exact
         // and, on a single worker (where nothing is stolen and `spawns`
-        // counts every accepted deque push), the spawn count must stay
-        // below the non-empty-iteration count — impossible if empty bands
-        // still cost a push each.
+        // counts every fork), the spawn count must stay below the
+        // non-empty-iteration count — impossible if empty bands still
+        // cost a fork each.
         let pool = Pool::builder().workers(1).build().unwrap();
         let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
         pool.reset_stats();

@@ -345,6 +345,10 @@ impl Pool {
             if Arc::ptr_eq(&worker.registry, &self.registry) {
                 return f();
             }
+            // A worker of another pool is about to block on this one: like
+            // any blocking worker, it first exposes its hidden join frames
+            // to its own pool's thieves.
+            worker.promote_all();
         }
         if self.registry.is_poisoned() {
             std::panic::panic_any(PoisonedPool::new(self.registry.poison_message()));

@@ -3,6 +3,7 @@
 //! ingress, and the worker sleep/wake layer.
 
 use crate::config::OverflowPolicy;
+use crate::frames::FrameStack;
 use crate::injector::IngressQueue;
 use crate::job::JobRef;
 use crate::latch::Probe;
@@ -449,6 +450,11 @@ pub(crate) struct WorkerThread {
     pub(crate) registry: Arc<Registry>,
     pub(crate) index: usize,
     deque: TheWorker<JobRef>,
+    /// Hidden `join` frames (lazy join promotion, `crate::frames`).
+    frames: FrameStack<JobRef>,
+    /// Whether unhinted joins fork lazily: not while the pool records its
+    /// DAG, so a trace keeps every spawn edge where it was forked.
+    lazy_joins: bool,
     /// SplitMix64 state (same stream as the vendored `SmallRng`); a plain
     /// cell instead of `RefCell<SmallRng>` so a sample is two loads and a
     /// store with no borrow-flag traffic on the steal path.
@@ -529,15 +535,20 @@ impl WorkerThread {
         bump!(self.local, scope_spawns);
     }
 
-    /// Pushes a job at a spawn point (work path).
+    /// Pushes a job at a spawn point (work path): the eager fork of a
+    /// hinted or traced `join`, a join forked over a full frame stack, or a
+    /// scope spawn.
     ///
-    /// Only an accepted push counts as a spawn; a rejected one bumps
-    /// `spawn_overflows` instead, so work-efficiency metrics never count
-    /// jobs that fell back to inline execution. A successful push while
-    /// any worker sleeps wakes one (the relaxed sleeper probe keeps the
-    /// common no-sleeper spawn path free of fences; a stale read here only
-    /// delays a thief by one sleep timeout, never stalls the program,
-    /// because the owner pops its own spawns).
+    /// Every hidden join frame is promoted first, so the deque stays
+    /// oldest-at-head; if the deque fills before they all are, the push is
+    /// refused rather than placed above a hidden frame. Only an accepted
+    /// push counts as a spawn; a refused one bumps `spawn_overflows`
+    /// instead, so work-efficiency metrics never count jobs that fell back
+    /// to inline execution. A successful push while any worker sleeps
+    /// wakes one (the relaxed sleeper probe keeps the common no-sleeper
+    /// spawn path free of fences; a stale read here only delays a thief by
+    /// one sleep timeout, never stalls the program, because the owner pops
+    /// its own spawns).
     ///
     /// # Errors
     ///
@@ -558,12 +569,11 @@ impl WorkerThread {
                 },
             );
         }
-        match self.deque.push(job) {
+        let pushed = if self.promote_all() { self.deque.push(job) } else { Err(Full(job)) };
+        match pushed {
             Ok(()) => {
                 bump!(self.local, spawns);
-                if self.registry.sleep.num_sleepers() > 0 {
-                    self.registry.sleep.wake_one();
-                }
+                self.wake_a_thief();
                 Ok(())
             }
             Err(full) => {
@@ -573,17 +583,89 @@ impl WorkerThread {
         }
     }
 
+    /// Wakes one sleeper, if any, after exposing work on the own deque.
+    #[inline]
+    fn wake_a_thief(&self) {
+        if self.registry.sleep.num_sleepers() > 0 {
+            self.registry.sleep.wake_one();
+        }
+    }
+
+    /// The lazy fork of an unhinted `join`: records `job` as a hidden
+    /// frame, counts the spawn, and promotes the oldest hidden frame if the
+    /// deque is empty. Returns the frame's index for
+    /// [`resolve_frame`](Self::resolve_frame), or `None` when the pool
+    /// records a trace or the frame stack is full (the caller forks eagerly
+    /// instead).
+    #[inline]
+    pub(crate) fn fork_lazy(&self, job: JobRef) -> Option<usize> {
+        if !self.lazy_joins {
+            return None;
+        }
+        let frame = self.frames.record(job)?;
+        bump!(self.local, spawns);
+        self.promote_if_empty();
+        Some(frame)
+    }
+
+    /// Removes the newest frame (`frame`): `true` if it is still hidden and
+    /// its job runs in place, `false` if it was promoted and its join must
+    /// pop it back or wait for the thief.
+    #[inline]
+    pub(crate) fn resolve_frame(&self, frame: usize) -> bool {
+        self.frames.resolve(frame)
+    }
+
+    /// Promotes the oldest hidden frame if the own deque is empty, so a
+    /// thief always finds this worker's oldest work. Returns whether it did.
+    #[inline]
+    pub(crate) fn promote_if_empty(&self) -> bool {
+        self.note_promotion(self.frames.promote_if_empty(&self.deque))
+    }
+
+    /// Counts a promotion that happened and lets a sleeper come take it.
+    /// Returns `promoted`.
+    #[inline]
+    fn note_promotion(&self, promoted: bool) -> bool {
+        if promoted {
+            bump!(self.local, join_promotions);
+            self.wake_a_thief();
+        }
+        promoted
+    }
+
+    /// Promotes every hidden frame, oldest first: done before an eager push
+    /// and before this worker blocks, so it never hides work it cannot get
+    /// back to. Returns `false` if the deque filled up first.
+    #[inline]
+    pub(crate) fn promote_all(&self) -> bool {
+        while self.frames.hidden() > 0 {
+            if !self.note_promotion(self.frames.promote_oldest(&self.deque)) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Pops the tail of the own deque (work path).
     #[inline]
     pub(crate) fn pop(&self) -> Option<JobRef> {
         self.deque.pop()
     }
 
-    /// Whether the own deque is empty: nothing this worker spawned is
-    /// exposed to thieves. A racy snapshot (two `Relaxed` loads).
+    /// The demand signal behind [`split_wanted`](crate::split_wanted): an
+    /// empty own deque first promotes the oldest hidden join frame, and
+    /// only a deque still empty after that wants a split. The emptiness
+    /// test is a racy snapshot (two `Relaxed` loads).
     #[inline]
-    pub(crate) fn deque_is_empty(&self) -> bool {
-        self.deque.is_empty()
+    pub(crate) fn split_wanted(&self) -> bool {
+        self.deque.is_empty() && !self.promote_if_empty()
+    }
+
+    /// Hidden-frame stack depth (tests of the panic paths).
+    #[cfg(test)]
+    pub(crate) fn frame_depth(&self) -> usize {
+        self.frames.depth()
     }
 
     /// Runs `f` at a chaos-tier fault site. With the fault backend compiled
@@ -686,6 +768,10 @@ impl WorkerThread {
     /// this waiter directly (the timeout remains as the safety net for a
     /// wake lost to the relaxed probe).
     pub(crate) fn wait_until(&self, latch: &impl Probe) {
+        // A blocked worker never hides work: expose every hidden join frame
+        // below this wait (a full deque keeps the rest hidden; their joins
+        // run them in place).
+        self.promote_all();
         self.switch_to(Category::Idle);
         let mut spins = 0u32;
         while !latch.probe() {
@@ -991,6 +1077,8 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
         clock: Clock::new(registry.stats_enabled, Category::Idle),
         local: LocalCounters::default(),
         trace_task: Cell::new(0),
+        frames: FrameStack::new(),
+        lazy_joins: registry.trace.is_none(),
         registry,
         index,
         deque,

@@ -151,17 +151,20 @@ where
 
 /// Whether the calling worker should split off work for a thief now:
 /// `true` when its own deque is empty, so nothing it spawned is exposed to
-/// thieves. `false` outside a pool.
+/// thieves. `false` outside a pool. An empty deque first takes the
+/// worker's oldest hidden `join` branch (lazy join promotion, DESIGN.md
+/// §5); only when there is none does the answer say split.
 ///
 /// This is the signal for *demand-driven splitting* of scope work lists: a
 /// task holding a local list spawns part of it only while this returns
 /// `true`, so at most one split per worker waits on a deque and a list no
 /// thief takes costs what its serial elision does. The answer is advisory
 /// and may be stale the moment it is read; correctness never depends on
-/// it, only granularity does. Two `Relaxed` loads, no allocation.
+/// it, only granularity does. Two `Relaxed` loads when no join branch is
+/// hidden, one deque push when one is promoted; no allocation.
 #[inline]
 pub fn split_wanted() -> bool {
-    WorkerThread::current().is_some_and(WorkerThread::deque_is_empty)
+    WorkerThread::current().is_some_and(WorkerThread::split_wanted)
 }
 
 impl<'scope> Scope<'scope> {
@@ -458,6 +461,38 @@ mod tests {
         });
         assert!(before, "empty deque must want a split");
         assert!(!exposed, "an un-run spawn on the deque must suppress splitting");
+    }
+
+    #[test]
+    fn split_wanted_promotes_a_hidden_join_branch_first() {
+        // One worker. The outer join's fork promotes its branch (empty
+        // deque); the inner join's branch is then recorded hidden. Taking
+        // the outer branch off the deque by hand, as a thief would, leaves
+        // an empty deque over a hidden branch: split_wanted must expose
+        // that branch and answer "no split".
+        let pool = Pool::new(1).unwrap();
+        let (answers, ()) = pool.install(|| {
+            crate::join(
+                || {
+                    let (answers, ()) = crate::join(
+                        || {
+                            let worker = WorkerThread::current().unwrap();
+                            let outer = worker.pop().expect("outer branch promoted at its fork");
+                            let answers = (split_wanted(), split_wanted());
+                            // SAFETY: popped off the own deque, so live and
+                            // unexecuted; run once, as a thief would.
+                            unsafe { worker.execute(outer) };
+                            answers
+                        },
+                        || (),
+                    );
+                    answers
+                },
+                || (),
+            )
+        });
+        assert_eq!(answers, (false, false), "the hidden branch must be exposed, not split past");
+        assert_eq!(pool.stats().total_join_promotions(), 2);
     }
 
     #[test]

@@ -189,15 +189,27 @@ counters! {
         idle_ns => total_idle_ns,
     }
     owner {
-        /// Jobs pushed onto the local deque (`cilk_spawn` count). Counts only
-        /// **accepted** pushes: a spawn that overflows the deque and degrades
-        /// to inline execution lands in [`spawn_overflows`] instead, so the
-        /// `T1/TS` work-efficiency metrics never see phantom spawns.
+        /// Forks made by this worker (`cilk_spawn` count): every `join`
+        /// branch recorded as a hidden frame (lazy join promotion) plus every
+        /// **accepted** eager deque push (hinted or traced joins, scope
+        /// spawns). This equals the Spawn events a trace-recording run logs.
+        /// An eager spawn that overflows the deque and degrades to inline
+        /// execution lands in [`spawn_overflows`] instead, and a hidden frame
+        /// pushed later by promotion in [`join_promotions`], so the `T1/TS`
+        /// work-efficiency metrics never see phantom or doubled spawns.
         ///
         /// [`spawn_overflows`]: WorkerStatsSnapshot::spawn_overflows
+        /// [`join_promotions`]: WorkerStatsSnapshot::join_promotions
         spawns => total_spawns,
-        /// Spawns rejected by a full deque and run inline by the spawner.
+        /// Eager spawns rejected by a full deque and run inline by the spawner.
         spawn_overflows => total_spawn_overflows,
+        /// Hidden `join` frames this worker pushed onto its own deque because
+        /// the deque was empty or the worker was about to block or push
+        /// eagerly (lazy join promotion). Already counted in [`spawns`] at
+        /// the fork.
+        ///
+        /// [`spawns`]: WorkerStatsSnapshot::spawns
+        join_promotions => total_join_promotions,
         /// Tasks spawned through the structured [`Scope`](crate::Scope)
         /// subsystem (`Scope::spawn` / `spawn_at`). A subset of [`spawns`]
         /// when the spawner was a pool worker (scope spawns also push onto
@@ -455,12 +467,13 @@ mod tests {
         assert_eq!(totals[rows..], [("ingress_rejects", 1000), ("sheds", 2000)]);
         // The public getters, by the names downstream code calls them.
         type Getter = fn(&PoolStats) -> u64;
-        let getters: [(&str, Getter); 20] = [
+        let getters: [(&str, Getter); 21] = [
             ("work_ns", PoolStats::total_work_ns),
             ("sched_ns", PoolStats::total_sched_ns),
             ("idle_ns", PoolStats::total_idle_ns),
             ("spawns", PoolStats::total_spawns),
             ("spawn_overflows", PoolStats::total_spawn_overflows),
+            ("join_promotions", PoolStats::total_join_promotions),
             ("scope_spawns", PoolStats::total_scope_spawns),
             ("injector_takes", PoolStats::total_injector_takes),
             ("wakeups", PoolStats::total_wakeups),

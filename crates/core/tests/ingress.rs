@@ -2,7 +2,7 @@
 //! multi-client stress, fire-and-forget spawns, shutdown draining, the
 //! cross-pool install hazard, and the new ingress/wake counters.
 
-use numa_ws::{join, Place, Pool, SchedPolicy};
+use numa_ws::{join, join_at, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -330,15 +330,15 @@ fn idle_workers_wake_for_ingress() {
 }
 
 /// Only accepted deque pushes count as spawns; overflow fallbacks land in
-/// `spawn_overflows`. Every join performs exactly one push attempt, so the
-/// two counters partition the join count.
+/// `spawn_overflows`. Place-hinted joins fork eagerly (one push attempt
+/// each), so the two counters partition the join count.
 #[test]
 fn spawn_counter_excludes_overflows() {
     fn count(depth: u32) -> u64 {
         if depth == 0 {
             return 1;
         }
-        let (a, b) = join(|| count(depth - 1), || count(depth - 1));
+        let (a, b) = join_at(|| count(depth - 1), || count(depth - 1), Place(0));
         a + b
     }
     const DEPTH: u32 = 12;
@@ -355,4 +355,26 @@ fn spawn_counter_excludes_overflows() {
         joins,
         "spawns + overflows must partition the {joins} joins: {stats:?}"
     );
+}
+
+/// The unhinted twin of `spawn_counter_excludes_overflows`: lazy joins keep
+/// their branches in the frame stack and promote only into an empty deque
+/// (or before blocking), so the same capacity-8 deque never overflows and
+/// every join counts one spawn.
+#[test]
+fn lazy_joins_never_overflow_a_small_deque() {
+    fn count(depth: u32) -> u64 {
+        if depth == 0 {
+            return 1;
+        }
+        let (a, b) = join(|| count(depth - 1), || count(depth - 1));
+        a + b
+    }
+    const DEPTH: u32 = 12;
+    let joins = (1u64 << DEPTH) - 1;
+    let pool = Pool::builder().workers(2).deque_capacity(8).build().unwrap();
+    assert_eq!(pool.install(|| count(DEPTH)), 1 << DEPTH);
+    let stats = pool.stats();
+    assert_eq!(stats.total_spawn_overflows(), 0, "{stats:?}");
+    assert_eq!(stats.total_spawns(), joins, "one spawn per join: {stats:?}");
 }

@@ -141,6 +141,142 @@ fn panic_in_inline_branch_wins() {
 }
 
 #[test]
+fn panic_in_inline_branch_wins_over_hidden_branch() {
+    // One worker: the outer join's fork promotes its branch (the deque was
+    // empty), so the inner join's branch is recorded hidden.
+    let pool = Pool::new(1).unwrap();
+    let b_runs = AtomicUsize::new(0);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.install(|| {
+            join(
+                || join(|| -> i32 { panic!("branch a") }, || b_runs.fetch_add(1, Ordering::SeqCst)),
+                || (),
+            )
+        })
+    }));
+    let payload = r.unwrap_err();
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"branch a"));
+    assert_eq!(b_runs.load(Ordering::SeqCst), 1, "the hidden branch runs exactly once");
+    assert_eq!(pool.stats().total_join_promotions(), 1, "only the outer branch is promoted");
+}
+
+#[test]
+fn panic_in_hidden_branch_propagates() {
+    let pool = Pool::new(1).unwrap();
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.install(|| join(|| join(|| 1, || -> i32 { panic!("hidden b") }), || 2))
+    }));
+    let payload = r.unwrap_err();
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"hidden b"));
+    assert_eq!(pool.install(|| fib(10)), 55, "pool survives a panicked hidden branch");
+}
+
+#[test]
+fn nested_panics_leave_joins_balanced() {
+    // Panics from both branches at several depths, caught at different
+    // levels. Every join resolves its frame on the way out (debug builds
+    // assert the frame stack's top index at each resolve), so later joins
+    // on the same workers still fork and resolve correctly.
+    fn tree(depth: u32) -> u64 {
+        if depth == 0 {
+            return 1;
+        }
+        let (a, b) = join(
+            || {
+                if depth.is_multiple_of(3) {
+                    panic!("a at {depth}");
+                }
+                tree(depth - 1)
+            },
+            || {
+                if depth % 4 == 1 {
+                    panic!("b at {depth}");
+                }
+                tree(depth - 1)
+            },
+        );
+        a + b
+    }
+    fn guarded(depth: u32) -> u64 {
+        let (a, b) = join(
+            || std::panic::catch_unwind(|| tree(depth)).unwrap_or(0),
+            || std::panic::catch_unwind(|| tree(depth - 1)).unwrap_or(0),
+        );
+        a + b
+    }
+    for workers in [1, 2] {
+        let pool = Pool::new(workers).unwrap();
+        for _ in 0..5 {
+            assert_eq!(pool.install(|| guarded(7)), 0, "every subtree of depth >= 3 panics");
+        }
+        assert_eq!(pool.install(|| fib(16)), 987, "P={workers}");
+    }
+}
+
+#[test]
+fn spawns_count_every_fork_and_promotions_stay_few() {
+    fn count(depth: u32) -> u64 {
+        if depth == 0 {
+            return 1;
+        }
+        let (a, b) = join(|| count(depth - 1), || count(depth - 1));
+        a + b
+    }
+    const DEPTH: u32 = 12;
+    for workers in [1, 2] {
+        let pool = Pool::new(workers).unwrap();
+        assert_eq!(pool.install(|| count(DEPTH)), 1 << DEPTH);
+        let stats = pool.stats();
+        assert_eq!(stats.total_spawns(), (1 << DEPTH) - 1, "P={workers}: {stats:?}");
+        assert_eq!(stats.total_spawn_overflows(), 0, "P={workers}: {stats:?}");
+        if workers == 1 {
+            // One promotion per level of the rightmost path: a promoted
+            // branch is popped back, and the deque it leaves empty takes
+            // the next fork's branch.
+            assert!(
+                stats.total_join_promotions() <= u64::from(DEPTH) + 1,
+                "a lone worker promotes about once per level: {stats:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn thief_takes_hidden_branch_of_a_scope_blocked_owner() {
+    // The inner join's branch is recorded while the outer branch sits on
+    // the deque (when no thief has taken it yet), so it starts hidden. Its
+    // `a` opens a scope whose only task waits for that branch to have run;
+    // the owner blocks in the scope, so the branch must become stealable
+    // or the pool deadlocks. Repeated so both orders of the outer steal
+    // show up.
+    use nws_sync::atomic::AtomicBool;
+    let pool = Pool::new(2).unwrap();
+    for _ in 0..50 {
+        let b_ran = AtomicBool::new(false);
+        pool.install(|| {
+            join(
+                || {
+                    join(
+                        || {
+                            numa_ws::scope(|s| {
+                                s.spawn(|_| {
+                                    while !b_ran.load(Ordering::Acquire) {
+                                        nws_sync::thread::yield_now();
+                                    }
+                                });
+                            })
+                        },
+                        || b_ran.store(true, Ordering::Release),
+                    )
+                },
+                || (),
+            )
+        });
+        assert!(b_ran.load(Ordering::Acquire));
+    }
+}
+
+#[test]
 fn deep_recursion_survives_deque_overflow() {
     // Deque capacity 64: a 2^14-leaf tree overflows it constantly; spawns
     // must degrade to inline execution without losing results.
