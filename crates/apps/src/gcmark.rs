@@ -5,7 +5,8 @@
 //! shape, tasks touch pointer-chasing pages with no streaming pattern, and
 //! duplicate discoveries race on the mark bitmap. None of the paper's seven
 //! regular benchmarks exercises this; `gcmark` adds it to the suite so the
-//! scheduler comparison (`policy_sweep`) covers flood-style traversal too.
+//! repo benchmark (perfbench's `fine_grain` and `sim_replay` workloads)
+//! covers flood-style traversal too.
 //!
 //! The parallel marker floods a local worklist: a task pops nodes, sets
 //! their mark bit (a load, then an atomic fetch-or through the `nws_sync`

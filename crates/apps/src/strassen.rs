@@ -220,8 +220,9 @@ pub fn mul_blocked_parallel(a: &BlockedZ<f64>, b: &BlockedZ<f64>, params: Params
 /// version indeed \[has\] less work inflation, but at the expense of 15%
 /// increases in overall T1, because we are not getting the O(n^lg7) work
 /// at the top level" — so the paper ships the hint-free version instead.
-/// This implementation exists to reproduce that trade-off
-/// (`cargo run -p nws_bench --bin ablation -- top8`).
+/// This implementation exists to reproduce that trade-off; [`dag_top8`]
+/// is its simulator DAG, which `reproduce`'s top-eight-way ablation table
+/// runs.
 pub fn mul_top8_parallel(
     a: &BlockedZ<f64>,
     b: &BlockedZ<f64>,

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use numa_ws::{join_at, PoisonedPool, Pool, SchedPolicy};
 use nws_apps::{cilksort, gcmark, pipeline};
-use nws_metrics::Table;
+use nws_bench::Table;
 use nws_sync::fault::{self, FaultPlan, InjectedFault};
 use nws_topology::Place;
 

@@ -1,18 +1,27 @@
-//! Shared harness for the experiment binaries (`reproduce`, `bounds`,
-//! `ablation`, `policy_sweep`, `trace_replay`).
+//! Shared harness of the `reproduce` and `chaos` binaries.
 //!
-//! The harness runs each paper benchmark's simulator DAG on the Figure 1
-//! machine under both schedulers and derives the quantities the paper's
-//! tables report: `TS`, `T1`, `T_P`, the work/scheduling/idle breakdown,
-//! spawn overhead `T1/TS`, scalability `T1/T_P`, and work inflation
-//! `W_P/T1`. [`Cells`] memoises those simulations, so a binary that prints
-//! several figures simulates each cell once.
+//! [`Cells`] is the one place that runs a simulation. It builds each
+//! [`DagId`] once — a paper benchmark's DAG, a variant of one, a synthetic
+//! §IV DAG or the committed golden trace — and simulates each (DAG,
+//! policy, P, seed) cell once on the Figure 1 machine, however many tables
+//! read it. [`Measurement`] derives the quantities the paper's figures
+//! report from those cells: `TS`, `T1`, `T_P`, the work/scheduling/idle
+//! breakdown, spawn overhead `T1/TS`, scalability `T1/T_P`, and work
+//! inflation `W_P/T1`. [`Table`] renders every table the harness prints.
 
 #![warn(missing_docs)]
 
+mod table;
+
+pub use table::Table;
+
 use nws_apps::{cg, cilksort, heat, hull, matmul, strassen};
-use nws_sim::{Dag, SimConfig, SimReport, Simulation};
+use nws_sim::{
+    phased, trace_to_dag, tree, Dag, PagePolicy, SimConfig, SimReport, Simulation,
+    DEFAULT_NS_PER_CYCLE,
+};
 use nws_topology::{presets, SchedPolicy, Topology};
+use nws_trace::Trace;
 use std::collections::HashMap;
 
 /// The nine rows of the paper's Figures 7/8.
@@ -87,7 +96,7 @@ impl BenchId {
 }
 
 /// The paper's evaluation machine.
-pub fn machine() -> Topology {
+fn machine() -> Topology {
     presets::paper_machine()
 }
 
@@ -96,8 +105,29 @@ pub fn places_for(p: usize) -> usize {
     p.div_ceil(8).max(1)
 }
 
-/// The seed of every figure's simulations.
-const SEED: u64 = 42;
+/// The seed of the figures' simulations, the policy grid's and the golden
+/// trace replay's.
+pub const FIGURE_SEED: u64 = 42;
+
+/// The paper machine's clock rate: 2.2 GHz Xeon E5-4620 cores.
+const CYCLES_PER_SECOND: f64 = 2.2e9;
+
+/// Renders simulated cycles as seconds on the paper's 2.2 GHz machine.
+pub fn cycles_to_seconds(cycles: u64) -> f64 {
+    cycles as f64 / CYCLES_PER_SECOND
+}
+
+/// The committed golden trace (`traces/golden_fib.trace`): `fib(12)`
+/// under `join`, recorded once on a real 4-worker, 2-place pool. Its
+/// header records the recording's workers, places and seed.
+const GOLDEN_TRACE: &str = include_str!("../traces/golden_fib.trace");
+
+/// The committed golden trace, parsed and validated.
+pub fn golden_trace() -> Trace {
+    let trace = Trace::parse(GOLDEN_TRACE).expect("golden trace parses");
+    trace.validate().expect("golden trace is well-formed");
+    trace
+}
 
 /// One benchmark's `TS`, `T1` and `T_P` under one policy at one worker
 /// count.
@@ -133,61 +163,112 @@ impl Measurement {
     }
 }
 
-/// Memoised simulations of the paper benchmarks on the paper machine
-/// (packed placement, seed 42). Each cell is simulated once, however
-/// many figures read it:
-/// - a DAG per `(bench, places)`;
-/// - `TS` per `(bench, places)`: the serial elision reads only the memory
-///   model, which [`SimConfig::with_policy`] leaves at its defaults, so it
-///   depends on neither the policy nor P;
-/// - `T_P` and its report per `(bench, policy, P)`. `T1` is the `P = 1`
-///   cell, which runs the one-place DAG on one worker.
-pub struct Cells {
-    topo: Topology,
-    dags: HashMap<(BenchId, usize), Dag>,
-    ts: HashMap<(BenchId, usize), u64>,
-    tp: HashMap<(BenchId, SchedPolicy, usize), SimReport>,
+/// A DAG that [`Cells`] builds and simulates.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum DagId {
+    /// A benchmark row built for `places` places. The figures build it for
+    /// [`places_for`] their worker count; an ablation may pick another
+    /// count (heat at one place under 32 workers).
+    Bench(BenchId, usize),
+    /// Heat built for four places with every region under one page policy
+    /// ([`Dag::with_policy`]). Heat's own binding is
+    /// `Chunked { chunks: 4 }`, which is `Bench(BenchId::Heat, 4)`.
+    HeatPages(PagePolicy),
+    /// Strassen-z's top-eight-way hinted variant built for `places`
+    /// places (`strassen::dag_top8`).
+    StrassenTop8(usize),
+    /// [`nws_sim::tree`]`(leaves, cycles)`.
+    Tree(usize, u64),
+    /// [`nws_sim::phased`]`(len, width, cycles)`.
+    Phased(usize, usize, u64),
+    /// The committed golden trace ([`golden_trace`]), lowered by
+    /// [`trace_to_dag`].
+    GoldenTrace,
 }
 
-impl Default for Cells {
-    fn default() -> Self {
-        Cells { topo: machine(), dags: HashMap::new(), ts: HashMap::new(), tp: HashMap::new() }
-    }
-}
-
-impl Cells {
-    /// `TS` of `bench` built for `places` places.
-    fn ts(&mut self, bench: BenchId, places: usize) -> u64 {
-        let Cells { topo, dags, ts, .. } = self;
-        *ts.entry((bench, places)).or_insert_with(|| {
-            let cfg = SimConfig::with_policy(SchedPolicy::numa_ws(), 1);
-            Simulation::serial_elision(topo, &cfg, dag(dags, bench, places))
-        })
-    }
-
-    /// The report of `bench` under `policy` on `workers` packed workers.
-    fn tp(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> &SimReport {
-        let Cells { topo, dags, tp, .. } = self;
-        tp.entry((bench, policy, workers)).or_insert_with(|| {
-            let cfg = SimConfig::with_policy(policy, workers).with_seed(SEED);
-            let dag = dag(dags, bench, places_for(workers));
-            Simulation::new(topo, cfg, dag).expect("config fits").run()
-        })
-    }
-
-    /// `TS`, `T1` and `T_P` of `bench` under `policy` on `workers` workers.
-    pub fn measure(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> Measurement {
-        Measurement {
-            ts: self.ts(bench, places_for(workers)),
-            t1: self.tp(bench, policy, 1).makespan,
-            report: self.tp(bench, policy, workers).clone(),
+impl DagId {
+    /// Builds the DAG this id names.
+    fn build(&self) -> Dag {
+        match self {
+            DagId::Bench(bench, places) => bench.dag(*places),
+            DagId::HeatPages(pages) => BenchId::Heat.dag(4).with_policy(pages.clone()),
+            DagId::StrassenTop8(places) => {
+                strassen::dag_top8(strassen::Params::sim(), matmul::Layout::BlockedZ, *places)
+            }
+            DagId::Tree(leaves, cycles) => tree(*leaves, *cycles),
+            DagId::Phased(len, width, cycles) => phased(*len, *width, *cycles),
+            DagId::GoldenTrace => {
+                let dag = trace_to_dag(&golden_trace(), DEFAULT_NS_PER_CYCLE);
+                dag.validate().expect("lowered golden trace is well-formed");
+                dag
+            }
         }
     }
 }
 
-/// The memoised DAG of `bench` for `places` places.
-fn dag(dags: &mut HashMap<(BenchId, usize), Dag>, bench: BenchId, places: usize) -> &Dag {
-    dags.entry((bench, places)).or_insert_with(|| bench.dag(places))
+/// Memoised simulations on the paper machine (packed placement). Each
+/// cell is simulated once, however many tables read it:
+/// - a DAG per [`DagId`];
+/// - `TS` per [`DagId`]: the serial elision reads only the memory model,
+///   which [`SimConfig::with_policy`] leaves at its defaults, so it
+///   depends on neither the policy, P nor the seed;
+/// - a report per (DAG, policy, P, seed). The key holds the whole
+///   [`SchedPolicy`], so every ablation knob tells two cells apart.
+pub struct Cells {
+    topo: Topology,
+    dags: HashMap<DagId, Dag>,
+    ts: HashMap<DagId, u64>,
+    runs: HashMap<(DagId, SchedPolicy, usize, u64), SimReport>,
+}
+
+impl Default for Cells {
+    fn default() -> Self {
+        Cells { topo: machine(), dags: HashMap::new(), ts: HashMap::new(), runs: HashMap::new() }
+    }
+}
+
+impl Cells {
+    /// The memoised DAG `id` names.
+    pub fn dag(&mut self, id: &DagId) -> &Dag {
+        memo_dag(&mut self.dags, id)
+    }
+
+    /// `TS` of the DAG `id` names.
+    fn ts(&mut self, id: &DagId) -> u64 {
+        let Cells { topo, dags, ts, .. } = self;
+        *ts.entry(id.clone()).or_insert_with(|| {
+            let cfg = SimConfig::with_policy(SchedPolicy::numa_ws(), 1);
+            Simulation::serial_elision(topo, &cfg, memo_dag(dags, id))
+        })
+    }
+
+    /// The report of the DAG `id` names under `policy` on `workers` packed
+    /// workers, simulated with `seed`.
+    pub fn run(&mut self, id: DagId, policy: SchedPolicy, workers: usize, seed: u64) -> &SimReport {
+        let Cells { topo, dags, runs, .. } = self;
+        runs.entry((id, policy, workers, seed)).or_insert_with_key(|(id, ..)| {
+            let cfg = SimConfig::with_policy(policy, workers).with_seed(seed);
+            Simulation::new(topo, cfg, memo_dag(dags, id)).expect("config fits").run()
+        })
+    }
+
+    /// `TS`, `T1` and `T_P` of `bench` under `policy` on `workers`
+    /// workers, as the figures read them: built for [`places_for`]
+    /// `workers` places, seed [`FIGURE_SEED`]. `T1` runs the one-place DAG
+    /// on one worker.
+    pub fn measure(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> Measurement {
+        let id = DagId::Bench(bench, places_for(workers));
+        Measurement {
+            ts: self.ts(&id),
+            t1: self.run(DagId::Bench(bench, 1), policy, 1, FIGURE_SEED).makespan,
+            report: self.run(id, policy, workers, FIGURE_SEED).clone(),
+        }
+    }
+}
+
+/// The memoised DAG `id` names.
+fn memo_dag<'a>(dags: &'a mut HashMap<DagId, Dag>, id: &DagId) -> &'a Dag {
+    dags.entry(id.clone()).or_insert_with(|| id.build())
 }
 
 #[cfg(test)]
@@ -210,17 +291,20 @@ mod tests {
         assert!(names.contains(&"matmul-z"));
     }
 
+    /// One uncached simulation's makespan.
+    fn fresh_run(dag: &Dag, policy: SchedPolicy, workers: usize, seed: u64) -> u64 {
+        let cfg = SimConfig::with_policy(policy, workers).with_seed(seed);
+        Simulation::new(&machine(), cfg, dag).unwrap().run().makespan
+    }
+
     /// The uncached measurement: every quantity simulated from scratch,
     /// `TS` under the measured policy and worker count.
     fn fresh(bench: BenchId, policy: SchedPolicy, workers: usize) -> (u64, u64, u64) {
-        let topo = machine();
-        let cfg = SimConfig::with_policy(policy, workers).with_seed(SEED);
+        let cfg = SimConfig::with_policy(policy, workers).with_seed(FIGURE_SEED);
         let dag = bench.dag(places_for(workers));
-        let ts = Simulation::serial_elision(&topo, &cfg, &dag);
-        let cfg1 = SimConfig::with_policy(policy, 1).with_seed(SEED);
-        let t1 = Simulation::new(&topo, cfg1, &bench.dag(1)).unwrap().run().makespan;
-        let tp = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
-        (ts, t1, tp)
+        let ts = Simulation::serial_elision(&machine(), &cfg, &dag);
+        let t1 = fresh_run(&bench.dag(1), policy, 1, FIGURE_SEED);
+        (ts, t1, fresh_run(&dag, policy, workers, FIGURE_SEED))
     }
 
     #[test]
@@ -242,14 +326,35 @@ mod tests {
                 first.push(got);
             }
         }
-        let counts = |c: &Cells| (c.dags.len(), c.ts.len(), c.tp.len());
+        let counts = |c: &Cells| (c.dags.len(), c.ts.len(), c.runs.len());
         assert_eq!(counts(&cells), (3, 3, 10), "(dags, TS, T_P) cells");
+        // Each of these keys varies an input the figure cells above keep
+        // fixed: an ablation knob, the seed, a one-place DAG under more than
+        // eight workers (the first three equal a figure cell otherwise), a
+        // page-policy variant DAG and a synthetic DAG. Each is one new cell.
+        let cilksort1 = DagId::Bench(BenchId::Cilksort, 1);
+        let four_slot_mailboxes = SchedPolicy { mailbox_capacity: 4, ..SchedPolicy::numa_ws() };
+        let ablated = [
+            (cilksort1.clone(), four_slot_mailboxes, 4, FIGURE_SEED),
+            (cilksort1.clone(), SchedPolicy::numa_ws(), 4, 0x5EED),
+            (cilksort1, SchedPolicy::numa_ws(), 12, FIGURE_SEED),
+            (DagId::HeatPages(PagePolicy::Interleave), SchedPolicy::vanilla(), 4, FIGURE_SEED),
+            (DagId::Tree(64, 1_000), SchedPolicy::numa_ws(), 4, FIGURE_SEED),
+        ];
+        for (id, policy, p, seed) in &ablated {
+            let got = cells.run(id.clone(), *policy, *p, *seed).makespan;
+            assert_eq!(got, fresh_run(&id.build(), *policy, *p, *seed), "{id:?} {policy} P={p}");
+        }
+        assert_eq!(counts(&cells), (5, 3, 15), "ablation and variant-DAG cells");
         // A second lookup is served from the memo.
         let cells_again = cases.iter().flat_map(|&(bench, p)| policies.map(|pol| (bench, pol, p)));
         for ((bench, policy, p), want) in cells_again.zip(first) {
             let m = cells.measure(bench, policy, p);
             assert_eq!((m.ts, m.t1, m.tp()), want);
         }
-        assert_eq!(counts(&cells), (3, 3, 10), "a repeated lookup simulated again");
+        for (id, policy, p, seed) in ablated {
+            cells.run(id, policy, p, seed);
+        }
+        assert_eq!(counts(&cells), (5, 3, 15), "a repeated lookup simulated again");
     }
 }

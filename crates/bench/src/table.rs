@@ -7,7 +7,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use nws_metrics::Table;
+/// use nws_bench::Table;
 ///
 /// let mut t = Table::new(vec!["benchmark", "TS", "T1"]);
 /// t.row(vec!["heat".into(), "83.48".into(), "83.05 (0.99x)".into()]);
@@ -78,12 +78,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats `value` with a parenthesized ratio, the paper's
-/// `29.39 (13.11×)` cell style.
-pub fn cell_with_ratio(value: f64, ratio: f64) -> String {
-    format!("{value:.2} ({ratio:.2}x)")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,11 +94,6 @@ mod tests {
         assert!(lines[3].starts_with("longer"));
         // All lines equal width for the value column alignment.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn ratio_cell_format() {
-        assert_eq!(cell_with_ratio(29.394, 13.111), "29.39 (13.11x)");
     }
 
     #[test]

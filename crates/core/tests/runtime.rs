@@ -2,7 +2,7 @@
 //! parallelism, hint routing, panic propagation, and statistics.
 
 use numa_ws::{join, join4_at, join_at, Place, Pool, SchedPolicy};
-use nws_sync::atomic::{AtomicUsize, Ordering};
+use nws_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -114,6 +114,43 @@ fn classic_mode_never_touches_mailboxes() {
     let pushes: u64 = stats.workers.iter().map(|w| w.push_attempts).sum();
     assert_eq!(takes, 0);
     assert_eq!(pushes, 0);
+}
+
+#[test]
+fn every_ablation_preset_runs_hinted_joins_and_scope_spawns() {
+    // Every preset of the ablation grid builds a real pool and runs both
+    // hinted fork paths; a preset without mailboxes never touches them.
+    fn hinted_sum(lo: u64, hi: u64, place: usize) -> u64 {
+        if hi - lo <= 64 {
+            return (lo..hi).sum();
+        }
+        let mid = lo + (hi - lo) / 2;
+        let next = (place + 1) % 2;
+        let (a, b) =
+            join_at(|| hinted_sum(lo, mid, place), || hinted_sum(mid, hi, next), Place(next));
+        a + b
+    }
+    const N: u64 = 100_000;
+    const TASKS: u64 = 1024;
+    for (name, policy) in SchedPolicy::ablation_grid() {
+        let pool = Pool::builder().workers(2).places(2).policy(policy).build().unwrap();
+        assert_eq!(pool.install(|| hinted_sum(0, N, 0)), N * (N - 1) / 2, "{name}: join_at");
+        let sum = AtomicU64::new(0);
+        pool.scope(|s| {
+            for i in 0..TASKS {
+                let sum = &sum;
+                s.spawn_at(Place(i as usize % 2), move |_| {
+                    sum.fetch_add(i, Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(sum.into_inner(), TASKS * (TASKS - 1) / 2, "{name}: spawn_at");
+        if policy.mailbox_capacity == 0 {
+            let stats = pool.stats();
+            let mailbox_use = (stats.total_push_attempts(), stats.total_mailbox_takes());
+            assert_eq!(mailbox_use, (0, 0), "{name}: a pool without mailboxes used them");
+        }
+    }
 }
 
 #[test]

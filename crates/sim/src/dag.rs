@@ -154,6 +154,46 @@ impl DagBuilder {
     }
 }
 
+/// A balanced binary spawn tree of `leaves` leaves of `cycles` each: work
+/// `leaves * cycles`, span `cycles` plus the log-depth spawn chain. Every
+/// frame spawns its left half, then its right half, then syncs.
+pub fn tree(leaves: usize, cycles: u64) -> Dag {
+    fn rec(b: &mut DagBuilder, n: usize, cycles: u64) -> FrameId {
+        if n == 1 {
+            return b.leaf(Place::ANY, Strand::compute(cycles));
+        }
+        let l = rec(b, n / 2, cycles);
+        let r = rec(b, n - n / 2, cycles);
+        b.frame(Place::ANY).spawn(l).spawn(r).sync().finish()
+    }
+    let mut b = DagBuilder::new();
+    let root = rec(&mut b, leaves, cycles);
+    b.build(root)
+}
+
+/// A chain of `len` serial phases, each forking `width` leaves of `cycles`
+/// each: a long span with bounded parallelism, which stresses the `O(T∞)`
+/// term of the §IV bounds.
+pub fn phased(len: usize, width: usize, cycles: u64) -> Dag {
+    let mut b = DagBuilder::new();
+    let mut phases = Vec::new();
+    for _ in 0..len {
+        let leaves: Vec<_> =
+            (0..width).map(|_| b.leaf(Place::ANY, Strand::compute(cycles))).collect();
+        let mut fb = b.frame(Place::ANY);
+        for l in leaves {
+            fb = fb.spawn(l);
+        }
+        phases.push(fb.sync().finish());
+    }
+    let mut fb = b.frame(Place::ANY);
+    for p in phases {
+        fb = fb.spawn(p).sync();
+    }
+    let root = fb.finish();
+    b.build(root)
+}
+
 /// Incremental builder for one frame; returned by [`DagBuilder::frame`].
 #[derive(Debug)]
 pub struct FrameBuilder<'a> {
@@ -350,20 +390,6 @@ mod tests {
         b.build(root)
     }
 
-    fn binary_tree(depth: u32, leaf_cycles: u64) -> Dag {
-        fn rec(b: &mut DagBuilder, depth: u32, leaf_cycles: u64) -> FrameId {
-            if depth == 0 {
-                return b.leaf(Place::ANY, Strand::compute(leaf_cycles));
-            }
-            let l = rec(b, depth - 1, leaf_cycles);
-            let r = rec(b, depth - 1, leaf_cycles);
-            b.frame(Place::ANY).spawn(l).spawn(r).sync().finish()
-        }
-        let mut b = DagBuilder::new();
-        let root = rec(&mut b, depth, leaf_cycles);
-        b.build(root)
-    }
-
     #[test]
     fn chain_work_equals_span() {
         let d = chain(10, 7);
@@ -374,7 +400,7 @@ mod tests {
 
     #[test]
     fn binary_tree_span_is_logarithmic() {
-        let d = binary_tree(4, 100); // 16 leaves
+        let d = tree(1 << 4, 100); // 16 leaves
         assert_eq!(d.work(), 1600);
         // All leaves in parallel: span = one leaf.
         assert_eq!(d.span(), 100);
@@ -417,7 +443,7 @@ mod tests {
 
     #[test]
     fn parent_links_filled() {
-        let d = binary_tree(2, 1);
+        let d = tree(1 << 2, 1);
         let root = d.root();
         assert_eq!(d.frame(root).parent, None);
         let mut child_count = 0;
@@ -461,12 +487,12 @@ mod tests {
 
     #[test]
     fn validate_accepts_well_formed() {
-        assert!(binary_tree(3, 5).validate().is_ok());
+        assert!(tree(1 << 3, 5).validate().is_ok());
     }
 
     #[test]
     fn parallelism_ratio() {
-        let d = binary_tree(6, 64); // 64 leaves, work 4096, span 64
+        let d = tree(1 << 6, 64); // 64 leaves, work 4096, span 64
         assert_eq!(d.work() / d.span(), 64);
     }
 }

@@ -573,24 +573,9 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::{DagBuilder, Strand};
+    use crate::dag::{tree, DagBuilder, Strand};
     use crate::memory::{PagePolicy, Touch};
     use nws_topology::{presets, SchedPolicy};
-
-    /// Balanced binary spawn tree with `leaves` leaves of `cycles` each.
-    fn tree_dag(leaves: usize, cycles: u64) -> Dag {
-        fn rec(b: &mut DagBuilder, n: usize, cycles: u64) -> FrameId {
-            if n == 1 {
-                return b.leaf(Place::ANY, Strand::compute(cycles));
-            }
-            let l = rec(b, n / 2, cycles);
-            let r = rec(b, n - n / 2, cycles);
-            b.frame(Place::ANY).spawn(l).spawn(r).sync().finish()
-        }
-        let mut b = DagBuilder::new();
-        let root = rec(&mut b, leaves, cycles);
-        b.build(root)
-    }
 
     #[test]
     fn serial_chain_single_worker() {
@@ -657,7 +642,7 @@ mod tests {
 
     #[test]
     fn one_worker_equals_work_plus_spawn_overhead() {
-        let dag = tree_dag(64, 100);
+        let dag = tree(64, 100);
         let topo = presets::paper_machine();
         let cfg = SimConfig::vanilla(1);
         let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
@@ -673,7 +658,7 @@ mod tests {
 
     #[test]
     fn serial_elision_strips_overhead() {
-        let dag = tree_dag(64, 100);
+        let dag = tree(64, 100);
         let topo = presets::paper_machine();
         let cfg = SimConfig::vanilla(1);
         let ts = Simulation::serial_elision(&topo, &cfg, &dag);
@@ -682,7 +667,7 @@ mod tests {
 
     #[test]
     fn parallel_run_completes_and_speeds_up() {
-        let dag = tree_dag(256, 2_000);
+        let dag = tree(256, 2_000);
         let topo = presets::paper_machine();
         let t1 = Simulation::new(&topo, SimConfig::vanilla(1), &dag).unwrap().run().makespan;
         let r32 = Simulation::new(&topo, SimConfig::vanilla(32), &dag).unwrap().run();
@@ -693,7 +678,7 @@ mod tests {
 
     #[test]
     fn numa_ws_run_completes_same_dag() {
-        let dag = tree_dag(256, 2_000);
+        let dag = tree(256, 2_000);
         let topo = presets::paper_machine();
         let r = Simulation::new(&topo, SimConfig::numa_ws(32), &dag).unwrap().run();
         let t1 = Simulation::new(&topo, SimConfig::numa_ws(1), &dag).unwrap().run().makespan;
@@ -702,7 +687,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let dag = tree_dag(128, 500);
+        let dag = tree(128, 500);
         let topo = presets::paper_machine();
         let a = Simulation::new(&topo, SimConfig::numa_ws(16).with_seed(7), &dag).unwrap().run();
         let b = Simulation::new(&topo, SimConfig::numa_ws(16).with_seed(7), &dag).unwrap().run();
@@ -825,7 +810,7 @@ mod tests {
         // sizes for a fixed P.
         let topo = presets::paper_machine();
         for leaves in [64usize, 256] {
-            let dag = tree_dag(leaves, 1_000);
+            let dag = tree(leaves, 1_000);
             let r = Simulation::new(&topo, SimConfig::vanilla(16), &dag).unwrap().run();
             let bound = 16.0 * dag.span() as f64;
             let ratio = r.counters.steal_attempts as f64 / bound;
@@ -840,7 +825,7 @@ mod tests {
 
     #[test]
     fn makespan_bounded_by_greedy_bound_with_overheads() {
-        let dag = tree_dag(512, 1_000);
+        let dag = tree(512, 1_000);
         let topo = presets::paper_machine();
         for p in [2usize, 8, 32] {
             let r = Simulation::new(&topo, SimConfig::numa_ws(p), &dag).unwrap().run();
@@ -856,7 +841,7 @@ mod tests {
     fn mailbox_capacity_zero_disables_pushing() {
         let mut cfg = SimConfig::numa_ws(8);
         cfg.policy.mailbox_capacity = 0;
-        let dag = tree_dag(64, 500);
+        let dag = tree(64, 500);
         let topo = presets::paper_machine();
         let r = Simulation::new(&topo, cfg, &dag).unwrap().run();
         assert_eq!(r.counters.push_deliveries, 0);
@@ -864,7 +849,7 @@ mod tests {
 
     #[test]
     fn idle_plus_busy_equals_makespan() {
-        let dag = tree_dag(128, 1_000);
+        let dag = tree(128, 1_000);
         let topo = presets::paper_machine();
         let r = Simulation::new(&topo, SimConfig::numa_ws(8), &dag).unwrap().run();
         for w in &r.workers {
@@ -911,7 +896,7 @@ mod tests {
 
     #[test]
     fn schedule_log_records_steals_and_executors() {
-        let dag = tree_dag(64, 500);
+        let dag = tree(64, 500);
         let topo = presets::paper_machine();
         let cfg = SimConfig::numa_ws(8).with_log_schedule(true);
         let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();

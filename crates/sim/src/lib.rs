@@ -41,7 +41,7 @@ mod replay;
 mod report;
 
 pub use config::{SchedCosts, SimConfig};
-pub use dag::{Dag, DagBuilder, FrameBuilder, FrameDef, FrameId, Step, Strand};
+pub use dag::{phased, tree, Dag, DagBuilder, FrameBuilder, FrameDef, FrameId, Step, Strand};
 pub use engine::Simulation;
 pub use memory::{
     CacheConfig, ContentionModel, FifoCache, LatencyModel, MemorySystem, PageId, PagePolicy,

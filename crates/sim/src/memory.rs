@@ -41,7 +41,7 @@ pub struct RegionId(pub usize);
 /// Where the pages of a region live — the simulated analogue of the
 /// allocation-time binding the paper's library functions perform with
 /// `mmap`/`mbind` (§III-A).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PagePolicy {
     /// All pages home on the socket backing one place — `mbind` to a node.
     Bind(usize),

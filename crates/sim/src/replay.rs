@@ -7,9 +7,9 @@
 //! becomes a frame that spawns its recorded children, executes its
 //! **exclusive** time as one strand, and syncs — which the simulator can
 //! then re-execute under simulated costs and any `SchedPolicy`. Record
-//! once on the real machine, replay under every policy cell: the
-//! trace-driven leg of the
-//! `policy_sweep`/`trace_replay` drivers.
+//! once on the real machine, replay under every policy cell: `reproduce`
+//! replays the committed golden trace this way under the four
+//! ablation-grid presets.
 //!
 //! ## Exclusive time
 //!

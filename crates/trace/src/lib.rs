@@ -5,8 +5,8 @@
 //! [`TraceSink`] (spawn edges with place hints, start/end timestamps per
 //! execution); [`Trace::from_events`] folds the event soup into a
 //! validated task table; and the text codec ([`Trace::to_text`] /
-//! [`Trace::parse`]) is what `trace_replay` and the committed golden
-//! traces persist — the vendored `serde` is a no-op stub, so the
+//! [`Trace::parse`]) is what the committed golden trace persists and
+//! `reproduce` reads back — the vendored `serde` is a no-op stub, so the
 //! hand-rolled line format *is* the on-disk format, exactly as the policy
 //! layer's `Display` encoding is for `SchedPolicy`.
 //!

@@ -19,8 +19,6 @@
 //! - [`layout`] — Z-Morton and blocked Z-Morton matrix layouts
 //!   ([`nws_layout`]).
 //! - [`apps`] — the seven paper benchmarks ([`nws_apps`]).
-//! - [`metrics`] — work/scheduling/idle breakdowns and table rendering
-//!   ([`nws_metrics`]).
 //! - [`deque`] — the Cilk-5 THE-protocol deque ([`nws_deque`]).
 //! - [`trace`] — the compact DAG trace format behind the runtime's
 //!   `PoolBuilder::record_trace` and the simulator's `trace_to_dag`
@@ -45,7 +43,6 @@ pub use numa_ws as runtime;
 pub use nws_apps as apps;
 pub use nws_deque as deque;
 pub use nws_layout as layout;
-pub use nws_metrics as metrics;
 pub use nws_sim as sim;
 pub use nws_topology as topology;
 pub use nws_trace as trace;

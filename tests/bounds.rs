@@ -2,22 +2,8 @@
 //! bound `T_P ≤ c1·T1/P + c2·T∞` and the steal bound `O(P·T∞)`, for both
 //! schedulers, across worker counts.
 
-use numa_ws_repro::sim::{DagBuilder, SimConfig, Simulation, Strand};
-use numa_ws_repro::topology::{presets, Place};
-
-fn tree(leaves: usize, cycles: u64) -> nws_sim::Dag {
-    fn rec(b: &mut DagBuilder, n: usize, cycles: u64) -> nws_sim::FrameId {
-        if n == 1 {
-            return b.leaf(Place::ANY, Strand::compute(cycles));
-        }
-        let l = rec(b, n / 2, cycles);
-        let r = rec(b, n - n / 2, cycles);
-        b.frame(Place::ANY).spawn(l).spawn(r).sync().finish()
-    }
-    let mut b = DagBuilder::new();
-    let root = rec(&mut b, leaves, cycles);
-    b.build(root)
-}
+use numa_ws_repro::sim::{tree, SimConfig, Simulation};
+use numa_ws_repro::topology::presets;
 
 #[test]
 fn greedy_bound_holds_for_both_schedulers() {
