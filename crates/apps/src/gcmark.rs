@@ -82,7 +82,7 @@ impl Graph {
     }
 
     /// Out-neighbours of `v`.
-    pub fn successors(&self, v: u32) -> &[u32] {
+    fn successors(&self, v: u32) -> &[u32] {
         &self.edges[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 }
@@ -183,7 +183,7 @@ pub fn run_parallel(g: &Graph, p: Params, places: usize) -> Vec<bool> {
 
 /// BFS levels of the seeded graph (deduplicated frontiers) — the wave
 /// structure the DAG mirrors.
-pub fn bfs_levels(g: &Graph, p: Params) -> Vec<Vec<u32>> {
+fn bfs_levels(g: &Graph, p: Params) -> Vec<Vec<u32>> {
     let mut seen = vec![false; g.num_nodes()];
     let mut frontier: Vec<u32> = (0..p.roots.min(g.num_nodes()) as u32).collect();
     for &v in &frontier {

@@ -214,61 +214,16 @@ pub fn mul_blocked_parallel(a: &BlockedZ<f64>, b: &BlockedZ<f64>, params: Params
 // The top-eight-way variant (§V-A)
 // ---------------------------------------------------------------------------
 
-/// The paper's rejected alternative: an **eight-way divide at the top
-/// level** (hintable, one quadrant product pair per place) with the
-/// seven-way Strassen recursion only below. §V-A: "the top-eight-way
-/// version indeed \[has\] less work inflation, but at the expense of 15%
-/// increases in overall T1, because we are not getting the O(n^lg7) work
-/// at the top level" — so the paper ships the hint-free version instead.
-/// This implementation exists to reproduce that trade-off; [`dag_top8`]
-/// is its simulator DAG, which `reproduce`'s top-eight-way ablation table
-/// runs.
-pub fn mul_top8_parallel(
-    a: &BlockedZ<f64>,
-    b: &BlockedZ<f64>,
-    params: Params,
-    places: usize,
-) -> BlockedZ<f64> {
-    use nws_topology::Place as P;
-    let n = params.n;
-    let h = n / 2;
-    let q = n * n / 4;
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    let (a11, a12, a21, a22) = (&a_s[..q], &a_s[q..2 * q], &a_s[2 * q..3 * q], &a_s[3 * q..]);
-    let (b11, b12, b21, b22) = (&b_s[..q], &b_s[q..2 * q], &b_s[2 * q..3 * q], &b_s[3 * q..]);
-    let mut c = BlockedZ::zeros(n, params.block);
-    {
-        let cs = c.as_mut_slice();
-        let (c_top, c_bot) = cs.split_at_mut(2 * q);
-        let (c11, c12) = c_top.split_at_mut(q);
-        let (c21, c22) = c_bot.split_at_mut(q);
-        let block = params.block;
-        let place = |i: usize| P(i % places.max(1));
-        // One quadrant per place: C_ij = strassen(A_i1, B_1j) + strassen(A_i2, B_2j).
-        let quadrant = move |x1: &[f64], y1: &[f64], x2: &[f64], y2: &[f64], out: &mut [f64]| {
-            let mut p2 = vec![0.0; out.len()];
-            let (_, _) = numa_ws::join(
-                || strassen_rec(x1, y1, out, h, block, true),
-                || strassen_rec(x2, y2, &mut p2, h, block, true),
-            );
-            for (o, v) in out.iter_mut().zip(&p2) {
-                *o += v;
-            }
-        };
-        let ((), (), (), ()) = numa_ws::join4_at(
-            [place(0), place(1), place(2), place(3)],
-            || quadrant(a11, b11, a12, b21, c11),
-            || quadrant(a11, b12, a12, b22, c12),
-            || quadrant(a21, b11, a22, b21, c21),
-            || quadrant(a21, b12, a22, b22, c22),
-        );
-    }
-    c
-}
-
-/// Simulator DAG for the top-eight-way variant: the eight half-size
-/// products are ordinary Strassen subtrees, but the top level is hinted
-/// one quadrant per place (and pays 8 products instead of 7).
+/// Simulator DAG for the paper's rejected alternative: an **eight-way
+/// divide at the top level** (hintable, one quadrant product pair per
+/// place) with the seven-way Strassen recursion only below. §V-A: "the
+/// top-eight-way version indeed \[has\] less work inflation, but at the
+/// expense of 15% increases in overall T1, because we are not getting the
+/// O(n^lg7) work at the top level" — so the paper ships the hint-free
+/// version instead. `reproduce`'s top-eight-way ablation table runs this
+/// DAG to reproduce that trade-off: the eight half-size products are
+/// ordinary Strassen subtrees, but the top level is hinted one quadrant
+/// per place (and pays 8 products instead of 7).
 pub fn dag_top8(params: Params, layout: Layout, places: usize) -> Dag {
     let n = params.n as u64;
     let pages = pages_for(n * n, 8);
@@ -470,23 +425,6 @@ mod tests {
         let (a, b) = inputs(8);
         let c = mul_serial(&a, &b, p);
         assert_eq!(c, naive(&a, &b));
-    }
-
-    #[test]
-    fn top8_matches_naive() {
-        let p = Params::test();
-        let (a, b) = inputs(p.n);
-        let za = BlockedZ::from_matrix(&a, p.block);
-        let zb = BlockedZ::from_matrix(&b, p.block);
-        let pool = Pool::builder().workers(8).places(4).build().unwrap();
-        let zc = pool.install(|| mul_top8_parallel(&za, &zb, p, 4));
-        let expect = naive(&a, &b);
-        let c = zc.to_matrix();
-        for i in 0..p.n {
-            for j in 0..p.n {
-                assert!((c.get(i, j) - expect.get(i, j)).abs() < 1e-9, "({i},{j})");
-            }
-        }
     }
 
     #[test]

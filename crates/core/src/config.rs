@@ -66,7 +66,9 @@ pub enum BuildPoolError {
     /// The worker/place counts don't fit the (possibly synthesized)
     /// topology.
     Topology(nws_topology::TopologyError),
-    /// Zero workers or zero places requested.
+    /// A builder setting out of range: zero workers or places, more places
+    /// than workers, a zero deque or ingress capacity, or a policy mailbox
+    /// capacity above 1.
     InvalidConfig(String),
 }
 

@@ -21,7 +21,7 @@
 //! trace-recording pool, and a join forked over a full frame stack push
 //! `b` eagerly and pop it back.
 
-use crate::job::{JobResult, StackJob};
+use crate::job::StackJob;
 use crate::latch::SpinLatch;
 use crate::registry::WorkerThread;
 use nws_topology::Place;
@@ -213,13 +213,6 @@ where
 {
     join4_at([Place::ANY; 4], a, b, c, d)
 }
-
-// Silence the unused-variant lint: JobResult::None is constructed in job.rs.
-const _: () = {
-    fn _assert_variants<R>(r: JobResult<R>) -> bool {
-        matches!(r, JobResult::None | JobResult::Ok(_) | JobResult::Panicked(_))
-    }
-};
 
 #[cfg(test)]
 mod tests {

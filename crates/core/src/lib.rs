@@ -113,7 +113,7 @@ pub use stats::{PoolStats, WorkerStatsSnapshot};
 // Re-export the place type and the shared scheduling-policy layer: both
 // are part of this crate's public API surface ([`PoolBuilder::policy`]
 // consumes a [`SchedPolicy`]).
-pub use nws_topology::{CoinFlip, Place, SchedPolicy, SleepPolicy, StealBias};
+pub use nws_topology::{CoinFlip, Place, SchedPolicy, StealBias};
 
 /// The synchronization facade the runtime is built on, re-exported so
 /// downstream code (and the doc examples) can name one canonical path.

@@ -122,14 +122,14 @@ impl PoolBuilder {
     }
 
     /// The scheduling policy — the pool's only scheduler selector:
-    /// victim-selection bias, coin-flip protocol, mailbox capacity,
-    /// pushback threshold, and sleep/backoff parameters. Pass a preset
-    /// ([`SchedPolicy::vanilla`], [`SchedPolicy::numa_ws`], the default) or
-    /// any ablation cell. This is the same [`SchedPolicy`] the simulator's
-    /// `SimConfig` embeds, so one value sweeps both substrates. The runtime
-    /// mailbox holds at most one job (paper §III-B), so
-    /// [`build`](PoolBuilder::build) rejects `mailbox_capacity > 1`; larger
-    /// capacities are a simulator-only ablation.
+    /// victim-selection bias, coin-flip protocol, mailbox capacity and
+    /// pushback threshold. Pass a preset ([`SchedPolicy::vanilla`],
+    /// [`SchedPolicy::numa_ws`], the default) or any ablation cell. This is
+    /// the same [`SchedPolicy`] the simulator's `SimConfig` embeds, so one
+    /// value sweeps both substrates. The runtime mailbox holds at most one
+    /// job (paper §III-B), so [`build`](PoolBuilder::build) rejects
+    /// `mailbox_capacity > 1`; larger capacities are a simulator-only
+    /// ablation.
     pub fn policy(&mut self, policy: SchedPolicy) -> &mut Self {
         self.policy = policy;
         self
@@ -215,8 +215,9 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// Returns [`BuildPoolError`] when the configuration is inconsistent
-    /// (zero workers/places, more places than sockets, more workers than
-    /// cores, a policy mailbox capacity above 1).
+    /// (zero workers/places, more places than workers or sockets, more
+    /// workers than cores, a zero deque or ingress capacity, a policy
+    /// mailbox capacity above 1).
     pub fn build(&self) -> Result<Pool, BuildPoolError> {
         if self.policy.mailbox_capacity > 1 {
             return Err(BuildPoolError::InvalidConfig(format!(
@@ -235,6 +236,12 @@ impl PoolBuilder {
                 "places ({}) cannot exceed workers ({})",
                 self.places, self.workers
             )));
+        }
+        if self.deque_capacity == 0 {
+            return Err(BuildPoolError::InvalidConfig("deque_capacity must be >= 1".into()));
+        }
+        if self.ingress_capacity == Some(0) {
+            return Err(BuildPoolError::InvalidConfig("ingress_capacity must be >= 1".into()));
         }
         let topo = match &self.topology {
             Some(t) => t.clone(),
@@ -719,6 +726,12 @@ mod tests {
         assert!(Pool::builder().workers(0).build().is_err());
         assert!(Pool::builder().workers(2).places(0).build().is_err());
         assert!(Pool::builder().workers(2).places(3).build().is_err());
+        for err in [
+            Pool::builder().workers(2).deque_capacity(0).build().unwrap_err(),
+            Pool::builder().workers(2).ingress_capacity(0).build().unwrap_err(),
+        ] {
+            assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -70,10 +70,8 @@ pub(crate) struct Registry {
     pub(crate) topo: Topology,
     pub(crate) map: WorkerMap,
     /// The scheduling policy (shared layer with the simulator): victim
-    /// bias, coin flip, mailbox capacity, pushback threshold, backoff.
+    /// bias, coin flip, mailbox capacity, pushback threshold.
     pub(crate) policy: SchedPolicy,
-    /// `policy.sleep.sleep_timeout_us` as a `Duration`, converted once.
-    sleep_timeout: Duration,
     pub(crate) stats_enabled: bool,
     stealers: Vec<TheStealer<JobRef>>,
     mailboxes: Vec<Mailbox>,
@@ -200,7 +198,6 @@ impl Registry {
             trace: record_trace.then(|| Arc::new(TraceSink::new(p))),
             topo,
             map,
-            sleep_timeout: Duration::from_micros(policy.sleep.sleep_timeout_us),
             policy,
             stats_enabled,
         });
@@ -793,11 +790,20 @@ impl WorkerThread {
         self.switch_to(Category::Work);
     }
 
-    /// One idle round: spin, then yield, then sleep on the pool condvar
-    /// with the policy's safety-net timeout and `recheck` (see
-    /// [`Sleep::sleep`]); the round thresholds come from the pool's
-    /// [`SleepPolicy`](nws_topology::SleepPolicy). Only a producer-notified
-    /// wake counts toward the `wakeups` statistic.
+    /// Idle rounds an idle worker spends in `spin_loop` before yielding.
+    const SPIN_ROUNDS: u32 = 10;
+    /// Idle rounds (cumulative) before an idle worker sleeps on the condvar.
+    const YIELD_ROUNDS: u32 = 50;
+    /// Safety-net condvar timeout. Every producer signals the condvar
+    /// explicitly; this only bounds the cost of a wake lost to a stale
+    /// relaxed sleeper probe.
+    const SLEEP_TIMEOUT: Duration = Duration::from_millis(10);
+
+    /// One idle round: spin for [`SPIN_ROUNDS`](Self::SPIN_ROUNDS), then
+    /// yield until [`YIELD_ROUNDS`](Self::YIELD_ROUNDS), then sleep on the
+    /// pool condvar with [`SLEEP_TIMEOUT`](Self::SLEEP_TIMEOUT) and
+    /// `recheck` (see [`Sleep::sleep`]). Only a producer-notified wake
+    /// counts toward the `wakeups` statistic.
     fn idle_backoff(&self, spins: &mut u32, recheck: impl FnOnce() -> bool) {
         // Idle path: publish counters every round, so failed steal attempts
         // are as visible to snapshots as they were when bumped directly
@@ -818,14 +824,12 @@ impl WorkerThread {
             // the outside. `Err`: the pool is now poisoned.
             Ok(true) | Err(()) => return,
         }
-        let sp = &self.registry.policy.sleep;
         *spins += 1;
-        if *spins < sp.spin_rounds {
+        if *spins < Self::SPIN_ROUNDS {
             nws_sync::hint::spin_loop();
-        } else if *spins < sp.yield_rounds {
+        } else if *spins < Self::YIELD_ROUNDS {
             nws_sync::thread::yield_now();
-        } else if self.registry.sleep.sleep(self.registry.sleep_timeout, recheck)
-            == SleepOutcome::Notified
+        } else if self.registry.sleep.sleep(Self::SLEEP_TIMEOUT, recheck) == SleepOutcome::Notified
         {
             bump!(self.local, wakeups);
         }

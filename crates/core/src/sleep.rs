@@ -30,13 +30,12 @@ use nws_sync::atomic::{fence, AtomicUsize, Ordering};
 use nws_sync::{Condvar, Mutex};
 use std::time::Duration;
 
-// How long a sleeper waits before re-checking on its own is a *policy*
-// knob now (`nws_topology::SleepPolicy::sleep_timeout_us`, default 10ms,
-// converted once at registry construction). It stays a pure safety net:
-// every work-producing event — ingress, mailbox deposit, first push after
-// quiescence, and a join latch set — signals the condvar explicitly; the
-// timeout only bounds the cost of a wake lost to a stale relaxed sleeper
-// probe.
+// How long a sleeper waits before re-checking on its own is the caller's
+// timeout (the worker idle loop passes `WorkerThread::SLEEP_TIMEOUT`,
+// 10 ms, in `registry.rs`). It is a pure safety net: every work-producing
+// event — ingress, mailbox deposit, first push after quiescence, and a
+// join latch set — signals the condvar explicitly; the timeout only bounds
+// the cost of a wake lost to a stale relaxed sleeper probe.
 
 /// How one [`Sleep::sleep`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -120,7 +120,7 @@ impl<T> BlockedZ<T> {
     /// This is the only place the Z interleave is computed — once per block,
     /// which is the §III-C index-cost saving.
     #[inline]
-    pub fn block_offset(&self, br: usize, bc: usize) -> usize {
+    fn block_offset(&self, br: usize, bc: usize) -> usize {
         debug_assert!(br < self.blocks_per_side && bc < self.blocks_per_side);
         zmorton::encode(br as u32, bc as u32) as usize * self.block * self.block
     }
@@ -130,12 +130,6 @@ impl<T> BlockedZ<T> {
     pub fn block(&self, br: usize, bc: usize) -> &[T] {
         let base = self.block_offset(br, bc);
         &self.data[base..base + self.block * self.block]
-    }
-
-    /// Mutable slice backing block `(br, bc)`.
-    pub fn block_mut(&mut self, br: usize, bc: usize) -> &mut [T] {
-        let base = self.block_offset(br, bc);
-        &mut self.data[base..base + self.block * self.block]
     }
 
     /// Element access by global coordinates.
@@ -176,18 +170,6 @@ impl<T> BlockedZ<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Splits the matrix logically into its four `n/2 × n/2` quadrants of
-    /// blocks, returning the block-coordinate origin of each quadrant in
-    /// Z order (NW, NE, SW, SE).
-    ///
-    /// Because blocks are Z-ordered, each quadrant is one contiguous
-    /// quarter of the backing buffer — exactly what recursive algorithms
-    /// and page binding want.
-    pub fn quadrant_origins(&self) -> [(usize, usize); 4] {
-        let half = self.blocks_per_side / 2;
-        [(0, 0), (0, half), (half, 0), (half, half)]
     }
 }
 
@@ -267,10 +249,11 @@ mod tests {
     fn quadrants_are_contiguous_quarters() {
         let z = BlockedZ::<u8>::zeros(16, 2); // 8x8 blocks
         let quarter = 16 * 16 / 4;
-        let origins = z.quadrant_origins();
-        // Z-order quadrants: each quadrant's first block starts at i*quarter.
-        for (i, (br, bc)) in origins.iter().enumerate() {
-            assert_eq!(z.block_offset(*br, *bc), i * quarter);
+        // Z-order quadrants (NW, NE, SW, SE): each quadrant's first block
+        // starts at i*quarter.
+        let half = z.blocks_per_side() / 2;
+        for (i, (br, bc)) in [(0, 0), (0, half), (half, 0), (half, half)].into_iter().enumerate() {
+            assert_eq!(z.block_offset(br, bc), i * quarter);
         }
     }
 

@@ -35,16 +35,6 @@ impl<T> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Wraps an existing row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer does not match dimensions");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -89,11 +79,6 @@ impl<T> Matrix<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Borrow of one full row.
@@ -155,20 +140,6 @@ mod tests {
     fn row_slice() {
         let m = Matrix::from_fn(3, 4, |r, c| r * 4 + c);
         assert_eq!(m.row(1), &[4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn from_vec_roundtrip() {
-        let m = Matrix::from_vec(2, 2, vec![1, 2, 3, 4]);
-        assert_eq!(m.clone().into_vec(), vec![1, 2, 3, 4]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer does not match")]
-    fn from_vec_size_checked() {
-        Matrix::from_vec(2, 2, vec![1, 2, 3]);
     }
 
     #[test]

@@ -65,9 +65,7 @@ impl Default for SchedCosts {
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The scheduling policy: victim bias, coin flip, mailbox capacity,
-    /// pushback threshold (shared with the runtime's `PoolBuilder`; the
-    /// sleep parameters are inert here — simulated workers have no OS
-    /// threads to park).
+    /// pushback threshold (shared with the runtime's `PoolBuilder`).
     pub policy: SchedPolicy,
     /// Number of workers (P).
     pub workers: usize,

@@ -49,6 +49,6 @@ pub use memory::{
 };
 // The scheduling-policy layer is shared with the real runtime; re-export
 // it so simulator users keep one import path for the ablation knobs.
-pub use nws_topology::{CoinFlip, SchedPolicy, SleepPolicy, StealBias};
+pub use nws_topology::{CoinFlip, SchedPolicy, StealBias};
 pub use replay::{trace_to_dag, DEFAULT_NS_PER_CYCLE};
 pub use report::{Counters, ScheduleLog, SimReport, WorkerTimes};

@@ -273,8 +273,6 @@ pub struct MemorySystem {
     contention: ContentionModel,
     topo_distances: Vec<Vec<u32>>, // [socket][socket] hop-scaled distance
     worker_socket: Vec<usize>,
-    /// Pure-cycle accounting of memory stalls per worker (for reports).
-    stall_cycles: Vec<u64>,
     /// Per-socket (epoch id, remote lines this epoch).
     qpi_load: Vec<(u64, u64)>,
     /// Count of accesses per service class: [private, llc_local,
@@ -330,7 +328,6 @@ impl MemorySystem {
             contention,
             topo_distances: dist,
             worker_socket: (0..map.num_workers()).map(|w| map.socket_of(w).0).collect(),
-            stall_cycles: vec![0; map.num_workers()],
             qpi_load: vec![(0, 0); n_sockets],
             class_lines: [0; 5],
             regions,
@@ -351,22 +348,15 @@ impl MemorySystem {
     ///
     /// Panics if the page is outside the region.
     #[inline]
-    pub fn page_id(&self, region: RegionId, page: u64) -> PageId {
+    fn page_id(&self, region: RegionId, page: u64) -> PageId {
         let r = &self.regions[region.0];
         assert!(page < r.pages, "page {page} outside region '{}' ({} pages)", r.name, r.pages);
         PageId(r.first_page + page)
     }
 
-    /// The home socket of a page; `None` for a first-touch page nobody has
-    /// accessed yet.
-    #[inline]
-    pub fn home_of(&self, p: PageId) -> Option<SocketId> {
-        self.homes[p.0 as usize]
-    }
-
     /// Charges one [`Touch`] performed by `worker` at simulated time `now`
-    /// and returns its cost in cycles. Updates cache state, interconnect
-    /// load, and stall accounting.
+    /// and returns its cost in cycles. Updates cache state and
+    /// interconnect load.
     pub fn access(&mut self, worker: usize, touch: &Touch, now: u64) -> u64 {
         let mut cost = 0u64;
         let my_socket = self.worker_socket[worker];
@@ -377,7 +367,6 @@ impl MemorySystem {
             let page = self.page_id(touch.region, p);
             cost += self.access_page(worker, my_socket, page, lines, streaming, now);
         }
-        self.stall_cycles[worker] += cost;
         cost
     }
 
@@ -460,11 +449,6 @@ impl MemorySystem {
             .min_by_key(|&s| self.topo_distances[my_socket][s])
     }
 
-    /// Total memory stall cycles accumulated by a worker.
-    pub fn stalls_of(&self, worker: usize) -> u64 {
-        self.stall_cycles[worker]
-    }
-
     /// The regions table.
     pub fn regions(&self) -> &[Region] {
         &self.regions
@@ -528,21 +512,21 @@ mod tests {
     fn bind_policy_homes_on_bound_socket() {
         let sys = system(32, one_region(8, PagePolicy::Bind(2)));
         for p in 0..8 {
-            assert_eq!(sys.home_of(PageId(p)), Some(SocketId(2)));
+            assert_eq!(sys.homes[p], Some(SocketId(2)));
         }
     }
 
     #[test]
     fn first_touch_resolves_to_first_accessor() {
         let mut sys = system(32, one_region(8, PagePolicy::FirstTouch));
-        assert_eq!(sys.home_of(PageId(0)), None, "unresolved before any access");
+        assert_eq!(sys.homes[0], None, "unresolved before any access");
         // Worker 2 (socket 2 under packed round-robin) touches page 0 first.
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         sys.access(2, &t, 0);
-        assert_eq!(sys.home_of(PageId(0)), Some(SocketId(2)));
+        assert_eq!(sys.homes[0], Some(SocketId(2)));
         // A later accessor does not move the page.
         sys.access(0, &t, 0);
-        assert_eq!(sys.home_of(PageId(0)), Some(SocketId(2)));
+        assert_eq!(sys.homes[0], Some(SocketId(2)));
     }
 
     #[test]
@@ -557,14 +541,14 @@ mod tests {
     #[test]
     fn interleave_round_robins() {
         let sys = system(32, one_region(8, PagePolicy::Interleave));
-        let homes: Vec<usize> = (0..8).map(|p| sys.home_of(PageId(p)).unwrap().0).collect();
+        let homes: Vec<usize> = (0..8).map(|p| sys.homes[p].unwrap().0).collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn chunked_splits_contiguously() {
         let sys = system(32, one_region(8, PagePolicy::Chunked { chunks: 4 }));
-        let homes: Vec<usize> = (0..8).map(|p| sys.home_of(PageId(p)).unwrap().0).collect();
+        let homes: Vec<usize> = (0..8).map(|p| sys.homes[p].unwrap().0).collect();
         assert_eq!(homes, vec![0, 0, 1, 1, 2, 2, 3, 3]);
     }
 
@@ -580,7 +564,7 @@ mod tests {
             CacheConfig::default(),
             ContentionModel::off(),
         );
-        let homes: Vec<usize> = (0..4).map(|p| sys.home_of(PageId(p)).unwrap().0).collect();
+        let homes: Vec<usize> = (0..4).map(|p| sys.homes[p].unwrap().0).collect();
         assert_eq!(homes, vec![0, 1, 0, 1]);
     }
 
@@ -624,15 +608,6 @@ mod tests {
         let remote_llc = sys.access(0, &t, 0);
         assert_eq!(remote_llc, lat.llc_remote_base + 2 * lat.llc_remote_per_hop + lat.page_penalty);
         assert!(remote_llc < lat.dram_local + 2 * lat.dram_remote_per_hop + lat.page_penalty);
-    }
-
-    #[test]
-    fn stall_accounting_accumulates() {
-        let mut sys = system(32, one_region(4, PagePolicy::Bind(0)));
-        let t = Touch { region: RegionId(0), start_page: 0, pages: 4, lines_per_page: 8 };
-        let c = sys.access(0, &t, 0);
-        assert_eq!(sys.stalls_of(0), c);
-        assert_eq!(sys.stalls_of(1), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl DistanceMatrix {
     /// Panics if `d.len() != n * n`, if any diagonal entry differs from
     /// [`Self::LOCAL`], or if the matrix is not symmetric — malformed
     /// distances would silently corrupt the steal distribution.
-    pub fn from_rows(n: usize, d: Vec<u32>) -> Self {
+    fn from_rows(n: usize, d: Vec<u32>) -> Self {
         assert_eq!(d.len(), n * n, "distance matrix must be n*n");
         for i in 0..n {
             assert_eq!(

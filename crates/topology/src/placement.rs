@@ -115,12 +115,6 @@ impl WorkerMap {
         self.num_places
     }
 
-    /// The core a worker is pinned to.
-    #[inline]
-    pub fn core_of(&self, worker: usize) -> CoreId {
-        self.cores[worker]
-    }
-
     /// The socket a worker runs on.
     #[inline]
     pub fn socket_of(&self, worker: usize) -> SocketId {
@@ -184,7 +178,7 @@ mod tests {
     fn worker_zero_on_first_core() {
         let topo = presets::paper_machine();
         let map = Placement::Packed.assign(&topo, 32).unwrap();
-        assert_eq!(map.core_of(0), CoreId(0));
+        assert_eq!(map.cores[0], CoreId(0));
         assert_eq!(map.place_of(0), Place(0));
     }
 
@@ -212,7 +206,7 @@ mod tests {
         let map = Placement::Packed.assign(&topo, 32).unwrap();
         let mut seen = std::collections::HashSet::new();
         for w in 0..32 {
-            let core = map.core_of(w);
+            let core = map.cores[w];
             assert!(seen.insert(core), "core {core} assigned twice");
             assert_eq!(topo.socket_of(core), map.socket_of(w));
         }

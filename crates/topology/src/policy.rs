@@ -1,6 +1,6 @@
-//! The scheduling-policy layer: one sweepable description of every
-//! NUMA-WS protocol knob, shared by the real runtime (`numa_ws`) and the
-//! discrete-event simulator (`nws_sim`).
+//! The scheduling-policy layer: one description of every NUMA-WS protocol
+//! knob, shared by the real runtime (`numa_ws`) and the discrete-event
+//! simulator (`nws_sim`).
 //!
 //! The paper's evaluation is an ablation story — vanilla work stealing
 //! vs. NUMA-WS with distance-biased victims, single-entry mailboxes, the
@@ -27,7 +27,6 @@
 use crate::{StealDistribution, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// How a thief chooses its victim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,30 +57,8 @@ pub enum CoinFlip {
     DequeOnly,
 }
 
-/// Idle-worker backoff parameters: how long a worker spins, yields, and
-/// finally sleeps on the pool condvar between failed work searches. The
-/// simulator has no OS threads, so only the runtime consumes these — they
-/// live here so one [`SchedPolicy`] value fully describes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SleepPolicy {
-    /// Idle rounds spent in `spin_loop` before escalating.
-    pub spin_rounds: u32,
-    /// Idle rounds (cumulative) spent in `yield_now` before sleeping.
-    pub yield_rounds: u32,
-    /// Safety-net condvar timeout, in microseconds. Every producer signals
-    /// the condvar explicitly; this only bounds the cost of a wake lost to
-    /// a stale relaxed sleeper probe.
-    pub sleep_timeout_us: u64,
-}
-
-impl Default for SleepPolicy {
-    fn default() -> Self {
-        SleepPolicy { spin_rounds: 10, yield_rounds: 50, sleep_timeout_us: 10_000 }
-    }
-}
-
 /// A complete scheduling policy: victim selection, mailbox protocol,
-/// mailbox capacity, pushback threshold, and sleep/backoff parameters.
+/// mailbox capacity, and pushback threshold.
 ///
 /// The four ablation presets span the paper's evaluation grid:
 ///
@@ -105,8 +82,6 @@ pub struct SchedPolicy {
     pub mailbox_capacity: usize,
     /// PUSHBACK retry threshold (the paper's constant "pushing threshold").
     pub push_threshold: u32,
-    /// Idle-worker backoff parameters (runtime substrate only).
-    pub sleep: SleepPolicy,
 }
 
 impl SchedPolicy {
@@ -118,7 +93,6 @@ impl SchedPolicy {
             coin_flip: CoinFlip::DequeOnly,
             mailbox_capacity: 0,
             push_threshold: 4,
-            sleep: SleepPolicy::default(),
         }
     }
 
@@ -130,7 +104,6 @@ impl SchedPolicy {
             coin_flip: CoinFlip::Fair,
             mailbox_capacity: 1,
             push_threshold: 4,
-            sleep: SleepPolicy::default(),
         }
     }
 
@@ -194,12 +167,6 @@ impl SchedPolicy {
         self
     }
 
-    /// Builder-style sleep-policy override.
-    pub fn with_sleep(mut self, sleep: SleepPolicy) -> Self {
-        self.sleep = sleep;
-        self
-    }
-
     /// The victim-selection distribution this policy gives a thief, or
     /// `None` when `map` has fewer than two workers (a lone worker never
     /// steals). Both the runtime's steal loop and the simulator's engine
@@ -255,11 +222,9 @@ impl Default for SchedPolicy {
     }
 }
 
-/// The canonical flat text encoding of a policy, e.g.
-/// `bias=inverse-distance coin=fair mailbox=1 push=4 sleep=10/50/10000`.
-/// This is the round-trip format [`FromStr`] parses; the vendored `serde`
-/// is a no-op stand-in (see `vendor/serde`), so the repo's own encoding is
-/// what sweep drivers and snapshots persist.
+/// The flat text form of a policy, e.g.
+/// `bias=inverse-distance coin=fair mailbox=1 push=4`: `reproduce` prints
+/// it as the legend of its policy grid.
 impl fmt::Display for SchedPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let bias = match self.bias {
@@ -273,104 +238,9 @@ impl fmt::Display for SchedPolicy {
         };
         write!(
             f,
-            "bias={bias} coin={coin} mailbox={} push={} sleep={}/{}/{}",
-            self.mailbox_capacity,
-            self.push_threshold,
-            self.sleep.spin_rounds,
-            self.sleep.yield_rounds,
-            self.sleep.sleep_timeout_us
+            "bias={bias} coin={coin} mailbox={} push={}",
+            self.mailbox_capacity, self.push_threshold
         )
-    }
-}
-
-/// Error from parsing a [`SchedPolicy`] out of its canonical encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePolicyError(String);
-
-impl fmt::Display for ParsePolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid scheduling policy: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParsePolicyError {}
-
-impl FromStr for SchedPolicy {
-    type Err = ParsePolicyError;
-
-    /// Parses the [`Display`](SchedPolicy#impl-Display-for-SchedPolicy)
-    /// encoding, or one of the four ablation preset names (`vanilla`,
-    /// `bias-only`, `mailbox-only`, `numa-ws`). Keys missing from the
-    /// encoding keep their NUMA-WS preset value; unknown keys are errors.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.is_empty() {
-            // An unset variable or blank line must not silently become the
-            // full NUMA-WS preset.
-            return Err(ParsePolicyError("empty policy string".into()));
-        }
-        if let Some((_, preset)) = SchedPolicy::ablation_grid().into_iter().find(|(n, _)| *n == s) {
-            return Ok(preset);
-        }
-        let mut policy = SchedPolicy::numa_ws();
-        for token in s.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| ParsePolicyError(format!("token {token:?} is not key=value")))?;
-            match key {
-                "bias" => {
-                    policy.bias = match value {
-                        "uniform" => StealBias::Uniform,
-                        "inverse-distance" => StealBias::InverseDistance,
-                        other => return Err(ParsePolicyError(format!("unknown bias {other:?}"))),
-                    }
-                }
-                "coin" => {
-                    policy.coin_flip = match value {
-                        "fair" => CoinFlip::Fair,
-                        "mailbox-first" => CoinFlip::MailboxFirst,
-                        "deque-only" => CoinFlip::DequeOnly,
-                        other => {
-                            return Err(ParsePolicyError(format!("unknown coin flip {other:?}")))
-                        }
-                    }
-                }
-                "mailbox" => {
-                    policy.mailbox_capacity = value
-                        .parse()
-                        .map_err(|e| ParsePolicyError(format!("mailbox={value:?}: {e}")))?;
-                }
-                "push" => {
-                    policy.push_threshold = value
-                        .parse()
-                        .map_err(|e| ParsePolicyError(format!("push={value:?}: {e}")))?;
-                }
-                "sleep" => {
-                    let mut parts = value.splitn(3, '/');
-                    let mut next = |what: &str| {
-                        parts.next().ok_or_else(|| {
-                            ParsePolicyError(format!("sleep={value:?}: missing {what}"))
-                        })
-                    };
-                    let spin = next("spin")?;
-                    let yld = next("yield")?;
-                    let timeout = next("timeout")?;
-                    policy.sleep = SleepPolicy {
-                        spin_rounds: spin
-                            .parse()
-                            .map_err(|e| ParsePolicyError(format!("sleep spin {spin:?}: {e}")))?,
-                        yield_rounds: yld
-                            .parse()
-                            .map_err(|e| ParsePolicyError(format!("sleep yield {yld:?}: {e}")))?,
-                        sleep_timeout_us: timeout.parse().map_err(|e| {
-                            ParsePolicyError(format!("sleep timeout {timeout:?}: {e}"))
-                        })?,
-                    };
-                }
-                other => return Err(ParsePolicyError(format!("unknown key {other:?}"))),
-            }
-        }
-        Ok(policy)
     }
 }
 
@@ -461,48 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn display_roundtrips_every_preset() {
-        for (_, policy) in SchedPolicy::ablation_grid() {
-            let text = policy.to_string();
-            let parsed: SchedPolicy = text.parse().expect("canonical encoding parses");
-            assert_eq!(parsed, policy, "round-trip through {text:?}");
-        }
-    }
-
-    #[test]
-    fn display_roundtrips_custom_knobs() {
-        let policy = SchedPolicy::numa_ws()
-            .with_coin_flip(CoinFlip::MailboxFirst)
-            .with_mailbox_capacity(16)
-            .with_push_threshold(64)
-            .with_sleep(SleepPolicy { spin_rounds: 3, yield_rounds: 7, sleep_timeout_us: 500 });
-        let parsed: SchedPolicy = policy.to_string().parse().unwrap();
-        assert_eq!(parsed, policy);
-    }
-
-    #[test]
-    fn preset_names_parse() {
-        assert_eq!("vanilla".parse::<SchedPolicy>().unwrap(), SchedPolicy::vanilla());
-        assert_eq!("numa-ws".parse::<SchedPolicy>().unwrap(), SchedPolicy::numa_ws());
-        assert_eq!("bias-only".parse::<SchedPolicy>().unwrap(), SchedPolicy::bias_only());
-        assert_eq!("mailbox-only".parse::<SchedPolicy>().unwrap(), SchedPolicy::mailbox_only());
-        assert!("no-such".parse::<SchedPolicy>().is_err());
-        assert!("epoch-sync".parse::<SchedPolicy>().is_err());
-        assert!("bias=sideways".parse::<SchedPolicy>().is_err());
-        // The retired scheduler selector and epoch length are unknown keys.
-        assert!("algo=numa-ws".parse::<SchedPolicy>().is_err());
-        assert!("epoch=10000".parse::<SchedPolicy>().is_err());
-        assert!("".parse::<SchedPolicy>().is_err(), "empty must not become a preset");
-        assert!("  \n".parse::<SchedPolicy>().is_err());
-    }
-
-    #[test]
-    fn pre_pr7_encodings_still_parse() {
-        // A committed sweep line in the original five-key form is the
-        // canonical encoding, and keeps meaning the same policy.
-        let old = "bias=uniform coin=deque-only mailbox=0 push=4 sleep=10/50/10000";
-        assert_eq!(old.parse::<SchedPolicy>().unwrap(), SchedPolicy::vanilla());
-        assert_eq!(SchedPolicy::vanilla().to_string(), old);
+    fn vanilla_display_is_pinned() {
+        assert_eq!(
+            SchedPolicy::vanilla().to_string(),
+            "bias=uniform coin=deque-only mailbox=0 push=4"
+        );
     }
 
     #[test]

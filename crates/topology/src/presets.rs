@@ -29,32 +29,9 @@ pub fn single_socket(cores: usize) -> Topology {
         .expect("single socket is well-formed")
 }
 
-/// A two-socket machine (`cores_per_socket` each) with one-hop distance 21,
-/// the most common commodity NUMA shape.
-pub fn dual_socket(cores_per_socket: usize) -> Topology {
-    Topology::builder()
-        .sockets(2)
-        .cores_per_socket(cores_per_socket)
-        .distances(DistanceMatrix::uniform(2, 21))
-        .build()
-        .expect("dual socket is well-formed")
-}
-
-/// An eight-socket machine on a ring with distances growing 10/21/31/41/51
-/// by hop — used to stress-test locality tiers beyond the paper's machine.
-pub fn eight_socket_ring(cores_per_socket: usize) -> Topology {
-    Topology::builder()
-        .sockets(8)
-        .cores_per_socket(cores_per_socket)
-        .distances(DistanceMatrix::ring_with(8, |h| 10 + 10 * h + h.min(1)))
-        .build()
-        .expect("eight socket ring is well-formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SocketId;
 
     #[test]
     fn paper_machine_matches_figure_1() {
@@ -70,18 +47,5 @@ mod tests {
         let t = single_socket(24);
         assert_eq!(t.num_cores(), 24);
         assert_eq!(t.distances().tiers(), vec![10]);
-    }
-
-    #[test]
-    fn dual_socket_distances() {
-        let t = dual_socket(4);
-        assert_eq!(t.distances().distance(SocketId(0), SocketId(1)), 21);
-    }
-
-    #[test]
-    fn eight_socket_ring_has_five_tiers() {
-        let t = eight_socket_ring(2);
-        assert_eq!(t.num_sockets(), 8);
-        assert_eq!(t.distances().tiers().len(), 5); // hops 0..=4
     }
 }

@@ -104,7 +104,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if the socket index is out of range.
-    pub fn cores_of(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
+    fn cores_of(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
         assert!(socket.0 < self.sockets, "socket out of range");
         let base = socket.0 * self.cores_per_socket;
         (base..base + self.cores_per_socket).map(CoreId)
@@ -114,12 +114,6 @@ impl Topology {
     #[inline]
     pub fn distances(&self) -> &DistanceMatrix {
         &self.distances
-    }
-
-    /// Distance between the sockets of two cores.
-    #[inline]
-    pub fn core_distance(&self, a: CoreId, b: CoreId) -> u32 {
-        self.distances.distance(self.socket_of(a), self.socket_of(b))
     }
 }
 
@@ -262,18 +256,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, TopologyError::DistanceMismatch { sockets: 3, matrix: 2 });
         assert!(err.to_string().contains("distance matrix"));
-    }
-
-    #[test]
-    fn core_distance_uses_sockets() {
-        let t = Topology::builder()
-            .sockets(2)
-            .cores_per_socket(2)
-            .distances(DistanceMatrix::uniform(2, 25))
-            .build()
-            .unwrap();
-        assert_eq!(t.core_distance(CoreId(0), CoreId(1)), 10);
-        assert_eq!(t.core_distance(CoreId(0), CoreId(3)), 25);
     }
 
     #[test]

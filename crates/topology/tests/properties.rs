@@ -1,10 +1,7 @@
 //! Property tests for topologies, placements, and steal distributions over
 //! randomly-shaped machines.
 
-use nws_topology::{
-    CoinFlip, DistanceMatrix, Place, Placement, SchedPolicy, SleepPolicy, StealBias,
-    StealDistribution, Topology,
-};
+use nws_topology::{DistanceMatrix, Place, Placement, StealDistribution, Topology};
 use proptest::prelude::*;
 
 fn machine() -> impl Strategy<Value = Topology> {
@@ -98,57 +95,5 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-/// Any reachable `SchedPolicy` value: every bias, coin mode, and knob
-/// range the builders accept.
-fn any_policy() -> impl Strategy<Value = SchedPolicy> {
-    (
-        (
-            prop_oneof![Just(StealBias::Uniform), Just(StealBias::InverseDistance)],
-            prop_oneof![
-                Just(CoinFlip::Fair),
-                Just(CoinFlip::MailboxFirst),
-                Just(CoinFlip::DequeOnly)
-            ],
-        ),
-        (0usize..=64, 0u32..=128),
-        (0u32..=1_000, 0u32..=1_000, 0u64..=100_000),
-    )
-        .prop_map(|((bias, coin), (mbox, push), (spin, yld, timeout))| {
-            SchedPolicy::vanilla()
-                .with_bias(bias)
-                .with_coin_flip(coin)
-                .with_mailbox_capacity(mbox)
-                .with_push_threshold(push)
-                .with_sleep(SleepPolicy {
-                    spin_rounds: spin,
-                    yield_rounds: yld,
-                    sleep_timeout_us: timeout,
-                })
-        })
-}
-
-proptest! {
-    /// The canonical text encoding is total: Display → FromStr round-trips
-    /// every reachable policy, not just the shipped presets. This is what
-    /// guarantees a sweep row's label can always be parsed back into the
-    /// exact policy that produced it.
-    #[test]
-    fn sched_policy_encoding_roundtrips_everywhere(policy in any_policy()) {
-        let text = policy.to_string();
-        let parsed: SchedPolicy = text.parse().expect("canonical encoding parses");
-        prop_assert_eq!(parsed, policy);
-    }
-}
-
-#[test]
-fn every_preset_roundtrips() {
-    let mut presets: Vec<SchedPolicy> = vec![SchedPolicy::vanilla(), SchedPolicy::numa_ws()];
-    presets.extend(SchedPolicy::ablation_grid().map(|(_, p)| p));
-    for p in presets {
-        let parsed: SchedPolicy = p.to_string().parse().unwrap();
-        assert_eq!(parsed, p);
     }
 }

@@ -11,9 +11,7 @@
 //! decisions from `SchedPolicy::steal_target`, on both substrates — plus
 //! golden fixtures so the sequences themselves cannot drift silently.
 
-use numa_ws_repro::topology::{
-    presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64, StealBias,
-};
+use numa_ws_repro::topology::{presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -159,19 +157,6 @@ fn biased_fixture_prefers_local_socket() {
         local(&biased),
         local(&uniform)
     );
-}
-
-#[test]
-fn policy_presets_roundtrip_their_encoding() {
-    // The canonical text encoding (the serde stand-in's working format)
-    // round-trips every grid cell and a sweep-customized policy.
-    for (_, policy) in SchedPolicy::ablation_grid() {
-        let parsed: SchedPolicy = policy.to_string().parse().unwrap();
-        assert_eq!(parsed, policy);
-    }
-    let custom = SchedPolicy::numa_ws().with_mailbox_capacity(8).with_bias(StealBias::Uniform);
-    let parsed: SchedPolicy = custom.to_string().parse().unwrap();
-    assert_eq!(parsed, custom);
 }
 
 // ---------------------------------------------------------------------------
