@@ -39,8 +39,7 @@ pub(crate) struct JobRef {
     pointer: *const (),
     execute_fn: unsafe fn(*const ()),
     place: Place,
-    /// Trace-recorder task id; `0` means "untraced" (recording off, or a
-    /// path that never met the recorder, e.g. a deque-overflow inline run).
+    /// Trace-recorder task id; `0` means "untraced" (recording off).
     trace: u64,
 }
 
@@ -222,9 +221,8 @@ where
 /// frame outlives the submission. The box frees itself on execution, so
 /// unlike [`StackJob`] there is no owner to report back to: results go
 /// through whatever channel the closure captures, and a panic is caught —
-/// the pool must survive a panicking spawn — then counted and routed to the
-/// pool's panic handler (see `registry::note_job_panic`) instead of being
-/// silently discarded.
+/// the pool must survive a panicking spawn — then counted (see
+/// `registry::note_job_panic`) instead of being silently discarded.
 pub(crate) struct HeapJob<F> {
     func: F,
 }
@@ -284,9 +282,9 @@ where
         let this = Box::from_raw(this as *mut Self);
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(this.func)) {
             // A fire-and-forget job has no joiner to rethrow at, but the
-            // payload is not silently discarded either: it is counted
-            // (`job_panics`) and routed to the pool's `panic_handler` hook.
-            crate::registry::note_job_panic(payload);
+            // panic is not silently discarded either: it is counted
+            // (`job_panics`), and debug builds print it.
+            crate::registry::note_job_panic(payload.as_ref());
         }
         // No latch to publish through, but flush anyway so counters bumped
         // by a fire-and-forget job are visible as soon as any effect of the

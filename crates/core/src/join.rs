@@ -17,9 +17,10 @@
 //! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §5). The
 //! fast path (no promotion) is a few plain stores and two emptiness checks
 //! — no deque operation, no fence, no allocation, no latch wait. A hinted
-//! join (the paper's PUSHBACK and mailboxes must see it), a join on a
-//! trace-recording pool, and a join forked over a full frame stack push
-//! `b` eagerly and pop it back.
+//! join (the paper's PUSHBACK and mailboxes must see it) and a join forked
+//! over a full frame stack push `b` eagerly and pop it back. A
+//! trace-recording pool forks the same way; a `b` run in place gets the
+//! same Start/End bracket wherever its `JobRef` was.
 
 use crate::job::StackJob;
 use crate::latch::SpinLatch;
@@ -91,66 +92,37 @@ where
     let job_b = StackJob::new(SpinLatch::new(&worker.registry.sleep), b);
     // SAFETY: job_b stays in place on this stack frame until resolved
     // below, and is executed exactly once (in place xor stolen).
-    let ref_b = unsafe { job_b.as_job_ref(place) };
-    let id_b = ref_b.id();
-
+    let mut ref_b = unsafe { job_b.as_job_ref(place) };
+    // The fork's one Spawn record, before `b` lands in a hidden frame, on
+    // the deque, or (deque full) nowhere; every copy of ref_b carries it.
+    worker.record_spawn(&mut ref_b);
     // A hinted `b` forks eagerly, so PUSHBACK and the mailboxes see it.
     let frame = if place.index().is_none() { worker.fork_lazy(ref_b) } else { None };
-    if frame.is_none() && worker.push(ref_b).is_err() {
-        // Deque full: degrade to serial execution (b loses stealability,
-        // nothing else). Runs a first, preserving the spawn order.
-        let ra = a();
-        // SAFETY: the JobRef was rejected by push, so job_b is unexecuted
-        // and unshared.
-        let rb = unsafe { job_b.run_in_place() };
-        return (ra, rb);
-    }
+    let pushed = frame.is_none() && worker.push(ref_b).is_ok();
 
     // Execute `a`; hold any panic until `b` is resolved, because job_b
     // lives on our stack and a thief may be running it right now.
     let status_a = panic::catch_unwind(AssertUnwindSafe(a));
 
-    let result_b: Result<RB, Box<dyn Any + Send>> =
-        if frame.is_some_and(|f| worker.resolve_frame(f)) {
-            // Never promoted: nobody else has seen ref_b.
-            // SAFETY: the hidden frame was job_b's only JobRef, and resolving
-            // it removed that from the frame stack.
-            panic::catch_unwind(AssertUnwindSafe(|| unsafe { job_b.run_in_place() }))
-        } else {
-            loop {
-                match worker.pop() {
-                    Some(popped) if popped.id() == id_b => {
-                        // The common un-stolen case: our spawn is still the
-                        // tail. `run_in_place` bypasses `WorkerThread::execute`,
-                        // so open the trace bracket here with the id `push`
-                        // attached to the popped copy (a no-op when recording
-                        // is off).
-                        let t = popped.trace();
-                        let prev = worker.trace_enter(t);
-                        // SAFETY: popped unexecuted JobRef; job_b is alive.
-                        let run_b = || unsafe { job_b.run_in_place() };
-                        let r = panic::catch_unwind(AssertUnwindSafe(run_b));
-                        worker.trace_exit(t, prev);
-                        break r;
-                    }
-                    Some(other) => {
-                        // Not our spawn: `a` (or a waiting frame below us)
-                        // pushed jobs it did not consume — e.g. scope spawns,
-                        // which outlive the frame that pushed them by design.
-                        // Execute depth-first and keep looking; our entry, if
-                        // un-stolen, sits further down.
-                        // SAFETY: protocol-found jobs are live and unexecuted.
-                        unsafe { worker.execute(other) };
-                    }
-                    None => {
-                        // Stolen: steal-while-waiting until the thief finishes.
-                        worker.wait_until(&job_b.latch);
-                        // SAFETY: latch set — the thief stored the result.
-                        break unsafe { job_b.into_result() };
-                    }
-                }
-            }
-        };
+    let in_place = match frame {
+        // A frame still hidden was job_b's only JobRef; a promoted one ends
+        // like an eager fork.
+        Some(frame) => worker.resolve_frame(frame) || pop_back(worker, ref_b.id()),
+        // A deque too full for the push leaves `b` unshared: it loses
+        // stealability, nothing else.
+        None => !pushed || pop_back(worker, ref_b.id()),
+    };
+    let result_b: Result<RB, Box<dyn Any + Send>> = if in_place {
+        // SAFETY: no other thread holds a JobRef to job_b (never exposed,
+        // popped back, or refused by the deque), and it has not run.
+        let run_b = || unsafe { job_b.run_in_place() };
+        worker.run_traced(ref_b.trace(), || panic::catch_unwind(AssertUnwindSafe(run_b)))
+    } else {
+        // Stolen: steal-while-waiting until the thief finishes.
+        worker.wait_until(&job_b.latch);
+        // SAFETY: latch set — the thief stored the result.
+        unsafe { job_b.into_result() }
+    };
     // The join's exit: if its deque ran dry (`b` was stolen or popped back),
     // expose the oldest frame still hidden below this join.
     worker.promote_if_empty();
@@ -160,6 +132,23 @@ where
         (Err(payload), _) => panic::resume_unwind(payload),
         (Ok(_), Err(payload)) => panic::resume_unwind(payload),
     }
+}
+
+/// Pops the own deque until the job `id` comes back (`true`) or the deque
+/// runs dry because a thief took it (`false`). Every other job popped on
+/// the way runs depth-first: `a` (or a waiting frame below this join)
+/// pushed jobs it did not consume, e.g. scope spawns, which outlive the
+/// frame that pushed them by design. The join's own entry, if un-stolen,
+/// sits further down.
+fn pop_back(worker: &WorkerThread, id: *const ()) -> bool {
+    while let Some(job) = worker.pop() {
+        if job.id() == id {
+            return true;
+        }
+        // SAFETY: protocol-found jobs are live and unexecuted.
+        unsafe { worker.execute(job) };
+    }
+    false
 }
 
 /// Four-way fork with per-branch place hints — the shape of the paper's

@@ -39,8 +39,8 @@
 //!
 //! The service posture extends to overload and failure: ingress queues can
 //! be bounded ([`PoolBuilder::ingress_capacity`], [`Pool::try_spawn`],
-//! [`OverflowPolicy`]), fire-and-forget job panics are caught, counted, and
-//! routed to a [`PoolBuilder::panic_handler`], and a panic in *runtime*
+//! [`OverflowPolicy`]), fire-and-forget job panics are caught and counted
+//! ([`WorkerStatsSnapshot::job_panics`]), and a panic in *runtime*
 //! code poisons the pool ([`PoisonedPool`]) — it drains and shuts down
 //! instead of deadlocking its callers. A deterministic fault-injection tier
 //! (`nws_sync::fault`, compiled in under `--cfg nws_fault`) exercises all
@@ -96,7 +96,6 @@ nws_sync::model_only! {
     #[cfg(test)]
     mod model_tests;
 }
-mod par_for;
 mod pool;
 mod registry;
 mod scope;
@@ -105,7 +104,6 @@ mod stats;
 
 pub use config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 pub use join::{join, join4, join4_at, join_at};
-pub use par_for::{par_for, par_for_banded};
 pub use pool::{Pool, PoolBuilder};
 pub use scope::{scope, scope_at, split_wanted, Scope};
 pub use stats::{PoolStats, WorkerStatsSnapshot};

@@ -195,7 +195,9 @@ fn sleep_wake_one_is_never_lost() {
 /// sorted — `[1, 2, 3]` iff each ran exactly once.
 fn lazy_join_promotion(frames: FrameStack<u32>) -> Vec<u32> {
     let (w, s) = the_deque::<u32>(4);
-    let t = thread::spawn(move || (0..2).filter_map(|_| s.steal()).collect::<Vec<u32>>());
+    let t = thread::spawn(move || {
+        (0..2).filter_map(|_| s.steal_batch(0, |_| ())).collect::<Vec<u32>>()
+    });
     let forks: Vec<(u32, usize)> = (1..=3)
         .map(|b| {
             let frame = frames.record(b).expect("three frames fit");

@@ -4,10 +4,9 @@
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
-use crate::registry::{worker_main, Inject, PanicHandler, Registry, RegistryOptions, WorkerThread};
+use crate::registry::{worker_main, Inject, Registry, RegistryOptions, WorkerThread};
 use crate::stats::PoolStats;
 use nws_topology::{Place, Placement, SchedPolicy, Topology, WorkerMap};
-use std::any::Any;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -65,7 +64,6 @@ pub struct PoolBuilder {
     record_trace: bool,
     ingress_capacity: Option<usize>,
     overflow: OverflowPolicy,
-    panic_handler: Option<PanicHandler>,
 }
 
 impl std::fmt::Debug for PoolBuilder {
@@ -81,7 +79,6 @@ impl std::fmt::Debug for PoolBuilder {
             .field("record_trace", &self.record_trace)
             .field("ingress_capacity", &self.ingress_capacity)
             .field("overflow", &self.overflow)
-            .field("panic_handler", &self.panic_handler.as_ref().map(|_| "<handler>"))
             .finish()
     }
 }
@@ -102,7 +99,6 @@ impl Default for PoolBuilder {
             record_trace: false,
             ingress_capacity: None,
             overflow: OverflowPolicy::Block,
-            panic_handler: None,
         }
     }
 }
@@ -196,20 +192,6 @@ impl PoolBuilder {
         self
     }
 
-    /// Installs a hook invoked (on the panicking worker's thread) with the
-    /// payload of every caught fire-and-forget job panic — [`Pool::spawn`]
-    /// closures have no caller to unwind into, so without a handler the
-    /// payload is dropped after being counted (see
-    /// [`WorkerStatsSnapshot::job_panics`](crate::WorkerStatsSnapshot::job_panics)).
-    /// A panic inside the handler itself is caught and discarded.
-    pub fn panic_handler<H>(&mut self, handler: H) -> &mut Self
-    where
-        H: Fn(Box<dyn Any + Send>) + Send + Sync + 'static,
-    {
-        self.panic_handler = Some(Arc::new(handler));
-        self
-    }
-
     /// Builds the pool and starts its workers.
     ///
     /// # Errors
@@ -262,7 +244,6 @@ impl PoolBuilder {
                 record_trace: self.record_trace,
                 ingress_capacity: self.ingress_capacity,
                 overflow: self.overflow,
-                panic_handler: self.panic_handler.clone(),
             },
         );
         let mut handles = Vec::with_capacity(self.workers);
@@ -416,10 +397,9 @@ impl Pool {
     /// Results must travel through whatever channel `f` captures. A panic
     /// inside `f` is caught — the pool survives — then counted
     /// ([`WorkerStatsSnapshot::job_panics`](crate::WorkerStatsSnapshot::job_panics))
-    /// and routed to the
-    /// [`panic_handler`](PoolBuilder::panic_handler), if any. Dropping the
-    /// pool runs every job already spawned before the drop began — spawned
-    /// work is never leaked or silently discarded.
+    /// and, in debug builds, printed. Dropping the pool runs every job
+    /// already spawned before the drop began — spawned work is never leaked
+    /// or silently discarded.
     ///
     /// With a bounded [`ingress_capacity`](PoolBuilder::ingress_capacity),
     /// a full queue makes `spawn` block for space under
@@ -631,9 +611,7 @@ impl Pool {
     /// Call only at a quiescent point — after every `install`/`scope` has
     /// returned and no `spawn` is in flight — so every recorded task has
     /// both its Start and End events. Draining resets the recorder, so
-    /// consecutive calls capture disjoint episodes (a deque-overflow inline
-    /// run may leave a spawned-but-never-started task in the trace; the
-    /// format tolerates that).
+    /// consecutive calls capture disjoint episodes.
     ///
     /// # Panics
     ///
@@ -876,18 +854,8 @@ mod tests {
     }
 
     #[test]
-    fn job_panics_are_counted_and_reach_the_handler() {
-        let seen = Arc::new(nws_sync::atomic::AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let pool = Pool::builder()
-            .workers(2)
-            .panic_handler(move |payload| {
-                assert!(payload.downcast_ref::<&str>().is_some());
-                seen2.fetch_add(1, nws_sync::atomic::Ordering::SeqCst);
-                panic!("handler panic must not kill the worker");
-            })
-            .build()
-            .unwrap();
+    fn job_panics_are_counted_and_do_not_poison() {
+        let pool = Pool::new(2).unwrap();
         for _ in 0..4 {
             pool.spawn(|| panic!("job boom"));
         }
@@ -896,7 +864,7 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "panics must be counted");
             nws_sync::thread::yield_now();
         }
-        assert_eq!(seen.load(nws_sync::atomic::Ordering::SeqCst), 4);
+        assert_eq!(pool.stats().total_job_panics(), 4);
         assert!(!pool.is_poisoned(), "job panics never poison");
         assert_eq!(pool.install(|| 21), 21, "pool stays fully usable");
     }

@@ -23,19 +23,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The hook a pool invokes (on the panicking worker's thread) for every
-/// caught fire-and-forget job panic — see
-/// [`PoolBuilder::panic_handler`](crate::PoolBuilder::panic_handler).
-pub(crate) type PanicHandler = Arc<dyn Fn(Box<dyn Any + Send>) + Send + Sync>;
-
-/// Outcome of a PUSHBACK episode.
-pub(crate) enum PushOutcome {
-    /// The job landed in a mailbox on its designated place.
-    Delivered,
-    /// The threshold was exhausted; the pusher keeps the job.
-    Kept(JobRef),
-}
-
 /// Outcome of [`Registry::inject`].
 pub(crate) enum Inject {
     /// The job is on an ingress queue; workers were woken.
@@ -61,8 +48,6 @@ pub(crate) struct RegistryOptions {
     pub ingress_capacity: Option<usize>,
     /// What `spawn` does when a bounded ingress queue is full.
     pub overflow: OverflowPolicy,
-    /// Hook invoked for every caught fire-and-forget job panic.
-    pub panic_handler: Option<PanicHandler>,
 }
 
 /// Shared state of a pool.
@@ -111,22 +96,21 @@ pub(crate) struct Registry {
     exited_cv: Condvar,
     /// What `spawn` does when a bounded ingress queue is full.
     pub(crate) overflow: OverflowPolicy,
-    /// Hook for caught fire-and-forget job panics (builder-installed).
-    panic_handler: Option<PanicHandler>,
-    /// Submissions bounced back to callers by full ingress queues. Pool-
-    /// level atomics (not per-worker cells): the bumping thread is the
-    /// external submitter, which has no `LocalCounters`. Cache-padded so
-    /// a storm of rejects doesn't false-share with neighbouring fields.
+    /// `try_spawn` submissions handed back to their callers. Pool-level
+    /// atomics (not per-worker cells): the bumping thread is the external
+    /// submitter, which has no `LocalCounters`. Cache-padded so a storm of
+    /// rejects doesn't false-share with neighbouring fields.
     ingress_rejects: CachePadded<AtomicU64>,
     /// `spawn`-accepted jobs dropped unrun under [`OverflowPolicy::Reject`].
     ingress_sheds: CachePadded<AtomicU64>,
     pub(crate) seed: u64,
     /// DAG trace recorder, present when the pool was built with
     /// [`record_trace`](crate::PoolBuilder::record_trace). Spawn edges are
-    /// recorded at the spawn points ([`WorkerThread::push`], [`inject`]),
-    /// Start/End brackets around execution; each worker writes only its own
-    /// lane, so recording adds no cross-worker contention beyond the id
-    /// counter.
+    /// recorded at the spawn points ([`WorkerThread::record_spawn`],
+    /// [`inject`]), Start/End brackets around execution (and around a job
+    /// run in place, [`WorkerThread::run_traced`]); each worker writes only
+    /// its own lane, so recording adds no cross-worker contention beyond
+    /// the id counter.
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
@@ -146,7 +130,6 @@ impl Registry {
             record_trace,
             ingress_capacity,
             overflow,
-            panic_handler,
         } = opts;
         let p = map.num_workers();
         let s = map.num_places();
@@ -191,7 +174,6 @@ impl Registry {
             exited: Mutex::new(0),
             exited_cv: Condvar::new(),
             overflow,
-            panic_handler,
             ingress_rejects: CachePadded::new(AtomicU64::new(0)),
             ingress_sheds: CachePadded::new(AtomicU64::new(0)),
             seed,
@@ -308,8 +290,8 @@ impl Registry {
         self.poison_msg.lock().clone().unwrap_or_default()
     }
 
-    /// Bumps the reject counter: a submission was bounced back to its
-    /// caller by a full bounded ingress queue.
+    /// Bumps the reject counter: a `try_spawn` submission was handed back
+    /// to its caller (full bounded queue, shutdown, or poison).
     pub(crate) fn count_ingress_reject(&self) {
         self.ingress_rejects.fetch_add(1, Ordering::Relaxed);
     }
@@ -410,31 +392,15 @@ pub(crate) fn payload_summary(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Reports a caught fire-and-forget job panic (the `HeapJob::execute`
-/// catch): counts it when running on a pool worker, then hands the payload
-/// to the pool's panic handler if one is installed — or, in debug builds
-/// without a handler, prints a one-line note so the panic is never
-/// *silently* swallowed. A panicking handler must not take the worker down
-/// with it, so the call itself is wrapped in `catch_unwind`.
-pub(crate) fn note_job_panic(payload: Box<dyn Any + Send>) {
-    let handler = match WorkerThread::current() {
-        Some(w) => {
-            bump!(w.local, job_panics);
-            w.registry.panic_handler.clone()
-        }
-        // Not on a worker (a reclaimed try_spawn closure re-run by the
-        // caller, or a unit test): nothing to count against, no handler.
-        None => None,
-    };
-    match handler {
-        Some(h) => {
-            let _ = panic::catch_unwind(AssertUnwindSafe(|| h(payload)));
-        }
-        None => {
-            #[cfg(debug_assertions)]
-            eprintln!("nws: spawned job panicked: {}", payload_summary(payload.as_ref()));
-            #[cfg(not(debug_assertions))]
-            drop(payload);
-        }
+/// catch): counts it when running on a pool worker (off a worker — a unit
+/// test — there is nothing to count against) and, in debug builds, prints
+/// a one-line note so the panic is never *silently* swallowed.
+pub(crate) fn note_job_panic(payload: &(dyn Any + Send)) {
+    if let Some(w) = WorkerThread::current() {
+        bump!(w.local, job_panics);
+    }
+    if cfg!(debug_assertions) {
+        eprintln!("nws: spawned job panicked: {}", payload_summary(payload));
     }
 }
 
@@ -449,9 +415,6 @@ pub(crate) struct WorkerThread {
     deque: TheWorker<JobRef>,
     /// Hidden `join` frames (lazy join promotion, `crate::frames`).
     frames: FrameStack<JobRef>,
-    /// Whether unhinted joins fork lazily: not while the pool records its
-    /// DAG, so a trace keeps every spawn edge where it was forked.
-    lazy_joins: bool,
     /// SplitMix64 state (same stream as the vendored `SmallRng`); a plain
     /// cell instead of `RefCell<SmallRng>` so a sample is two loads and a
     /// store with no borrow-flag traffic on the steal path.
@@ -532,9 +495,32 @@ impl WorkerThread {
         bump!(self.local, scope_spawns);
     }
 
-    /// Pushes a job at a spawn point (work path): the eager fork of a
-    /// hinted or traced `join`, a join forked over a full frame stack, or a
-    /// scope spawn.
+    /// Records `job`'s Spawn event when the pool records a trace, and
+    /// attaches the new task id to `job`: once per join fork or scope
+    /// spawn, before the job lands anywhere, so the id travels with every
+    /// copy of the `JobRef` (a hidden frame, its promoted deque entry, a
+    /// stolen or popped-back one). Without a recorder this is the one
+    /// `None` check the work path pays.
+    #[inline]
+    pub(crate) fn record_spawn(&self, job: &mut JobRef) {
+        if let Some(tr) = &self.registry.trace {
+            let id = tr.next_id();
+            job.set_trace(id);
+            let parent = self.trace_task.get();
+            tr.record(
+                self.index,
+                TraceEvent::Spawn {
+                    task: id,
+                    parent: (parent != 0).then_some(parent),
+                    place: job.place().index(),
+                },
+            );
+        }
+    }
+
+    /// Pushes a job at a spawn point (work path), after its
+    /// [`record_spawn`](Self::record_spawn): a scope spawn, or the eager
+    /// fork of a hinted `join` or of one over a full frame stack.
     ///
     /// Every hidden join frame is promoted first, so the deque stays
     /// oldest-at-head; if the deque fills before they all are, the push is
@@ -552,20 +538,7 @@ impl WorkerThread {
     /// Hands the job back if the deque is at capacity; the caller then runs
     /// it inline (losing only stealability, never correctness).
     #[inline]
-    pub(crate) fn push(&self, mut job: JobRef) -> Result<(), Full<JobRef>> {
-        if let Some(tr) = &self.registry.trace {
-            let id = tr.next_id();
-            job.set_trace(id);
-            let parent = self.trace_task.get();
-            tr.record(
-                self.index,
-                TraceEvent::Spawn {
-                    task: id,
-                    parent: (parent != 0).then_some(parent),
-                    place: job.place().index(),
-                },
-            );
-        }
+    pub(crate) fn push(&self, job: JobRef) -> Result<(), Full<JobRef>> {
         let pushed = if self.promote_all() { self.deque.push(job) } else { Err(Full(job)) };
         match pushed {
             Ok(()) => {
@@ -591,14 +564,10 @@ impl WorkerThread {
     /// The lazy fork of an unhinted `join`: records `job` as a hidden
     /// frame, counts the spawn, and promotes the oldest hidden frame if the
     /// deque is empty. Returns the frame's index for
-    /// [`resolve_frame`](Self::resolve_frame), or `None` when the pool
-    /// records a trace or the frame stack is full (the caller forks eagerly
-    /// instead).
+    /// [`resolve_frame`](Self::resolve_frame), or `None` when the frame
+    /// stack is full (the caller forks eagerly instead).
     #[inline]
     pub(crate) fn fork_lazy(&self, job: JobRef) -> Option<usize> {
-        if !self.lazy_joins {
-            return None;
-        }
         let frame = self.frames.record(job)?;
         bump!(self.local, spawns);
         self.promote_if_empty();
@@ -710,7 +679,7 @@ impl WorkerThread {
     /// but still scopes parenthood — an untraced job's spawns are rootless
     /// rather than mis-attributed to whatever ran before it.
     #[inline]
-    pub(crate) fn trace_enter(&self, task: u64) -> u64 {
+    fn trace_enter(&self, task: u64) -> u64 {
         let prev = self.trace_task.replace(task);
         if task != 0 {
             if let Some(tr) = &self.registry.trace {
@@ -725,13 +694,28 @@ impl WorkerThread {
     /// Skips the End event if [`trace_close`](Self::trace_close) already
     /// recorded it (the publish-before-latch path).
     #[inline]
-    pub(crate) fn trace_exit(&self, task: u64, prev: u64) {
+    fn trace_exit(&self, task: u64, prev: u64) {
         if task != 0 && self.trace_task.get() == task {
             if let Some(tr) = &self.registry.trace {
                 tr.record(self.index, TraceEvent::End { task, at_ns: tr.now_ns() });
             }
         }
         self.trace_task.set(prev);
+    }
+
+    /// Runs `f`, a job executing in place outside
+    /// [`execute`](Self::execute) (a join's `b`, a scope task the full
+    /// deque refused), inside `task`'s Start/End bracket. An untraced `task` (`0`: the pool records no trace) runs
+    /// bare, so an unrecorded pool pays one branch. `f` must not unwind.
+    #[inline]
+    pub(crate) fn run_traced<R>(&self, task: u64, f: impl FnOnce() -> R) -> R {
+        if task == 0 {
+            return f();
+        }
+        let prev = self.trace_enter(task);
+        let r = f();
+        self.trace_exit(task, prev);
+        r
     }
 
     /// Records the current task's End event *before* its completion becomes
@@ -910,10 +894,7 @@ impl WorkerThread {
                 }
                 // Outcome 3: earmarked elsewhere — relay it onward; if
                 // the episode exhausts the threshold, run it ourselves.
-                return match self.pushback(job) {
-                    PushOutcome::Delivered => None,
-                    PushOutcome::Kept(job) => Some(job),
-                };
+                return self.pushback(job);
             }
             // Outcome 1: mailbox empty — fall back to the deque.
         }
@@ -961,10 +942,7 @@ impl WorkerThread {
                 // mailboxes, and only keep what the pushing threshold
                 // exhausts.
                 let kept = if self.registry.policy.uses_mailboxes() && self.is_foreign(&job) {
-                    match self.pushback(job) {
-                        PushOutcome::Delivered => None,
-                        PushOutcome::Kept(job) => Some(job),
-                    }
+                    self.pushback(job)
                 } else {
                     Some(job)
                 };
@@ -991,34 +969,33 @@ impl WorkerThread {
             }
         }
         if self.registry.policy.uses_mailboxes() && self.is_foreign(&job) {
-            return match self.pushback(job) {
-                PushOutcome::Delivered => None,
-                PushOutcome::Kept(job) => Some(job),
-            };
+            return self.pushback(job);
         }
         Some(job)
     }
 
     /// One PUSHBACK episode (paper §III-B): deposit `job` into the mailbox
     /// of a random worker on its designated place, retrying up to the
-    /// pushing threshold. Allocation-free: the candidate list was
+    /// pushing threshold. Returns `None` once the job landed in a mailbox,
+    /// or the job itself when the pusher keeps it (threshold exhausted, no
+    /// candidate, shutdown). Allocation-free: the candidate list was
     /// precomputed at registry construction.
-    pub(crate) fn pushback(&self, job: JobRef) -> PushOutcome {
+    fn pushback(&self, job: JobRef) -> Option<JobRef> {
         // During shutdown, run the job here instead of relaying: a deposit
         // could land in the mailbox of a worker that has already performed
         // its final drain and exited, stranding the job until the registry
         // drops (Mailbox::drop would still run it, but only after the
         // pool's destructor returned — too late for the drain guarantee).
         if self.registry.is_shutting_down() {
-            return PushOutcome::Kept(job);
+            return Some(job);
         }
         let place_idx = match job.place().index() {
             Some(p) => p % self.registry.map.num_places(),
-            None => return PushOutcome::Kept(job),
+            None => return Some(job),
         };
         let candidates: &[usize] = &self.registry.push_candidates[self.index][place_idx];
         if candidates.is_empty() {
-            return PushOutcome::Kept(job);
+            return Some(job);
         }
         self.switch_to(Category::Sched);
         let mut job = job;
@@ -1036,7 +1013,7 @@ impl WorkerThread {
             let Ok(deposit) = self.fault_guard(|| self.registry.mailboxes[r].try_deposit(job))
             else {
                 bump!(self.local, push_failures);
-                break PushOutcome::Kept(job);
+                break Some(job);
             };
             match deposit {
                 Ok(()) => {
@@ -1047,13 +1024,13 @@ impl WorkerThread {
                     // land on a sleeper that cannot see this job and would
                     // re-sleep, leaving the owner napping out its timeout.
                     self.registry.sleep.wake_all();
-                    break PushOutcome::Delivered;
+                    break None;
                 }
                 Err(back) => job = back,
             }
             if attempts > self.registry.policy.push_threshold {
                 bump!(self.local, push_failures);
-                break PushOutcome::Kept(job);
+                break Some(job);
             }
         };
         self.switch_to(Category::Idle);
@@ -1082,7 +1059,6 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
         local: LocalCounters::default(),
         trace_task: Cell::new(0),
         frames: FrameStack::new(),
-        lazy_joins: registry.trace.is_none(),
         registry,
         index,
         deque,

@@ -206,15 +206,17 @@ impl<'scope> Scope<'scope> {
         // found it, or inline on the deque-full fallback below — and
         // `conclude`'s wait keeps `self` (and all `'scope` borrows) alive
         // until the CountLatch records that execution.
-        let job_ref = unsafe { crate::job::JobRef::new(Box::into_raw(job), place) };
+        let mut job_ref = unsafe { crate::job::JobRef::new(Box::into_raw(job), place) };
         match WorkerThread::current() {
             Some(worker) if Arc::ptr_eq(&worker.registry, &self.registry) => {
                 worker.note_scope_spawn();
+                worker.record_spawn(&mut job_ref);
                 if let Err(full) = worker.push(job_ref) {
                     // Deque full: run the task now (losing stealability,
-                    // never correctness) — same degradation as `join`.
+                    // never correctness) — same degradation as `join`, in
+                    // the task's own trace bracket.
                     // SAFETY: rejected by push, so not executable elsewhere.
-                    unsafe { full.0.execute() }
+                    worker.run_traced(full.0.trace(), || unsafe { full.0.execute() })
                 }
             }
             // Spawn from outside the pool (the scope handle crossed

@@ -259,9 +259,8 @@ counters! {
         /// PUSHBACK episodes abandoned at the threshold.
         push_failures => total_push_failures,
         /// Fire-and-forget job closures that panicked on this worker. The
-        /// panic is caught (never unwinds the worker), counted here, and routed
-        /// to the pool's panic handler — see
-        /// [`PoolBuilder::panic_handler`](crate::PoolBuilder::panic_handler).
+        /// panic is caught (never unwinds the worker), counted here, and
+        /// printed in debug builds.
         job_panics => total_job_panics,
     }
     thief {
@@ -308,10 +307,13 @@ impl WorkerStats {
 pub struct PoolStats {
     /// One snapshot per worker, by index.
     pub workers: Vec<WorkerStatsSnapshot>,
-    /// Submissions refused back to the caller by a full bounded ingress
-    /// queue: every `Err` from [`Pool::try_spawn`](crate::Pool::try_spawn),
-    /// plus `install` calls that had to wait-and-degrade. Pool-level (not
-    /// per-worker) because the bouncing thread is external.
+    /// Submissions handed back to the caller: every `Err` from
+    /// [`Pool::try_spawn`](crate::Pool::try_spawn) or
+    /// [`Pool::try_spawn_at`](crate::Pool::try_spawn_at) (a full bounded
+    /// ingress queue, or a shutting-down or poisoned pool). Nothing else
+    /// counts here: `install` waits for space and `spawn` sheds into
+    /// [`sheds`](Self::sheds). Pool-level (not per-worker) because the
+    /// bouncing thread is external.
     pub ingress_rejects: u64,
     /// Jobs accepted by `spawn` but dropped unrun under
     /// [`OverflowPolicy::Reject`](crate::OverflowPolicy::Reject) because

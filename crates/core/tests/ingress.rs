@@ -362,7 +362,7 @@ fn spawn_counter_excludes_overflows() {
 /// (or before blocking), so the same capacity-8 deque never overflows and
 /// every join counts one spawn.
 #[test]
-fn lazy_joins_never_overflow_a_small_deque() {
+fn lazy_join_frames_never_overflow_a_small_deque() {
     fn count(depth: u32) -> u64 {
         if depth == 0 {
             return 1;

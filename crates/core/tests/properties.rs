@@ -2,9 +2,10 @@
 //! expression trees agrees with serial evaluation, under every scheduler
 //! mode and any hint assignment.
 
-use numa_ws::{join_at, par_for, Place, Pool, SchedPolicy};
+use numa_ws::{join, join_at, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicU64, Ordering};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// A random expression tree with place hints on the stealable branches.
 #[derive(Debug, Clone)]
@@ -53,6 +54,17 @@ fn eval_parallel(e: &Expr) -> u64 {
             let (x, y) = join_at(|| eval_parallel(a), || eval_parallel(b), place);
             x.wrapping_mul(y)
         }
+    }
+}
+
+/// Runs `body(i)` for every `i` in `range` by recursive `join` halving down
+/// to `grain`-sized sequential leaves.
+fn par_for(range: Range<usize>, grain: usize, body: &(impl Fn(usize) + Sync)) {
+    if range.len() <= grain {
+        range.for_each(body);
+    } else {
+        let mid = range.start + range.len() / 2;
+        join(|| par_for(range.start..mid, grain, body), || par_for(mid..range.end, grain, body));
     }
 }
 

@@ -279,6 +279,43 @@ fn spawns_count_every_fork_and_promotions_stay_few() {
 }
 
 #[test]
+fn recording_pool_forks_joins_lazily() {
+    // Recording does not change the scheduler: a traced lone worker hides
+    // its join branches and promotes only a few, as an untraced one does,
+    // and every recorded task has its bracket, whether its branch ran in
+    // place from a hidden frame or was popped back after a promotion.
+    let pool = Pool::builder().workers(1).record_trace(true).build().unwrap();
+    assert_eq!(pool.install(|| fib(10)), 55);
+    let stats = pool.stats();
+    let promotions = stats.total_join_promotions();
+    assert!(0 < promotions && promotions < stats.total_spawns(), "{stats:?}");
+    let trace = pool.take_trace("fib10").expect("recording was on");
+    // 88 joins (one per internal call of fib(10)) plus the install root.
+    assert_eq!(stats.total_spawns(), 88, "{stats:?}");
+    assert_eq!(trace.tasks.len(), 89);
+    assert_eq!(trace.num_started(), 89);
+}
+
+#[test]
+fn recording_pool_brackets_overflowed_spawns() {
+    // A one-slot deque overflows scope spawns and eager forks alike; each
+    // overflowed job runs inline inside its own Start/End bracket.
+    let pool = Pool::builder().workers(1).deque_capacity(1).record_trace(true).build().unwrap();
+    pool.scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|_| {
+                std::hint::black_box(fib(4));
+            });
+        }
+    });
+    let stats = pool.stats();
+    assert!(stats.total_spawn_overflows() > 0, "{stats:?}");
+    let trace = pool.take_trace("overflow").expect("recording was on");
+    trace.validate().expect("well-formed trace");
+    assert_eq!(trace.num_started(), trace.tasks.len());
+}
+
+#[test]
 fn thief_takes_hidden_branch_of_a_scope_blocked_owner() {
     // The inner join's branch is recorded while the outer branch sits on
     // the deque (when no thief has taken it yet), so it starts hidden. Its

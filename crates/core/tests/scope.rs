@@ -268,14 +268,25 @@ fn scope_composes_with_join_in_both_directions() {
     assert_eq!(acc.into_inner(), 420);
 }
 
+/// Runs `body(i)` for every `i` in `range`, one leaf per index, by
+/// recursive `join` halving.
+fn par_for(range: std::ops::Range<usize>, body: &(impl Fn(usize) + Sync)) {
+    if range.len() <= 1 {
+        range.for_each(body);
+    } else {
+        let mid = range.start + range.len() / 2;
+        numa_ws::join(|| par_for(range.start..mid, body), || par_for(mid..range.end, body));
+    }
+}
+
 #[test]
 fn many_concurrent_scopes_via_par_for() {
-    // Scopes created concurrently on many workers at once (each par_for
+    // Scopes created concurrently on many workers at once (each `par_for`
     // leaf opens its own), hammering CountLatch wake paths.
     let pool = Pool::builder().workers(8).places(4).build().unwrap();
     let total = AtomicUsize::new(0);
     pool.install(|| {
-        numa_ws::par_for(0..64, 1, &|_| {
+        par_for(0..64, &|_| {
             scope(|s| {
                 for _ in 0..8 {
                     s.spawn(|_| {

@@ -456,23 +456,38 @@ impl<T> TheWorker<T> {
 }
 
 impl<T> TheStealer<T> {
-    /// Steals the oldest item from the head: read `H`, fence, read `T`,
-    /// speculative copy, claim by `CAS(H, H+1)`. Lock-free — a thief
+    /// Steals from the head, the only thief claim: read `H`, fence, read
+    /// `T`, speculative copy, claim by `CAS(H, H+1)`. Lock-free — a thief
     /// never blocks the owner or other thieves, it only ever loses a CAS.
     ///
-    /// Returns `None` if the deque is empty or the claim CAS lost (to
-    /// another thief, or to the owner arbitrating the last item). A lost
-    /// claim is not retried here: the scheduler treats it as a failed
-    /// attempt and re-picks a victim.
-    pub fn steal(&self) -> Option<T> {
+    /// Steal-half batching: claims up to ⌈n/2⌉ of the `n` items observed
+    /// (bounded by `limit + 1` total, so `limit == 0` steals one item),
+    /// returning the first claimed item and feeding each further one to
+    /// `sink` in FIFO order. The batch is a bounded loop of single-item
+    /// claims — each iteration re-runs the full handshake (fresh head,
+    /// fence, fresh tail, speculative copy, CAS), because claiming several
+    /// indices with one wide CAS is unsound against the owner's
+    /// unarbitrated fast pop (module docs, DESIGN.md §4). What the batch
+    /// amortizes is the scheduler's per-steal work: victim selection,
+    /// mailbox probing, counter traffic, and the trip back for more.
+    ///
+    /// `limit` is the most items the caller can absorb through `sink`
+    /// (e.g. the thief's own deque's spare capacity); `sink` is called
+    /// synchronously, between claims, and must not touch this deque.
+    /// Stops early on any lost CAS or observed-empty. Allocation-free.
+    ///
+    /// Returns `None` (without calling `sink`) if the deque is empty or
+    /// the first claim lost its CAS (to another thief, or to the owner
+    /// arbitrating the last item). A lost claim is not retried here: the
+    /// scheduler treats it as a failed attempt and re-picks a victim.
+    pub fn steal_batch(&self, limit: usize, mut sink: impl FnMut(T)) -> Option<T> {
         let inner = &*self.inner;
         // Chaos-tier fault point (a no-op in default builds): `fail`
         // forces a steal retry, `delay` stalls the thief mid-protocol —
-        // which, lock-free, no longer stalls anyone else — and `panic`
-        // models a thief dying mid-steal. It fires before the handshake,
-        // so an unwind from here leaves the indices untouched: nothing
-        // was claimed, no item is consumed, and the deque stays
-        // consistent without any lock-release-on-unwind argument.
+        // which, lock-free, stalls nobody else — and `panic` models a
+        // thief dying mid-steal. It fires before the handshake, so an
+        // unwind from here leaves the indices untouched: nothing was
+        // claimed, no item is consumed, and the deque stays consistent.
         if nws_sync::fault::hit("steal.handshake") {
             return None;
         }
@@ -484,40 +499,6 @@ impl<T> TheStealer<T> {
         // Acquire pairs with the owner's Release tail stores: reading any
         // tail value t makes every slot below t visible, including the
         // one we are about to copy.
-        let t = inner.tail.load(Acquire);
-        if h >= t {
-            return None;
-        }
-        inner.claim(h)
-    }
-
-    /// Steal-half batching: claims up to ⌈n/2⌉ of the `n` items observed
-    /// (bounded by `limit + 1` total), returning the first claimed item
-    /// and feeding each further one to `sink` in FIFO order. The batch is
-    /// a bounded loop of single-item claims — each iteration re-runs the
-    /// full handshake (fresh head, fence, fresh tail, speculative copy,
-    /// CAS), because claiming several indices with one wide CAS is
-    /// unsound against the owner's unarbitrated fast pop (module docs,
-    /// DESIGN.md §4). What the batch amortizes is the scheduler's
-    /// per-steal work: victim selection, mailbox probing, counter
-    /// traffic, and the trip back for more.
-    ///
-    /// `limit` is the most items the caller can absorb through `sink`
-    /// (e.g. the thief's own deque's spare capacity); `sink` is called
-    /// synchronously, between claims, and must not touch this deque.
-    /// Stops early on any lost CAS or observed-empty. Allocation-free.
-    ///
-    /// Returns `None` (without calling `sink`) if the deque is empty or
-    /// the first claim lost its CAS.
-    pub fn steal_batch(&self, limit: usize, mut sink: impl FnMut(T)) -> Option<T> {
-        let inner = &*self.inner;
-        // Chaos-tier fault point: same contract as in `steal` — fires
-        // before any claim, so an unwind consumes nothing.
-        if nws_sync::fault::hit("steal.handshake") {
-            return None;
-        }
-        let h = inner.head.load(Acquire);
-        inner.handshake_fence();
         let t = inner.tail.load(Acquire);
         if h >= t {
             return None;
@@ -615,6 +596,11 @@ mod tests {
     use super::*;
     use nws_sync::Mutex;
 
+    /// One single-item claim: a batch steal with no room to spill.
+    fn steal_one<T>(s: &TheStealer<T>) -> Option<T> {
+        s.steal_batch(0, |_| unreachable!("limit 0 spills nothing"))
+    }
+
     #[test]
     fn lifo_at_tail_fifo_at_head() {
         let (w, s) = the_deque::<i32>(8);
@@ -622,18 +608,18 @@ mod tests {
             w.push(i).unwrap();
         }
         assert_eq!(w.pop(), Some(3));
-        assert_eq!(s.steal(), Some(0));
-        assert_eq!(s.steal(), Some(1));
+        assert_eq!(steal_one(&s), Some(0));
+        assert_eq!(steal_one(&s), Some(1));
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
-        assert_eq!(s.steal(), None);
+        assert_eq!(steal_one(&s), None);
     }
 
     #[test]
     fn empty_pop_and_steal() {
         let (w, s) = the_deque::<u8>(4);
         assert_eq!(w.pop(), None);
-        assert_eq!(s.steal(), None);
+        assert_eq!(steal_one(&s), None);
         assert!(w.is_empty());
         assert!(s.is_empty());
     }
@@ -656,7 +642,7 @@ mod tests {
         w.push(0).unwrap();
         w.push(1).unwrap();
         assert!(w.push(2).is_err());
-        assert_eq!(s.steal(), Some(0));
+        assert_eq!(steal_one(&s), Some(0));
         w.push(2).unwrap();
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), Some(1));
@@ -696,7 +682,7 @@ mod tests {
         spilled.clear();
         assert_eq!(s.steal_batch(0, |v| spilled.push(v)), Some(3));
         assert!(spilled.is_empty());
-        while s.steal().is_some() {}
+        while steal_one(&s).is_some() {}
         assert_eq!(s.steal_batch(8, |v| spilled.push(v)), None);
         assert!(spilled.is_empty());
     }
@@ -712,7 +698,7 @@ mod tests {
                     model.push_back(round);
                 }
                 3 => assert_eq!(w.pop(), model.pop_back()),
-                _ => assert_eq!(s.steal(), model.pop_front()),
+                _ => assert_eq!(steal_one(&s), model.pop_front()),
             }
             assert_eq!(w.len(), model.len());
         }
@@ -751,8 +737,11 @@ mod tests {
                     // contend on the same head.
                     let batching = tid % 2 == 0;
                     loop {
-                        let got =
-                            if batching { s.steal_batch(8, |v| local.push(v)) } else { s.steal() };
+                        let got = if batching {
+                            s.steal_batch(8, |v| local.push(v))
+                        } else {
+                            steal_one(&s)
+                        };
                         match got {
                             Some(v) => local.push(v),
                             None if done.load(SeqCst) => {
@@ -807,7 +796,7 @@ mod tests {
             let (a, b) = std::thread::scope(|scope| {
                 let thief = scope.spawn(|| {
                     barrier.wait();
-                    s.steal()
+                    steal_one(&s)
                 });
                 barrier.wait();
                 let mine = w.pop();
@@ -847,7 +836,7 @@ mod tests {
                         let got = if round.is_multiple_of(2) {
                             s.steal_batch(2, |v| local.push(v))
                         } else {
-                            s.steal()
+                            steal_one(&s)
                         };
                         if let Some(v) = got {
                             local.push(v);

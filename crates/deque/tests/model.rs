@@ -19,11 +19,20 @@
 //!   reduced variant so `cargo test` stays fast now that the checked tier
 //!   carries the exhaustive-interleaving burden.
 
+use nws_deque::TheStealer;
+
+/// One single-item claim: a batch steal with no room to spill. The
+/// runtime claims only through `steal_batch`, so both tiers test that code.
+fn steal_one<T>(s: &TheStealer<T>) -> Option<T> {
+    s.steal_batch(0, |_| unreachable!("limit 0 spills nothing"))
+}
+
 // `not_model!`/`model_only!` instead of raw `#[cfg(...)]`: the
 // cfg-confinement rule (DESIGN.md §10) keeps the cfg names inside
 // crates/sync.
 nws_sync::not_model! {
 mod stress {
+    use super::steal_one;
     use nws_deque::{the_deque, Full};
     use nws_sync::atomic::{AtomicBool, Ordering::SeqCst};
     use proptest::prelude::*;
@@ -56,7 +65,7 @@ mod stress {
                         model.push_back(v);
                     }
                     Op::Pop => prop_assert_eq!(w.pop(), model.pop_back()),
-                    Op::Steal => prop_assert_eq!(s.steal(), model.pop_front()),
+                    Op::Steal => prop_assert_eq!(steal_one(&s), model.pop_front()),
                 }
                 prop_assert_eq!(w.len(), model.len());
                 prop_assert_eq!(s.is_empty(), model.is_empty());
@@ -80,7 +89,7 @@ mod stress {
                 w.push(v).unwrap();
             }
             let mut stolen = Vec::new();
-            while let Some(v) = s.steal() {
+            while let Some(v) = steal_one(&s) {
                 stolen.push(v);
             }
             prop_assert_eq!(stolen, values);
@@ -111,7 +120,7 @@ mod stress {
                             let got = if batching {
                                 s.steal_batch(4, |v| local.push(v))
                             } else {
-                                s.steal()
+                                steal_one(&s)
                             };
                             if let Some(v) = got {
                                 local.push(v);
@@ -186,6 +195,7 @@ mod stress {
 
 nws_sync::model_only! {
 mod checked {
+    use super::steal_one;
     use nws_deque::{
         the_deque, the_deque_naive_batch_for_model, the_deque_weak_fence_for_model, Full,
     };
@@ -214,7 +224,7 @@ mod checked {
             let t = thread::spawn(move || {
                 let mut got = Vec::new();
                 for _ in 0..2 {
-                    if let Some(v) = s.steal() {
+                    if let Some(v) = steal_one(&s) {
                         got.push(v);
                     }
                 }
@@ -248,7 +258,7 @@ mod checked {
             let t = thread::spawn(move || {
                 let mut got = Vec::new();
                 for _ in 0..3 {
-                    if let Some(v) = s.steal() {
+                    if let Some(v) = steal_one(&s) {
                         got.push(v);
                     }
                 }
@@ -287,8 +297,8 @@ mod checked {
             w.push(1).unwrap();
             w.push(2).unwrap();
             let s2 = s.clone();
-            let t1 = thread::spawn(move || s.steal());
-            let t2 = thread::spawn(move || s2.steal());
+            let t1 = thread::spawn(move || steal_one(&s));
+            let t2 = thread::spawn(move || steal_one(&s2));
             let mut all = Vec::new();
             all.extend(t1.join().unwrap());
             all.extend(t2.join().unwrap());
@@ -387,7 +397,7 @@ mod checked {
         let t = thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Some(v) = s.steal() {
+                if let Some(v) = steal_one(&s) {
                     got.push(v);
                 }
             }
@@ -420,7 +430,7 @@ mod checked {
         let t = thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Some(v) = s.steal() {
+                if let Some(v) = steal_one(&s) {
                     got.push(v);
                 }
             }

@@ -1,6 +1,6 @@
-//! Assignment of worker threads to cores, sockets, and virtual places.
+//! Assignment of worker threads to sockets and virtual places.
 
-use crate::{CoreId, Place, SocketId, Topology, TopologyError};
+use crate::{Place, SocketId, Topology, TopologyError};
 use serde::{Deserialize, Serialize};
 
 /// Policy for mapping `P` workers onto the machine (paper §III-A: the user
@@ -22,13 +22,15 @@ pub enum Placement {
     },
 }
 
-/// The fixed worker → (core, socket, place) assignment for one run.
+/// The fixed worker → (socket, place) assignment for one run.
 ///
 /// Virtual places are numbered densely `0..S` over the sockets in use, so
-/// `Place(i)` is the group of workers on the `i`-th used socket.
+/// `Place(i)` is the group of workers on the `i`-th used socket. Workers
+/// are not pinned (DESIGN.md §2), so the map keeps no core per worker;
+/// [`Placement::assign`] still checks that every worker would have a core
+/// of its own on its socket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerMap {
-    cores: Vec<CoreId>,
     sockets: Vec<SocketId>,
     places: Vec<Place>,
     num_places: usize,
@@ -38,9 +40,9 @@ pub struct WorkerMap {
 impl Placement {
     /// Computes the worker map for `workers` workers on `topo`.
     ///
-    /// Worker 0 is always pinned to the first core of the first used socket
-    /// (the paper pins the root computation there, which makes the first
-    /// spawned child implicitly run at place 0).
+    /// Worker 0 always goes to the first used socket (the paper pins the
+    /// root computation to its first core, which makes the first spawned
+    /// child implicitly run at place 0).
     ///
     /// # Errors
     ///
@@ -81,24 +83,18 @@ impl Placement {
             }
         };
 
-        // Spread evenly: round-robin over the used sockets, taking the next
-        // free core within each socket.
-        let mut next_core = vec![0usize; sockets_used];
-        let mut cores = Vec::with_capacity(workers);
+        // Spread evenly: round-robin over the used sockets. The checks above
+        // leave every socket at most `cores_per_socket` workers.
         let mut sockets = Vec::with_capacity(workers);
         let mut places = Vec::with_capacity(workers);
         let mut workers_per_place = vec![Vec::new(); sockets_used];
         for w in 0..workers {
             let s = w % sockets_used;
-            let core = CoreId(s * topo.cores_per_socket() + next_core[s]);
-            next_core[s] += 1;
-            debug_assert!(next_core[s] <= topo.cores_per_socket());
-            cores.push(core);
             sockets.push(SocketId(s));
             places.push(Place(s));
             workers_per_place[s].push(w);
         }
-        Ok(WorkerMap { cores, sockets, places, num_places: sockets_used, workers_per_place })
+        Ok(WorkerMap { sockets, places, num_places: sockets_used, workers_per_place })
     }
 }
 
@@ -106,7 +102,7 @@ impl WorkerMap {
     /// Number of workers in the map.
     #[inline]
     pub fn num_workers(&self) -> usize {
-        self.cores.len()
+        self.sockets.len()
     }
 
     /// Number of virtual places (sockets in use).
@@ -152,7 +148,7 @@ impl WorkerMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
+    use crate::{presets, CoreId};
 
     #[test]
     fn packed_uses_minimum_sockets() {
@@ -178,7 +174,8 @@ mod tests {
     fn worker_zero_on_first_core() {
         let topo = presets::paper_machine();
         let map = Placement::Packed.assign(&topo, 32).unwrap();
-        assert_eq!(map.cores[0], CoreId(0));
+        assert_eq!(map.socket_of(0), topo.socket_of(CoreId(0)));
+        assert_eq!(map.workers_of_place(Place(0))[0], 0);
         assert_eq!(map.place_of(0), Place(0));
     }
 
@@ -202,13 +199,20 @@ mod tests {
 
     #[test]
     fn cores_unique_and_on_claimed_socket() {
+        // Every worker fits on a core of its own on the socket it claims:
+        // no socket holds more workers than cores, and a worker's socket is
+        // its place's socket.
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 32).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for w in 0..32 {
-            let core = map.cores[w];
-            assert!(seen.insert(core), "core {core} assigned twice");
-            assert_eq!(topo.socket_of(core), map.socket_of(w));
+        for workers in [1, 9, 24, 32] {
+            let map = Placement::Packed.assign(&topo, workers).unwrap();
+            assert_eq!(map.num_workers(), workers);
+            for p in 0..map.num_places() {
+                let on_place = map.workers_of_place(Place(p));
+                assert!(on_place.len() <= topo.cores_per_socket(), "workers={workers}");
+                for &w in on_place {
+                    assert_eq!(map.socket_of(w), map.socket_of_place(Place(p)));
+                }
+            }
         }
     }
 
