@@ -3,8 +3,8 @@
 //! A [`JobRef`] is the runtime's "frame": a raw pointer to a job plus its
 //! execute thunk and the **place hint** the NUMA-WS protocol routes by.
 //! The shadow-frame/full-frame economy of the paper appears here as: an
-//! unhinted `join` records its `JobRef` in the worker's owner-only frame
-//! stack (a few plain stores, see `crate::frames`) and runs it in place
+//! unhinted `join` records two words of its `JobRef` ([`RawJob`]) in
+//! the worker's owner-only frame stack (see `crate::frames`) and runs it in place
 //! with [`StackJob::run_in_place`] unless the worker promoted it onto the
 //! deque; a *steal* is where the runtime pays for latches, result
 //! plumbing, and possibly a PUSHBACK episode (promotion to full).
@@ -70,6 +70,12 @@ impl JobRef {
         self.trace = id;
     }
 
+    /// The ref without its place and trace id (see [`RawJob`]).
+    #[inline(always)]
+    pub(crate) fn raw(self) -> RawJob {
+        RawJob { pointer: self.pointer, execute_fn: self.execute_fn }
+    }
+
     /// The locality hint attached at spawn time.
     #[inline]
     pub(crate) fn place(&self) -> Place {
@@ -91,6 +97,27 @@ impl JobRef {
     #[inline]
     pub(crate) unsafe fn execute(self) {
         (self.execute_fn)(self.pointer)
+    }
+}
+
+/// A [`JobRef`] without its place and trace id: the two words a hidden
+/// `join` frame stores (a lazily forked job's place is always
+/// [`Place::ANY`], and its trace id lives beside it only when the pool
+/// records; see `crate::frames`). Two words also pass in registers where a
+/// whole `JobRef` passes through memory, which keeps a cold call off the
+/// fork's stores. [`with`](RawJob::with) rebuilds the full ref.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RawJob {
+    pointer: *const (),
+    execute_fn: unsafe fn(*const ()),
+}
+
+impl RawJob {
+    /// The [`JobRef`] this was taken [`raw`](JobRef::raw) from, given its
+    /// place and trace id back.
+    #[inline]
+    pub(crate) fn with(self, place: Place, trace: u64) -> JobRef {
+        JobRef { pointer: self.pointer, execute_fn: self.execute_fn, place, trace }
     }
 }
 
@@ -207,12 +234,16 @@ where
         // the exactness half of the deferred-flush protocol (stats module
         // docs). Steal path: the owner's un-stolen jobs never come here.
         // The trace End obeys the same rule: a caller that observes the
-        // latch and drains the trace must find this bracket closed.
-        if let Some(worker) = crate::registry::WorkerThread::current() {
-            worker.flush_counters();
-            worker.trace_close();
+        // latch and drains the trace must find this bracket closed. The
+        // same worker's pool wakes the joiner.
+        match crate::registry::WorkerThread::current() {
+            Some(worker) => {
+                worker.flush_counters();
+                worker.trace_close();
+                this.latch.set(Some(&worker.registry.sleep));
+            }
+            None => this.latch.set(None),
         }
-        this.latch.set();
     }
 }
 
@@ -300,12 +331,10 @@ where
 mod tests {
     use super::*;
     use crate::latch::SpinLatch;
-    use crate::sleep::Sleep;
 
     #[test]
     fn stack_job_inline_run() {
-        let sleep = Sleep::new();
-        let job = StackJob::new(SpinLatch::new(&sleep), || 40 + 2);
+        let job = StackJob::new(SpinLatch::new(), || 40 + 2);
         // SAFETY: never turned into a JobRef, so the job has not executed.
         let r = unsafe { job.run_in_place() };
         assert_eq!(r, 42);
@@ -313,8 +342,7 @@ mod tests {
 
     #[test]
     fn stack_job_execute_then_take() {
-        let sleep = Sleep::new();
-        let job = StackJob::new(SpinLatch::new(&sleep), || "done".to_string());
+        let job = StackJob::new(SpinLatch::new(), || "done".to_string());
         // SAFETY: `job` is a local that outlives `jr`.
         let jr = unsafe { job.as_job_ref(Place(1)) };
         assert_eq!(jr.place(), Place(1));
@@ -327,8 +355,7 @@ mod tests {
 
     #[test]
     fn stack_job_panic_captured() {
-        let sleep = Sleep::new();
-        let job: StackJob<_, _, ()> = StackJob::new(SpinLatch::new(&sleep), || panic!("boom"));
+        let job: StackJob<_, _, ()> = StackJob::new(SpinLatch::new(), || panic!("boom"));
         // SAFETY: `job` is a local that outlives `jr`.
         let jr = unsafe { job.as_job_ref(Place::ANY) };
         // SAFETY: executed exactly once; must not propagate the panic here.
@@ -366,8 +393,7 @@ mod tests {
 
     #[test]
     fn job_ref_identity() {
-        let sleep = Sleep::new();
-        let job = StackJob::new(SpinLatch::new(&sleep), || 0u8);
+        let job = StackJob::new(SpinLatch::new(), || 0u8);
         // SAFETY: `job` is a local that outlives `jr`.
         let jr = unsafe { job.as_job_ref(Place::ANY) };
         assert_eq!(jr.id(), &job as *const _ as *const ());

@@ -14,15 +14,19 @@
 //! lazily: `b` is recorded in the worker's owner-only frame stack, not
 //! pushed, and runs in place after `a` unless the worker promoted it onto
 //! its deque meanwhile (it does so when the deque is empty, and before it
-//! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §5). The
-//! fast path (no promotion) is a few plain stores and two emptiness checks
-//! — no deque operation, no fence, no allocation, no latch wait. A hinted
-//! join (the paper's PUSHBACK and mailboxes must see it) and a join forked
-//! over a full frame stack push `b` eagerly and pop it back. A
+//! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §5). Its
+//! path without promotion inlines whole into the caller and stores only
+//! what a later promotion needs: `b`'s closure, its empty result and latch
+//! flag, the frame's two words and `top`, and the `spawns` count. It has
+//! no deque operation, no fence, no allocation and no out-of-line call
+//! but `a` and `b`; promotion, the eager fallback and trace recording are
+//! cold functions. A hinted join (the paper's PUSHBACK and mailboxes must
+//! see it) and a join forked over a full frame stack push `b` eagerly and
+//! pop it back. Both forks share one tail ([`join_forked`]). A
 //! trace-recording pool forks the same way; a `b` run in place gets the
 //! same Start/End bracket wherever its `JobRef` was.
 
-use crate::job::StackJob;
+use crate::job::{JobRef, RawJob, StackJob};
 use crate::latch::SpinLatch;
 use crate::registry::WorkerThread;
 use nws_topology::Place;
@@ -48,6 +52,7 @@ use std::panic::{self, AssertUnwindSafe};
 /// let (a, b) = pool.install(|| numa_ws::join(|| 6 * 7, || "hi"));
 /// assert_eq!((a, b), (42, "hi"));
 /// ```
+#[inline]
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -55,7 +60,7 @@ where
     RA: Send,
     RB: Send,
 {
-    join_at(a, b, Place::ANY)
+    join_forked(current_worker(), a, b, Place::ANY, fork_lazy)
 }
 
 /// Like [`join`], but hints that the stealable half `b` should run at
@@ -70,6 +75,7 @@ where
 /// # Panics
 ///
 /// As [`join`].
+#[inline]
 pub fn join_at<A, B, RA, RB>(a: A, b: B, place: Place) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -77,46 +83,98 @@ where
     RA: Send,
     RB: Send,
 {
-    let worker = WorkerThread::current()
-        .expect("numa_ws::join must be called from within a pool; enter one with Pool::install");
-    join_on_worker(worker, a, b, place)
+    if place.index().is_none() {
+        return join(a, b);
+    }
+    // A hinted `b` forks eagerly, so PUSHBACK and the mailboxes see it.
+    join_forked(current_worker(), a, b, place, |worker, job| {
+        fork_eager(worker, job.raw(), job.place(), job.trace())
+    })
 }
 
-fn join_on_worker<A, B, RA, RB>(worker: &WorkerThread, a: A, b: B, place: Place) -> (RA, RB)
+#[inline(always)]
+fn current_worker() -> &'static WorkerThread {
+    WorkerThread::current()
+        .expect("numa_ws::join must be called from within a pool; enter one with Pool::install")
+}
+
+/// Where a join's fork put `b`.
+enum Fork {
+    /// Hidden frame `index` of the worker's frame stack.
+    Hidden(usize),
+    /// The worker's deque.
+    Pushed,
+    /// Nowhere: the deque was full, so `b` lost its stealability.
+    Unshared,
+}
+
+/// The lazy fork: `b` becomes a hidden frame, or, over a full frame stack,
+/// an eager push.
+#[inline(always)]
+fn fork_lazy(worker: &WorkerThread, job: JobRef) -> Fork {
+    match worker.fork_lazy(job) {
+        Some(frame) => Fork::Hidden(frame),
+        None => fork_eager(worker, job.raw(), job.place(), job.trace()),
+    }
+}
+
+/// The eager fork: `b` goes onto the deque, above every hidden frame. The
+/// job comes in parts, which pass in registers: a whole `JobRef` would go
+/// through memory, and the lazy fork would pay those stores even when it
+/// never calls this.
+#[cold]
+#[inline(never)]
+fn fork_eager(worker: &WorkerThread, job: RawJob, place: Place, trace: u64) -> Fork {
+    if worker.push(job.with(place, trace)).is_ok() {
+        Fork::Pushed
+    } else {
+        Fork::Unshared
+    }
+}
+
+/// The one body of every join: fork `b` with `fork`, run `a`, then resolve
+/// `b` (run it in place, pop it back, or wait for the thief), check the
+/// exit, and hand back both results or the first panic.
+#[inline(always)]
+fn join_forked<A, B, RA, RB>(
+    worker: &WorkerThread,
+    a: A,
+    b: B,
+    place: Place,
+    fork: impl FnOnce(&WorkerThread, JobRef) -> Fork,
+) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
-    let job_b = StackJob::new(SpinLatch::new(&worker.registry.sleep), b);
+    let job_b = StackJob::new(SpinLatch::new(), b);
+    // The fork's one Spawn record, before `b` lands in a hidden frame, on
+    // the deque, or (deque full) nowhere; every copy of the ref carries it.
+    let trace = worker.record_spawn(place);
     // SAFETY: job_b stays in place on this stack frame until resolved
     // below, and is executed exactly once (in place xor stolen).
     let mut ref_b = unsafe { job_b.as_job_ref(place) };
-    // The fork's one Spawn record, before `b` lands in a hidden frame, on
-    // the deque, or (deque full) nowhere; every copy of ref_b carries it.
-    worker.record_spawn(&mut ref_b);
-    // A hinted `b` forks eagerly, so PUSHBACK and the mailboxes see it.
-    let frame = if place.index().is_none() { worker.fork_lazy(ref_b) } else { None };
-    let pushed = frame.is_none() && worker.push(ref_b).is_ok();
+    ref_b.set_trace(trace);
+    let forked = fork(worker, ref_b);
 
     // Execute `a`; hold any panic until `b` is resolved, because job_b
     // lives on our stack and a thief may be running it right now.
     let status_a = panic::catch_unwind(AssertUnwindSafe(a));
 
-    let in_place = match frame {
+    let in_place = match forked {
         // A frame still hidden was job_b's only JobRef; a promoted one ends
         // like an eager fork.
-        Some(frame) => worker.resolve_frame(frame) || pop_back(worker, ref_b.id()),
-        // A deque too full for the push leaves `b` unshared: it loses
-        // stealability, nothing else.
-        None => !pushed || pop_back(worker, ref_b.id()),
+        Fork::Hidden(frame) => worker.resolve_frame(frame) || pop_back(worker, ref_b.id()),
+        Fork::Pushed => pop_back(worker, ref_b.id()),
+        Fork::Unshared => true,
     };
     let result_b: Result<RB, Box<dyn Any + Send>> = if in_place {
         // SAFETY: no other thread holds a JobRef to job_b (never exposed,
         // popped back, or refused by the deque), and it has not run.
         let run_b = || unsafe { job_b.run_in_place() };
-        worker.run_traced(ref_b.trace(), || panic::catch_unwind(AssertUnwindSafe(run_b)))
+        worker.run_traced(trace, || panic::catch_unwind(AssertUnwindSafe(run_b)))
     } else {
         // Stolen: steal-while-waiting until the thief finishes.
         worker.wait_until(&job_b.latch);
@@ -139,7 +197,10 @@ where
 /// the way runs depth-first: `a` (or a waiting frame below this join)
 /// pushed jobs it did not consume, e.g. scope spawns, which outlive the
 /// frame that pushed them by design. The join's own entry, if un-stolen,
-/// sits further down.
+/// sits further down. Out of line: a lazy join gets here only when its
+/// frame was promoted.
+#[cold]
+#[inline(never)]
 fn pop_back(worker: &WorkerThread, id: *const ()) -> bool {
     while let Some(job) = worker.pop() {
         if job.id() == id {

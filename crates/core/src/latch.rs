@@ -1,4 +1,10 @@
 //! Completion latches used to join spawned work.
+//!
+//! A [`SpinLatch`] is one flag, with no reference to the pool's sleep
+//! layer: a `join` forks with one latch store, and the side that sets it
+//! (a thief finishing a stolen branch) passes its own pool's [`Sleep`] to
+//! wake the joiner. Only a pool worker can take a join branch, so the
+//! setter always has that pool at hand.
 
 use crate::sleep::Sleep;
 use nws_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -6,8 +12,10 @@ use nws_sync::{Condvar, Mutex};
 
 /// A one-shot latch: starts unset, becomes set exactly once.
 pub(crate) trait Latch {
-    /// Marks the latch as set (release semantics).
-    fn set(&self);
+    /// Marks the latch as set (release semantics) and wakes its waiter.
+    /// `sleep` is the sleep layer of the pool whose worker sets the latch,
+    /// `None` when the setter is not a pool worker.
+    fn set(&self, sleep: Option<&Sleep>);
 }
 
 /// A completion condition a worker can steal-while-waiting on
@@ -22,23 +30,24 @@ pub(crate) trait Probe {
 
 /// A latch probed by spinning workers that steal while they wait.
 ///
-/// `set` is an atomic store plus one `Relaxed` sleeper probe — the same
-/// trick as the deque-push wake in `WorkerThread::push`. The latch is set
-/// on the *steal* path (a thief finishing a stolen job), so it can afford
-/// to check whether its waiter went to sleep and broadcast a wake-up; the
-/// waiter (`WorkerThread::wait_until`) can therefore deep-sleep on the pool
+/// [`set_and_wake`](SpinLatch::set_and_wake) is an atomic store plus one
+/// `Relaxed` sleeper probe — the same trick as the deque-push wake in
+/// `WorkerThread::push`. The latch is set on the *steal* path (a thief
+/// finishing a stolen job), so it can afford to check whether its waiter
+/// went to sleep and broadcast a wake-up; the waiter
+/// (`WorkerThread::wait_until`) can therefore deep-sleep on the pool
 /// condvar instead of polling in bounded slices. The probe is `Relaxed`: a
 /// stale read can only miss a *just*-committed sleeper, which the sleep
-/// safety-net timeout then bounds — latency, never a hang.
+/// safety-net timeout then bounds — latency, never a hang (and a
+/// `timeout_rescues` count, never silence).
 #[derive(Debug)]
-pub(crate) struct SpinLatch<'a> {
+pub(crate) struct SpinLatch {
     set: AtomicBool,
-    sleep: &'a Sleep,
 }
 
-impl<'a> SpinLatch<'a> {
-    pub(crate) fn new(sleep: &'a Sleep) -> Self {
-        SpinLatch { set: AtomicBool::new(false), sleep }
+impl SpinLatch {
+    pub(crate) fn new() -> Self {
+        SpinLatch { set: AtomicBool::new(false) }
     }
 
     /// Whether the latch has been set (acquire semantics, so data written
@@ -47,31 +56,42 @@ impl<'a> SpinLatch<'a> {
     pub(crate) fn probe(&self) -> bool {
         self.set.load(Ordering::Acquire)
     }
+
+    /// Sets the latch and wakes its joiner if it sleeps on `sleep`, the
+    /// sleep layer of the joiner's pool.
+    ///
+    /// `sleep` is a separate reference, not a field: the instant the store
+    /// becomes visible, the joiner may return and pop the stack frame
+    /// holding this latch, so nothing of `self` may be touched afterwards
+    /// (the classic work-stealing latch hazard). The `Sleep` lives in the
+    /// registry, which the setting worker's own `Arc` keeps alive.
+    #[inline]
+    pub(crate) fn set_and_wake(&self, sleep: &Sleep) {
+        self.set.store(true, Ordering::Release);
+        // Broadcast, not notify-one: the latch is visible only to its own
+        // waiter, so a single notify could land on a different sleeper that
+        // cannot make progress from this event.
+        if sleep.num_sleepers() > 0 {
+            sleep.wake_all();
+        }
+    }
 }
 
-impl Probe for SpinLatch<'_> {
+impl Probe for SpinLatch {
     #[inline]
     fn probe(&self) -> bool {
         SpinLatch::probe(self)
     }
 }
 
-impl Latch for SpinLatch<'_> {
+impl Latch for SpinLatch {
+    /// Off-pool (unit tests) nobody can sleep on the latch, so the store
+    /// alone sets it.
     #[inline]
-    fn set(&self) {
-        // Copy the sleep reference out of the latch BEFORE the store: the
-        // instant `set` becomes visible, the joiner may return and pop the
-        // stack frame holding this latch, so no field of `self` may be
-        // touched afterwards (the classic work-stealing latch hazard). The
-        // `Sleep` itself lives in the registry, which this thread's own
-        // `Arc` keeps alive.
-        let sleep = self.sleep;
-        self.set.store(true, Ordering::Release);
-        // Wake a sleeping joiner. Broadcast, not notify-one: the latch is
-        // visible only to its own waiter, so a single notify could land on
-        // a different sleeper that cannot make progress from this event.
-        if sleep.num_sleepers() > 0 {
-            sleep.wake_all();
+    fn set(&self, sleep: Option<&Sleep>) {
+        match sleep {
+            Some(sleep) => self.set_and_wake(sleep),
+            None => self.set.store(true, Ordering::Release),
         }
     }
 }
@@ -90,7 +110,7 @@ impl Latch for SpinLatch<'_> {
 /// afterwards — including a `sleep` reference stored next to the counter.
 /// Callers therefore copy the pool's [`Sleep`] handle out *before* the
 /// terminal decrement and wake through the copy (`Scope::complete_one` —
-/// the same hazard discipline as [`SpinLatch::set`], shifted one level up
+/// the same hazard discipline as [`SpinLatch::set_and_wake`], shifted one level up
 /// because only the caller knows which memory stays valid).
 #[derive(Debug)]
 pub(crate) struct CountLatch {
@@ -161,7 +181,8 @@ impl LockLatch {
 }
 
 impl Latch for LockLatch {
-    fn set(&self) {
+    /// Wakes its blocked waiter through its own condvar; `sleep` is unused.
+    fn set(&self, _sleep: Option<&Sleep>) {
         let mut guard = self.mutex.lock();
         *guard = true;
         self.cond.notify_all();
@@ -176,9 +197,9 @@ mod tests {
     #[test]
     fn spin_latch_starts_unset() {
         let sleep = Sleep::new();
-        let l = SpinLatch::new(&sleep);
+        let l = SpinLatch::new();
         assert!(!l.probe());
-        l.set();
+        l.set_and_wake(&sleep);
         assert!(l.probe());
     }
 
@@ -196,9 +217,9 @@ mod tests {
             nws_sync::thread::yield_now();
         }
         stop.store(true, Ordering::SeqCst);
-        let l = SpinLatch::new(&sleep);
+        let l = SpinLatch::new();
         let start = std::time::Instant::now();
-        l.set(); // must broadcast and release the sleeper well before 5s
+        l.set_and_wake(&sleep); // must broadcast and release the sleeper well before 5s
         sleeper.join().unwrap();
         assert!(start.elapsed() < std::time::Duration::from_secs(4));
     }
@@ -209,7 +230,7 @@ mod tests {
         let l2 = Arc::clone(&l);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
-            l2.set();
+            l2.set(None);
         });
         // Poll as install does: bounded waits until the latch lands.
         while !l.wait_for(std::time::Duration::from_millis(50)) {}
@@ -223,7 +244,7 @@ mod tests {
         let start = std::time::Instant::now();
         assert!(!l.wait_for(std::time::Duration::from_millis(10)), "unset latch must time out");
         assert!(start.elapsed() >= std::time::Duration::from_millis(5));
-        l.set();
+        l.set(None);
         assert!(l.probe());
         assert!(l.wait_for(std::time::Duration::from_secs(5)), "set latch returns immediately");
     }
@@ -260,9 +281,9 @@ mod tests {
     #[test]
     fn spin_latch_cross_thread_visibility() {
         let sleep = Sleep::new();
-        let l = SpinLatch::new(&sleep);
+        let l = SpinLatch::new();
         std::thread::scope(|s| {
-            s.spawn(|| l.set());
+            s.spawn(|| l.set_and_wake(&sleep));
         });
         assert!(l.probe());
     }

@@ -9,8 +9,8 @@
 //! in its natural habitat.
 
 use crate::frames::FrameStack;
-use crate::job::{HeapJob, JobRef};
-use crate::latch::{CountLatch, Latch, Probe, SpinLatch};
+use crate::job::{HeapJob, Job, JobRef};
+use crate::latch::{CountLatch, Probe, SpinLatch};
 use crate::mailbox::Mailbox;
 use crate::sleep::{Sleep, SleepOutcome};
 use nws_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,17 +136,18 @@ fn count_latch_exactly_one_terminal_decrement() {
 }
 
 /// A joiner deep-sleeping on the pool condvar while a thief sets its
-/// `SpinLatch`: on every schedule the joiner terminates with the latch
-/// observed set. (A `TimedOut` sleep is legal here — the set-side sleeper
-/// probe is deliberately `Relaxed`, and the timeout bounds the stale-read
-/// window — so the property is termination + visibility, not wake-path.)
+/// `SpinLatch` through `set_and_wake` with the pool's sleep layer: on every
+/// schedule the joiner terminates with the latch observed set. (A
+/// `TimedOut` or `Rescued` sleep is legal here — the set-side sleeper probe
+/// is deliberately `Relaxed`, and the timeout bounds the stale-read window
+/// — so the property is termination + visibility, not wake-path.)
 #[test]
 fn spin_latch_set_always_releases_the_joiner() {
     Builder::exhaustive(2, 200_000).run(|| {
         let sleep: &'static Sleep = Box::leak(Box::new(Sleep::new()));
-        let latch: Arc<SpinLatch<'static>> = Arc::new(SpinLatch::new(sleep));
+        let latch = Arc::new(SpinLatch::new());
         let l2 = Arc::clone(&latch);
-        let setter = thread::spawn(move || l2.set());
+        let setter = thread::spawn(move || l2.set_and_wake(sleep));
         while !latch.probe() {
             sleep.sleep(Duration::from_secs(1), || latch.probe());
         }
@@ -157,9 +158,10 @@ fn spin_latch_set_always_releases_the_joiner() {
 
 /// The sleep layer's own lost-wakeup litmus, with the strict SeqCst
 /// announce/publish handshake: when the producer publishes work and then
-/// calls `wake_one`, no explored schedule may end a sleep in `TimedOut` —
-/// either the pre-wait re-check sees the published work, or the notify
-/// lands. This is exactly the store-buffer pattern the `fence(SeqCst)`
+/// calls `wake_one`, no explored schedule may end a sleep in `TimedOut` or
+/// `Rescued` — either the pre-wait re-check sees the published work, or
+/// the notify lands; a timeout that finds the work means the wake was
+/// lost. This is exactly the store-buffer pattern the `fence(SeqCst)`
 /// pair in `sleep`/`wake_one` exists to forbid.
 #[test]
 fn sleep_wake_one_is_never_lost() {
@@ -178,48 +180,76 @@ fn sleep_wake_one_is_never_lost() {
         s.wake_one(); // …then wake
         let outcomes = t.join().unwrap();
         assert!(
-            !outcomes.contains(&SleepOutcome::TimedOut),
+            !outcomes.iter().any(|o| matches!(o, SleepOutcome::TimedOut | SleepOutcome::Rescued)),
             "a wake was lost despite the SeqCst handshake: {outcomes:?}"
         );
         assert_eq!(s.num_sleepers(), 0);
     });
 }
 
+/// A join branch of the frame-stack model, told apart by address (never
+/// executed: the model records who claimed it instead).
+struct Branch {
+    id: u32,
+}
+
+impl Job for Branch {
+    // SAFETY: never called; the model compares refs by address.
+    unsafe fn execute(_: *const ()) {
+        unreachable!("the model claims branches, it does not run them");
+    }
+}
+
 /// Lazy join promotion (`crate::frames`) over the real THE deque, as a
 /// reusable body: the owner forks three nested joins, recording each
-/// branch `b` in `frames` and promoting the oldest hidden one whenever the
-/// deque is empty, then resolves them newest-first. A hidden branch runs
-/// in place; a promoted one is popped back (whatever else the pop yields
-/// runs too) or counts as stolen. Each join's exit promotes on empty
-/// again. One thief steals twice meanwhile. Returns every branch run,
-/// sorted — `[1, 2, 3]` iff each ran exactly once.
-fn lazy_join_promotion(frames: FrameStack<u32>) -> Vec<u32> {
-    let (w, s) = the_deque::<u32>(4);
+/// branch `b` as an unhinted, untraced `JobRef` in `frames` (the two-word
+/// record production makes) and promoting the oldest hidden one whenever
+/// the deque is empty, then resolves them newest-first. Promotion rebuilds
+/// each pushed ref from its two words. A hidden branch runs in place; a
+/// promoted one is popped back (whatever else the pop yields runs too) or
+/// counts as stolen. Each join's exit promotes on empty again. One thief
+/// steals twice meanwhile. Returns every branch run, sorted — `[1, 2, 3]`
+/// iff each ran exactly once.
+fn lazy_join_promotion(frames: FrameStack) -> Vec<u32> {
+    let branches = [Branch { id: 1 }, Branch { id: 2 }, Branch { id: 3 }];
+    // SAFETY: the refs are compared by address and never executed.
+    let refs = branches.each_ref().map(|b| unsafe { JobRef::new(b, Place::ANY) });
+    let id_of = |job: JobRef| {
+        let i = refs.iter().position(|r| r.id() == job.id()).expect("a recorded branch");
+        assert_eq!((job.place(), job.trace()), (Place::ANY, 0), "rebuilt unhinted, untraced");
+        branches[i].id
+    };
+    let (w, s) = the_deque::<JobRef>(4);
     let t = thread::spawn(move || {
-        (0..2).filter_map(|_| s.steal_batch(0, |_| ())).collect::<Vec<u32>>()
+        (0..2).filter_map(|_| s.steal_batch(0, |_| ())).collect::<Vec<JobRef>>()
     });
-    let forks: Vec<(u32, usize)> = (1..=3)
-        .map(|b| {
+    let forks: Vec<(JobRef, usize)> = refs
+        .iter()
+        .map(|&b| {
             let frame = frames.record(b).expect("three frames fit");
-            frames.promote_if_empty(&w);
+            if w.is_empty() {
+                frames.promote_oldest(&w);
+            }
             (b, frame)
         })
         .collect();
     let mut ran = Vec::new();
     for &(b, frame) in forks.iter().rev() {
         if frames.resolve(frame) {
-            ran.push(b);
+            ran.push(id_of(b));
         } else {
-            while let Some(v) = w.pop() {
-                ran.push(v);
-                if v == b {
+            while let Some(job) = w.pop() {
+                ran.push(id_of(job));
+                if job.id() == b.id() {
                     break;
                 }
             }
         }
-        frames.promote_if_empty(&w);
+        if w.is_empty() {
+            frames.promote_oldest(&w);
+        }
     }
-    ran.extend(t.join().unwrap());
+    ran.extend(t.join().unwrap().into_iter().map(id_of));
     ran.sort_unstable();
     ran
 }

@@ -414,7 +414,7 @@ pub(crate) struct WorkerThread {
     pub(crate) index: usize,
     deque: TheWorker<JobRef>,
     /// Hidden `join` frames (lazy join promotion, `crate::frames`).
-    frames: FrameStack<JobRef>,
+    frames: FrameStack,
     /// SplitMix64 state (same stream as the vendored `SmallRng`); a plain
     /// cell instead of `RefCell<SmallRng>` so a sample is two loads and a
     /// store with no borrow-flag traffic on the steal path.
@@ -495,27 +495,37 @@ impl WorkerThread {
         bump!(self.local, scope_spawns);
     }
 
-    /// Records `job`'s Spawn event when the pool records a trace, and
-    /// attaches the new task id to `job`: once per join fork or scope
-    /// spawn, before the job lands anywhere, so the id travels with every
-    /// copy of the `JobRef` (a hidden frame, its promoted deque entry, a
-    /// stolen or popped-back one). Without a recorder this is the one
-    /// `None` check the work path pays.
-    #[inline]
-    pub(crate) fn record_spawn(&self, job: &mut JobRef) {
-        if let Some(tr) = &self.registry.trace {
-            let id = tr.next_id();
-            job.set_trace(id);
-            let parent = self.trace_task.get();
-            tr.record(
-                self.index,
-                TraceEvent::Spawn {
-                    task: id,
-                    parent: (parent != 0).then_some(parent),
-                    place: job.place().index(),
-                },
-            );
+    /// Records the Spawn event of a job forked for `place` when the pool
+    /// records a trace, and returns the new task id for the caller to
+    /// attach to the job: once per join fork or scope spawn, before the
+    /// job lands anywhere, so the id travels with every copy of the
+    /// `JobRef` (a hidden frame, its promoted deque entry, a stolen or
+    /// popped-back one). Without a recorder this is the one `None` check
+    /// the work path pays, and the id is `0`.
+    #[inline(always)]
+    pub(crate) fn record_spawn(&self, place: Place) -> u64 {
+        match &self.registry.trace {
+            Some(tr) => self.record_spawn_event(tr, place),
+            None => 0,
         }
+    }
+
+    /// The recording half of [`record_spawn`](Self::record_spawn), out of
+    /// the fork's line.
+    #[cold]
+    #[inline(never)]
+    fn record_spawn_event(&self, tr: &TraceSink, place: Place) -> u64 {
+        let id = tr.next_id();
+        let parent = self.trace_task.get();
+        tr.record(
+            self.index,
+            TraceEvent::Spawn {
+                task: id,
+                parent: (parent != 0).then_some(parent),
+                place: place.index(),
+            },
+        );
+        id
     }
 
     /// Pushes a job at a spawn point (work path), after its
@@ -566,33 +576,45 @@ impl WorkerThread {
     /// deque is empty. Returns the frame's index for
     /// [`resolve_frame`](Self::resolve_frame), or `None` when the frame
     /// stack is full (the caller forks eagerly instead).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn fork_lazy(&self, job: JobRef) -> Option<usize> {
         let frame = self.frames.record(job)?;
         bump!(self.local, spawns);
-        self.promote_if_empty();
+        if self.deque.is_empty() {
+            self.promote_oldest();
+        }
         Some(frame)
     }
 
     /// Removes the newest frame (`frame`): `true` if it is still hidden and
     /// its job runs in place, `false` if it was promoted and its join must
     /// pop it back or wait for the thief.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn resolve_frame(&self, frame: usize) -> bool {
         self.frames.resolve(frame)
     }
 
     /// Promotes the oldest hidden frame if the own deque is empty, so a
     /// thief always finds this worker's oldest work. Returns whether it did.
-    #[inline]
+    /// The two tests are inline; the promotion itself is not.
+    #[inline(always)]
     pub(crate) fn promote_if_empty(&self) -> bool {
-        self.note_promotion(self.frames.promote_if_empty(&self.deque))
+        self.deque.is_empty() && self.promote_hidden()
     }
 
-    /// Counts a promotion that happened and lets a sleeper come take it.
-    /// Returns `promoted`.
-    #[inline]
-    fn note_promotion(&self, promoted: bool) -> bool {
+    /// Promotes the oldest hidden frame, if any is hidden.
+    #[inline(always)]
+    fn promote_hidden(&self) -> bool {
+        self.frames.hidden() > 0 && self.promote_oldest()
+    }
+
+    /// Pushes the oldest hidden frame, counts the promotion, and lets a
+    /// sleeper come take it. Returns whether a frame was promoted (`false`:
+    /// none hidden, or the deque is full).
+    #[cold]
+    #[inline(never)]
+    fn promote_oldest(&self) -> bool {
+        let promoted = self.frames.promote_oldest(&self.deque);
         if promoted {
             bump!(self.local, join_promotions);
             self.wake_a_thief();
@@ -606,7 +628,7 @@ impl WorkerThread {
     #[inline]
     pub(crate) fn promote_all(&self) -> bool {
         while self.frames.hidden() > 0 {
-            if !self.note_promotion(self.frames.promote_oldest(&self.deque)) {
+            if !self.promote_oldest() {
                 return false;
             }
         }
@@ -623,9 +645,9 @@ impl WorkerThread {
     /// empty own deque first promotes the oldest hidden join frame, and
     /// only a deque still empty after that wants a split. The emptiness
     /// test is a racy snapshot (two `Relaxed` loads).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn split_wanted(&self) -> bool {
-        self.deque.is_empty() && !self.promote_if_empty()
+        self.deque.is_empty() && !self.promote_hidden()
     }
 
     /// Hidden-frame stack depth (tests of the panic paths).
@@ -707,11 +729,20 @@ impl WorkerThread {
     /// [`execute`](Self::execute) (a join's `b`, a scope task the full
     /// deque refused), inside `task`'s Start/End bracket. An untraced `task` (`0`: the pool records no trace) runs
     /// bare, so an unrecorded pool pays one branch. `f` must not unwind.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn run_traced<R>(&self, task: u64, f: impl FnOnce() -> R) -> R {
         if task == 0 {
-            return f();
+            f()
+        } else {
+            self.run_bracketed(task, f)
         }
+    }
+
+    /// The recording half of [`run_traced`](Self::run_traced), out of the
+    /// join's line.
+    #[cold]
+    #[inline(never)]
+    fn run_bracketed<R>(&self, task: u64, f: impl FnOnce() -> R) -> R {
         let prev = self.trace_enter(task);
         let r = f();
         self.trace_exit(task, prev);
@@ -744,10 +775,11 @@ impl WorkerThread {
     /// including external ingress — so a service pool never wastes a
     /// join-blocked worker. When it runs out of work it deep-sleeps on the
     /// pool condvar like any other idle worker: the completing side
-    /// (`SpinLatch::set`, `Scope::complete_one`) probes the sleeper count
-    /// and broadcasts, so the thief that finishes the awaited job wakes
-    /// this waiter directly (the timeout remains as the safety net for a
-    /// wake lost to the relaxed probe).
+    /// (`SpinLatch::set_and_wake`, `Scope::complete_one`) probes the
+    /// sleeper count and broadcasts, so the thief that finishes the
+    /// awaited job wakes this waiter directly (the timeout remains as the
+    /// safety net for a wake lost to the relaxed probe, counted in
+    /// `timeout_rescues`).
     pub(crate) fn wait_until(&self, latch: &impl Probe) {
         // A blocked worker never hides work: expose every hidden join frame
         // below this wait (a full deque keeps the rest hidden; their joins
@@ -786,9 +818,10 @@ impl WorkerThread {
     /// One idle round: spin for [`SPIN_ROUNDS`](Self::SPIN_ROUNDS), then
     /// yield until [`YIELD_ROUNDS`](Self::YIELD_ROUNDS), then sleep on the
     /// pool condvar with [`SLEEP_TIMEOUT`](Self::SLEEP_TIMEOUT) and
-    /// `recheck` (see [`Sleep::sleep`]). Only a producer-notified wake
-    /// counts toward the `wakeups` statistic.
-    fn idle_backoff(&self, spins: &mut u32, recheck: impl FnOnce() -> bool) {
+    /// `recheck` (see [`Sleep::sleep`]). A producer-notified wake counts
+    /// toward the `wakeups` statistic, and a timeout that found work
+    /// (a lost wakeup the safety net caught) toward `timeout_rescues`.
+    fn idle_backoff(&self, spins: &mut u32, recheck: impl FnMut() -> bool) {
         // Idle path: publish counters every round, so failed steal attempts
         // are as visible to snapshots as they were when bumped directly
         // (one uncontended fetch_add per nonzero cell — the cost the work
@@ -813,9 +846,12 @@ impl WorkerThread {
             nws_sync::hint::spin_loop();
         } else if *spins < Self::YIELD_ROUNDS {
             nws_sync::thread::yield_now();
-        } else if self.registry.sleep.sleep(Self::SLEEP_TIMEOUT, recheck) == SleepOutcome::Notified
-        {
-            bump!(self.local, wakeups);
+        } else {
+            match self.registry.sleep.sleep(Self::SLEEP_TIMEOUT, recheck) {
+                SleepOutcome::Notified => bump!(self.local, wakeups),
+                SleepOutcome::Rescued => bump!(self.local, timeout_rescues),
+                SleepOutcome::Aborted | SleepOutcome::TimedOut => {}
+            }
         }
     }
 

@@ -210,7 +210,7 @@ impl<'scope> Scope<'scope> {
         match WorkerThread::current() {
             Some(worker) if Arc::ptr_eq(&worker.registry, &self.registry) => {
                 worker.note_scope_spawn();
-                worker.record_spawn(&mut job_ref);
+                job_ref.set_trace(worker.record_spawn(place));
                 if let Err(full) = worker.push(job_ref) {
                     // Deque full: run the task now (losing stealability,
                     // never correctness) — same degradation as `join`, in

@@ -9,7 +9,7 @@
 //! [`WorkerThread::push`](crate::registry::WorkerThread) on a deque push
 //! made while any worker sleeps (the "first push after quiescence" — the
 //! sleeper count is checked with one relaxed load, so the no-sleeper spawn
-//! fast path stays free), and `SpinLatch::set` when a thief finishes a
+//! fast path stays free), and `SpinLatch::set_and_wake` when a thief finishes a
 //! stolen job whose joiner may have gone to sleep (same relaxed probe;
 //! join waiters therefore deep-sleep like everyone else instead of polling
 //! their latch in bounded slices).
@@ -24,7 +24,11 @@
 //! after the publish (and finds the work), or the notify runs after the
 //! sleeper started waiting (and wakes it). Waits additionally carry a
 //! timeout as a belt-and-braces net — a missed wake-up costs one timeout
-//! period, never a hang — and shutdown broadcasts to everyone.
+//! period, never a hang — and shutdown broadcasts to everyone. A timed-out
+//! sleeper re-runs its re-check under the lock; finding work then means a
+//! wake-up was lost and the timeout rescued it, which it reports as
+//! [`SleepOutcome::Rescued`] (counted as `timeout_rescues`), so degraded
+//! wake-ups show up as a count rather than as silent latency.
 
 use nws_sync::atomic::{fence, AtomicUsize, Ordering};
 use nws_sync::{Condvar, Mutex};
@@ -46,8 +50,12 @@ pub(crate) enum SleepOutcome {
     /// Only this outcome counts toward the `wakeups` statistic — timeouts
     /// are bookkeeping noise, not wake traffic.
     Notified,
-    /// The safety-net timeout elapsed with no signal.
+    /// The safety-net timeout elapsed with no signal, and the re-check
+    /// after it found no work either: plain idleness.
     TimedOut,
+    /// The safety-net timeout elapsed with no signal, but the re-check
+    /// after it found work: a wake-up was lost and the timeout rescued it.
+    Rescued,
 }
 
 /// Sleep/wake state shared by all workers of a pool.
@@ -69,8 +77,15 @@ impl Sleep {
     ///
     /// `recheck` is evaluated under the sleep lock after the sleeper is
     /// announced; returning `true` aborts the sleep (work appeared between
-    /// the caller's last failed search and now).
-    pub(crate) fn sleep(&self, timeout: Duration, recheck: impl FnOnce() -> bool) -> SleepOutcome {
+    /// the caller's last failed search and now). After a timed-out wait it
+    /// is evaluated once more, with the lock held again, to tell
+    /// [`Rescued`](SleepOutcome::Rescued) from
+    /// [`TimedOut`](SleepOutcome::TimedOut).
+    pub(crate) fn sleep(
+        &self,
+        timeout: Duration,
+        mut recheck: impl FnMut() -> bool,
+    ) -> SleepOutcome {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         // Pairs with the fence in `wake_one`/`wake_all`: whichever fence
         // comes first in the SC order, either the waker sees our announce
@@ -82,7 +97,11 @@ impl Sleep {
         let outcome = if recheck() {
             SleepOutcome::Aborted
         } else if self.condvar.wait_for(&mut guard, timeout).timed_out() {
-            SleepOutcome::TimedOut
+            if recheck() {
+                SleepOutcome::Rescued
+            } else {
+                SleepOutcome::TimedOut
+            }
         } else {
             SleepOutcome::Notified
         };
@@ -133,6 +152,36 @@ mod tests {
         let outcome = s.sleep(Duration::from_secs(10), || true);
         assert_eq!(outcome, SleepOutcome::Aborted);
         assert!(start.elapsed() < Duration::from_secs(1), "must not have waited");
+        assert_eq!(s.num_sleepers(), 0);
+    }
+
+    /// Every outcome, decided by how the re-check answers before and after
+    /// the wait. For `Notified`, the first re-check starts a waker, which
+    /// can take the sleep lock only once the sleeper waits.
+    #[test]
+    fn recheck_answers_decide_every_outcome() {
+        let s = Sleep::new();
+        for (answers, expected, checks) in [
+            ([true, true], SleepOutcome::Aborted, 1),
+            ([false, false], SleepOutcome::TimedOut, 2),
+            ([false, true], SleepOutcome::Rescued, 2),
+        ] {
+            let mut asked = 0;
+            let outcome = s.sleep(Duration::from_millis(1), || {
+                asked += 1;
+                answers[asked - 1]
+            });
+            assert_eq!((outcome, asked), (expected, checks), "answers {answers:?}");
+        }
+        std::thread::scope(|scope| {
+            let mut asked = 0;
+            let outcome = s.sleep(Duration::from_secs(10), || {
+                asked += 1;
+                scope.spawn(|| s.wake_one());
+                false
+            });
+            assert_eq!((outcome, asked), (SleepOutcome::Notified, 1));
+        });
         assert_eq!(s.num_sleepers(), 0);
     }
 

@@ -191,8 +191,8 @@ counters! {
     owner {
         /// Forks made by this worker (`cilk_spawn` count): every `join`
         /// branch recorded as a hidden frame (lazy join promotion) plus every
-        /// **accepted** eager deque push (hinted or traced joins, scope
-        /// spawns). This equals the Spawn events a trace-recording run logs.
+        /// **accepted** eager deque push (hinted joins, joins over a full
+        /// frame stack, scope spawns). This equals the Spawn events a trace-recording run logs.
         /// An eager spawn that overflows the deque and degrades to inline
         /// execution lands in [`spawn_overflows`] instead, and a hidden frame
         /// pushed later by promotion in [`join_promotions`], so the `T1/TS`
@@ -228,6 +228,12 @@ counters! {
         /// sustained idleness (nobody signals); high `wakeups` with low
         /// takes/steals indicates wake churn.
         wakeups => total_wakeups,
+        /// Sleeps whose safety-net timeout elapsed with work waiting: a
+        /// wake-up was lost (a stale relaxed sleeper probe on the producer
+        /// side) and the timeout rescued it, at the cost of up to one
+        /// timeout period of latency. Zero while every producer's wake
+        /// lands.
+        timeout_rescues => total_timeout_rescues,
         /// Steal attempts made by this worker.
         steal_attempts => total_steal_attempts,
         /// Steal attempts that targeted a victim on another socket. The ratio
@@ -469,7 +475,7 @@ mod tests {
         assert_eq!(totals[rows..], [("ingress_rejects", 1000), ("sheds", 2000)]);
         // The public getters, by the names downstream code calls them.
         type Getter = fn(&PoolStats) -> u64;
-        let getters: [(&str, Getter); 21] = [
+        let getters: [(&str, Getter); 22] = [
             ("work_ns", PoolStats::total_work_ns),
             ("sched_ns", PoolStats::total_sched_ns),
             ("idle_ns", PoolStats::total_idle_ns),
@@ -479,6 +485,7 @@ mod tests {
             ("scope_spawns", PoolStats::total_scope_spawns),
             ("injector_takes", PoolStats::total_injector_takes),
             ("wakeups", PoolStats::total_wakeups),
+            ("timeout_rescues", PoolStats::total_timeout_rescues),
             ("steal_attempts", PoolStats::total_steal_attempts),
             ("remote_steal_attempts", PoolStats::total_remote_steal_attempts),
             ("steals", PoolStats::total_steals),

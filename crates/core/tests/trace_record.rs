@@ -153,3 +153,29 @@ fn external_spawns_are_rootless() {
     let rootless = trace.tasks.iter().filter(|t| t.parent.is_none()).count();
     assert_eq!(rootless, 5, "4 external spawns + 1 barrier install, all rootless");
 }
+
+/// Recording pools fork lazily, so a join's task id has to survive its
+/// frame's promotion: the id lives beside the frame's two words and goes
+/// back into the `JobRef` promotion rebuilds. A frame that lost it would
+/// run its task with no Start/End bracket (or under another task's id).
+#[test]
+fn promoted_frames_keep_their_trace_ids() {
+    let pool = recording_pool(2, 1);
+    let (n, fib_n) = if cfg!(debug_assertions) { (16, 987) } else { (20, 6765) };
+    for round in 0.. {
+        pool.reset_stats();
+        assert_eq!(pool.install(|| fib(n)), fib_n);
+        let stats = pool.stats();
+        // The fold refuses a Start or End whose task has no Spawn.
+        let trace = pool.take_trace("promoted").expect("recording was on");
+        if stats.total_join_promotions() == 0 || stats.total_steals() == 0 {
+            assert!(round < 100, "no steal of a promoted frame in 100 rounds: {stats:?}");
+            continue;
+        }
+        trace.validate().expect("well-formed");
+        assert_eq!(trace.num_started(), trace.tasks.len(), "every task ran inside its bracket");
+        // Every Spawn but the injected root's is a fork `spawns` counted.
+        assert_eq!(trace.tasks.len() as u64, stats.total_spawns() + 1, "{stats:?}");
+        break;
+    }
+}
