@@ -9,7 +9,7 @@
 //! NUMA-WS more to work with (2.28× → 1.56×).
 
 use crate::common::{pages_for, Point};
-use numa_ws::{join, join_at, scope_at, Place};
+use numa_ws::{join, scope_at, Place};
 use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
 
 /// Which of the paper's two data sets to model.
@@ -171,40 +171,13 @@ fn rec_parallel_scope(a: Point, b: Point, pts: &[Point], base: usize, depth: usi
     let mut out_l = Vec::new();
     let mut out_r = Vec::new();
     scope_at(Place(depth % 4), |s| {
-        // Mirror the join oracle's shape exactly: the right flank is the
-        // spawned (stealable, place-hinted) child, the left runs inline in
-        // the body — the paper's first-child-runs-where-its-parent-runs
-        // rule, and one heap job per node instead of two.
+        // The right flank is the spawned (stealable, place-hinted) child,
+        // the left runs inline in the body — the paper's
+        // first-child-runs-where-its-parent-runs rule, and one heap job per
+        // node instead of two.
         s.spawn(|_| out_r = rec_parallel_scope(far, b, &right, base, depth + 1));
         out_l = rec_parallel_scope(a, far, &left, base, depth + 1);
     });
-    out_l.push(far);
-    out_l.extend(out_r);
-    out_l
-}
-
-/// The pre-scope rendering of the recursion, kept verbatim as the test
-/// oracle for [`hull_parallel`]: binary [`join_at`] forks with the same
-/// place alternation.
-fn rec_parallel_join(a: Point, b: Point, pts: &[Point], base: usize, depth: usize) -> Vec<Point> {
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    if pts.len() <= base {
-        let mut out = Vec::new();
-        rec_serial(a, b, pts, &mut out);
-        return out;
-    }
-    let far = farthest_parallel(a, b, pts, base);
-    let (left, right) =
-        join(|| filter_parallel(a, far, pts, base), || filter_parallel(far, b, pts, base));
-    // Alternate hint places down the recursion to spread the two flanks
-    // (top levels dominate; deeper levels inherit).
-    let (mut out_l, out_r) = join_at(
-        || rec_parallel_join(a, far, &left, base, depth + 1),
-        || rec_parallel_join(far, b, &right, base, depth + 1),
-        Place(depth % 4),
-    );
     out_l.push(far);
     out_l.extend(out_r);
     out_l
@@ -217,9 +190,7 @@ fn rec_parallel_join(a: Point, b: Point, pts: &[Point], base: usize, depth: usiz
 /// The elimination recursion — quickhull's *dynamic* phase, where the
 /// number and size of surviving segments is data-dependent — runs on the
 /// structured [`scope_at`] subsystem; the data-parallel
-/// scans (extremes, filters) keep their regular binary [`join`] shape. The
-/// old join-only recursion survives as [`hull_parallel_join`], the test
-/// oracle.
+/// scans (extremes, filters) keep their regular binary [`join`] shape.
 pub fn hull_parallel(pts: &[Point], params: Params) -> Vec<Point> {
     assert!(pts.len() >= 2, "hull needs at least two points");
     let base = params.base;
@@ -229,33 +200,11 @@ pub fn hull_parallel(pts: &[Point], params: Params) -> Vec<Point> {
     let mut upper = Vec::new();
     let mut lower = Vec::new();
     scope_at(Place(2), |s| {
-        // As in the oracle: the lower flank is the stealable half hinted
-        // at Place(2); the upper flank runs inline.
+        // The lower flank is the stealable half hinted at Place(2); the
+        // upper flank runs inline.
         s.spawn(|_| lower = rec_parallel_scope(hi, lo, &below, base, 2));
         upper = rec_parallel_scope(lo, hi, &above, base, 0);
     });
-    let mut out = Vec::with_capacity(upper.len() + lower.len() + 2);
-    out.push(lo);
-    out.append(&mut upper);
-    out.push(hi);
-    out.extend(lower);
-    out
-}
-
-/// The join-only hull — [`hull_parallel`] before the scope migration, kept
-/// as the semantic oracle (`hull_scope_matches_join_oracle` pins the two
-/// to identical output).
-pub fn hull_parallel_join(pts: &[Point], params: Params) -> Vec<Point> {
-    assert!(pts.len() >= 2, "hull needs at least two points");
-    let base = params.base;
-    let (lo, hi) = extremes_parallel(pts, base);
-    let (above, below) =
-        join(|| filter_parallel(lo, hi, pts, base), || filter_parallel(hi, lo, pts, base));
-    let (mut upper, lower) = join_at(
-        || rec_parallel_join(lo, hi, &above, base, 0),
-        || rec_parallel_join(hi, lo, &below, base, 2),
-        Place(2),
-    );
     let mut out = Vec::with_capacity(upper.len() + lower.len() + 2);
     out.push(lo);
     out.append(&mut upper);
@@ -521,24 +470,22 @@ mod tests {
         assert_eq!(hs, hp);
     }
 
-    /// The scope-based hull against its join-only oracle: not just the
-    /// same point *set* but the same output *order* — the nested-scope
+    /// The parallel hull against the serial elision: not just the same
+    /// point *set* but the same output *order* — the nested-scope
     /// recursion must preserve the left-flank/far/right-flank assembly
     /// exactly, on both datasets and under both scheduler modes.
     #[test]
-    fn hull_scope_matches_join_oracle() {
+    fn hull_parallel_matches_serial_order() {
         let p = Params::test();
         for pts in [points_in_disk(p.n, 5), points_on_circle(p.n, 6)] {
+            let exact = |h: &[Point]| -> Vec<(i64, i64)> {
+                h.iter().map(|q| ((q.x * 1e9).round() as i64, (q.y * 1e9).round() as i64)).collect()
+            };
+            let serial = exact(&hull_serial(&pts));
             for policy in [numa_ws::SchedPolicy::numa_ws(), numa_ws::SchedPolicy::vanilla()] {
                 let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
-                let oracle = pool.install(|| hull_parallel_join(&pts, p));
-                let scoped = pool.install(|| hull_parallel(&pts, p));
-                let exact = |h: &[Point]| -> Vec<(i64, i64)> {
-                    h.iter()
-                        .map(|q| ((q.x * 1e9).round() as i64, (q.y * 1e9).round() as i64))
-                        .collect()
-                };
-                assert_eq!(exact(&scoped), exact(&oracle), "scope hull diverged under {policy}");
+                let parallel = pool.install(|| hull_parallel(&pts, p));
+                assert_eq!(exact(&parallel), serial, "parallel hull diverged under {policy}");
             }
         }
     }

@@ -23,8 +23,11 @@
 //!   snapshots exact: when `install` returns, every counter bumped by work
 //!   contributing to that root has been flushed (each worker publishes its
 //!   deltas before publishing the completion the root transitively waits
-//!   on), so conservation laws like `spawns + spawn_overflows = joins` hold
-//!   at the moment a caller can ask.
+//!   on), so conservation laws hold at the moment a caller can ask. One
+//!   such law is Σ `steals` = Σ `stolen_from`: `steal_once` bumps the
+//!   thief's `steals` cell and the victim's `stolen_from` atomic together,
+//!   and the `switch_to` in `execute` (or in `pushback`, for a job relayed
+//!   to a mailbox) flushes the cell before the stolen job can finish.
 //! - [`WorkerStats`] is padded to 128 bytes and the thief-written counter
 //!   (`stolen_from`, the only cross-worker write) lives in its own padded
 //!   [`ThiefStats`] block, so a steal dirties neither the victim's

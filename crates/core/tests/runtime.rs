@@ -65,6 +65,8 @@ fn steals_happen_under_load() {
     let stats = pool.stats();
     assert!(stats.total_steals() > 0, "8 workers on fib({n}) must steal: {stats:?}");
     assert!(stats.total_spawns() > 10_000);
+    // Every steal is counted once by its thief and once by its victim.
+    assert_eq!(stats.total_steals(), stats.total_stolen_from(), "{stats:?}");
 }
 
 #[test]

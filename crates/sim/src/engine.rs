@@ -133,32 +133,38 @@ impl<'a> Simulation<'a> {
 
 /// A min-tree over the workers' `(clock, index)`: the root holds the
 /// worker whose turn is next. Leaves sit at `n..n + P` for `n` the next
-/// power of two; padding leaves hold `(u64::MAX, usize::MAX)` and never win.
+/// power of two; padding leaves hold `u128::MAX` and never win.
 #[derive(Debug)]
 struct TurnTree {
-    nodes: Vec<(u64, usize)>,
+    /// `(clock << 64) | index` per node, so one integer compare (a
+    /// conditional move, not a branch) orders by clock, then index.
+    nodes: Vec<u128>,
 }
 
 impl TurnTree {
     /// `workers` workers, every clock at 0.
     fn new(workers: usize) -> Self {
-        let mut tree =
-            TurnTree { nodes: vec![(u64::MAX, usize::MAX); 2 * workers.next_power_of_two()] };
+        let mut tree = TurnTree { nodes: vec![u128::MAX; 2 * workers.next_power_of_two()] };
         tree.rebuild(&vec![0; workers]);
         tree
+    }
+
+    #[inline]
+    fn key(clock: u64, w: usize) -> u128 {
+        (u128::from(clock) << 64) | w as u128
     }
 
     /// The worker with the smallest `(clock, index)`.
     #[inline]
     fn next(&self) -> usize {
-        self.nodes[1].1
+        self.nodes[1] as u64 as usize
     }
 
     /// Worker `w`'s clock became `clock`: refresh its leaf-to-root path.
     #[inline]
     fn update(&mut self, w: usize, clock: u64) {
         let mut i = self.nodes.len() / 2 + w;
-        self.nodes[i] = (clock, w);
+        self.nodes[i] = Self::key(clock, w);
         while i > 1 {
             i /= 2;
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
@@ -169,7 +175,7 @@ impl TurnTree {
     fn rebuild(&mut self, clocks: &[u64]) {
         let n = self.nodes.len() / 2;
         for (w, &clock) in clocks.iter().enumerate() {
-            self.nodes[n + w] = (clock, w);
+            self.nodes[n + w] = Self::key(clock, w);
         }
         for i in (1..n).rev() {
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);

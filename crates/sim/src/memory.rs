@@ -13,7 +13,9 @@
 //! - each socket has a shared last-level cache and each worker a private
 //!   cache, both modeled as FIFO page sets (a standard O(1) approximation
 //!   of LRU — reuse shapes at this granularity are driven by working-set
-//!   fit, not replacement nuance);
+//!   fit, not replacement nuance). Each set is a residency bitset over
+//!   every page of the run plus a ring of its pages in arrival order, so
+//!   a lookup is one word load and a miss costs no hashing;
 //! - an access is charged per cache line according to where it is serviced:
 //!   private cache, local LLC, a remote LLC (probe across `h` hops), local
 //!   DRAM, or remote DRAM across `h` hops — the five latency classes §I
@@ -21,7 +23,7 @@
 
 use nws_topology::{Place, SocketId, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Bytes per simulated page (4 KiB, the Linux default the paper binds).
 pub const PAGE_BYTES: u64 = 4096;
@@ -31,8 +33,8 @@ pub const LINE_BYTES: u64 = 64;
 pub const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 
 /// A machine-wide page number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PageId(pub u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct PageId(pub(crate) u64);
 
 /// Identifier of an allocated region (a simulated array).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,57 +182,56 @@ impl Default for CacheConfig {
     }
 }
 
-/// A FIFO page set approximating an LRU cache.
+/// A FIFO page set approximating an LRU cache: `resident` has one bit per
+/// page of the run, and `order` holds the resident pages oldest first.
 #[derive(Debug, Clone)]
-pub struct FifoCache {
-    set: HashSet<PageId>,
+pub(crate) struct FifoCache {
+    resident: Vec<u64>,
     order: VecDeque<PageId>,
     cap: usize,
 }
 
 impl FifoCache {
-    /// Creates a cache holding at most `cap` pages.
-    pub fn new(cap: usize) -> Self {
-        FifoCache { set: HashSet::new(), order: VecDeque::new(), cap }
+    /// Creates a cache holding at most `cap` of the pages `0..pages`.
+    pub(crate) fn new(cap: usize, pages: u64) -> Self {
+        let words = pages.div_ceil(64) as usize;
+        FifoCache { resident: vec![0; words], order: VecDeque::new(), cap }
+    }
+
+    /// The word of `resident` holding page `p`'s bit, and the bit.
+    #[inline]
+    fn slot(p: PageId) -> (usize, u64) {
+        ((p.0 / 64) as usize, 1 << (p.0 % 64))
     }
 
     /// Whether the page is currently resident.
     #[inline]
-    pub fn contains(&self, p: PageId) -> bool {
-        self.set.contains(&p)
+    pub(crate) fn contains(&self, p: PageId) -> bool {
+        let (word, bit) = Self::slot(p);
+        self.resident[word] & bit != 0
     }
 
     /// Inserts a page, evicting the oldest resident if full. Inserting a
     /// resident page is a no-op (FIFO, not LRU: no refresh).
-    pub fn insert(&mut self, p: PageId) {
-        if self.set.contains(&p) {
+    #[inline]
+    pub(crate) fn insert(&mut self, p: PageId) {
+        if self.contains(p) || self.cap == 0 {
             return;
         }
-        if self.set.len() == self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
+        if self.order.len() == self.cap {
+            let (word, bit) =
+                Self::slot(self.order.pop_front().expect("a full cache holds a page"));
+            self.resident[word] &= !bit;
         }
-        if self.cap > 0 {
-            self.set.insert(p);
-            self.order.push_back(p);
-        }
+        let (word, bit) = Self::slot(p);
+        self.resident[word] |= bit;
+        self.order.push_back(p);
     }
 
     /// Number of resident pages.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Drops all resident pages.
-    pub fn clear(&mut self) {
-        self.set.clear();
-        self.order.clear();
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.order.len()
     }
 }
 
@@ -260,7 +261,7 @@ impl Touch {
 
 /// The whole memory subsystem state for one simulation run.
 #[derive(Debug)]
-pub struct MemorySystem {
+pub(crate) struct MemorySystem {
     regions: Vec<Region>,
     /// Home socket of every page, indexed by machine-wide page number;
     /// `None` = unresolved first-touch page (homes on first access).
@@ -277,13 +278,13 @@ pub struct MemorySystem {
     qpi_load: Vec<(u64, u64)>,
     /// Count of accesses per service class: [private, llc_local,
     /// llc_remote, dram_local, dram_remote] (line granularity).
-    pub class_lines: [u64; 5],
+    pub(crate) class_lines: [u64; 5],
 }
 
 impl MemorySystem {
     /// Builds the memory system for a run: resolves page homes from each
     /// region's policy given the number of places in use.
-    pub fn new(
+    pub(crate) fn new(
         topo: &Topology,
         map: &WorkerMap,
         regions: Vec<Region>,
@@ -320,9 +321,9 @@ impl MemorySystem {
         }
         MemorySystem {
             homes,
-            llcs: (0..n_sockets).map(|_| FifoCache::new(caches.llc_pages)).collect(),
+            llcs: (0..n_sockets).map(|_| FifoCache::new(caches.llc_pages, total_pages)).collect(),
             privates: (0..map.num_workers())
-                .map(|_| FifoCache::new(caches.private_pages))
+                .map(|_| FifoCache::new(caches.private_pages, total_pages))
                 .collect(),
             latency,
             contention,
@@ -357,7 +358,7 @@ impl MemorySystem {
     /// Charges one [`Touch`] performed by `worker` at simulated time `now`
     /// and returns its cost in cycles. Updates cache state and
     /// interconnect load.
-    pub fn access(&mut self, worker: usize, touch: &Touch, now: u64) -> u64 {
+    pub(crate) fn access(&mut self, worker: usize, touch: &Touch, now: u64) -> u64 {
         let mut cost = 0u64;
         let my_socket = self.worker_socket[worker];
         let lines = touch.lines_per_page.clamp(1, LINES_PER_PAGE);
@@ -448,17 +449,15 @@ impl MemorySystem {
             .filter(|&s| s != my_socket && self.llcs[s].contains(page))
             .min_by_key(|&s| self.topo_distances[my_socket][s])
     }
-
-    /// The regions table.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nws_topology::{presets, Placement};
+    use rand::rngs::SmallRng;
+    use rand::{RngCore, SeedableRng};
+    use std::collections::HashSet;
 
     fn system(workers: usize, regions: Vec<Region>) -> MemorySystem {
         let topo = presets::paper_machine();
@@ -479,7 +478,7 @@ mod tests {
 
     #[test]
     fn fifo_cache_evicts_oldest() {
-        let mut c = FifoCache::new(2);
+        let mut c = FifoCache::new(2, 8);
         c.insert(PageId(1));
         c.insert(PageId(2));
         c.insert(PageId(3));
@@ -491,7 +490,7 @@ mod tests {
 
     #[test]
     fn fifo_cache_reinsert_is_noop() {
-        let mut c = FifoCache::new(2);
+        let mut c = FifoCache::new(2, 8);
         c.insert(PageId(1));
         c.insert(PageId(1));
         c.insert(PageId(2));
@@ -502,10 +501,85 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_never_holds() {
-        let mut c = FifoCache::new(0);
+        let mut c = FifoCache::new(0, 8);
         c.insert(PageId(1));
         assert!(!c.contains(PageId(1)));
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
+    }
+
+    /// The hashed FIFO the bitset cache replaced, kept as its oracle.
+    struct HashFifo {
+        set: HashSet<PageId>,
+        order: VecDeque<PageId>,
+        cap: usize,
+    }
+
+    impl HashFifo {
+        fn insert(&mut self, p: PageId) {
+            if self.set.contains(&p) {
+                return;
+            }
+            if self.set.len() == self.cap {
+                if let Some(old) = self.order.pop_front() {
+                    self.set.remove(&old);
+                }
+            }
+            if self.cap > 0 {
+                self.set.insert(p);
+                self.order.push_back(p);
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_cache_matches_hashed_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0xF1F0);
+        for cap in [0, 1, 2, 64, 4096] {
+            // `(pages, ids, stride)`: ids `0, stride, 2·stride, ...` out of
+            // a run of `pages`. Dense ids revisit neighbouring bits of few
+            // words; sparse ones sit one per word, far apart.
+            let runs = [
+                (96u64, 96u64, 1u64),
+                (65, 65, 1),
+                (4096, 4096, 1),
+                (5000, 80, 61),
+                (4096, 61, 67),
+            ];
+            for (pages, ids, stride) in runs {
+                let mut fast = FifoCache::new(cap, pages);
+                let mut oracle = HashFifo { set: HashSet::new(), order: VecDeque::new(), cap };
+                for _ in 0..20_000 {
+                    let p = PageId(rng.next_u64() % ids * stride);
+                    if rng.next_u32() % 4 == 0 {
+                        assert_eq!(fast.contains(p), oracle.set.contains(&p), "cap {cap}");
+                    } else {
+                        fast.insert(p);
+                        oracle.insert(p);
+                    }
+                    assert_eq!(fast.len(), oracle.set.len(), "cap {cap}");
+                    assert_eq!(fast.contains(p), oracle.set.contains(&p), "cap {cap}");
+                }
+                for q in 0..pages {
+                    assert_eq!(fast.contains(PageId(q)), oracle.set.contains(&PageId(q)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_llc_holder_breaks_ties_by_lowest_socket() {
+        // On the paper machine's index ring, sockets 1 and 3 are both one
+        // hop from socket 0.
+        let mut sys = system(32, one_region(1, PagePolicy::Bind(1)));
+        assert_eq!(sys.topo_distances[0][1], sys.topo_distances[0][3]);
+        let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
+        // Workers 3 and 1 fault the page into sockets 3 and 1, higher first.
+        sys.access(3, &t, 0);
+        sys.access(1, &t, 0);
+        assert!(sys.llcs[1].contains(PageId(0)) && sys.llcs[3].contains(PageId(0)));
+        assert!(!sys.llcs[2].contains(PageId(0)));
+        assert_eq!(sys.nearest_llc_holder(PageId(0), 0), Some(1));
+        assert_eq!(sys.nearest_llc_holder(PageId(0), 2), Some(1));
     }
 
     #[test]
