@@ -77,18 +77,24 @@ fn serial_rec(data: &mut [u64], tmp: &mut [u64], base: usize) {
     merge_serial(t1, t2, data);
 }
 
+/// Merges the sorted runs `a` and `b` into `out`; on equal keys `a`'s goes
+/// first. Branch-free while both runs are non-empty: the comparison picks
+/// the smaller head and advances both indices by its result, so random
+/// keys cost no mispredicted branch. The leftover tail is one copy.
 fn merge_serial(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert_eq!(a.len() + b.len(), out.len());
     let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
-        }
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x <= y;
+        out[i + j] = if take_a { x } else { y };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
     }
+    let (rest_a, rest_b) = (&a[i..], &b[j..]);
+    let k = i + j;
+    out[k..k + rest_a.len()].copy_from_slice(rest_a);
+    out[k + rest_a.len()..].copy_from_slice(rest_b);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +384,47 @@ mod tests {
         let mut expect = [a, b].concat();
         expect.sort_unstable();
         assert_eq!(out, expect);
+    }
+
+    /// `merge_serial` against the oracle: the sorted concatenation.
+    fn check_merge(a: &[u64], b: &[u64]) {
+        let mut out = vec![u64::MAX; a.len() + b.len()];
+        merge_serial(a, b, &mut out);
+        let mut expect = [a, b].concat();
+        expect.sort_unstable();
+        assert_eq!(out, expect, "a={} keys, b={} keys", a.len(), b.len());
+    }
+
+    fn sorted_keys(n: usize, seed: u64, modulus: u64) -> Vec<u64> {
+        let mut keys: Vec<u64> = random_keys(n, seed).into_iter().map(|k| k % modulus).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn merge_serial_matches_sorted_concatenation() {
+        let run = sorted_keys(300, 6, u64::MAX);
+        // Empty and one-sided runs.
+        check_merge(&[], &[]);
+        check_merge(&run, &[]);
+        check_merge(&[], &run);
+        // All-equal keys, and heavy duplicates on both sides.
+        check_merge(&[7; 40], &[7; 25]);
+        check_merge(&sorted_keys(500, 7, 4), &sorted_keys(700, 8, 4));
+        // Strictly interleaved runs: evens against odds.
+        let evens: Vec<u64> = (0..200).map(|k| 2 * k).collect();
+        let odds: Vec<u64> = (0..200).map(|k| 2 * k + 1).collect();
+        check_merge(&evens, &odds);
+        check_merge(&odds, &evens);
+        // One key against a thousand, at both ends and in the middle.
+        let long = sorted_keys(1000, 9, 1 << 20);
+        for single in [0, long[500], u64::MAX] {
+            check_merge(&[single], &long);
+            check_merge(&long, &[single]);
+        }
+        // One run entirely below the other.
+        check_merge(&evens[..100], &evens[100..]);
+        check_merge(&evens[100..], &evens[..100]);
     }
 
     #[test]

@@ -44,19 +44,48 @@ impl Params {
     }
 }
 
-/// One Jacobi update of row `r` (interior only; boundary rows are fixed).
+/// One Jacobi update of an interior row: `out[c]` from the row above
+/// (`up`), the row below (`down`) and `mid`'s horizontal neighbours. An
+/// edge column stands in for its missing neighbour with its own value. The
+/// first and last columns are peeled, so the interior is a plain zip over
+/// slices that vectorizes; every cell keeps the operand order
+/// `0.25 * (up + down + left + right)`.
 #[inline]
-fn update_row(cur: &[f64], next: &mut [f64], r: usize, rows: usize, cols: usize) {
-    if r == 0 || r == rows - 1 {
-        next[r * cols..(r + 1) * cols].copy_from_slice(&cur[r * cols..(r + 1) * cols]);
+fn update_row(up: &[f64], mid: &[f64], down: &[f64], out: &mut [f64]) {
+    let cols = out.len();
+    let (up, mid, down) = (&up[..cols], &mid[..cols], &down[..cols]);
+    let cell = |u: f64, d: f64, l: f64, r: f64| 0.25 * (u + d + l + r);
+    if cols < 2 {
+        // One column: both horizontal neighbours are the cell itself.
+        if cols == 1 {
+            out[0] = cell(up[0], down[0], mid[0], mid[0]);
+        }
         return;
     }
-    for c in 0..cols {
-        let up = cur[(r - 1) * cols + c];
-        let down = cur[(r + 1) * cols + c];
-        let left = if c == 0 { cur[r * cols + c] } else { cur[r * cols + c - 1] };
-        let right = if c == cols - 1 { cur[r * cols + c] } else { cur[r * cols + c + 1] };
-        next[r * cols + c] = 0.25 * (up + down + left + right);
+    let last = cols - 1;
+    out[0] = cell(up[0], down[0], mid[0], mid[1]);
+    out[last] = cell(up[last], down[last], mid[last - 1], mid[last]);
+    let inner = out[1..last]
+        .iter_mut()
+        .zip(&up[1..last])
+        .zip(&down[1..last])
+        .zip(&mid[..last - 1])
+        .zip(&mid[2..]);
+    for ((((o, &u), &d), &l), &r) in inner {
+        *o = cell(u, d, l, r);
+    }
+}
+
+/// Writes row `r` of the next grid into `out`: boundary rows are fixed
+/// (copied), interior rows get one Jacobi update.
+#[inline]
+fn step_row(cur: &[f64], out: &mut [f64], r: usize, rows: usize) {
+    let cols = out.len();
+    let row = |i: usize| &cur[i * cols..(i + 1) * cols];
+    if r == 0 || r == rows - 1 {
+        out.copy_from_slice(row(r));
+    } else {
+        update_row(row(r - 1), row(r), row(r + 1), out);
     }
 }
 
@@ -80,9 +109,10 @@ pub fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
 pub fn run_serial(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params) {
     assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
     assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
+    let cols = params.cols;
     for _ in 0..params.steps {
         for r in 0..params.rows {
-            update_row(grid, scratch, r, params.rows, params.cols);
+            step_row(grid, &mut scratch[r * cols..(r + 1) * cols], r, params.rows);
         }
         std::mem::swap(grid, scratch);
     }
@@ -141,21 +171,7 @@ fn step_rows_off(cur: &[f64], next_off: &mut [f64], params: &Params, r0: usize, 
     if r1 - r0 <= params.rows_base {
         let cols = params.cols;
         for r in r0..r1 {
-            let dst = &mut next_off[(r - r0) * cols..(r - r0 + 1) * cols];
-            // update_row wants full-grid indexing for `next`; inline the
-            // body against the offset slice instead.
-            if r == 0 || r == params.rows - 1 {
-                dst.copy_from_slice(&cur[r * cols..(r + 1) * cols]);
-            } else {
-                for c in 0..cols {
-                    let up = cur[(r - 1) * cols + c];
-                    let down = cur[(r + 1) * cols + c];
-                    let left = if c == 0 { cur[r * cols + c] } else { cur[r * cols + c - 1] };
-                    let right =
-                        if c == cols - 1 { cur[r * cols + c] } else { cur[r * cols + c + 1] };
-                    dst[c] = 0.25 * (up + down + left + right);
-                }
-            }
+            step_row(cur, &mut next_off[(r - r0) * cols..(r - r0 + 1) * cols], r, params.rows);
         }
         return;
     }
@@ -273,6 +289,46 @@ mod tests {
     use super::*;
     use crate::common::max_abs_diff;
     use numa_ws::Pool;
+    use rand::Rng;
+
+    /// The row formula before the slice kernel, kept as the oracle: full
+    /// grid indexing and an edge test on every column.
+    fn update_row_oracle(cur: &[f64], next: &mut [f64], r: usize, rows: usize, cols: usize) {
+        if r == 0 || r == rows - 1 {
+            next[r * cols..(r + 1) * cols].copy_from_slice(&cur[r * cols..(r + 1) * cols]);
+            return;
+        }
+        for c in 0..cols {
+            let up = cur[(r - 1) * cols + c];
+            let down = cur[(r + 1) * cols + c];
+            let left = if c == 0 { cur[r * cols + c] } else { cur[r * cols + c - 1] };
+            let right = if c == cols - 1 { cur[r * cols + c] } else { cur[r * cols + c + 1] };
+            next[r * cols + c] = 0.25 * (up + down + left + right);
+        }
+    }
+
+    #[test]
+    fn step_row_is_bit_identical_to_the_branchy_formula() {
+        let rows = 5;
+        for cols in [1usize, 2, 3, 48, 1024] {
+            // Values of mixed magnitude, so any change of operand order
+            // rounds differently somewhere.
+            let mut rng = crate::common::input_rng(cols as u64);
+            let cur: Vec<f64> = (0..rows * cols)
+                .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-8..8)))
+                .collect();
+            let mut expect = vec![f64::NAN; cur.len()];
+            let mut got = vec![f64::NAN; cur.len()];
+            for r in 0..rows {
+                update_row_oracle(&cur, &mut expect, r, rows, cols);
+                step_row(&cur, &mut got[r * cols..(r + 1) * cols], r, rows);
+            }
+            for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                let (r, c) = (i / cols, i % cols);
+                assert_eq!(g.to_bits(), e.to_bits(), "cols={cols} row {r} col {c}: {g} vs {e}");
+            }
+        }
+    }
 
     #[test]
     fn serial_conserves_boundary_and_smooths() {

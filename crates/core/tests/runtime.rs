@@ -2,7 +2,8 @@
 //! parallelism, hint routing, panic propagation, and statistics.
 
 use numa_ws::{join, join4_at, join_at, Place, Pool, SchedPolicy};
-use nws_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use nws_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -62,8 +63,25 @@ fn steals_happen_under_load() {
     let n = if cfg!(debug_assertions) { 22 } else { 28 };
     let pool = Pool::builder().workers(8).places(2).build().unwrap();
     pool.install(|| fib(n));
+    // fib alone steals only likely: a loaded host can let the owner finish
+    // before any thief gets a time slice. This join makes the steal
+    // certain: its first branch waits until the second has run, and the
+    // owner is busy in that wait, so another worker must take the branch.
+    let b_ran = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    pool.install(|| {
+        join(
+            || {
+                while !b_ran.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "no thief took the branch within 60 s");
+                    nws_sync::thread::yield_now();
+                }
+            },
+            || b_ran.store(true, Ordering::Release),
+        )
+    });
     let stats = pool.stats();
-    assert!(stats.total_steals() > 0, "8 workers on fib({n}) must steal: {stats:?}");
+    assert!(stats.total_steals() > 0, "the waiting join's branch must be stolen: {stats:?}");
     assert!(stats.total_spawns() > 10_000);
     // Every steal is counted once by its thief and once by its victim.
     assert_eq!(stats.total_steals(), stats.total_stolen_from(), "{stats:?}");
@@ -325,7 +343,6 @@ fn thief_takes_hidden_branch_of_a_scope_blocked_owner() {
     // the owner blocks in the scope, so the branch must become stealable
     // or the pool deadlocks. Repeated so both orders of the outer steal
     // show up.
-    use nws_sync::atomic::AtomicBool;
     let pool = Pool::new(2).unwrap();
     for _ in 0..50 {
         let b_ran = AtomicBool::new(false);

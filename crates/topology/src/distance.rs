@@ -61,10 +61,8 @@ impl DistanceMatrix {
     /// one-hop neighbours). Distance grows by `per_hop` for each hop along
     /// the shorter arc: `10 + per_hop * hops`.
     ///
-    /// With `n = 4` and `per_hop = 11` wait — the paper's Figure 1 machine
-    /// uses 21 for one hop and 31 for two, i.e. `10 + 11*1` and `10 + 21*...`;
-    /// see [`ring_with`] for explicit steps. This constructor uses
-    /// `10 + per_hop * hops` directly.
+    /// The paper's Figure 1 machine (21 for one hop, 31 for two) is not
+    /// linear in hops, so it is built with [`ring_with`].
     ///
     /// [`ring_with`]: DistanceMatrix::ring_with
     pub fn ring(n: usize, per_hop: u32) -> Self {
