@@ -14,9 +14,10 @@ use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
 pub struct Params {
     /// Number of 64-bit keys to sort.
     pub n: usize,
-    /// Below this size, sort sequentially (the paper's coarsening).
+    /// Below this size, sort sequentially (the paper's coarsening). At
+    /// least 3: `sort_serial`, `sort_parallel` and `dag` panic otherwise.
     pub sort_base: usize,
-    /// Below this output size, merge sequentially.
+    /// Below this output size, merge sequentially. At least 2, likewise.
     pub merge_base: usize,
 }
 
@@ -37,6 +38,14 @@ impl Params {
     pub fn test() -> Self {
         Params { n: 1 << 12, sort_base: 1 << 7, merge_base: 1 << 7 }
     }
+
+    /// Panics unless the recursion terminates. Below a sort base of 3,
+    /// `n / 4` can be 0 and the fourth quarter is the whole input; below a
+    /// merge base of 2, a 2-key merge can split into itself.
+    fn check(&self) {
+        assert!(self.sort_base >= 3, "cilksort: sort_base must be >= 3, got {}", self.sort_base);
+        assert!(self.merge_base >= 2, "cilksort: merge_base must be >= 2, got {}", self.merge_base);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -46,6 +55,7 @@ impl Params {
 /// Sorts `data` with the serial elision of the parallel algorithm: the same
 /// 4-way recursion and merges, minus the parallel keywords.
 pub fn sort_serial(data: &mut [u64], tmp: &mut [u64], params: Params) {
+    params.check();
     assert_eq!(data.len(), tmp.len(), "tmp must match data length");
     serial_rec(data, tmp, params.sort_base);
 }
@@ -77,24 +87,34 @@ fn serial_rec(data: &mut [u64], tmp: &mut [u64], base: usize) {
     merge_serial(t1, t2, data);
 }
 
-/// Merges the sorted runs `a` and `b` into `out`; on equal keys `a`'s goes
-/// first. Branch-free while both runs are non-empty: the comparison picks
-/// the smaller head and advances both indices by its result, so random
-/// keys cost no mispredicted branch. The leftover tail is one copy.
+/// Merges the sorted runs `a` and `b` into `out`; on equal keys `a`'s go
+/// first. Two-ended and branch-free: while both remaining ranges
+/// `a[i..ia]` and `b[j..jb]` are non-empty, a front cursor writes the
+/// smaller head (a tie takes `a`) and a back cursor the larger tail (a tie
+/// takes `b`), each advancing its own indices by its comparison's result.
+/// The two cursors are independent dependency chains, so their loads and
+/// compares overlap. They never take the same key: the front takes `a`'s
+/// last key `x` only if `x <= b[j]`, the back only if `x > b[jb - 1] >=
+/// b[j]`, and the tie rules make the same hold for `b`. The leftover range
+/// is one copy.
 fn merge_serial(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert_eq!(a.len() + b.len(), out.len());
     let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
+    let (mut ia, mut jb) = (a.len(), b.len());
+    while i < ia && j < jb {
         let (x, y) = (a[i], b[j]);
-        let take_a = x <= y;
-        out[i + j] = if take_a { x } else { y };
-        i += usize::from(take_a);
-        j += usize::from(!take_a);
+        let front_a = x <= y;
+        out[i + j] = if front_a { x } else { y };
+        i += usize::from(front_a);
+        j += usize::from(!front_a);
+        let (x, y) = (a[ia - 1], b[jb - 1]);
+        let back_b = x <= y;
+        out[ia + jb - 1] = if back_b { y } else { x };
+        ia -= usize::from(!back_b);
+        jb -= usize::from(back_b);
     }
-    let (rest_a, rest_b) = (&a[i..], &b[j..]);
-    let k = i + j;
-    out[k..k + rest_a.len()].copy_from_slice(rest_a);
-    out[k + rest_a.len()..].copy_from_slice(rest_b);
+    let rest = if i < ia { &a[i..ia] } else { &b[j..jb] };
+    out[i + j..ia + jb].copy_from_slice(rest);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,6 +126,7 @@ fn merge_serial(a: &[u64], b: &[u64], out: &mut [u64]) {
 /// hints. `places` is the pool's place count (hints wrap regardless; passing
 /// the real count just names the quarters as the paper does).
 pub fn sort_parallel(data: &mut [u64], tmp: &mut [u64], params: Params, places: usize) {
+    params.check();
     assert_eq!(data.len(), tmp.len(), "tmp must match data length");
     let p = |i: usize| Place(i % places.max(1));
     sort_top(data, tmp, params, [p(0), p(1), p(2), p(3)]);
@@ -235,6 +256,7 @@ struct DagCtx {
 /// footprints as the real code, with elements mapped onto pages (512 keys
 /// per page).
 pub fn dag(params: Params, places: usize) -> Dag {
+    params.check();
     let n = params.n as u64;
     let mut b = DagBuilder::new();
     let pages = pages_for(n, 8);
@@ -375,15 +397,76 @@ mod tests {
     #[test]
     fn parallel_merge_correct() {
         let pool = Pool::new(4).unwrap();
-        let mut a = random_keys(1000, 4);
-        let mut b = random_keys(1500, 5);
-        a.sort_unstable();
-        b.sort_unstable();
-        let mut out = vec![0u64; 2500];
-        pool.install(|| merge_parallel(&a, &b, &mut out, 64));
-        let mut expect = [a, b].concat();
+        let check = |a: &[u64], b: &[u64], base: usize| {
+            let mut out = vec![u64::MAX; a.len() + b.len()];
+            pool.install(|| merge_parallel(a, b, &mut out, base));
+            let mut expect = [a, b].concat();
+            expect.sort_unstable();
+            assert_eq!(out, expect, "a={} keys, b={} keys, base={base}", a.len(), b.len());
+        };
+        check(&sorted_keys(1000, 4, u64::MAX), &sorted_keys(1500, 5, u64::MAX), 64);
+        // Duplicate-heavy runs, split down to the smallest merge base.
+        for (la, lb) in [(1000, 1500), (1500, 1000), (37, 64), (1, 2), (2, 1), (0, 5), (64, 64)] {
+            check(&sorted_keys(la, 10, 4), &sorted_keys(lb, 11, 4), 2);
+        }
+    }
+
+    /// perfbench's shape scaled down 16-fold: the same four levels of
+    /// recursion over leaves of 256 keys, with merges split to 512 keys.
+    #[test]
+    fn parallel_sorts_a_scaled_perfbench_shape() {
+        let pool = Pool::builder()
+            .workers(2)
+            .places(2)
+            .policy(numa_ws::SchedPolicy::numa_ws())
+            .build()
+            .unwrap();
+        let params = Params { n: 1 << 16, sort_base: 1 << 9, merge_base: 1 << 9 };
+        let mut data = random_keys(params.n, 12);
+        let mut expect = data.clone();
+        let mut tmp = vec![0u64; params.n];
+        pool.install(|| sort_parallel(&mut data, &mut tmp, params, 2));
         expect.sort_unstable();
-        assert_eq!(out, expect);
+        assert_eq!(data, expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "sort_base must be >= 3")]
+    fn sort_base_below_three_is_rejected() {
+        // Unchecked, 3 keys over a base of 2 recurse forever: `n / 4 = 0`.
+        let mut data = random_keys(3, 13);
+        let mut tmp = vec![0u64; 3];
+        sort_serial(&mut data, &mut tmp, Params { n: 3, sort_base: 2, merge_base: 2 });
+    }
+
+    #[test]
+    #[should_panic(expected = "merge_base must be >= 2")]
+    fn merge_base_below_two_is_rejected() {
+        let pool = Pool::new(2).unwrap();
+        let mut data = vec![7u64; 64];
+        let mut tmp = vec![0u64; 64];
+        let params = Params { n: 64, sort_base: 3, merge_base: 1 };
+        pool.install(|| sort_parallel(&mut data, &mut tmp, params, 2));
+    }
+
+    #[test]
+    fn smallest_legal_bases_sort_correctly() {
+        let pool = Pool::new(2).unwrap();
+        for n in (0..=20).chain([64, 1000]) {
+            let params = Params { n, sort_base: 3, merge_base: 2 };
+            for keys in [random_keys(n, 14), vec![7; n], sorted_keys(n, 15, 4)] {
+                let mut expect = keys.clone();
+                expect.sort_unstable();
+                let mut tmp = vec![0u64; n];
+                let mut data = keys.clone();
+                sort_serial(&mut data, &mut tmp, params);
+                assert_eq!(data, expect, "serial, n={n}");
+                let mut data = keys;
+                pool.install(|| sort_parallel(&mut data, &mut tmp, params, 2));
+                assert_eq!(data, expect, "parallel, n={n}");
+            }
+            dag(params, 2).validate().unwrap();
+        }
     }
 
     /// `merge_serial` against the oracle: the sorted concatenation.
@@ -425,6 +508,20 @@ mod tests {
         // One run entirely below the other.
         check_merge(&evens[..100], &evens[100..]);
         check_merge(&evens[100..], &evens[..100]);
+    }
+
+    /// Every pair of run lengths up to 8, keys from {0, 1, 2}: odd and even
+    /// totals, ties on both sides, and each step where the two cursors meet.
+    #[test]
+    fn merge_serial_matches_sorted_concatenation_on_every_small_shape() {
+        for seed in 0..4 {
+            for la in 0..=8 {
+                for lb in 0..=8 {
+                    let s = 100 * seed + 10 * la as u64 + lb as u64;
+                    check_merge(&sorted_keys(la, s, 3), &sorted_keys(lb, s + 5000, 3));
+                }
+            }
+        }
     }
 
     #[test]
