@@ -25,13 +25,6 @@ pub struct Params {
     pub rows_base: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 75k x 75 NAS input.
-        Params { n: 1 << 16, nnz_per_row: 24, iters: 12, rows_base: 1 << 10 }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration.
     pub fn sim() -> Self {

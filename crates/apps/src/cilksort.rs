@@ -21,13 +21,6 @@ pub struct Params {
     pub merge_base: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 1.3e8 / 1k to run in seconds on this host.
-        Params { n: 1 << 22, sort_base: 1 << 13, merge_base: 1 << 13 }
-    }
-}
-
 impl Params {
     /// A smaller configuration for the simulator (same recursive shape).
     pub fn sim() -> Self {
@@ -129,12 +122,16 @@ pub fn sort_parallel(data: &mut [u64], tmp: &mut [u64], params: Params, places: 
     params.check();
     assert_eq!(data.len(), tmp.len(), "tmp must match data length");
     let p = |i: usize| Place(i % places.max(1));
-    sort_top(data, tmp, params, [p(0), p(1), p(2), p(3)]);
+    sort_rec(data, tmp, params, [p(0), p(1), p(2), p(3)]);
 }
 
-/// The paper's MERGESORTTOP: quarters at places 0..3, pair-merges at 0 and
-/// 2, final merge anywhere.
-fn sort_top(data: &mut [u64], tmp: &mut [u64], params: Params, places: [Place; 4]) {
+/// The paper's MERGESORTTOP and MERGESORT as one recursion: the quarters
+/// fork at `places[0..4]`, the pair-merges at `places[0]`/`places[2]`, and
+/// the final merge runs anywhere. The top level passes Figure 4's
+/// `@p0..@p3`; deeper levels set no hints (`Place::ANY`, i.e. plain
+/// `join4`/`join`), so they inherit where their parent ran. Every merge
+/// splits down to `params.merge_base`.
+fn sort_rec(data: &mut [u64], tmp: &mut [u64], params: Params, places: [Place; 4]) {
     let n = data.len();
     if n <= params.sort_base {
         data.sort_unstable();
@@ -142,6 +139,7 @@ fn sort_top(data: &mut [u64], tmp: &mut [u64], params: Params, places: [Place; 4
     }
     let q = n / 4;
     let h = 2 * q;
+    let any = [Place::ANY; 4];
     {
         let (a, rest) = data.split_at_mut(q);
         let (b, rest) = rest.split_at_mut(q);
@@ -149,62 +147,28 @@ fn sort_top(data: &mut [u64], tmp: &mut [u64], params: Params, places: [Place; 4
         let (ta, trest) = tmp.split_at_mut(q);
         let (tb, trest) = trest.split_at_mut(q);
         let (tc, td) = trest.split_at_mut(q);
-        let base = params.sort_base;
         join4_at(
             places,
-            || sort_rec(a, ta, base),
-            || sort_rec(b, tb, base),
-            || sort_rec(c, tc, base),
-            || sort_rec(d, td, base),
+            || sort_rec(a, ta, params, any),
+            || sort_rec(b, tb, params, any),
+            || sort_rec(c, tc, params, any),
+            || sort_rec(d, td, params, any),
         );
     }
+    let base = params.merge_base;
     {
         let (t12, t34) = tmp.split_at_mut(h);
         let (d1, rest) = data.split_at(q);
         let (d2, rest) = rest.split_at(q);
         let (d3, d4) = rest.split_at(q);
         join_at(
-            || merge_parallel(d1, d2, t12, params.merge_base),
-            || merge_parallel(d3, d4, t34, params.merge_base),
+            || merge_parallel(d1, d2, t12, base),
+            || merge_parallel(d3, d4, t34, base),
             places[2],
         );
     }
     let (t1, t2) = tmp.split_at(h);
-    merge_parallel(t1, t2, data, params.merge_base); // @ANY
-}
-
-/// MERGESORT: same recursion, hints inherited (none set here).
-fn sort_rec(data: &mut [u64], tmp: &mut [u64], base: usize) {
-    let n = data.len();
-    if n <= base {
-        data.sort_unstable();
-        return;
-    }
-    let q = n / 4;
-    let h = 2 * q;
-    {
-        let (a, rest) = data.split_at_mut(q);
-        let (b, rest) = rest.split_at_mut(q);
-        let (c, d) = rest.split_at_mut(q);
-        let (ta, trest) = tmp.split_at_mut(q);
-        let (tb, trest) = trest.split_at_mut(q);
-        let (tc, td) = trest.split_at_mut(q);
-        numa_ws::join4(
-            || sort_rec(a, ta, base),
-            || sort_rec(b, tb, base),
-            || sort_rec(c, tc, base),
-            || sort_rec(d, td, base),
-        );
-    }
-    {
-        let (t12, t34) = tmp.split_at_mut(h);
-        let (d1, rest) = data.split_at(q);
-        let (d2, rest) = rest.split_at(q);
-        let (d3, d4) = rest.split_at(q);
-        numa_ws::join(|| merge_parallel(d1, d2, t12, base), || merge_parallel(d3, d4, t34, base));
-    }
-    let (t1, t2) = tmp.split_at(h);
-    merge_parallel(t1, t2, data, base);
+    merge_parallel(t1, t2, data, base); // @ANY
 }
 
 /// PARMERGE: parallel merge by splitting the larger input at its median and
@@ -428,6 +392,35 @@ mod tests {
         pool.install(|| sort_parallel(&mut data, &mut tmp, params, 2));
         expect.sort_unstable();
         assert_eq!(data, expect);
+    }
+
+    /// Every merge splits down to `merge_base`, the ones below the top
+    /// level too. A merge producing `m` keys ends in at least
+    /// `ceil(m / merge_base)` serial leaves, so it forks at least one time
+    /// fewer; a merge split only down to `sort_base` forks far less.
+    #[test]
+    fn merges_below_the_top_split_down_to_merge_base() {
+        /// The fewest forks the recursion can make: three per `join4`, one
+        /// per pair-merge `join`, and each merge's splits.
+        fn min_forks(n: usize, p: Params) -> u64 {
+            if n <= p.sort_base {
+                return 0;
+            }
+            let q = n / 4;
+            let merge = |m: usize| (m.div_ceil(p.merge_base) - 1) as u64;
+            let sorts = 3 * min_forks(q, p) + min_forks(n - 3 * q, p);
+            4 + sorts + merge(2 * q) + merge(n - 2 * q) + merge(n)
+        }
+        let params = Params { n: 1 << 14, sort_base: 1 << 8, merge_base: 1 << 4 };
+        let pool = Pool::new(1).unwrap();
+        let mut data = random_keys(params.n, 14);
+        let mut tmp = vec![0u64; params.n];
+        pool.install(|| sort_parallel(&mut data, &mut tmp, params, 1));
+        assert!(data.windows(2).all(|w| w[0] <= w[1]));
+        let stats = pool.stats();
+        let forks = stats.total_spawns() + stats.total_spawn_overflows();
+        let min = min_forks(params.n, params);
+        assert!(forks >= min, "{forks} forks, at least {min} expected");
     }
 
     #[test]

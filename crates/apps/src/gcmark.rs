@@ -44,12 +44,6 @@ pub struct Params {
     pub seed: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Params { nodes: 1 << 18, avg_degree: 4, roots: 4, chunk: 256, seed: 0xC0FFEE }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration.
     pub fn sim() -> Self {

@@ -25,13 +25,6 @@ pub struct Params {
     pub rows_base: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 16k x 16k x 100 / (16k x 10).
-        Params { rows: 2048, cols: 2048, steps: 20, rows_base: 32 }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration (same shape).
     pub fn sim() -> Self {

@@ -30,13 +30,6 @@ pub struct Params {
     pub base: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 100000k / 10k.
-        Params { n: 1 << 21, base: 1 << 12 }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration.
     pub fn sim() -> Self {

@@ -27,13 +27,6 @@ pub struct Params {
     pub block: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 4k x 4k / 32 x 32.
-        Params { n: 1024, block: 32 }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration.
     pub fn sim() -> Self {

@@ -27,12 +27,6 @@ pub struct Params {
     pub seed: u64,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        Params { stages: 6, batches: 64, items: 1 << 12, seed: 0xF00D }
-    }
-}
-
 impl Params {
     /// Tiny configuration for tests.
     pub fn test() -> Self {
@@ -91,9 +85,8 @@ pub fn run_serial(data: &mut [u64], p: Params) {
 
 /// Runs all batches concurrently (call inside
 /// [`Pool::install`](numa_ws::Pool::install)): one scope task per batch.
-pub fn run_parallel(data: &mut [u64], p: Params, places: usize) {
+pub fn run_parallel(data: &mut [u64], p: Params) {
     assert_eq!(data.len(), p.batches * p.items, "data shape mismatch");
-    let places = places.max(1);
     scope(|s| {
         for (b, batch) in data.chunks_mut(p.items).enumerate() {
             // The batch enters at its first stage's place; later stages run
@@ -108,7 +101,6 @@ pub fn run_parallel(data: &mut [u64], p: Params, places: usize) {
                     }
                 }
             });
-            let _ = places;
         }
     });
 }
@@ -134,7 +126,7 @@ mod tests {
             let mut a = initial_data(p);
             run_serial(&mut a, p);
             let mut b = initial_data(p);
-            pool.install(|| run_parallel(&mut b, p, places));
+            pool.install(|| run_parallel(&mut b, p));
             assert_eq!(a, b, "places={places}");
             assert_eq!(checksum(&a), checksum(&b));
         }

@@ -31,13 +31,6 @@ pub struct Params {
     pub block: usize,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        // Scaled from the paper's 8k x 8k / 16 x 16.
-        Params { n: 1024, block: 32 }
-    }
-}
-
 impl Params {
     /// Simulator-scale configuration.
     pub fn sim() -> Self {

@@ -248,7 +248,7 @@ fn pipeline_workload() -> Result<bool, String> {
     let want = pipeline::checksum(&serial);
     let mut data = pipeline::initial_data(p);
     let pool = build_pool();
-    pool.install(|| pipeline::run_parallel(&mut data, p, 2));
+    pool.install(|| pipeline::run_parallel(&mut data, p));
     let got = pipeline::checksum(&data);
     if got != want {
         return Err(format!("pipeline checksum {got:#x}, want {want:#x}"));

@@ -14,7 +14,8 @@ use nws_deque::{the_deque, Full, TheStealer, TheWorker};
 use nws_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use nws_sync::{CachePadded, Condvar, Mutex};
 use nws_topology::{
-    worker_rng_seed, Place, SchedPolicy, SplitMix64, StealDistribution, Topology, WorkerMap,
+    worker_rng_seed, Deposit, Place, SchedPolicy, SplitMix64, StealDistribution, Topology,
+    WorkerMap,
 };
 use nws_trace::{TraceEvent, TraceSink};
 use std::any::Any;
@@ -62,11 +63,6 @@ pub(crate) struct Registry {
     mailboxes: Vec<Mailbox>,
     pub(crate) worker_stats: Vec<WorkerStats>,
     dists: Vec<Option<StealDistribution>>,
-    /// `push_candidates[w][p]`: the workers of place `p` a PUSHBACK episode
-    /// started by worker `w` may deposit to (everyone on `p` except `w`).
-    /// Precomputed at construction so `pushback` never heap-allocates on
-    /// the steal-relay path.
-    push_candidates: Vec<Vec<Vec<usize>>>,
     /// One external ingress queue per virtual place; every worker of a
     /// place drains its own queue, and any worker drains remote queues as
     /// a last resort (see [`WorkerThread::find_work`]).
@@ -144,25 +140,11 @@ impl Registry {
         // method the simulator's engine calls, so a seeded policy selects
         // victims identically on both substrates.
         let dists = (0..p).map(|w| policy.victim_distribution(&topo, &map, w)).collect();
-        let push_candidates = (0..p)
-            .map(|w| {
-                (0..s)
-                    .map(|place| {
-                        map.workers_of_place(Place(place))
-                            .iter()
-                            .copied()
-                            .filter(|&c| c != w)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
         let registry = Arc::new(Registry {
             stealers,
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             worker_stats: (0..p).map(|_| WorkerStats::default()).collect(),
             dists,
-            push_candidates,
             injectors: (0..s).map(|_| IngressQueue::new(ingress_capacity)).collect(),
             next_ingress: AtomicUsize::new(0),
             sleep: Sleep::new(),
@@ -192,8 +174,9 @@ impl Registry {
     /// (giving up — [`Inject::Refused`] — if the pool shuts down or poisons
     /// meanwhile); without it, a full queue hands the job straight back as
     /// [`Inject::Full`]. The caller decides what refusal means: `install`
-    /// degrades to inline execution, `spawn` sheds or blocks per
-    /// [`OverflowPolicy`], `try_spawn` reports `Err`.
+    /// panics with [`PoisonedPool`](crate::PoisonedPool), `spawn` sheds or
+    /// blocks per [`OverflowPolicy`], `try_spawn` reports `Err`. Only a
+    /// queued job leaves a Spawn in the trace.
     ///
     /// Ingress is the latency-critical external entry point, so on success
     /// it broadcasts rather than waking one worker: a single `notify_one`
@@ -208,12 +191,15 @@ impl Registry {
         if self.is_shutting_down() || self.is_poisoned() {
             return Inject::Refused(job);
         }
-        let s = self.map.num_places();
-        let place = match job.place().index() {
-            Some(p) => p % s,
-            None => self.next_ingress.fetch_add(1, Ordering::Relaxed) % s,
+        let hint = job.place();
+        let place = match self.map.home_of(hint) {
+            Some(home) => home.0,
+            None => self.next_ingress.fetch_add(1, Ordering::Relaxed) % self.map.num_places(),
         };
-        if let Some(tr) = &self.trace {
+        // The task id travels with the job, so it is set before the push;
+        // the Spawn is recorded only once the job is queued, so a refused
+        // submission leaves no never-started task in the trace.
+        let spawn = self.trace.as_ref().map(|tr| {
             let id = tr.next_id();
             job.set_trace(id);
             // A pool worker may reach inject (a scope handle that crossed
@@ -221,13 +207,12 @@ impl Registry {
             // truly external submissions go to the external lane, rootless.
             let (lane, parent) = match WorkerThread::current() {
                 Some(w) if std::ptr::eq(Arc::as_ptr(&w.registry), self) => {
-                    let p = w.trace_task.get();
-                    (w.index, (p != 0).then_some(p))
+                    (w.index, w.trace_task.get())
                 }
-                _ => (tr.external_lane(), None),
+                _ => (tr.external_lane(), 0),
             };
-            tr.record(lane, TraceEvent::Spawn { task: id, parent, place: job.place().index() });
-        }
+            (tr, lane, id, parent)
+        });
         let pushed = if wait {
             self.injectors[place]
                 .push_blocking(job, || self.is_shutting_down() || self.is_poisoned())
@@ -236,6 +221,9 @@ impl Registry {
         };
         match pushed {
             Ok(()) => {
+                if let Some((tr, lane, id, parent)) = spawn {
+                    record_spawn_on(tr, lane, id, parent, hint);
+                }
                 self.sleep.wake_all();
                 Inject::Queued
             }
@@ -466,16 +454,6 @@ impl WorkerThread {
         self.registry.map.place_of(self.index)
     }
 
-    /// Is `job` hinted for a place other than ours? (`ANY` is never
-    /// foreign; hints beyond the place count wrap, keeping user code
-    /// oblivious to how many places this run actually has.)
-    fn is_foreign(&self, job: &JobRef) -> bool {
-        match job.place().index() {
-            None => false,
-            Some(p) => p % self.registry.map.num_places() != self.my_place().0,
-        }
-    }
-
     #[inline]
     fn next_random(&self) -> u64 {
         // SplitMix64 from the shared policy layer, stepped statelessly over
@@ -516,15 +494,7 @@ impl WorkerThread {
     #[inline(never)]
     fn record_spawn_event(&self, tr: &TraceSink, place: Place) -> u64 {
         let id = tr.next_id();
-        let parent = self.trace_task.get();
-        tr.record(
-            self.index,
-            TraceEvent::Spawn {
-                task: id,
-                parent: (parent != 0).then_some(parent),
-                place: place.index(),
-            },
-        );
+        record_spawn_on(tr, self.index, id, self.trace_task.get(), place);
         id
     }
 
@@ -924,12 +894,9 @@ impl WorkerThread {
         if try_mailbox {
             if let Some(job) = self.registry.mailboxes[victim].take() {
                 bump!(self.local, mailbox_takes);
-                if !self.is_foreign(&job) {
-                    // Outcome 2: earmarked for our socket — take it.
-                    return Some(job);
-                }
-                // Outcome 3: earmarked elsewhere — relay it onward; if
-                // the episode exhausts the threshold, run it ourselves.
+                // Outcome 2: earmarked for our socket — take it. Outcome 3:
+                // earmarked elsewhere — relay it onward; if the episode
+                // exhausts the threshold, run it ourselves.
                 return self.pushback(job);
             }
             // Outcome 1: mailbox empty — fall back to the deque.
@@ -977,12 +944,7 @@ impl WorkerThread {
                 // as a single steal: relay them toward their place's
                 // mailboxes, and only keep what the pushing threshold
                 // exhausts.
-                let kept = if self.registry.policy.uses_mailboxes() && self.is_foreign(&job) {
-                    self.pushback(job)
-                } else {
-                    Some(job)
-                };
-                if let Some(job) = kept {
+                if let Some(job) = self.pushback(job) {
                     // Raw deque push, not `Worker::push`: these jobs were
                     // already spawned (and traced) by the victim; re-routing
                     // them must not record phantom Spawn events or count as
@@ -1004,19 +966,20 @@ impl WorkerThread {
                 self.registry.sleep.wake_one();
             }
         }
-        if self.registry.policy.uses_mailboxes() && self.is_foreign(&job) {
-            return self.pushback(job);
-        }
-        Some(job)
+        self.pushback(job)
     }
 
-    /// One PUSHBACK episode (paper §III-B): deposit `job` into the mailbox
-    /// of a random worker on its designated place, retrying up to the
-    /// pushing threshold. Returns `None` once the job landed in a mailbox,
-    /// or the job itself when the pusher keeps it (threshold exhausted, no
-    /// candidate, shutdown). Allocation-free: the candidate list was
-    /// precomputed at registry construction.
+    /// PUSHBACK for a claimed job (paper §III-B), decided and run by the
+    /// policy layer ([`SchedPolicy::push_home`], [`SchedPolicy::pushback`]).
+    /// Returns `None` once the job landed in a mailbox, or the job for the
+    /// caller to run. This side adds only mechanism: the shutdown gate, the
+    /// Sched clock, the counters, the fault-guarded deposit and the wake.
     fn pushback(&self, job: JobRef) -> Option<JobRef> {
+        let Some(home) =
+            self.registry.policy.push_home(&self.registry.map, self.index, job.place())
+        else {
+            return Some(job);
+        };
         // During shutdown, run the job here instead of relaying: a deposit
         // could land in the mailbox of a worker that has already performed
         // its final drain and exited, stranding the job until the registry
@@ -1025,53 +988,49 @@ impl WorkerThread {
         if self.registry.is_shutting_down() {
             return Some(job);
         }
-        let place_idx = match job.place().index() {
-            Some(p) => p % self.registry.map.num_places(),
-            None => return Some(job),
-        };
-        let candidates: &[usize] = &self.registry.push_candidates[self.index][place_idx];
-        if candidates.is_empty() {
-            return Some(job);
-        }
         self.switch_to(Category::Sched);
-        let mut job = job;
-        let mut attempts = 0u32;
-        let outcome = loop {
-            attempts += 1;
-            bump!(self.local, push_attempts);
-            let r = candidates[(self.next_random() % candidates.len() as u64) as usize];
-            // The mailbox's "mailbox.deposit" fault point fires at the top
-            // of `try_deposit`, before the job is boxed (see
-            // `crate::mailbox`). A `panic` action is caught here: `JobRef`
-            // is `Copy`, so this frame still owns `job` — poison the pool,
-            // count the abandoned episode, and keep the job (the thief
-            // executes it inline), exactly the threshold-exhausted path.
-            let Ok(deposit) = self.fault_guard(|| self.registry.mailboxes[r].try_deposit(job))
-            else {
-                bump!(self.local, push_failures);
-                break Some(job);
-            };
-            match deposit {
-                Ok(()) => {
-                    bump!(self.local, push_deliveries);
-                    // The deposit target may be asleep. Broadcast, as
-                    // inject does: a mailbox is visible only to its owner
-                    // (and to coin-flip thieves), so a single notify could
-                    // land on a sleeper that cannot see this job and would
-                    // re-sleep, leaving the owner napping out its timeout.
-                    self.registry.sleep.wake_all();
-                    break None;
+        let candidates = self.registry.map.workers_of_place(home);
+        let kept = self.registry.policy.pushback(
+            candidates,
+            job,
+            || self.next_random(),
+            |r, job| {
+                bump!(self.local, push_attempts);
+                // The mailbox's "mailbox.deposit" fault point fires at the top
+                // of `try_deposit`, before the job is boxed (see
+                // `crate::mailbox`). A `panic` action is caught here: `JobRef`
+                // is `Copy`, so this frame still owns `job` — poison the pool
+                // and abandon the episode, keeping the job (the thief executes
+                // it inline), exactly the threshold-exhausted path.
+                match self.fault_guard(|| self.registry.mailboxes[r].try_deposit(job)) {
+                    Ok(Ok(())) => {
+                        bump!(self.local, push_deliveries);
+                        // The deposit target may be asleep. Broadcast, as
+                        // inject does: a mailbox is visible only to its owner
+                        // (and to coin-flip thieves), so a single notify could
+                        // land on a sleeper that cannot see this job and would
+                        // re-sleep, leaving the owner napping out its timeout.
+                        self.registry.sleep.wake_all();
+                        Deposit::Landed
+                    }
+                    Ok(Err(back)) => Deposit::Full(back),
+                    Err(()) => Deposit::Aborted(job),
                 }
-                Err(back) => job = back,
-            }
-            if attempts > self.registry.policy.push_threshold {
-                bump!(self.local, push_failures);
-                break Some(job);
-            }
-        };
+            },
+        );
+        if kept.is_some() {
+            bump!(self.local, push_failures);
+        }
         self.switch_to(Category::Idle);
-        outcome
+        kept
     }
+}
+
+/// Records task `id`'s Spawn on `lane` under `parent` (`0` for none): the
+/// one spawn-recording path of forks and ingress.
+fn record_spawn_on(tr: &TraceSink, lane: usize, id: u64, parent: u64, place: Place) {
+    let parent = (parent != 0).then_some(parent);
+    tr.record(lane, TraceEvent::Spawn { task: id, parent, place: place.index() });
 }
 
 /// Body of each worker OS thread: a thin supervisor around

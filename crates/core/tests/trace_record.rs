@@ -179,3 +179,30 @@ fn promoted_frames_keep_their_trace_ids() {
         break;
     }
 }
+
+/// A submission a bounded ingress queue refuses never becomes a task: the
+/// trace holds only what was queued, and every queued task ran.
+#[test]
+fn refused_ingress_leaves_no_task() {
+    let pool =
+        Pool::builder().workers(1).ingress_capacity(1).record_trace(true).build().expect("pool");
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    // Occupy the lone worker, then fill the one ingress slot.
+    pool.spawn(move || {
+        started_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
+    });
+    started_rx.recv().unwrap();
+    assert!(pool.try_spawn_at(Place(0), || ()).is_ok(), "the empty queue takes one job");
+    for _ in 0..3 {
+        assert!(pool.try_spawn_at(Place(0), || ()).is_err(), "the full queue refuses");
+    }
+    release_tx.send(()).unwrap();
+    // A barrier install quiesces the pool before draining.
+    pool.install(|| ());
+    let trace = pool.take_trace("refused").expect("recording was on");
+    trace.validate().expect("well-formed");
+    assert_eq!(trace.tasks.len(), 3, "occupier, queued job and barrier: {:?}", trace.tasks);
+    assert_eq!(trace.num_started(), trace.tasks.len(), "no never-started task");
+}

@@ -22,18 +22,18 @@
 //! worker's turn instead of rescanning the clocks after each one; the
 //! outcome is the one turn-by-turn stepping gives (DESIGN.md §2).
 //!
-//! The engine makes the paper's two scheduling decisions the way the real
-//! runtime does. An idle worker picks its victim and coin through
-//! [`SchedPolicy::steal_target`](nws_topology::SchedPolicy::steal_target),
-//! the method the runtime's steal loop calls. A worker holding a ready full
-//! frame pushes it back toward its place when the policy uses mailboxes and
-//! the frame is foreign, and runs it otherwise.
+//! The engine makes the paper's scheduling decisions through the policy
+//! methods the runtime's steal loop calls: `SchedPolicy::steal_target` for
+//! an idle worker's victim and coin, `push_home` and `pushback` for a
+//! ready full frame that belongs elsewhere. It supplies only mechanism.
 
 use crate::config::SimConfig;
 use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
-use nws_topology::{worker_rng_seed, Place, StealDistribution, Topology, TopologyError, WorkerMap};
+use nws_topology::{
+    worker_rng_seed, Deposit, Place, StealDistribution, Topology, TopologyError, WorkerMap,
+};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
@@ -301,22 +301,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn my_place(&self, w: usize) -> Place {
-        self.map.place_of(w)
-    }
-
-    fn place_of_frame(&self, f: usize) -> Place {
-        self.dag.frame(FrameId(f)).place
-    }
-
-    /// A frame hinted for somewhere other than worker `w`'s place?
-    fn is_foreign(&self, w: usize, f: usize) -> bool {
-        let p = self.place_of_frame(f);
-        !p.is_any() && p.index().unwrap() % self.map.num_places() != self.my_place(w).0
-    }
-
-    fn hop_cost(&self, a: usize, b: usize) -> u64 {
-        self.hops[a * self.clocks.len() + b]
+    /// The policy's lazy-pushing decision for frame `f` held by worker
+    /// `w`: its home place when it must go back, `None` when `w` runs it.
+    fn push_home(&self, w: usize, f: usize) -> Option<Place> {
+        self.cfg.policy.push_home(&self.map, w, self.dag.frame(FrameId(f)).place)
     }
 
     /// Nothing is stealable and an idle worker has the next turn. Until a
@@ -464,49 +452,40 @@ impl<'a> Engine<'a> {
     }
 
     /// A worker holds a ready full frame: under a mailbox policy a frame
-    /// hinted for another place starts a PUSHBACK episode toward it (Fig 5
-    /// l.5-11 / l.21-26); otherwise, or when delivery fails past the
-    /// threshold, the worker runs it here (load balancing wins).
+    /// hinted for another place goes home through one PUSHBACK episode
+    /// (Fig 5 l.5-11 / l.21-26), run by the policy layer; otherwise, or
+    /// when delivery fails past the threshold, the worker runs it here
+    /// (load balancing wins). Each attempt costs `push_attempt` plus the
+    /// hop to its target and lands if the target's FIFO mailbox has room.
     fn resume_full(&mut self, w: usize, cont: Cont) {
-        let pushed = self.cfg.policy.uses_mailboxes()
-            && self.is_foreign(w, cont.0)
-            && self.pushback(w, cont);
-        self.states[w] =
-            if pushed { WState::Steal } else { WState::Exec { frame: cont.0, step: cont.1 } };
-    }
-
-    /// One PUSHBACK episode. Returns `true` if the frame was delivered to a
-    /// mailbox on its designated place.
-    fn pushback(&mut self, w: usize, cont: Cont) -> bool {
-        if self.cfg.policy.mailbox_capacity == 0 {
-            return false;
-        }
-        let place = self.place_of_frame(cont.0);
-        let place_idx =
-            place.index().expect("foreign frame has a concrete place") % self.map.num_places();
-        let candidates = self.map.workers_of_place(Place(place_idx));
-        if candidates.is_empty() {
-            return false;
-        }
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            self.counters.push_attempts += 1;
-            let r = candidates[(self.rngs[w].next_u64() % candidates.len() as u64) as usize];
-            let cost = self.cfg.costs.push_attempt + self.hop_cost(w, r);
-            self.clocks[w] += cost;
-            self.sched[w] += cost;
-            if self.mailboxes[r].len() < self.cfg.policy.mailbox_capacity {
-                self.mailboxes[r].push_back(cont);
-                self.stealable += 1;
-                self.counters.push_deliveries += 1;
-                return true;
-            }
-            if attempts > self.cfg.policy.push_threshold {
-                self.counters.push_failures += 1;
-                return false;
-            }
-        }
+        let kept = self.push_home(w, cont.0).map_or(Some(cont), |home| {
+            let p = self.clocks.len();
+            let rng = &mut self.rngs[w];
+            let kept = self.cfg.policy.pushback(
+                self.map.workers_of_place(home),
+                cont,
+                || rng.next_u64(),
+                |r, cont| {
+                    self.counters.push_attempts += 1;
+                    let cost = self.cfg.costs.push_attempt + self.hops[w * p + r];
+                    self.clocks[w] += cost;
+                    self.sched[w] += cost;
+                    if self.mailboxes[r].len() >= self.cfg.policy.mailbox_capacity {
+                        return Deposit::Full(cont);
+                    }
+                    self.mailboxes[r].push_back(cont);
+                    self.stealable += 1;
+                    self.counters.push_deliveries += 1;
+                    Deposit::Landed
+                },
+            );
+            self.counters.push_failures += u64::from(kept.is_some());
+            kept
+        });
+        self.states[w] = match kept {
+            Some((frame, step)) => WState::Exec { frame, step },
+            None => WState::Steal,
+        };
     }
 
     fn step_steal(&mut self, w: usize) {
@@ -526,30 +505,20 @@ impl<'a> Engine<'a> {
         let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
         let rng = &mut self.rngs[w];
         let (victim, try_mailbox) = self.cfg.policy.steal_target(dist, || rng.next_u64());
-        let probe_cost = self.cfg.costs.steal_base + self.hop_cost(w, victim);
+        let probe_cost = self.cfg.costs.steal_base + self.hops[w * self.clocks.len() + victim];
         self.counters.steal_attempts += 1;
 
         if try_mailbox {
             if let Some(cont) = self.mailboxes[victim].pop_front() {
                 self.stealable -= 1;
                 self.counters.mailbox_takes += 1;
-                if !self.is_foreign(w, cont.0) {
-                    // Earmarked for our socket: take it.
-                    let cost = probe_cost + self.cfg.costs.mailbox_take;
-                    self.clocks[w] += cost;
-                    self.sched[w] += cost;
-                    self.states[w] = WState::Exec { frame: cont.0, step: cont.1 };
-                } else {
-                    // Earmarked elsewhere: relay it with lazy pushing; if
-                    // the episode exhausts the threshold, take it ourselves.
-                    self.clocks[w] += probe_cost;
-                    self.sched[w] += probe_cost;
-                    if self.pushback(w, cont) {
-                        self.states[w] = WState::Steal;
-                    } else {
-                        self.states[w] = WState::Exec { frame: cont.0, step: cont.1 };
-                    }
-                }
+                // Earmarked for our socket: take it. Earmarked elsewhere:
+                // relay it with lazy pushing; if the episode exhausts the
+                // threshold, take it ourselves.
+                let take = self.push_home(w, cont.0).map_or(self.cfg.costs.mailbox_take, |_| 0);
+                self.clocks[w] += probe_cost + take;
+                self.sched[w] += probe_cost + take;
+                self.resume_full(w, cont);
                 return;
             }
             // Mailbox empty: fall through to the deque (outcome 1).

@@ -35,8 +35,8 @@ pub const DEFAULT_NS_PER_CYCLE: u64 = 1;
 ///
 /// Tasks with multiple recorded roots (external spawns) are gathered under
 /// a synthesized zero-work super-root so the engine's single-root protocol
-/// applies. A task that was spawned but never individually executed (a
-/// deque-overflow inline run) replays as a minimal 1-cycle frame.
+/// applies. A task with no recorded execution (one still in flight when
+/// the trace was drained) replays as a minimal 1-cycle frame.
 pub fn trace_to_dag(trace: &Trace, ns_per_cycle: u64) -> Dag {
     let scale = ns_per_cycle.max(1);
     let n = trace.tasks.len();

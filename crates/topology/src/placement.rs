@@ -123,6 +123,14 @@ impl WorkerMap {
         self.places[worker]
     }
 
+    /// The place a locality hint names on this map, or `None` for
+    /// [`Place::ANY`]. Hints beyond the place count wrap, so code written
+    /// for four places runs unchanged on two (paper §III-A).
+    #[inline]
+    pub fn home_of(&self, hint: Place) -> Option<Place> {
+        hint.index().map(|p| Place(p % self.num_places))
+    }
+
     /// The workers belonging to a place.
     ///
     /// # Panics
@@ -251,6 +259,15 @@ mod tests {
         for p in 0..3 {
             assert_eq!(map.socket_of_place(Place(p)), SocketId(p));
         }
+    }
+
+    #[test]
+    fn hints_wrap_to_their_home() {
+        let topo = presets::paper_machine();
+        let map = Placement::Packed.assign(&topo, 16).unwrap();
+        assert_eq!(map.home_of(Place::ANY), None);
+        assert_eq!(map.home_of(Place(1)), Some(Place(1)));
+        assert_eq!(map.home_of(Place(3)), Some(Place(1)), "four-place code on two places");
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //! [`numa_ws`](SchedPolicy::numa_ws)) describe the same protocols on both
 //! substrates.
 //!
-//! The paper's Figure 5 steal decision lives here once, as
-//! [`SchedPolicy::steal_target`]: the runtime's steal loop and the
-//! simulator's engine both call it. Determinism is part of the contract:
+//! The paper's Figure 5 lives here once, as [`SchedPolicy::steal_target`]
+//! (the steal decision), [`SchedPolicy::push_home`] and
+//! [`SchedPolicy::pushback`] (lazy pushing): the runtime's steal loop and
+//! the simulator's engine both call them. Determinism is part of the contract:
 //! both substrates derive their per-worker random streams from
 //! [`worker_rng_seed`] and a SplitMix64 generator ([`SplitMix64`], pinned to
 //! the vendored `SmallRng` stream), so the same seed and the same policy
 //! produce the identical `(victim, try_mailbox)` sequence in the runtime
 //! and in the simulator.
 
-use crate::{StealDistribution, Topology, WorkerMap};
+use crate::{Place, StealDistribution, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -55,6 +56,18 @@ pub enum CoinFlip {
     /// Never inspect mailboxes when stealing (mailboxes drain only by
     /// their owners).
     DequeOnly,
+}
+
+/// What one deposit of a [`SchedPolicy::pushback`] episode did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deposit<J> {
+    /// The job landed in the target's mailbox; the episode ends.
+    Landed,
+    /// The mailbox was full; the job comes back for the next attempt.
+    Full(J),
+    /// The deposit was abandoned (the runtime's fault path); the pusher
+    /// keeps the job.
+    Aborted(J),
 }
 
 /// A complete scheduling policy: victim selection, mailbox protocol,
@@ -213,6 +226,48 @@ impl SchedPolicy {
             };
         (victim, try_mailbox)
     }
+
+    /// The lazy-pushing decision of paper Figure 5 (l.5-11, l.21-26): the
+    /// place a full frame hinted `hint` goes back to when worker `thief`
+    /// holds it, or `None` when the thief runs it. Only a policy with
+    /// mailboxes pushes, and only a frame whose [`WorkerMap::home_of`] is
+    /// not the thief's place, so a home's workers never include the thief.
+    #[inline]
+    pub fn push_home(&self, map: &WorkerMap, thief: usize, hint: Place) -> Option<Place> {
+        map.home_of(hint).filter(|&home| self.uses_mailboxes() && home != map.place_of(thief))
+    }
+
+    /// One PUSHBACK episode (paper §III-B). Each attempt draws
+    /// `next() % len` over `candidates` (the workers of the job's
+    /// [`push_home`](Self::push_home)) and offers `job` to that worker's
+    /// mailbox through `deposit`, the substrate's mechanism. Returns `None`
+    /// at the first landed deposit and hands the job back after an aborted
+    /// one or `push_threshold + 1` full ones; empty `candidates` draw
+    /// nothing and keep the job.
+    #[inline]
+    pub fn pushback<J>(
+        &self,
+        candidates: &[usize],
+        mut job: J,
+        mut next: impl FnMut() -> u64,
+        mut deposit: impl FnMut(usize, J) -> Deposit<J>,
+    ) -> Option<J> {
+        if candidates.is_empty() {
+            return Some(job);
+        }
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            job = match deposit(candidates[(next() % candidates.len() as u64) as usize], job) {
+                Deposit::Landed => return None,
+                Deposit::Aborted(back) => return Some(back),
+                Deposit::Full(back) => back,
+            };
+            if attempts > self.push_threshold {
+                return Some(job);
+            }
+        }
+    }
 }
 
 impl Default for SchedPolicy {
@@ -364,6 +419,84 @@ mod tests {
             (true, 1)
         );
         assert_eq!(decide(SchedPolicy::numa_ws().with_coin_flip(CoinFlip::DequeOnly)), (false, 1));
+    }
+
+    /// Runs one episode over `candidates` with draws `0, 1, 2, ...`;
+    /// `outcome(attempt)` says what the attempt's deposit does. Returns
+    /// the episode's result, the draws made and the targets offered.
+    fn episode(
+        threshold: u32,
+        candidates: &[usize],
+        mut outcome: impl FnMut(u32) -> Deposit<()>,
+    ) -> (Option<()>, u64, Vec<usize>) {
+        let policy = SchedPolicy::numa_ws().with_push_threshold(threshold);
+        let (mut draws, mut targets) = (0u64, Vec::new());
+        let kept = policy.pushback(
+            candidates,
+            (),
+            || {
+                draws += 1;
+                draws - 1
+            },
+            |target, ()| {
+                targets.push(target);
+                outcome(targets.len() as u32)
+            },
+        );
+        (kept, draws, targets)
+    }
+
+    #[test]
+    fn pushback_draws_once_per_attempt_in_order() {
+        let (kept, draws, targets) = episode(4, &[10, 20, 30], |_| Deposit::Full(()));
+        assert_eq!(kept, Some(()), "exhausting the threshold keeps the job");
+        assert_eq!(draws, 5);
+        assert_eq!(targets, [10, 20, 30, 10, 20], "draw i picks candidates[i % len]");
+    }
+
+    #[test]
+    fn pushback_ends_at_the_first_landed_deposit() {
+        let (kept, draws, targets) =
+            episode(4, &[10, 20, 30], |n| if n == 3 { Deposit::Landed } else { Deposit::Full(()) });
+        assert_eq!(kept, None);
+        assert_eq!((draws, targets), (3, vec![10, 20, 30]));
+    }
+
+    #[test]
+    fn pushback_makes_threshold_plus_one_attempts() {
+        for threshold in [0, 1, 4] {
+            let (kept, draws, _) = episode(threshold, &[7], |_| Deposit::Full(()));
+            assert_eq!(kept, Some(()));
+            assert_eq!(draws, u64::from(threshold) + 1, "threshold {threshold}");
+        }
+    }
+
+    #[test]
+    fn aborted_deposit_ends_the_episode_as_a_failure() {
+        let (kept, draws, targets) = episode(4, &[10, 20], |_| Deposit::Aborted(()));
+        assert_eq!(kept, Some(()));
+        assert_eq!((draws, targets), (1, vec![10]));
+    }
+
+    #[test]
+    fn empty_candidates_draw_nothing() {
+        let (kept, draws, targets) = episode(4, &[], |_| Deposit::Landed);
+        assert_eq!(kept, Some(()));
+        assert_eq!((draws, targets.len()), (0, 0));
+    }
+
+    #[test]
+    fn push_home_sends_only_foreign_frames_under_mailboxes() {
+        let topo = presets::paper_machine();
+        let map = Placement::Spread { sockets: 4 }.assign(&topo, 8).unwrap();
+        let numa = SchedPolicy::numa_ws();
+        // Worker 1 sits on place 1.
+        assert_eq!(numa.push_home(&map, 1, Place(2)), Some(Place(2)));
+        assert_eq!(numa.push_home(&map, 1, Place(6)), Some(Place(2)), "hints wrap");
+        assert_eq!(numa.push_home(&map, 1, Place(5)), None, "home is the thief's place");
+        assert_eq!(numa.push_home(&map, 1, Place::ANY), None, "ANY has no home");
+        assert_eq!(SchedPolicy::bias_only().push_home(&map, 1, Place(2)), None, "no mailboxes");
+        assert!(!map.workers_of_place(Place(2)).contains(&1));
     }
 
     #[test]

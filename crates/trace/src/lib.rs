@@ -18,16 +18,19 @@
 //!
 //! # Recording semantics
 //!
-//! - A **Spawn** is recorded when a task is created (deque push or external
-//!   inject), carrying its parent (the task the spawning worker was
+//! - A **Spawn** is recorded when a task is created (a fork, or an external
+//!   submission once its ingress queue accepted it; a refused submission
+//!   is no task), carrying its parent (the task the spawning worker was
 //!   executing, if any) and its place hint. Task ids are allocated by the
 //!   sink, monotonically, so a child's id is always greater than its
-//!   parent's — the replay loader leans on that order.
-//! - **Start**/**End** bracket an execution. A task that is spawned but
-//!   never individually executed (a `join` branch popped back and run
-//!   inline can lose its bracket on some paths, and a deque-overflow spawn
-//!   runs wherever it fell back to) stays in the table with no worker and
-//!   zero duration; loaders must tolerate it.
+//!   parent's — the replay loader leans on that order. A refused
+//!   submission's id stays unused, so ids can have gaps.
+//! - **Start**/**End** bracket an execution. Every path that runs a
+//!   recorded task brackets it: a worker executing a claimed job, a `join`
+//!   branch run in place, a deque-overflow spawn run inline. A drain of a
+//!   quiescent pool therefore shows every task started; only a drain taken
+//!   while work is in flight holds tasks with no worker and zero duration,
+//!   and loaders must tolerate them.
 //! - Exactly-once: a task is spawned once and started/ended at most once.
 //!   [`Trace::from_events`] rejects violations, and the model test proves
 //!   the sink never loses or duplicates an event under explored schedules.
@@ -41,7 +44,8 @@ use std::time::Instant;
 /// One recorded task transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A task came into existence (deque push or external inject).
+    /// A task came into existence (a fork or an accepted external
+    /// submission).
     Spawn {
         /// Sink-allocated task id (monotone; always greater than `parent`).
         task: u64,
@@ -189,8 +193,8 @@ pub struct TraceTask {
     pub parent: Option<u64>,
     /// Place hint at spawn time.
     pub place: Option<usize>,
-    /// Executing worker, or `None` if the task was never individually
-    /// executed (inline-run join branch, overflow fallback).
+    /// Executing worker, or `None` if the task had not started when the
+    /// trace was drained.
     pub worker: Option<usize>,
     /// Start timestamp (ns since trace start; 0 when `worker` is `None`).
     pub start_ns: u64,
