@@ -21,7 +21,8 @@ pub struct Params {
     pub nnz_per_row: usize,
     /// CG iterations.
     pub iters: usize,
-    /// Rows per sequential leaf.
+    /// Rows per sequential leaf. At least 1: `solve_serial`,
+    /// `solve_parallel` and `dag` panic otherwise.
     pub rows_base: usize,
 }
 
@@ -34,6 +35,12 @@ impl Params {
     /// Tiny configuration for tests.
     pub fn test() -> Self {
         Params { n: 512, nnz_per_row: 8, iters: 8, rows_base: 64 }
+    }
+
+    /// Panics unless the row recursions terminate: with a base of 0 rows, a
+    /// 1-row range splits into itself and an empty range forever.
+    fn check(&self) {
+        assert!(self.rows_base >= 1, "cg: rows_base must be >= 1, got {}", self.rows_base);
     }
 }
 
@@ -116,6 +123,7 @@ impl Csr {
 
 /// Solves `Ax = b` with `iters` CG iterations, serially. Returns `x`.
 pub fn solve_serial(a: &Csr, b: &[f64], params: Params) -> Vec<f64> {
+    params.check();
     let n = a.n;
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
@@ -254,6 +262,7 @@ fn par_pupdate(
 /// [`solve_serial`]? No: floating-point reductions associate differently in
 /// parallel, so compare with a tolerance.
 pub fn solve_parallel(a: &Csr, b: &[f64], params: Params, places: usize) -> Vec<f64> {
+    params.check();
     let n = a.n;
     let base = params.rows_base;
     let mut x = vec![0.0; n];
@@ -301,6 +310,7 @@ struct DagCtx {
 /// SpMV + dots + AXPYs; `A` and the vectors are band-bound, SpMV leaves
 /// gather from the whole `p` vector (the irregular NUMA traffic).
 pub fn dag(params: Params, places: usize) -> Dag {
+    params.check();
     let places = places.max(1);
     let n = params.n as u64;
     let nnz = params.nnz_per_row as u64;
@@ -487,5 +497,15 @@ mod tests {
         // Serial chaining: span grows with iterations.
         let d1 = dag(Params { iters: 1, ..p }, 4);
         assert!(d.span() > 2 * d1.span(), "iterations must be serialized");
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_base must be >= 1")]
+    fn rows_base_zero_is_rejected() {
+        // Unchecked, a 1-row range splits into itself forever.
+        let p = Params { rows_base: 0, ..Params::test() };
+        let a = Csr::random_spd(p, 42);
+        let pool = Pool::new(2).unwrap();
+        pool.install(|| solve_parallel(&a, &vec![1.0; p.n], p, 2));
     }
 }

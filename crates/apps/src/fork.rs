@@ -1,0 +1,73 @@
+//! One fork-join vocabulary for the kernels' recursions.
+//!
+//! A kernel written against [`ForkJoin`] is one recursion with three
+//! readings: [`Serial`] runs it as the serial elision (`TS`), [`Pool`] on
+//! the `numa_ws` runtime, and [`Record`](crate::record::Record) walks it
+//! into the simulator DAG. `Record` allocates, so it lives in another file:
+//! the hot-path manifest checks every fn named `join`, `join4` or `leaf`
+//! in this one.
+
+use nws_sim::Strand;
+
+/// The fork-join operations a kernel's recursion calls. `M` is the DAG
+/// model a leaf describes itself against; only `Record` holds one.
+pub(crate) trait ForkJoin<M> {
+    /// Runs `a` and `b`, in parallel where the instance can.
+    fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send);
+
+    /// Runs four branches as `join(join(a, b), join(c, d))`.
+    fn join4(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        c: impl FnOnce(&mut Self) + Send,
+        d: impl FnOnce(&mut Self) + Send,
+    ) {
+        self.join(|f| f.join(a, b), |f| f.join(c, d));
+    }
+
+    /// A sequential leaf: `body` is its computation and `describe` its
+    /// cost and memory footprint as a simulator strand.
+    #[inline]
+    fn leaf(&mut self, _describe: impl FnOnce(&M) -> Strand, body: impl FnOnce()) {
+        body();
+    }
+}
+
+/// The serial elision: every fork runs its branches in order.
+pub(crate) struct Serial;
+
+impl<M> ForkJoin<M> for Serial {
+    #[inline]
+    fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send) {
+        a(self);
+        b(self);
+    }
+}
+
+/// The pool run: unhinted [`numa_ws::join`] and [`numa_ws::join4`]. Call
+/// inside [`Pool::install`](numa_ws::Pool::install).
+pub(crate) struct Pool;
+
+impl<M> ForkJoin<M> for Pool {
+    #[inline]
+    fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send) {
+        numa_ws::join(move || a(&mut Pool), move || b(&mut Pool));
+    }
+
+    #[inline]
+    fn join4(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        c: impl FnOnce(&mut Self) + Send,
+        d: impl FnOnce(&mut Self) + Send,
+    ) {
+        numa_ws::join4(
+            move || a(&mut Pool),
+            move || b(&mut Pool),
+            move || c(&mut Pool),
+            move || d(&mut Pool),
+        );
+    }
+}

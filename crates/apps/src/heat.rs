@@ -21,7 +21,8 @@ pub struct Params {
     pub cols: usize,
     /// Time steps.
     pub steps: usize,
-    /// Rows per sequential leaf (coarsening).
+    /// Rows per sequential leaf (coarsening). At least 1: `run_serial`,
+    /// `run_parallel` and `dag` panic otherwise.
     pub rows_base: usize,
 }
 
@@ -34,6 +35,12 @@ impl Params {
     /// Tiny configuration for tests.
     pub fn test() -> Self {
         Params { rows: 64, cols: 48, steps: 4, rows_base: 8 }
+    }
+
+    /// Panics unless the row recursion terminates: with a base of 0 rows, a
+    /// 1-row range splits into itself and an empty range forever.
+    fn check(&self) {
+        assert!(self.rows_base >= 1, "heat: rows_base must be >= 1, got {}", self.rows_base);
     }
 }
 
@@ -100,6 +107,7 @@ pub fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
 /// Runs `steps` Jacobi iterations serially; returns the final grid (the
 /// other buffer is scratch).
 pub fn run_serial(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params) {
+    params.check();
     assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
     assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
     let cols = params.cols;
@@ -119,6 +127,7 @@ pub fn run_serial(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params) {
 /// [`Pool::install`](numa_ws::Pool::install)); row bands are hinted at the
 /// place owning them, one band per place.
 pub fn run_parallel(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params, places: usize) {
+    params.check();
     assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
     assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
     let places = places.max(1);
@@ -184,6 +193,7 @@ fn step_rows_off(cur: &[f64], next_off: &mut [f64], params: &Params, r0: usize, 
 /// Builds the simulator DAG: `steps` phases, each a 4-band hinted fork over
 /// row blocks; grids bound bandwise to places.
 pub fn dag(params: Params, places: usize) -> Dag {
+    params.check();
     let places = places.max(1);
     let rows = params.rows as u64;
     let cols = params.cols as u64;
@@ -377,5 +387,12 @@ mod tests {
         assert!(d.work() > 0);
         // Steps are serial: span >= steps * leaf work.
         assert!(d.span() >= 3 * 6 * 16 * 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows_base must be >= 1")]
+    fn rows_base_zero_is_rejected() {
+        // Unchecked, a 1-row range splits into itself forever.
+        dag(Params { rows_base: 0, ..Params::test() }, 2);
     }
 }

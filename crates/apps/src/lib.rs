@@ -12,6 +12,11 @@
 //!    regenerates the paper's tables and figures on the simulated
 //!    four-socket machine (see DESIGN.md §2).
 //!
+//! [`matmul`] and [`strassen`] write the three forms once: one recursion
+//! over a fork-join trait, run serially, on the pool, or recorded into the
+//! DAG (DESIGN.md §3, "One recursion per kernel"). The other kernels still
+//! build their DAGs by hand.
+//!
 //! | module | paper benchmark | input |
 //! |---|---|---|
 //! | [`cg`] | NAS conjugate gradient | random SPD sparse matrix |
@@ -36,9 +41,11 @@
 pub mod cg;
 pub mod cilksort;
 pub mod common;
+mod fork;
 pub mod gcmark;
 pub mod heat;
 pub mod hull;
 pub mod matmul;
 pub mod pipeline;
+mod record;
 pub mod strassen;

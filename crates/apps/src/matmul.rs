@@ -13,9 +13,10 @@
 //! the layout transformation still helps both platforms equally.
 
 use crate::common::pages_for;
-use numa_ws::join4;
+use crate::fork::{self, ForkJoin, Serial};
+use crate::record::Record;
 use nws_layout::{BlockedZ, Matrix};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
 use nws_topology::Place;
 
 /// Benchmark parameters.
@@ -121,11 +122,14 @@ unsafe fn kernel(a: View, b: View, c: MutView, n: usize) {
     }
 }
 
-fn mul_rec(a: View, b: View, c: MutView, n: usize, block: usize, parallel: bool) {
+fn mul_rec<F: ForkJoin<Model>>(f: &mut F, a: View, b: View, c: MutView, n: usize, block: usize) {
     if n == block {
-        // SAFETY: views cover n x n rectangles by construction of the
-        // recursion; c never aliases a or b (checked at the public entry).
-        unsafe { kernel(a, b, c, n) };
+        f.leaf(
+            |m| m.leaf_strand([a.ptr, b.ptr, c.ptr.cast_const()]),
+            // SAFETY: views cover n x n rectangles by construction of the
+            // recursion; c never aliases a or b (checked at the public entry).
+            || unsafe { kernel(a, b, c, n) },
+        );
         return;
     }
     let h = n / 2;
@@ -136,40 +140,30 @@ fn mul_rec(a: View, b: View, c: MutView, n: usize, block: usize, parallel: bool)
     // SAFETY: in-rectangle as above; the C quadrants are disjoint, and each
     // phase below hands each quadrant to exactly one task.
     let (c11, c12, c21, c22) = unsafe { (c.quad(0, 0), c.quad(0, h), c.quad(h, 0), c.quad(h, h)) };
-    if parallel {
-        // Phase 1: four products into the four disjoint C quadrants.
-        join4(
-            move || mul_rec(a11, b11, c11, h, block, true),
-            move || mul_rec(a11, b12, c12, h, block, true),
-            move || mul_rec(a21, b11, c21, h, block, true),
-            move || mul_rec(a21, b12, c22, h, block, true),
-        );
-        // Phase 2: the other four products (same C quadrants, so a sync
-        // separates the phases).
-        join4(
-            move || mul_rec(a12, b21, c11, h, block, true),
-            move || mul_rec(a12, b22, c12, h, block, true),
-            move || mul_rec(a22, b21, c21, h, block, true),
-            move || mul_rec(a22, b22, c22, h, block, true),
-        );
-    } else {
-        mul_rec(a11, b11, c11, h, block, false);
-        mul_rec(a11, b12, c12, h, block, false);
-        mul_rec(a21, b11, c21, h, block, false);
-        mul_rec(a21, b12, c22, h, block, false);
-        mul_rec(a12, b21, c11, h, block, false);
-        mul_rec(a12, b22, c12, h, block, false);
-        mul_rec(a22, b21, c21, h, block, false);
-        mul_rec(a22, b22, c22, h, block, false);
-    }
+    // Phase 1: four products into the four disjoint C quadrants.
+    f.join4(
+        move |f| mul_rec(f, a11, b11, c11, h, block),
+        move |f| mul_rec(f, a11, b12, c12, h, block),
+        move |f| mul_rec(f, a21, b11, c21, h, block),
+        move |f| mul_rec(f, a21, b12, c22, h, block),
+    );
+    // Phase 2: the other four products (same C quadrants, so a sync
+    // separates the phases).
+    f.join4(
+        move |f| mul_rec(f, a12, b21, c11, h, block),
+        move |f| mul_rec(f, a12, b22, c12, h, block),
+        move |f| mul_rec(f, a22, b21, c21, h, block),
+        move |f| mul_rec(f, a22, b22, c22, h, block),
+    );
 }
 
-fn views<'a>(
-    a: &'a Matrix<f64>,
-    b: &'a Matrix<f64>,
-    c: &'a mut Matrix<f64>,
+fn mul<F: ForkJoin<Model>>(
+    f: &mut F,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    c: &mut Matrix<f64>,
     p: Params,
-) -> (View, View, MutView) {
+) {
     p.validate();
     assert_eq!(a.rows(), p.n, "A shape");
     assert_eq!(b.rows(), p.n, "B shape");
@@ -177,41 +171,49 @@ fn views<'a>(
     assert_eq!(a.cols(), p.n, "A must be square");
     assert_eq!(b.cols(), p.n, "B must be square");
     assert_eq!(c.cols(), p.n, "C must be square");
-    (
-        View { ptr: a.as_slice().as_ptr(), stride: p.n },
-        View { ptr: b.as_slice().as_ptr(), stride: p.n },
-        MutView { ptr: c.as_mut_slice().as_mut_ptr(), stride: p.n },
-    )
+    let va = View { ptr: a.as_slice().as_ptr(), stride: p.n };
+    let vb = View { ptr: b.as_slice().as_ptr(), stride: p.n };
+    let vc = MutView { ptr: c.as_mut_slice().as_mut_ptr(), stride: p.n };
+    mul_rec(f, va, vb, vc, p.n, p.block);
 }
 
 /// Serial elision: `c += a · b`, row-major.
 pub fn mul_serial(a: &Matrix<f64>, b: &Matrix<f64>, c: &mut Matrix<f64>, params: Params) {
-    let (va, vb, vc) = views(a, b, c, params);
-    mul_rec(va, vb, vc, params.n, params.block, false);
+    mul(&mut Serial, a, b, c, params);
 }
 
 /// Parallel `c += a · b`, row-major (call inside
 /// [`Pool::install`](numa_ws::Pool::install)).
 pub fn mul_parallel(a: &Matrix<f64>, b: &Matrix<f64>, c: &mut Matrix<f64>, params: Params) {
-    let (va, vb, vc) = views(a, b, c, params);
-    mul_rec(va, vb, vc, params.n, params.block, true);
+    mul(&mut fork::Pool, a, b, c, params);
 }
 
 // ---------------------------------------------------------------------------
 // Blocked Z-Morton variant (matmul-z) — all-safe slice recursion
 // ---------------------------------------------------------------------------
 
-fn blocked_rec(a: &[f64], b: &[f64], c: &mut [f64], n: usize, block: usize, parallel: bool) {
-    if n == block {
-        // Contiguous row-major blocks: the §III-C payoff.
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[i * n + k];
-                for j in 0..n {
-                    c[i * n + j] += aik * b[k * n + j];
-                }
+/// `c += a · b` on one contiguous row-major `n × n` block (the §III-C
+/// payoff of the Z-Morton layout), the leaf of `matmul-z` and `strassen`.
+/// Each row of `c` is one zip over slices, which vectorizes; every cell
+/// accumulates `a[i][k] * b[k][j]` in increasing `k`.
+pub(crate) fn block_mul_add(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
+    assert!(a.len() == n * n && b.len() == n * n && c.len() == n * n, "blocks must be n x n");
+    for (a_row, c_row) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
+        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (cij, &bkj) in c_row.iter_mut().zip(b_row) {
+                *cij += aik * bkj;
             }
         }
+    }
+}
+
+fn blocked_rec<F>(f: &mut F, a: &[f64], b: &[f64], c: &mut [f64], n: usize, block: usize)
+where
+    F: ForkJoin<Model>,
+{
+    if n == block {
+        let tiles = [a.as_ptr(), b.as_ptr(), c.as_ptr()];
+        f.leaf(|m| m.leaf_strand(tiles), || block_mul_add(a, b, c, n));
         return;
     }
     let h = n / 2;
@@ -221,32 +223,24 @@ fn blocked_rec(a: &[f64], b: &[f64], c: &mut [f64], n: usize, block: usize, para
     let (c_top, c_bot) = c.split_at_mut(2 * q);
     let (c11, c12) = c_top.split_at_mut(q);
     let (c21, c22) = c_bot.split_at_mut(q);
-    if parallel {
-        join4(
-            || blocked_rec(a11, b11, c11, h, block, true),
-            || blocked_rec(a11, b12, c12, h, block, true),
-            || blocked_rec(a21, b11, c21, h, block, true),
-            || blocked_rec(a21, b12, c22, h, block, true),
-        );
-        join4(
-            || blocked_rec(a12, b21, c11, h, block, true),
-            || blocked_rec(a12, b22, c12, h, block, true),
-            || blocked_rec(a22, b21, c21, h, block, true),
-            || blocked_rec(a22, b22, c22, h, block, true),
-        );
-    } else {
-        blocked_rec(a11, b11, c11, h, block, false);
-        blocked_rec(a11, b12, c12, h, block, false);
-        blocked_rec(a21, b11, c21, h, block, false);
-        blocked_rec(a21, b12, c22, h, block, false);
-        blocked_rec(a12, b21, c11, h, block, false);
-        blocked_rec(a12, b22, c12, h, block, false);
-        blocked_rec(a22, b21, c21, h, block, false);
-        blocked_rec(a22, b22, c22, h, block, false);
-    }
+    f.join4(
+        |f| blocked_rec(f, a11, b11, c11, h, block),
+        |f| blocked_rec(f, a11, b12, c12, h, block),
+        |f| blocked_rec(f, a21, b11, c21, h, block),
+        |f| blocked_rec(f, a21, b12, c22, h, block),
+    );
+    f.join4(
+        |f| blocked_rec(f, a12, b21, c11, h, block),
+        |f| blocked_rec(f, a12, b22, c12, h, block),
+        |f| blocked_rec(f, a22, b21, c21, h, block),
+        |f| blocked_rec(f, a22, b22, c22, h, block),
+    );
 }
 
-fn check_blocked(a: &BlockedZ<f64>, b: &BlockedZ<f64>, c: &BlockedZ<f64>, p: Params) {
+fn mul_blocked<F>(f: &mut F, a: &BlockedZ<f64>, b: &BlockedZ<f64>, c: &mut BlockedZ<f64>, p: Params)
+where
+    F: ForkJoin<Model>,
+{
     p.validate();
     assert_eq!(a.n(), p.n, "A shape");
     assert_eq!(b.n(), p.n, "B shape");
@@ -254,6 +248,7 @@ fn check_blocked(a: &BlockedZ<f64>, b: &BlockedZ<f64>, c: &BlockedZ<f64>, p: Par
     assert_eq!(a.block_size(), p.block, "A block");
     assert_eq!(b.block_size(), p.block, "B block");
     assert_eq!(c.block_size(), p.block, "C block");
+    blocked_rec(f, a.as_slice(), b.as_slice(), c.as_mut_slice(), p.n, p.block);
 }
 
 /// Serial elision of `matmul-z`: `c += a · b` on blocked Z-Morton
@@ -264,9 +259,7 @@ pub fn mul_blocked_serial(
     c: &mut BlockedZ<f64>,
     params: Params,
 ) {
-    check_blocked(a, b, c, params);
-    let n = params.n;
-    blocked_rec(a.as_slice(), b.as_slice(), c.as_mut_slice(), n, params.block, false);
+    mul_blocked(&mut Serial, a, b, c, params);
 }
 
 /// Parallel `matmul-z` (call inside
@@ -277,9 +270,7 @@ pub fn mul_blocked_parallel(
     c: &mut BlockedZ<f64>,
     params: Params,
 ) {
-    check_blocked(a, b, c, params);
-    let n = params.n;
-    blocked_rec(a.as_slice(), b.as_slice(), c.as_mut_slice(), n, params.block, true);
+    mul_blocked(&mut fork::Pool, a, b, c, params);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,116 +286,86 @@ pub enum Layout {
     BlockedZ,
 }
 
-struct DagCtx {
-    a: RegionId,
-    b: RegionId,
-    c: RegionId,
+/// What a leaf describes itself against: the regions of `A`, `B` and `C`,
+/// and the addresses of the zero matrices a recording walks in their
+/// place. A leaf touches the pages its operand tiles occupy in them.
+struct Model {
+    regions: [RegionId; 3],
+    bases: [usize; 3],
+    layout: Layout,
     n: u64,
     block: u64,
-    layout: Layout,
+}
+
+impl Model {
+    /// The strand of a leaf product on the tiles of `A`, `B` and `C` that
+    /// start at `tiles`: 2·block³ flops at ≈ 1 cycle per FMA pair. Index
+    /// math is per-element in row-major but per-block in blocked-Z
+    /// (§III-C), modeled as a small per-element surcharge.
+    fn leaf_strand(&self, tiles: [*const f64; 3]) -> Strand {
+        let block = self.block;
+        let per_tile = if self.layout == Layout::RowMajor { block } else { 1 };
+        let mut touches = Vec::with_capacity(3 * per_tile as usize);
+        for ((&region, base), tile) in self.regions.iter().zip(self.bases).zip(tiles) {
+            let byte = (tile.addr() - base) as u64;
+            match self.layout {
+                // Each of the `block` rows lands on its own page run
+                // (consecutive rows are n*8 bytes apart).
+                Layout::RowMajor => touches.extend((0..block).map(|r| Touch {
+                    region,
+                    start_page: (byte + r * self.n * 8) / 4096,
+                    pages: 1,
+                    lines_per_page: (block * 8).div_ceil(64).max(1),
+                })),
+                // The tile is contiguous: block*block*8 bytes.
+                Layout::BlockedZ => touches.push(Touch {
+                    region,
+                    start_page: byte / 4096,
+                    pages: (block * block * 8).div_ceil(4096).max(1),
+                    lines_per_page: 64,
+                }),
+            }
+        }
+        let index_cost = if self.layout == Layout::RowMajor { block * block } else { block };
+        Strand { cycles: block * block * block + index_cost, touches }
+    }
 }
 
 /// Builds the simulator DAG for `matmul` (`layout = RowMajor`) or
-/// `matmul-z` (`layout = BlockedZ`). Hints are `ANY` (the paper uses no
-/// locality hints for this benchmark); the layouts differ in page
-/// contiguity of the blocks, which is what drives their different cache
-/// behaviour.
+/// `matmul-z` (`layout = BlockedZ`) by recording the recursion the pool
+/// runs. Hints are `ANY` (the paper uses no locality hints for this
+/// benchmark); the layouts differ in page contiguity of the blocks, which
+/// is what drives their different cache behaviour.
 pub fn dag(params: Params, layout: Layout) -> Dag {
     params.validate();
-    let n = params.n as u64;
-    let pages = pages_for(n * n, 8);
-    let mut b = DagBuilder::new();
-    let ra = b.alloc("A", pages, PagePolicy::Interleave);
-    let rb = b.alloc("B", pages, PagePolicy::Interleave);
-    let rc = b.alloc("C", pages, PagePolicy::Interleave);
-    let ctx = DagCtx { a: ra, b: rb, c: rc, n, block: params.block as u64, layout };
-    let root = build_mul(&mut b, &ctx, 0, 0, 0, n);
-    b.build(root)
-}
-
-/// Touches for one `block × block` tile whose top-left cell is
-/// `(row, col)`.
-fn tile_touches(ctx: &DagCtx, region: RegionId, row: u64, col: u64, out: &mut Vec<Touch>) {
-    let block = ctx.block;
-    match ctx.layout {
+    let (n, block) = (params.n, params.block);
+    let pages = pages_for((n * n) as u64, 8);
+    let mut bd = DagBuilder::new();
+    let regions = ["A", "B", "C"].map(|name| bd.alloc(name, pages, PagePolicy::Interleave));
+    let model = |bases| Model { regions, bases, layout, n: n as u64, block: block as u64 };
+    // The recording runs no leaf body, so the zero operands are never read.
+    let (root, rec) = match layout {
         Layout::RowMajor => {
-            // Each of the `block` rows lands on its own page run
-            // (consecutive rows are n*8 bytes apart).
-            let lines = (block * 8).div_ceil(64).max(1);
-            for r in row..row + block {
-                let byte = (r * ctx.n + col) * 8;
-                out.push(Touch {
-                    region,
-                    start_page: byte / 4096,
-                    pages: 1,
-                    lines_per_page: lines,
-                });
-            }
+            let [a, b, mut c] = [(); 3].map(|_| Matrix::<f64>::zeros(n, n));
+            let bases = [&a, &b, &c].map(|m| m.as_slice().as_ptr().addr());
+            let mut rec = Record::new(bd, model(bases));
+            (rec.frame(Place::ANY, |f| mul(f, &a, &b, &mut c, params)), rec)
         }
         Layout::BlockedZ => {
-            // The tile is contiguous: block*block*8 bytes starting at its
-            // Z-order offset.
-            let (br, bc) = (row / block, col / block);
-            let z = nws_layout::zmorton::encode(br as u32, bc as u32);
-            let byte = z * block * block * 8;
-            let bytes = block * block * 8;
-            out.push(Touch {
-                region,
-                start_page: byte / 4096,
-                pages: bytes.div_ceil(4096).max(1),
-                lines_per_page: 64,
-            });
+            let [a, b, mut c] = [(); 3].map(|_| BlockedZ::<f64>::zeros(n, block));
+            let bases = [&a, &b, &c].map(|m| m.as_slice().as_ptr().addr());
+            let mut rec = Record::new(bd, model(bases));
+            (rec.frame(Place::ANY, |f| mul_blocked(f, &a, &b, &mut c, params)), rec)
         }
-    }
-}
-
-/// `C[i,j] += A[i,k] * B[k,j]` quadrant recursion over tile coordinates.
-fn build_mul(bd: &mut DagBuilder, ctx: &DagCtx, i: u64, j: u64, k: u64, n: u64) -> FrameId {
-    if n == ctx.block {
-        let mut touches =
-            Vec::with_capacity(if ctx.layout == Layout::RowMajor { 3 * n as usize } else { 3 });
-        tile_touches(ctx, ctx.a, i, k, &mut touches);
-        tile_touches(ctx, ctx.b, k, j, &mut touches);
-        tile_touches(ctx, ctx.c, i, j, &mut touches);
-        // 2*n^3 flops at ~1 cycle per FMA-pair; index math is per-element
-        // in row-major but per-block in blocked-Z (§III-C), modeled as a
-        // small per-element surcharge.
-        let index_cost = if ctx.layout == Layout::RowMajor { n * n } else { n };
-        return bd
-            .frame(Place::ANY)
-            .strand(Strand { cycles: n * n * n + index_cost, touches })
-            .finish();
-    }
-    let h = n / 2;
-    // Phase 1 products.
-    let p1 = [
-        build_mul(bd, ctx, i, j, k, h),
-        build_mul(bd, ctx, i, j + h, k, h),
-        build_mul(bd, ctx, i + h, j, k, h),
-        build_mul(bd, ctx, i + h, j + h, k, h),
-    ];
-    // Phase 2 products (k advanced by h).
-    let p2 = [
-        build_mul(bd, ctx, i, j, k + h, h),
-        build_mul(bd, ctx, i, j + h, k + h, h),
-        build_mul(bd, ctx, i + h, j, k + h, h),
-        build_mul(bd, ctx, i + h, j + h, k + h, h),
-    ];
-    let mut fb = bd.frame(Place::ANY);
-    for f in p1 {
-        fb = fb.spawn(f);
-    }
-    fb = fb.sync();
-    for f in p2 {
-        fb = fb.spawn(f);
-    }
-    fb.sync().finish()
+    };
+    rec.builder.build(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use numa_ws::Pool;
+    use rand::Rng;
 
     fn naive(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
         let n = a.rows();
@@ -452,6 +413,63 @@ mod tests {
         let mut zc2 = BlockedZ::zeros(p.n, p.block);
         pool.install(|| mul_blocked_parallel(&za, &zb, &mut zc2, p));
         assert_eq!(zc2.to_matrix(), expect);
+    }
+
+    #[test]
+    fn block_leaf_is_bit_identical_to_the_indexed_loop() {
+        // The indexed loop the slice-zip leaf replaced, kept as the oracle.
+        // strassen's old base case was this loop over a zeroed block.
+        fn indexed(a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
+            for i in 0..n {
+                for k in 0..n {
+                    let aik = a[i * n + k];
+                    for j in 0..n {
+                        c[i * n + j] += aik * b[k * n + j];
+                    }
+                }
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = crate::common::input_rng(28);
+        for n in [1, 2, 3, 8, 32] {
+            let mut block = || (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<f64>>();
+            let (a, b, c) = (block(), block(), block());
+            for c0 in [c, vec![0.0; n * n]] {
+                let (mut want, mut got) = (c0.clone(), c0);
+                indexed(&a, &b, &mut want, n);
+                block_mul_add(&a, &b, &mut got, n);
+                assert_eq!(bits(&got), bits(&want), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn dag_forks_as_often_as_the_pool_run() {
+        // A 4-way fork is 4 DAG spawns (one child frame per branch) and 3
+        // pool spawns (`join4` is three `join`s). Each of the 1 + 8 + 64
+        // calls above the leaves of a 64 / 8 recursion forks twice.
+        let p = Params::test();
+        let (a, b) = inputs(p.n);
+        for layout in [Layout::RowMajor, Layout::BlockedZ] {
+            let pool = Pool::new(1).unwrap();
+            match layout {
+                Layout::RowMajor => {
+                    let mut c = Matrix::zeros(p.n, p.n);
+                    pool.install(|| mul_parallel(&a, &b, &mut c, p));
+                }
+                Layout::BlockedZ => {
+                    let (za, zb) =
+                        (BlockedZ::from_matrix(&a, p.block), BlockedZ::from_matrix(&b, p.block));
+                    let mut zc = BlockedZ::zeros(p.n, p.block);
+                    pool.install(|| mul_blocked_parallel(&za, &zb, &mut zc, p));
+                }
+            }
+            let stats = pool.stats();
+            let pool_spawns = stats.total_spawns() + stats.total_spawn_overflows();
+            let dag_spawns = dag(p, layout).num_spawns();
+            assert_eq!(dag_spawns, 4 * 2 * 73, "{layout:?}");
+            assert_eq!(pool_spawns * 4, dag_spawns * 3, "{layout:?}");
+        }
     }
 
     #[test]

@@ -1,0 +1,146 @@
+//! The [`ForkJoin`] instance that turns a kernel's recursion into its
+//! simulator DAG.
+
+use crate::fork::ForkJoin;
+use nws_sim::{DagBuilder, FrameId, Step, Strand};
+use nws_topology::Place;
+
+/// Walks a recursion into [`DagBuilder`] frames. Each branch of a `join`
+/// or `join4` becomes a child frame with its parent's hint, and one sync
+/// follows the branches. A `leaf` appends the strand its `describe`
+/// returns; its body never runs, so a walk reads no operand data.
+pub(crate) struct Record<M> {
+    /// The builder, for frames a kernel adds around its walks.
+    pub(crate) builder: DagBuilder,
+    model: M,
+    /// The frames being walked, innermost last: hint and steps so far.
+    open: Vec<(Place, Vec<Step>)>,
+}
+
+impl<M> Record<M> {
+    /// Records into `builder`, whose regions `model` names.
+    pub(crate) fn new(builder: DagBuilder, model: M) -> Self {
+        Record { builder, model, open: Vec::new() }
+    }
+
+    /// Walks `body` as one frame hinted at `place` and returns its id.
+    pub(crate) fn frame(&mut self, place: Place, body: impl FnOnce(&mut Self)) -> FrameId {
+        self.open.push((place, Vec::new()));
+        body(self);
+        let (place, steps) = self.open.pop().expect("the frame pushed above");
+        let mut frame = self.builder.frame(place);
+        for step in steps {
+            frame = match step {
+                Step::Strand(s) => frame.strand(s),
+                Step::Spawn(child) => frame.spawn(child),
+                Step::Sync => frame.sync(),
+            };
+        }
+        frame.finish()
+    }
+
+    fn push(&mut self, step: Step) {
+        self.open.last_mut().expect("fork-join call outside Record::frame").1.push(step);
+    }
+
+    fn spawn(&mut self, branch: impl FnOnce(&mut Self)) {
+        let hint = self.open.last().expect("fork-join call outside Record::frame").0;
+        let child = self.frame(hint, branch);
+        self.push(Step::Spawn(child));
+    }
+}
+
+impl<M> ForkJoin<M> for Record<M> {
+    fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send) {
+        self.spawn(a);
+        self.spawn(b);
+        self.push(Step::Sync);
+    }
+
+    fn join4(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        c: impl FnOnce(&mut Self) + Send,
+        d: impl FnOnce(&mut Self) + Send,
+    ) {
+        self.spawn(a);
+        self.spawn(b);
+        self.spawn(c);
+        self.spawn(d);
+        self.push(Step::Sync);
+    }
+
+    fn leaf(&mut self, describe: impl FnOnce(&M) -> Strand, _body: impl FnOnce()) {
+        let strand = describe(&self.model);
+        self.push(Step::Strand(strand));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fork::Serial;
+    use nws_sim::Dag;
+    use std::sync::mpsc::{channel, Sender};
+
+    /// A leaf of `cycles` that logs `cycles` when its body runs.
+    fn leaf<F: ForkJoin<u64>>(f: &mut F, cycles: u64, log: &Sender<u64>) {
+        f.leaf(|_| Strand::compute(cycles), || log.send(cycles).unwrap());
+    }
+
+    /// A leaf, a `join4` whose first branch is a `join` and whose third is
+    /// empty, then a leaf that reads the model.
+    fn walk<F: ForkJoin<u64>>(f: &mut F, log: &Sender<u64>) {
+        leaf(f, 10, log);
+        f.join4(
+            |f| f.join(|f| leaf(f, 1, log), |f| leaf(f, 2, log)),
+            |f| leaf(f, 3, log),
+            |_| {},
+            |f| leaf(f, 4, log),
+        );
+        f.leaf(|m| Strand::compute(*m), || log.send(5).unwrap());
+    }
+
+    fn steps(dag: &Dag, f: usize) -> String {
+        dag.frame(FrameId(f))
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Strand(s) => format!("s{}", s.cycles),
+                Step::Spawn(c) => format!("f{}", c.0),
+                Step::Sync => "sync".to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn record_emits_one_child_frame_per_branch_then_a_sync() {
+        let (log, ran) = channel();
+        let mut rec = Record::new(DagBuilder::new(), 5);
+        let root = rec.frame(Place(1), |f| walk(f, &log));
+        let dag = rec.builder.build(root);
+        dag.validate().unwrap();
+        assert_eq!(ran.try_iter().count(), 0, "Record must not run leaf bodies");
+        // Children close before their parents, so ids follow the walk's
+        // post-order.
+        let expect = ["s1", "s2", "f0 f1 sync", "s3", "", "s4", "s10 f2 f3 f4 f5 sync s5"];
+        assert_eq!(dag.num_frames(), expect.len());
+        for (f, want) in expect.iter().enumerate() {
+            assert_eq!(steps(&dag, f), *want, "frame {f}");
+            assert_eq!(dag.frame(FrameId(f)).place, Place(1), "frame {f} inherits the hint");
+        }
+        assert_eq!(dag.root(), FrameId(6));
+        // A 2-way fork is 2 DAG spawns, a 4-way fork 4.
+        assert_eq!(dag.num_spawns(), 6);
+        assert_eq!(dag.work(), 25);
+    }
+
+    #[test]
+    fn serial_runs_every_leaf_body_in_program_order() {
+        let (log, ran) = channel();
+        walk(&mut Serial, &log);
+        assert_eq!(ran.try_iter().collect::<Vec<_>>(), [10, 1, 2, 3, 4, 5]);
+    }
+}

@@ -15,10 +15,11 @@
 //! variant removes the layout penalty.
 
 use crate::common::pages_for;
-use crate::matmul::Layout;
-use numa_ws::join;
+use crate::fork::{self, ForkJoin, Serial};
+use crate::matmul::{self, Layout};
+use crate::record::Record;
 use nws_layout::{BlockedZ, Matrix};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
 use nws_topology::Place;
 
 /// Benchmark parameters.
@@ -59,20 +60,34 @@ fn sub(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out = a * b` on Z-quadrant buffers of side `n`.
-fn strassen_rec(a: &[f64], b: &[f64], out: &mut [f64], n: usize, block: usize, parallel: bool) {
+/// The tile corner, in quadrants, that the DAG model gives each of the
+/// seven products: they cycle through the four corners, an approximation of
+/// where their operands sit.
+const CORNERS: [(usize, usize); 7] = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1), (0, 1)];
+
+/// `out = a * b` on Z-quadrant buffers of side `n`. `site` is where the
+/// DAG model puts the call: the top-left cell of its tile and its depth.
+/// Temporaries are sized from the operands, so a walk over empty operands
+/// allocates nothing.
+fn strassen_rec<F: ForkJoin<Model>>(
+    f: &mut F,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    n: usize,
+    block: usize,
+    site: [usize; 3],
+) {
     if n <= block {
-        out.fill(0.0);
         // Row-major kernel at the base (buffers are row-major at block
         // granularity).
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[i * n + k];
-                for j in 0..n {
-                    out[i * n + j] += aik * b[k * n + j];
-                }
-            }
-        }
+        f.leaf(
+            |m| m.leaf_strand(site, n),
+            || {
+                out.fill(0.0);
+                matmul::block_mul_add(a, b, out, n);
+            },
+        );
         return;
     }
     let q = a.len() / 4;
@@ -89,16 +104,22 @@ fn strassen_rec(a: &[f64], b: &[f64], out: &mut [f64], n: usize, block: usize, p
     let mut t2 = vec![0.0; q]; // B22 - T1
     let mut t3 = vec![0.0; q]; // B22 - B12
     let mut t4 = vec![0.0; q]; // T2 - B21
-    add(a21, a22, &mut s1);
-    sub(&s1, a11, &mut s2);
-    sub(a11, a21, &mut s3);
-    sub(a12, &s2, &mut s4);
-    sub(b12, b11, &mut t1);
-    sub(b22, &t1, &mut t2);
-    sub(b22, b12, &mut t3);
-    sub(&t2, b21, &mut t4);
+    f.leaf(
+        |m| m.add_strand(site, n, 8),
+        || {
+            add(a21, a22, &mut s1);
+            sub(&s1, a11, &mut s2);
+            sub(a11, a21, &mut s3);
+            sub(a12, &s2, &mut s4);
+            sub(b12, b11, &mut t1);
+            sub(b22, &t1, &mut t2);
+            sub(b22, b12, &mut t3);
+            sub(&t2, b21, &mut t4);
+        },
+    );
 
-    // Seven products (Winograd form).
+    // Seven products (Winograd form), as nested joins with no hints (per
+    // the paper).
     let mut p1 = vec![0.0; q]; // A11 * B11
     let mut p2 = vec![0.0; q]; // A12 * B21
     let mut p3 = vec![0.0; q]; // S4 * B22
@@ -106,101 +127,208 @@ fn strassen_rec(a: &[f64], b: &[f64], out: &mut [f64], n: usize, block: usize, p
     let mut p5 = vec![0.0; q]; // S1 * T1
     let mut p6 = vec![0.0; q]; // S2 * T2
     let mut p7 = vec![0.0; q]; // S3 * T3
-    if parallel {
-        // Seven spawns via nested joins (no hints, per the paper).
-        let (s1r, s2r, s3r, s4r) = (&s1, &s2, &s3, &s4);
-        let (t1r, t2r, t3r, t4r) = (&t1, &t2, &t3, &t4);
-        join(
-            || {
-                join(
-                    || strassen_rec(a11, b11, &mut p1, h, block, true),
-                    || strassen_rec(a12, b21, &mut p2, h, block, true),
-                );
-                strassen_rec(s4r, b22, &mut p3, h, block, true);
-            },
-            || {
-                join(
-                    || {
-                        join(
-                            || strassen_rec(a22, t4r, &mut p4, h, block, true),
-                            || strassen_rec(s1r, t1r, &mut p5, h, block, true),
-                        )
-                    },
-                    || {
-                        join(
-                            || strassen_rec(s2r, t2r, &mut p6, h, block, true),
-                            || strassen_rec(s3r, t3r, &mut p7, h, block, true),
-                        )
-                    },
-                );
-            },
-        );
-    } else {
-        strassen_rec(a11, b11, &mut p1, h, block, false);
-        strassen_rec(a12, b21, &mut p2, h, block, false);
-        strassen_rec(&s4, b22, &mut p3, h, block, false);
-        strassen_rec(a22, &t4, &mut p4, h, block, false);
-        strassen_rec(&s1, &t1, &mut p5, h, block, false);
-        strassen_rec(&s2, &t2, &mut p6, h, block, false);
-        strassen_rec(&s3, &t3, &mut p7, h, block, false);
-    }
+    let [row, col, depth] = site;
+    let at = |k: usize| [row + CORNERS[k].0 * h, col + CORNERS[k].1 * h, depth + 1];
+    f.join(
+        |f| {
+            f.join(
+                |f| strassen_rec(f, a11, b11, &mut p1, h, block, at(0)),
+                |f| strassen_rec(f, a12, b21, &mut p2, h, block, at(1)),
+            );
+            strassen_rec(f, &s4, b22, &mut p3, h, block, at(2));
+        },
+        |f| {
+            f.join(
+                |f| {
+                    f.join(
+                        |f| strassen_rec(f, a22, &t4, &mut p4, h, block, at(3)),
+                        |f| strassen_rec(f, &s1, &t1, &mut p5, h, block, at(4)),
+                    )
+                },
+                |f| {
+                    f.join(
+                        |f| strassen_rec(f, &s2, &t2, &mut p6, h, block, at(5)),
+                        |f| strassen_rec(f, &s3, &t3, &mut p7, h, block, at(6)),
+                    )
+                },
+            );
+        },
+    );
 
     // Recombination: U1 = P1 + P6, U2 = U1 + P7, U3 = U1 + P5,
     // C11 = P1 + P2, C12 = U3 + P3, C21 = U2 - P4, C22 = U2 + P5.
-    let (c_top, c_bot) = out.split_at_mut(2 * q);
-    let (c11, c12) = c_top.split_at_mut(q);
-    let (c21, c22) = c_bot.split_at_mut(q);
-    let mut u1 = vec![0.0; q];
-    let mut u2 = vec![0.0; q];
-    add(&p1, &p6, &mut u1);
-    add(&u1, &p7, &mut u2);
-    add(&p1, &p2, c11);
-    for j in 0..q {
-        c12[j] = u1[j] + p5[j] + p3[j];
-        c21[j] = u2[j] - p4[j];
-        c22[j] = u2[j] + p5[j];
-    }
+    f.leaf(
+        |m| m.add_strand(site, n, 7),
+        || {
+            let (c_top, c_bot) = out.split_at_mut(2 * q);
+            let (c11, c12) = c_top.split_at_mut(q);
+            let (c21, c22) = c_bot.split_at_mut(q);
+            let mut u1 = vec![0.0; q];
+            let mut u2 = vec![0.0; q];
+            add(&p1, &p6, &mut u1);
+            add(&u1, &p7, &mut u2);
+            add(&p1, &p2, c11);
+            for j in 0..q {
+                c12[j] = u1[j] + p5[j] + p3[j];
+                c21[j] = u2[j] - p4[j];
+                c22[j] = u2[j] + p5[j];
+            }
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Public entry points
 // ---------------------------------------------------------------------------
 
-/// Serial elision of `strassen` on row-major inputs: transforms to
-/// Z-quadrant form at the boundary (the layout penalty the `-z` variant
-/// avoids), multiplies, transforms back.
+/// `a * b` on row-major inputs: transforms to Z-quadrant form at the
+/// boundary (the layout penalty the `-z` variant avoids), multiplies,
+/// transforms back.
+fn mul<F: ForkJoin<Model>>(f: &mut F, a: &Matrix<f64>, b: &Matrix<f64>, p: Params) -> Matrix<f64> {
+    let za = BlockedZ::from_matrix(a, p.block);
+    let zb = BlockedZ::from_matrix(b, p.block);
+    mul_blocked(f, &za, &zb, p).to_matrix()
+}
+
+/// `a * b` in blocked Z-Morton form (no boundary transforms).
+fn mul_blocked<F: ForkJoin<Model>>(
+    f: &mut F,
+    a: &BlockedZ<f64>,
+    b: &BlockedZ<f64>,
+    p: Params,
+) -> BlockedZ<f64> {
+    let mut c = BlockedZ::zeros(p.n, p.block);
+    strassen_rec(f, a.as_slice(), b.as_slice(), c.as_mut_slice(), p.n, p.block, [0; 3]);
+    c
+}
+
+/// Serial elision of `strassen` on row-major inputs.
 pub fn mul_serial(a: &Matrix<f64>, b: &Matrix<f64>, params: Params) -> Matrix<f64> {
-    let za = BlockedZ::from_matrix(a, params.block);
-    let zb = BlockedZ::from_matrix(b, params.block);
-    let mut zc = BlockedZ::zeros(params.n, params.block);
-    strassen_rec(za.as_slice(), zb.as_slice(), zc.as_mut_slice(), params.n, params.block, false);
-    zc.to_matrix()
+    mul(&mut Serial, a, b, params)
 }
 
 /// Parallel `strassen` on row-major inputs (call inside
 /// [`Pool::install`](numa_ws::Pool::install)).
 pub fn mul_parallel(a: &Matrix<f64>, b: &Matrix<f64>, params: Params) -> Matrix<f64> {
-    let za = BlockedZ::from_matrix(a, params.block);
-    let zb = BlockedZ::from_matrix(b, params.block);
-    let mut zc = BlockedZ::zeros(params.n, params.block);
-    strassen_rec(za.as_slice(), zb.as_slice(), zc.as_mut_slice(), params.n, params.block, true);
-    zc.to_matrix()
+    mul(&mut fork::Pool, a, b, params)
 }
 
 /// Serial elision of `strassen-z`: inputs and output stay in blocked
 /// Z-Morton form (no boundary transforms).
 pub fn mul_blocked_serial(a: &BlockedZ<f64>, b: &BlockedZ<f64>, params: Params) -> BlockedZ<f64> {
-    let mut c = BlockedZ::zeros(params.n, params.block);
-    strassen_rec(a.as_slice(), b.as_slice(), c.as_mut_slice(), params.n, params.block, false);
-    c
+    mul_blocked(&mut Serial, a, b, params)
 }
 
 /// Parallel `strassen-z` (call inside
 /// [`Pool::install`](numa_ws::Pool::install)).
 pub fn mul_blocked_parallel(a: &BlockedZ<f64>, b: &BlockedZ<f64>, params: Params) -> BlockedZ<f64> {
-    let mut c = BlockedZ::zeros(params.n, params.block);
-    strassen_rec(a.as_slice(), b.as_slice(), c.as_mut_slice(), params.n, params.block, true);
-    c
+    mul_blocked(&mut fork::Pool, a, b, params)
+}
+
+// ---------------------------------------------------------------------------
+// Simulator DAG
+// ---------------------------------------------------------------------------
+
+/// What a strand is described against: the regions of `A`, `B` and `C` and
+/// of the temporaries, and the layout and sizes that place tiles on pages.
+struct Model {
+    regions: [RegionId; 3],
+    temps: RegionId,
+    layout: Layout,
+    n: u64,
+    block: u64,
+}
+
+impl Model {
+    /// Allocates `A`, `B` and `C` under `policy`. Each level has 15
+    /// quarter-size temporaries, 5 n² elements in all; one shared
+    /// interleaved region approximates them.
+    fn alloc(bd: &mut DagBuilder, params: Params, layout: Layout, policy: PagePolicy) -> Model {
+        let n = params.n as u64;
+        let regions =
+            ["A", "B", "C"].map(|name| bd.alloc(name, pages_for(n * n, 8), policy.clone()));
+        let temps = bd.alloc("temps", pages_for(5 * n * n, 8), PagePolicy::Interleave);
+        Model { regions, temps, layout, n, block: params.block as u64 }
+    }
+
+    /// Touches the `n × n` tile at `site` of `region`.
+    fn tile_touch(&self, region: RegionId, site: [usize; 3], n: u64, out: &mut Vec<Touch>) {
+        let (row, col) = (site[0] as u64, site[1] as u64);
+        match self.layout {
+            Layout::RowMajor => {
+                let lines = (n * 8).div_ceil(64).clamp(1, 64);
+                // One page run per row (bounded: collapse to at most 32 runs).
+                let step = (n / 32).max(1);
+                for r in (row..row + n).step_by(step as usize) {
+                    let byte = (r * self.n + col) * 8;
+                    out.push(Touch {
+                        region,
+                        start_page: byte / 4096,
+                        pages: ((step * n * 8) / 4096).max(1),
+                        lines_per_page: lines,
+                    });
+                }
+            }
+            Layout::BlockedZ => {
+                let (br, bc) = (row / self.block, col / self.block);
+                let z = nws_layout::zmorton::encode(br as u32, bc as u32);
+                let byte = z * self.block * self.block * 8;
+                let bytes = n * n * 8;
+                out.push(Touch {
+                    region,
+                    start_page: byte / 4096,
+                    pages: bytes.div_ceil(4096).max(1),
+                    lines_per_page: 64,
+                });
+            }
+        }
+    }
+
+    /// The base-case product of side `n` at `site`.
+    fn leaf_strand(&self, site: [usize; 3], n: usize) -> Strand {
+        let n = n as u64;
+        let mut touches = Vec::new();
+        for region in self.regions {
+            self.tile_touch(region, site, n, &mut touches);
+        }
+        Strand { cycles: n * n * n + n * n, touches }
+    }
+
+    /// `passes` quarter-size elementwise passes of a side-`n` call at
+    /// `site`. They run over freshly allocated temporaries, which land
+    /// wherever the allocator put them, so the window is salted by the
+    /// site to decorrelate it from the computing socket.
+    fn add_strand(&self, site: [usize; 3], n: usize, passes: u64) -> Strand {
+        let h = (n / 2) as u64;
+        let [row, col, depth] = site.map(|x| x as u64);
+        let temps_total = pages_for(5 * self.n * self.n, 8);
+        let temp_pages = pages_for(h * h, 8).min(temps_total);
+        let salt =
+            (row.wrapping_mul(0x9E37_79B9) ^ col.wrapping_mul(0x85EB_CA6B) ^ depth) % temps_total;
+        Strand {
+            cycles: passes * h * h,
+            touches: vec![Touch {
+                region: self.temps,
+                start_page: salt.min(temps_total - temp_pages),
+                pages: temp_pages,
+                lines_per_page: 64,
+            }],
+        }
+    }
+}
+
+/// Builds the simulator DAG for strassen (`RowMajor`) / strassen-z
+/// (`BlockedZ`) by recording the recursion the pool runs, over empty
+/// operands. No locality hints (per the paper); temporaries live in an
+/// interleaved scratch region. Tile coordinates are tracked so the leaf
+/// touches hit the same pages the real algorithm would.
+pub fn dag(params: Params, layout: Layout) -> Dag {
+    let mut bd = DagBuilder::new();
+    let model = Model::alloc(&mut bd, params, layout, PagePolicy::Interleave);
+    let mut rec = Record::new(bd, model);
+    let root = rec
+        .frame(Place::ANY, |f| strassen_rec(f, &[], &[], &mut [], params.n, params.block, [0; 3]));
+    rec.builder.build(root)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,146 +342,45 @@ pub fn mul_blocked_parallel(a: &BlockedZ<f64>, b: &BlockedZ<f64>, params: Params
 /// expense of 15% increases in overall T1, because we are not getting the
 /// O(n^lg7) work at the top level" — so the paper ships the hint-free
 /// version instead. `reproduce`'s top-eight-way ablation table runs this
-/// DAG to reproduce that trade-off: the eight half-size products are
-/// ordinary Strassen subtrees, but the top level is hinted one quadrant
-/// per place (and pays 8 products instead of 7).
+/// DAG to reproduce that trade-off.
+///
+/// It is a simulator-only variant: no pool run has this top level. The
+/// eight half-size products are recorded walks of `strassen_rec`, but the
+/// top level is built by hand, hinted one quadrant per place (and pays 8
+/// products instead of 7).
 pub fn dag_top8(params: Params, layout: Layout, places: usize) -> Dag {
-    let n = params.n as u64;
-    let pages = pages_for(n * n, 8);
-    let mut b = DagBuilder::new();
-    let ra = b.alloc("A", pages, PagePolicy::Chunked { chunks: places.max(1) });
-    let rb = b.alloc("B", pages, PagePolicy::Chunked { chunks: places.max(1) });
-    let rc = b.alloc("C", pages, PagePolicy::Chunked { chunks: places.max(1) });
-    let temps = b.alloc("temps", pages_for(5 * n * n, 8), PagePolicy::Interleave);
-    let ctx = DagCtx { a: ra, b: rb, c: rc, temps, block: params.block as u64, layout, n };
-    let h = n / 2;
-    let corners = [(0u64, 0u64), (0, h), (h, 0), (h, h)];
+    let mut bd = DagBuilder::new();
+    let model =
+        Model::alloc(&mut bd, params, layout, PagePolicy::Chunked { chunks: places.max(1) });
+    let (c, pages) = (model.regions[2], pages_for(model.n * model.n, 8));
+    let mut rec = Record::new(bd, model);
+    let h = params.n / 2;
+    let corners = [(0, 0), (0, h), (h, 0), (h, h)];
     let mut quads = Vec::new();
-    for (i, &(dr, dc)) in corners.iter().enumerate() {
+    for (i, &(row, col)) in corners.iter().enumerate() {
         // Two half-size strassen subtrees + the combining addition.
-        let p1 = build(&mut b, &ctx, dr, dc, h, 1);
-        let p2 = build(&mut b, &ctx, dr, dc, h, 1);
-        let place = Place(i % places.max(1));
+        let site = [row, col, 1];
+        let mut half =
+            || rec.frame(Place::ANY, |f| strassen_rec(f, &[], &[], &mut [], h, params.block, site));
+        let (p1, p2) = (half(), half());
         let add = Strand {
-            cycles: 2 * h * h,
+            cycles: 2 * (h * h) as u64,
             touches: vec![Touch {
-                region: rc,
+                region: c,
                 start_page: (i as u64) * pages / 4,
                 pages: (pages / 4).max(1),
                 lines_per_page: 64,
             }],
         };
-        let q = b.frame(place).spawn(p1).spawn(p2).sync().strand(add).finish();
-        quads.push(q);
+        let place = Place(i % places.max(1));
+        quads.push(rec.builder.frame(place).spawn(p1).spawn(p2).sync().strand(add).finish());
     }
-    let mut fb = b.frame(Place(0));
+    let mut fb = rec.builder.frame(Place(0));
     for q in quads {
         fb = fb.spawn(q);
     }
     let root = fb.sync().finish();
-    b.build(root)
-}
-
-// ---------------------------------------------------------------------------
-// Simulator DAG
-// ---------------------------------------------------------------------------
-
-struct DagCtx {
-    a: RegionId,
-    b: RegionId,
-    c: RegionId,
-    temps: RegionId,
-    block: u64,
-    layout: Layout,
-    n: u64,
-}
-
-/// Builds the simulator DAG for strassen (`RowMajor`) / strassen-z
-/// (`BlockedZ`). No locality hints (per the paper); temporaries live in an
-/// interleaved scratch region. Tile coordinates are tracked so the leaf
-/// touches hit the same pages the real algorithm would.
-pub fn dag(params: Params, layout: Layout) -> Dag {
-    let n = params.n as u64;
-    let pages = pages_for(n * n, 8);
-    let mut b = DagBuilder::new();
-    let ra = b.alloc("A", pages, PagePolicy::Interleave);
-    let rb = b.alloc("B", pages, PagePolicy::Interleave);
-    let rc = b.alloc("C", pages, PagePolicy::Interleave);
-    // Temps: at each level 15 quarter-size temporaries; total bounded by
-    // 5 * n^2 elements. One shared interleaved region approximates them.
-    let temps = b.alloc("temps", pages_for(5 * n * n, 8), PagePolicy::Interleave);
-    let ctx = DagCtx { a: ra, b: rb, c: rc, temps, block: params.block as u64, layout, n };
-    let root = build(&mut b, &ctx, 0, 0, n, 0);
-    b.build(root)
-}
-
-fn quarter_touch(ctx: &DagCtx, region: RegionId, row: u64, col: u64, n: u64, out: &mut Vec<Touch>) {
-    // Touch the n x n tile at (row, col) of `region`.
-    match ctx.layout {
-        Layout::RowMajor => {
-            let lines = (n * 8).div_ceil(64).clamp(1, 64);
-            // One page run per row (bounded: collapse to at most 32 runs).
-            let step = (n / 32).max(1);
-            for r in (row..row + n).step_by(step as usize) {
-                let byte = (r * ctx.n + col) * 8;
-                out.push(Touch {
-                    region,
-                    start_page: byte / 4096,
-                    pages: ((step * n * 8) / 4096).max(1),
-                    lines_per_page: lines,
-                });
-            }
-        }
-        Layout::BlockedZ => {
-            let (br, bc) = (row / ctx.block, col / ctx.block);
-            let z = nws_layout::zmorton::encode(br as u32, bc as u32);
-            let byte = z * ctx.block * ctx.block * 8;
-            let bytes = n * n * 8;
-            out.push(Touch {
-                region,
-                start_page: byte / 4096,
-                pages: bytes.div_ceil(4096).max(1),
-                lines_per_page: 64,
-            });
-        }
-    }
-}
-
-fn build(bd: &mut DagBuilder, ctx: &DagCtx, row: u64, col: u64, n: u64, depth: u64) -> FrameId {
-    if n <= ctx.block {
-        let mut touches = Vec::new();
-        quarter_touch(ctx, ctx.a, row, col, n, &mut touches);
-        quarter_touch(ctx, ctx.b, row, col, n, &mut touches);
-        quarter_touch(ctx, ctx.c, row, col, n, &mut touches);
-        return bd.frame(Place::ANY).strand(Strand { cycles: n * n * n + n * n, touches }).finish();
-    }
-    let h = n / 2;
-    // Seven recursive products; their tile coordinates follow the operand
-    // quadrants (approximated by the four quadrant corners cycling).
-    let corners = [(0, 0), (0, h), (h, 0), (h, h), (0, 0), (h, h), (0, h)];
-    let children: Vec<FrameId> =
-        corners.iter().map(|&(dr, dc)| build(bd, ctx, row + dr, col + dc, h, depth + 1)).collect();
-    // Additions before and after: ~15 quarter-size elementwise passes over
-    // freshly allocated temporaries, which land wherever the allocator put
-    // them — decorrelate the window from the computing socket.
-    let temps_total = pages_for(5 * ctx.n * ctx.n, 8);
-    let temp_pages = pages_for(h * h, 8).min(temps_total);
-    let salt =
-        (row.wrapping_mul(0x9E37_79B9) ^ col.wrapping_mul(0x85EB_CA6B) ^ depth) % temps_total;
-    let add_strand = move |mult: u64| Strand {
-        cycles: mult * h * h,
-        touches: vec![Touch {
-            region: ctx.temps,
-            start_page: salt.min(temps_total - temp_pages),
-            pages: temp_pages,
-            lines_per_page: 64,
-        }],
-    };
-    let mut fb = bd.frame(Place::ANY).strand(add_strand(8));
-    for c in children {
-        fb = fb.spawn(c);
-    }
-    fb.sync().strand(add_strand(7)).finish()
+    rec.builder.build(root)
 }
 
 #[cfg(test)]
@@ -418,6 +445,28 @@ mod tests {
         let (a, b) = inputs(8);
         let c = mul_serial(&a, &b, p);
         assert_eq!(c, naive(&a, &b));
+    }
+
+    #[test]
+    fn dag_forks_as_often_as_the_pool_run() {
+        // A 2-way fork is 2 DAG spawns (one child frame per branch) and 1
+        // pool spawn. Each of the 1 + 7 + 49 calls above the leaves of a
+        // 64 / 8 recursion forks its seven products with five joins.
+        let p = Params::test();
+        let (a, b) = inputs(p.n);
+        let (za, zb) = (BlockedZ::from_matrix(&a, p.block), BlockedZ::from_matrix(&b, p.block));
+        for layout in [Layout::RowMajor, Layout::BlockedZ] {
+            let pool = Pool::new(1).unwrap();
+            match layout {
+                Layout::RowMajor => drop(pool.install(|| mul_parallel(&a, &b, p))),
+                Layout::BlockedZ => drop(pool.install(|| mul_blocked_parallel(&za, &zb, p))),
+            }
+            let stats = pool.stats();
+            let pool_spawns = stats.total_spawns() + stats.total_spawn_overflows();
+            let dag_spawns = dag(p, layout).num_spawns();
+            assert_eq!(dag_spawns, 2 * 5 * 57, "{layout:?}");
+            assert_eq!(pool_spawns * 2, dag_spawns, "{layout:?}");
+        }
     }
 
     #[test]
