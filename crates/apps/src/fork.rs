@@ -4,16 +4,30 @@
 //! readings: [`Serial`] runs it as the serial elision (`TS`), [`Pool`] on
 //! the `numa_ws` runtime, and [`Record`](crate::record::Record) walks it
 //! into the simulator DAG. `Record` allocates, so it lives in another file:
-//! the hot-path manifest checks every fn named `join`, `join4` or `leaf`
-//! in this one.
+//! the hot-path manifest checks every fn named `join`, `join_at`, `join4`
+//! or `leaf` in this one.
 
 use nws_sim::Strand;
+use nws_topology::Place;
 
 /// The fork-join operations a kernel's recursion calls. `M` is the DAG
 /// model a leaf describes itself against; only `Record` holds one.
 pub(crate) trait ForkJoin<M> {
     /// Runs `a` and `b`, in parallel where the instance can.
     fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send);
+
+    /// Runs `a` and `b` as [`join`](Self::join) does, hinting that `b` runs
+    /// at `place` (the paper's `@p`). `a` keeps the caller's place, and
+    /// [`Place::ANY`] hints nothing.
+    #[inline]
+    fn join_at(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        _place: Place,
+    ) {
+        self.join(a, b);
+    }
 
     /// Runs four branches as `join(join(a, b), join(c, d))`.
     fn join4(
@@ -45,14 +59,25 @@ impl<M> ForkJoin<M> for Serial {
     }
 }
 
-/// The pool run: unhinted [`numa_ws::join`] and [`numa_ws::join4`]. Call
-/// inside [`Pool::install`](numa_ws::Pool::install).
+/// The pool run: [`numa_ws::join`] and [`numa_ws::join4`], and
+/// [`numa_ws::join_at`] for a hinted fork. Call inside
+/// [`Pool::install`](numa_ws::Pool::install).
 pub(crate) struct Pool;
 
 impl<M> ForkJoin<M> for Pool {
     #[inline]
     fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send) {
         numa_ws::join(move || a(&mut Pool), move || b(&mut Pool));
+    }
+
+    #[inline]
+    fn join_at(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        place: Place,
+    ) {
+        numa_ws::join_at(move || a(&mut Pool), move || b(&mut Pool), place);
     }
 
     #[inline]

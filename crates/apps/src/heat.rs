@@ -9,8 +9,10 @@
 //! inflation win: 5.24× → 2.25×).
 
 use crate::common::pages_for;
-use numa_ws::{join_at, Place};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
+use crate::fork::{self, ForkJoin, Serial};
+use crate::record::Record;
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
+use nws_topology::Place;
 
 /// Benchmark parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,190 +103,163 @@ pub fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Serial elision
+// The recursion
 // ---------------------------------------------------------------------------
 
-/// Runs `steps` Jacobi iterations serially; returns the final grid (the
-/// other buffer is scratch).
-pub fn run_serial(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params) {
-    params.check();
-    assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
-    assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
-    let cols = params.cols;
-    for _ in 0..params.steps {
-        for r in 0..params.rows {
-            step_row(grid, &mut scratch[r * cols..(r + 1) * cols], r, params.rows);
-        }
-        std::mem::swap(grid, scratch);
-    }
+/// What every call of one time step shares: the grid it reads, the
+/// parameters, and the step's index, which tells the DAG model which
+/// buffer is being read.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
+    cur: &'a [f64],
+    params: &'a Params,
+    step: usize,
 }
 
-// ---------------------------------------------------------------------------
-// Parallel version (real runtime)
-// ---------------------------------------------------------------------------
-
-/// Runs `steps` Jacobi iterations in parallel (call inside
-/// [`Pool::install`](numa_ws::Pool::install)); row bands are hinted at the
-/// place owning them, one band per place.
-pub fn run_parallel(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params, places: usize) {
-    params.check();
-    assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
-    assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
-    let places = places.max(1);
-    for _ in 0..params.steps {
-        step_bands_off(grid, scratch, &params, 0, params.rows, 0, places);
-        std::mem::swap(grid, scratch);
-    }
+/// Splits `next`, which holds rows `[r0, r1)`, at row `mid`. The row width
+/// comes from the slice, so a walk over empty grids splits empty slices.
+fn split_rows(next: &mut [f64], r0: usize, mid: usize, r1: usize) -> (&mut [f64], &mut [f64]) {
+    next.split_at_mut(next.len() / (r1 - r0).max(1) * (mid - r0))
 }
 
-/// Recursively split `[r0, r1)` into `bands` bands, hinting band `i` at
-/// place `first_band + i`, then binary-split each band down to leaves.
-/// `next_off` is the slice of the output grid starting at row `r0` (the two
-/// halves of a split write disjoint row ranges, so `split_at_mut` keeps the
-/// parallel writes safe without any unsafe code).
-fn step_bands_off(
-    cur: &[f64],
-    next_off: &mut [f64],
-    params: &Params,
+/// Writes rows `[r0, r1)` of the next grid into `next`, which holds exactly
+/// those rows. The range is first split into `bands` bands, band `i`
+/// hinted at place `first_band + i` (the first band stays where its caller
+/// runs), then each band is halved down to leaves of at most `rows_base`
+/// rows. `split_at_mut` hands the halves disjoint rows, so the parallel
+/// writes need no unsafe code.
+fn sweep<F: ForkJoin<Model>>(
+    f: &mut F,
+    s: Sweep,
+    next: &mut [f64],
     r0: usize,
     r1: usize,
     first_band: usize,
     bands: usize,
 ) {
-    if bands == 1 {
-        step_rows_off(cur, next_off, params, r0, r1);
-        return;
+    if bands > 1 {
+        let left = bands / 2;
+        let mid = r0 + (r1 - r0) * left / bands;
+        let (lo, hi) = split_rows(next, r0, mid, r1);
+        f.join_at(
+            move |f| sweep(f, s, lo, r0, mid, first_band, left),
+            move |f| sweep(f, s, hi, mid, r1, first_band + left, bands - left),
+            Place(first_band + left),
+        );
+    } else if r1 - r0 > s.params.rows_base {
+        let mid = (r0 + r1) / 2;
+        let (lo, hi) = split_rows(next, r0, mid, r1);
+        f.join(
+            move |f| sweep(f, s, lo, r0, mid, first_band, 1),
+            move |f| sweep(f, s, hi, mid, r1, first_band, 1),
+        );
+    } else {
+        let (rows, cols) = (s.params.rows, s.params.cols);
+        f.leaf(
+            |m| m.rows_strand(s.step, r0, r1),
+            || {
+                for r in r0..r1 {
+                    step_row(s.cur, &mut next[(r - r0) * cols..(r - r0 + 1) * cols], r, rows);
+                }
+            },
+        );
     }
-    let left_bands = bands / 2;
-    let mid = r0 + (r1 - r0) * left_bands / bands;
-    let cols = params.cols;
-    let (lo, hi) = next_off.split_at_mut((mid - r0) * cols);
-    join_at(
-        move || step_bands_off(cur, lo, params, r0, mid, first_band, left_bands),
-        move || {
-            step_bands_off(cur, hi, params, mid, r1, first_band + left_bands, bands - left_bands)
-        },
-        Place(first_band + left_bands),
-    );
 }
 
-/// Binary split; `next_off[0..]` corresponds to row `r0`.
-fn step_rows_off(cur: &[f64], next_off: &mut [f64], params: &Params, r0: usize, r1: usize) {
-    if r1 - r0 <= params.rows_base {
-        let cols = params.cols;
-        for r in r0..r1 {
-            step_row(cur, &mut next_off[(r - r0) * cols..(r - r0 + 1) * cols], r, params.rows);
-        }
-        return;
+/// Runs `steps` Jacobi iterations, each a [`sweep`] over `bands` bands;
+/// returns the final grid in `grid` (the other buffer is scratch).
+fn run<F: ForkJoin<Model>>(
+    f: &mut F,
+    grid: &mut Vec<f64>,
+    scratch: &mut Vec<f64>,
+    params: Params,
+    bands: usize,
+) {
+    params.check();
+    for step in 0..params.steps {
+        let s = Sweep { cur: grid, params: &params, step };
+        sweep(f, s, scratch, 0, params.rows, 0, bands);
+        std::mem::swap(grid, scratch);
     }
-    let mid = (r0 + r1) / 2;
-    let cols = params.cols;
-    let (lo, hi) = next_off.split_at_mut((mid - r0) * cols);
-    numa_ws::join(
-        move || step_rows_off(cur, lo, params, r0, mid),
-        move || step_rows_off(cur, hi, params, mid, r1),
-    );
+}
+
+fn check_shape(grid: &[f64], scratch: &[f64], params: Params) {
+    assert_eq!(grid.len(), params.rows * params.cols, "grid shape mismatch");
+    assert_eq!(scratch.len(), grid.len(), "scratch shape mismatch");
+}
+
+/// Serial elision: runs `steps` Jacobi iterations; returns the final grid
+/// (the other buffer is scratch).
+pub fn run_serial(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params) {
+    check_shape(grid, scratch, params);
+    run(&mut Serial, grid, scratch, params, 1);
+}
+
+/// Runs `steps` Jacobi iterations in parallel (call inside
+/// [`Pool::install`](numa_ws::Pool::install)); row bands are hinted at the
+/// place owning them, one band per place.
+pub fn run_parallel(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, params: Params, places: usize) {
+    check_shape(grid, scratch, params);
+    run(&mut fork::Pool, grid, scratch, params, places.max(1));
 }
 
 // ---------------------------------------------------------------------------
 // Simulator DAG
 // ---------------------------------------------------------------------------
 
-/// Builds the simulator DAG: `steps` phases, each a 4-band hinted fork over
-/// row blocks; grids bound bandwise to places.
-pub fn dag(params: Params, places: usize) -> Dag {
-    params.check();
-    let places = places.max(1);
-    let rows = params.rows as u64;
-    let cols = params.cols as u64;
-    let pages = pages_for(rows * cols, 8);
-    let mut b = DagBuilder::new();
-    let cur = b.alloc("cur", pages, PagePolicy::Chunked { chunks: places });
-    let next = b.alloc("next", pages, PagePolicy::Chunked { chunks: places });
-    let pages_per_row = (cols * 8).div_ceil(4096).max(1);
-
-    let mut step_frames: Vec<FrameId> = Vec::new();
-    for step in 0..params.steps {
-        // Buffers swap each step; regions alternate.
-        let (src, dst) = if step % 2 == 0 { (cur, next) } else { (next, cur) };
-        let mut band_frames = Vec::new();
-        for band in 0..places {
-            let r0 = rows * band as u64 / places as u64;
-            let r1 = rows * (band + 1) as u64 / places as u64;
-            let f = build_rows(
-                b_ref(&mut b),
-                src,
-                dst,
-                r0,
-                r1,
-                rows,
-                pages_per_row,
-                params.rows_base as u64,
-                cols,
-                Place(band),
-            );
-            band_frames.push(f);
-        }
-        let mut fb = b.frame(Place(0));
-        for f in band_frames {
-            fb = fb.spawn(f);
-        }
-        step_frames.push(fb.sync().finish());
-    }
-    // Root chains the steps: spawn+sync each (steps are serial phases).
-    let mut fb = b.frame(Place(0));
-    for f in step_frames {
-        fb = fb.spawn(f).sync();
-    }
-    let root = fb.finish();
-    b.build(root)
-}
-
-// Borrow helper to keep the recursive builder readable.
-fn b_ref(b: &mut DagBuilder) -> &mut DagBuilder {
-    b
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_rows(
-    b: &mut DagBuilder,
-    src: RegionId,
-    dst: RegionId,
-    r0: u64,
-    r1: u64,
+/// What a leaf describes itself against: the regions of the two grid
+/// buffers, which swap roles every step, and the grid's shape.
+struct Model {
+    grids: [RegionId; 2],
     rows: u64,
-    pages_per_row: u64,
-    rows_base: u64,
     cols: u64,
-    place: Place,
-) -> FrameId {
-    if r1 - r0 <= rows_base {
-        // Read rows r0-1 ..= r1 (halo), write rows r0..r1.
+    pages_per_row: u64,
+}
+
+impl Model {
+    /// The strand of a leaf over rows `[r0, r1)` at step `step`: ≈ 6 cycles
+    /// of arithmetic per cell, reading the rows and their halo in the
+    /// step's source buffer and writing the rows in its destination.
+    fn rows_strand(&self, step: usize, r0: usize, r1: usize) -> Strand {
+        let (r0, r1) = (r0 as u64, r1 as u64);
+        let (src, dst) = (self.grids[step % 2], self.grids[(step + 1) % 2]);
         let read_lo = r0.saturating_sub(1);
-        let read_hi = (r1 + 1).min(rows);
-        let strand = Strand {
-            cycles: 6 * (r1 - r0) * cols, // ~6 cycles per cell of arithmetic
+        let read_hi = (r1 + 1).min(self.rows);
+        Strand {
+            cycles: 6 * (r1 - r0) * self.cols,
             touches: vec![
                 Touch {
                     region: src,
-                    start_page: read_lo * pages_per_row,
-                    pages: (read_hi - read_lo) * pages_per_row,
+                    start_page: read_lo * self.pages_per_row,
+                    pages: (read_hi - read_lo) * self.pages_per_row,
                     lines_per_page: 64,
                 },
                 Touch {
                     region: dst,
-                    start_page: r0 * pages_per_row,
-                    pages: (r1 - r0) * pages_per_row,
+                    start_page: r0 * self.pages_per_row,
+                    pages: (r1 - r0) * self.pages_per_row,
                     lines_per_page: 64,
                 },
             ],
-        };
-        return b.frame(place).strand(strand).finish();
+        }
     }
-    let mid = (r0 + r1) / 2;
-    let l = build_rows(b, src, dst, r0, mid, rows, pages_per_row, rows_base, cols, place);
-    let r = build_rows(b, src, dst, mid, r1, rows, pages_per_row, rows_base, cols, place);
-    b.frame(place).spawn(l).spawn(r).sync().finish()
+}
+
+/// Builds the simulator DAG by recording the recursion the pool runs, over
+/// empty grids (no grid is allocated): `steps` phases of hinted row bands,
+/// one per place, with both buffers bound bandwise to the places. The root
+/// is hinted at place 0, where the first band inherits it.
+pub fn dag(params: Params, places: usize) -> Dag {
+    let places = places.max(1);
+    let (rows, cols) = (params.rows as u64, params.cols as u64);
+    let pages = pages_for(rows * cols, 8);
+    let mut bd = DagBuilder::new();
+    let grids =
+        ["cur", "next"].map(|name| bd.alloc(name, pages, PagePolicy::Chunked { chunks: places }));
+    let pages_per_row = (cols * 8).div_ceil(4096).max(1);
+    let mut rec = Record::new(bd, Model { grids, rows, cols, pages_per_row });
+    let root = rec.frame(Place(0), |f| run(f, &mut Vec::new(), &mut Vec::new(), params, places));
+    rec.builder.build(root)
 }
 
 #[cfg(test)]
@@ -377,16 +352,57 @@ mod tests {
         assert!(max_abs_diff(&g1, &g2) < 1e-12);
     }
 
+    /// The flat row loop `run_serial` was before it read the recursion,
+    /// kept as the oracle.
+    fn run_flat(grid: &mut Vec<f64>, scratch: &mut Vec<f64>, p: Params) {
+        for _ in 0..p.steps {
+            for r in 0..p.rows {
+                step_row(grid, &mut scratch[r * p.cols..(r + 1) * p.cols], r, p.rows);
+            }
+            std::mem::swap(grid, scratch);
+        }
+    }
+
     #[test]
-    fn dag_shape() {
-        let p = Params { rows: 256, cols: 256, steps: 3, rows_base: 16 };
+    fn serial_is_bit_identical_to_the_flat_row_loop() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [Params::test(), Params { rows: 50, cols: 30, steps: 3, rows_base: 7 }] {
+            let mut want = initial_grid(p.rows, p.cols);
+            let mut scratch = vec![0.0; want.len()];
+            run_flat(&mut want, &mut scratch, p);
+            let mut got = initial_grid(p.rows, p.cols);
+            let mut scratch = vec![0.0; got.len()];
+            run_serial(&mut got, &mut scratch, p);
+            assert_eq!(bits(&got), bits(&want), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn dag_forks_as_often_as_the_pool_run() {
+        // A 2-way fork is 2 DAG spawns (one child frame per branch) and 1
+        // pool spawn. Each of the 4 steps splits 64 rows into 4 hinted
+        // bands (3 forks), then each 16-row band into two 8-row leaves.
+        let p = Params::test();
+        let pool = Pool::new(1).unwrap();
+        let mut g = initial_grid(p.rows, p.cols);
+        let mut s = vec![0.0; g.len()];
+        pool.install(|| run_parallel(&mut g, &mut s, p, 4));
+        let stats = pool.stats();
+        let pool_spawns = stats.total_spawns() + stats.total_spawn_overflows();
         let d = dag(p, 4);
         d.validate().unwrap();
-        // 3 steps x 4 bands x (64/16=4 leaves + internals) + chaining.
-        assert!(d.num_frames() > 3 * 4 * 4);
-        assert!(d.work() > 0);
-        // Steps are serial: span >= steps * leaf work.
-        assert!(d.span() >= 3 * 6 * 16 * 256);
+        assert_eq!(d.num_spawns(), 2 * 4 * (3 + 4));
+        assert_eq!(pool_spawns * 2, d.num_spawns());
+        // Every leaf runs at the place of its band: 2 leaves per band and
+        // step.
+        let mut leaves = [0; 4];
+        for f in 0..d.num_frames() {
+            let frame = d.frame(nws_sim::FrameId(f));
+            if frame.steps.iter().any(|s| matches!(s, nws_sim::Step::Strand(_))) {
+                leaves[frame.place.index().unwrap()] += 1;
+            }
+        }
+        assert_eq!(leaves, [2 * 4; 4]);
     }
 
     #[test]

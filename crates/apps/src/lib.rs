@@ -12,10 +12,10 @@
 //!    regenerates the paper's tables and figures on the simulated
 //!    four-socket machine (see DESIGN.md §2).
 //!
-//! [`matmul`] and [`strassen`] write the three forms once: one recursion
-//! over a fork-join trait, run serially, on the pool, or recorded into the
-//! DAG (DESIGN.md §3, "One recursion per kernel"). The other kernels still
-//! build their DAGs by hand.
+//! [`heat`], [`matmul`] and [`strassen`] write the three forms once: one
+//! recursion over a fork-join trait, run serially, on the pool, or recorded
+//! into the DAG (DESIGN.md §3, "One recursion per kernel"). The other
+//! kernels still build their DAGs by hand.
 //!
 //! | module | paper benchmark | input |
 //! |---|---|---|

@@ -24,7 +24,8 @@ use nws_topology::Place;
 pub struct Params {
     /// Matrix side (must be `block * 2^k`).
     pub n: usize,
-    /// Base-case block side (the paper uses 32).
+    /// Base-case block side (the paper uses 32 for matmul and 16 for
+    /// strassen).
     pub block: usize,
 }
 
@@ -39,7 +40,9 @@ impl Params {
         Params { n: 64, block: 8 }
     }
 
-    fn validate(&self) {
+    /// Panics unless `n` is `block` times a power of two, which the
+    /// quadrant recursions of matmul and strassen need.
+    pub(crate) fn validate(&self) {
         assert!(
             self.block > 0 && self.n.is_multiple_of(self.block),
             "n must be a multiple of block"

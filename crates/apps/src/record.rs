@@ -7,8 +7,11 @@ use nws_topology::Place;
 
 /// Walks a recursion into [`DagBuilder`] frames. Each branch of a `join`
 /// or `join4` becomes a child frame with its parent's hint, and one sync
-/// follows the branches. A `leaf` appends the strand its `describe`
-/// returns; its body never runs, so a walk reads no operand data.
+/// follows the branches. `join_at(a, b, place)` is encoded the same way
+/// except that `b`'s frame carries `place` (the runtime's rule: `a` runs
+/// where its parent runs); [`Place::ANY`] hints nothing, so both frames
+/// inherit. A `leaf` appends the strand its `describe` returns; its body
+/// never runs, so a walk reads no operand data.
 pub(crate) struct Record<M> {
     /// The builder, for frames a kernel adds around its walks.
     pub(crate) builder: DagBuilder,
@@ -28,23 +31,19 @@ impl<M> Record<M> {
         self.open.push((place, Vec::new()));
         body(self);
         let (place, steps) = self.open.pop().expect("the frame pushed above");
-        let mut frame = self.builder.frame(place);
-        for step in steps {
-            frame = match step {
-                Step::Strand(s) => frame.strand(s),
-                Step::Spawn(child) => frame.spawn(child),
-                Step::Sync => frame.sync(),
-            };
-        }
-        frame.finish()
+        self.builder.push_frame(place, steps)
     }
 
     fn push(&mut self, step: Step) {
         self.open.last_mut().expect("fork-join call outside Record::frame").1.push(step);
     }
 
-    fn spawn(&mut self, branch: impl FnOnce(&mut Self)) {
-        let hint = self.open.last().expect("fork-join call outside Record::frame").0;
+    /// The hint of the frame being walked.
+    fn hint(&self) -> Place {
+        self.open.last().expect("fork-join call outside Record::frame").0
+    }
+
+    fn spawn(&mut self, hint: Place, branch: impl FnOnce(&mut Self)) {
         let child = self.frame(hint, branch);
         self.push(Step::Spawn(child));
     }
@@ -52,8 +51,18 @@ impl<M> Record<M> {
 
 impl<M> ForkJoin<M> for Record<M> {
     fn join(&mut self, a: impl FnOnce(&mut Self) + Send, b: impl FnOnce(&mut Self) + Send) {
-        self.spawn(a);
-        self.spawn(b);
+        self.join_at(a, b, Place::ANY);
+    }
+
+    fn join_at(
+        &mut self,
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        place: Place,
+    ) {
+        let hint = self.hint();
+        self.spawn(hint, a);
+        self.spawn(if place.is_any() { hint } else { place }, b);
         self.push(Step::Sync);
     }
 
@@ -64,10 +73,11 @@ impl<M> ForkJoin<M> for Record<M> {
         c: impl FnOnce(&mut Self) + Send,
         d: impl FnOnce(&mut Self) + Send,
     ) {
-        self.spawn(a);
-        self.spawn(b);
-        self.spawn(c);
-        self.spawn(d);
+        let hint = self.hint();
+        self.spawn(hint, a);
+        self.spawn(hint, b);
+        self.spawn(hint, c);
+        self.spawn(hint, d);
         self.push(Step::Sync);
     }
 
@@ -90,7 +100,8 @@ mod tests {
     }
 
     /// A leaf, a `join4` whose first branch is a `join` and whose third is
-    /// empty, then a leaf that reads the model.
+    /// empty, a `join_at` hinted at place 2 whose second branch is a
+    /// `join_at` hinted `ANY`, then a leaf that reads the model.
     fn walk<F: ForkJoin<u64>>(f: &mut F, log: &Sender<u64>) {
         leaf(f, 10, log);
         f.join4(
@@ -98,6 +109,11 @@ mod tests {
             |f| leaf(f, 3, log),
             |_| {},
             |f| leaf(f, 4, log),
+        );
+        f.join_at(
+            |f| leaf(f, 6, log),
+            |f| f.join_at(|f| leaf(f, 7, log), |f| leaf(f, 8, log), Place::ANY),
+            Place(2),
         );
         f.leaf(|m| Strand::compute(*m), || log.send(5).unwrap());
     }
@@ -125,22 +141,37 @@ mod tests {
         assert_eq!(ran.try_iter().count(), 0, "Record must not run leaf bodies");
         // Children close before their parents, so ids follow the walk's
         // post-order.
-        let expect = ["s1", "s2", "f0 f1 sync", "s3", "", "s4", "s10 f2 f3 f4 f5 sync s5"];
+        // The hinted `join_at`'s second branch (frame 9) carries place 2,
+        // and the `ANY` fork inside it (frames 7 and 8) inherits that; its
+        // first branch (frame 6) inherits the root's place 1.
+        let expect = [
+            ("s1", 1),
+            ("s2", 1),
+            ("f0 f1 sync", 1),
+            ("s3", 1),
+            ("", 1),
+            ("s4", 1),
+            ("s6", 1),
+            ("s7", 2),
+            ("s8", 2),
+            ("f7 f8 sync", 2),
+            ("s10 f2 f3 f4 f5 sync f6 f9 sync s5", 1),
+        ];
         assert_eq!(dag.num_frames(), expect.len());
-        for (f, want) in expect.iter().enumerate() {
+        for (f, (want, place)) in expect.iter().enumerate() {
             assert_eq!(steps(&dag, f), *want, "frame {f}");
-            assert_eq!(dag.frame(FrameId(f)).place, Place(1), "frame {f} inherits the hint");
+            assert_eq!(dag.frame(FrameId(f)).place, Place(*place), "frame {f}");
         }
-        assert_eq!(dag.root(), FrameId(6));
+        assert_eq!(dag.root(), FrameId(10));
         // A 2-way fork is 2 DAG spawns, a 4-way fork 4.
-        assert_eq!(dag.num_spawns(), 6);
-        assert_eq!(dag.work(), 25);
+        assert_eq!(dag.num_spawns(), 10);
+        assert_eq!(dag.work(), 46);
     }
 
     #[test]
     fn serial_runs_every_leaf_body_in_program_order() {
         let (log, ran) = channel();
         walk(&mut Serial, &log);
-        assert_eq!(ran.try_iter().collect::<Vec<_>>(), [10, 1, 2, 3, 4, 5]);
+        assert_eq!(ran.try_iter().collect::<Vec<_>>(), [10, 1, 2, 3, 4, 6, 7, 8, 5]);
     }
 }

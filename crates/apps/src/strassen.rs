@@ -22,27 +22,9 @@ use nws_layout::{BlockedZ, Matrix};
 use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
 use nws_topology::Place;
 
-/// Benchmark parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Params {
-    /// Matrix side (must be `block * 2^k`).
-    pub n: usize,
-    /// Below this side, multiply with the 8-way kernel (the paper uses
-    /// 16×16 base cases).
-    pub block: usize,
-}
-
-impl Params {
-    /// Simulator-scale configuration.
-    pub fn sim() -> Self {
-        Params { n: 512, block: 32 }
-    }
-
-    /// Tiny configuration for tests.
-    pub fn test() -> Self {
-        Params { n: 64, block: 8 }
-    }
-}
+/// Benchmark parameters: matmul's, which have the same shape (`n` must be
+/// `block * 2^k`; below `block`, a product runs the 8-way kernel's leaf).
+pub use crate::matmul::Params;
 
 // ---------------------------------------------------------------------------
 // Z-quadrant recursion (safe: quadrants are contiguous slices)
@@ -185,6 +167,7 @@ fn strassen_rec<F: ForkJoin<Model>>(
 /// boundary (the layout penalty the `-z` variant avoids), multiplies,
 /// transforms back.
 fn mul<F: ForkJoin<Model>>(f: &mut F, a: &Matrix<f64>, b: &Matrix<f64>, p: Params) -> Matrix<f64> {
+    p.validate();
     let za = BlockedZ::from_matrix(a, p.block);
     let zb = BlockedZ::from_matrix(b, p.block);
     mul_blocked(f, &za, &zb, p).to_matrix()
@@ -197,6 +180,7 @@ fn mul_blocked<F: ForkJoin<Model>>(
     b: &BlockedZ<f64>,
     p: Params,
 ) -> BlockedZ<f64> {
+    p.validate();
     let mut c = BlockedZ::zeros(p.n, p.block);
     strassen_rec(f, a.as_slice(), b.as_slice(), c.as_mut_slice(), p.n, p.block, [0; 3]);
     c
@@ -323,6 +307,7 @@ impl Model {
 /// interleaved scratch region. Tile coordinates are tracked so the leaf
 /// touches hit the same pages the real algorithm would.
 pub fn dag(params: Params, layout: Layout) -> Dag {
+    params.validate();
     let mut bd = DagBuilder::new();
     let model = Model::alloc(&mut bd, params, layout, PagePolicy::Interleave);
     let mut rec = Record::new(bd, model);
@@ -349,6 +334,7 @@ pub fn dag(params: Params, layout: Layout) -> Dag {
 /// top level is built by hand, hinted one quadrant per place (and pays 8
 /// products instead of 7).
 pub fn dag_top8(params: Params, layout: Layout, places: usize) -> Dag {
+    params.validate();
     let mut bd = DagBuilder::new();
     let model =
         Model::alloc(&mut bd, params, layout, PagePolicy::Chunked { chunks: places.max(1) });
@@ -467,6 +453,13 @@ mod tests {
             assert_eq!(dag_spawns, 2 * 5 * 57, "{layout:?}");
             assert_eq!(pool_spawns * 2, dag_spawns, "{layout:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn dag_rejects_bad_shape() {
+        // 3 blocks per side: the quadrant recursion cannot halve it.
+        dag(Params { n: 96, block: 32 }, Layout::BlockedZ);
     }
 
     #[test]

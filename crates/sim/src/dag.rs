@@ -124,6 +124,28 @@ impl DagBuilder {
         FrameBuilder { dag: self, place, steps: Vec::new() }
     }
 
+    /// Adds a finished frame: hint `place`, then `steps` in program order.
+    /// This is what [`FrameBuilder::finish`] calls; a builder that collects
+    /// a frame's steps itself hands them over here whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a spawned child does not exist yet or has already been
+    /// spawned elsewhere (each frame instance runs exactly once).
+    pub fn push_frame(&mut self, place: Place, steps: Vec<Step>) -> FrameId {
+        for step in &steps {
+            if let Step::Spawn(child) = *step {
+                assert!(child.0 < self.frames.len(), "spawned child must be built first");
+                assert!(!self.spawned[child.0], "frame {child:?} spawned twice");
+                self.spawned[child.0] = true;
+            }
+        }
+        let id = FrameId(self.frames.len());
+        self.frames.push(FrameDef { place, steps, parent: None });
+        self.spawned.push(false);
+        id
+    }
+
     /// Convenience: a frame consisting of a single strand.
     pub fn leaf(&mut self, place: Place, strand: Strand) -> FrameId {
         self.frame(place).strand(strand).finish()
@@ -223,12 +245,10 @@ impl FrameBuilder<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the child does not exist yet or has already been spawned
-    /// elsewhere (each frame instance runs exactly once).
+    /// [`finish`](Self::finish) panics if the child does not exist yet or
+    /// has already been spawned elsewhere (each frame instance runs exactly
+    /// once).
     pub fn spawn(mut self, child: FrameId) -> Self {
-        assert!(child.0 < self.dag.frames.len(), "spawned child must be built first");
-        assert!(!self.dag.spawned[child.0], "frame {child:?} spawned twice");
-        self.dag.spawned[child.0] = true;
         self.steps.push(Step::Spawn(child));
         self
     }
@@ -241,10 +261,7 @@ impl FrameBuilder<'_> {
 
     /// Finalizes the frame and returns its id.
     pub fn finish(self) -> FrameId {
-        let id = FrameId(self.dag.frames.len());
-        self.dag.frames.push(FrameDef { place: self.place, steps: self.steps, parent: None });
-        self.dag.spawned.push(false);
-        id
+        self.dag.push_frame(self.place, self.steps)
     }
 }
 

@@ -296,8 +296,8 @@ fn app_dag_outcomes_at_p32_are_pinned() {
         (
             "heat",
             [
-                (1367344, 307511, 242, 1095, [11904, 130816, 20608, 116608, 14464]),
-                (2466573, 238710, 221, 0, [6784, 51584, 104960, 44288, 86784]),
+                (1048597, 205922, 243, 879, [7936, 139648, 15744, 112512, 18560]),
+                (2826950, 348343, 219, 0, [6784, 54144, 102400, 40320, 90752]),
             ],
         ),
         (
