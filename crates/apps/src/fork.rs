@@ -4,8 +4,8 @@
 //! readings: [`Serial`] runs it as the serial elision (`TS`), [`Pool`] on
 //! the `numa_ws` runtime, and [`Record`](crate::record::Record) walks it
 //! into the simulator DAG. `Record` allocates, so it lives in another file:
-//! the hot-path manifest checks every fn named `join`, `join_at`, `join4`
-//! or `leaf` in this one.
+//! the hot-path manifest checks every fn named `join`, `join_at`, `join4`,
+//! `join4_at` or `leaf` in this one.
 
 use nws_sim::Strand;
 use nws_topology::Place;
@@ -38,6 +38,22 @@ pub(crate) trait ForkJoin<M> {
         d: impl FnOnce(&mut Self) + Send,
     ) {
         self.join(|f| f.join(a, b), |f| f.join(c, d));
+    }
+
+    /// Runs four branches as [`numa_ws::join4_at`] composes them,
+    /// `join_at(join_at(a, b, places[1]), join_at(c, d, places[3]), places[2])`:
+    /// `a` keeps the caller's place and `places[0]` hints nothing.
+    #[inline]
+    fn join4_at(
+        &mut self,
+        places: [Place; 4],
+        a: impl FnOnce(&mut Self) + Send,
+        b: impl FnOnce(&mut Self) + Send,
+        c: impl FnOnce(&mut Self) + Send,
+        d: impl FnOnce(&mut Self) + Send,
+    ) {
+        let [_, p1, p2, p3] = places;
+        self.join_at(move |f| f.join_at(a, b, p1), move |f| f.join_at(c, d, p3), p2);
     }
 
     /// A sequential leaf: `body` is its computation and `describe` its

@@ -14,8 +14,8 @@
 //!
 //! [`heat`], [`matmul`] and [`strassen`] write the three forms once: one
 //! recursion over a fork-join trait, run serially, on the pool, or recorded
-//! into the DAG (DESIGN.md §3, "One recursion per kernel"). The other
-//! kernels still build their DAGs by hand.
+//! into the DAG (DESIGN.md §3, "One recursion per kernel"); [`cilksort`]
+//! does so for its pool run and DAG. The others build their DAGs by hand.
 //!
 //! | module | paper benchmark | input |
 //! |---|---|---|

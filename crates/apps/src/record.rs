@@ -10,8 +10,9 @@ use nws_topology::Place;
 /// follows the branches. `join_at(a, b, place)` is encoded the same way
 /// except that `b`'s frame carries `place` (the runtime's rule: `a` runs
 /// where its parent runs); [`Place::ANY`] hints nothing, so both frames
-/// inherit. A `leaf` appends the strand its `describe` returns; its body
-/// never runs, so a walk reads no operand data.
+/// inherit. `join4_at` is the trait's three nested `join_at`s. A `leaf`
+/// appends the strand its `describe` returns; its body never runs, so a
+/// walk reads no operand data.
 pub(crate) struct Record<M> {
     /// The builder, for frames a kernel adds around its walks.
     pub(crate) builder: DagBuilder,
@@ -101,7 +102,8 @@ mod tests {
 
     /// A leaf, a `join4` whose first branch is a `join` and whose third is
     /// empty, a `join_at` hinted at place 2 whose second branch is a
-    /// `join_at` hinted `ANY`, then a leaf that reads the model.
+    /// `join_at` hinted `ANY`, a `join4_at` hinted `[3, 3, 0, ANY]`, then a
+    /// leaf that reads the model.
     fn walk<F: ForkJoin<u64>>(f: &mut F, log: &Sender<u64>) {
         leaf(f, 10, log);
         f.join4(
@@ -114,6 +116,13 @@ mod tests {
             |f| leaf(f, 6, log),
             |f| f.join_at(|f| leaf(f, 7, log), |f| leaf(f, 8, log), Place::ANY),
             Place(2),
+        );
+        f.join4_at(
+            [Place(3), Place(3), Place(0), Place::ANY],
+            |f| leaf(f, 11, log),
+            |f| leaf(f, 12, log),
+            |f| leaf(f, 13, log),
+            |f| leaf(f, 14, log),
         );
         f.leaf(|m| Strand::compute(*m), || log.send(5).unwrap());
     }
@@ -143,7 +152,11 @@ mod tests {
         // post-order.
         // The hinted `join_at`'s second branch (frame 9) carries place 2,
         // and the `ANY` fork inside it (frames 7 and 8) inherits that; its
-        // first branch (frame 6) inherits the root's place 1.
+        // first branch (frame 6) inherits the root's place 1. The
+        // `join4_at` nests as `numa_ws::join4_at` does: its halves (frames
+        // 12 and 15) carry the root's place and place 0, `b` (frame 11)
+        // place 3, and `a` inherits, as does the `ANY`-hinted `d`; the
+        // first hint is unused.
         let expect = [
             ("s1", 1),
             ("s2", 1),
@@ -155,23 +168,33 @@ mod tests {
             ("s7", 2),
             ("s8", 2),
             ("f7 f8 sync", 2),
-            ("s10 f2 f3 f4 f5 sync f6 f9 sync s5", 1),
+            ("s11", 1),
+            ("s12", 3),
+            ("f10 f11 sync", 1),
+            ("s13", 0),
+            ("s14", 0),
+            ("f13 f14 sync", 0),
+            ("s10 f2 f3 f4 f5 sync f6 f9 sync f12 f15 sync s5", 1),
         ];
         assert_eq!(dag.num_frames(), expect.len());
         for (f, (want, place)) in expect.iter().enumerate() {
             assert_eq!(steps(&dag, f), *want, "frame {f}");
             assert_eq!(dag.frame(FrameId(f)).place, Place(*place), "frame {f}");
         }
-        assert_eq!(dag.root(), FrameId(10));
-        // A 2-way fork is 2 DAG spawns, a 4-way fork 4.
-        assert_eq!(dag.num_spawns(), 10);
-        assert_eq!(dag.work(), 46);
+        assert_eq!(dag.root(), FrameId(16));
+        // A 2-way fork is 2 DAG spawns, a 4-way fork 4, and a `join4_at`
+        // three 2-way forks.
+        assert_eq!(dag.num_spawns(), 16);
+        assert_eq!(dag.work(), 96);
     }
 
     #[test]
     fn serial_runs_every_leaf_body_in_program_order() {
         let (log, ran) = channel();
         walk(&mut Serial, &log);
-        assert_eq!(ran.try_iter().collect::<Vec<_>>(), [10, 1, 2, 3, 4, 6, 7, 8, 5]);
+        assert_eq!(
+            ran.try_iter().collect::<Vec<_>>(),
+            [10, 1, 2, 3, 4, 6, 7, 8, 11, 12, 13, 14, 5]
+        );
     }
 }

@@ -303,8 +303,8 @@ fn app_dag_outcomes_at_p32_are_pinned() {
         (
             "cilksort",
             [
-                (2280330, 337077, 402, 3196, [46592, 259584, 54272, 62976, 2560]),
-                (3280740, 467969, 403, 0, [35840, 177152, 147456, 11776, 53760]),
+                (2235648, 268783, 795, 3998, [31744, 221184, 107520, 56832, 8704]),
+                (2325533, 147896, 776, 0, [22528, 181760, 156160, 14336, 51200]),
             ],
         ),
         (
