@@ -6,10 +6,15 @@
 //! contiguous band per place; SpMV's column gathers into `x`/`p` are the
 //! irregular accesses that make cg the paper's highest-leverage benchmark
 //! for NUMA-WS (work inflation 2.33× → 1.21×, T32 29.4 s → 14.9 s).
+//!
+//! The serial elision, the pool run and the simulator DAG read one
+//! recursion, `solve` (DESIGN.md §3, "One recursion per kernel").
 
 use crate::common::{input_rng, pages_for};
-use numa_ws::{join_at, Place};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
+use crate::fork::{self, ForkJoin, Serial};
+use crate::record::Record;
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
+use nws_topology::Place;
 use rand::Rng;
 
 /// Benchmark parameters.
@@ -21,8 +26,9 @@ pub struct Params {
     pub nnz_per_row: usize,
     /// CG iterations.
     pub iters: usize,
-    /// Rows per sequential leaf. At least 1: `solve_serial`,
-    /// `solve_parallel` and `dag` panic otherwise.
+    /// Rows per SpMV leaf; an elementwise leaf takes [`VEC_GRAIN`] times
+    /// as many. At least 1: `solve_serial`, `solve_parallel` and `dag` panic
+    /// otherwise.
     pub rows_base: usize,
 }
 
@@ -43,6 +49,11 @@ impl Params {
         assert!(self.rows_base >= 1, "cg: rows_base must be >= 1, got {}", self.rows_base);
     }
 }
+
+/// An elementwise leaf (a dot product or a vector update) covers
+/// `VEC_GRAIN * rows_base` rows: it spends 2–4 cycles per row, where an
+/// SpMV leaf spends ≈ 6 per nonzero.
+pub const VEC_GRAIN: usize = 4;
 
 /// A sparse matrix in compressed-sparse-row form.
 #[derive(Debug, Clone)]
@@ -118,172 +129,165 @@ impl Csr {
 }
 
 // ---------------------------------------------------------------------------
-// Serial elision
+// The recursion
 // ---------------------------------------------------------------------------
 
-/// Solves `Ax = b` with `iters` CG iterations, serially. Returns `x`.
-pub fn solve_serial(a: &Csr, b: &[f64], params: Params) -> Vec<f64> {
-    params.check();
-    let n = a.n;
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut q = vec![0.0; n];
-    let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
-    for _ in 0..params.iters {
-        a.spmv_rows(&p, &mut q, 0, n);
-        let pq: f64 = p.iter().zip(&q).map(|(a, b)| a * b).sum();
-        if pq.abs() < f64::MIN_POSITIVE {
-            break;
-        }
-        let alpha = rs_old / pq;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
+/// Indices of CG's four vectors, in `solve`'s array and the DAG model.
+const X: usize = 0;
+const R: usize = 1;
+const P: usize = 2;
+const Q: usize = 3;
+
+/// How a pass over rows `[0, n)` forks: it halves its rows, hinting the
+/// second half at the place whose band holds its first row (one band per
+/// place), down to leaves of at most `rows_base` rows for SpMV and
+/// [`VEC_GRAIN`] times that for an elementwise pass.
+#[derive(Clone, Copy)]
+struct Split {
+    n: usize,
+    places: usize,
+    rows_base: usize,
+}
+
+impl Split {
+    /// The place whose band holds `row`.
+    fn place(self, row: usize) -> Place {
+        Place((row * self.places / self.n.max(1)).min(self.places - 1))
     }
-    x
 }
 
-// ---------------------------------------------------------------------------
-// Parallel version (real runtime)
-// ---------------------------------------------------------------------------
-
-fn band_place(r0: usize, n: usize, places: usize) -> Place {
-    Place((r0 * places / n.max(1)).min(places.saturating_sub(1)))
+/// The passes of a CG iteration.
+#[derive(Clone, Copy)]
+enum Pass<'a> {
+    /// `q = A·p`, gathering from the whole of `p`.
+    Spmv(&'a Csr, &'a [f64]),
+    /// `p·q`.
+    PQ,
+    /// `x += αp; r -= αq`.
+    Update(f64),
+    /// `r·r`.
+    RR,
+    /// `p = r + βp`.
+    Direction(f64),
 }
 
-/// Parallel SpMV: `y[r0..r1] = (A·x)[r0..r1]`, binary row split hinted at
-/// the band owning each half.
-fn par_spmv(
-    a: &Csr,
-    x: &[f64],
-    y: &mut [f64],
+impl Pass<'_> {
+    /// Runs the pass over rows `[r0, r1)`, which `[x, r, p, q]` hold: a dot
+    /// product returns its partial sum, the other passes 0.
+    fn run(self, [x, r, p, q]: [&mut [f64]; 4], r0: usize, r1: usize) -> f64 {
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a * b).sum();
+        match self {
+            Pass::Spmv(a, whole_p) => a.spmv_rows(whole_p, q, r0, r1),
+            Pass::PQ => return dot(p, q),
+            Pass::RR => return dot(r, r),
+            Pass::Update(alpha) => {
+                for (((x, r), p), q) in x.iter_mut().zip(r).zip(&*p).zip(&*q) {
+                    *x += alpha * p;
+                    *r -= alpha * q;
+                }
+            }
+            Pass::Direction(beta) => {
+                for (p, r) in p.iter_mut().zip(&*r) {
+                    *p = r + beta * *p;
+                }
+            }
+        }
+        0.0
+    }
+}
+
+/// Runs `op` over rows `[r0, r1)` of `v`, `[x, r, p, q]`, each of which
+/// holds those rows or nothing, and returns the sum of its leaves' results,
+/// the left half's plus the right half's at every fork. A slice splits in
+/// proportion to its length, so a walk over empty vectors splits empty
+/// slices.
+fn pass<F: ForkJoin<Model>>(
+    f: &mut F,
+    s: Split,
+    v: [&mut [f64]; 4],
     r0: usize,
     r1: usize,
-    params: &Params,
+    op: Pass,
+) -> f64 {
+    let base = match op {
+        Pass::Spmv(..) => s.rows_base,
+        _ => s.rows_base.saturating_mul(VEC_GRAIN),
+    };
+    if r1 - r0 > base {
+        let mid = (r0 + r1) / 2;
+        let [x, r, p, q] = v.map(|v| v.split_at_mut(v.len() / (r1 - r0) * (mid - r0)));
+        let (mut lo, mut hi) = (0.0, 0.0);
+        f.join_at(
+            |f| lo = pass(f, s, [x.0, r.0, p.0, q.0], r0, mid, op),
+            |f| hi = pass(f, s, [x.1, r.1, p.1, q.1], mid, r1, op),
+            s.place(mid),
+        );
+        lo + hi
+    } else {
+        let mut sum = 0.0;
+        f.leaf(|m| m.strand(op, r0, r1), || sum = op.run(v, r0, r1));
+        sum
+    }
+}
+
+/// Up to `iters` CG iterations from `x = 0`, `r = p = b`; returns `x`.
+/// After the initial `r·r`, each iteration runs SpMV, `p·q`, the fused
+/// `x, r` update, `r·r` and `p = r + βp`, each a [`pass`] over all rows.
+/// The loop stops before an update whose `|p·q|` is below `pq_floor`: the
+/// solvers pass `f64::MIN_POSITIVE`, which for a `Csr::random_spd` matrix
+/// stops it only when `p` is 0 (to within underflow), and `dag`, whose
+/// sums are all 0, passes 0, so it records exactly `iters` iterations
+/// (DESIGN.md §3, "cg's loop rule").
+fn solve<F: ForkJoin<Model>>(
+    f: &mut F,
+    a: &Csr,
+    b: &[f64],
+    params: Params,
     places: usize,
-) {
-    if r1 - r0 <= params.rows_base {
-        a.spmv_rows(x, y, r0, r1);
-        return;
+    pq_floor: f64,
+) -> Vec<f64> {
+    fn rows(v: &mut [Vec<f64>; 4]) -> [&mut [f64]; 4] {
+        v.each_mut().map(|v| v.as_mut_slice())
     }
-    let mid = (r0 + r1) / 2;
-    let (lo, hi) = y.split_at_mut(mid - r0);
-    join_at(
-        || par_spmv(a, x, lo, r0, mid, params, places),
-        || par_spmv(a, x, hi, mid, r1, params, places),
-        band_place(mid, a.n, places),
-    );
-}
-
-/// Parallel dot product over chunks.
-fn par_dot(a: &[f64], b: &[f64], base: usize, offset: usize, n: usize, places: usize) -> f64 {
-    if a.len() <= base {
-        return a.iter().zip(b).map(|(x, y)| x * y).sum();
-    }
-    let mid = a.len() / 2;
-    let (a1, a2) = a.split_at(mid);
-    let (b1, b2) = b.split_at(mid);
-    let (s1, s2) = join_at(
-        || par_dot(a1, b1, base, offset, n, places),
-        || par_dot(a2, b2, base, offset + mid, n, places),
-        band_place(offset + mid, n, places),
-    );
-    s1 + s2
-}
-
-/// Parallel `x += alpha * p; r -= alpha * q` fused update.
-#[allow(clippy::too_many_arguments)] // mirrors the banded-recursion signature of its siblings
-fn par_update(
-    x: &mut [f64],
-    p: &[f64],
-    r: &mut [f64],
-    q: &[f64],
-    alpha: f64,
-    base: usize,
-    offset: usize,
-    n: usize,
-    places: usize,
-) {
-    if x.len() <= base {
-        for i in 0..x.len() {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * q[i];
-        }
-        return;
-    }
-    let mid = x.len() / 2;
-    let (x1, x2) = x.split_at_mut(mid);
-    let (r1, r2) = r.split_at_mut(mid);
-    let (p1, p2) = p.split_at(mid);
-    let (q1, q2) = q.split_at(mid);
-    join_at(
-        || par_update(x1, p1, r1, q1, alpha, base, offset, n, places),
-        || par_update(x2, p2, r2, q2, alpha, base, offset + mid, n, places),
-        band_place(offset + mid, n, places),
-    );
-}
-
-/// Parallel `p = r + beta * p`.
-fn par_pupdate(
-    p: &mut [f64],
-    r: &[f64],
-    beta: f64,
-    base: usize,
-    offset: usize,
-    n: usize,
-    places: usize,
-) {
-    if p.len() <= base {
-        for i in 0..p.len() {
-            p[i] = r[i] + beta * p[i];
-        }
-        return;
-    }
-    let mid = p.len() / 2;
-    let (p1, p2) = p.split_at_mut(mid);
-    let (r1, r2) = r.split_at(mid);
-    join_at(
-        || par_pupdate(p1, r1, beta, base, offset, n, places),
-        || par_pupdate(p2, r2, beta, base, offset + mid, n, places),
-        band_place(offset + mid, n, places),
-    );
-}
-
-/// Parallel CG (call inside [`Pool::install`](numa_ws::Pool::install)).
-/// Returns `x` after `iters` iterations — bitwise reproducible against
-/// [`solve_serial`]? No: floating-point reductions associate differently in
-/// parallel, so compare with a tolerance.
-pub fn solve_parallel(a: &Csr, b: &[f64], params: Params, places: usize) -> Vec<f64> {
     params.check();
-    let n = a.n;
-    let base = params.rows_base;
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut p = r.clone();
-    let mut q = vec![0.0; n];
-    let mut rs_old = par_dot(&r, &r, base, 0, n, places);
+    let (n, s) = (a.n, Split { n: a.n, places: places.max(1), rows_base: params.rows_base });
+    let mut v = [vec![0.0; b.len()], b.to_vec(), b.to_vec(), vec![0.0; b.len()]];
+    let mut rs_old = pass(f, s, rows(&mut v), 0, n, Pass::RR);
     for _ in 0..params.iters {
-        par_spmv(a, &p, &mut q, 0, n, &params, places);
-        let pq = par_dot(&p, &q, base, 0, n, places);
-        if pq.abs() < f64::MIN_POSITIVE {
+        let [_, _, p, q] = rows(&mut v);
+        pass(f, s, [&mut [], &mut [], &mut [], q], 0, n, Pass::Spmv(a, p));
+        let pq = pass(f, s, rows(&mut v), 0, n, Pass::PQ);
+        if pq.abs() < pq_floor {
             break;
         }
-        let alpha = rs_old / pq;
-        par_update(&mut x, &p, &mut r, &q, alpha, base, 0, n, places);
-        let rs_new = par_dot(&r, &r, base, 0, n, places);
-        let beta = rs_new / rs_old;
-        par_pupdate(&mut p, &r, beta, base, 0, n, places);
+        pass(f, s, rows(&mut v), 0, n, Pass::Update(rs_old / pq));
+        let rs_new = pass(f, s, rows(&mut v), 0, n, Pass::RR);
+        pass(f, s, rows(&mut v), 0, n, Pass::Direction(rs_new / rs_old));
         rs_old = rs_new;
     }
+    let [x, ..] = v;
     x
+}
+
+/// Panics unless `b` has one entry per row of `a`.
+fn check_input(a: &Csr, b: &[f64]) {
+    assert_eq!(b.len(), a.n, "cg: b must have one entry per row of A");
+}
+
+/// Solves `Ax = b` with up to `iters` CG iterations, serially (the serial
+/// elision of [`solve_parallel`]). Returns `x`.
+pub fn solve_serial(a: &Csr, b: &[f64], params: Params) -> Vec<f64> {
+    check_input(a, b);
+    solve(&mut Serial, a, b, params, 1, f64::MIN_POSITIVE)
+}
+
+/// Parallel CG (call inside [`Pool::install`](numa_ws::Pool::install)),
+/// each pass's halves hinted at the band of `places` that owns them.
+/// Returns `x`, bit for bit [`solve_serial`]'s: the recursion fixes the
+/// order of every floating-point addition, whatever the pool.
+pub fn solve_parallel(a: &Csr, b: &[f64], params: Params, places: usize) -> Vec<f64> {
+    check_input(a, b);
+    solve(&mut fork::Pool, a, b, params, places, f64::MIN_POSITIVE)
 }
 
 /// Max-norm residual `||Ax - b||∞` (for verification).
@@ -297,141 +301,73 @@ pub fn residual(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
 // Simulator DAG
 // ---------------------------------------------------------------------------
 
-struct DagCtx {
+/// What a leaf describes itself against: the regions of `A` and of the
+/// four vectors, and the matrix's shape.
+struct Model {
     a: RegionId,
-    vecs: [RegionId; 4], // x, r, p, q
+    vecs: [RegionId; 4],
     n: u64,
-    rows_base: u64,
     nnz: u64,
-    places: usize,
 }
 
-/// Builds the simulator DAG for cg: `iters` chained phases of
-/// SpMV + dots + AXPYs; `A` and the vectors are band-bound, SpMV leaves
-/// gather from the whole `p` vector (the irregular NUMA traffic).
+impl Model {
+    /// The strand of a leaf of `op` over rows `[r0, r1)`: its cycles per
+    /// row, and a touch of every line of those rows of each array it uses.
+    /// An SpMV leaf spends ≈ 6 cycles per nonzero, streams its band of `A`
+    /// (12 bytes per nonzero), gathers from the whole of `p` (random
+    /// columns, 48 lines a page) and writes its band of `q`.
+    fn strand(&self, op: Pass, r0: usize, r1: usize) -> Strand {
+        let (r0, r1) = (r0 as u64, r1 as u64);
+        let rows = |region, row_bytes| Touch {
+            region,
+            start_page: r0 * row_bytes / 4096,
+            pages: pages_for(r1 - r0, row_bytes),
+            lines_per_page: 64,
+        };
+        let bands = |vecs: &[usize]| vecs.iter().map(|&v| rows(self.vecs[v], 8)).collect();
+        let (cycles, touches) = match op {
+            Pass::Spmv(..) => {
+                let gather = Touch {
+                    region: self.vecs[P],
+                    start_page: 0,
+                    pages: pages_for(self.n, 8),
+                    lines_per_page: 48,
+                };
+                (6 * self.nnz, vec![rows(self.a, 12 * self.nnz), gather, rows(self.vecs[Q], 8)])
+            }
+            Pass::PQ => (2, bands(&[P, Q])),
+            Pass::Update(_) => (4, bands(&[X, R, P, Q])),
+            Pass::RR => (2, bands(&[R])),
+            Pass::Direction(_) => (3, bands(&[R, P])),
+        };
+        Strand { cycles: cycles * (r1 - r0), touches }
+    }
+}
+
+/// Builds the simulator DAG by recording the recursion the pool runs, all
+/// `iters` iterations of it, with `A` and the vectors bound bandwise to the
+/// places and the root hinted at place 0. The walk reads no value, so it
+/// runs over a `Csr` of `n` rows and no entries, and empty vectors.
 pub fn dag(params: Params, places: usize) -> Dag {
     params.check();
     let places = places.max(1);
-    let n = params.n as u64;
-    let nnz = params.nnz_per_row as u64;
-    let mut b = DagBuilder::new();
-    // CSR arrays: vals (8B) + cols (4B) per nonzero.
-    let a = b.alloc("A", pages_for(n * nnz * 12, 1), PagePolicy::Chunked { chunks: places });
-    let vecs = [
-        b.alloc("x", pages_for(n, 8), PagePolicy::Chunked { chunks: places }),
-        b.alloc("r", pages_for(n, 8), PagePolicy::Chunked { chunks: places }),
-        b.alloc("p", pages_for(n, 8), PagePolicy::Chunked { chunks: places }),
-        b.alloc("q", pages_for(n, 8), PagePolicy::Chunked { chunks: places }),
-    ];
-    let ctx = DagCtx { a, vecs, n, rows_base: params.rows_base as u64, nnz, places };
-
-    let mut iter_frames = Vec::new();
-    for _ in 0..params.iters {
-        let spmv = build_spmv(&mut b, &ctx, 0, n);
-        let dot1 = build_vec_pass(&mut b, &ctx, 0, n, &[2, 3], 2); // p·q
-        let axpy = build_vec_pass(&mut b, &ctx, 0, n, &[0, 1, 2, 3], 4); // x,r update
-        let dot2 = build_vec_pass(&mut b, &ctx, 0, n, &[1], 2); // r·r
-        let pup = build_vec_pass(&mut b, &ctx, 0, n, &[1, 2], 3); // p = r + βp
-        let iter = b
-            .frame(Place(0))
-            .spawn(spmv)
-            .sync()
-            .spawn(dot1)
-            .sync()
-            .spawn(axpy)
-            .sync()
-            .spawn(dot2)
-            .sync()
-            .spawn(pup)
-            .sync()
-            .finish();
-        iter_frames.push(iter);
-    }
-    let mut fb = b.frame(Place(0));
-    for f in iter_frames {
-        fb = fb.spawn(f).sync();
-    }
-    let root = fb.finish();
-    b.build(root)
-}
-
-fn vec_pages(ctx: &DagCtx) -> u64 {
-    pages_for(ctx.n, 8)
-}
-
-fn band_place_u(ctx: &DagCtx, row: u64) -> Place {
-    Place(((row * ctx.places as u64) / ctx.n.max(1)).min(ctx.places as u64 - 1) as usize)
-}
-
-fn build_spmv(b: &mut DagBuilder, ctx: &DagCtx, r0: u64, r1: u64) -> FrameId {
-    if r1 - r0 <= ctx.rows_base {
-        let a_pages = pages_for(ctx.n * ctx.nnz * 12, 1);
-        let a_start = r0 * ctx.nnz * 12 / 4096;
-        let a_len = ((r1 - r0) * ctx.nnz * 12)
-            .div_ceil(4096)
-            .max(1)
-            .min(a_pages - a_start.min(a_pages - 1));
-        let vp = vec_pages(ctx);
-        let rows = r1 - r0;
-        let strand = Strand {
-            // ~6 cycles per nonzero of multiply-add and index math.
-            cycles: 6 * rows * ctx.nnz,
-            touches: vec![
-                // Stream the local CSR band.
-                Touch { region: ctx.a, start_page: a_start, pages: a_len, lines_per_page: 64 },
-                // Gather from the whole p vector (random columns).
-                Touch { region: ctx.vecs[2], start_page: 0, pages: vp, lines_per_page: 48 },
-                // Write the local q band.
-                Touch {
-                    region: ctx.vecs[3],
-                    start_page: r0 * 8 / 4096,
-                    pages: (rows * 8).div_ceil(4096).max(1),
-                    lines_per_page: 64,
-                },
-            ],
-        };
-        return b.frame(band_place_u(ctx, r0)).strand(strand).finish();
-    }
-    let mid = (r0 + r1) / 2;
-    let l = build_spmv(b, ctx, r0, mid);
-    let r = build_spmv(b, ctx, mid, r1);
-    b.frame(band_place_u(ctx, r0)).spawn(l).spawn(r).sync().finish()
-}
-
-/// An elementwise pass (dot/AXPY) over rows `[r0, r1)` touching the listed
-/// vectors, `cycles_per_elem` cycles each.
-fn build_vec_pass(
-    b: &mut DagBuilder,
-    ctx: &DagCtx,
-    r0: u64,
-    r1: u64,
-    vecs: &[usize],
-    cycles_per_elem: u64,
-) -> FrameId {
-    if r1 - r0 <= ctx.rows_base * 4 {
-        let rows = r1 - r0;
-        let touches = vecs
-            .iter()
-            .map(|&v| Touch {
-                region: ctx.vecs[v],
-                start_page: r0 * 8 / 4096,
-                pages: (rows * 8).div_ceil(4096).max(1),
-                lines_per_page: 64,
-            })
-            .collect();
-        let strand = Strand { cycles: cycles_per_elem * rows, touches };
-        return b.frame(band_place_u(ctx, r0)).strand(strand).finish();
-    }
-    let mid = (r0 + r1) / 2;
-    let l = build_vec_pass(b, ctx, r0, mid, vecs, cycles_per_elem);
-    let r = build_vec_pass(b, ctx, mid, r1, vecs, cycles_per_elem);
-    b.frame(band_place_u(ctx, r0)).spawn(l).spawn(r).sync().finish()
+    let (n, nnz) = (params.n as u64, params.nnz_per_row as u64);
+    let chunked = PagePolicy::Chunked { chunks: places };
+    let mut bd = DagBuilder::new();
+    let a = bd.alloc("A", pages_for(n * nnz * 12, 1), chunked.clone());
+    let vecs = ["x", "r", "p", "q"].map(|name| bd.alloc(name, pages_for(n, 8), chunked.clone()));
+    let shell = Csr { n: params.n, row_ptr: Vec::new(), cols: Vec::new(), vals: Vec::new() };
+    let mut rec = Record::new(bd, Model { a, vecs, n, nnz });
+    let root = rec.frame(Place(0), |f| {
+        solve(f, &shell, &[], params, places, 0.0);
+    });
+    rec.builder.build(root)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numa_ws::Pool;
+    use numa_ws::{Pool, SchedPolicy};
 
     #[test]
     fn spd_matrix_is_symmetric_with_dominant_diagonal() {
@@ -476,16 +412,68 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_within_tolerance() {
+    fn parallel_is_bit_identical_to_serial() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for p in [Params::test(), Params { n: 300, rows_base: 7, ..Params::test() }] {
+            let a = Csr::random_spd(p, 2);
+            let b: Vec<f64> = (0..p.n).map(|i| (i as f64).sin()).collect();
+            let xs = bits(solve_serial(&a, &b, p));
+            for policy in [SchedPolicy::numa_ws(), SchedPolicy::vanilla()] {
+                for (workers, places) in [(2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)] {
+                    // At most one place per worker: 4 bands on 2 places wrap.
+                    let pool = Pool::builder()
+                        .workers(workers)
+                        .places(places.min(workers))
+                        .policy(policy)
+                        .build()
+                        .unwrap();
+                    let xp = bits(pool.install(|| solve_parallel(&a, &b, p, places)));
+                    assert_eq!(xp, xs, "{p:?}, {workers} workers, {places} places, {policy}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_b_stops_before_the_first_update() {
+        // `p = b = 0`, so `p·q` is 0 and the loop breaks with `x = 0`;
+        // without the break, `α = 0 / 0` would make `x` NaN.
+        let p = Params::test();
+        let (a, b) = (Csr::random_spd(p, 5), vec![0.0; p.n]);
+        assert_eq!(solve_serial(&a, &b, p), b);
+        assert_eq!(Pool::new(2).unwrap().install(|| solve_parallel(&a, &b, p, 2)), b);
+    }
+
+    #[test]
+    fn dag_forks_as_often_as_the_pool_run() {
+        // A 2-way fork is 2 DAG spawns and 1 pool spawn. At `Params::test()`
+        // (512 rows; 64-row SpMV leaves, 256-row elementwise leaves) SpMV
+        // forks 7 times and an elementwise pass once: once for the initial
+        // `r·r`, then 7 + 4 times per iteration.
         let p = Params::test();
         let a = Csr::random_spd(p, 2);
-        let b: Vec<f64> = (0..p.n).map(|i| (i as f64).sin()).collect();
-        let xs = solve_serial(&a, &b, p);
-        for places in [1usize, 2, 4] {
-            let pool = Pool::builder().workers(4).places(places).build().unwrap();
-            let xp = pool.install(|| solve_parallel(&a, &b, p, places));
-            let diff = crate::common::max_abs_diff(&xs, &xp);
-            assert!(diff < 1e-6, "places={places}: diff {diff}");
+        let pool = Pool::new(1).unwrap();
+        pool.install(|| solve_parallel(&a, &vec![1.0; p.n], p, 4));
+        let stats = pool.stats();
+        let d = dag(p, 4);
+        d.validate().unwrap();
+        assert_eq!(d.num_spawns(), 2 * (1 + 8 * (7 + 4)));
+        assert_eq!(2 * (stats.total_spawns() + stats.total_spawn_overflows()), d.num_spawns());
+        // Each leaf sits at its band's place, 128 rows a band. Frame ids
+        // follow the walk's post-order, so a pass's leaves come in row order.
+        let leaves: Vec<usize> = (0..d.num_frames())
+            .map(|f| d.frame(nws_sim::FrameId(f)))
+            .filter(|f| f.steps.iter().any(|s| matches!(s, nws_sim::Step::Strand(_))))
+            .map(|f| f.place.0)
+            .collect();
+        let iteration = [&[0, 0, 1, 1, 2, 2, 3, 3][..], &[0, 2].repeat(4)].concat();
+        assert_eq!(leaves, [vec![0, 2], iteration.repeat(8)].concat());
+        // `dag` records the initial `r·r` (2 cycles a row), then exactly
+        // `iters` iterations (6 cycles a nonzero, then 2 + 4 + 2 + 3 a row).
+        let (n, nnz) = (p.n as u64, p.nnz_per_row as u64);
+        for k in [0, 1, 3] {
+            let work = dag(Params { iters: k, ..p }, 4).work();
+            assert_eq!(work, 2 * n + k as u64 * (6 * n * nnz + 11 * n), "iters = {k}");
         }
     }
 
@@ -497,6 +485,15 @@ mod tests {
         // Serial chaining: span grows with iterations.
         let d1 = dag(Params { iters: 1, ..p }, 4);
         assert!(d.span() > 2 * d1.span(), "iterations must be serialized");
+    }
+
+    #[test]
+    #[should_panic(expected = "b must have one entry per row of A")]
+    fn b_longer_than_a_is_rejected() {
+        // Unchecked, `r`'s extra entries were never updated but fed `r·r`;
+        // a shorter `b` indexed out of bounds.
+        let p = Params::test();
+        solve_serial(&Csr::random_spd(p, 42), &vec![1.0; p.n + 1], p);
     }
 
     #[test]

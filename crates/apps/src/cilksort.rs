@@ -149,9 +149,11 @@ impl<K: Copy + Ord + Send + Sync> Key for K {}
 
 /// The paper's MERGESORTTOP and MERGESORT as one recursion: the quarters
 /// fork at `places[0..4]`, the pair-merges at `places[0]`/`places[2]`, and
-/// the final merge runs inline, unhinted. The top level passes Figure
-/// 4's `@p0..@p3`; deeper levels set no hints (`Place::ANY`), so they
-/// inherit where their parent ran. Each merge halves until below `merge_base`.
+/// the final merge runs inline. The top level passes Figure 4's
+/// `@p0..@p3` and runs its final merge as `@ANY` ([`ForkJoin::unhinted`]);
+/// deeper levels set no hints (`Place::ANY`), so they and their merges
+/// inherit where their parent ran. Each merge halves until below
+/// `merge_base`.
 fn sort<F: ForkJoin<Model>, K: Key>(
     f: &mut F,
     data: &mut [K],
@@ -185,7 +187,12 @@ fn sort<F: ForkJoin<Model>, K: Key>(
     let [d1, d2, d3, d4] = quarters(data, q);
     f.join_at(|f| merge(f, d1, d2, t12, base), |f| merge(f, d3, d4, t34, base), places[2]);
     let (t1, t2) = tmp.split_at(h);
-    merge(f, t1, t2, data, base);
+    let mut last = |f: &mut F| merge(f, t1, t2, data, base);
+    if places == any {
+        last(f);
+    } else {
+        f.unhinted(last);
+    }
 }
 
 /// PARMERGE: merges the sorted runs `a` and `b` into `out` (a tie takes
@@ -593,7 +600,8 @@ mod tests {
     /// root forks two halves hinted at places 0 and 2, which fork quarters
     /// 0 and 1 and quarters 2 and 3, and every frame under a quarter
     /// inherits its place. Then the pair-merges fork at places 0 and 2, and
-    /// the final merge splits in the root's own frame.
+    /// the final merge splits in the root's own frame into halves hinted
+    /// `ANY`, as the pool forks them.
     #[test]
     fn dag_quarters_carry_distinct_hints() {
         let d = dag(Params { n: 1 << 14, sort_base: 1 << 10, merge_base: 1 << 10 }, 4);
@@ -615,8 +623,8 @@ mod tests {
         assert_eq!(shape, [&fork2[..], &fork2, &["strand"], &fork2].concat());
         // The halves, the pair-merges and the final merge's two halves.
         let top = children(root);
-        let hints = [0, 2, 0, 2, 0, 0].map(Place);
-        assert_eq!(places(&top), hints);
+        let hints = [0, 2, 0, 2].map(Place);
+        assert_eq!(places(&top), [&hints[..], &[Place::ANY; 2]].concat());
         let quarters: Vec<FrameId> = top[..2].iter().flat_map(|&h| children(h)).collect();
         assert_eq!(places(&quarters), [Place(0), Place(1), Place(2), Place(3)]);
         for q in quarters {

@@ -5,7 +5,7 @@
 //! the `numa_ws` runtime, and [`Record`](crate::record::Record) walks it
 //! into the simulator DAG. `Record` allocates, so it lives in another file:
 //! the hot-path manifest checks every fn named `join`, `join_at`, `join4`,
-//! `join4_at` or `leaf` in this one.
+//! `join4_at`, `unhinted` or `leaf` in this one.
 
 use nws_sim::Strand;
 use nws_topology::Place;
@@ -54,6 +54,15 @@ pub(crate) trait ForkJoin<M> {
     ) {
         let [_, p1, p2, p3] = places;
         self.join_at(move |f| f.join_at(a, b, p1), move |f| f.join_at(c, d, p3), p2);
+    }
+
+    /// Runs `body` inline, in the caller's frame, as a call hinted
+    /// [`Place::ANY`]: the forks it makes do not inherit the caller's hint.
+    /// `Serial` and `Pool` keep no hint, so they just call `body`; `Record`
+    /// drops its frame's hint for the call (cilksort's final merge).
+    #[inline]
+    fn unhinted(&mut self, body: impl FnOnce(&mut Self)) {
+        body(self);
     }
 
     /// A sequential leaf: `body` is its computation and `describe` its

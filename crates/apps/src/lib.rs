@@ -12,10 +12,11 @@
 //!    regenerates the paper's tables and figures on the simulated
 //!    four-socket machine (see DESIGN.md §2).
 //!
-//! [`heat`], [`matmul`] and [`strassen`] write the three forms once: one
-//! recursion over a fork-join trait, run serially, on the pool, or recorded
-//! into the DAG (DESIGN.md §3, "One recursion per kernel"); [`cilksort`]
-//! does so for its pool run and DAG. The others build their DAGs by hand.
+//! [`cg`], [`heat`], [`matmul`] and [`strassen`] write the three forms
+//! once: one recursion over a fork-join trait, run serially, on the pool,
+//! or recorded into the DAG (DESIGN.md §3, "One recursion per kernel");
+//! [`cilksort`] does so for its pool run and DAG. The others build their
+//! DAGs by hand.
 //!
 //! | module | paper benchmark | input |
 //! |---|---|---|

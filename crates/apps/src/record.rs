@@ -10,7 +10,8 @@ use nws_topology::Place;
 /// follows the branches. `join_at(a, b, place)` is encoded the same way
 /// except that `b`'s frame carries `place` (the runtime's rule: `a` runs
 /// where its parent runs); [`Place::ANY`] hints nothing, so both frames
-/// inherit. `join4_at` is the trait's three nested `join_at`s. A `leaf`
+/// inherit. `join4_at` is the trait's three nested `join_at`s, and
+/// `unhinted` walks its body with the frame's hint set to `ANY`. A `leaf`
 /// appends the strand its `describe` returns; its body never runs, so a
 /// walk reads no operand data.
 pub(crate) struct Record<M> {
@@ -35,13 +36,18 @@ impl<M> Record<M> {
         self.builder.push_frame(place, steps)
     }
 
+    /// The frame being walked.
+    fn open_frame(&mut self) -> &mut (Place, Vec<Step>) {
+        self.open.last_mut().expect("fork-join call outside Record::frame")
+    }
+
     fn push(&mut self, step: Step) {
-        self.open.last_mut().expect("fork-join call outside Record::frame").1.push(step);
+        self.open_frame().1.push(step);
     }
 
     /// The hint of the frame being walked.
-    fn hint(&self) -> Place {
-        self.open.last().expect("fork-join call outside Record::frame").0
+    fn hint(&mut self) -> Place {
+        self.open_frame().0
     }
 
     fn spawn(&mut self, hint: Place, branch: impl FnOnce(&mut Self)) {
@@ -80,6 +86,12 @@ impl<M> ForkJoin<M> for Record<M> {
         self.spawn(hint, c);
         self.spawn(hint, d);
         self.push(Step::Sync);
+    }
+
+    fn unhinted(&mut self, body: impl FnOnce(&mut Self)) {
+        let hint = std::mem::replace(&mut self.open_frame().0, Place::ANY);
+        body(self);
+        self.open_frame().0 = hint;
     }
 
     fn leaf(&mut self, describe: impl FnOnce(&M) -> Strand, _body: impl FnOnce()) {
@@ -186,6 +198,26 @@ mod tests {
         // three 2-way forks.
         assert_eq!(dag.num_spawns(), 16);
         assert_eq!(dag.work(), 96);
+    }
+
+    #[test]
+    fn unhinted_drops_the_frame_hint_for_its_body_only() {
+        let (log, _ran) = channel();
+        let mut rec = Record::new(DagBuilder::new(), 0);
+        let root = rec.frame(Place(1), |f| {
+            f.unhinted(|f| {
+                leaf(f, 1, &log);
+                f.join(|f| leaf(f, 2, &log), |f| leaf(f, 3, &log));
+            });
+            f.join(|f| leaf(f, 4, &log), |f| leaf(f, 5, &log));
+        });
+        let dag = rec.builder.build(root);
+        // The body's strand stays in the root frame; its fork's frames are
+        // unhinted, and the fork after it inherits place 1 again.
+        assert_eq!(steps(&dag, 4), "s1 f0 f1 sync f2 f3 sync");
+        let places: Vec<_> = (0..4).map(|f| dag.frame(FrameId(f)).place).collect();
+        assert_eq!(places, [Place::ANY, Place::ANY, Place(1), Place(1)]);
+        assert_eq!(dag.frame(FrameId(4)).place, Place(1));
     }
 
     #[test]

@@ -303,7 +303,7 @@ fn app_dag_outcomes_at_p32_are_pinned() {
         (
             "cilksort",
             [
-                (2235648, 268783, 795, 3998, [31744, 221184, 107520, 56832, 8704]),
+                (2201814, 260880, 784, 3777, [31232, 223232, 105984, 56832, 8704]),
                 (2325533, 147896, 776, 0, [22528, 181760, 156160, 14336, 51200]),
             ],
         ),

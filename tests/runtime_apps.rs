@@ -13,6 +13,13 @@ fn pools() -> Vec<Pool> {
         .collect()
 }
 
+/// The bit patterns of `v`: heat and cg fix the order of every
+/// floating-point operation in their recursions, so the pool must match
+/// the serial elision exactly.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn all_benchmarks_correct_on_both_modes() {
     for pool in pools() {
@@ -33,7 +40,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let mut g2 = heat::initial_grid(p.rows, p.cols);
         let mut s2 = vec![0.0; g2.len()];
         pool.install(|| heat::run_parallel(&mut g2, &mut s2, p, 4));
-        assert!(common::max_abs_diff(&g1, &g2) < 1e-12, "heat on {}", pool.policy());
+        assert_eq!(bits(&g1), bits(&g2), "heat on {}", pool.policy());
 
         // cg
         let p = cg::Params::test();
@@ -41,7 +48,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let b: Vec<f64> = (0..p.n).map(|i| (i as f64).sin()).collect();
         let xs = cg::solve_serial(&a, &b, p);
         let xp = pool.install(|| cg::solve_parallel(&a, &b, p, 4));
-        assert!(common::max_abs_diff(&xs, &xp) < 1e-6, "cg on {}", pool.policy());
+        assert_eq!(bits(&xs), bits(&xp), "cg on {}", pool.policy());
 
         // hull (both datasets)
         let p = hull::Params::test();
