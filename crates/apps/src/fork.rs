@@ -5,7 +5,7 @@
 //! the `numa_ws` runtime, and [`Record`](crate::record::Record) walks it
 //! into the simulator DAG. `Record` allocates, so it lives in another file:
 //! the hot-path manifest checks every fn named `join`, `join_at`, `join4`,
-//! `join4_at`, `unhinted` or `leaf` in this one.
+//! `join4_at`, `unhinted`, `leaf` or `run_leaf` in this one.
 
 use nws_sim::Strand;
 use nws_topology::Place;
@@ -70,6 +70,15 @@ pub(crate) trait ForkJoin<M> {
     #[inline]
     fn leaf(&mut self, _describe: impl FnOnce(&M) -> Strand, body: impl FnOnce()) {
         body();
+    }
+
+    /// A sequential leaf whose body every instance runs, `Record` too, and
+    /// whose result it returns: a data step the fork tree depends on
+    /// (hull's scans decide which points survive).
+    #[inline]
+    fn run_leaf<R>(&mut self, describe: impl FnOnce(&M) -> Strand, body: impl FnOnce() -> R) -> R {
+        self.leaf(describe, || {});
+        body()
     }
 }
 

@@ -7,10 +7,15 @@
 //! inflation, modest NUMA-WS gain 4.05× → 3.53×); for points *on* a circle
 //! (`hull2`) nothing can be eliminated and the deep recursion gives
 //! NUMA-WS more to work with (2.28× → 1.56×).
+//!
+//! The serial elision, the pool run and the simulator DAG read one
+//! recursion, `hull` (DESIGN.md §3, "hull's survivor tree").
 
-use crate::common::{pages_for, Point};
-use numa_ws::{join, scope_at, Place};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, RegionId, Strand, Touch};
+use crate::common::{pages_for, points_in_disk, points_on_circle, Point};
+use crate::fork::{self, ForkJoin, Serial};
+use crate::record::Record;
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
+use nws_topology::Place;
 
 /// Which of the paper's two data sets to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +31,8 @@ pub enum Dataset {
 pub struct Params {
     /// Number of points.
     pub n: usize,
-    /// Below this segment size, run sequentially.
+    /// Below this segment size, run sequentially. At least 1:
+    /// `hull_parallel`, `dag` and `Recording::new` panic otherwise.
     pub base: usize,
 }
 
@@ -40,350 +46,342 @@ impl Params {
     pub fn test() -> Self {
         Params { n: 4096, base: 128 }
     }
+
+    /// Panics unless the scans terminate: with a base of 0 points, a
+    /// 1-point slice splits into itself and an empty slice forever.
+    fn check(&self) {
+        assert!(self.base >= 1, "hull: base must be >= 1, got {}", self.base);
+    }
 }
+
+/// The input seed of the points `dag` walks.
+const DAG_SEED: u64 = 1;
 
 #[inline]
 fn cross(o: Point, a: Point, b: Point) -> f64 {
     (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 }
 
-// ---------------------------------------------------------------------------
-// Serial elision
-// ---------------------------------------------------------------------------
+/// Where a position of the points array lives: its 4 KiB pages of 256
+/// points, bound in `places` equal chunks.
+#[derive(Clone, Copy)]
+struct Chunks {
+    places: usize,
+    positions: usize,
+}
+
+impl Chunks {
+    fn new(n: usize, places: usize) -> Self {
+        Chunks { places: places.max(1), positions: pages_for(n as u64, 16) as usize * 256 }
+    }
+
+    /// The place whose chunk holds position `pos`, or the last place.
+    fn place(self, pos: usize) -> Place {
+        Place((pos * self.places / self.positions).min(self.places - 1))
+    }
+}
+
+/// How the recursion forks. Each segment of points sits at a position of
+/// the points array, its window: the whole input at 0, and a segment at
+/// `pos` puts its first flank at `pos` and its second halfway through
+/// itself. A scan halves its segment down to leaves of at most `base`
+/// points, and a segment of at most `base` points is one leaf. A scan's
+/// fork and a flank fork hint the second half at the place whose chunk
+/// holds its window, except in a [`Scan::TopPack`]; the fork of two packs
+/// hints neither, so both keep the segment's place.
+#[derive(Clone, Copy)]
+struct Split {
+    base: usize,
+    chunks: Chunks,
+}
+
+/// A directed edge: the recursion keeps the points strictly left of it.
+type Edge = (Point, Point);
+
+/// A segment: its points and its window's position.
+type Seg<'a> = (&'a [Point], usize);
+
+/// A data-parallel pass over a segment, by what it writes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    /// A reduce (the extremes, the farthest point): no output.
+    Reduce,
+    /// A pack (a filter) inside the recursion, written within the
+    /// segment's own window.
+    Pack,
+    /// A top-level pack, unhinted: its destinations follow a prefix sum,
+    /// not the reader's position (the paper's hull1 "prefix sum [which]
+    /// simply does not have much locality").
+    TopPack,
+}
+
+impl Split {
+    /// Runs `leaf` on each leaf of a `kind` scan over `pts`, a segment at
+    /// `pos`, and combines the halves' results with `merge`. A leaf's body
+    /// runs in every reading, `Record` too: what survives decides the fork
+    /// tree.
+    fn scan<F: ForkJoin<Model>, R: Send>(
+        self,
+        f: &mut F,
+        kind: Scan,
+        (pts, pos): (&[Point], usize),
+        leaf: &(impl Fn(&[Point]) -> R + Sync),
+        merge: &(impl Fn(R, R) -> R + Sync),
+    ) -> R {
+        if pts.len() <= self.base {
+            return f.run_leaf(|m| m.scan(kind, pos, pts.len()), || leaf(pts));
+        }
+        let mid = pts.len() / 2;
+        let (l, r) = pts.split_at(mid);
+        let hint = if kind == Scan::TopPack { Place::ANY } else { self.chunks.place(pos + mid) };
+        let (mut a, mut b) = (None, None);
+        f.join_at(
+            |f| a = Some(self.scan(f, kind, (l, pos), leaf, merge)),
+            |f| b = Some(self.scan(f, kind, (r, pos + mid), leaf, merge)),
+            hint,
+        );
+        let (a, b) = a.zip(b).expect("join ran both halves");
+        merge(a, b)
+    }
+
+    /// The lexicographically smallest and largest of `pts`, which is not
+    /// empty.
+    fn extremes<F: ForkJoin<Model>>(self, f: &mut F, pts: &[Point]) -> (Point, Point) {
+        let key = |p: Point| (p.x, p.y);
+        let wider = |(lo, hi): (Point, Point), (l, h): (Point, Point)| {
+            (if key(l) < key(lo) { l } else { lo }, if key(h) > key(hi) { h } else { hi })
+        };
+        let leaf = |pts: &[Point]| pts.iter().map(|&p| (p, p)).reduce(wider).expect("points");
+        self.scan(f, Scan::Reduce, (pts, 0), &leaf, &wider)
+    }
+
+    /// The first of the points of `seg`, a nonempty segment, farthest left
+    /// of `a`→`b`. The fold carries the best point's distance, so each step
+    /// computes one cross product and waits on a compare, not on one.
+    fn farthest<F: ForkJoin<Model>>(self, f: &mut F, (a, b): Edge, seg: Seg) -> Point {
+        let further = |p: (f64, Point), q: (f64, Point)| if q.0 > p.0 { q } else { p };
+        let leaf = |pts: &[Point]| {
+            pts.iter().map(|&p| (cross(a, b, p), p)).reduce(further).expect("points")
+        };
+        self.scan(f, Scan::Reduce, seg, &leaf, &further).1
+    }
+
+    /// The points of `seg` strictly left of `a`→`b`, in order. A leaf writes
+    /// every point and moves its cursor past the kept ones, so nothing
+    /// branches on the data, and each leaf's pack stays a chunk of its own
+    /// until one copy joins them.
+    fn filter<F: ForkJoin<Model>>(self, f: &mut F, kind: Scan, e: Edge, seg: Seg) -> Vec<Point> {
+        let (a, b) = e;
+        let leaf = |pts: &[Point]| {
+            let mut kept = pts.to_vec();
+            let mut k = 0;
+            for &p in pts {
+                kept[k] = p;
+                k += usize::from(cross(a, b, p) > 0.0);
+            }
+            kept.truncate(k);
+            vec![kept]
+        };
+        let concat = |mut l: Vec<Vec<Point>>, mut r: Vec<Vec<Point>>| {
+            l.append(&mut r);
+            l
+        };
+        self.scan(f, kind, seg, &leaf, &concat).concat()
+    }
+
+    /// Packs the points of `seg` left of each of two edges (two `kind`
+    /// scans, forked), then runs [`segment`](Self::segment) on both packs
+    /// (forked, the second hinted at its window, halfway through `seg`).
+    /// Returns each pack's hull points.
+    fn flanks<F>(self, f: &mut F, kind: Scan, [e1, e2]: [Edge; 2], seg: Seg) -> [Vec<Point>; 2]
+    where
+        F: ForkJoin<Model>,
+    {
+        let (mut p1, mut p2) = (Vec::new(), Vec::new());
+        let mut packs = |f: &mut F| {
+            f.join(|f| p1 = self.filter(f, kind, e1, seg), |f| p2 = self.filter(f, kind, e2, seg))
+        };
+        if kind == Scan::TopPack {
+            f.unhinted(packs);
+        } else {
+            packs(f);
+        }
+        let (mut h1, mut h2) = (Vec::new(), Vec::new());
+        let mid = seg.1 + seg.0.len() / 2;
+        f.join_at(
+            |f| h1 = self.segment(f, e1, (&p1, seg.1)),
+            |f| h2 = self.segment(f, e2, (&p2, mid)),
+            self.chunks.place(mid),
+        );
+        [h1, h2]
+    }
+
+    /// The hull points strictly left of `edge` among those of `seg`, which
+    /// all lie left of it, in order along it. A segment of at most `base`
+    /// points is one leaf: its body is this recursion read serially, and
+    /// `Record` skips it.
+    fn segment<F: ForkJoin<Model>>(self, f: &mut F, edge: Edge, seg: Seg) -> Vec<Point> {
+        let (pts, pos) = seg;
+        if pts.len() > self.base {
+            return self.round(f, edge, seg);
+        }
+        let mut out = Vec::new();
+        if !pts.is_empty() {
+            f.leaf(|m| m.base_case(pos, pts.len()), || out = self.round(&mut Serial, edge, seg));
+        }
+        out
+    }
+
+    /// One quickhull round on a nonempty segment: its farthest point `far`
+    /// from `a`→`b`, then the [`flanks`](Self::flanks) left of `a`→`far` and
+    /// `far`→`b`.
+    fn round<F: ForkJoin<Model>>(self, f: &mut F, (a, b): Edge, seg: Seg) -> Vec<Point> {
+        let far = self.farthest(f, (a, b), seg);
+        let [mut left, right] = self.flanks(f, Scan::Pack, [(a, far), (far, b)], seg);
+        left.push(far);
+        left.extend(right);
+        left
+    }
+
+    /// Quickhull on `pts`, at least two points: the lexicographically
+    /// smallest point `lo`, the hull points left of `lo`→`hi`, the largest
+    /// point `hi`, then those left of `hi`→`lo`.
+    fn hull<F: ForkJoin<Model>>(self, f: &mut F, pts: &[Point]) -> Vec<Point> {
+        assert!(pts.len() >= 2, "hull needs at least two points");
+        let (lo, hi) = self.extremes(f, pts);
+        let [upper, lower] = self.flanks(f, Scan::TopPack, [(lo, hi), (hi, lo)], (pts, 0));
+        [&[lo][..], &upper, &[hi], &lower].concat()
+    }
+}
 
 /// Computes the convex hull serially; returns hull points in
-/// counter-clockwise order starting from the leftmost point.
+/// counter-clockwise order starting from the leftmost point. This is the
+/// serial elision of [`hull_parallel`] with every scan one leaf.
 pub fn hull_serial(pts: &[Point]) -> Vec<Point> {
-    assert!(pts.len() >= 2, "hull needs at least two points");
-    let (lo, hi) = extremes_serial(pts);
-    let mut out = Vec::new();
-    out.push(lo);
-    let above: Vec<Point> = pts.iter().copied().filter(|&p| cross(lo, hi, p) > 0.0).collect();
-    rec_serial(lo, hi, &above, &mut out);
-    out.push(hi);
-    let below: Vec<Point> = pts.iter().copied().filter(|&p| cross(hi, lo, p) > 0.0).collect();
-    rec_serial(hi, lo, &below, &mut out);
-    out
-}
-
-fn extremes_serial(pts: &[Point]) -> (Point, Point) {
-    let mut lo = pts[0];
-    let mut hi = pts[0];
-    for &p in pts {
-        if (p.x, p.y) < (lo.x, lo.y) {
-            lo = p;
-        }
-        if (p.x, p.y) > (hi.x, hi.y) {
-            hi = p;
-        }
-    }
-    (lo, hi)
-}
-
-fn rec_serial(a: Point, b: Point, pts: &[Point], out: &mut Vec<Point>) {
-    if pts.is_empty() {
-        return;
-    }
-    // Farthest point from line a-b.
-    let far = *pts
-        .iter()
-        .max_by(|&&p, &&q| cross(a, b, p).partial_cmp(&cross(a, b, q)).unwrap())
-        .unwrap();
-    let left: Vec<Point> = pts.iter().copied().filter(|&p| cross(a, far, p) > 0.0).collect();
-    let right: Vec<Point> = pts.iter().copied().filter(|&p| cross(far, b, p) > 0.0).collect();
-    rec_serial(a, far, &left, out);
-    out.push(far);
-    rec_serial(far, b, &right, out);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel version (real runtime)
-// ---------------------------------------------------------------------------
-
-/// Parallel reduce for the two x-extremes.
-fn extremes_parallel(pts: &[Point], base: usize) -> (Point, Point) {
-    if pts.len() <= base {
-        return extremes_serial(pts);
-    }
-    let (l, r) = pts.split_at(pts.len() / 2);
-    let ((lo1, hi1), (lo2, hi2)) =
-        join(|| extremes_parallel(l, base), || extremes_parallel(r, base));
-    (
-        if (lo1.x, lo1.y) < (lo2.x, lo2.y) { lo1 } else { lo2 },
-        if (hi1.x, hi1.y) > (hi2.x, hi2.y) { hi1 } else { hi2 },
-    )
-}
-
-/// Parallel filter keeping points strictly left of `a`→`b` (a
-/// divide-and-concat rendering of the PBBS parallel pack/prefix-sum).
-fn filter_parallel(a: Point, b: Point, pts: &[Point], base: usize) -> Vec<Point> {
-    if pts.len() <= base {
-        return pts.iter().copied().filter(|&p| cross(a, b, p) > 0.0).collect();
-    }
-    let (l, r) = pts.split_at(pts.len() / 2);
-    let (mut vl, vr) = join(|| filter_parallel(a, b, l, base), || filter_parallel(a, b, r, base));
-    vl.extend_from_slice(&vr);
-    vl
-}
-
-/// Parallel max-cross-distance reduce.
-fn farthest_parallel(a: Point, b: Point, pts: &[Point], base: usize) -> Point {
-    if pts.len() <= base {
-        return *pts
-            .iter()
-            .max_by(|&&p, &&q| cross(a, b, p).partial_cmp(&cross(a, b, q)).unwrap())
-            .unwrap();
-    }
-    let (l, r) = pts.split_at(pts.len() / 2);
-    let (p1, p2) = join(|| farthest_parallel(a, b, l, base), || farthest_parallel(a, b, r, base));
-    if cross(a, b, p1) >= cross(a, b, p2) {
-        p1
-    } else {
-        p2
-    }
-}
-
-/// One quickhull node on the scope subsystem: the two flank children are
-/// *spawned* into a nested [`scope_at`] and write their results into this
-/// frame's buffers (a `'scope` borrow — exactly the dynamic-children shape
-/// binary `join` cannot express). The place hint alternates down the
-/// recursion as before: the scope's default hint tags both flanks, and
-/// deeper levels re-hint through their own nested scopes.
-fn rec_parallel_scope(a: Point, b: Point, pts: &[Point], base: usize, depth: usize) -> Vec<Point> {
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    if pts.len() <= base {
-        let mut out = Vec::new();
-        rec_serial(a, b, pts, &mut out);
-        return out;
-    }
-    let far = farthest_parallel(a, b, pts, base);
-    let (left, right) =
-        join(|| filter_parallel(a, far, pts, base), || filter_parallel(far, b, pts, base));
-    let mut out_l = Vec::new();
-    let mut out_r = Vec::new();
-    scope_at(Place(depth % 4), |s| {
-        // The right flank is the spawned (stealable, place-hinted) child,
-        // the left runs inline in the body — the paper's
-        // first-child-runs-where-its-parent-runs rule, and one heap job per
-        // node instead of two.
-        s.spawn(|_| out_r = rec_parallel_scope(far, b, &right, base, depth + 1));
-        out_l = rec_parallel_scope(a, far, &left, base, depth + 1);
-    });
-    out_l.push(far);
-    out_l.extend(out_r);
-    out_l
+    Split { base: usize::MAX, chunks: Chunks::new(pts.len(), 1) }.hull(&mut Serial, pts)
 }
 
 /// Computes the convex hull in parallel (call inside
-/// [`Pool::install`](numa_ws::Pool::install)); same output order as
-/// [`hull_serial`].
-///
-/// The elimination recursion — quickhull's *dynamic* phase, where the
-/// number and size of surviving segments is data-dependent — runs on the
-/// structured [`scope_at`] subsystem; the data-parallel
-/// scans (extremes, filters) keep their regular binary [`join`] shape.
-pub fn hull_parallel(pts: &[Point], params: Params) -> Vec<Point> {
-    assert!(pts.len() >= 2, "hull needs at least two points");
-    let base = params.base;
-    let (lo, hi) = extremes_parallel(pts, base);
-    let (above, below) =
-        join(|| filter_parallel(lo, hi, pts, base), || filter_parallel(hi, lo, pts, base));
-    let mut upper = Vec::new();
-    let mut lower = Vec::new();
-    scope_at(Place(2), |s| {
-        // The lower flank is the stealable half hinted at Place(2); the
-        // upper flank runs inline.
-        s.spawn(|_| lower = rec_parallel_scope(hi, lo, &below, base, 2));
-        upper = rec_parallel_scope(lo, hi, &above, base, 0);
-    });
-    let mut out = Vec::with_capacity(upper.len() + lower.len() + 2);
-    out.push(lo);
-    out.append(&mut upper);
-    out.push(hi);
-    out.extend(lower);
-    out
+/// [`Pool::install`](numa_ws::Pool::install)); same output as
+/// [`hull_serial`]. Forks are hinted at the place of `places` whose chunk
+/// of the points holds the forked half's window.
+pub fn hull_parallel(pts: &[Point], params: Params, places: usize) -> Vec<Point> {
+    params.check();
+    Split { base: params.base, chunks: Chunks::new(pts.len(), places) }.hull(&mut fork::Pool, pts)
 }
 
 // ---------------------------------------------------------------------------
 // Simulator DAG
 // ---------------------------------------------------------------------------
 
-/// How a scan's pack output lands in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scatter {
-    /// Pure reduce — no output array.
-    None,
-    /// Output window decorrelated from the reader (top-level prefix sums).
-    Global,
-    /// Output stays within the segment's own window (recursion packs).
-    Segment,
-}
-
-struct DagCtx {
-    pts: RegionId,
+/// What a leaf describes itself against: the points array and the packs'
+/// scratch array, `pages` pages each.
+struct Model {
+    points: RegionId,
     scratch: RegionId,
-    base: u64,
-    places: usize,
-    total_pages: u64,
-    dataset: Dataset,
+    pages: u64,
 }
 
-/// Builds the simulator DAG for quickhull on either dataset. The model
-/// mirrors the phase structure: full-array scans (extremes + packs) whose
-/// scatter outputs have weak locality, then a recursion whose surviving
-/// point counts shrink fast for [`Dataset::InDisk`] and slowly for
-/// [`Dataset::OnCircle`].
-pub fn dag(params: Params, places: usize, dataset: Dataset) -> Dag {
-    let places = places.max(1);
-    let n = params.n as u64;
-    let mut b = DagBuilder::new();
-    let total_pages = pages_for(n, 16); // Point = 2 f64
-    let pts = b.alloc("points", total_pages, PagePolicy::Chunked { chunks: places });
-    let scratch = b.alloc("scratch", total_pages, PagePolicy::Chunked { chunks: places });
-    let ctx = DagCtx { pts, scratch, base: params.base as u64, places, total_pages, dataset };
+impl Model {
+    /// The pages of `len` points from position `pos`: at least one, within
+    /// the array.
+    fn window(&self, pos: usize, len: usize) -> (u64, u64) {
+        let start = (pos as u64 * 16 / 4096).min(self.pages - 1);
+        (start, (len as u64 * 16).div_ceil(4096).clamp(1, self.pages - start))
+    }
 
-    // Top: extremes reduce + two packs over the full array, then two
-    // flank recursions.
-    // Top-level scans: the extremes reduce reads by position (hintable),
-    // but the pack phases chase data-dependent destinations and cannot be
-    // hinted usefully — the paper's "majority of the computation time is
-    // spent doing parallel prefix sum [which] simply does not have much
-    // locality" (hull1).
-    let reduce = build_scan(&mut b, &ctx, 0, n, 3, Scatter::None, Place(0));
-    let pack1 = build_scan(&mut b, &ctx, 0, n, 6, Scatter::Global, Place::ANY);
-    let pack2 = build_scan(&mut b, &ctx, 0, n, 6, Scatter::Global, Place::ANY);
-    let surv0 = survivors(&ctx, n);
-    let flank1 = build_rec(&mut b, &ctx, 0, surv0);
-    let flank2 = build_rec(&mut b, &ctx, n / 2, surv0);
-    let root = b
-        .frame(Place(0))
-        .spawn(reduce)
-        .sync()
-        .spawn(pack1)
-        .spawn(pack2)
-        .sync()
-        .spawn(flank1)
-        .spawn(flank2)
-        .sync()
-        .finish();
-    b.build(root)
-}
+    /// A scan leaf over `len` points at `pos`: a reduce spends 3 cycles a
+    /// point and a pack 6. Each reads its window of the points; a pack
+    /// writes the same window of scratch, and a top-level pack a window
+    /// hashed from `pos`.
+    fn scan(&self, kind: Scan, pos: usize, len: usize) -> Strand {
+        let window = self.window(pos, len);
+        let mut touches = vec![touch(self.points, window)];
+        let cycles = match kind {
+            Scan::Reduce => 3,
+            Scan::Pack => {
+                touches.push(touch(self.scratch, window));
+                6
+            }
+            Scan::TopPack => {
+                let start = ((pos as u64).wrapping_mul(0x9E37_79B9) >> 3) % self.pages;
+                touches.push(touch(self.scratch, (start, window.1.min(self.pages - start))));
+                6
+            }
+        };
+        Strand { cycles: cycles * len as u64, touches }
+    }
 
-/// Surviving points after one elimination round.
-fn survivors(ctx: &DagCtx, n: u64) -> u64 {
-    match ctx.dataset {
-        // Interior points are eliminated fast (~an eighth survive), so the
-        // full-array top scans dominate — the paper's "majority of the
-        // computation time is spent doing parallel prefix sum".
-        Dataset::InDisk => n / 8,
-        // Circle points all survive; the segment merely halves.
-        Dataset::OnCircle => n / 2,
+    /// A base-case leaf over `len` points at `pos`: a few passes, 12 cycles
+    /// a point, over its window of the points.
+    fn base_case(&self, pos: usize, len: usize) -> Strand {
+        Strand { cycles: 12 * len as u64, touches: vec![touch(self.points, self.window(pos, len))] }
     }
 }
 
-/// A data-parallel scan over `[lo, lo+len)` elements: reduce (extremes /
-/// farthest) or pack (filter + scatter into scratch).
-#[allow(clippy::too_many_arguments)]
-fn build_scan(
-    b: &mut DagBuilder,
-    ctx: &DagCtx,
-    lo: u64,
-    len: u64,
-    cycles_per_elem: u64,
-    scatter: Scatter,
-    place: Place,
-) -> FrameId {
-    // Reads are position-hintable: when the caller passes a concrete
-    // place the subtree follows the position's chunk; pack destinations
-    // (Scatter::Global) stay data-dependent regardless.
-    let place_of = |elem: u64| {
-        if place.is_any() {
-            place
-        } else {
-            let points_total = ctx.total_pages * 256;
-            Place(((elem * ctx.places as u64 / points_total.max(1)) as usize).min(ctx.places - 1))
-        }
+/// Every line of `pages` pages of `region` from `start`.
+fn touch(region: RegionId, (start_page, pages): (u64, u64)) -> Touch {
+    Touch { region, start_page, pages, lines_per_page: 64 }
+}
+
+/// The recursion walked once on `dag`'s points, for any place count: every
+/// hint is the position it stands for, one place per position.
+pub struct Recording {
+    dag: Dag,
+    n: usize,
+}
+
+impl Recording {
+    /// Records the recursion on `params.n` points of `dataset` from a fixed
+    /// seed. Every reading runs the scans, so the fork tree and each
+    /// segment's size are quickhull's on those points; only base-case
+    /// bodies are skipped.
+    pub fn new(params: Params, dataset: Dataset) -> Self {
+        let positions = Chunks::new(params.n, 1).positions;
+        let dag = record(params, dataset, Chunks { places: positions, positions });
+        Recording { dag, n: params.n }
+    }
+
+    /// The DAG on `places` places: each hint folded to the place whose
+    /// chunk holds its position, and both arrays bound chunkwise.
+    pub fn dag(&self, places: usize) -> Dag {
+        let chunks = Chunks::new(self.n, places);
+        self.dag
+            .map_places(|Place(pos)| chunks.place(pos))
+            .with_policy(PagePolicy::Chunked { chunks: chunks.places })
+    }
+}
+
+/// The recursion on `params.n` points of `dataset` from [`DAG_SEED`],
+/// recorded with its hints on `chunks` and both arrays bound as one chunk.
+fn record(params: Params, dataset: Dataset, chunks: Chunks) -> Dag {
+    params.check();
+    let pts = match dataset {
+        Dataset::InDisk => points_in_disk(params.n, DAG_SEED),
+        Dataset::OnCircle => points_on_circle(params.n, DAG_SEED),
     };
-    if len <= ctx.base {
-        let start_page = (lo * 16 / 4096).min(ctx.total_pages - 1);
-        let pages = ((len * 16).div_ceil(4096)).clamp(1, ctx.total_pages - start_page);
-        let mut touches = vec![Touch { region: ctx.pts, start_page, pages, lines_per_page: 64 }];
-        match scatter {
-            Scatter::None => {}
-            Scatter::Global => {
-                // Top-level pack destinations depend on the prefix sum, not
-                // on the reader's position: decorrelated from the leaf's
-                // place (why the paper calls hull's prefix-sum phase
-                // locality-poor). Model with a hashed destination window.
-                let hashed = (lo.wrapping_mul(0x9E37_79B9) >> 3) % ctx.total_pages.max(1);
-                let dst_start = hashed.min(ctx.total_pages - 1);
-                let dst_pages = pages.min(ctx.total_pages - dst_start);
-                touches.push(Touch {
-                    region: ctx.scratch,
-                    start_page: dst_start,
-                    pages: dst_pages,
-                    lines_per_page: 64,
-                });
-            }
-            Scatter::Segment => {
-                // Recursion packs write within their own segment's window.
-                touches.push(Touch { region: ctx.scratch, start_page, pages, lines_per_page: 64 });
-            }
-        }
-        return b
-            .frame(place_of(lo))
-            .strand(Strand { cycles: cycles_per_elem * len, touches })
-            .finish();
-    }
-    let l = build_scan(b, ctx, lo, len / 2, cycles_per_elem, scatter, place);
-    let r = build_scan(b, ctx, lo + len / 2, len - len / 2, cycles_per_elem, scatter, place);
-    b.frame(place_of(lo)).spawn(l).spawn(r).sync().finish()
+    let pages = pages_for(params.n as u64, 16);
+    let mut bd = DagBuilder::new();
+    let [points, scratch] =
+        ["points", "scratch"].map(|name| bd.alloc(name, pages, PagePolicy::Chunked { chunks: 1 }));
+    let mut rec = Record::new(bd, Model { points, scratch, pages });
+    let root = rec.frame(Place(0), |f| _ = Split { base: params.base, chunks }.hull(f, &pts));
+    rec.builder.build(root)
 }
 
-/// One recursion level: farthest-reduce + two packs over the segment, then
-/// two child segments of `survivors` size.
-fn build_rec(b: &mut DagBuilder, ctx: &DagCtx, lo: u64, len: u64) -> FrameId {
-    let place = Place(
-        ((lo * ctx.places as u64) / (ctx.total_pages * 256).max(1)).min(ctx.places as u64 - 1)
-            as usize,
-    );
-    if len <= ctx.base {
-        // Sequential tail: a few passes over the small segment.
-        let start_page = (lo * 16 / 4096).min(ctx.total_pages - 1);
-        let pages = ((len * 16).div_ceil(4096)).clamp(1, ctx.total_pages - start_page);
-        return b
-            .frame(place)
-            .strand(Strand {
-                cycles: 12 * len,
-                touches: vec![Touch { region: ctx.pts, start_page, pages, lines_per_page: 64 }],
-            })
-            .finish();
-    }
-    let reduce = build_scan(b, ctx, lo, len, 3, Scatter::None, place);
-    let pack1 = build_scan(b, ctx, lo, len, 6, Scatter::Segment, place);
-    let pack2 = build_scan(b, ctx, lo, len, 6, Scatter::Segment, place);
-    let child_len = survivors(ctx, len).max(ctx.base / 2);
-    let c1 = build_rec(b, ctx, lo, child_len);
-    let c2 = build_rec(b, ctx, lo + len / 2, child_len);
-    b.frame(place)
-        .spawn(reduce)
-        .sync()
-        .spawn(pack1)
-        .spawn(pack2)
-        .sync()
-        .spawn(c1)
-        .spawn(c2)
-        .sync()
-        .finish()
+/// Builds the simulator DAG for quickhull on either dataset by recording
+/// the recursion the pool runs on `params.n` points of `dataset`, with both
+/// arrays bound chunkwise to `places` places and the root hinted at place
+/// 0. Build a [`Recording`] to share the walk between place counts.
+pub fn dag(params: Params, places: usize, dataset: Dataset) -> Dag {
+    Recording::new(params, dataset).dag(places)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{points_in_disk, points_on_circle};
     use numa_ws::Pool;
+    use nws_sim::{FrameId, Step};
 
     fn hull_set(h: &[Point]) -> Vec<(i64, i64)> {
         let mut v: Vec<(i64, i64)> =
@@ -450,7 +448,7 @@ mod tests {
         let pts = points_in_disk(Params::test().n, 5);
         let pool = Pool::builder().workers(8).places(4).build().unwrap();
         let hs = hull_set(&hull_serial(&pts));
-        let hp = hull_set(&pool.install(|| hull_parallel(&pts, Params::test())));
+        let hp = hull_set(&pool.install(|| hull_parallel(&pts, Params::test(), 4)));
         assert_eq!(hs, hp);
     }
 
@@ -459,26 +457,29 @@ mod tests {
         let pts = points_on_circle(Params::test().n, 6);
         let pool = Pool::builder().workers(8).places(4).build().unwrap();
         let hs = hull_set(&hull_serial(&pts));
-        let hp = hull_set(&pool.install(|| hull_parallel(&pts, Params::test())));
+        let hp = hull_set(&pool.install(|| hull_parallel(&pts, Params::test(), 4)));
         assert_eq!(hs, hp);
     }
 
     /// The parallel hull against the serial elision: not just the same
-    /// point *set* but the same output *order* — the nested-scope
-    /// recursion must preserve the left-flank/far/right-flank assembly
-    /// exactly, on both datasets and under both scheduler modes.
+    /// point *set* but the same output *order* — the recursion must
+    /// preserve the left-flank/far/right-flank assembly exactly, on both
+    /// datasets, under both scheduler modes and at the smallest base.
     #[test]
     fn hull_parallel_matches_serial_order() {
-        let p = Params::test();
-        for pts in [points_in_disk(p.n, 5), points_on_circle(p.n, 6)] {
-            let exact = |h: &[Point]| -> Vec<(i64, i64)> {
-                h.iter().map(|q| ((q.x * 1e9).round() as i64, (q.y * 1e9).round() as i64)).collect()
-            };
-            let serial = exact(&hull_serial(&pts));
-            for policy in [numa_ws::SchedPolicy::numa_ws(), numa_ws::SchedPolicy::vanilla()] {
-                let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
-                let parallel = pool.install(|| hull_parallel(&pts, p));
-                assert_eq!(exact(&parallel), serial, "parallel hull diverged under {policy}");
+        for p in [Params::test(), Params { n: 300, base: 1 }] {
+            for pts in [points_in_disk(p.n, 5), points_on_circle(p.n, 6)] {
+                let exact = |h: &[Point]| -> Vec<(i64, i64)> {
+                    h.iter()
+                        .map(|q| ((q.x * 1e9).round() as i64, (q.y * 1e9).round() as i64))
+                        .collect()
+                };
+                let serial = exact(&hull_serial(&pts));
+                for policy in [numa_ws::SchedPolicy::numa_ws(), numa_ws::SchedPolicy::vanilla()] {
+                    let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
+                    let parallel = pool.install(|| hull_parallel(&pts, p, 4));
+                    assert_eq!(exact(&parallel), serial, "parallel hull diverged under {policy}");
+                }
             }
         }
     }
@@ -504,5 +505,105 @@ mod tests {
             circle.work(),
             disk.work()
         );
+    }
+
+    /// The strand cycles of the subtree rooted at `frame`.
+    fn subtree_work(d: &Dag, frame: FrameId) -> u64 {
+        d.frame(frame)
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Strand(s) => s.cycles,
+                Step::Spawn(c) => subtree_work(d, *c),
+                Step::Sync => 0,
+            })
+            .sum()
+    }
+
+    /// The frames `frame` spawns, in order.
+    fn children(d: &Dag, frame: FrameId) -> Vec<FrameId> {
+        let spawned = d.frame(frame).steps.iter().filter_map(|s| match s {
+            Step::Spawn(c) => Some(*c),
+            _ => None,
+        });
+        spawned.collect()
+    }
+
+    #[test]
+    fn dag_forks_as_often_as_the_pool_run() {
+        // A 2-way fork is 2 DAG spawns and 1 pool spawn; the pool runs the
+        // recursion on the points `dag` walks.
+        let p = Params::test();
+        for ds in [Dataset::InDisk, Dataset::OnCircle] {
+            let pts = match ds {
+                Dataset::InDisk => points_in_disk(p.n, DAG_SEED),
+                Dataset::OnCircle => points_on_circle(p.n, DAG_SEED),
+            };
+            let pool = Pool::new(1).unwrap();
+            pool.install(|| hull_parallel(&pts, p, 4));
+            let stats = pool.stats();
+            let d = dag(p, 4, ds);
+            d.validate().unwrap();
+            assert_eq!(
+                2 * (stats.total_spawns() + stats.total_spawn_overflows()),
+                d.num_spawns(),
+                "{ds:?}"
+            );
+            // The root forks the extremes' halves, the two top packs, then
+            // the two flanks. Each flank is bigger than `base`, so it first
+            // forks its farthest-point reduce (3 cycles a point) over the
+            // points its pack kept, as the serial filters count them.
+            let top = children(&d, d.root());
+            assert_eq!(top.len(), 6, "{ds:?}");
+            let key = |q: &&Point| (q.x, q.y);
+            let lo = *pts.iter().min_by(|a, b| key(a).partial_cmp(&key(b)).unwrap()).unwrap();
+            let hi = *pts.iter().max_by(|a, b| key(a).partial_cmp(&key(b)).unwrap()).unwrap();
+            for (flank, edge) in [(top[4], (lo, hi)), (top[5], (hi, lo))] {
+                let kept = pts.iter().filter(|&&q| cross(edge.0, edge.1, q) > 0.0).count() as u64;
+                assert!(kept > p.base as u64, "{ds:?}: {kept} points");
+                let reduce = &children(&d, flank)[..2];
+                let work: u64 = reduce.iter().map(|&c| subtree_work(&d, c)).sum();
+                assert_eq!(work, 3 * kept, "{ds:?}: flank {flank:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_recording_folds_to_the_walk_at_each_place_count() {
+        // Hints recorded one place per position fold to the hints a walk at
+        // that place count makes, frame for frame.
+        let p = Params { n: 3000, base: 64 };
+        let recording = Recording::new(p, Dataset::InDisk);
+        for places in 1..=5 {
+            let folded = recording.dag(places);
+            let walked = record(p, Dataset::InDisk, Chunks::new(p.n, places));
+            assert_eq!(folded.num_frames(), walked.num_frames());
+            for f in (0..walked.num_frames()).map(FrameId) {
+                assert_eq!(folded.frame(f).place, walked.frame(f).place, "{places} places, {f:?}");
+            }
+            let chunked = PagePolicy::Chunked { chunks: places };
+            assert!(folded.regions().iter().all(|r| r.policy == chunked));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "base must be >= 1")]
+    fn parallel_base_zero_is_rejected() {
+        // Unchecked, a 1-point scan splits into itself forever.
+        let p = Params { n: 64, base: 0 };
+        let pts = points_in_disk(p.n, 1);
+        Pool::new(2).unwrap().install(|| hull_parallel(&pts, p, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "base must be >= 1")]
+    fn dag_base_zero_is_rejected() {
+        dag(Params { n: 64, base: 0 }, 2, Dataset::InDisk);
+    }
+
+    #[test]
+    #[should_panic(expected = "base must be >= 1")]
+    fn recording_base_zero_is_rejected() {
+        Recording::new(Params { n: 64, base: 0 }, Dataset::OnCircle);
     }
 }

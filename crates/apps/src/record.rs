@@ -13,7 +13,9 @@ use nws_topology::Place;
 /// inherit. `join4_at` is the trait's three nested `join_at`s, and
 /// `unhinted` walks its body with the frame's hint set to `ANY`. A `leaf`
 /// appends the strand its `describe` returns; its body never runs, so a
-/// walk reads no operand data.
+/// walk reads no operand data. A `run_leaf` runs its body too, so a
+/// recursion whose forks depend on its data (hull's scans) reads just that
+/// data.
 pub(crate) struct Record<M> {
     /// The builder, for frames a kernel adds around its walks.
     pub(crate) builder: DagBuilder,
@@ -218,6 +220,18 @@ mod tests {
         let places: Vec<_> = (0..4).map(|f| dag.frame(FrameId(f)).place).collect();
         assert_eq!(places, [Place::ANY, Place::ANY, Place(1), Place(1)]);
         assert_eq!(dag.frame(FrameId(4)).place, Place(1));
+    }
+
+    #[test]
+    fn run_leaf_runs_its_body_and_records_its_strand() {
+        let mut rec = Record::new(DagBuilder::new(), 0);
+        let root = rec.frame(Place(1), |f| {
+            let x = f.run_leaf(|_| Strand::compute(7), || 6);
+            f.leaf(|_| Strand::compute(x), || panic!("Record runs no leaf body"));
+        });
+        let dag = rec.builder.build(root);
+        assert_eq!(steps(&dag, 0), "s7 s6");
+        assert_eq!(Serial.run_leaf(|_: &u64| Strand::compute(7), || 6), 6);
     }
 
     #[test]

@@ -78,6 +78,14 @@ impl BenchId {
         }
     }
 
+    /// A hull row's walk at simulator scale, which folds to any place
+    /// count ([`hull::Recording`]).
+    fn hull_walk(self) -> hull::Recording {
+        let dataset =
+            if self == BenchId::Hull1 { hull::Dataset::InDisk } else { hull::Dataset::OnCircle };
+        hull::Recording::new(hull::Params::sim(), dataset)
+    }
+
     /// Builds the simulator DAG at simulator scale for a run with `places`
     /// places.
     pub fn dag(self, places: usize) -> Dag {
@@ -85,8 +93,7 @@ impl BenchId {
             BenchId::Cg => cg::dag(cg::Params::sim(), places),
             BenchId::Cilksort => cilksort::dag(cilksort::Params::sim(), places),
             BenchId::Heat => heat::dag(heat::Params::sim(), places),
-            BenchId::Hull1 => hull::dag(hull::Params::sim(), places, hull::Dataset::InDisk),
-            BenchId::Hull2 => hull::dag(hull::Params::sim(), places, hull::Dataset::OnCircle),
+            BenchId::Hull1 | BenchId::Hull2 => self.hull_walk().dag(places),
             BenchId::Matmul => matmul::dag(matmul::Params::sim(), matmul::Layout::RowMajor),
             BenchId::MatmulZ => matmul::dag(matmul::Params::sim(), matmul::Layout::BlockedZ),
             BenchId::Strassen => strassen::dag(strassen::Params::sim(), matmul::Layout::RowMajor),
@@ -208,7 +215,8 @@ impl DagId {
 
 /// Memoised simulations on the paper machine (packed placement). Each
 /// cell is simulated once, however many tables read it:
-/// - a DAG per [`DagId`];
+/// - a DAG per [`DagId`], hull's folded from one walk per data set
+///   ([`hull::Recording`]);
 /// - `TS` per [`DagId`]: the serial elision reads only the memory model,
 ///   which [`SimConfig::with_policy`] leaves at its defaults, so it
 ///   depends on neither the policy, P nor the seed;
@@ -217,38 +225,45 @@ impl DagId {
 pub struct Cells {
     topo: Topology,
     dags: HashMap<DagId, Dag>,
+    hulls: HashMap<BenchId, hull::Recording>,
     ts: HashMap<DagId, u64>,
     runs: HashMap<(DagId, SchedPolicy, usize, u64), SimReport>,
 }
 
 impl Default for Cells {
     fn default() -> Self {
-        Cells { topo: machine(), dags: HashMap::new(), ts: HashMap::new(), runs: HashMap::new() }
+        Cells {
+            topo: machine(),
+            dags: HashMap::new(),
+            hulls: HashMap::new(),
+            ts: HashMap::new(),
+            runs: HashMap::new(),
+        }
     }
 }
 
 impl Cells {
     /// The memoised DAG `id` names.
     pub fn dag(&mut self, id: &DagId) -> &Dag {
-        memo_dag(&mut self.dags, id)
+        memo_dag(&mut self.dags, &mut self.hulls, id)
     }
 
     /// `TS` of the DAG `id` names.
     fn ts(&mut self, id: &DagId) -> u64 {
-        let Cells { topo, dags, ts, .. } = self;
+        let Cells { topo, dags, hulls, ts, .. } = self;
         *ts.entry(id.clone()).or_insert_with(|| {
             let cfg = SimConfig::with_policy(SchedPolicy::numa_ws(), 1);
-            Simulation::serial_elision(topo, &cfg, memo_dag(dags, id))
+            Simulation::serial_elision(topo, &cfg, memo_dag(dags, hulls, id))
         })
     }
 
     /// The report of the DAG `id` names under `policy` on `workers` packed
     /// workers, simulated with `seed`.
     pub fn run(&mut self, id: DagId, policy: SchedPolicy, workers: usize, seed: u64) -> &SimReport {
-        let Cells { topo, dags, runs, .. } = self;
+        let Cells { topo, dags, hulls, runs, .. } = self;
         runs.entry((id, policy, workers, seed)).or_insert_with_key(|(id, ..)| {
             let cfg = SimConfig::with_policy(policy, workers).with_seed(seed);
-            Simulation::new(topo, cfg, memo_dag(dags, id)).expect("config fits").run()
+            Simulation::new(topo, cfg, memo_dag(dags, hulls, id)).expect("config fits").run()
         })
     }
 
@@ -266,9 +281,19 @@ impl Cells {
     }
 }
 
-/// The memoised DAG `id` names.
-fn memo_dag<'a>(dags: &'a mut HashMap<DagId, Dag>, id: &DagId) -> &'a Dag {
-    dags.entry(id.clone()).or_insert_with(|| id.build())
+/// The memoised DAG `id` names. A hull row is folded from its data set's
+/// memoised walk, which does not depend on the place count.
+fn memo_dag<'a>(
+    dags: &'a mut HashMap<DagId, Dag>,
+    hulls: &mut HashMap<BenchId, hull::Recording>,
+    id: &DagId,
+) -> &'a Dag {
+    dags.entry(id.clone()).or_insert_with(|| match *id {
+        DagId::Bench(bench @ (BenchId::Hull1 | BenchId::Hull2), places) => {
+            hulls.entry(bench).or_insert_with(|| bench.hull_walk()).dag(places)
+        }
+        _ => id.build(),
+    })
 }
 
 #[cfg(test)]

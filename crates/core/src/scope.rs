@@ -3,8 +3,8 @@
 //!
 //! [`join`](crate::join) expresses exactly two-way forks whose closures may
 //! borrow from the enclosing stack. Workloads that discover *N* children at
-//! runtime (quickhull's flank recursion, cilksort's merge phases, a request
-//! handler fanning out subqueries) need the other classic shape:
+//! runtime (a graph flood such as gcmark's, a request handler fanning out
+//! subqueries) need the other classic shape:
 //! [`scope`] / [`scope_at`] run a closure that may call
 //! [`Scope::spawn`] / [`Scope::spawn_at`] any number of times — from the
 //! body, from spawned tasks (siblings spawning siblings), or from nested

@@ -304,6 +304,18 @@ impl Dag {
         d
     }
 
+    /// A copy of this DAG with every frame's hint `p` other than
+    /// [`Place::ANY`] replaced by `place(p)`.
+    pub fn map_places(&self, place: impl Fn(Place) -> Place) -> Dag {
+        let mut d = self.clone();
+        for f in &mut d.frames {
+            if !f.place.is_any() {
+                f.place = place(f.place);
+            }
+        }
+        d
+    }
+
     /// Total strand compute cycles — the `T1` of the ABP model, *excluding*
     /// memory stalls and scheduler costs (both are machine properties, not
     /// DAG properties).

@@ -54,7 +54,7 @@ fn all_benchmarks_correct_on_both_modes() {
         let p = hull::Params::test();
         for pts in [common::points_in_disk(p.n, 3), common::points_on_circle(p.n, 3)] {
             let hs = hull::hull_serial(&pts);
-            let hp = pool.install(|| hull::hull_parallel(&pts, p));
+            let hp = pool.install(|| hull::hull_parallel(&pts, p, 4));
             let norm = |h: &[common::Point]| {
                 let mut v: Vec<(i64, i64)> =
                     h.iter().map(|q| ((q.x * 1e9) as i64, (q.y * 1e9) as i64)).collect();
