@@ -32,7 +32,8 @@ use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
 use nws_topology::{
-    worker_rng_seed, Deposit, Place, StealDistribution, Topology, TopologyError, WorkerMap,
+    worker_rng_seed, Deposit, Place, ProbeCosts, StealDistribution, Topology, TopologyError,
+    WorkerMap,
 };
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -133,41 +134,57 @@ impl<'a> Simulation<'a> {
 
 /// A min-tree over the workers' `(clock, index)`: the root holds the
 /// worker whose turn is next. Leaves sit at `n..n + P` for `n` the next
-/// power of two; padding leaves hold `u128::MAX` and never win.
+/// power of two; padding leaves hold `u64::MAX` and never win.
 #[derive(Debug)]
 struct TurnTree {
-    /// `(clock << 64) | index` per node, so one integer compare (a
+    /// `(clock << index_bits) | index` per node, so one integer compare (a
     /// conditional move, not a branch) orders by clock, then index.
-    nodes: Vec<u128>,
+    nodes: Vec<u64>,
+    /// Bits that hold an index below `n`.
+    index_bits: u32,
 }
 
 impl TurnTree {
     /// `workers` workers, every clock at 0.
     fn new(workers: usize) -> Self {
-        let mut tree = TurnTree { nodes: vec![u128::MAX; 2 * workers.next_power_of_two()] };
+        let n = workers.next_power_of_two();
+        let mut tree = TurnTree { nodes: vec![u64::MAX; 2 * n], index_bits: n.trailing_zeros() };
         tree.rebuild(&vec![0; workers]);
         tree
     }
 
+    /// Worker `w`'s key at `clock`. No real key ties a padding leaf's
+    /// `u64::MAX`: a padding leaf's index is at least `P`, and a real key
+    /// whose index bits are all ones belongs to a `P` with no padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock` needs more than `64 - index_bits` bits (past
+    /// 2^58 cycles at P = 64), instead of wrapping into the index.
     #[inline]
-    fn key(clock: u64, w: usize) -> u128 {
-        (u128::from(clock) << 64) | w as u128
+    fn key(&self, clock: u64, w: usize) -> u64 {
+        assert!(clock.leading_zeros() >= self.index_bits, "clock {clock} overflows the turn key");
+        (clock << self.index_bits) | w as u64
     }
 
     /// The worker with the smallest `(clock, index)`.
     #[inline]
     fn next(&self) -> usize {
-        self.nodes[1] as u64 as usize
+        (self.nodes[1] & ((1 << self.index_bits) - 1)) as usize
     }
 
     /// Worker `w`'s clock became `clock`: refresh its leaf-to-root path.
+    /// The path's new minimum travels up in a register and meets only
+    /// each sibling, so no level waits on the store of the level below.
     #[inline]
     fn update(&mut self, w: usize, clock: u64) {
         let mut i = self.nodes.len() / 2 + w;
-        self.nodes[i] = Self::key(clock, w);
+        let mut key = self.key(clock, w);
+        self.nodes[i] = key;
         while i > 1 {
+            key = key.min(self.nodes[i ^ 1]);
             i /= 2;
-            self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
+            self.nodes[i] = key;
         }
     }
 
@@ -175,7 +192,7 @@ impl TurnTree {
     fn rebuild(&mut self, clocks: &[u64]) {
         let n = self.nodes.len() / 2;
         for (w, &clock) in clocks.iter().enumerate() {
-            self.nodes[n + w] = Self::key(clock, w);
+            self.nodes[n + w] = self.key(clock, w);
         }
         for i in (1..n).rev() {
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
@@ -199,6 +216,10 @@ struct Engine<'a> {
     mailboxes: Vec<VecDeque<Cont>>,
     rngs: Vec<SmallRng>,
     dists: Vec<Option<StealDistribution>>,
+    /// Each thief's probe cost, `steal_base` plus the hop to the victim,
+    /// folded into its distribution's guide table for the idle
+    /// fast-forward, which needs the cost but not the victim.
+    probe_costs: Vec<Option<ProbeCosts>>,
     /// The distance term of a steal probe or push attempt from worker `a`
     /// to worker `b`, `steal_per_distance · distance`, at `hops[a * P + b]`.
     hops: Vec<u64>,
@@ -229,11 +250,18 @@ impl<'a> Engine<'a> {
         // Built by the shared policy layer — the same method the runtime's
         // registry calls, so a seeded policy selects victims identically
         // on both substrates.
-        let dists = (0..p).map(|w| cfg.policy.victim_distribution(topo, &map, w)).collect();
-        let hops = (0..p * p)
+        let dists: Vec<_> = (0..p).map(|w| cfg.policy.victim_distribution(topo, &map, w)).collect();
+        let hops: Vec<u64> = (0..p * p)
             .map(|i| {
                 let d = topo.distances().distance(map.socket_of(i / p), map.socket_of(i % p));
                 cfg.costs.steal_per_distance * d as u64
+            })
+            .collect();
+        let probe_costs = dists
+            .iter()
+            .enumerate()
+            .map(|(w, dist)| {
+                dist.as_ref().map(|d| d.probe_costs(|v| cfg.costs.steal_base + hops[w * p + v]))
             })
             .collect();
         let mut states = vec![WState::Steal; p];
@@ -255,6 +283,7 @@ impl<'a> Engine<'a> {
             mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
             rngs: (0..p).map(|w| SmallRng::seed_from_u64(worker_rng_seed(cfg.seed, w))).collect(),
             dists,
+            probe_costs,
             hops,
             stealable: 0,
             join: vec![0; dag.num_frames()],
@@ -312,31 +341,41 @@ impl<'a> Engine<'a> {
     /// attempt fails and changes only its thief's random stream and clock
     /// and the attempt count, so idle workers' attempts commute. Each idle
     /// worker therefore makes, back to back, every attempt that precedes
-    /// the next busy turn — the smallest `(clock, index)` outside the loop —
-    /// drawing exactly as [`step_steal`](Self::step_steal) does.
+    /// the next busy turn — the smallest `(clock, index)` outside the loop.
+    /// It draws exactly as [`step_steal`](Self::step_steal) does: the
+    /// victim's value, whose probe cost its [`ProbeCosts`] gives without
+    /// naming the victim, then the coin's when the policy draws one. The
+    /// stream, clock and attempt count live in locals until it is done.
     fn fast_forward_idle(&mut self) {
         debug_assert_eq!(
             self.stealable,
             self.deques.iter().chain(&self.mailboxes).map(VecDeque::len).sum::<usize>()
         );
         let p = self.clocks.len();
-        let next_busy = (0..p)
+        let (busy_clock, busy) = (0..p)
             .filter(|&w| self.states[w] != WState::Steal)
             .map(|w| (self.clocks[w], w))
             .min()
             .expect("with nothing stealable, some worker holds the unfinished work");
+        let mut attempts = 0;
+        let draws_coin = self.cfg.policy.draws_coin();
         for w in (0..p).filter(|&w| self.states[w] == WState::Steal) {
-            let dist = self.dists[w].as_ref().expect("a lone worker never enters the loop");
-            let rng = &mut self.rngs[w];
-            let hops = &self.hops[w * p..(w + 1) * p];
+            let costs = self.probe_costs[w].as_ref().expect("a lone worker never enters the loop");
+            // `(clock, w) < (busy_clock, busy)` as one compare.
+            let limit = busy_clock + u64::from(w < busy);
+            let mut rng = self.rngs[w].clone();
             let mut clock = self.clocks[w];
-            while (clock, w) < next_busy {
-                let (victim, _) = self.cfg.policy.steal_target(dist, || rng.next_u64());
-                clock += self.cfg.costs.steal_base + hops[victim];
-                self.counters.steal_attempts += 1;
+            while clock < limit {
+                clock += costs.cost(rng.next_u64());
+                if draws_coin {
+                    rng.next_u64();
+                }
+                attempts += 1;
             }
+            self.rngs[w] = rng;
             self.clocks[w] = clock;
         }
+        self.counters.steal_attempts += attempts;
     }
 
     fn step(&mut self, w: usize) {
@@ -569,28 +608,45 @@ mod tests {
     #[test]
     fn turn_tree_picks_the_linear_minimum() {
         let mut rng = SmallRng::seed_from_u64(0x7EE5);
-        for p in [1usize, 2, 3, 32, 33] {
-            let mut clocks = vec![0u64; p];
-            let mut tree = TurnTree::new(p);
-            let linear_min = |clocks: &[u64]| (0..p).min_by_key(|&i| (clocks[i], i)).unwrap();
-            for round in 0..2_000 {
-                if round % 50 == 49 {
-                    // Several clocks move at once, as in a fast-forward.
-                    for c in clocks.iter_mut() {
-                        *c += rng.next_u64() % 3;
+        for p in [1usize, 2, 3, 32, 33, 64] {
+            // The largest clock a key holds next to an index below P's
+            // power of two.
+            let max_clock = u64::MAX >> p.next_power_of_two().trailing_zeros();
+            // From 0, and from a few cycles below the packing limit, with
+            // clocks that stop at it (ties at the largest keys).
+            for (start, rounds) in [(0, 2_000), (max_clock - 16, 400)] {
+                let mut clocks = vec![start; p];
+                let mut tree = TurnTree::new(p);
+                tree.rebuild(&clocks);
+                let linear_min = |clocks: &[u64]| (0..p).min_by_key(|&i| (clocks[i], i)).unwrap();
+                let bump = |c: &mut u64, by: u64| *c = c.saturating_add(by).min(max_clock);
+                for round in 0..rounds {
+                    if round % 50 == 49 {
+                        // Several clocks move at once, as in a fast-forward.
+                        for c in clocks.iter_mut() {
+                            bump(c, rng.next_u64() % 3);
+                        }
+                        tree.rebuild(&clocks);
+                    } else {
+                        // One clock moves, the next worker's or any other's,
+                        // often onto a tie (small bumps on clocks that start
+                        // equal).
+                        let w =
+                            if round % 2 == 0 { tree.next() } else { rng.next_u64() as usize % p };
+                        bump(&mut clocks[w], rng.next_u64() % 4);
+                        tree.update(w, clocks[w]);
                     }
-                    tree.rebuild(&clocks);
-                } else {
-                    // One clock moves, the next worker's or any other's,
-                    // often onto a tie (small bumps on clocks that start
-                    // equal).
-                    let w = if round % 2 == 0 { tree.next() } else { rng.next_u64() as usize % p };
-                    clocks[w] += rng.next_u64() % 4;
-                    tree.update(w, clocks[w]);
+                    assert_eq!(tree.next(), linear_min(&clocks), "P={p} round {round}: {clocks:?}");
                 }
-                assert_eq!(tree.next(), linear_min(&clocks), "P={p} round {round}: {clocks:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the turn key")]
+    fn turn_tree_rejects_a_clock_past_its_key() {
+        // At P = 33 the index takes 6 bits, so clocks must fit in 58.
+        TurnTree::new(33).update(32, (u64::MAX >> 6) + 1);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use distance::DistanceMatrix;
 pub use ids::{CoreId, Place, SocketId};
 pub use placement::{Placement, WorkerMap};
 pub use policy::{worker_rng_seed, CoinFlip, Deposit, SchedPolicy, SplitMix64, StealBias};
-pub use steal::StealDistribution;
+pub use steal::{ProbeCosts, StealDistribution};
 pub use topology::{Topology, TopologyBuilder, TopologyError};

@@ -50,10 +50,11 @@ impl Placement {
     ///   sockets) cannot hold `workers` workers;
     /// - [`TopologyError::TooManyPlaces`] if `Spread{sockets}` exceeds the
     ///   socket count;
-    /// - [`TopologyError::Empty`] if `workers == 0`.
+    /// - [`TopologyError::ZeroRequested`] if `workers` or `Spread{sockets}`
+    ///   is 0.
     pub fn assign(self, topo: &Topology, workers: usize) -> Result<WorkerMap, TopologyError> {
         if workers == 0 {
-            return Err(TopologyError::Empty);
+            return Err(TopologyError::ZeroRequested { what: "workers" });
         }
         if workers > topo.num_cores() {
             return Err(TopologyError::TooManyWorkers {
@@ -71,7 +72,7 @@ impl Placement {
                     });
                 }
                 if sockets == 0 {
-                    return Err(TopologyError::Empty);
+                    return Err(TopologyError::ZeroRequested { what: "places" });
                 }
                 if workers > sockets * topo.cores_per_socket() {
                     return Err(TopologyError::TooManyWorkers {
@@ -249,7 +250,12 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let topo = presets::paper_machine();
-        assert!(matches!(Placement::Packed.assign(&topo, 0), Err(TopologyError::Empty)));
+        let err = Placement::Packed.assign(&topo, 0).unwrap_err();
+        assert_eq!(err, TopologyError::ZeroRequested { what: "workers" });
+        assert_eq!(err.to_string(), "requested 0 workers; a placement needs at least one");
+        let err = Placement::Spread { sockets: 0 }.assign(&topo, 4).unwrap_err();
+        assert_eq!(err, TopologyError::ZeroRequested { what: "places" });
+        assert_eq!(err.to_string(), "requested 0 places; a placement needs at least one");
     }
 
     #[test]

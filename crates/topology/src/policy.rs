@@ -204,8 +204,8 @@ impl SchedPolicy {
     /// which victim to probe and whether to look in its mailbox before its
     /// deque. `dist` is the thief's [`victim_distribution`](Self::victim_distribution)
     /// and `next` its random stream. The victim is drawn first; the coin
-    /// is drawn second, and only under a fair coin on a policy with
-    /// mailboxes. With vanilla knobs this is Figure 2's RANDOMSTEAL: one
+    /// is drawn second, and only when [`draws_coin`](Self::draws_coin)
+    /// says so. With vanilla knobs this is Figure 2's RANDOMSTEAL: one
     /// uniform draw, deque only.
     ///
     /// Both substrates decide through this one method — the runtime over
@@ -218,13 +218,22 @@ impl SchedPolicy {
         mut next: impl FnMut() -> u64,
     ) -> (usize, bool) {
         let victim = dist.sample(next());
-        let try_mailbox = self.uses_mailboxes()
-            && match self.coin_flip {
-                CoinFlip::Fair => next() & 1 == 0,
-                CoinFlip::MailboxFirst => true,
-                CoinFlip::DequeOnly => false,
-            };
+        let try_mailbox = if self.draws_coin() {
+            next() & 1 == 0
+        } else {
+            self.uses_mailboxes() && self.coin_flip == CoinFlip::MailboxFirst
+        };
         (victim, try_mailbox)
+    }
+
+    /// Does a [`steal_target`](Self::steal_target) decision draw a second
+    /// value, the coin, after the victim? Only a fair coin on a policy with
+    /// mailboxes flips one. A caller that needs only the victim (the
+    /// simulator's idle fast-forward, where every attempt fails) still
+    /// advances its stream past the coin exactly when this says so.
+    #[inline]
+    pub fn draws_coin(&self) -> bool {
+        self.uses_mailboxes() && self.coin_flip == CoinFlip::Fair
     }
 
     /// The lazy-pushing decision of paper Figure 5 (l.5-11, l.21-26): the

@@ -147,13 +147,85 @@ impl StealDistribution {
     /// the next index, or the one after if the next is the thief.
     #[inline]
     pub fn sample(&self, random: u64) -> usize {
-        let low = self.magic.wrapping_mul(u128::from(random));
-        // The high 64 bits of the 192-bit `low * total`.
-        let carry = (u128::from(low as u64) * u128::from(self.total)) >> 64;
-        let r = (((low >> 64) * u128::from(self.total) + carry) >> 64) as u64;
+        let r = remainder(random, self.magic, self.total);
         let v = self.guide[(r >> self.shift) as usize] as usize;
-        let v = v + usize::from(r >= self.cumulative[v]);
+        self.skip_thief(v + usize::from(r >= self.cumulative[v]))
+    }
+
+    /// `v`, or the next index if `v` is the thief.
+    #[inline]
+    fn skip_thief(&self, v: usize) -> usize {
         v + usize::from(v == self.thief)
+    }
+
+    /// Folds `cost_of` into this distribution's guide table, so that
+    /// [`ProbeCosts::cost`] returns `cost_of(self.sample(random))` for
+    /// every `random` without naming the victim. Built once per run by a
+    /// caller that only needs what a probe costs (the simulator's idle
+    /// fast-forward); [`sample`](Self::sample) is untouched by it.
+    pub fn probe_costs(&self, cost_of: impl Fn(usize) -> u64) -> ProbeCosts {
+        let p = self.num_workers();
+        let buckets = self
+            .guide
+            .iter()
+            .map(|&v| {
+                let v = v as usize;
+                let below = cost_of(self.skip_thief(v));
+                // Past the last victim's boundary lies only `total`, which
+                // no remainder reaches.
+                let next = self.skip_thief(v + 1);
+                let above = if next < p { cost_of(next) } else { below };
+                ProbeBucket { boundary: self.cumulative[v], below, above }
+            })
+            .collect();
+        ProbeCosts { buckets, total: self.total, magic: self.magic, shift: self.shift }
+    }
+}
+
+/// `random % total`, exactly, by Lemire, Kaser and Kurz's direct
+/// computation with `magic = u128::MAX / total + 1` (four multiplies, no
+/// division).
+#[inline]
+fn remainder(random: u64, magic: u128, total: u64) -> u64 {
+    let low = magic.wrapping_mul(u128::from(random));
+    // The high 64 bits of the 192-bit `low * total`.
+    let carry = (u128::from(low as u64) * u128::from(total)) >> 64;
+    (((low >> 64) * u128::from(total) + carry) >> 64) as u64
+}
+
+/// One guide bucket folded over a cost per victim: a remainder in the
+/// bucket below `boundary` costs `below`, one at or past it `above`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ProbeBucket {
+    boundary: u64,
+    below: u64,
+    above: u64,
+}
+
+/// What a steal probe costs, per random input, for one thief: a
+/// [`StealDistribution`]'s guide table with each bucket's one or two
+/// victims replaced by their costs (see
+/// [`StealDistribution::probe_costs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeCosts {
+    buckets: Vec<ProbeBucket>,
+    total: u64,
+    magic: u128,
+    shift: u32,
+}
+
+impl ProbeCosts {
+    /// The cost of probing the victim [`StealDistribution::sample`] picks
+    /// for `random`: one remainder, one bucket load and a select.
+    #[inline]
+    pub fn cost(&self, random: u64) -> u64 {
+        let r = remainder(random, self.magic, self.total);
+        let b = self.buckets[(r >> self.shift) as usize];
+        if r >= b.boundary {
+            b.above
+        } else {
+            b.below
+        }
     }
 }
 
@@ -283,10 +355,10 @@ mod tests {
         }
     }
 
-    /// `sample` against the oracle on 10^5 SplitMix64 draws plus the edges:
-    /// `0`, `u64::MAX`, every cumulative boundary ±1 and multiples of the
-    /// total ±1.
-    fn assert_matches_binary_search(d: &StealDistribution) {
+    /// The inputs every exactness test of `d` runs: the edges `0`,
+    /// `u64::MAX`, every cumulative boundary ±1 and multiples of the total
+    /// ±1, then 10^5 SplitMix64 draws.
+    fn exactness_inputs(d: &StealDistribution) -> impl Iterator<Item = u64> {
         let total = d.total;
         let top = u64::MAX / total;
         let mut edges = vec![0, u64::MAX];
@@ -298,8 +370,12 @@ mod tests {
             }
         }
         let mut rng = crate::SplitMix64::new(0x5A3D_0000 ^ d.thief as u64);
-        let draws = (0..100_000).map(|_| rng.next_u64());
-        for random in edges.into_iter().chain(draws) {
+        edges.into_iter().chain((0..100_000).map(move |_| rng.next_u64()))
+    }
+
+    /// `sample` against the oracle on every exactness input.
+    fn assert_matches_binary_search(d: &StealDistribution) {
+        for random in exactness_inputs(d) {
             assert_eq!(
                 d.sample(random),
                 binary_search_sample(d, random),
@@ -324,6 +400,31 @@ mod tests {
         let (topo, map) = paper_setup(32);
         for thief in 0..32 {
             assert_matches_binary_search(&StealDistribution::biased(&topo, &map, thief));
+        }
+    }
+
+    #[test]
+    fn probe_costs_match_the_sampled_victims_cost() {
+        // A distinct cost per victim, so a bucket that folds in the wrong
+        // victim (say, the thief, by skipping no index) reads a wrong cost.
+        let cost_of = |v: usize| 1_000 + 37 * v as u64;
+        for p in [2, 8, 32] {
+            let (topo, map) = paper_setup(p);
+            for thief in 0..p {
+                for d in [
+                    StealDistribution::uniform(p, thief),
+                    StealDistribution::biased(&topo, &map, thief),
+                ] {
+                    let costs = d.probe_costs(cost_of);
+                    for random in exactness_inputs(&d) {
+                        assert_eq!(
+                            costs.cost(random),
+                            cost_of(d.sample(random)),
+                            "P={p} thief={thief} random={random:#x}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -23,6 +23,11 @@ pub enum TopologyError {
         /// Cores available.
         available: usize,
     },
+    /// A placement asked for zero workers or zero places.
+    ZeroRequested {
+        /// What was asked for: `"workers"` or `"places"`.
+        what: &'static str,
+    },
     /// More places were requested than the machine has sockets.
     TooManyPlaces {
         /// Requested place count.
@@ -41,6 +46,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::TooManyWorkers { requested, available } => {
                 write!(f, "requested {requested} workers but machine has {available} cores")
+            }
+            TopologyError::ZeroRequested { what } => {
+                write!(f, "requested 0 {what}; a placement needs at least one")
             }
             TopologyError::TooManyPlaces { requested, available } => {
                 write!(f, "requested {requested} places but machine has {available} sockets")

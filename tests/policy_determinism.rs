@@ -330,3 +330,42 @@ fn app_dag_outcomes_at_p32_are_pinned() {
         }
     }
 }
+
+#[test]
+fn heat_outcomes_at_p32_are_pinned_for_every_coin_rule() {
+    // `(makespan, steal_attempts, steals, mailbox_takes)` of the heat DAG
+    // at `sim_replay`'s size on the paper machine at P = 32, seed 0x5EED,
+    // under each ablation preset and under numa-ws with each coin rule.
+    // A fair coin draws two values per attempt, the other rules one; the
+    // idle fast-forward must advance every thief's stream by that count,
+    // or `steal_attempts` moves first.
+    use numa_ws_repro::apps::heat;
+    use numa_ws_repro::topology::CoinFlip;
+    let topo = presets::paper_machine();
+    let dag = heat::dag(
+        heat::Params { rows: 512, cols: 1024, steps: 2, rows_base: 8 },
+        topo.num_sockets(),
+    );
+    let coin_rules = [
+        ("numa-ws mailbox-first", SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst)),
+        ("numa-ws deque-only", SchedPolicy::numa_ws().with_coin_flip(CoinFlip::DequeOnly)),
+    ];
+    type Outcome = (u64, u64, u64, u64);
+    let expected: [(&str, Outcome); 6] = [
+        ("vanilla", (2826950, 348343, 219, 0)),
+        ("bias-only", (2660891, 350312, 225, 0)),
+        ("mailbox-only", (2074426, 330827, 249, 1553)),
+        ("numa-ws", (1048597, 205922, 243, 879)),
+        ("numa-ws mailbox-first", (835566, 145411, 233, 806)),
+        ("numa-ws deque-only", (1705564, 398957, 251, 170)),
+    ];
+    let policies = SchedPolicy::ablation_grid().into_iter().chain(coin_rules);
+    for ((name, policy), (expected_name, want)) in policies.zip(expected) {
+        assert_eq!(name, expected_name);
+        let cfg = SimConfig::with_policy(policy, 32).with_seed(SEED);
+        let r = Simulation::new(&topo, cfg, &dag).expect("fits").run();
+        let c = r.counters;
+        let got = (r.makespan, c.steal_attempts, c.steals, c.mailbox_takes);
+        assert_eq!(got, want, "heat under {name}");
+    }
+}
