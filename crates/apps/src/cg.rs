@@ -357,11 +357,9 @@ pub fn dag(params: Params, places: usize) -> Dag {
     let a = bd.alloc("A", pages_for(n * nnz * 12, 1), chunked.clone());
     let vecs = ["x", "r", "p", "q"].map(|name| bd.alloc(name, pages_for(n, 8), chunked.clone()));
     let shell = Csr { n: params.n, row_ptr: Vec::new(), cols: Vec::new(), vals: Vec::new() };
-    let mut rec = Record::new(bd, Model { a, vecs, n, nnz });
-    let root = rec.frame(Place(0), |f| {
+    Record::dag(bd, Model { a, vecs, n, nnz }, Place(0), |f| {
         solve(f, &shell, &[], params, places, 0.0);
-    });
-    rec.builder.build(root)
+    })
 }
 
 #[cfg(test)]

@@ -298,11 +298,9 @@ pub fn dag(params: Params, places: usize) -> Dag {
     let regions = ["array", "tmp"].map(|name| bd.alloc(name, pages, policy.clone()));
     let (mut data, mut tmp) = (vec![0u8; n], vec![0u8; n]);
     let bases = [&data, &tmp].map(|v| v.as_ptr().addr());
-    let mut rec = Record::new(bd, Model { regions, bases, keys: n });
-    let root = rec.frame(Place(0), |f| {
+    Record::dag(bd, Model { regions, bases, keys: n }, Place(0), |f| {
         sort(f, &mut data, &mut tmp, params, quarter_places(places));
-    });
-    rec.builder.build(root)
+    })
 }
 
 #[cfg(test)]

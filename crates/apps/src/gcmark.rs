@@ -24,7 +24,7 @@
 use crate::common::{input_rng, pages_for};
 use numa_ws::sync::atomic::{AtomicU64, Ordering};
 use numa_ws::{scope, Place, Scope};
-use nws_sim::{Dag, DagBuilder, FrameId, PagePolicy, Strand, Touch};
+use nws_sim::{Dag, DagBuilder, PagePolicy, Strand, Touch};
 use rand::Rng;
 
 /// Benchmark parameters.
@@ -202,6 +202,12 @@ fn bfs_levels(g: &Graph, p: Params) -> Vec<Vec<u32>> {
 /// graph, each wave fanning out over frontier chunks. Chunk leaves touch
 /// the page span their nodes actually occupy — pointer-chasing spans, not
 /// streaming bands — with cycles proportional to the edges they scan.
+///
+/// It is a simulator model, as `strassen::dag_top8` is, not a walk of the
+/// pool run: the pool's flood splits when a thief asks, and a serial walk
+/// that splits whenever allowed marks nodes in walk order, which at
+/// `sim_replay`'s size nests 203 spills 204 deep — a chain, not the pool's
+/// fork tree.
 pub fn dag(params: Params, places: usize) -> Dag {
     let places = places.max(1);
     let g = random_graph(params);
@@ -214,39 +220,35 @@ pub fn dag(params: Params, places: usize) -> Dag {
         });
     let nodes_per_page = (4096 / 16) as u32;
 
-    let mut wave_frames: Vec<FrameId> = Vec::new();
-    for level in &levels {
-        let mut chunk_frames = Vec::new();
-        for (i, chunk) in level.chunks(params.chunk.max(1)).enumerate() {
-            let scanned: u64 = chunk.iter().map(|&v| g.successors(v).len() as u64 + 1).sum();
-            let lo = *chunk.iter().min().unwrap() / nodes_per_page;
-            let hi = *chunk.iter().max().unwrap() / nodes_per_page;
-            let strand = Strand {
-                cycles: 12 * scanned, // mark + pointer chase per object/edge
-                touches: vec![Touch {
-                    region: heap,
-                    start_page: lo as u64,
-                    pages: (hi - lo + 1) as u64,
-                    // Sparse within the span: a few lines per page, not a
-                    // streaming read.
-                    lines_per_page: 8,
-                }],
-            };
-            chunk_frames.push(b.frame(Place(i % places)).strand(strand).finish());
-        }
-        let mut fb = b.frame(Place(0));
-        for f in chunk_frames {
-            fb = fb.spawn(f);
-        }
-        wave_frames.push(fb.sync().finish());
-    }
     // Waves are serial phases (level k+1's frontier comes out of level k).
-    let mut fb = b.frame(Place(0));
-    for f in wave_frames {
-        fb = fb.spawn(f).sync();
-    }
-    let root = fb.compute(1).finish();
-    b.build(root)
+    b.frame(Place(0), |b| {
+        for level in &levels {
+            b.frame(Place(0), |b| {
+                for (i, chunk) in level.chunks(params.chunk.max(1)).enumerate() {
+                    let scanned: u64 =
+                        chunk.iter().map(|&v| g.successors(v).len() as u64 + 1).sum();
+                    let lo = *chunk.iter().min().unwrap() / nodes_per_page;
+                    let hi = *chunk.iter().max().unwrap() / nodes_per_page;
+                    let strand = Strand {
+                        cycles: 12 * scanned, // mark + pointer chase per object/edge
+                        touches: vec![Touch {
+                            region: heap,
+                            start_page: lo as u64,
+                            pages: (hi - lo + 1) as u64,
+                            // Sparse within the span: a few lines per page,
+                            // not a streaming read.
+                            lines_per_page: 8,
+                        }],
+                    };
+                    b.frame(Place(i % places), |b| _ = b.strand(strand));
+                }
+                b.sync();
+            });
+            b.sync();
+        }
+        b.compute(1);
+    });
+    b.build()
 }
 
 #[cfg(test)]

@@ -257,9 +257,8 @@ pub fn dag(params: Params, places: usize) -> Dag {
     let grids =
         ["cur", "next"].map(|name| bd.alloc(name, pages, PagePolicy::Chunked { chunks: places }));
     let pages_per_row = (cols * 8).div_ceil(4096).max(1);
-    let mut rec = Record::new(bd, Model { grids, rows, cols, pages_per_row });
-    let root = rec.frame(Place(0), |f| run(f, &mut Vec::new(), &mut Vec::new(), params, places));
-    rec.builder.build(root)
+    let model = Model { grids, rows, cols, pages_per_row };
+    Record::dag(bd, model, Place(0), |f| run(f, &mut Vec::new(), &mut Vec::new(), params, places))
 }
 
 #[cfg(test)]

@@ -364,9 +364,8 @@ fn record(params: Params, dataset: Dataset, chunks: Chunks) -> Dag {
     let mut bd = DagBuilder::new();
     let [points, scratch] =
         ["points", "scratch"].map(|name| bd.alloc(name, pages, PagePolicy::Chunked { chunks: 1 }));
-    let mut rec = Record::new(bd, Model { points, scratch, pages });
-    let root = rec.frame(Place(0), |f| _ = Split { base: params.base, chunks }.hull(f, &pts));
-    rec.builder.build(root)
+    let split = Split { base: params.base, chunks };
+    Record::dag(bd, Model { points, scratch, pages }, Place(0), |f| _ = split.hull(f, &pts))
 }
 
 /// Builds the simulator DAG for quickhull on either dataset by recording

@@ -12,11 +12,11 @@
 //!    regenerates the paper's tables and figures on the simulated
 //!    four-socket machine (see DESIGN.md §2).
 //!
-//! [`cg`], [`heat`], [`matmul`] and [`strassen`] write the three forms
-//! once: one recursion over a fork-join trait, run serially, on the pool,
-//! or recorded into the DAG (DESIGN.md §3, "One recursion per kernel");
-//! [`cilksort`] does so for its pool run and DAG. The others build their
-//! DAGs by hand.
+//! Every kernel but [`gcmark`] writes the three forms once: one recursion
+//! over a fork-join trait, run serially, on the pool, or recorded into the
+//! DAG (DESIGN.md §3, "One recursion per kernel"). [`cilksort`] keeps a
+//! separate serial sort as its `TS`, and [`gcmark`]'s DAG is a simulator
+//! model of its flood's BFS waves.
 //!
 //! | module | paper benchmark | input |
 //! |---|---|---|

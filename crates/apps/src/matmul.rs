@@ -347,21 +347,18 @@ pub fn dag(params: Params, layout: Layout) -> Dag {
     let regions = ["A", "B", "C"].map(|name| bd.alloc(name, pages, PagePolicy::Interleave));
     let model = |bases| Model { regions, bases, layout, n: n as u64, block: block as u64 };
     // The recording runs no leaf body, so the zero operands are never read.
-    let (root, rec) = match layout {
+    match layout {
         Layout::RowMajor => {
             let [a, b, mut c] = [(); 3].map(|_| Matrix::<f64>::zeros(n, n));
             let bases = [&a, &b, &c].map(|m| m.as_slice().as_ptr().addr());
-            let mut rec = Record::new(bd, model(bases));
-            (rec.frame(Place::ANY, |f| mul(f, &a, &b, &mut c, params)), rec)
+            Record::dag(bd, model(bases), Place::ANY, |f| mul(f, &a, &b, &mut c, params))
         }
         Layout::BlockedZ => {
             let [a, b, mut c] = [(); 3].map(|_| BlockedZ::<f64>::zeros(n, block));
             let bases = [&a, &b, &c].map(|m| m.as_slice().as_ptr().addr());
-            let mut rec = Record::new(bd, model(bases));
-            (rec.frame(Place::ANY, |f| mul_blocked(f, &a, &b, &mut c, params)), rec)
+            Record::dag(bd, model(bases), Place::ANY, |f| mul_blocked(f, &a, &b, &mut c, params))
         }
-    };
-    rec.builder.build(root)
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! simulator DAG.
 
 use crate::fork::ForkJoin;
-use nws_sim::{DagBuilder, FrameId, Step, Strand};
+use nws_sim::{Dag, DagBuilder, Strand};
 use nws_topology::Place;
 
 /// Walks a recursion into [`DagBuilder`] frames. Each branch of a `join`
@@ -17,44 +17,36 @@ use nws_topology::Place;
 /// recursion whose forks depend on its data (hull's scans) reads just that
 /// data.
 pub(crate) struct Record<M> {
-    /// The builder, for frames a kernel adds around its walks.
+    /// The builder; its innermost open frame is the frame being walked.
     pub(crate) builder: DagBuilder,
     model: M,
-    /// The frames being walked, innermost last: hint and steps so far.
-    open: Vec<(Place, Vec<Step>)>,
 }
 
 impl<M> Record<M> {
-    /// Records into `builder`, whose regions `model` names.
-    pub(crate) fn new(builder: DagBuilder, model: M) -> Self {
-        Record { builder, model, open: Vec::new() }
+    /// Walks `body` as the top-level frame hinted at `place` into
+    /// `builder`, whose regions `model` names, and returns the DAG.
+    pub(crate) fn dag(
+        builder: DagBuilder,
+        model: M,
+        place: Place,
+        body: impl FnOnce(&mut Self),
+    ) -> Dag {
+        let mut rec = Record { builder, model };
+        rec.frame(place, body);
+        rec.builder.build()
     }
 
-    /// Walks `body` as one frame hinted at `place` and returns its id.
-    pub(crate) fn frame(&mut self, place: Place, body: impl FnOnce(&mut Self)) -> FrameId {
-        self.open.push((place, Vec::new()));
+    /// Walks `body` as one frame hinted at `place`, spawned in the frame
+    /// being walked.
+    pub(crate) fn frame(&mut self, place: Place, body: impl FnOnce(&mut Self)) {
+        self.builder.open(place);
         body(self);
-        let (place, steps) = self.open.pop().expect("the frame pushed above");
-        self.builder.push_frame(place, steps)
-    }
-
-    /// The frame being walked.
-    fn open_frame(&mut self) -> &mut (Place, Vec<Step>) {
-        self.open.last_mut().expect("fork-join call outside Record::frame")
-    }
-
-    fn push(&mut self, step: Step) {
-        self.open_frame().1.push(step);
+        self.builder.close();
     }
 
     /// The hint of the frame being walked.
     fn hint(&mut self) -> Place {
-        self.open_frame().0
-    }
-
-    fn spawn(&mut self, hint: Place, branch: impl FnOnce(&mut Self)) {
-        let child = self.frame(hint, branch);
-        self.push(Step::Spawn(child));
+        *self.builder.place_mut()
     }
 }
 
@@ -70,9 +62,9 @@ impl<M> ForkJoin<M> for Record<M> {
         place: Place,
     ) {
         let hint = self.hint();
-        self.spawn(hint, a);
-        self.spawn(if place.is_any() { hint } else { place }, b);
-        self.push(Step::Sync);
+        self.frame(hint, a);
+        self.frame(if place.is_any() { hint } else { place }, b);
+        self.builder.sync();
     }
 
     fn join4(
@@ -83,22 +75,22 @@ impl<M> ForkJoin<M> for Record<M> {
         d: impl FnOnce(&mut Self) + Send,
     ) {
         let hint = self.hint();
-        self.spawn(hint, a);
-        self.spawn(hint, b);
-        self.spawn(hint, c);
-        self.spawn(hint, d);
-        self.push(Step::Sync);
+        self.frame(hint, a);
+        self.frame(hint, b);
+        self.frame(hint, c);
+        self.frame(hint, d);
+        self.builder.sync();
     }
 
     fn unhinted(&mut self, body: impl FnOnce(&mut Self)) {
-        let hint = std::mem::replace(&mut self.open_frame().0, Place::ANY);
+        let hint = std::mem::replace(self.builder.place_mut(), Place::ANY);
         body(self);
-        self.open_frame().0 = hint;
+        *self.builder.place_mut() = hint;
     }
 
     fn leaf(&mut self, describe: impl FnOnce(&M) -> Strand, _body: impl FnOnce()) {
         let strand = describe(&self.model);
-        self.push(Step::Strand(strand));
+        self.builder.strand(strand);
     }
 }
 
@@ -106,7 +98,7 @@ impl<M> ForkJoin<M> for Record<M> {
 mod tests {
     use super::*;
     use crate::fork::Serial;
-    use nws_sim::Dag;
+    use nws_sim::{FrameId, Step};
     use std::sync::mpsc::{channel, Sender};
 
     /// A leaf of `cycles` that logs `cycles` when its body runs.
@@ -157,9 +149,7 @@ mod tests {
     #[test]
     fn record_emits_one_child_frame_per_branch_then_a_sync() {
         let (log, ran) = channel();
-        let mut rec = Record::new(DagBuilder::new(), 5);
-        let root = rec.frame(Place(1), |f| walk(f, &log));
-        let dag = rec.builder.build(root);
+        let dag = Record::dag(DagBuilder::new(), 5, Place(1), |f| walk(f, &log));
         dag.validate().unwrap();
         assert_eq!(ran.try_iter().count(), 0, "Record must not run leaf bodies");
         // Children close before their parents, so ids follow the walk's
@@ -205,15 +195,13 @@ mod tests {
     #[test]
     fn unhinted_drops_the_frame_hint_for_its_body_only() {
         let (log, _ran) = channel();
-        let mut rec = Record::new(DagBuilder::new(), 0);
-        let root = rec.frame(Place(1), |f| {
+        let dag = Record::dag(DagBuilder::new(), 0, Place(1), |f| {
             f.unhinted(|f| {
                 leaf(f, 1, &log);
                 f.join(|f| leaf(f, 2, &log), |f| leaf(f, 3, &log));
             });
             f.join(|f| leaf(f, 4, &log), |f| leaf(f, 5, &log));
         });
-        let dag = rec.builder.build(root);
         // The body's strand stays in the root frame; its fork's frames are
         // unhinted, and the fork after it inherits place 1 again.
         assert_eq!(steps(&dag, 4), "s1 f0 f1 sync f2 f3 sync");
@@ -224,12 +212,10 @@ mod tests {
 
     #[test]
     fn run_leaf_runs_its_body_and_records_its_strand() {
-        let mut rec = Record::new(DagBuilder::new(), 0);
-        let root = rec.frame(Place(1), |f| {
+        let dag = Record::dag(DagBuilder::new(), 0, Place(1), |f| {
             let x = f.run_leaf(|_| Strand::compute(7), || 6);
             f.leaf(|_| Strand::compute(x), || panic!("Record runs no leaf body"));
         });
-        let dag = rec.builder.build(root);
         assert_eq!(steps(&dag, 0), "s7 s6");
         assert_eq!(Serial.run_leaf(|_: &u64| Strand::compute(7), || 6), 6);
     }

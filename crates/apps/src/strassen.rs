@@ -310,10 +310,9 @@ pub fn dag(params: Params, layout: Layout) -> Dag {
     params.validate();
     let mut bd = DagBuilder::new();
     let model = Model::alloc(&mut bd, params, layout, PagePolicy::Interleave);
-    let mut rec = Record::new(bd, model);
-    let root = rec
-        .frame(Place::ANY, |f| strassen_rec(f, &[], &[], &mut [], params.n, params.block, [0; 3]));
-    rec.builder.build(root)
+    Record::dag(bd, model, Place::ANY, |f| {
+        strassen_rec(f, &[], &[], &mut [], params.n, params.block, [0; 3]);
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -329,44 +328,37 @@ pub fn dag(params: Params, layout: Layout) -> Dag {
 /// version instead. `reproduce`'s top-eight-way ablation table runs this
 /// DAG to reproduce that trade-off.
 ///
-/// It is a simulator-only variant: no pool run has this top level. The
-/// eight half-size products are recorded walks of `strassen_rec`, but the
-/// top level is built by hand, hinted one quadrant per place (and pays 8
-/// products instead of 7).
+/// It is a simulator model: no pool run has this top level. Each quadrant
+/// is a frame hinted at one place, and its two half-size products are
+/// walks of `strassen_rec` inside it (8 products instead of 7).
 pub fn dag_top8(params: Params, layout: Layout, places: usize) -> Dag {
     params.validate();
     let mut bd = DagBuilder::new();
     let model =
         Model::alloc(&mut bd, params, layout, PagePolicy::Chunked { chunks: places.max(1) });
     let (c, pages) = (model.regions[2], pages_for(model.n * model.n, 8));
-    let mut rec = Record::new(bd, model);
     let h = params.n / 2;
     let corners = [(0, 0), (0, h), (h, 0), (h, h)];
-    let mut quads = Vec::new();
-    for (i, &(row, col)) in corners.iter().enumerate() {
-        // Two half-size strassen subtrees + the combining addition.
-        let site = [row, col, 1];
-        let mut half =
-            || rec.frame(Place::ANY, |f| strassen_rec(f, &[], &[], &mut [], h, params.block, site));
-        let (p1, p2) = (half(), half());
-        let add = Strand {
-            cycles: 2 * (h * h) as u64,
-            touches: vec![Touch {
-                region: c,
-                start_page: (i as u64) * pages / 4,
-                pages: (pages / 4).max(1),
-                lines_per_page: 64,
-            }],
-        };
-        let place = Place(i % places.max(1));
-        quads.push(rec.builder.frame(place).spawn(p1).spawn(p2).sync().strand(add).finish());
-    }
-    let mut fb = rec.builder.frame(Place(0));
-    for q in quads {
-        fb = fb.spawn(q);
-    }
-    let root = fb.sync().finish();
-    rec.builder.build(root)
+    Record::dag(bd, model, Place(0), |f| {
+        for (i, &(row, col)) in corners.iter().enumerate() {
+            // Two half-size strassen subtrees + the combining addition.
+            f.frame(Place(i % places.max(1)), |f| {
+                for _ in 0..2 {
+                    f.frame(Place::ANY, |f| {
+                        strassen_rec(f, &[], &[], &mut [], h, params.block, [row, col, 1]);
+                    });
+                }
+                let add = Touch {
+                    region: c,
+                    start_page: (i as u64) * pages / 4,
+                    pages: (pages / 4).max(1),
+                    lines_per_page: 64,
+                };
+                f.builder.sync().strand(Strand { cycles: 2 * (h * h) as u64, touches: vec![add] });
+            });
+        }
+        f.builder.sync();
+    })
 }
 
 #[cfg(test)]

@@ -8,13 +8,13 @@
 //! sync, and every frame ends with an implicit sync.
 //!
 //! Frames carry the **place hint** of the paper's locality API: the hint is
-//! assigned when the frame is built and, by convention, builders propagate
+//! assigned when the frame is opened and, by convention, builders propagate
 //! the parent's hint to children unless overridden — the inheritance rule
 //! of §III-A.
 //!
-//! DAGs are built bottom-up (children before parents), so frame indices are
-//! in topological order and [`Dag::work`]/[`Dag::span`] are simple forward
-//! passes.
+//! DAGs are walked, children closed first: [`DagBuilder`] numbers a frame
+//! when it closes, so frame indices are in topological order and
+//! [`Dag::work`]/[`Dag::span`] are simple forward passes.
 
 use crate::memory::{PagePolicy, Region, RegionId, Touch};
 use nws_topology::Place;
@@ -62,15 +62,20 @@ pub struct FrameDef {
     pub parent: Option<FrameId>,
 }
 
-/// A complete computation: frames plus the regions they touch.
+/// A complete computation: frames plus the regions they touch. The root
+/// is the last frame.
 #[derive(Debug, Clone)]
 pub struct Dag {
     frames: Vec<FrameDef>,
     regions: Vec<Region>,
-    root: FrameId,
 }
 
-/// Builds a [`Dag`] bottom-up.
+/// Builds a [`Dag`] by walking it: [`open`](Self::open) starts a frame,
+/// [`strand`](Self::strand), [`compute`](Self::compute) and
+/// [`sync`](Self::sync) append to the innermost open frame, and
+/// [`close`](Self::close) finishes it. A frame closed inside another one is
+/// spawned there, so each frame runs exactly once and the one top-level
+/// frame is the root.
 ///
 /// # Example
 ///
@@ -80,17 +85,12 @@ pub struct Dag {
 ///
 /// let mut b = DagBuilder::new();
 /// let data = b.alloc("data", 8, PagePolicy::Chunked { chunks: 2 });
-/// let child = b
-///     .frame(Place(1))
-///     .strand_touching(100, Touch { region: data, start_page: 4, pages: 4, lines_per_page: 64 })
-///     .finish();
-/// let root = b
-///     .frame(Place(0))
-///     .spawn(child)
-///     .strand_touching(100, Touch { region: data, start_page: 0, pages: 4, lines_per_page: 64 })
-///     .sync()
-///     .finish();
-/// let dag = b.build(root);
+/// let touch = |start_page| Touch { region: data, start_page, pages: 4, lines_per_page: 64 };
+/// b.frame(Place(0), |b| {
+///     b.frame(Place(1), |b| _ = b.strand(Strand { cycles: 100, touches: vec![touch(4)] }));
+///     b.strand(Strand { cycles: 100, touches: vec![touch(0)] }).sync();
+/// });
+/// let dag = b.build();
 /// assert_eq!(dag.num_frames(), 2);
 /// assert_eq!(dag.work(), 200);
 /// assert_eq!(dag.span(), 100); // the two strands run in parallel
@@ -100,7 +100,8 @@ pub struct DagBuilder {
     frames: Vec<FrameDef>,
     regions: Vec<Region>,
     next_page: u64,
-    spawned: Vec<bool>,
+    /// The frames being walked, innermost last.
+    open: Vec<FrameDef>,
 }
 
 impl DagBuilder {
@@ -118,61 +119,78 @@ impl DagBuilder {
         id
     }
 
-    /// Starts a new frame with locality hint `place`. Children it spawns
-    /// must already have been built.
-    pub fn frame(&mut self, place: Place) -> FrameBuilder<'_> {
-        FrameBuilder { dag: self, place, steps: Vec::new() }
-    }
-
-    /// Adds a finished frame: hint `place`, then `steps` in program order.
-    /// This is what [`FrameBuilder::finish`] calls; a builder that collects
-    /// a frame's steps itself hands them over here whole.
+    /// Starts a frame with locality hint `place` inside the innermost open
+    /// frame, or as the top-level frame.
     ///
     /// # Panics
     ///
-    /// Panics if a spawned child does not exist yet or has already been
-    /// spawned elsewhere (each frame instance runs exactly once).
-    pub fn push_frame(&mut self, place: Place, steps: Vec<Step>) -> FrameId {
-        for step in &steps {
+    /// Panics if the top-level frame has already closed.
+    pub fn open(&mut self, place: Place) {
+        assert!(!self.open.is_empty() || self.frames.is_empty(), "a DAG has one top-level frame");
+        self.open.push(FrameDef { place, steps: Vec::new(), parent: None });
+    }
+
+    /// The hint of the innermost open frame; it is the frame's place when
+    /// it closes.
+    pub fn place_mut(&mut self) -> &mut Place {
+        &mut self.innermost().place
+    }
+
+    fn innermost(&mut self) -> &mut FrameDef {
+        self.open.last_mut().expect("no open frame")
+    }
+
+    /// Appends a strand.
+    pub fn strand(&mut self, s: Strand) -> &mut Self {
+        self.innermost().steps.push(Step::Strand(s));
+        self
+    }
+
+    /// Appends a compute-only strand.
+    pub fn compute(&mut self, cycles: u64) -> &mut Self {
+        self.strand(Strand::compute(cycles))
+    }
+
+    /// Appends a sync.
+    pub fn sync(&mut self) -> &mut Self {
+        self.innermost().steps.push(Step::Sync);
+        self
+    }
+
+    /// Finishes the innermost open frame and returns its id. Inside another
+    /// frame, it is spawned there.
+    pub fn close(&mut self) -> FrameId {
+        let frame = self.open.pop().expect("no open frame");
+        let id = FrameId(self.frames.len());
+        for step in &frame.steps {
             if let Step::Spawn(child) = *step {
-                assert!(child.0 < self.frames.len(), "spawned child must be built first");
-                assert!(!self.spawned[child.0], "frame {child:?} spawned twice");
-                self.spawned[child.0] = true;
+                self.frames[child.0].parent = Some(id);
             }
         }
-        let id = FrameId(self.frames.len());
-        self.frames.push(FrameDef { place, steps, parent: None });
-        self.spawned.push(false);
+        self.frames.push(frame);
+        if let Some(parent) = self.open.last_mut() {
+            parent.steps.push(Step::Spawn(id));
+        }
         id
     }
 
-    /// Convenience: a frame consisting of a single strand.
-    pub fn leaf(&mut self, place: Place, strand: Strand) -> FrameId {
-        self.frame(place).strand(strand).finish()
+    /// Walks `body` as one frame hinted at `place`: [`open`](Self::open),
+    /// `body`, [`close`](Self::close).
+    pub fn frame(&mut self, place: Place, body: impl FnOnce(&mut Self)) -> FrameId {
+        self.open(place);
+        body(self);
+        self.close()
     }
 
-    /// Finishes the DAG with `root` as the top-level frame.
+    /// Finishes the DAG; the top-level frame is its root.
     ///
     /// # Panics
     ///
-    /// Panics if `root` was itself spawned by another frame, or is out of
-    /// range.
-    pub fn build(mut self, root: FrameId) -> Dag {
-        assert!(root.0 < self.frames.len(), "root out of range");
-        assert!(!self.spawned[root.0], "root must not be spawned by another frame");
-        // Fill parent links from spawn edges.
-        let mut parents: Vec<Option<FrameId>> = vec![None; self.frames.len()];
-        for (i, f) in self.frames.iter().enumerate() {
-            for s in &f.steps {
-                if let Step::Spawn(c) = s {
-                    parents[c.0] = Some(FrameId(i));
-                }
-            }
-        }
-        for (f, p) in self.frames.iter_mut().zip(parents) {
-            f.parent = p;
-        }
-        Dag { frames: self.frames, regions: self.regions, root }
+    /// Panics if a frame is still open or none was walked.
+    pub fn build(self) -> Dag {
+        assert!(self.open.is_empty(), "a frame is still open");
+        assert!(!self.frames.is_empty(), "a DAG needs a frame");
+        Dag { frames: self.frames, regions: self.regions }
     }
 }
 
@@ -180,17 +198,20 @@ impl DagBuilder {
 /// `leaves * cycles`, span `cycles` plus the log-depth spawn chain. Every
 /// frame spawns its left half, then its right half, then syncs.
 pub fn tree(leaves: usize, cycles: u64) -> Dag {
-    fn rec(b: &mut DagBuilder, n: usize, cycles: u64) -> FrameId {
-        if n == 1 {
-            return b.leaf(Place::ANY, Strand::compute(cycles));
-        }
-        let l = rec(b, n / 2, cycles);
-        let r = rec(b, n - n / 2, cycles);
-        b.frame(Place::ANY).spawn(l).spawn(r).sync().finish()
+    fn rec(b: &mut DagBuilder, n: usize, cycles: u64) {
+        b.frame(Place::ANY, |b| {
+            if n == 1 {
+                b.compute(cycles);
+            } else {
+                rec(b, n / 2, cycles);
+                rec(b, n - n / 2, cycles);
+                b.sync();
+            }
+        });
     }
     let mut b = DagBuilder::new();
-    let root = rec(&mut b, leaves, cycles);
-    b.build(root)
+    rec(&mut b, leaves, cycles);
+    b.build()
 }
 
 /// A chain of `len` serial phases, each forking `width` leaves of `cycles`
@@ -198,71 +219,18 @@ pub fn tree(leaves: usize, cycles: u64) -> Dag {
 /// term of the §IV bounds.
 pub fn phased(len: usize, width: usize, cycles: u64) -> Dag {
     let mut b = DagBuilder::new();
-    let mut phases = Vec::new();
-    for _ in 0..len {
-        let leaves: Vec<_> =
-            (0..width).map(|_| b.leaf(Place::ANY, Strand::compute(cycles))).collect();
-        let mut fb = b.frame(Place::ANY);
-        for l in leaves {
-            fb = fb.spawn(l);
+    b.frame(Place::ANY, |b| {
+        for _ in 0..len {
+            b.frame(Place::ANY, |b| {
+                for _ in 0..width {
+                    b.frame(Place::ANY, |b| _ = b.compute(cycles));
+                }
+                b.sync();
+            });
+            b.sync();
         }
-        phases.push(fb.sync().finish());
-    }
-    let mut fb = b.frame(Place::ANY);
-    for p in phases {
-        fb = fb.spawn(p).sync();
-    }
-    let root = fb.finish();
-    b.build(root)
-}
-
-/// Incremental builder for one frame; returned by [`DagBuilder::frame`].
-#[derive(Debug)]
-pub struct FrameBuilder<'a> {
-    dag: &'a mut DagBuilder,
-    place: Place,
-    steps: Vec<Step>,
-}
-
-impl FrameBuilder<'_> {
-    /// Appends a strand.
-    pub fn strand(mut self, s: Strand) -> Self {
-        self.steps.push(Step::Strand(s));
-        self
-    }
-
-    /// Appends a compute-only strand.
-    pub fn compute(self, cycles: u64) -> Self {
-        self.strand(Strand::compute(cycles))
-    }
-
-    /// Appends a strand with one memory touch.
-    pub fn strand_touching(self, cycles: u64, touch: Touch) -> Self {
-        self.strand(Strand { cycles, touches: vec![touch] })
-    }
-
-    /// Spawns an already-built child frame.
-    ///
-    /// # Panics
-    ///
-    /// [`finish`](Self::finish) panics if the child does not exist yet or
-    /// has already been spawned elsewhere (each frame instance runs exactly
-    /// once).
-    pub fn spawn(mut self, child: FrameId) -> Self {
-        self.steps.push(Step::Spawn(child));
-        self
-    }
-
-    /// Appends a sync.
-    pub fn sync(mut self) -> Self {
-        self.steps.push(Step::Sync);
-        self
-    }
-
-    /// Finalizes the frame and returns its id.
-    pub fn finish(self) -> FrameId {
-        self.dag.push_frame(self.place, self.steps)
-    }
+    });
+    b.build()
 }
 
 impl Dag {
@@ -271,9 +239,9 @@ impl Dag {
         self.frames.len()
     }
 
-    /// The root frame.
+    /// The root frame: the top-level frame, which closes last.
     pub fn root(&self) -> FrameId {
-        self.root
+        FrameId(self.frames.len() - 1)
     }
 
     /// Frame definition accessor.
@@ -320,9 +288,7 @@ impl Dag {
     /// memory stalls and scheduler costs (both are machine properties, not
     /// DAG properties).
     pub fn work(&self) -> u64 {
-        self.reachable_postorder()
-            .into_iter()
-            .flat_map(|f| &self.frames[f].steps)
+        self.steps()
             .map(|s| match s {
                 Step::Strand(st) => st.cycles,
                 _ => 0,
@@ -332,13 +298,13 @@ impl Dag {
 
     /// Critical-path compute cycles — the `T∞` of the ABP model.
     pub fn span(&self) -> u64 {
-        // Frames are in topological order (children built first), so a
-        // single forward pass over reachable frames suffices.
+        // Frames are in topological order (children closed first), so a
+        // single forward pass suffices.
         let mut frame_span = vec![0u64; self.frames.len()];
-        for f in self.reachable_postorder() {
+        for (f, frame) in self.frames.iter().enumerate() {
             let mut cur = 0u64;
             let mut pending: u64 = 0; // max completion among unsynced children
-            for step in &self.frames[f].steps {
+            for step in &frame.steps {
                 match step {
                     Step::Strand(s) => cur += s.cycles,
                     Step::Spawn(c) => pending = pending.max(cur + frame_span[c.0]),
@@ -350,35 +316,17 @@ impl Dag {
             }
             frame_span[f] = cur.max(pending); // implicit final sync
         }
-        frame_span[self.root.0]
+        frame_span[self.root().0]
     }
 
-    /// Number of spawns in the reachable computation.
+    /// Number of spawns.
     pub fn num_spawns(&self) -> u64 {
-        self.reachable_postorder()
-            .into_iter()
-            .flat_map(|f| &self.frames[f].steps)
-            .filter(|s| matches!(s, Step::Spawn(_)))
-            .count() as u64
+        self.steps().filter(|s| matches!(s, Step::Spawn(_))).count() as u64
     }
 
-    /// Frames reachable from the root, children before parents.
-    fn reachable_postorder(&self) -> Vec<usize> {
-        let mut reach = vec![false; self.frames.len()];
-        let mut stack = vec![self.root.0];
-        reach[self.root.0] = true;
-        while let Some(f) = stack.pop() {
-            for s in &self.frames[f].steps {
-                if let Step::Spawn(c) = s {
-                    if !reach[c.0] {
-                        reach[c.0] = true;
-                        stack.push(c.0);
-                    }
-                }
-            }
-        }
-        // Builder order is already topological (children first).
-        (0..self.frames.len()).filter(|&f| reach[f]).collect()
+    /// Every frame's steps, frame by frame.
+    fn steps(&self) -> impl Iterator<Item = &Step> {
+        self.frames.iter().flat_map(|f| &f.steps)
     }
 
     /// Checks structural invariants (used by tests and on load): spawns
@@ -397,7 +345,7 @@ impl Dag {
                 }
             }
         }
-        if self.frames[self.root.0].parent.is_some() {
+        if self.frames[self.root().0].parent.is_some() {
             return Err("root has a parent".to_string());
         }
         Ok(())
@@ -411,12 +359,12 @@ mod tests {
     fn chain(len: usize, cycles: u64) -> Dag {
         // A serial chain: root does `len` strands in sequence.
         let mut b = DagBuilder::new();
-        let mut fb = b.frame(Place::ANY);
-        for _ in 0..len {
-            fb = fb.compute(cycles);
-        }
-        let root = fb.finish();
-        b.build(root)
+        b.frame(Place::ANY, |b| {
+            for _ in 0..len {
+                b.compute(cycles);
+            }
+        });
+        b.build()
     }
 
     #[test]
@@ -441,9 +389,11 @@ mod tests {
     fn continuation_overlaps_spawned_child() {
         // spawn(child: 100); continuation strand 60; sync → span = 100.
         let mut b = DagBuilder::new();
-        let c = b.leaf(Place::ANY, Strand::compute(100));
-        let root = b.frame(Place::ANY).spawn(c).compute(60).sync().compute(5).finish();
-        let d = b.build(root);
+        b.frame(Place::ANY, |b| {
+            b.frame(Place::ANY, |b| _ = b.compute(100));
+            b.compute(60).sync().compute(5);
+        });
+        let d = b.build();
         assert_eq!(d.work(), 165);
         assert_eq!(d.span(), 105);
     }
@@ -453,10 +403,13 @@ mod tests {
         // Two phases: child A (100) synced, then child B (50) synced:
         // span = 100 + 50.
         let mut b = DagBuilder::new();
-        let a = b.leaf(Place::ANY, Strand::compute(100));
-        let bb = b.leaf(Place::ANY, Strand::compute(50));
-        let root = b.frame(Place::ANY).spawn(a).sync().spawn(bb).sync().finish();
-        let d = b.build(root);
+        b.frame(Place::ANY, |b| {
+            b.frame(Place::ANY, |b| _ = b.compute(100));
+            b.sync();
+            b.frame(Place::ANY, |b| _ = b.compute(50));
+            b.sync();
+        });
+        let d = b.build();
         assert_eq!(d.span(), 150);
     }
 
@@ -464,9 +417,11 @@ mod tests {
     fn implicit_final_sync_counts() {
         // Spawn without explicit sync: frame still waits for the child.
         let mut b = DagBuilder::new();
-        let c = b.leaf(Place::ANY, Strand::compute(100));
-        let root = b.frame(Place::ANY).spawn(c).compute(10).finish();
-        let d = b.build(root);
+        b.frame(Place::ANY, |b| {
+            b.frame(Place::ANY, |b| _ = b.compute(100));
+            b.compute(10);
+        });
+        let d = b.build();
         assert_eq!(d.span(), 100);
     }
 
@@ -490,28 +445,20 @@ mod tests {
         let mut b = DagBuilder::new();
         let r1 = b.alloc("a", 10, PagePolicy::FirstTouch);
         let r2 = b.alloc("b", 5, PagePolicy::Interleave);
-        let root = b.frame(Place::ANY).compute(1).finish();
-        let d = b.build(root);
+        b.frame(Place::ANY, |b| _ = b.compute(1));
+        let d = b.build();
         assert_eq!(d.regions()[r1.0].first_page, 0);
         assert_eq!(d.regions()[r2.0].first_page, 10);
         assert_eq!(d.regions()[r2.0].pages, 5);
     }
 
     #[test]
-    #[should_panic(expected = "spawned twice")]
-    fn double_spawn_rejected() {
+    #[should_panic(expected = "a frame is still open")]
+    fn build_panics_while_a_frame_is_open() {
         let mut b = DagBuilder::new();
-        let c = b.leaf(Place::ANY, Strand::compute(1));
-        let _root = b.frame(Place::ANY).spawn(c).spawn(c).sync().finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "root must not be spawned")]
-    fn spawned_root_rejected() {
-        let mut b = DagBuilder::new();
-        let c = b.leaf(Place::ANY, Strand::compute(1));
-        let _p = b.frame(Place::ANY).spawn(c).sync().finish();
-        let _ = b.build(c);
+        b.open(Place::ANY);
+        b.frame(Place::ANY, |b| _ = b.compute(1));
+        let _ = b.build();
     }
 
     #[test]

@@ -594,8 +594,8 @@ mod tests {
     #[test]
     fn serial_chain_single_worker() {
         let mut b = DagBuilder::new();
-        let root = b.frame(Place::ANY).compute(100).compute(50).finish();
-        let dag = b.build(root);
+        b.frame(Place::ANY, |b| _ = b.compute(100).compute(50));
+        let dag = b.build();
         let topo = presets::paper_machine();
         let sim = Simulation::new(&topo, SimConfig::vanilla(1), &dag).unwrap();
         let r = sim.run();
@@ -663,8 +663,8 @@ mod tests {
         let probe = cfg.costs.steal_base + cfg.costs.steal_per_distance * hops;
         for (cycles, attempts) in [(100 * probe, 100), (100 * probe + 1, 101)] {
             let mut b = DagBuilder::new();
-            let root = b.frame(Place::ANY).compute(cycles).finish();
-            let dag = b.build(root);
+            b.frame(Place::ANY, |b| _ = b.compute(cycles));
+            let dag = b.build();
             let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
             assert_eq!(r.makespan, cycles);
             assert_eq!(r.counters.steal_attempts, attempts, "strand of {cycles} cycles");
@@ -738,25 +738,16 @@ mod tests {
         // pushes and mailbox hits; classic must not.
         let mut b = DagBuilder::new();
         let data = b.alloc("d", 64, PagePolicy::Chunked { chunks: 4 });
-        let mut subtrees = Vec::new();
-        for q in 0..4u64 {
-            let leaf = b.frame(Place(q as usize)).strand(Strand {
-                cycles: 20_000,
-                touches: vec![Touch {
-                    region: data,
-                    start_page: q * 16,
-                    pages: 16,
-                    lines_per_page: 64,
-                }],
-            });
-            subtrees.push(leaf.finish());
-        }
-        let mut fb = b.frame(Place(0));
-        for s in subtrees {
-            fb = fb.spawn(s);
-        }
-        let root = fb.sync().finish();
-        let dag = b.build(root);
+        b.frame(Place(0), |b| {
+            for q in 0..4u64 {
+                let touch =
+                    Touch { region: data, start_page: q * 16, pages: 16, lines_per_page: 64 };
+                let leaf = Strand { cycles: 20_000, touches: vec![touch] };
+                b.frame(Place(q as usize), |b| _ = b.strand(leaf));
+            }
+            b.sync();
+        });
+        let dag = b.build();
 
         let topo = presets::paper_machine();
         let numa = Simulation::new(&topo, SimConfig::numa_ws(32), &dag).unwrap().run();
@@ -780,42 +771,30 @@ mod tests {
             first: u64,
             pages: u64,
             leaves: u64,
-        ) -> FrameId {
+        ) {
+            b.open(Place(place));
             if leaves == 1 {
-                return b
-                    .frame(Place(place))
-                    .strand(Strand {
-                        cycles: 500,
-                        touches: vec![Touch {
-                            region: data,
-                            start_page: first,
-                            pages,
-                            lines_per_page: 64,
-                        }],
-                    })
-                    .finish();
-            }
-            let l = subtree(b, place, data, first, pages / 2, leaves / 2);
-            let r =
+                let touch = Touch { region: data, start_page: first, pages, lines_per_page: 64 };
+                b.strand(Strand { cycles: 500, touches: vec![touch] });
+            } else {
+                subtree(b, place, data, first, pages / 2, leaves / 2);
                 subtree(b, place, data, first + pages / 2, pages - pages / 2, leaves - leaves / 2);
-            b.frame(Place(place)).spawn(l).spawn(r).sync().finish()
+                b.sync();
+            }
+            b.close();
         }
         let build = |hinted: bool| {
             let mut b = DagBuilder::new();
             let data = b.alloc("d", 1024, PagePolicy::Chunked { chunks: 4 });
-            let mut tops = Vec::new();
-            for q in 0..4usize {
-                let place = if hinted { q } else { 0 };
-                // Touch each quarter (256 pages) via 32 leaves.
-                let t = subtree(&mut b, place, data, q as u64 * 256, 256, 32);
-                tops.push(t);
-            }
-            let mut fb = b.frame(if hinted { Place(0) } else { Place::ANY });
-            for t in tops {
-                fb = fb.spawn(t);
-            }
-            let root = fb.sync().finish();
-            b.build(root)
+            b.frame(if hinted { Place(0) } else { Place::ANY }, |b| {
+                for q in 0..4usize {
+                    let place = if hinted { q } else { 0 };
+                    // Touch each quarter (256 pages) via 32 leaves.
+                    subtree(b, place, data, q as u64 * 256, 256, 32);
+                }
+                b.sync();
+            });
+            b.build()
         };
         let topo = presets::paper_machine();
         let hinted = build(true);
@@ -898,9 +877,11 @@ mod tests {
         let topo = presets::paper_machine();
         let dag = {
             let mut b = DagBuilder::new();
-            let foreign = b.frame(Place(3)).compute(1).finish();
-            let local = b.frame(Place::ANY).spawn(foreign).sync().finish();
-            b.build(local)
+            b.frame(Place::ANY, |b| {
+                b.frame(Place(3), |b| _ = b.compute(1));
+                b.sync();
+            });
+            b.build()
         };
         let (foreign, local) = (0, 1);
         let ready = |policy: SchedPolicy, frame: usize| {

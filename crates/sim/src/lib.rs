@@ -14,15 +14,18 @@
 //! # Example
 //!
 //! ```
-//! use nws_sim::{DagBuilder, SimConfig, Simulation, Strand};
+//! use nws_sim::{DagBuilder, SimConfig, Simulation};
 //! use nws_topology::{presets, Place};
 //!
-//! // A two-leaf computation.
+//! // A two-leaf computation, walked: each leaf frame closes inside the
+//! // root, which spawns it there.
 //! let mut b = DagBuilder::new();
-//! let l = b.leaf(Place::ANY, Strand::compute(1_000));
-//! let r = b.leaf(Place::ANY, Strand::compute(1_000));
-//! let root = b.frame(Place::ANY).spawn(l).spawn(r).sync().finish();
-//! let dag = b.build(root);
+//! b.frame(Place::ANY, |b| {
+//!     b.frame(Place::ANY, |b| _ = b.compute(1_000));
+//!     b.frame(Place::ANY, |b| _ = b.compute(1_000));
+//!     b.sync();
+//! });
+//! let dag = b.build();
 //!
 //! let topo = presets::paper_machine();
 //! let report = Simulation::new(&topo, SimConfig::numa_ws(2), &dag)
@@ -41,7 +44,7 @@ mod replay;
 mod report;
 
 pub use config::{SchedCosts, SimConfig};
-pub use dag::{phased, tree, Dag, DagBuilder, FrameBuilder, FrameDef, FrameId, Step, Strand};
+pub use dag::{phased, tree, Dag, DagBuilder, FrameDef, FrameId, Step, Strand};
 pub use engine::Simulation;
 pub use memory::{
     CacheConfig, ContentionModel, LatencyModel, PagePolicy, Region, RegionId, Touch,

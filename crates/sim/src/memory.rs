@@ -249,16 +249,6 @@ pub struct Touch {
     pub lines_per_page: u64,
 }
 
-impl Touch {
-    /// A touch covering `bytes` bytes starting at byte offset `offset`
-    /// within the region, assuming every line in the range is accessed.
-    pub fn bytes(region: RegionId, offset: u64, bytes: u64) -> Self {
-        let start_page = offset / PAGE_BYTES;
-        let end_page = (offset + bytes).div_ceil(PAGE_BYTES).max(start_page + 1);
-        Touch { region, start_page, pages: end_page - start_page, lines_per_page: LINES_PER_PAGE }
-    }
-}
-
 /// The whole memory subsystem state for one simulation run.
 #[derive(Debug)]
 pub(crate) struct MemorySystem {
@@ -682,13 +672,6 @@ mod tests {
         let remote_llc = sys.access(0, &t, 0);
         assert_eq!(remote_llc, lat.llc_remote_base + 2 * lat.llc_remote_per_hop + lat.page_penalty);
         assert!(remote_llc < lat.dram_local + 2 * lat.dram_remote_per_hop + lat.page_penalty);
-    }
-
-    #[test]
-    fn touch_bytes_spans_pages() {
-        let t = Touch::bytes(RegionId(0), 4000, 200);
-        assert_eq!(t.start_page, 0);
-        assert_eq!(t.pages, 2); // crosses the page boundary at 4096
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //!
 //! ## Exclusive time
 //!
-//! A recorded interval is *inclusive*: a parent's bracket covers the
-//! children it ran inline (same worker, nested interval). The lowering
-//! subtracts those nested same-worker child durations so replayed work is
-//! counted once; children that ran elsewhere overlap the parent's blocked
-//! sync wait and are not subtracted. Every started task keeps a 1-cycle
-//! floor so the DAG stays well-formed under coarse clocks.
+//! A recorded interval is *inclusive*: a worker waiting in a join runs
+//! other tasks inside the waiting task's bracket — its own children, or
+//! any task it steals, such as a grandchild spawned elsewhere. Brackets on
+//! one worker nest like a stack, so the lowering subtracts from each
+//! bracket the brackets nested directly inside it on the same worker,
+//! whoever's task they are, and replayed work is counted once. Children
+//! that ran on another worker overlap the parent's blocked sync wait and
+//! are not subtracted. Every task keeps a 1-cycle floor so the DAG stays
+//! well-formed under coarse clocks.
 
-use crate::dag::{Dag, DagBuilder, FrameId, Strand};
+use crate::dag::{Dag, DagBuilder};
 use nws_topology::Place;
 use nws_trace::Trace;
 
@@ -39,90 +42,87 @@ pub const DEFAULT_NS_PER_CYCLE: u64 = 1;
 /// the trace was drained) replays as a minimal 1-cycle frame.
 pub fn trace_to_dag(trace: &Trace, ns_per_cycle: u64) -> Dag {
     let scale = ns_per_cycle.max(1);
-    let n = trace.tasks.len();
-    let mut b = DagBuilder::new();
+    let tasks = &trace.tasks;
 
     // Children of each task, in ascending id order (tasks are id-sorted).
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let idx_of = |id: u64| -> usize {
-        trace.tasks.binary_search_by_key(&id, |t| t.id).expect("validated trace: parent exists")
-    };
-    for (i, t) in trace.tasks.iter().enumerate() {
-        if let Some(p) = t.parent {
-            children[idx_of(p)].push(i);
-        }
-    }
-
-    // Exclusive nanoseconds: inclusive duration minus nested same-worker
-    // child intervals (those ran inline inside the parent's bracket).
-    let exclusive_ns: Vec<u64> = trace
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let nested: u64 = children[i]
-                .iter()
-                .map(|&c| &trace.tasks[c])
-                .filter(|c| {
-                    c.worker.is_some()
-                        && c.worker == t.worker
-                        && c.start_ns >= t.start_ns
-                        && c.end_ns <= t.end_ns
-                })
-                .map(|c| c.duration_ns())
-                .sum();
-            t.duration_ns().saturating_sub(nested)
-        })
-        .collect();
-
-    // Build frames bottom-up: children carry larger ids than their parents
-    // (validated invariant), so walking ids in descending order guarantees
-    // every child's frame exists before its parent's.
-    let mut frames: Vec<Option<FrameId>> = vec![None; n];
-    for i in (0..n).rev() {
-        let t = &trace.tasks[i];
-        let place = t.place.map_or(Place::ANY, Place);
-        let cycles = (exclusive_ns[i] / scale).max(1);
-        let mut fb = b.frame(place);
-        for &c in &children[i] {
-            fb = fb.spawn(frames[c].expect("descending id order builds children first"));
-        }
-        fb = fb.strand(Strand::compute(cycles));
-        if !children[i].is_empty() {
-            fb = fb.sync();
-        }
-        frames[i] = Some(fb.finish());
-    }
-
-    let roots: Vec<FrameId> = trace
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.parent.is_none())
-        .map(|(i, _)| frames[i].unwrap())
-        .collect();
-    match roots.as_slice() {
-        [] => {
-            // Empty trace: a trivial 1-cycle computation.
-            let root = b.frame(Place::ANY).compute(1).finish();
-            b.build(root)
-        }
-        [only] => b.build(*only),
-        many => {
-            let mut fb = b.frame(Place::ANY);
-            for r in many {
-                fb = fb.spawn(*r);
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
+    let mut roots = Vec::new();
+    for (i, t) in tasks.iter().enumerate() {
+        match t.parent {
+            Some(p) => {
+                let p = tasks.binary_search_by_key(&p, |t| t.id);
+                children[p.expect("validated trace: parent exists")].push(i);
             }
-            let root = fb.compute(1).sync().finish();
-            b.build(root)
+            None => roots.push(i),
         }
     }
+
+    // Exclusive nanoseconds: one sweep over each worker's brackets, outer
+    // before inner (a tie goes to the smaller id, since a parent's id is
+    // smaller), with the brackets enclosing the current one on a stack.
+    let mut exclusive_ns: Vec<u64> = tasks.iter().map(|t| t.duration_ns()).collect();
+    let mut order: Vec<usize> = (0..tasks.len()).filter(|&i| tasks[i].worker.is_some()).collect();
+    order.sort_unstable_by_key(|&i| {
+        let t = &tasks[i];
+        (t.worker, t.start_ns, std::cmp::Reverse(t.end_ns), t.id)
+    });
+    let mut enclosing: Vec<usize> = Vec::new();
+    for &i in &order {
+        let t = &tasks[i];
+        while let Some(&o) = enclosing.last() {
+            if tasks[o].worker == t.worker && t.end_ns <= tasks[o].end_ns {
+                exclusive_ns[o] = exclusive_ns[o].saturating_sub(t.duration_ns());
+                break;
+            }
+            enclosing.pop();
+        }
+        enclosing.push(i);
+    }
+
+    // Walk the spawn tree with an explicit stack, so a deep trace lowers
+    // too: each task spawns its children, then runs its exclusive time as
+    // one strand, then syncs.
+    let place = |i: usize| tasks[i].place.map_or(Place::ANY, Place);
+    let mut b = DagBuilder::new();
+    let super_root = roots.len() != 1;
+    if super_root {
+        b.open(Place::ANY);
+    }
+    // Each open task with the position of the next child to walk.
+    let mut walk: Vec<(usize, usize)> = Vec::new();
+    for &root in &roots {
+        b.open(place(root));
+        walk.push((root, 0));
+        while let Some(&mut (t, ref mut next)) = walk.last_mut() {
+            if let Some(&c) = children[t].get(*next) {
+                *next += 1;
+                b.open(place(c));
+                walk.push((c, 0));
+            } else {
+                b.compute((exclusive_ns[t] / scale).max(1));
+                if !children[t].is_empty() {
+                    b.sync();
+                }
+                b.close();
+                walk.pop();
+            }
+        }
+    }
+    if super_root {
+        b.compute(1);
+        if !roots.is_empty() {
+            b.sync();
+        }
+        b.close();
+    }
+    b.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::dag::FrameId;
     use crate::engine::Simulation;
     use nws_topology::{presets, SchedPolicy};
     use nws_trace::{TraceMeta, TraceTask};
@@ -160,6 +160,43 @@ mod tests {
         // Parent strand = 1000 - 200 (inline child) = 800; stolen child's
         // 800 not subtracted; inline child 200. Total work 1800.
         assert_eq!(dag.work(), 800 + 200 + 800);
+        dag.validate().unwrap();
+    }
+
+    #[test]
+    fn a_stolen_grandchild_nested_on_the_same_worker_is_subtracted() {
+        // Task 1 [0, 1000] on worker 0; its child 2 [100, 900] stolen by
+        // worker 1; 2's child 3 [200, 400] stolen back by worker 0 while
+        // task 1 waits in its join. Task 1 ran 800 ns of its own, not 1000.
+        let trace = Trace {
+            meta: meta(),
+            tasks: vec![
+                task(1, None, None, Some(0), 0, 1000),
+                task(2, Some(1), None, Some(1), 100, 900),
+                task(3, Some(2), None, Some(0), 200, 400),
+            ],
+        };
+        trace.validate().unwrap();
+        let dag = trace_to_dag(&trace, 1);
+        assert_eq!(dag.work(), 800 + 800 + 200);
+    }
+
+    #[test]
+    fn a_deep_chain_lowers_without_recursion() {
+        // Task k (1..=N) spawns task k + 1 and runs on worker 0 over
+        // [k, 2N + 1 - k], so each task runs 2 ns of its own and the
+        // innermost 1 ns. Each strand runs after its spawn, beside the
+        // child, so the span is one strand.
+        const N: u64 = 100_000;
+        let tasks = (1..=N)
+            .map(|k| task(k, (k > 1).then(|| k - 1), None, Some(0), k, 2 * N + 1 - k))
+            .collect();
+        let trace = Trace { meta: meta(), tasks };
+        trace.validate().unwrap();
+        let dag = trace_to_dag(&trace, 1);
+        assert_eq!(dag.num_frames(), N as usize);
+        assert_eq!(dag.work(), 2 * (N - 1) + 1);
+        assert_eq!(dag.span(), 2);
         dag.validate().unwrap();
     }
 

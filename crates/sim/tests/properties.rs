@@ -2,7 +2,7 @@
 //! scheduling-theory sanity (span ≤ makespan, work/P lower bound), and
 //! determinism.
 
-use nws_sim::{DagBuilder, FrameId, SimConfig, Simulation, Strand};
+use nws_sim::{DagBuilder, SimConfig, Simulation};
 use nws_topology::{presets, Place};
 use proptest::prelude::*;
 
@@ -25,27 +25,27 @@ fn recipe() -> impl Strategy<Value = Recipe> {
 }
 
 fn build(recipe: &Recipe) -> nws_sim::Dag {
-    fn rec(b: &mut DagBuilder, recipe: &Recipe, depth: usize, idx: &mut usize) -> FrameId {
+    fn rec(b: &mut DagBuilder, recipe: &Recipe, depth: usize, idx: &mut usize) {
         let place = match recipe.places[*idx % recipe.places.len()] {
             4 => Place::ANY,
             p => Place(p as usize),
         };
         *idx += 1;
+        b.open(place);
         if depth >= recipe.fanouts.len() {
-            return b.leaf(place, Strand::compute(recipe.leaf_cycles));
+            b.compute(recipe.leaf_cycles);
+        } else {
+            b.compute(recipe.leaf_cycles / 4);
+            for _ in 0..recipe.fanouts[depth] {
+                rec(b, recipe, depth + 1, idx);
+            }
+            b.sync().compute(recipe.leaf_cycles / 4);
         }
-        let n = recipe.fanouts[depth] as usize;
-        let children: Vec<FrameId> = (0..n).map(|_| rec(b, recipe, depth + 1, idx)).collect();
-        let mut fb = b.frame(place).compute(recipe.leaf_cycles / 4);
-        for c in children {
-            fb = fb.spawn(c);
-        }
-        fb.sync().compute(recipe.leaf_cycles / 4).finish()
+        b.close();
     }
     let mut b = DagBuilder::new();
-    let mut idx = 0;
-    let root = rec(&mut b, recipe, 0, &mut idx);
-    b.build(root)
+    rec(&mut b, recipe, 0, &mut 0);
+    b.build()
 }
 
 proptest! {

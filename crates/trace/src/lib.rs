@@ -305,8 +305,8 @@ impl Trace {
 
     /// Structural validation shared by [`from_events`](Trace::from_events)
     /// and [`parse`](Trace::parse): ids unique and ascending, parents
-    /// spawned earlier (smaller id) — the invariant the replay loader's
-    /// bottom-up DAG construction leans on.
+    /// spawned earlier (smaller id) — the invariants the replay loader's
+    /// parent lookup and spawn-tree walk lean on.
     pub fn validate(&self) -> Result<(), TraceError> {
         for w in self.tasks.windows(2) {
             if w[0].id >= w[1].id {

@@ -228,6 +228,42 @@ fn recorded_cilksort_replays_with_identical_victims_and_placements() {
         assert_eq!(a.steals, b.steals, "{name}: victim sequence must be identical");
         assert_eq!(a.executors, b.executors, "{name}: placements must be identical");
     }
+    // The lowering counts every busy nanosecond once, whichever tasks a
+    // worker ran inside a join wait, and its 1-cycle floor adds one cycle
+    // per task with no time of its own.
+    let brackets = |w: usize| trace.tasks.iter().filter(move |t| t.worker == Some(w));
+    let busy: u64 = (0..trace.meta.workers)
+        .map(|w| union_ns(brackets(w).map(|t| (t.start_ns, t.end_ns))))
+        .sum();
+    let floored = trace
+        .tasks
+        .iter()
+        .filter(|t| {
+            let Some(w) = t.worker else { return true };
+            // Brackets nested in `t`'s; an identical one nests if its id is
+            // larger (a parent's id is smaller).
+            let nested = brackets(w).filter(|u| {
+                t.start_ns <= u.start_ns
+                    && u.end_ns <= t.end_ns
+                    && (u.duration_ns(), t.id) < (t.duration_ns(), u.id)
+            });
+            union_ns(nested.map(|u| (u.start_ns, u.end_ns))) == t.duration_ns()
+        })
+        .count() as u64;
+    assert_eq!(trace.tasks.iter().filter(|t| t.parent.is_none()).count(), 1, "one root");
+    assert_eq!(trace_to_dag(&trace, 1).work(), busy + floored);
+}
+
+/// Nanoseconds covered by the union of `brackets`.
+fn union_ns(brackets: impl Iterator<Item = (u64, u64)>) -> u64 {
+    let mut brackets: Vec<_> = brackets.collect();
+    brackets.sort_unstable();
+    let (mut covered, mut reach) = (0, 0);
+    for (start, end) in brackets {
+        covered += end.saturating_sub(start.max(reach));
+        reach = reach.max(end);
+    }
+    covered
 }
 
 /// The committed golden trace: `fib(12)` recorded once on the real pool.
