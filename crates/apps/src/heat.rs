@@ -11,7 +11,7 @@
 use crate::common::pages_for;
 use crate::fork::{self, ForkJoin, Serial};
 use crate::record::Record;
-use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch};
+use nws_sim::{Dag, DagBuilder, PagePolicy, RegionId, Strand, Touch, PAGE_BYTES};
 use nws_topology::Place;
 
 /// Benchmark parameters.
@@ -213,10 +213,20 @@ struct Model {
     grids: [RegionId; 2],
     rows: u64,
     cols: u64,
-    pages_per_row: u64,
 }
 
 impl Model {
+    /// A streaming touch of rows `[r0, r1)` of `grid`: the pages their
+    /// bytes span in the row-major grid, so a row that is not a whole
+    /// number of pages shares its first and last pages with its
+    /// neighbours.
+    fn rows_touch(&self, grid: RegionId, r0: u64, r1: u64) -> Touch {
+        let row_bytes = self.cols * 8;
+        let first = r0 * row_bytes / PAGE_BYTES;
+        let end = (r1 * row_bytes).div_ceil(PAGE_BYTES);
+        Touch { region: grid, start_page: first, pages: end - first, lines_per_page: 64 }
+    }
+
     /// The strand of a leaf over rows `[r0, r1)` at step `step`: ≈ 6 cycles
     /// of arithmetic per cell, reading the rows and their halo in the
     /// step's source buffer and writing the rows in its destination.
@@ -227,20 +237,7 @@ impl Model {
         let read_hi = (r1 + 1).min(self.rows);
         Strand {
             cycles: 6 * (r1 - r0) * self.cols,
-            touches: vec![
-                Touch {
-                    region: src,
-                    start_page: read_lo * self.pages_per_row,
-                    pages: (read_hi - read_lo) * self.pages_per_row,
-                    lines_per_page: 64,
-                },
-                Touch {
-                    region: dst,
-                    start_page: r0 * self.pages_per_row,
-                    pages: (r1 - r0) * self.pages_per_row,
-                    lines_per_page: 64,
-                },
-            ],
+            touches: vec![self.rows_touch(src, read_lo, read_hi), self.rows_touch(dst, r0, r1)],
         }
     }
 }
@@ -256,8 +253,7 @@ pub fn dag(params: Params, places: usize) -> Dag {
     let mut bd = DagBuilder::new();
     let grids =
         ["cur", "next"].map(|name| bd.alloc(name, pages, PagePolicy::Chunked { chunks: places }));
-    let pages_per_row = (cols * 8).div_ceil(4096).max(1);
-    let model = Model { grids, rows, cols, pages_per_row };
+    let model = Model { grids, rows, cols };
     Record::dag(bd, model, Place(0), |f| run(f, &mut Vec::new(), &mut Vec::new(), params, places))
 }
 
@@ -402,6 +398,44 @@ mod tests {
             }
         }
         assert_eq!(leaves, [2 * 4; 4]);
+    }
+
+    #[test]
+    fn dag_simulates_when_rows_are_not_whole_pages() {
+        // A 48-column row is 384 bytes and a 600-column row 4,800: rows
+        // share pages with their neighbours, and the touches must stay
+        // inside grids sized from their bytes.
+        let topo = nws_topology::presets::paper_machine();
+        let wide = Params { rows: 64, cols: 600, steps: 2, rows_base: 8 };
+        for (p, places) in [(Params::test(), 1), (Params::test(), 4), (wide, 4)] {
+            let d = dag(p, places);
+            let touches: Vec<Touch> = (0..d.num_frames())
+                .flat_map(|f| &d.frame(nws_sim::FrameId(f)).steps)
+                .filter_map(|s| match s {
+                    nws_sim::Step::Strand(s) => Some(&s.touches),
+                    _ => None,
+                })
+                .flatten()
+                .copied()
+                .collect();
+            for (i, region) in d.regions().iter().enumerate() {
+                let ends = touches
+                    .iter()
+                    .filter(|t| t.region == RegionId(i))
+                    .map(|t| (t.start_page, t.start_page + t.pages));
+                let (lo, hi) = ends.fold((u64::MAX, 0), |(lo, hi), (a, b)| (lo.min(a), hi.max(b)));
+                assert_eq!(
+                    (lo, hi),
+                    (0, region.pages),
+                    "{p:?}: '{}' is touched whole",
+                    region.name
+                );
+            }
+            let ts = nws_sim::Simulation::serial_elision(&topo, &d);
+            let cfg = nws_sim::SimConfig::numa_ws(8 * places);
+            let r = nws_sim::Simulation::new(&topo, cfg, &d).unwrap().run();
+            assert!(ts > d.work() && r.total_work() > d.work(), "{p:?}: memory costs cycles");
+        }
     }
 
     #[test]

@@ -131,9 +131,7 @@ const GOLDEN_TRACE: &str = include_str!("../traces/golden_fib.trace");
 
 /// The committed golden trace, parsed and validated.
 pub fn golden_trace() -> Trace {
-    let trace = Trace::parse(GOLDEN_TRACE).expect("golden trace parses");
-    trace.validate().expect("golden trace is well-formed");
-    trace
+    Trace::parse(GOLDEN_TRACE).expect("golden trace parses and is well-formed")
 }
 
 /// One benchmark's `TS`, `T1` and `T_P` under one policy at one worker
@@ -217,11 +215,10 @@ impl DagId {
 /// cell is simulated once, however many tables read it:
 /// - a DAG per [`DagId`], hull's folded from one walk per data set
 ///   ([`hull::Recording`]);
-/// - `TS` per [`DagId`]: the serial elision reads only the memory model,
-///   which [`SimConfig::with_policy`] leaves at its defaults, so it
-///   depends on neither the policy, P nor the seed;
-/// - a report per (DAG, policy, P, seed). The key holds the whole
-///   [`SchedPolicy`], so every ablation knob tells two cells apart.
+/// - `TS` per [`DagId`]: the serial elision reads only the DAG;
+/// - a report per (DAG, policy, P, seed): every [`SimConfig`] input but
+///   the schedule log, which the figures never set. The key holds the
+///   whole [`SchedPolicy`], so every ablation knob tells two cells apart.
 pub struct Cells {
     topo: Topology,
     dags: HashMap<DagId, Dag>,
@@ -251,10 +248,8 @@ impl Cells {
     /// `TS` of the DAG `id` names.
     fn ts(&mut self, id: &DagId) -> u64 {
         let Cells { topo, dags, hulls, ts, .. } = self;
-        *ts.entry(id.clone()).or_insert_with(|| {
-            let cfg = SimConfig::with_policy(SchedPolicy::numa_ws(), 1);
-            Simulation::serial_elision(topo, &cfg, memo_dag(dags, hulls, id))
-        })
+        *ts.entry(id.clone())
+            .or_insert_with(|| Simulation::serial_elision(topo, memo_dag(dags, hulls, id)))
     }
 
     /// The report of the DAG `id` names under `policy` on `workers` packed
@@ -322,12 +317,10 @@ mod tests {
         Simulation::new(&machine(), cfg, dag).unwrap().run().makespan
     }
 
-    /// The uncached measurement: every quantity simulated from scratch,
-    /// `TS` under the measured policy and worker count.
+    /// The uncached measurement: every quantity simulated from scratch.
     fn fresh(bench: BenchId, policy: SchedPolicy, workers: usize) -> (u64, u64, u64) {
-        let cfg = SimConfig::with_policy(policy, workers).with_seed(FIGURE_SEED);
         let dag = bench.dag(places_for(workers));
-        let ts = Simulation::serial_elision(&machine(), &cfg, &dag);
+        let ts = Simulation::serial_elision(&machine(), &dag);
         let t1 = fresh_run(&bench.dag(1), policy, 1, FIGURE_SEED);
         (ts, t1, fresh_run(&dag, policy, workers, FIGURE_SEED))
     }
@@ -342,8 +335,6 @@ mod tests {
         let mut cells = Cells::default();
         let mut first = Vec::new();
         for (bench, p) in cases {
-            let fresh_ts: Vec<u64> = policies.iter().map(|&pol| fresh(bench, pol, p).0).collect();
-            assert_eq!(fresh_ts[0], fresh_ts[1], "{bench:?} P={p}: TS depends on the policy");
             for policy in policies {
                 let m = cells.measure(bench, policy, p);
                 let got = (m.ts, m.t1, m.tp());

@@ -1,67 +1,20 @@
-//! Simulation configuration: scheduling policy, costs, and ablation
-//! knobs.
+//! Simulation configuration: what an experiment varies.
 //!
 //! The scheduling knobs themselves (victim bias, coin flip, mailbox
 //! capacity, pushback threshold) live in the shared policy layer —
 //! [`nws_topology::SchedPolicy`] — which the real runtime's `PoolBuilder`
 //! consumes too, so `SimConfig::vanilla()`/`numa_ws()` and a real pool
 //! built from the same preset provably describe the same protocols. This
-//! module adds what only the simulator needs: the machine cost model and
-//! the memory system parameters.
+//! module adds the worker count, the seed and the schedule log. The
+//! simulated machine's costs, caches and latencies are not options: they
+//! are constants of the one machine the paper measured (DESIGN.md §2 "One
+//! simulated machine").
 
-use crate::memory::{CacheConfig, ContentionModel, LatencyModel};
-use nws_topology::{Placement, SchedPolicy};
-use serde::{Deserialize, Serialize};
+use nws_topology::SchedPolicy;
 
-/// Scheduling operation costs in cycles. Work-path costs (spawn push, pop,
-/// trivial sync) are small constants; steal-path costs are larger and, for
-/// inter-socket operations, scale with the numactl distance — the model's
-/// rendering of "incur overhead on the thief, not the worker".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SchedCosts {
-    /// Deque push at a spawn (work path).
-    pub spawn_push: u64,
-    /// Deque pop at a spawned child's return (work path).
-    pub pop: u64,
-    /// A sync that was never stolen (work path, no-op check).
-    pub sync_trivial: u64,
-    /// Promoting a stolen frame to a full frame (steal path).
-    pub promote: u64,
-    /// A steal attempt's base cost (lock + probe), plus per-distance cost.
-    pub steal_base: u64,
-    /// Extra cycles per unit of numactl distance for a steal probe.
-    pub steal_per_distance: u64,
-    /// CHECKSYNC on a stolen frame (non-trivial sync).
-    pub sync_nontrivial: u64,
-    /// Suspending a frame at an unsuccessful sync.
-    pub suspend: u64,
-    /// CHECKPARENT when returning to a stolen parent.
-    pub check_parent: u64,
-    /// One mailbox push attempt (PUSHBACK step), plus per-distance cost.
-    pub push_attempt: u64,
-    /// Taking a frame out of a mailbox (own or a victim's).
-    pub mailbox_take: u64,
-}
-
-impl Default for SchedCosts {
-    fn default() -> Self {
-        SchedCosts {
-            spawn_push: 5,
-            pop: 5,
-            sync_trivial: 1,
-            promote: 120,
-            steal_base: 40,
-            steal_per_distance: 3,
-            sync_nontrivial: 60,
-            suspend: 80,
-            check_parent: 40,
-            push_attempt: 60,
-            mailbox_take: 30,
-        }
-    }
-}
-
-/// Full configuration of one simulation run.
+/// Full configuration of one simulation run. Workers are always placed
+/// [`Packed`](nws_topology::Placement::Packed), the paper's Figure 9
+/// setting: the fewest sockets that hold them, round-robin across those.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The scheduling policy: victim bias, coin flip, mailbox capacity,
@@ -69,18 +22,8 @@ pub struct SimConfig {
     pub policy: SchedPolicy,
     /// Number of workers (P).
     pub workers: usize,
-    /// How workers map onto sockets.
-    pub placement: Placement,
     /// RNG seed (runs are deterministic given a seed).
     pub seed: u64,
-    /// Memory latencies.
-    pub latency: LatencyModel,
-    /// Cache capacities.
-    pub caches: CacheConfig,
-    /// Interconnect bandwidth contention model.
-    pub contention: ContentionModel,
-    /// Scheduling operation costs.
-    pub costs: SchedCosts,
     /// Record the run's full schedule (steal sequence and per-frame
     /// executors) into [`SimReport::schedule`](crate::SimReport) — the
     /// evidence the record/replay determinism tests compare. Off by
@@ -105,28 +48,12 @@ impl SimConfig {
     /// A simulation of `workers` packed workers under an arbitrary
     /// scheduling policy (ablation grid cells included).
     pub fn with_policy(policy: SchedPolicy, workers: usize) -> Self {
-        SimConfig {
-            policy,
-            workers,
-            placement: Placement::Packed,
-            seed: 0x5EED,
-            latency: LatencyModel::default(),
-            caches: CacheConfig::default(),
-            contention: ContentionModel::default(),
-            costs: SchedCosts::default(),
-            log_schedule: false,
-        }
+        SimConfig { policy, workers, seed: 0x5EED, log_schedule: false }
     }
 
     /// Builder-style seed override.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style placement override.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -163,17 +90,9 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let c =
-            SimConfig::numa_ws(8).with_seed(42).with_placement(Placement::Spread { sockets: 4 });
+        let c = SimConfig::numa_ws(8).with_seed(42).with_log_schedule(true);
         assert_eq!(c.seed, 42);
-        assert_eq!(c.placement, Placement::Spread { sockets: 4 });
-    }
-
-    #[test]
-    fn work_path_costs_smaller_than_steal_path() {
-        let c = SchedCosts::default();
-        assert!(c.spawn_push < c.promote);
-        assert!(c.pop < c.steal_base);
-        assert!(c.sync_trivial < c.sync_nontrivial);
+        assert!(c.log_schedule);
+        assert_eq!(c.workers, 8);
     }
 }

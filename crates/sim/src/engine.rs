@@ -32,12 +32,47 @@ use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
 use nws_topology::{
-    worker_rng_seed, Deposit, Place, ProbeCosts, StealDistribution, Topology, TopologyError,
-    WorkerMap,
+    worker_rng_seed, Deposit, Place, Placement, ProbeCosts, StealDistribution, Topology,
+    TopologyError, WorkerMap,
 };
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
+
+// The scheduling costs of the one simulated machine, in cycles (DESIGN.md
+// §2 "One simulated machine"). Work-path costs (spawn push, pop, trivial
+// sync) are small constants; steal-path costs are larger and, for
+// inter-socket operations, scale with the numactl distance — the model's
+// rendering of "incur overhead on the thief, not the worker".
+
+/// Deque push at a spawn (work path).
+const SPAWN_PUSH: u64 = 5;
+/// Deque pop at a spawned child's return (work path).
+const POP: u64 = 5;
+/// A sync that was never stolen (work path, no-op check).
+const SYNC_TRIVIAL: u64 = 1;
+/// Promoting a stolen frame to a full frame (steal path).
+const PROMOTE: u64 = 120;
+/// A steal attempt's base cost (lock + probe), plus
+/// [`STEAL_PER_DISTANCE`] per unit of distance to the victim.
+const STEAL_BASE: u64 = 40;
+/// Extra cycles per unit of numactl distance for a steal probe or a
+/// mailbox push attempt.
+const STEAL_PER_DISTANCE: u64 = 3;
+/// CHECKSYNC on a stolen frame (non-trivial sync).
+const SYNC_NONTRIVIAL: u64 = 60;
+/// Suspending a frame at an unsuccessful sync.
+const SUSPEND: u64 = 80;
+/// CHECKPARENT when returning to a stolen parent.
+const CHECK_PARENT: u64 = 40;
+/// One mailbox push attempt (PUSHBACK step), plus the distance term.
+const PUSH_ATTEMPT: u64 = 60;
+/// Taking a frame out of a mailbox (own or a victim's).
+const MAILBOX_TAKE: u64 = 30;
+
+// The work-first principle: each work-path cost is below the steal-path
+// cost it stands against.
+const _: () = assert!(SPAWN_PUSH < PROMOTE && POP < STEAL_BASE && SYNC_TRIVIAL < SYNC_NONTRIVIAL);
 
 /// A ready continuation: a frame plus the step index to resume at (the
 /// element of the engine's deques and mailboxes).
@@ -68,16 +103,11 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`TopologyError`] if the worker count or placement does
-    /// not fit the machine.
+    /// Returns a [`TopologyError`] if the worker count does not fit the
+    /// machine.
     pub fn new(topo: &'a Topology, cfg: SimConfig, dag: &'a Dag) -> Result<Self, TopologyError> {
-        let map = cfg.placement.assign(topo, cfg.workers)?;
+        let map = Placement::Packed.assign(topo, cfg.workers)?;
         Ok(Simulation { topo, dag, cfg, map })
-    }
-
-    /// The worker map chosen for this run.
-    pub fn worker_map(&self) -> &WorkerMap {
-        &self.map
     }
 
     /// Runs the simulation to completion and reports the breakdown.
@@ -89,16 +119,9 @@ impl<'a> Simulation<'a> {
     /// order on worker 0, with the memory model active but **no** parallel
     /// overhead (no deque pushes/pops, no sync checks) — exactly the
     /// paper's definition of the elision baseline.
-    pub fn serial_elision(topo: &Topology, cfg: &SimConfig, dag: &Dag) -> u64 {
-        let map = nws_topology::Placement::Packed.assign(topo, 1).expect("one worker always fits");
-        let mut mem = MemorySystem::new(
-            topo,
-            &map,
-            dag.regions_vec(),
-            cfg.latency.clone(),
-            cfg.caches,
-            cfg.contention.clone(),
-        );
+    pub fn serial_elision(topo: &Topology, dag: &Dag) -> u64 {
+        let map = Placement::Packed.assign(topo, 1).expect("one worker always fits");
+        let mut mem = MemorySystem::new(topo, &map, dag.regions_vec());
         let mut total = 0u64;
         let mut stack: Vec<Cont> = Vec::new();
         let mut cur: Cont = (dag.root().0, 0);
@@ -216,12 +239,12 @@ struct Engine<'a> {
     mailboxes: Vec<VecDeque<Cont>>,
     rngs: Vec<SmallRng>,
     dists: Vec<Option<StealDistribution>>,
-    /// Each thief's probe cost, `steal_base` plus the hop to the victim,
+    /// Each thief's probe cost, [`STEAL_BASE`] plus the hop to the victim,
     /// folded into its distribution's guide table for the idle
     /// fast-forward, which needs the cost but not the victim.
     probe_costs: Vec<Option<ProbeCosts>>,
     /// The distance term of a steal probe or push attempt from worker `a`
-    /// to worker `b`, `steal_per_distance · distance`, at `hops[a * P + b]`.
+    /// to worker `b`, `STEAL_PER_DISTANCE · distance`, at `hops[a * P + b]`.
     hops: Vec<u64>,
     /// Entries in all deques and mailboxes together: zero means every
     /// steal attempt fails.
@@ -239,14 +262,7 @@ struct Engine<'a> {
 impl<'a> Engine<'a> {
     fn new(topo: &'a Topology, dag: &'a Dag, cfg: &'a SimConfig, map: WorkerMap) -> Self {
         let p = map.num_workers();
-        let mem = MemorySystem::new(
-            topo,
-            &map,
-            dag.regions_vec(),
-            cfg.latency.clone(),
-            cfg.caches,
-            cfg.contention.clone(),
-        );
+        let mem = MemorySystem::new(topo, &map, dag.regions_vec());
         // Built by the shared policy layer — the same method the runtime's
         // registry calls, so a seeded policy selects victims identically
         // on both substrates.
@@ -254,15 +270,13 @@ impl<'a> Engine<'a> {
         let hops: Vec<u64> = (0..p * p)
             .map(|i| {
                 let d = topo.distances().distance(map.socket_of(i / p), map.socket_of(i % p));
-                cfg.costs.steal_per_distance * d as u64
+                STEAL_PER_DISTANCE * d as u64
             })
             .collect();
         let probe_costs = dists
             .iter()
             .enumerate()
-            .map(|(w, dist)| {
-                dist.as_ref().map(|d| d.probe_costs(|v| cfg.costs.steal_base + hops[w * p + v]))
-            })
+            .map(|(w, dist)| dist.as_ref().map(|d| d.probe_costs(|v| STEAL_BASE + hops[w * p + v])))
             .collect();
         let mut states = vec![WState::Steal; p];
         states[0] = WState::Exec { frame: dag.root().0, step: 0 };
@@ -407,7 +421,7 @@ impl<'a> Engine<'a> {
                 self.deques[w].push_back((frame, step + 1));
                 self.stealable += 1;
                 self.join[frame] += 1;
-                let cost = self.cfg.costs.spawn_push;
+                let cost = SPAWN_PUSH;
                 self.clocks[w] += cost;
                 self.work[w] += cost;
                 self.states[w] = WState::Exec { frame: c.0, step: 0 };
@@ -419,7 +433,7 @@ impl<'a> Engine<'a> {
     fn step_sync(&mut self, w: usize, frame: usize, step: u32) {
         if !self.stolen[frame] {
             // Never stolen: the sync is a no-op (Fig 2 l.18).
-            let cost = self.cfg.costs.sync_trivial;
+            let cost = SYNC_TRIVIAL;
             self.clocks[w] += cost;
             self.work[w] += cost;
             self.states[w] = WState::Exec { frame, step: step + 1 };
@@ -427,7 +441,7 @@ impl<'a> Engine<'a> {
         }
         // Full frame: CHECKSYNC (Fig 2 l.11 / Fig 5 l.3).
         self.counters.nontrivial_syncs += 1;
-        let cost = self.cfg.costs.sync_nontrivial;
+        let cost = SYNC_NONTRIVIAL;
         self.clocks[w] += cost;
         self.sched[w] += cost;
         if self.join[frame] == 0 {
@@ -439,7 +453,7 @@ impl<'a> Engine<'a> {
             // Outstanding children: suspend and go steal (Fig 2 l.15-17).
             self.suspended[frame] = Some(step);
             self.counters.suspensions += 1;
-            let cost = self.cfg.costs.suspend;
+            let cost = SUSPEND;
             self.clocks[w] += cost;
             self.sched[w] += cost;
             self.states[w] = WState::Steal;
@@ -461,7 +475,7 @@ impl<'a> Engine<'a> {
             // Parent not stolen: resume it (Fig 2 l.3-5). The tail entry is
             // necessarily our parent's continuation.
             debug_assert_eq!(pf, parent, "deque tail must be the parent continuation");
-            let cost = self.cfg.costs.pop;
+            let cost = POP;
             self.clocks[w] += cost;
             self.work[w] += cost;
             self.states[w] = WState::Exec { frame: pf, step: pstep };
@@ -473,7 +487,7 @@ impl<'a> Engine<'a> {
     }
 
     fn step_check_parent(&mut self, w: usize, parent: usize) {
-        let cost = self.cfg.costs.check_parent;
+        let cost = CHECK_PARENT;
         self.clocks[w] += cost;
         self.sched[w] += cost;
         if self.join[parent] == 0 {
@@ -506,7 +520,7 @@ impl<'a> Engine<'a> {
                 || rng.next_u64(),
                 |r, cont| {
                     self.counters.push_attempts += 1;
-                    let cost = self.cfg.costs.push_attempt + self.hops[w * p + r];
+                    let cost = PUSH_ATTEMPT + self.hops[w * p + r];
                     self.clocks[w] += cost;
                     self.sched[w] += cost;
                     if self.mailboxes[r].len() >= self.cfg.policy.mailbox_capacity {
@@ -532,7 +546,7 @@ impl<'a> Engine<'a> {
         // our place by construction.
         if let Some(cont) = self.mailboxes[w].pop_front() {
             self.stealable -= 1;
-            let cost = self.cfg.costs.mailbox_take;
+            let cost = MAILBOX_TAKE;
             self.clocks[w] += cost;
             self.sched[w] += cost;
             self.counters.mailbox_takes += 1;
@@ -544,7 +558,7 @@ impl<'a> Engine<'a> {
         let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
         let rng = &mut self.rngs[w];
         let (victim, try_mailbox) = self.cfg.policy.steal_target(dist, || rng.next_u64());
-        let probe_cost = self.cfg.costs.steal_base + self.hops[w * self.clocks.len() + victim];
+        let probe_cost = STEAL_BASE + self.hops[w * self.clocks.len() + victim];
         self.counters.steal_attempts += 1;
 
         if try_mailbox {
@@ -554,7 +568,7 @@ impl<'a> Engine<'a> {
                 // Earmarked for our socket: take it. Earmarked elsewhere:
                 // relay it with lazy pushing; if the episode exhausts the
                 // threshold, take it ourselves.
-                let take = self.push_home(w, cont.0).map_or(self.cfg.costs.mailbox_take, |_| 0);
+                let take = self.push_home(w, cont.0).map_or(MAILBOX_TAKE, |_| 0);
                 self.clocks[w] += probe_cost + take;
                 self.sched[w] += probe_cost + take;
                 self.resume_full(w, cont);
@@ -573,7 +587,7 @@ impl<'a> Engine<'a> {
             if self.map.socket_of(victim) != self.map.socket_of(w) {
                 self.counters.remote_steals += 1;
             }
-            let cost = probe_cost + self.cfg.costs.promote;
+            let cost = probe_cost + PROMOTE;
             self.clocks[w] += cost;
             self.sched[w] += cost;
             self.resume_full(w, cont);
@@ -658,9 +672,9 @@ mod tests {
         // lands exactly on `cycles` is the last one.
         let topo = presets::paper_machine();
         let cfg = SimConfig::vanilla(2);
-        let map = cfg.placement.assign(&topo, 2).unwrap();
+        let map = Placement::Packed.assign(&topo, 2).unwrap();
         let hops = topo.distances().distance(map.socket_of(1), map.socket_of(0)) as u64;
-        let probe = cfg.costs.steal_base + cfg.costs.steal_per_distance * hops;
+        let probe = STEAL_BASE + STEAL_PER_DISTANCE * hops;
         for (cycles, attempts) in [(100 * probe, 100), (100 * probe + 1, 101)] {
             let mut b = DagBuilder::new();
             b.frame(Place::ANY, |b| _ = b.compute(cycles));
@@ -675,14 +689,11 @@ mod tests {
     fn one_worker_equals_work_plus_spawn_overhead() {
         let dag = tree(64, 100);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::vanilla(1);
-        let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
+        let r = Simulation::new(&topo, SimConfig::vanilla(1), &dag).unwrap().run();
         // T1 = work + (push + pop) per spawn + trivial sync per sync.
         let spawns = dag.num_spawns();
         let syncs = 63; // one per internal frame
-        let expect = dag.work()
-            + spawns * (cfg.costs.spawn_push + cfg.costs.pop)
-            + syncs * cfg.costs.sync_trivial;
+        let expect = dag.work() + spawns * (SPAWN_PUSH + POP) + syncs * SYNC_TRIVIAL;
         assert_eq!(r.makespan, expect);
         assert_eq!(r.counters.nontrivial_syncs, 0, "no steals on one worker");
     }
@@ -691,8 +702,7 @@ mod tests {
     fn serial_elision_strips_overhead() {
         let dag = tree(64, 100);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::vanilla(1);
-        let ts = Simulation::serial_elision(&topo, &cfg, &dag);
+        let ts = Simulation::serial_elision(&topo, &dag);
         assert_eq!(ts, dag.work());
     }
 
@@ -872,8 +882,8 @@ mod tests {
 
     #[test]
     fn foreign_frames_push_back_only_with_mailboxes() {
-        // Spread over all four sockets so a Place(3) hint really is
-        // foreign to worker 0 (packed 8 workers would share one place).
+        // 32 packed workers use all four sockets, so a Place(3) hint really
+        // is foreign to worker 0 (8 packed workers would share one place).
         let topo = presets::paper_machine();
         let dag = {
             let mut b = DagBuilder::new();
@@ -885,9 +895,8 @@ mod tests {
         };
         let (foreign, local) = (0, 1);
         let ready = |policy: SchedPolicy, frame: usize| {
-            let cfg = SimConfig::with_policy(policy, 8)
-                .with_placement(nws_topology::Placement::Spread { sockets: 4 });
-            let map = cfg.placement.assign(&topo, cfg.workers).unwrap();
+            let cfg = SimConfig::with_policy(policy, 32);
+            let map = Placement::Packed.assign(&topo, cfg.workers).unwrap();
             let mut engine = Engine::new(&topo, &dag, &cfg, map);
             engine.resume_full(0, (frame, 0));
             (engine.states[0], engine.counters.push_deliveries)

@@ -43,12 +43,12 @@ mod memory;
 mod replay;
 mod report;
 
-pub use config::{SchedCosts, SimConfig};
+pub use config::SimConfig;
 pub use dag::{phased, tree, Dag, DagBuilder, FrameDef, FrameId, Step, Strand};
 pub use engine::Simulation;
 pub use memory::{
-    CacheConfig, ContentionModel, LatencyModel, PagePolicy, Region, RegionId, Touch,
-    LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES, STREAM_DISCOUNT_PCT,
+    PagePolicy, Region, RegionId, Touch, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES,
+    STREAM_DISCOUNT_PCT,
 };
 // The scheduling-policy layer is shared with the real runtime; re-export
 // it so simulator users keep one import path for the ablation knobs.

@@ -77,85 +77,60 @@ pub struct Region {
     pub policy: PagePolicy,
 }
 
-/// Latency model, in cycles **per cache line**, for each service class.
-///
-/// Defaults follow the paper's §I characterization of the Figure 1 machine:
-/// tens of cycles from the local LLC, over a hundred from local DRAM or a
-/// remote LLC, a few hundred from remote DRAM — scaled to per-line stream
-/// costs (hardware prefetching hides part of raw latency on the streaming
-/// access patterns the benchmarks use).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyModel {
-    /// Hit in the worker's private (L1/L2) cache.
-    pub private_hit: u64,
-    /// Hit in the local shared LLC.
-    pub llc_local: u64,
-    /// Line found in a remote LLC: base cost plus per-hop cost.
-    pub llc_remote_base: u64,
-    /// Extra cycles per QPI hop for a remote LLC probe.
-    pub llc_remote_per_hop: u64,
-    /// Local DRAM service.
-    pub dram_local: u64,
-    /// Extra cycles per QPI hop for remote DRAM.
-    pub dram_remote_per_hop: u64,
-    /// Per-page cost (TLB fill / page walk) charged when a *non-streaming*
-    /// touch misses the private cache — short scattered runs pay it, long
-    /// prefetchable streams amortize it away. This is what penalizes
-    /// row-major blocks whose rows land on distinct pages (§III-C).
-    pub page_penalty: u64,
-}
+// The memory model of the one simulated machine, the paper's four-socket
+// E5-4620 (DESIGN.md §2 "One simulated machine").
+//
+// Latencies are cycles **per cache line** for each service class. They
+// follow the paper's §I characterization of the Figure 1 machine: tens of
+// cycles from the local LLC, over a hundred from local DRAM or a remote
+// LLC, a few hundred from remote DRAM, scaled to per-line stream costs
+// (hardware prefetching hides part of raw latency on the streaming access
+// patterns the benchmarks use).
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            private_hit: 2,
-            llc_local: 12,
-            llc_remote_base: 60,
-            llc_remote_per_hop: 40,
-            dram_local: 70,
-            dram_remote_per_hop: 90,
-            page_penalty: 40,
-        }
-    }
-}
+/// Hit in the worker's private (L1/L2) cache.
+const PRIVATE_HIT: u64 = 2;
+/// Hit in the local shared LLC.
+const LLC_LOCAL: u64 = 12;
+/// Line found in a remote LLC: base cost, plus [`LLC_REMOTE_PER_HOP`] per
+/// QPI hop.
+const LLC_REMOTE_BASE: u64 = 60;
+/// Extra cycles per QPI hop for a remote LLC probe.
+const LLC_REMOTE_PER_HOP: u64 = 40;
+/// Local DRAM service.
+const DRAM_LOCAL: u64 = 70;
+/// Extra cycles per QPI hop for remote DRAM.
+const DRAM_REMOTE_PER_HOP: u64 = 90;
+/// Per-page cost (TLB fill / page walk) charged when a *non-streaming*
+/// touch misses the private cache: short scattered runs pay it, long
+/// prefetchable streams amortize it away. This is what penalizes row-major
+/// blocks whose rows land on distinct pages (§III-C).
+const PAGE_PENALTY: u64 = 40;
 
-/// Interconnect bandwidth contention: remote lines flow over per-socket
-/// QPI links of finite bandwidth, so remote traffic beyond the link
-/// capacity inflates remote costs. This is the second-order effect behind
-/// the paper's largest inflation numbers (many workers streaming remote
-/// bands saturate the links, not just the latency). Modeled per epoch:
-/// each socket's remote-line count within an epoch window sets a cost
-/// multiplier for further remote lines from that socket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContentionModel {
-    /// Epoch window in cycles.
-    pub epoch_cycles: u64,
-    /// Remote lines per epoch a socket's links absorb at full speed
-    /// (~16 GB/s QPI at 2.2 GHz ≈ 0.11 lines/cycle).
-    pub qpi_lines_per_epoch: u64,
-    /// Cost multiplier slope beyond capacity: `m = 1 + coeff * excess`.
-    pub coefficient: f64,
-    /// Upper bound on the multiplier.
-    pub max_multiplier: f64,
-}
+// Cache capacities in pages: 32 KiB L1d + 256 KiB L2 per core (~72 pages,
+// rounded to 64) and a 16 MiB LLC per socket.
 
-impl Default for ContentionModel {
-    fn default() -> Self {
-        ContentionModel {
-            epoch_cycles: 100_000,
-            qpi_lines_per_epoch: 3_000,
-            coefficient: 3.0,
-            max_multiplier: 5.0,
-        }
-    }
-}
+/// Private per-worker cache capacity in pages.
+const PRIVATE_PAGES: usize = 64;
+/// Shared per-socket LLC capacity in pages.
+const LLC_PAGES: usize = 4096;
 
-impl ContentionModel {
-    /// A model with contention disabled (multiplier always 1).
-    pub fn off() -> Self {
-        ContentionModel { coefficient: 0.0, ..Self::default() }
-    }
-}
+// Interconnect bandwidth contention: remote lines flow over per-socket QPI
+// links of finite bandwidth, so remote traffic beyond the link capacity
+// inflates remote costs. This is the second-order effect behind the
+// paper's largest inflation numbers (many workers streaming remote bands
+// saturate the links, not just the latency). Modeled per epoch: each
+// socket's remote-line count within an epoch window sets a cost multiplier
+// for further remote lines from that socket.
+
+/// Epoch window in cycles.
+const EPOCH_CYCLES: u64 = 100_000;
+/// Remote lines per epoch a socket's links absorb at full speed (~16 GB/s
+/// QPI at 2.2 GHz ≈ 0.11 lines/cycle).
+const QPI_LINES_PER_EPOCH: u64 = 3_000;
+/// Cost multiplier slope beyond capacity: `m = 1 + slope · excess`.
+const QPI_SLOPE: f64 = 3.0;
+/// Upper bound on the multiplier.
+const QPI_MAX_MULTIPLIER: f64 = 5.0;
 
 /// Fraction (percent) of the memory cost paid by *streaming* touches —
 /// whole-page, multi-page runs that the hardware prefetcher can pipeline.
@@ -163,24 +138,6 @@ impl ContentionModel {
 /// full cost; this is the §III-C mechanism that makes the blocked Z-Morton
 /// layout "traverse the matrices in a way that enables the prefetcher".
 pub const STREAM_DISCOUNT_PCT: u64 = 45;
-
-/// Capacities of the modeled caches, in pages.
-///
-/// Defaults match the paper's machine: 32 KiB L1d + 256 KiB L2 per core
-/// (~72 pages, rounded to 64) and a 16 MiB LLC per socket (4096 pages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheConfig {
-    /// Private per-worker cache capacity in pages.
-    pub private_pages: usize,
-    /// Shared per-socket LLC capacity in pages.
-    pub llc_pages: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { private_pages: 64, llc_pages: 4096 }
-    }
-}
 
 /// A FIFO page set approximating an LRU cache: `resident` has one bit per
 /// page of the run, and `order` holds the resident pages oldest first.
@@ -260,8 +217,6 @@ pub(crate) struct MemorySystem {
     llcs: Vec<FifoCache>,
     /// One private cache per worker.
     privates: Vec<FifoCache>,
-    latency: LatencyModel,
-    contention: ContentionModel,
     topo_distances: Vec<Vec<u32>>, // [socket][socket] hop-scaled distance
     worker_socket: Vec<usize>,
     /// Per-socket (epoch id, remote lines this epoch).
@@ -274,14 +229,7 @@ pub(crate) struct MemorySystem {
 impl MemorySystem {
     /// Builds the memory system for a run: resolves page homes from each
     /// region's policy given the number of places in use.
-    pub(crate) fn new(
-        topo: &Topology,
-        map: &WorkerMap,
-        regions: Vec<Region>,
-        latency: LatencyModel,
-        caches: CacheConfig,
-        contention: ContentionModel,
-    ) -> Self {
+    pub(crate) fn new(topo: &Topology, map: &WorkerMap, regions: Vec<Region>) -> Self {
         let places = map.num_places();
         let total_pages: u64 = regions.iter().map(|r| r.pages).sum();
         let mut homes = Vec::with_capacity(total_pages as usize);
@@ -311,12 +259,10 @@ impl MemorySystem {
         }
         MemorySystem {
             homes,
-            llcs: (0..n_sockets).map(|_| FifoCache::new(caches.llc_pages, total_pages)).collect(),
+            llcs: (0..n_sockets).map(|_| FifoCache::new(LLC_PAGES, total_pages)).collect(),
             privates: (0..map.num_workers())
-                .map(|_| FifoCache::new(caches.private_pages, total_pages))
+                .map(|_| FifoCache::new(PRIVATE_PAGES, total_pages))
                 .collect(),
-            latency,
-            contention,
             topo_distances: dist,
             worker_socket: (0..map.num_workers()).map(|w| map.socket_of(w).0).collect(),
             qpi_load: vec![(0, 0); n_sockets],
@@ -365,10 +311,7 @@ impl MemorySystem {
     /// (in hundredths, so 100 = no slowdown), charging `lines` to the
     /// epoch counter.
     fn qpi_multiplier(&mut self, socket: usize, lines: u64, now: u64) -> u64 {
-        if self.contention.coefficient == 0.0 {
-            return 100;
-        }
-        let epoch = now / self.contention.epoch_cycles.max(1);
+        let epoch = now / EPOCH_CYCLES;
         let (cur, load) = &mut self.qpi_load[socket];
         if epoch > *cur {
             // Decay rather than hard-reset so bursts straddling an epoch
@@ -378,9 +321,8 @@ impl MemorySystem {
             *cur = epoch;
         }
         *load += lines;
-        let ratio = *load as f64 / self.contention.qpi_lines_per_epoch.max(1) as f64;
-        let m = (1.0 + self.contention.coefficient * (ratio - 1.0).max(0.0))
-            .min(self.contention.max_multiplier);
+        let ratio = *load as f64 / QPI_LINES_PER_EPOCH as f64;
+        let m = (1.0 + QPI_SLOPE * (ratio - 1.0).max(0.0)).min(QPI_MAX_MULTIPLIER);
         (m * 100.0) as u64
     }
 
@@ -395,28 +337,28 @@ impl MemorySystem {
     ) -> u64 {
         if self.privates[worker].contains(page) {
             self.class_lines[0] += lines;
-            return lines * self.latency.private_hit;
+            return lines * PRIVATE_HIT;
         }
         let mut remote = false;
         let per_line = if self.llcs[my_socket].contains(page) {
             self.class_lines[1] += lines;
-            self.latency.llc_local
+            LLC_LOCAL
         } else if let Some(holder) = self.nearest_llc_holder(page, my_socket) {
             self.class_lines[2] += lines;
             remote = true;
             let h = self.hops(my_socket, holder);
-            self.latency.llc_remote_base + self.latency.llc_remote_per_hop * h
+            LLC_REMOTE_BASE + LLC_REMOTE_PER_HOP * h
         } else {
             // First-touch pages home on their first accessor's socket.
             let home = self.homes[page.0 as usize].get_or_insert(SocketId(my_socket)).0;
             let h = self.hops(my_socket, home);
             if h == 0 {
                 self.class_lines[3] += lines;
-                self.latency.dram_local
+                DRAM_LOCAL
             } else {
                 self.class_lines[4] += lines;
                 remote = true;
-                self.latency.dram_local + self.latency.dram_remote_per_hop * h
+                DRAM_LOCAL + DRAM_REMOTE_PER_HOP * h
             }
         };
         // The fetched page becomes resident locally.
@@ -426,7 +368,7 @@ impl MemorySystem {
         if streaming {
             cost = cost * STREAM_DISCOUNT_PCT / 100;
         } else {
-            cost += self.latency.page_penalty;
+            cost += PAGE_PENALTY;
         }
         if remote {
             cost = cost * self.qpi_multiplier(my_socket, lines, now) / 100;
@@ -452,14 +394,7 @@ mod tests {
     fn system(workers: usize, regions: Vec<Region>) -> MemorySystem {
         let topo = presets::paper_machine();
         let map = Placement::Packed.assign(&topo, workers).unwrap();
-        MemorySystem::new(
-            &topo,
-            &map,
-            regions,
-            LatencyModel::default(),
-            CacheConfig::default(),
-            ContentionModel::off(),
-        )
+        MemorySystem::new(&topo, &map, regions)
     }
 
     fn one_region(pages: u64, policy: PagePolicy) -> Vec<Region> {
@@ -596,10 +531,9 @@ mod tests {
     #[test]
     fn first_touch_is_local_for_the_toucher() {
         let mut sys = system(32, one_region(2, PagePolicy::FirstTouch));
-        let lat = LatencyModel::default();
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         // First access pays local DRAM (it homes the page right here).
-        assert_eq!(sys.access(5, &t, 0), lat.dram_local + lat.page_penalty);
+        assert_eq!(sys.access(5, &t, 0), DRAM_LOCAL + PAGE_PENALTY);
     }
 
     #[test]
@@ -620,14 +554,7 @@ mod tests {
     fn chunked_wraps_when_more_chunks_than_places() {
         let topo = presets::paper_machine();
         let map = Placement::Spread { sockets: 2 }.assign(&topo, 4).unwrap();
-        let sys = MemorySystem::new(
-            &topo,
-            &map,
-            one_region(4, PagePolicy::Chunked { chunks: 4 }),
-            LatencyModel::default(),
-            CacheConfig::default(),
-            ContentionModel::off(),
-        );
+        let sys = MemorySystem::new(&topo, &map, one_region(4, PagePolicy::Chunked { chunks: 4 }));
         let homes: Vec<usize> = (0..4).map(|p| sys.homes[p].unwrap().0).collect();
         assert_eq!(homes, vec![0, 1, 0, 1]);
     }
@@ -636,42 +563,39 @@ mod tests {
     fn local_dram_then_llc_then_private() {
         let mut sys = system(32, one_region(1, PagePolicy::Bind(0)));
         let touch = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 64 };
-        let lat = LatencyModel::default();
         // Worker 0 is on socket 0: first access from local DRAM (plus the
         // page penalty — a single page is not a prefetchable stream)...
-        assert_eq!(sys.access(0, &touch, 0), 64 * lat.dram_local + lat.page_penalty);
+        assert_eq!(sys.access(0, &touch, 0), 64 * DRAM_LOCAL + PAGE_PENALTY);
         // ...then from the private cache (no penalty on private hits)...
-        assert_eq!(sys.access(0, &touch, 0), 64 * lat.private_hit);
+        assert_eq!(sys.access(0, &touch, 0), 64 * PRIVATE_HIT);
         // ...and a different worker on the same socket hits the LLC.
         let w_same_socket = 4; // packed round-robin: worker 4 is on socket 0
-        assert_eq!(sys.access(w_same_socket, &touch, 0), 64 * lat.llc_local + lat.page_penalty);
+        assert_eq!(sys.access(w_same_socket, &touch, 0), 64 * LLC_LOCAL + PAGE_PENALTY);
     }
 
     #[test]
     fn remote_dram_costs_more_with_hops() {
         let mut sys = system(32, one_region(2, PagePolicy::Bind(0)));
-        let lat = LatencyModel::default();
         // Worker 1 is on socket 1 (one hop), worker 2 on socket 2 (two hops
         // on the index ring).
         let t0 = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         let one_hop = sys.access(1, &t0, 0);
         let t1 = Touch { region: RegionId(0), start_page: 1, pages: 1, lines_per_page: 1 };
         let two_hop = sys.access(2, &t1, 0);
-        assert_eq!(one_hop, lat.dram_local + lat.dram_remote_per_hop + lat.page_penalty);
-        assert_eq!(two_hop, lat.dram_local + 2 * lat.dram_remote_per_hop + lat.page_penalty);
+        assert_eq!(one_hop, DRAM_LOCAL + DRAM_REMOTE_PER_HOP + PAGE_PENALTY);
+        assert_eq!(two_hop, DRAM_LOCAL + 2 * DRAM_REMOTE_PER_HOP + PAGE_PENALTY);
     }
 
     #[test]
     fn remote_llc_probe_cheaper_than_remote_dram() {
         let mut sys = system(32, one_region(1, PagePolicy::Bind(2)));
-        let lat = LatencyModel::default();
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         // Socket-2 worker faults it into socket 2's LLC from local DRAM.
-        assert_eq!(sys.access(2, &t, 0), lat.dram_local + lat.page_penalty);
+        assert_eq!(sys.access(2, &t, 0), DRAM_LOCAL + PAGE_PENALTY);
         // A socket-0 worker now finds it in socket 2's (remote) LLC, 2 hops.
         let remote_llc = sys.access(0, &t, 0);
-        assert_eq!(remote_llc, lat.llc_remote_base + 2 * lat.llc_remote_per_hop + lat.page_penalty);
-        assert!(remote_llc < lat.dram_local + 2 * lat.dram_remote_per_hop + lat.page_penalty);
+        assert_eq!(remote_llc, LLC_REMOTE_BASE + 2 * LLC_REMOTE_PER_HOP + PAGE_PENALTY);
+        assert!(remote_llc < DRAM_LOCAL + 2 * DRAM_REMOTE_PER_HOP + PAGE_PENALTY);
     }
 
     #[test]
@@ -688,170 +612,111 @@ mod contention_tests {
     use super::*;
     use nws_topology::{presets, Placement};
 
-    fn system_with(contention: ContentionModel) -> MemorySystem {
+    /// Pages of the region bound to socket 0; the socket-1 region follows.
+    const NEAR_PAGES: u64 = 40_000;
+
+    /// 32 packed workers over a large socket-0 region `a` and a small
+    /// socket-1 region `b`. Each touch below reads a page no worker has
+    /// read before, so no cache holds it and DRAM serves it.
+    fn system() -> MemorySystem {
         let topo = presets::paper_machine();
         let map = Placement::Packed.assign(&topo, 32).unwrap();
+        let region = |name: &str, first_page, pages, socket| Region {
+            name: name.into(),
+            first_page,
+            pages,
+            policy: PagePolicy::Bind(socket),
+        };
         MemorySystem::new(
             &topo,
             &map,
-            vec![Region {
-                name: "a".into(),
-                first_page: 0,
-                pages: 40_000,
-                policy: PagePolicy::Bind(0),
-            }],
-            LatencyModel::default(),
-            // Tiny caches so every access goes to DRAM.
-            CacheConfig { private_pages: 0, llc_pages: 0 },
-            contention,
+            vec![region("a", 0, NEAR_PAGES, 0), region("b", NEAR_PAGES, 1_000, 1)],
         )
     }
 
+    /// One full page of region `region`, not streamed.
+    fn page(region: usize, page: u64) -> Touch {
+        Touch { region: RegionId(region), start_page: page, pages: 1, lines_per_page: 64 }
+    }
+
+    /// Worker 1 (socket 1) reads `pages` fresh socket-0 pages from `first`
+    /// at `now`: `64 · pages` remote lines over its link.
+    fn flood(sys: &mut MemorySystem, first: u64, pages: u64, now: u64) {
+        for p in first..first + pages {
+            sys.access(1, &page(0, p), now);
+        }
+    }
+
+    /// One fresh full page of remote DRAM one hop away, at full speed.
+    const ONE_HOP_PAGE: u64 = 64 * (DRAM_LOCAL + DRAM_REMOTE_PER_HOP) + PAGE_PENALTY;
+
     #[test]
     fn remote_cost_grows_under_saturation() {
-        let mut sys = system_with(ContentionModel {
-            epoch_cycles: 1_000_000,
-            qpi_lines_per_epoch: 1_000,
-            coefficient: 2.0,
-            max_multiplier: 5.0,
-        });
-        // Worker 1 (socket 1) hammers socket-0 pages: remote, 1 hop.
-        let early = sys.access(
-            1,
-            &Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 64 },
-            0,
-        );
-        // Push the epoch counter far past capacity.
-        for i in 1..200u64 {
-            sys.access(
-                1,
-                &Touch { region: RegionId(0), start_page: i, pages: 1, lines_per_page: 64 },
-                0,
-            );
-        }
-        let late = sys.access(
-            1,
-            &Touch { region: RegionId(0), start_page: 300, pages: 1, lines_per_page: 64 },
-            0,
-        );
+        // Worker 1 (socket 1) reads socket-0 pages: remote, 1 hop.
+        let mut sys = system();
+        let early = sys.access(1, &page(0, 0), 0);
+        assert_eq!(early, ONE_HOP_PAGE, "an idle link runs at full speed");
+        // Well past the link's lines per epoch.
+        let pages = 4 * QPI_LINES_PER_EPOCH / 64;
+        flood(&mut sys, 1, pages, 0);
+        let late = sys.access(1, &page(0, pages + 1), 0);
         assert!(late > early, "saturated link must cost more: {late} vs {early}");
-        assert!(late <= early * 6, "multiplier must be capped");
+        assert_eq!(late, early * QPI_MAX_MULTIPLIER as u64, "multiplier must be capped");
     }
 
     #[test]
     fn local_accesses_never_pay_contention() {
-        let mut sys = system_with(ContentionModel {
-            epoch_cycles: 1_000_000,
-            qpi_lines_per_epoch: 10,
-            coefficient: 4.0,
-            max_multiplier: 5.0,
-        });
-        // Worker 0 (socket 0) reads socket-0 pages: local DRAM, 1 page at a
-        // time (not streaming).
-        let a = sys.access(
-            0,
-            &Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 64 },
-            0,
-        );
-        let b = sys.access(
-            0,
-            &Touch { region: RegionId(0), start_page: 5_000, pages: 1, lines_per_page: 64 },
-            0,
-        );
+        // Worker 1 (socket 1) reads socket-1 pages: local DRAM, 1 page at
+        // a time (not streaming), before and after saturating its link.
+        let mut sys = system();
+        let a = sys.access(1, &page(1, 0), 0);
+        flood(&mut sys, 0, 4 * QPI_LINES_PER_EPOCH / 64, 0);
+        let saturated = sys.access(1, &page(0, NEAR_PAGES - 1), 0);
+        assert!(saturated > ONE_HOP_PAGE, "the link is saturated");
+        let b = sys.access(1, &page(1, 1), 0);
         assert_eq!(a, b, "local DRAM cost must not inflate");
+        assert_eq!(a, 64 * DRAM_LOCAL + PAGE_PENALTY);
     }
 
     #[test]
     fn epoch_rollover_decays_load() {
-        let c = ContentionModel {
-            epoch_cycles: 1_000,
-            qpi_lines_per_epoch: 100,
-            coefficient: 2.0,
-            max_multiplier: 5.0,
-        };
-        let mut sys = system_with(c);
         // Saturate in epoch 0.
-        for i in 0..20u64 {
-            sys.access(
-                1,
-                &Touch { region: RegionId(0), start_page: i, pages: 1, lines_per_page: 64 },
-                0,
-            );
-        }
-        let saturated = sys.access(
-            1,
-            &Touch { region: RegionId(0), start_page: 30, pages: 1, lines_per_page: 64 },
-            0,
-        );
-        // Far future epoch: load decayed to zero.
-        let relaxed = sys.access(
-            1,
-            &Touch { region: RegionId(0), start_page: 31, pages: 1, lines_per_page: 64 },
-            1_000_000_000,
-        );
-        assert!(relaxed < saturated, "load must decay across epochs");
+        let mut sys = system();
+        let pages = 4 * QPI_LINES_PER_EPOCH / 64;
+        flood(&mut sys, 0, pages, 0);
+        let saturated = sys.access(1, &page(0, pages), 0);
+        // One epoch later the load has halved; far in the future it is 0.
+        let halved = sys.access(1, &page(0, pages + 1), EPOCH_CYCLES);
+        let relaxed = sys.access(1, &page(0, pages + 2), 1_000 * EPOCH_CYCLES);
+        assert!(relaxed < halved && halved < saturated, "load must decay across epochs");
+        assert_eq!(relaxed, ONE_HOP_PAGE);
     }
 
     #[test]
     fn streaming_touch_discounted() {
-        let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 4).unwrap();
-        let mk = || {
-            MemorySystem::new(
-                &topo,
-                &map,
-                vec![Region {
-                    name: "a".into(),
-                    first_page: 0,
-                    pages: 64,
-                    policy: PagePolicy::Bind(0),
-                }],
-                LatencyModel::default(),
-                CacheConfig { private_pages: 0, llc_pages: 0 },
-                ContentionModel::off(),
-            )
-        };
         // 8 full pages in one streaming run vs the same pages one by one.
-        let mut sys = mk();
+        let mut sys = system();
         let streamed = sys.access(
             0,
             &Touch { region: RegionId(0), start_page: 0, pages: 8, lines_per_page: 64 },
             0,
         );
-        let mut sys = mk();
-        let mut scattered = 0;
-        for i in 0..8u64 {
-            scattered += sys.access(
-                0,
-                &Touch { region: RegionId(0), start_page: i, pages: 1, lines_per_page: 64 },
-                0,
-            );
-        }
-        let lat = LatencyModel::default();
-        assert_eq!(streamed, 8 * 64 * lat.dram_local * STREAM_DISCOUNT_PCT / 100);
-        assert_eq!(scattered, 8 * (64 * lat.dram_local + lat.page_penalty));
+        let mut sys = system();
+        let scattered: u64 = (0..8).map(|i| sys.access(0, &page(0, i), 0)).sum();
+        assert_eq!(streamed, 8 * 64 * DRAM_LOCAL * STREAM_DISCOUNT_PCT / 100);
+        assert_eq!(scattered, 8 * (64 * DRAM_LOCAL + PAGE_PENALTY));
         assert!(streamed < scattered);
     }
 
     #[test]
     fn partial_line_touches_not_discounted() {
-        let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 4).unwrap();
-        let mut sys = MemorySystem::new(
-            &topo,
-            &map,
-            vec![Region { name: "a".into(), first_page: 0, pages: 8, policy: PagePolicy::Bind(0) }],
-            LatencyModel::default(),
-            CacheConfig { private_pages: 0, llc_pages: 0 },
-            ContentionModel::off(),
-        );
         // Multi-page but sparse (4 lines/page): no prefetch credit.
+        let mut sys = system();
         let c = sys.access(
             0,
             &Touch { region: RegionId(0), start_page: 0, pages: 4, lines_per_page: 4 },
             0,
         );
-        let lat = LatencyModel::default();
-        assert_eq!(c, 4 * (4 * lat.dram_local + lat.page_penalty));
+        assert_eq!(c, 4 * (4 * DRAM_LOCAL + PAGE_PENALTY));
     }
 }

@@ -2,7 +2,7 @@
 //! scheduling-theory sanity (span ≤ makespan, work/P lower bound), and
 //! determinism.
 
-use nws_sim::{DagBuilder, SimConfig, Simulation};
+use nws_sim::{Dag, DagBuilder, FrameId, SimConfig, Simulation, Step};
 use nws_topology::{presets, Place};
 use proptest::prelude::*;
 
@@ -24,7 +24,25 @@ fn recipe() -> impl Strategy<Value = Recipe> {
         .prop_map(|(fanouts, leaf_cycles, places)| Recipe { fanouts, leaf_cycles, places })
 }
 
-fn build(recipe: &Recipe) -> nws_sim::Dag {
+/// The simulated machine's work-path costs in cycles: a spawn's deque push
+/// plus the pop at its child's return, and a sync that was never stolen.
+const SPAWN_PUSH_AND_POP: u64 = 10;
+const SYNC_TRIVIAL: u64 = 1;
+
+/// `TS` plus the work-path costs of every spawn and sync: what one worker
+/// takes, since it never steals.
+fn serial_plus_work_path(dag: &Dag) -> u64 {
+    let topo = presets::paper_machine();
+    let syncs = (0..dag.num_frames())
+        .flat_map(|f| &dag.frame(FrameId(f)).steps)
+        .filter(|s| matches!(s, Step::Sync))
+        .count() as u64;
+    Simulation::serial_elision(&topo, dag)
+        + dag.num_spawns() * SPAWN_PUSH_AND_POP
+        + syncs * SYNC_TRIVIAL
+}
+
+fn build(recipe: &Recipe) -> Dag {
     fn rec(b: &mut DagBuilder, recipe: &Recipe, depth: usize, idx: &mut usize) {
         let place = match recipe.places[*idx % recipe.places.len()] {
             4 => Place::ANY,
@@ -103,15 +121,14 @@ proptest! {
 
     #[test]
     fn one_worker_run_matches_serial_plus_overhead(r in recipe()) {
+        // The engine and the serial elision charge the same memory model,
+        // so one worker adds exactly the work-path costs to `TS`.
         let dag = build(&r);
         let topo = presets::paper_machine();
-        let cfg = SimConfig::vanilla(1);
-        let ts = Simulation::serial_elision(&topo, &cfg, &dag);
-        let t1 = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
-        prop_assert!(t1 >= ts, "T1 {t1} must include TS {ts}");
-        // Overhead per spawn is bounded (push+pop+syncs are constants).
-        let spawns = dag.num_spawns();
-        prop_assert!(t1 - ts <= 100 * (spawns + 10),
-            "overhead {} too large for {} spawns", t1 - ts, spawns);
+        let want = serial_plus_work_path(&dag);
+        for cfg in [SimConfig::vanilla(1), SimConfig::numa_ws(1)] {
+            let t1 = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
+            prop_assert_eq!(t1, want);
+        }
     }
 }

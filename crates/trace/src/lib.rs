@@ -294,19 +294,18 @@ impl Trace {
             if started[i] != ended[i] {
                 return err(format!("task {} has an unpaired start/end", t.id));
             }
-            if t.end_ns < t.start_ns {
-                return err(format!("task {} ends before it starts", t.id));
-            }
         }
         let trace = Trace { meta, tasks };
         trace.validate()?;
         Ok(trace)
     }
 
-    /// Structural validation shared by [`from_events`](Trace::from_events)
-    /// and [`parse`](Trace::parse): ids unique and ascending, parents
-    /// spawned earlier (smaller id) — the invariants the replay loader's
-    /// parent lookup and spawn-tree walk lean on.
+    /// Validation shared by [`from_events`](Trace::from_events) and
+    /// [`parse`](Trace::parse): ids unique and ascending, parents spawned
+    /// earlier (smaller id) — the invariants the replay loader's parent
+    /// lookup and spawn-tree walk lean on — and every bracket well formed:
+    /// a started task ends no earlier than it starts, and an unstarted one
+    /// has the empty bracket `0..0`.
     pub fn validate(&self) -> Result<(), TraceError> {
         for w in self.tasks.windows(2) {
             if w[0].id >= w[1].id {
@@ -314,6 +313,12 @@ impl Trace {
             }
         }
         for t in &self.tasks {
+            if t.end_ns < t.start_ns {
+                return err(format!("task {} ends before it starts", t.id));
+            }
+            if t.worker.is_none() && (t.start_ns, t.end_ns) != (0, 0) {
+                return err(format!("unstarted task {} has a bracket", t.id));
+            }
             if let Some(p) = t.parent {
                 if p >= t.id {
                     return err(format!("task {} has parent {p} with a later id", t.id));
@@ -413,7 +418,8 @@ impl Trace {
         else {
             return err("meta line missing workers/places/seed/tasks");
         };
-        let mut tasks = Vec::with_capacity(count);
+        // The declared count is checked, not trusted to size an allocation.
+        let mut tasks = Vec::new();
         for line in lines {
             let line = line.trim();
             if line.is_empty() {
@@ -573,6 +579,34 @@ mod tests {
             "nws-trace v1\nmeta workers=1 places=1 seed=0 tasks=1 label=x\ntask id=1 parent=9 place=- worker=- start=0 end=0\n"
         )
         .is_err(), "unknown parent");
+    }
+
+    /// A one-task trace in the text format with the given task fields.
+    fn one_task(fields: &str) -> String {
+        format!("nws-trace v1\nmeta workers=1 places=1 seed=0 tasks=1 label=x\ntask id=1 parent=- place=- {fields}\n")
+    }
+
+    #[test]
+    fn parse_rejects_a_reversed_bracket() {
+        let e = Trace::parse(&one_task("worker=0 start=10 end=5")).unwrap_err();
+        assert!(e.to_string().contains("ends before it starts"), "{e}");
+        assert!(Trace::parse(&one_task("worker=0 start=5 end=10")).is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_a_bracket_on_an_unstarted_task() {
+        let e = Trace::parse(&one_task("worker=- start=10 end=50")).unwrap_err();
+        assert!(e.to_string().contains("unstarted task 1 has a bracket"), "{e}");
+        let t = Trace::parse(&one_task("worker=- start=0 end=0")).unwrap();
+        assert_eq!((t.num_started(), t.total_ns()), (0, 0));
+    }
+
+    #[test]
+    fn parse_does_not_allocate_from_the_declared_count() {
+        let huge =
+            "nws-trace v1\nmeta workers=1 places=1 seed=0 tasks=1152921504606846976 label=x\n";
+        let e = Trace::parse(huge).unwrap_err();
+        assert!(e.to_string().contains("declares 1152921504606846976 tasks, found 0"), "{e}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! the reproduction exists to check. Full-scale (paper-sized) runs live in
 //! the figure binary: `cargo run --release -p nws_bench --bin reproduce`.
 
-use numa_ws_repro::apps::{cg, cilksort, heat, hull, matmul};
-use numa_ws_repro::sim::{SchedPolicy, SimConfig, Simulation};
+use numa_ws_repro::apps::{cg, cilksort, heat, hull, matmul, strassen};
+use numa_ws_repro::sim::{Dag, FrameId, SchedPolicy, SimConfig, Simulation, Step};
 use numa_ws_repro::topology::presets;
 
 fn inflation(dag: &nws_sim::Dag, dag1: &nws_sim::Dag, policy: SchedPolicy) -> f64 {
@@ -96,14 +96,45 @@ fn work_efficiency_t1_over_ts_near_one() {
     let topo = presets::paper_machine();
     let p = cilksort::Params { n: 1 << 17, sort_base: 1 << 11, merge_base: 1 << 11 };
     let dag = cilksort::dag(p, 1);
-    for cfg in [SimConfig::vanilla(1), SimConfig::numa_ws(1)] {
-        let ts = Simulation::serial_elision(&topo, &cfg, &dag);
-        let t1 = Simulation::new(&topo, cfg, &dag).unwrap().run().makespan;
-        let overhead = t1 as f64 / ts as f64;
-        assert!(
-            (1.0..1.10).contains(&overhead),
-            "spawn overhead must stay under 10%: {overhead:.3}"
-        );
+    let ts = Simulation::serial_elision(&topo, &dag);
+    let t1 = Simulation::new(&topo, SimConfig::numa_ws(1), &dag).unwrap().run().makespan;
+    let overhead = t1 as f64 / ts as f64;
+    assert!((1.0..1.10).contains(&overhead), "spawn overhead must stay under 10%: {overhead:.3}");
+}
+
+/// The simulated machine's work-path costs in cycles: a spawn's deque push
+/// plus the pop at its child's return, and a sync that was never stolen.
+const SPAWN_PUSH_AND_POP: u64 = 10;
+const SYNC_TRIVIAL: u64 = 1;
+
+#[test]
+fn one_worker_adds_exactly_the_work_path_costs_to_ts() {
+    // One worker never steals, and it charges the same memory model as
+    // the serial elision, so `T1 = TS + spawns · (push + pop) + syncs ·
+    // trivial sync` holds exactly, hinted DAGs included.
+    let topo = presets::paper_machine();
+    let dags: [(&str, Dag); 8] = [
+        ("cilksort", cilksort::dag(cilksort::Params::sim(), 1)),
+        ("cilksort, 4 places", cilksort::dag(cilksort::Params::sim(), 4)),
+        ("cg", cg::dag(cg::Params::sim(), 4)),
+        ("hull1", hull::dag(hull::Params::sim(), 4, hull::Dataset::InDisk)),
+        ("matmul-z", matmul::dag(matmul::Params::sim(), matmul::Layout::BlockedZ)),
+        ("strassen", strassen::dag(strassen::Params::sim(), matmul::Layout::RowMajor)),
+        ("heat", heat::dag(heat::Params::sim(), 4)),
+        ("heat, test shape", heat::dag(heat::Params::test(), 4)),
+    ];
+    for (name, dag) in &dags {
+        let syncs = (0..dag.num_frames())
+            .flat_map(|f| &dag.frame(FrameId(f)).steps)
+            .filter(|s| matches!(s, Step::Sync))
+            .count() as u64;
+        let want = Simulation::serial_elision(&topo, dag)
+            + dag.num_spawns() * SPAWN_PUSH_AND_POP
+            + syncs * SYNC_TRIVIAL;
+        for cfg in [SimConfig::vanilla(1), SimConfig::numa_ws(1)] {
+            let t1 = Simulation::new(&topo, cfg, dag).unwrap().run().makespan;
+            assert_eq!(t1, want, "{name}");
+        }
     }
 }
 
@@ -112,9 +143,8 @@ fn layout_transformation_helps_serial_time() {
     // Paper Fig 7: matmul-z TS = 73.6s vs matmul TS = 190.9s.
     let topo = presets::paper_machine();
     let p = matmul::Params { n: 256, block: 32 };
-    let cfg = SimConfig::vanilla(1);
-    let ts_rm = Simulation::serial_elision(&topo, &cfg, &matmul::dag(p, matmul::Layout::RowMajor));
-    let ts_bz = Simulation::serial_elision(&topo, &cfg, &matmul::dag(p, matmul::Layout::BlockedZ));
+    let ts_rm = Simulation::serial_elision(&topo, &matmul::dag(p, matmul::Layout::RowMajor));
+    let ts_bz = Simulation::serial_elision(&topo, &matmul::dag(p, matmul::Layout::BlockedZ));
     assert!(ts_bz < ts_rm, "blocked Z-Morton must beat row-major serially: {ts_bz} vs {ts_rm}");
 }
 
