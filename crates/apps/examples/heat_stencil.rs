@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run --release --example heat_stencil`
 
-use numa_ws_repro::apps::heat;
-use numa_ws_repro::runtime::{Pool, SchedPolicy};
+use numa_ws::{Pool, SchedPolicy};
+use nws_apps::heat;
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
         let t0 = Instant::now();
         pool.install(|| heat::run_parallel(&mut grid, &mut scratch, params, places));
         let elapsed = t0.elapsed();
-        let diff = numa_ws_repro::apps::common::max_abs_diff(&reference, &grid);
+        let diff = nws_apps::common::max_abs_diff(&reference, &grid);
         assert!(diff < 1e-12, "parallel grid diverged: {diff}");
         let stats = pool.stats();
         let remote_share = stats.total_remote_steals() as f64 / stats.total_steals().max(1) as f64;

@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release --example matmul_layout`
 
-use numa_ws_repro::apps::matmul;
-use numa_ws_repro::layout::{zmorton, BlockedZ, Matrix};
-use numa_ws_repro::runtime::Pool;
+use numa_ws::Pool;
+use nws_apps::matmul;
+use nws_layout::{zmorton, BlockedZ, Matrix};
 use std::time::Instant;
 
 fn main() {

@@ -4,8 +4,8 @@
 //!
 //! Run: `cargo run --release --example mergesort_places`
 
-use numa_ws_repro::apps::{cilksort, common};
-use numa_ws_repro::runtime::{Pool, SchedPolicy};
+use numa_ws::{Pool, SchedPolicy};
+use nws_apps::{cilksort, common};
 use std::time::Instant;
 
 fn main() {

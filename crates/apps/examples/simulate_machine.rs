@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release --example simulate_machine`
 
-use numa_ws_repro::apps::heat;
-use numa_ws_repro::sim::{SimConfig, Simulation};
-use numa_ws_repro::topology::{presets, Placement, StealDistribution};
+use nws_apps::heat;
+use nws_sim::{SimConfig, Simulation};
+use nws_topology::{presets, Placement, StealDistribution};
 
 fn main() {
     let topo = presets::paper_machine();
@@ -32,7 +32,7 @@ fn main() {
             "  {name:>8}: makespan {:>6.1} Mcycles, inflation {:.2}x, steals {} \
              ({} remote), pushes {}",
             r.makespan as f64 / 1e6,
-            r.total_work() as f64 / t1 as f64,
+            r.work_inflation(t1),
             r.counters.steals,
             r.counters.remote_steals,
             r.counters.push_deliveries,

@@ -2,8 +2,8 @@
 //! bound `T_P ≤ c1·T1/P + c2·T∞` and the steal bound `O(P·T∞)`, for both
 //! schedulers, across worker counts.
 
-use numa_ws_repro::sim::{tree, SimConfig, Simulation};
-use numa_ws_repro::topology::presets;
+use nws_sim::{tree, SimConfig, Simulation};
+use nws_topology::presets;
 
 #[test]
 fn greedy_bound_holds_for_both_schedulers() {
@@ -47,8 +47,8 @@ fn steal_attempts_scale_with_p_times_span() {
 fn pushes_amortize_against_steals() {
     // §IV: only a constant number of pushes per successful steal.
     let topo = presets::paper_machine();
-    let p = numa_ws_repro::apps::heat::Params { rows: 1024, cols: 1024, steps: 4, rows_base: 8 };
-    let dag = numa_ws_repro::apps::heat::dag(p, 4);
+    let p = nws_apps::heat::Params { rows: 1024, cols: 1024, steps: 4, rows_base: 8 };
+    let dag = nws_apps::heat::dag(p, 4);
     let r = Simulation::new(&topo, SimConfig::numa_ws(32), &dag).unwrap().run();
     assert!(r.counters.steals > 0);
     let per_steal = r.counters.push_attempts as f64 / r.counters.steals as f64;

@@ -12,16 +12,16 @@
 //! the reproduction exists to check. Full-scale (paper-sized) runs live in
 //! the figure binary: `cargo run --release -p nws_bench --bin reproduce`.
 
-use numa_ws_repro::apps::{cg, cilksort, heat, hull, matmul, strassen};
-use numa_ws_repro::sim::{Dag, FrameId, SchedPolicy, SimConfig, Simulation, Step};
-use numa_ws_repro::topology::presets;
+use nws_apps::{cg, cilksort, heat, hull, matmul, strassen};
+use nws_sim::{Dag, FrameId, SchedPolicy, SimConfig, Simulation, Step};
+use nws_topology::presets;
 
-fn inflation(dag: &nws_sim::Dag, dag1: &nws_sim::Dag, policy: SchedPolicy) -> f64 {
+fn inflation(dag: &Dag, dag1: &Dag, policy: SchedPolicy) -> f64 {
     let topo = presets::paper_machine();
     let t1 =
         Simulation::new(&topo, SimConfig::with_policy(policy, 1), dag1).unwrap().run().makespan;
     let r = Simulation::new(&topo, SimConfig::with_policy(policy, 32), dag).unwrap().run();
-    r.total_work() as f64 / t1 as f64
+    r.work_inflation(t1)
 }
 
 #[test]

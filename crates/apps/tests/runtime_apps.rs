@@ -2,9 +2,9 @@
 //! threaded runtime in every scheduler mode and agrees with its serial
 //! elision / oracle.
 
-use numa_ws_repro::apps::{cg, cilksort, common, heat, hull, matmul, strassen};
-use numa_ws_repro::layout::{BlockedZ, Matrix};
-use numa_ws_repro::runtime::{Pool, SchedPolicy};
+use numa_ws::{Pool, SchedPolicy};
+use nws_apps::{cg, cilksort, common, heat, hull, matmul, strassen};
+use nws_layout::{BlockedZ, Matrix};
 
 fn pools() -> Vec<Pool> {
     [SchedPolicy::vanilla(), SchedPolicy::numa_ws()]

@@ -281,7 +281,7 @@ fn t1(cells: &mut Cells, dag: DagId, policy: SchedPolicy) -> u64 {
 /// `W32/T1`.
 fn t32_inflation(cells: &mut Cells, dag: DagId, policy: SchedPolicy, t1: u64) -> (u64, String) {
     let r = cells.run(dag, policy, 32, ABLATION_SEED);
-    (r.makespan / 1000, format!("{:.2}x", r.total_work() as f64 / t1 as f64))
+    (r.makespan / 1000, format!("{:.2}x", r.work_inflation(t1)))
 }
 
 /// NUMA-WS with one knob changed by `ablate`.

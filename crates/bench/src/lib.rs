@@ -164,7 +164,7 @@ impl Measurement {
 
     /// Work inflation `W_P/T1`.
     pub fn inflation(&self) -> f64 {
-        self.report.total_work() as f64 / self.t1 as f64
+        self.report.work_inflation(self.t1)
     }
 }
 

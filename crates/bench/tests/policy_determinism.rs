@@ -11,7 +11,7 @@
 //! decisions from `SchedPolicy::steal_target`, on both substrates — plus
 //! golden fixtures so the sequences themselves cannot drift silently.
 
-use numa_ws_repro::topology::{presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64};
+use nws_topology::{presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -163,15 +163,15 @@ fn biased_fixture_prefers_local_socket() {
 // Record → replay: the golden determinism loop
 // ---------------------------------------------------------------------------
 
-use numa_ws_repro::runtime::Pool;
-use numa_ws_repro::sim::{trace_to_dag, ScheduleLog, SimConfig, Simulation, DEFAULT_NS_PER_CYCLE};
-use numa_ws_repro::trace::Trace;
+use numa_ws::Pool;
+use nws_sim::{trace_to_dag, ScheduleLog, SimConfig, Simulation, DEFAULT_NS_PER_CYCLE};
+use nws_trace::Trace;
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
         return n;
     }
-    let (a, b) = numa_ws_repro::runtime::join(|| fib(n - 1), || fib(n - 2));
+    let (a, b) = numa_ws::join(|| fib(n - 1), || fib(n - 2));
     a + b
 }
 
@@ -213,7 +213,7 @@ fn recorded_fib_replays_with_identical_victims_and_placements() {
 
 #[test]
 fn recorded_cilksort_replays_with_identical_victims_and_placements() {
-    use numa_ws_repro::apps::{cilksort, common};
+    use nws_apps::{cilksort, common};
     let params = cilksort::Params::test();
     let mut keys = common::random_keys(4096, SEED);
     let mut tmp = vec![0u64; keys.len()];
@@ -267,7 +267,7 @@ fn union_ns(brackets: impl Iterator<Item = (u64, u64)>) -> u64 {
 }
 
 /// The committed golden trace: `fib(12)` recorded once on the real pool.
-const GOLDEN_TRACE: &str = include_str!("../crates/bench/traces/golden_fib.trace");
+const GOLDEN_TRACE: &str = include_str!("../traces/golden_fib.trace");
 
 #[test]
 fn golden_trace_replay_outcomes_are_pinned() {
@@ -313,7 +313,7 @@ fn app_dag_outcomes_at_p32_are_pinned() {
     // engine orders or batches those turns shows up here first, in
     // `steal_attempts`, before any makespan moves. The heat and cilksort
     // sizes are those of the repo benchmark's `sim_replay` cells.
-    use numa_ws_repro::apps::{cilksort, gcmark, heat};
+    use nws_apps::{cilksort, gcmark, heat};
     let topo = presets::paper_machine();
     let places = topo.num_sockets();
     let dags = [
@@ -375,8 +375,8 @@ fn heat_outcomes_at_p32_are_pinned_for_every_coin_rule() {
     // A fair coin draws two values per attempt, the other rules one; the
     // idle fast-forward must advance every thief's stream by that count,
     // or `steal_attempts` moves first.
-    use numa_ws_repro::apps::heat;
-    use numa_ws_repro::topology::CoinFlip;
+    use nws_apps::heat;
+    use nws_topology::CoinFlip;
     let topo = presets::paper_machine();
     let dag = heat::dag(
         heat::Params { rows: 512, cols: 1024, steps: 2, rows_base: 8 },

@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use numa_ws_repro::runtime::{join, join_at, Place, Pool, SchedPolicy};
+use numa_ws::{join, join_at, Place, Pool, SchedPolicy};
 
 /// Recursive parallel sum with the stealable half hinted at place 1.
 fn sum(xs: &[u64]) -> u64 {

@@ -233,13 +233,10 @@ where
         // completion) then sees every counter this job's execution bumped —
         // the exactness half of the deferred-flush protocol (stats module
         // docs). Steal path: the owner's un-stolen jobs never come here.
-        // The trace End obeys the same rule: a caller that observes the
-        // latch and drains the trace must find this bracket closed. The
-        // same worker's pool wakes the joiner.
+        // The same worker's pool wakes the joiner.
         match crate::registry::WorkerThread::current() {
             Some(worker) => {
                 worker.flush_counters();
-                worker.trace_close();
                 this.latch.set(Some(&worker.registry.sleep));
             }
             None => this.latch.set(None),
@@ -322,7 +319,6 @@ where
         // job (e.g. a channel send it performed) is.
         if let Some(worker) = crate::registry::WorkerThread::current() {
             worker.flush_counters();
-            worker.trace_close();
         }
     }
 }

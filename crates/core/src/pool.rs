@@ -4,7 +4,7 @@
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
-use crate::registry::{worker_main, Inject, Registry, RegistryOptions, WorkerThread};
+use crate::registry::{worker_main, Inject, Registry, WorkerThread};
 use crate::stats::PoolStats;
 use nws_topology::{Place, Placement, SchedPolicy, Topology, WorkerMap};
 use std::sync::Arc;
@@ -56,14 +56,15 @@ impl std::fmt::Debug for Pool {
 pub struct PoolBuilder {
     workers: usize,
     places: usize,
-    policy: SchedPolicy,
     topology: Option<Topology>,
-    seed: u64,
-    stats_enabled: bool,
-    deque_capacity: usize,
-    record_trace: bool,
-    ingress_capacity: Option<usize>,
-    overflow: OverflowPolicy,
+    // Read by `Registry::new`.
+    pub(crate) policy: SchedPolicy,
+    pub(crate) seed: u64,
+    pub(crate) stats_enabled: bool,
+    pub(crate) deque_capacity: usize,
+    pub(crate) record_trace: bool,
+    pub(crate) ingress_capacity: Option<usize>,
+    pub(crate) overflow: OverflowPolicy,
 }
 
 impl std::fmt::Debug for PoolBuilder {
@@ -233,19 +234,7 @@ impl PoolBuilder {
                 .build()?,
         };
         let map = Placement::Spread { sockets: self.places }.assign(&topo, self.workers)?;
-        let (registry, owners) = Registry::new(
-            topo,
-            map,
-            RegistryOptions {
-                policy: self.policy,
-                stats_enabled: self.stats_enabled,
-                deque_capacity: self.deque_capacity,
-                seed: self.seed,
-                record_trace: self.record_trace,
-                ingress_capacity: self.ingress_capacity,
-                overflow: self.overflow,
-            },
-        );
+        let (registry, owners) = Registry::new(topo, map, self);
         let mut handles = Vec::with_capacity(self.workers);
         for (index, deque) in owners.into_iter().enumerate() {
             let registry = Arc::clone(&registry);
@@ -255,7 +244,7 @@ impl PoolBuilder {
                 .expect("failed to spawn worker thread");
             handles.push(handle);
         }
-        registry.wait_until_started();
+        registry.started.wait();
         Ok(Pool { registry, handles })
     }
 }
@@ -375,7 +364,7 @@ impl Pool {
                 break;
             }
             if self.registry.is_poisoned() {
-                self.registry.wait_until_all_exited();
+                self.registry.exited.wait();
                 if job.latch.probe() {
                     break;
                 }
@@ -619,11 +608,11 @@ impl Pool {
     /// indicates either a non-quiescent drain or a runtime bug.
     pub fn take_trace(&self, label: &str) -> Option<nws_trace::Trace> {
         let sink = self.registry.trace.as_ref()?;
-        // A fire-and-forget job publishes its results (e.g. a channel send)
-        // from inside its closure, before the recorder's End event lands —
-        // there is no latch ordering the two. Bridge that last gap here:
-        // once the workload is quiescent no new brackets can open, so wait
-        // out any worker still inside the few instructions between its
+        // A job's completion is observable (its latch set, its scope count
+        // drained, a fire-and-forget closure's channel send) before the
+        // worker that ran it records its End. Bridge that gap here: once
+        // the workload is quiescent no new brackets can open, so wait out
+        // any worker still inside the few instructions between a job's
         // observable completion and its End record. Bounded so a genuine
         // non-quiescent call still reaches the fold's diagnostic panic.
         for _ in 0..1_000_000 {

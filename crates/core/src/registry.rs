@@ -8,6 +8,7 @@ use crate::injector::IngressQueue;
 use crate::job::JobRef;
 use crate::latch::Probe;
 use crate::mailbox::Mailbox;
+use crate::pool::PoolBuilder;
 use crate::sleep::{Sleep, SleepOutcome};
 use crate::stats::{bump, Category, Clock, LocalCounters, PoolStats, WorkerStats};
 use nws_deque::{the_deque, Full, TheStealer, TheWorker};
@@ -36,19 +37,35 @@ pub(crate) enum Inject {
     Refused(JobRef),
 }
 
-/// Construction-time options for [`Registry::new`] — the knobs
-/// [`PoolBuilder`](crate::PoolBuilder) collects, bundled so the signature
-/// doesn't grow a positional argument per robustness feature.
-pub(crate) struct RegistryOptions {
-    pub policy: SchedPolicy,
-    pub stats_enabled: bool,
-    pub deque_capacity: usize,
-    pub seed: u64,
-    pub record_trace: bool,
-    /// Per-place ingress queue capacity (`None` = unbounded).
-    pub ingress_capacity: Option<usize>,
-    /// What `spawn` does when a bounded ingress queue is full.
-    pub overflow: OverflowPolicy,
+/// A count of workers that have passed a point, and a condvar to wait on
+/// until all of them have (no busy-spin).
+pub(crate) struct WorkerGate {
+    passed: Mutex<usize>,
+    cv: Condvar,
+    workers: usize,
+}
+
+impl WorkerGate {
+    fn new(workers: usize) -> Self {
+        WorkerGate { passed: Mutex::new(0), cv: Condvar::new(), workers }
+    }
+
+    /// Called once by each worker as it passes the gate's point.
+    fn pass(&self) {
+        let mut passed = self.passed.lock();
+        *passed += 1;
+        if *passed == self.workers {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Blocks until every worker has passed.
+    pub(crate) fn wait(&self) {
+        let mut passed = self.passed.lock();
+        while *passed < self.workers {
+            self.cv.wait(&mut passed);
+        }
+    }
 }
 
 /// Shared state of a pool.
@@ -79,17 +96,18 @@ pub(crate) struct Registry {
     poisoned: AtomicBool,
     /// First-wins summary of the panic payload that poisoned the pool.
     poison_msg: Mutex<Option<String>>,
-    /// Startup gate: count of workers that have entered their main loops,
-    /// plus the condvar `wait_until_started` blocks on (no busy-spin).
-    started: Mutex<usize>,
-    started_cv: Condvar,
-    /// Exit gate, the mirror of the startup gate: count of workers whose
-    /// main loops have returned (counters flushed, no further job
-    /// execution). `Pool::install`'s poisoning-aware wait blocks on it to
-    /// distinguish "my root is still being drained" from "everyone is gone
-    /// and my root is stranded".
-    exited: Mutex<usize>,
-    exited_cv: Condvar,
+    /// Passed by each worker as it enters its main loop. Pool construction
+    /// waits on it, so install never races thread startup; startup of P
+    /// threads can take milliseconds under load, which is not worth
+    /// burning an external thread's CPU on.
+    pub(crate) started: WorkerGate,
+    /// Passed by each worker after its main loop returns — after the final
+    /// drain, so a job can no longer execute on that worker.
+    /// `Pool::install`'s poisoning-aware wait blocks on it: once every
+    /// worker has passed, no job will ever execute again, so an unset root
+    /// latch is provably stranded (and an abandoned root frame provably
+    /// unreachable).
+    pub(crate) exited: WorkerGate,
     /// What `spawn` does when a bounded ingress queue is full.
     pub(crate) overflow: OverflowPolicy,
     /// `try_spawn` submissions handed back to their callers. Pool-level
@@ -111,28 +129,20 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// Creates the registry and hands back the deque owner halves for the
-    /// worker threads to adopt.
+    /// Creates the registry from `builder`'s settings and hands back the
+    /// deque owner halves for the worker threads to adopt.
     pub(crate) fn new(
         topo: Topology,
         map: WorkerMap,
-        opts: RegistryOptions,
+        builder: &PoolBuilder,
     ) -> (Arc<Registry>, Vec<TheWorker<JobRef>>) {
-        let RegistryOptions {
-            policy,
-            stats_enabled,
-            deque_capacity,
-            seed,
-            record_trace,
-            ingress_capacity,
-            overflow,
-        } = opts;
+        let policy = builder.policy;
         let p = map.num_workers();
         let s = map.num_places();
         let mut owners = Vec::with_capacity(p);
         let mut stealers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (w, st) = the_deque::<JobRef>(deque_capacity);
+            let (w, st) = the_deque::<JobRef>(builder.deque_capacity);
             owners.push(w);
             stealers.push(st);
         }
@@ -145,25 +155,23 @@ impl Registry {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             worker_stats: (0..p).map(|_| WorkerStats::default()).collect(),
             dists,
-            injectors: (0..s).map(|_| IngressQueue::new(ingress_capacity)).collect(),
+            injectors: (0..s).map(|_| IngressQueue::new(builder.ingress_capacity)).collect(),
             next_ingress: AtomicUsize::new(0),
             sleep: Sleep::new(),
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             poison_msg: Mutex::new(None),
-            started: Mutex::new(0),
-            started_cv: Condvar::new(),
-            exited: Mutex::new(0),
-            exited_cv: Condvar::new(),
-            overflow,
+            started: WorkerGate::new(p),
+            exited: WorkerGate::new(p),
+            overflow: builder.overflow,
             ingress_rejects: CachePadded::new(AtomicU64::new(0)),
             ingress_sheds: CachePadded::new(AtomicU64::new(0)),
-            seed,
-            trace: record_trace.then(|| Arc::new(TraceSink::new(p))),
+            seed: builder.seed,
+            trace: builder.record_trace.then(|| Arc::new(TraceSink::new(p))),
             topo,
             map,
             policy,
-            stats_enabled,
+            stats_enabled: builder.stats_enabled,
         });
         (registry, owners)
     }
@@ -288,47 +296,6 @@ impl Registry {
     /// unrun under [`OverflowPolicy::Reject`].
     pub(crate) fn count_shed(&self) {
         self.ingress_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Called by each worker as it enters its main loop.
-    fn note_started(&self) {
-        let mut started = self.started.lock();
-        *started += 1;
-        if *started == self.map.num_workers() {
-            self.started_cv.notify_all();
-        }
-    }
-
-    /// Blocks until all workers have entered their main loops (so install
-    /// never races thread startup). A condvar wait, not a yield spin: pool
-    /// construction is not a path worth burning an external thread's CPU
-    /// on, and startup of P threads can take milliseconds under load.
-    pub(crate) fn wait_until_started(&self) {
-        let mut started = self.started.lock();
-        while *started < self.map.num_workers() {
-            self.started_cv.wait(&mut started);
-        }
-    }
-
-    /// Called by each worker after its main loop returns — after the final
-    /// drain, so a job can no longer execute on that worker.
-    fn note_exited(&self) {
-        let mut exited = self.exited.lock();
-        *exited += 1;
-        if *exited == self.map.num_workers() {
-            self.exited_cv.notify_all();
-        }
-    }
-
-    /// Blocks until every worker's main loop has returned. Used by the
-    /// poisoning-aware `install` wait: once this returns, no job will ever
-    /// execute again, so an unset root latch is provably stranded (and an
-    /// abandoned root frame provably unreachable).
-    pub(crate) fn wait_until_all_exited(&self) {
-        let mut exited = self.exited.lock();
-        while *exited < self.map.num_workers() {
-            self.exited_cv.wait(&mut exited);
-        }
     }
 
     pub(crate) fn stats(&self) -> PoolStats {
@@ -683,11 +650,9 @@ impl WorkerThread {
     }
 
     /// Closes the bracket opened by [`trace_enter`](Self::trace_enter).
-    /// Skips the End event if [`trace_close`](Self::trace_close) already
-    /// recorded it (the publish-before-latch path).
     #[inline]
     fn trace_exit(&self, task: u64, prev: u64) {
-        if task != 0 && self.trace_task.get() == task {
+        if task != 0 {
             if let Some(tr) = &self.registry.trace {
                 tr.record(self.index, TraceEvent::End { task, at_ns: tr.now_ns() });
             }
@@ -717,23 +682,6 @@ impl WorkerThread {
         let r = f();
         self.trace_exit(task, prev);
         r
-    }
-
-    /// Records the current task's End event *before* its completion becomes
-    /// observable — the trace analogue of the flush-before-latch-set rule
-    /// (see `stats` module docs): the job representations call this next to
-    /// `flush_counters`, ahead of setting their latch, so a caller that
-    /// returns from `install`/`join`/`scope` and immediately drains the
-    /// trace finds every bracket closed. Idempotent with
-    /// [`trace_exit`](Self::trace_exit), which detects the cleared id.
-    #[inline]
-    pub(crate) fn trace_close(&self) {
-        let task = self.trace_task.replace(0);
-        if task != 0 {
-            if let Some(tr) = &self.registry.trace {
-                tr.record(self.index, TraceEvent::End { task, at_ns: tr.now_ns() });
-            }
-        }
     }
 
     /// Steals-while-waiting until `latch` is set (the join and scope slow
@@ -1059,7 +1007,7 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
         deque,
     };
     WORKER.with(|w| w.set(&worker as *const WorkerThread));
-    worker.registry.note_started();
+    worker.registry.started.pass();
 
     if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| worker_loop(&worker))) {
         worker.registry.poison(payload.as_ref());
@@ -1068,7 +1016,7 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
     worker.flush_counters();
     worker.clock.flush(worker.stats());
     WORKER.with(|w| w.set(std::ptr::null()));
-    worker.registry.note_exited();
+    worker.registry.exited.pass();
 }
 
 /// The scheduling loop proper (plus the shutdown drains).
@@ -1134,7 +1082,7 @@ mod tests {
     /// `SmallRng` stream the simulator draws from. This equality is what
     /// makes a seeded `SchedPolicy` select the identical victim sequence
     /// on both substrates (the cross-substrate fixture test lives in the
-    /// umbrella crate's `tests/policy_determinism.rs`).
+    /// `nws_bench` crate's `tests/policy_determinism.rs`).
     #[test]
     fn policy_splitmix_matches_vendored_smallrng_stream() {
         for seed in [0u64, 1, 0x5EED_CAFE, u64::MAX, 0x9E37_79B9_7F4A_7C15] {

@@ -377,7 +377,6 @@ where
         // task bumped.
         if let Some(worker) = WorkerThread::current() {
             worker.flush_counters();
-            worker.trace_close();
         }
         // MUST be last: the owner may pop the scope's frame the moment the
         // count drains.

@@ -1,11 +1,11 @@
 //! Service-shaped end-to-end test: one pool serving many concurrent
-//! clients through the public umbrella API, mixing place-hinted installs,
+//! clients through the public API, mixing place-hinted installs,
 //! fire-and-forget spawns, and real parallel kernels — the ROADMAP's
 //! "many concurrent clients" scenario that the per-place ingress subsystem
 //! exists for.
 
-use numa_ws::sync::atomic::{AtomicUsize, Ordering};
-use numa_ws_repro::runtime::{join, Place, Pool, SchedPolicy};
+use numa_ws::{join, Place, Pool, SchedPolicy};
+use nws_sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -4,8 +4,8 @@
 //! the teardown half of the service posture DESIGN.md §9 describes; the
 //! chaos tier covers the same invariants under injected faults.
 
-use numa_ws::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use numa_ws_repro::runtime::{Place, Pool, SchedPolicy};
+use numa_ws::{Place, Pool, SchedPolicy};
+use nws_sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 

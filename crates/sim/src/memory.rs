@@ -124,8 +124,10 @@ const LLC_PAGES: usize = 4096;
 
 /// Epoch window in cycles.
 const EPOCH_CYCLES: u64 = 100_000;
-/// Remote lines per epoch a socket's links absorb at full speed (~16 GB/s
-/// QPI at 2.2 GHz ≈ 0.11 lines/cycle).
+/// Remote lines per epoch a socket's links absorb at full speed: 0.03
+/// lines/cycle, which with 64-byte lines at 2.2 GHz models ≈ 4.2 GB/s of
+/// remote bandwidth per socket. A 16 GB/s QPI link would be ≈ 11,000
+/// lines per epoch.
 const QPI_LINES_PER_EPOCH: u64 = 3_000;
 /// Cost multiplier slope beyond capacity: `m = 1 + slope · excess`.
 const QPI_SLOPE: f64 = 3.0;

@@ -100,8 +100,8 @@ pub struct TraceSink {
     /// Incremented *before* a Start lands in its lane and decremented
     /// *after* the matching End does, so `open_brackets() == 0` implies
     /// every started task's End event is already drainable — the
-    /// quiescence probe fire-and-forget completions need (they have no
-    /// latch ordering the End before the caller's observation point).
+    /// quiescence probe a drain needs, since a worker records a task's End
+    /// only after the task's completion is observable.
     open: AtomicU64,
     lanes: Vec<Mutex<Vec<TraceEvent>>>,
     t0: Instant,
