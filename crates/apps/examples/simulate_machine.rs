@@ -6,19 +6,19 @@
 
 use nws_apps::heat;
 use nws_sim::{SimConfig, Simulation};
-use nws_topology::{presets, Placement, StealDistribution};
+use nws_topology::{presets, StealDistribution, WorkerMap};
 
 fn main() {
     let topo = presets::paper_machine();
     println!("The paper's evaluation machine (Figure 1):");
     println!("{topo}");
 
-    // The biased steal distribution a socket-0 worker uses (§III-B).
-    let map = Placement::Packed.assign(&topo, 32).expect("32 workers fit");
+    // The biased steal distribution a place-0 worker uses (§III-B).
+    let map = WorkerMap::new(&topo, 32, topo.packed_places(32)).expect("32 workers fit");
     let dist = StealDistribution::biased(&topo, &map, 0);
-    println!("victim probabilities for worker 0 (socket 0):");
+    println!("victim probabilities for worker 0 (place 0):");
     for v in [4usize, 1, 2, 3] {
-        println!("  worker {v:>2} on {}: {:.3}", map.socket_of(v), dist.probability_of(v));
+        println!("  worker {v:>2} at {}: {:.3}", map.place_of(v), dist.probability_of(v));
     }
 
     // One heat run per scheduler on the simulated machine.

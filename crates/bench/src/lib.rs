@@ -107,11 +107,6 @@ fn machine() -> Topology {
     presets::paper_machine()
 }
 
-/// Places in use for `p` packed workers on the paper machine.
-pub fn places_for(p: usize) -> usize {
-    p.div_ceil(8).max(1)
-}
-
 /// The seed of the figures' simulations, the policy grid's and the golden
 /// trace replay's.
 pub const FIGURE_SEED: u64 = 42;
@@ -172,8 +167,9 @@ impl Measurement {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DagId {
     /// A benchmark row built for `places` places. The figures build it for
-    /// [`places_for`] their worker count; an ablation may pick another
-    /// count (heat at one place under 32 workers).
+    /// the places their workers pack onto ([`Topology::packed_places`]); an
+    /// ablation may pick another count (heat at one place under 32
+    /// workers).
     Bench(BenchId, usize),
     /// Heat built for four places with every region under one page policy
     /// ([`Dag::with_policy`]). Heat's own binding is
@@ -263,11 +259,11 @@ impl Cells {
     }
 
     /// `TS`, `T1` and `T_P` of `bench` under `policy` on `workers`
-    /// workers, as the figures read them: built for [`places_for`]
-    /// `workers` places, seed [`FIGURE_SEED`]. `T1` runs the one-place DAG
-    /// on one worker.
+    /// workers, as the figures read them: built for the places `workers`
+    /// pack onto ([`Topology::packed_places`]), seed [`FIGURE_SEED`]. `T1`
+    /// runs the one-place DAG on one worker.
     pub fn measure(&mut self, bench: BenchId, policy: SchedPolicy, workers: usize) -> Measurement {
-        let id = DagId::Bench(bench, places_for(workers));
+        let id = DagId::Bench(bench, self.topo.packed_places(workers));
         Measurement {
             ts: self.ts(&id),
             t1: self.run(DagId::Bench(bench, 1), policy, 1, FIGURE_SEED).makespan,
@@ -296,15 +292,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn places_for_matches_paper_packing() {
-        assert_eq!(places_for(1), 1);
-        assert_eq!(places_for(8), 1);
-        assert_eq!(places_for(9), 2);
-        assert_eq!(places_for(24), 3);
-        assert_eq!(places_for(32), 4);
-    }
-
-    #[test]
     fn names_cover_all() {
         let names: Vec<&str> = BenchId::all().iter().map(|b| b.name()).collect();
         assert_eq!(names.len(), 9);
@@ -319,7 +306,7 @@ mod tests {
 
     /// The uncached measurement: every quantity simulated from scratch.
     fn fresh(bench: BenchId, policy: SchedPolicy, workers: usize) -> (u64, u64, u64) {
-        let dag = bench.dag(places_for(workers));
+        let dag = bench.dag(machine().packed_places(workers));
         let ts = Simulation::serial_elision(&machine(), &dag);
         let t1 = fresh_run(&bench.dag(1), policy, 1, FIGURE_SEED);
         (ts, t1, fresh_run(&dag, policy, workers, FIGURE_SEED))

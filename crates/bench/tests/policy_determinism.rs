@@ -11,7 +11,7 @@
 //! decisions from `SchedPolicy::steal_target`, on both substrates — plus
 //! golden fixtures so the sequences themselves cannot drift silently.
 
-use nws_topology::{presets, worker_rng_seed, Placement, SchedPolicy, SplitMix64};
+use nws_topology::{presets, worker_rng_seed, SchedPolicy, SplitMix64, WorkerMap};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -22,7 +22,7 @@ const WORKERS: usize = 32;
 
 fn victim_sequence_runtime_style(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<usize> {
     let topo = presets::paper_machine();
-    let map = Placement::Packed.assign(&topo, WORKERS).unwrap();
+    let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
     let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
     let mut rng = SplitMix64::new(worker_rng_seed(SEED, worker));
     (0..n).map(|_| dist.sample(rng.next_u64())).collect()
@@ -30,7 +30,7 @@ fn victim_sequence_runtime_style(policy: &SchedPolicy, worker: usize, n: usize) 
 
 fn victim_sequence_sim_style(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<usize> {
     let topo = presets::paper_machine();
-    let map = Placement::Packed.assign(&topo, WORKERS).unwrap();
+    let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
     let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
     // The simulator draws through the vendored SmallRng; seed it exactly
     // as `Engine::new` does.
@@ -69,7 +69,7 @@ fn golden_victim_sequence_fixture() {
 /// stream; the two must agree.
 fn steal_decisions(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<(usize, bool)> {
     let topo = presets::paper_machine();
-    let map = Placement::Packed.assign(&topo, WORKERS).unwrap();
+    let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
     let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
     let mut runtime = SplitMix64::new(worker_rng_seed(SEED, worker));
     let mut sim = SmallRng::seed_from_u64(worker_rng_seed(SEED, worker));
@@ -145,10 +145,10 @@ fn biased_fixture_prefers_local_socket() {
     // inverse-distance ≈ 40.7% (weights 1 : 10/21 : 10/31) — a ×1.8
     // ratio; assert a ×1.5 margin to stay noise-proof at n = 10k.
     let topo = presets::paper_machine();
-    let map = Placement::Packed.assign(&topo, WORKERS).unwrap();
-    let my_socket = map.socket_of(0);
+    let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
+    let home = map.place_of(0);
     let n = 10_000;
-    let local = |seq: &[usize]| seq.iter().filter(|&&v| map.socket_of(v) == my_socket).count();
+    let local = |seq: &[usize]| seq.iter().filter(|&&v| map.place_of(v) == home).count();
     let uniform = victim_sequence_runtime_style(&SchedPolicy::vanilla(), 0, n);
     let biased = victim_sequence_runtime_style(&SchedPolicy::numa_ws(), 0, n);
     assert!(
@@ -383,8 +383,14 @@ fn heat_outcomes_at_p32_are_pinned_for_every_coin_rule() {
         topo.num_sockets(),
     );
     let coin_rules = [
-        ("numa-ws mailbox-first", SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst)),
-        ("numa-ws deque-only", SchedPolicy::numa_ws().with_coin_flip(CoinFlip::DequeOnly)),
+        (
+            "numa-ws mailbox-first",
+            SchedPolicy { coin_flip: CoinFlip::MailboxFirst, ..SchedPolicy::numa_ws() },
+        ),
+        (
+            "numa-ws deque-only",
+            SchedPolicy { coin_flip: CoinFlip::DequeOnly, ..SchedPolicy::numa_ws() },
+        ),
     ];
     type Outcome = (u64, u64, u64, u64);
     let expected: [(&str, Outcome); 6] = [

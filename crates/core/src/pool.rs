@@ -6,7 +6,7 @@ use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
 use crate::registry::{worker_main, Inject, Registry, WorkerThread};
 use crate::stats::PoolStats;
-use nws_topology::{Place, Placement, SchedPolicy, Topology, WorkerMap};
+use nws_topology::{Place, SchedPolicy, Topology, WorkerMap};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -56,7 +56,6 @@ impl std::fmt::Debug for Pool {
 pub struct PoolBuilder {
     workers: usize,
     places: usize,
-    topology: Option<Topology>,
     // Read by `Registry::new`.
     pub(crate) policy: SchedPolicy,
     pub(crate) seed: u64,
@@ -73,7 +72,6 @@ impl std::fmt::Debug for PoolBuilder {
             .field("workers", &self.workers)
             .field("places", &self.places)
             .field("policy", &self.policy)
-            .field("topology", &self.topology)
             .field("seed", &self.seed)
             .field("stats_enabled", &self.stats_enabled)
             .field("deque_capacity", &self.deque_capacity)
@@ -93,7 +91,6 @@ impl Default for PoolBuilder {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             places: 1,
             policy: SchedPolicy::numa_ws(),
-            topology: None,
             seed: 0x5EED_CAFE,
             stats_enabled: true,
             deque_capacity: 8192,
@@ -112,7 +109,10 @@ impl PoolBuilder {
     }
 
     /// Number of virtual places (`S`, one per socket in use). Defaults
-    /// to 1.
+    /// to 1. The pool's machine is its places: workers round-robin over
+    /// them, and the steal bias sees every pair of places at the same
+    /// remote distance (21, numactl's one hop). Workers are not pinned
+    /// (DESIGN.md §2).
     pub fn places(&mut self, n: usize) -> &mut Self {
         self.places = n;
         self
@@ -129,16 +129,6 @@ impl PoolBuilder {
     /// ablation.
     pub fn policy(&mut self, policy: SchedPolicy) -> &mut Self {
         self.policy = policy;
-        self
-    }
-
-    /// Explicit machine topology (e.g.
-    /// [`presets::paper_machine`](nws_topology::presets::paper_machine)).
-    /// If unset, a topology with `places` sockets and enough cores is
-    /// synthesized — on this container pinning is not enforced anyway (see
-    /// DESIGN.md §2), the topology only drives the steal bias.
-    pub fn topology(&mut self, topo: Topology) -> &mut Self {
-        self.topology = Some(topo);
         self
     }
 
@@ -198,9 +188,8 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// Returns [`BuildPoolError`] when the configuration is inconsistent
-    /// (zero workers/places, more places than workers or sockets, more
-    /// workers than cores, a zero deque or ingress capacity, a policy
-    /// mailbox capacity above 1).
+    /// (zero workers/places, more places than workers, a zero deque or
+    /// ingress capacity, a policy mailbox capacity above 1).
     pub fn build(&self) -> Result<Pool, BuildPoolError> {
         if self.policy.mailbox_capacity > 1 {
             return Err(BuildPoolError::InvalidConfig(format!(
@@ -226,15 +215,12 @@ impl PoolBuilder {
         if self.ingress_capacity == Some(0) {
             return Err(BuildPoolError::InvalidConfig("ingress_capacity must be >= 1".into()));
         }
-        let topo = match &self.topology {
-            Some(t) => t.clone(),
-            None => Topology::builder()
-                .sockets(self.places)
-                .cores_per_socket(self.workers.div_ceil(self.places))
-                .build()?,
-        };
-        let map = Placement::Spread { sockets: self.places }.assign(&topo, self.workers)?;
-        let (registry, owners) = Registry::new(topo, map, self);
+        let topo = Topology::builder()
+            .sockets(self.places)
+            .cores_per_socket(self.workers.div_ceil(self.places))
+            .build()?;
+        let map = WorkerMap::new(&topo, self.workers, self.places)?;
+        let (registry, owners) = Registry::new(&topo, map, self);
         let mut handles = Vec::with_capacity(self.workers);
         for (index, deque) in owners.into_iter().enumerate() {
             let registry = Arc::clone(&registry);
@@ -562,16 +548,6 @@ impl Pool {
         &self.registry.policy
     }
 
-    /// The machine topology the pool schedules against.
-    pub fn topology(&self) -> &Topology {
-        &self.registry.topo
-    }
-
-    /// The worker→place map.
-    pub fn worker_map(&self) -> &WorkerMap {
-        &self.registry.map
-    }
-
     /// A snapshot of per-worker statistics (plus the pool-level ingress
     /// reject/shed counters).
     pub fn stats(&self) -> PoolStats {
@@ -705,21 +681,10 @@ mod tests {
     fn places_map_spreads_workers() {
         let pool = Pool::builder().workers(8).places(4).build().unwrap();
         assert_eq!(pool.num_places(), 4);
-        let map = pool.worker_map();
+        let map = &pool.registry.map;
         for p in 0..4 {
             assert_eq!(map.workers_of_place(nws_topology::Place(p)).len(), 2);
         }
-    }
-
-    #[test]
-    fn paper_topology_accepted() {
-        let pool = Pool::builder()
-            .workers(8)
-            .places(4)
-            .topology(nws_topology::presets::paper_machine())
-            .build()
-            .unwrap();
-        assert_eq!(pool.topology().num_sockets(), 4);
     }
 
     #[test]
@@ -738,13 +703,16 @@ mod tests {
     #[test]
     fn builder_accepts_full_policy() {
         use nws_topology::{CoinFlip, StealBias};
-        let policy =
-            SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst).with_push_threshold(9);
+        let policy = SchedPolicy {
+            coin_flip: CoinFlip::MailboxFirst,
+            push_threshold: 9,
+            ..SchedPolicy::numa_ws()
+        };
         let pool = Pool::builder().workers(4).places(2).policy(policy).build().unwrap();
         assert_eq!(*pool.policy(), policy);
         assert_eq!(pool.install(|| 6), 6);
 
-        let bias_only = SchedPolicy::vanilla().with_bias(StealBias::InverseDistance);
+        let bias_only = SchedPolicy { bias: StealBias::InverseDistance, ..SchedPolicy::vanilla() };
         let pool = Pool::builder().workers(2).policy(bias_only).build().unwrap();
         assert_eq!(pool.policy().mailbox_capacity, 0);
         assert_eq!(pool.install(|| 8), 8);
@@ -752,7 +720,7 @@ mod tests {
 
     #[test]
     fn push_threshold_mutates_policy() {
-        let policy = SchedPolicy::numa_ws().with_push_threshold(11);
+        let policy = SchedPolicy { push_threshold: 11, ..SchedPolicy::numa_ws() };
         let pool = Pool::builder().workers(2).policy(policy).build().unwrap();
         assert_eq!(pool.policy().push_threshold, 11);
     }
@@ -760,12 +728,12 @@ mod tests {
     #[test]
     fn builder_rejects_multi_slot_mailboxes() {
         for capacity in [2, 16] {
-            let policy = SchedPolicy::numa_ws().with_mailbox_capacity(capacity);
+            let policy = SchedPolicy { mailbox_capacity: capacity, ..SchedPolicy::numa_ws() };
             let err = Pool::builder().workers(2).policy(policy).build().unwrap_err();
             assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "capacity {capacity}: {err}");
         }
         for capacity in [0, 1] {
-            let policy = SchedPolicy::numa_ws().with_mailbox_capacity(capacity);
+            let policy = SchedPolicy { mailbox_capacity: capacity, ..SchedPolicy::numa_ws() };
             let pool = Pool::builder().workers(2).places(2).policy(policy).build().unwrap();
             assert_eq!(pool.policy().mailbox_capacity, capacity);
             let (a, b) = pool.install(|| crate::join_at(|| 3, || 4, Place(1)));

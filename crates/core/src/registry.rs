@@ -70,7 +70,6 @@ impl WorkerGate {
 
 /// Shared state of a pool.
 pub(crate) struct Registry {
-    pub(crate) topo: Topology,
     pub(crate) map: WorkerMap,
     /// The scheduling policy (shared layer with the simulator): victim
     /// bias, coin flip, mailbox capacity, pushback threshold.
@@ -130,9 +129,10 @@ pub(crate) struct Registry {
 
 impl Registry {
     /// Creates the registry from `builder`'s settings and hands back the
-    /// deque owner halves for the worker threads to adopt.
+    /// deque owner halves for the worker threads to adopt. `topo` is read
+    /// only for the victim distributions.
     pub(crate) fn new(
-        topo: Topology,
+        topo: &Topology,
         map: WorkerMap,
         builder: &PoolBuilder,
     ) -> (Arc<Registry>, Vec<TheWorker<JobRef>>) {
@@ -149,7 +149,7 @@ impl Registry {
         // The policy layer builds every victim distribution — the same
         // method the simulator's engine calls, so a seeded policy selects
         // victims identically on both substrates.
-        let dists = (0..p).map(|w| policy.victim_distribution(&topo, &map, w)).collect();
+        let dists = (0..p).map(|w| policy.victim_distribution(topo, &map, w)).collect();
         let registry = Arc::new(Registry {
             stealers,
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
@@ -168,7 +168,6 @@ impl Registry {
             ingress_sheds: CachePadded::new(AtomicU64::new(0)),
             seed: builder.seed,
             trace: builder.record_trace.then(|| Arc::new(TraceSink::new(p))),
-            topo,
             map,
             policy,
             stats_enabled: builder.stats_enabled,
@@ -836,7 +835,7 @@ impl WorkerThread {
         // through the same method.
         let (victim, try_mailbox) = self.registry.policy.steal_target(dist, || self.next_random());
         bump!(self.local, steal_attempts);
-        if self.registry.map.socket_of(victim) != self.registry.map.socket_of(self.index) {
+        if self.registry.map.place_of(victim) != self.my_place() {
             bump!(self.local, remote_steal_attempts);
         }
         if try_mailbox {
@@ -879,7 +878,7 @@ impl WorkerThread {
         // The only cross-worker counter write; it lands in the victim's
         // thief-block cacheline, never on its owner-counter lines.
         self.registry.worker_stats[victim].thief.stolen_from.fetch_add(1, Ordering::Relaxed);
-        if self.registry.map.socket_of(victim) != self.registry.map.socket_of(self.index) {
+        if self.registry.map.place_of(victim) != self.my_place() {
             bump!(self.local, remote_steals);
         }
         if spilled > 0 {

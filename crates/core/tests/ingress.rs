@@ -183,7 +183,7 @@ fn drop_with_jobs_parked_in_mailboxes_loses_nothing() {
     const JOBS: usize = 48;
     for round in 0..ROUNDS {
         let ran = Arc::new(AtomicUsize::new(0));
-        let policy = SchedPolicy::numa_ws().with_push_threshold(8);
+        let policy = SchedPolicy { push_threshold: 8, ..SchedPolicy::numa_ws() };
         let pool = Pool::builder().workers(4).places(4).policy(policy).build().unwrap();
         for i in 0..JOBS {
             let ran = Arc::clone(&ran);

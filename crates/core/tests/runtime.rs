@@ -467,14 +467,7 @@ fn biased_mode_prefers_local_steals() {
     // happen to hold work and are too noisy at the ~100-steal scale of a
     // unit test.
     fn run(policy: SchedPolicy) -> (u64, u64) {
-        let pool = Pool::builder()
-            .workers(8)
-            .places(4)
-            .policy(policy)
-            .topology(nws_topology::presets::paper_machine())
-            .seed(1234)
-            .build()
-            .unwrap();
+        let pool = Pool::builder().workers(8).places(4).policy(policy).seed(1234).build().unwrap();
         // 8 roots, not 4: since join waiters deep-sleep instead of polling
         // in 50µs slices, an idle worker makes far fewer (cheaper) steal
         // attempts per unit time, so the >100-attempt sample floor needs
@@ -491,9 +484,11 @@ fn biased_mode_prefers_local_steals() {
     assert!(numa_total > 100, "expected real stealing pressure: {numa_total} attempts");
     let classic_share = classic_remote as f64 / classic_total as f64;
     let numa_share = numa_remote as f64 / numa_total as f64;
-    // Uniform stealing over 7 victims (6 remote) sits at 6/7 ≈ 0.857; the
-    // paper-machine bias puts NUMA-WS well below. Require a real gap, not
-    // just an inequality, so regressions in the bias cannot hide in noise.
+    // Uniform stealing over 7 victims (6 remote) sits at 6/7 ≈ 0.857. The
+    // pool's places are all 21 apart, so the bias weighs the one local
+    // victim 1 and each remote one 10/21, and NUMA-WS sits at 60/81 ≈ 0.741.
+    // Require a real gap, not just an inequality, so regressions in the
+    // bias cannot hide in noise.
     assert!(
         numa_share < classic_share - 0.05,
         "NUMA-WS remote attempt share {numa_share:.3} should sit well below classic \

@@ -12,9 +12,10 @@
 
 use nws_topology::SchedPolicy;
 
-/// Full configuration of one simulation run. Workers are always placed
-/// [`Packed`](nws_topology::Placement::Packed), the paper's Figure 9
-/// setting: the fewest sockets that hold them, round-robin across those.
+/// Full configuration of one simulation run. Workers are always packed,
+/// the paper's Figure 9 setting: the fewest sockets that hold them
+/// ([`Topology::packed_places`](nws_topology::Topology::packed_places)),
+/// round-robin across those.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The scheduling policy: victim bias, coin flip, mailbox capacity,

@@ -32,8 +32,8 @@ use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
 use nws_topology::{
-    worker_rng_seed, Deposit, Place, Placement, ProbeCosts, StealDistribution, Topology,
-    TopologyError, WorkerMap,
+    worker_rng_seed, Deposit, Place, ProbeCosts, StealDistribution, Topology, TopologyError,
+    WorkerMap,
 };
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -106,7 +106,7 @@ impl<'a> Simulation<'a> {
     /// Returns a [`TopologyError`] if the worker count does not fit the
     /// machine.
     pub fn new(topo: &'a Topology, cfg: SimConfig, dag: &'a Dag) -> Result<Self, TopologyError> {
-        let map = Placement::Packed.assign(topo, cfg.workers)?;
+        let map = WorkerMap::new(topo, cfg.workers, topo.packed_places(cfg.workers))?;
         Ok(Simulation { topo, dag, cfg, map })
     }
 
@@ -120,7 +120,7 @@ impl<'a> Simulation<'a> {
     /// overhead (no deque pushes/pops, no sync checks) — exactly the
     /// paper's definition of the elision baseline.
     pub fn serial_elision(topo: &Topology, dag: &Dag) -> u64 {
-        let map = Placement::Packed.assign(topo, 1).expect("one worker always fits");
+        let map = WorkerMap::new(topo, 1, 1).expect("one worker always fits");
         let mut mem = MemorySystem::new(topo, &map, dag.regions_vec());
         let mut total = 0u64;
         let mut stack: Vec<Cont> = Vec::new();
@@ -269,7 +269,7 @@ impl<'a> Engine<'a> {
         let dists: Vec<_> = (0..p).map(|w| cfg.policy.victim_distribution(topo, &map, w)).collect();
         let hops: Vec<u64> = (0..p * p)
             .map(|i| {
-                let d = topo.distances().distance(map.socket_of(i / p), map.socket_of(i % p));
+                let d = topo.distances().distance(map.place_of(i / p), map.place_of(i % p));
                 STEAL_PER_DISTANCE * d as u64
             })
             .collect();
@@ -584,7 +584,7 @@ impl<'a> Engine<'a> {
             if let Some(log) = &mut self.schedule {
                 log.steals.push((w, victim, cont.0));
             }
-            if self.map.socket_of(victim) != self.map.socket_of(w) {
+            if self.map.place_of(victim) != self.map.place_of(w) {
                 self.counters.remote_steals += 1;
             }
             let cost = probe_cost + PROMOTE;
@@ -672,8 +672,8 @@ mod tests {
         // lands exactly on `cycles` is the last one.
         let topo = presets::paper_machine();
         let cfg = SimConfig::vanilla(2);
-        let map = Placement::Packed.assign(&topo, 2).unwrap();
-        let hops = topo.distances().distance(map.socket_of(1), map.socket_of(0)) as u64;
+        let map = WorkerMap::new(&topo, 2, topo.packed_places(2)).unwrap();
+        let hops = topo.distances().distance(map.place_of(1), map.place_of(0)) as u64;
         let probe = STEAL_BASE + STEAL_PER_DISTANCE * hops;
         for (cycles, attempts) in [(100 * probe, 100), (100 * probe + 1, 101)] {
             let mut b = DagBuilder::new();
@@ -896,7 +896,7 @@ mod tests {
         let (foreign, local) = (0, 1);
         let ready = |policy: SchedPolicy, frame: usize| {
             let cfg = SimConfig::with_policy(policy, 32);
-            let map = Placement::Packed.assign(&topo, cfg.workers).unwrap();
+            let map = WorkerMap::new(&topo, cfg.workers, 4).unwrap();
             let mut engine = Engine::new(&topo, &dag, &cfg, map);
             engine.resume_full(0, (frame, 0));
             (engine.states[0], engine.counters.push_deliveries)

@@ -21,7 +21,7 @@
 //!   DRAM, or remote DRAM across `h` hops — the five latency classes §I
 //!   describes.
 
-use nws_topology::{Place, SocketId, Topology, WorkerMap};
+use nws_topology::{Place, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -212,14 +212,15 @@ pub struct Touch {
 #[derive(Debug)]
 pub(crate) struct MemorySystem {
     regions: Vec<Region>,
-    /// Home socket of every page, indexed by machine-wide page number;
+    /// Home place of every page, indexed by machine-wide page number;
     /// `None` = unresolved first-touch page (homes on first access).
-    homes: Vec<Option<SocketId>>,
+    homes: Vec<Option<Place>>,
     /// One shared LLC per socket.
     llcs: Vec<FifoCache>,
     /// One private cache per worker.
     privates: Vec<FifoCache>,
     topo_distances: Vec<Vec<u32>>, // [socket][socket] hop-scaled distance
+    /// Each worker's place, which is the index of its socket's LLC.
     worker_socket: Vec<usize>,
     /// Per-socket (epoch id, remote lines this epoch).
     qpi_load: Vec<(u64, u64)>,
@@ -249,14 +250,14 @@ impl MemorySystem {
                         chunk % places
                     }
                 };
-                homes.push(Some(map.socket_of_place(Place(place_idx))));
+                homes.push(Some(Place(place_idx)));
             }
         }
         let n_sockets = topo.num_sockets();
         let mut dist = vec![vec![0u32; n_sockets]; n_sockets];
         for (a, row) in dist.iter_mut().enumerate() {
             for (b, cell) in row.iter_mut().enumerate() {
-                *cell = topo.distances().distance(SocketId(a), SocketId(b));
+                *cell = topo.distances().distance(Place(a), Place(b));
             }
         }
         MemorySystem {
@@ -266,7 +267,7 @@ impl MemorySystem {
                 .map(|_| FifoCache::new(PRIVATE_PAGES, total_pages))
                 .collect(),
             topo_distances: dist,
-            worker_socket: (0..map.num_workers()).map(|w| map.socket_of(w).0).collect(),
+            worker_socket: (0..map.num_workers()).map(|w| map.place_of(w).0).collect(),
             qpi_load: vec![(0, 0); n_sockets],
             class_lines: [0; 5],
             regions,
@@ -352,7 +353,7 @@ impl MemorySystem {
             LLC_REMOTE_BASE + LLC_REMOTE_PER_HOP * h
         } else {
             // First-touch pages home on their first accessor's socket.
-            let home = self.homes[page.0 as usize].get_or_insert(SocketId(my_socket)).0;
+            let home = self.homes[page.0 as usize].get_or_insert(Place(my_socket)).0;
             let h = self.hops(my_socket, home);
             if h == 0 {
                 self.class_lines[3] += lines;
@@ -388,14 +389,14 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nws_topology::{presets, Placement};
+    use nws_topology::presets;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
     use std::collections::HashSet;
 
     fn system(workers: usize, regions: Vec<Region>) -> MemorySystem {
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = WorkerMap::new(&topo, workers, topo.packed_places(workers)).unwrap();
         MemorySystem::new(&topo, &map, regions)
     }
 
@@ -513,7 +514,7 @@ mod tests {
     fn bind_policy_homes_on_bound_socket() {
         let sys = system(32, one_region(8, PagePolicy::Bind(2)));
         for p in 0..8 {
-            assert_eq!(sys.homes[p], Some(SocketId(2)));
+            assert_eq!(sys.homes[p], Some(Place(2)));
         }
     }
 
@@ -524,10 +525,10 @@ mod tests {
         // Worker 2 (socket 2 under packed round-robin) touches page 0 first.
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         sys.access(2, &t, 0);
-        assert_eq!(sys.homes[0], Some(SocketId(2)));
+        assert_eq!(sys.homes[0], Some(Place(2)));
         // A later accessor does not move the page.
         sys.access(0, &t, 0);
-        assert_eq!(sys.homes[0], Some(SocketId(2)));
+        assert_eq!(sys.homes[0], Some(Place(2)));
     }
 
     #[test]
@@ -555,7 +556,7 @@ mod tests {
     #[test]
     fn chunked_wraps_when_more_chunks_than_places() {
         let topo = presets::paper_machine();
-        let map = Placement::Spread { sockets: 2 }.assign(&topo, 4).unwrap();
+        let map = WorkerMap::new(&topo, 4, 2).unwrap();
         let sys = MemorySystem::new(&topo, &map, one_region(4, PagePolicy::Chunked { chunks: 4 }));
         let homes: Vec<usize> = (0..4).map(|p| sys.homes[p].unwrap().0).collect();
         assert_eq!(homes, vec![0, 1, 0, 1]);
@@ -612,7 +613,7 @@ mod tests {
 #[cfg(test)]
 mod contention_tests {
     use super::*;
-    use nws_topology::{presets, Placement};
+    use nws_topology::presets;
 
     /// Pages of the region bound to socket 0; the socket-1 region follows.
     const NEAR_PAGES: u64 = 40_000;
@@ -622,7 +623,7 @@ mod contention_tests {
     /// read before, so no cache holds it and DRAM serves it.
     fn system() -> MemorySystem {
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 32).unwrap();
+        let map = WorkerMap::new(&topo, 32, 4).unwrap();
         let region = |name: &str, first_page, pages, socket| Region {
             name: name.into(),
             first_page,

@@ -1,6 +1,6 @@
 //! numactl-style inter-socket distance matrices.
 
-use crate::SocketId;
+use crate::Place;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,8 +29,11 @@ impl DistanceMatrix {
     /// # Panics
     ///
     /// Panics if `d.len() != n * n`, if any diagonal entry differs from
-    /// [`Self::LOCAL`], or if the matrix is not symmetric — malformed
-    /// distances would silently corrupt the steal distribution.
+    /// [`Self::LOCAL`], if any other entry is below it, or if the matrix is
+    /// not symmetric — malformed distances would silently corrupt the
+    /// steal distribution (a remote distance of 0 divides by zero there,
+    /// and one below `LOCAL` makes a remote victim likelier than a local
+    /// one).
     fn from_rows(n: usize, d: Vec<u32>) -> Self {
         assert_eq!(d.len(), n * n, "distance matrix must be n*n");
         for i in 0..n {
@@ -41,6 +44,12 @@ impl DistanceMatrix {
                 Self::LOCAL
             );
             for j in 0..n {
+                assert!(
+                    d[i * n + j] >= Self::LOCAL,
+                    "remote distance {} is below the local distance {}",
+                    d[i * n + j],
+                    Self::LOCAL
+                );
                 assert_eq!(d[i * n + j], d[j * n + i], "distance matrix must be symmetric");
             }
         }
@@ -49,12 +58,16 @@ impl DistanceMatrix {
 
     /// A matrix for `n` sockets that are all equidistant (`remote` between
     /// any two distinct sockets). This models fully-connected machines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `remote` is below [`Self::LOCAL`].
     pub fn uniform(n: usize, remote: u32) -> Self {
         let mut d = vec![remote; n * n];
         for i in 0..n {
             d[i * n + i] = Self::LOCAL;
         }
-        DistanceMatrix { n, d }
+        Self::from_rows(n, d)
     }
 
     /// A matrix for `n` sockets arranged on a ring (each socket has two
@@ -69,8 +82,12 @@ impl DistanceMatrix {
         Self::ring_with(n, |hops| Self::LOCAL + per_hop * hops)
     }
 
-    /// A ring matrix where the distance for `h` hops is `f(h)` (with
-    /// `f(0)` required to equal [`Self::LOCAL`]).
+    /// A ring matrix where the distance for `h` hops is `f(h)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0, if `f(0)` differs from [`Self::LOCAL`], or if
+    /// any other `f(h)` is below it.
     pub fn ring_with(n: usize, f: impl Fn(u32) -> u32) -> Self {
         assert!(n > 0, "ring needs at least one socket");
         let mut d = vec![0u32; n * n];
@@ -90,14 +107,14 @@ impl DistanceMatrix {
         self.n
     }
 
-    /// Distance between two sockets.
+    /// Distance between the sockets of two places.
     ///
     /// # Panics
     ///
-    /// Panics if either socket index is out of range.
+    /// Panics if either place is out of range (or [`Place::ANY`]).
     #[inline]
-    pub fn distance(&self, a: SocketId, b: SocketId) -> u32 {
-        assert!(a.0 < self.n && b.0 < self.n, "socket out of range");
+    pub fn distance(&self, a: Place, b: Place) -> u32 {
+        assert!(a.0 < self.n && b.0 < self.n, "place out of range");
         self.d[a.0 * self.n + b.0]
     }
 
@@ -148,14 +165,14 @@ mod tests {
         // On the ring 0-1-3-2-0 (socket order around the ring), each socket
         // has two one-hop neighbours and one two-hop socket.
         for i in 0..4 {
-            let s = SocketId(i);
+            let s = Place(i);
             assert_eq!(m.distance(s, s), 10);
             let mut counts = [0usize; 2];
             for j in 0..4 {
                 if i == j {
                     continue;
                 }
-                match m.distance(s, SocketId(j)) {
+                match m.distance(s, Place(j)) {
                     21 => counts[0] += 1,
                     31 => counts[1] += 1,
                     other => panic!("unexpected distance {other}"),
@@ -168,8 +185,8 @@ mod tests {
     #[test]
     fn uniform_matrix() {
         let m = DistanceMatrix::uniform(3, 20);
-        assert_eq!(m.distance(SocketId(0), SocketId(0)), 10);
-        assert_eq!(m.distance(SocketId(0), SocketId(2)), 20);
+        assert_eq!(m.distance(Place(0), Place(0)), 10);
+        assert_eq!(m.distance(Place(0), Place(2)), 20);
         assert_eq!(m.tiers(), vec![10, 20]);
     }
 
@@ -193,9 +210,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "socket out of range")]
+    #[should_panic(expected = "below the local distance")]
+    fn uniform_rejects_remote_below_local() {
+        DistanceMatrix::uniform(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the local distance")]
+    fn ring_with_rejects_remote_below_local() {
+        DistanceMatrix::ring_with(3, |h| if h == 0 { DistanceMatrix::LOCAL } else { 5 });
+    }
+
+    #[test]
+    #[should_panic(expected = "place out of range")]
     fn distance_bounds_checked() {
         let m = DistanceMatrix::uniform(2, 20);
-        m.distance(SocketId(0), SocketId(2));
+        m.distance(Place(0), Place(2));
     }
 }

@@ -1,27 +1,18 @@
-//! Strongly-typed identifiers for sockets, cores, and virtual places.
+//! The virtual place: the one index of a socket in use.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Identifier of a physical socket (a NUMA node).
-///
-/// Sockets own a shared last-level cache and a DRAM bank; distances between
-/// sockets come from the [`DistanceMatrix`](crate::DistanceMatrix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SocketId(pub usize);
-
-/// Identifier of a physical core. Cores are numbered machine-wide,
-/// socket-major: core `c` lives on socket `c / cores_per_socket`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CoreId(pub usize);
 
 /// A **virtual place**: the unit of locality in the NUMA-WS programming
 /// model (paper §III-A).
 ///
 /// The runtime groups the workers running on one socket into a single place,
-/// so with `S` sockets in use there are `S` places, numbered `0..S`.
-/// Locality hints name places, not sockets, which keeps application code
+/// so with `S` sockets in use there are `S` places, numbered `0..S`: place
+/// `i` is the machine's socket `i`, and a [`DistanceMatrix`] is read by
+/// place. Locality hints name places, which keeps application code
 /// oblivious to how many physical sockets exist.
+///
+/// [`DistanceMatrix`]: crate::DistanceMatrix
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Place(pub usize);
 
@@ -46,34 +37,6 @@ impl Place {
         } else {
             Some(self.0)
         }
-    }
-}
-
-impl SocketId {
-    /// Returns the raw socket index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl CoreId {
-    /// Returns the raw core index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for SocketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "socket{}", self.0)
-    }
-}
-
-impl fmt::Display for CoreId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "core{}", self.0)
     }
 }
 
@@ -109,15 +72,12 @@ mod tests {
     fn display_forms() {
         assert_eq!(Place(2).to_string(), "@p2");
         assert_eq!(Place::ANY.to_string(), "@ANY");
-        assert_eq!(SocketId(1).to_string(), "socket1");
-        assert_eq!(CoreId(9).to_string(), "core9");
     }
 
     #[test]
     fn ordering_follows_indices() {
         assert!(Place(0) < Place(1));
-        assert!(SocketId(2) > SocketId(1));
-        assert!(CoreId(0) < CoreId(31));
+        assert!(Place(2) > Place(1));
     }
 
     #[test]

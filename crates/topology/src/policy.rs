@@ -156,30 +156,6 @@ impl SchedPolicy {
         self.mailbox_capacity > 0
     }
 
-    /// Builder-style bias override.
-    pub fn with_bias(mut self, bias: StealBias) -> Self {
-        self.bias = bias;
-        self
-    }
-
-    /// Builder-style coin-flip override.
-    pub fn with_coin_flip(mut self, flip: CoinFlip) -> Self {
-        self.coin_flip = flip;
-        self
-    }
-
-    /// Builder-style mailbox-capacity override.
-    pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        self.mailbox_capacity = capacity;
-        self
-    }
-
-    /// Builder-style pushback-threshold override.
-    pub fn with_push_threshold(mut self, threshold: u32) -> Self {
-        self.push_threshold = threshold;
-        self
-    }
-
     /// The victim-selection distribution this policy gives a thief, or
     /// `None` when `map` has fewer than two workers (a lone worker never
     /// steals). Both the runtime's steal loop and the simulator's engine
@@ -357,7 +333,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{presets, Placement};
+    use crate::presets;
 
     #[test]
     fn presets_match_the_paper() {
@@ -422,12 +398,10 @@ mod tests {
         };
         assert_eq!(decide(SchedPolicy::numa_ws()), (false, 2));
         assert_eq!(decide(SchedPolicy::vanilla()), (false, 1));
-        assert_eq!(decide(SchedPolicy::vanilla().with_coin_flip(CoinFlip::Fair)), (false, 1));
-        assert_eq!(
-            decide(SchedPolicy::numa_ws().with_coin_flip(CoinFlip::MailboxFirst)),
-            (true, 1)
-        );
-        assert_eq!(decide(SchedPolicy::numa_ws().with_coin_flip(CoinFlip::DequeOnly)), (false, 1));
+        let flip = |base: SchedPolicy, coin_flip| SchedPolicy { coin_flip, ..base };
+        assert_eq!(decide(flip(SchedPolicy::vanilla(), CoinFlip::Fair)), (false, 1));
+        assert_eq!(decide(flip(SchedPolicy::numa_ws(), CoinFlip::MailboxFirst)), (true, 1));
+        assert_eq!(decide(flip(SchedPolicy::numa_ws(), CoinFlip::DequeOnly)), (false, 1));
     }
 
     /// Runs one episode over `candidates` with draws `0, 1, 2, ...`;
@@ -438,7 +412,7 @@ mod tests {
         candidates: &[usize],
         mut outcome: impl FnMut(u32) -> Deposit<()>,
     ) -> (Option<()>, u64, Vec<usize>) {
-        let policy = SchedPolicy::numa_ws().with_push_threshold(threshold);
+        let policy = SchedPolicy { push_threshold: threshold, ..SchedPolicy::numa_ws() };
         let (mut draws, mut targets) = (0u64, Vec::new());
         let kept = policy.pushback(
             candidates,
@@ -497,7 +471,7 @@ mod tests {
     #[test]
     fn push_home_sends_only_foreign_frames_under_mailboxes() {
         let topo = presets::paper_machine();
-        let map = Placement::Spread { sockets: 4 }.assign(&topo, 8).unwrap();
+        let map = WorkerMap::new(&topo, 8, 4).unwrap();
         let numa = SchedPolicy::numa_ws();
         // Worker 1 sits on place 1.
         assert_eq!(numa.push_home(&map, 1, Place(2)), Some(Place(2)));
@@ -511,7 +485,7 @@ mod tests {
     #[test]
     fn victim_distribution_follows_bias() {
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 32).unwrap();
+        let map = WorkerMap::new(&topo, 32, 4).unwrap();
         let uniform = SchedPolicy::vanilla().victim_distribution(&topo, &map, 0).unwrap();
         let biased = SchedPolicy::numa_ws().victim_distribution(&topo, &map, 0).unwrap();
         assert_eq!(uniform, StealDistribution::uniform(32, 0));
@@ -522,7 +496,7 @@ mod tests {
     #[test]
     fn lone_worker_has_no_distribution() {
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, 1).unwrap();
+        let map = WorkerMap::new(&topo, 1, 1).unwrap();
         assert!(SchedPolicy::numa_ws().victim_distribution(&topo, &map, 0).is_none());
     }
 

@@ -66,18 +66,18 @@ impl StealDistribution {
     /// # Panics
     ///
     /// Panics if the map has fewer than two workers, `thief` is out of
-    /// range, or a socket is so distant (over `LOCAL · 10080`) that its
+    /// range, or a place is so distant (over `LOCAL · 10080`) that its
     /// workers would get no weight.
     pub fn biased(topo: &Topology, map: &WorkerMap, thief: usize) -> Self {
         assert!(map.num_workers() >= 2, "need at least two workers to steal");
         assert!(thief < map.num_workers(), "thief index out of range");
-        let my_socket = map.socket_of(thief);
+        let home = map.place_of(thief);
         let weights: Vec<u64> = (0..map.num_workers())
             .map(|v| {
                 if v == thief {
                     0
                 } else {
-                    let d = topo.distances().distance(my_socket, map.socket_of(v)) as u64;
+                    let d = topo.distances().distance(home, map.place_of(v)) as u64;
                     // weight ∝ LOCAL / distance, in fixed point.
                     SCALE * u64::from(crate::DistanceMatrix::LOCAL) / d
                 }
@@ -232,11 +232,11 @@ impl ProbeCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{presets, Placement};
+    use crate::presets;
 
     fn paper_setup(workers: usize) -> (Topology, WorkerMap) {
         let topo = presets::paper_machine();
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = WorkerMap::new(&topo, workers, topo.packed_places(workers)).unwrap();
         (topo, map)
     }
 
@@ -437,7 +437,7 @@ mod tests {
             .distances(crate::DistanceMatrix::uniform(2, 200_000))
             .build()
             .unwrap();
-        let map = Placement::Spread { sockets: 2 }.assign(&topo, 2).unwrap();
+        let map = WorkerMap::new(&topo, 2, 2).unwrap();
         StealDistribution::biased(&topo, &map, 0);
     }
 

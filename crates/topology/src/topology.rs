@@ -1,6 +1,6 @@
 //! Machine descriptions: sockets, cores, and their distances.
 
-use crate::{CoreId, DistanceMatrix, SocketId};
+use crate::DistanceMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -16,11 +16,11 @@ pub enum TopologyError {
         /// Sockets described by the distance matrix.
         matrix: usize,
     },
-    /// More workers were requested than the machine has cores.
+    /// More workers were requested than the sockets in use have cores.
     TooManyWorkers {
         /// Requested worker count.
         requested: usize,
-        /// Cores available.
+        /// Cores on the sockets in use.
         available: usize,
     },
     /// A placement asked for zero workers or zero places.
@@ -96,26 +96,14 @@ impl Topology {
         self.sockets * self.cores_per_socket
     }
 
-    /// The socket that owns a core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the core index is out of range.
-    #[inline]
-    pub fn socket_of(&self, core: CoreId) -> SocketId {
-        assert!(core.0 < self.num_cores(), "core out of range");
-        SocketId(core.0 / self.cores_per_socket)
-    }
-
-    /// The cores belonging to a socket, in ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket index is out of range.
-    fn cores_of(&self, socket: SocketId) -> impl Iterator<Item = CoreId> + '_ {
-        assert!(socket.0 < self.sockets, "socket out of range");
-        let base = socket.0 * self.cores_per_socket;
-        (base..base + self.cores_per_socket).map(CoreId)
+    /// The places `workers` packed workers use: the fewest sockets that
+    /// hold them, the paper's Figure 9 setting ("threads are packed onto
+    /// sockets tightly and the smallest number of sockets is used, i.e.,
+    /// for 24 cores, 3 sockets are used"). Capped at the socket count, so
+    /// [`WorkerMap::new`](crate::WorkerMap::new) reports a worker count
+    /// that does not fit as too many workers.
+    pub fn packed_places(&self, workers: usize) -> usize {
+        workers.div_ceil(self.cores_per_socket).min(self.sockets)
     }
 
     /// The inter-socket distance matrix.
@@ -135,7 +123,9 @@ impl fmt::Display for Topology {
             self.num_cores()
         )?;
         for s in 0..self.sockets {
-            let cores: Vec<String> = self.cores_of(SocketId(s)).map(|c| c.0.to_string()).collect();
+            let base = s * self.cores_per_socket;
+            let cores: Vec<String> =
+                (base..base + self.cores_per_socket).map(|c| c.to_string()).collect();
             writeln!(f, "  socket{s}: cores [{}]", cores.join(", "))?;
         }
         writeln!(f, "node distances:")?;
@@ -231,22 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn socket_of_is_socket_major() {
-        let t = Topology::builder().sockets(4).cores_per_socket(8).build().unwrap();
-        assert_eq!(t.socket_of(CoreId(0)), SocketId(0));
-        assert_eq!(t.socket_of(CoreId(7)), SocketId(0));
-        assert_eq!(t.socket_of(CoreId(8)), SocketId(1));
-        assert_eq!(t.socket_of(CoreId(31)), SocketId(3));
-    }
-
-    #[test]
-    fn cores_of_enumerates_socket() {
-        let t = Topology::builder().sockets(2).cores_per_socket(3).build().unwrap();
-        let cores: Vec<usize> = t.cores_of(SocketId(1)).map(|c| c.0).collect();
-        assert_eq!(cores, vec![3, 4, 5]);
-    }
-
-    #[test]
     fn empty_rejected() {
         assert_eq!(Topology::builder().sockets(0).build().unwrap_err(), TopologyError::Empty);
         assert_eq!(
@@ -273,12 +247,5 @@ mod tests {
         assert!(s.contains("socket0"));
         assert!(s.contains("socket1"));
         assert!(s.contains("node distances:"));
-    }
-
-    #[test]
-    #[should_panic(expected = "core out of range")]
-    fn socket_of_bounds_checked() {
-        let t = Topology::builder().build().unwrap();
-        t.socket_of(CoreId(100));
     }
 }

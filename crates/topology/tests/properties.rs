@@ -1,7 +1,7 @@
 //! Property tests for topologies, placements, and steal distributions over
 //! randomly-shaped machines.
 
-use nws_topology::{DistanceMatrix, Place, Placement, StealDistribution, Topology};
+use nws_topology::{DistanceMatrix, Place, StealDistribution, Topology, WorkerMap};
 use proptest::prelude::*;
 
 fn machine() -> impl Strategy<Value = Topology> {
@@ -15,11 +15,15 @@ fn machine() -> impl Strategy<Value = Topology> {
     })
 }
 
+fn packed(topo: &Topology, workers: usize) -> WorkerMap {
+    WorkerMap::new(topo, workers, topo.packed_places(workers)).unwrap()
+}
+
 proptest! {
     #[test]
     fn packed_placement_covers_all_workers(topo in machine(), frac in 1usize..=100) {
         let workers = (topo.num_cores() * frac / 100).max(1);
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = packed(&topo, workers);
         prop_assert_eq!(map.num_workers(), workers);
         // Every worker belongs to exactly one place and the place sets
         // partition the workers.
@@ -37,7 +41,7 @@ proptest! {
     #[test]
     fn packed_uses_minimum_sockets(topo in machine(), frac in 1usize..=100) {
         let workers = (topo.num_cores() * frac / 100).max(1);
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = packed(&topo, workers);
         prop_assert_eq!(map.num_places(), workers.div_ceil(topo.cores_per_socket()));
     }
 
@@ -47,7 +51,7 @@ proptest! {
         if workers > topo.num_cores() {
             return Ok(()); // shrunken machines may not fit 2 workers
         }
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = packed(&topo, workers);
         for thief in [0, workers / 2, workers - 1] {
             let d = StealDistribution::biased(&topo, &map, thief);
             let total: f64 = (0..workers).map(|v| d.probability_of(v)).sum();
@@ -71,7 +75,7 @@ proptest! {
         if workers > topo.num_cores() {
             return Ok(());
         }
-        let map = Placement::Packed.assign(&topo, workers).unwrap();
+        let map = packed(&topo, workers);
         let d = StealDistribution::biased(&topo, &map, 0);
         let mut x = seed;
         for _ in 0..64 {
@@ -85,8 +89,8 @@ proptest! {
         let m = DistanceMatrix::ring(n, per_hop);
         for i in 0..n {
             for j in 0..n {
-                let a = m.distance(nws_topology::SocketId(i), nws_topology::SocketId(j));
-                let b = m.distance(nws_topology::SocketId(j), nws_topology::SocketId(i));
+                let a = m.distance(Place(i), Place(j));
+                let b = m.distance(Place(j), Place(i));
                 prop_assert_eq!(a, b);
                 if i == j {
                     prop_assert_eq!(a, 10);
