@@ -63,9 +63,6 @@ impl std::error::Error for PoisonedPool {}
 /// Errors from [`PoolBuilder::build`](crate::PoolBuilder::build).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildPoolError {
-    /// The worker/place counts don't fit the (possibly synthesized)
-    /// topology.
-    Topology(nws_topology::TopologyError),
     /// A builder setting out of range: zero workers or places, more places
     /// than workers, a zero deque or ingress capacity, or a policy mailbox
     /// capacity above 1.
@@ -75,26 +72,12 @@ pub enum BuildPoolError {
 impl fmt::Display for BuildPoolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuildPoolError::Topology(e) => write!(f, "topology error: {e}"),
             BuildPoolError::InvalidConfig(msg) => write!(f, "invalid pool config: {msg}"),
         }
     }
 }
 
-impl std::error::Error for BuildPoolError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildPoolError::Topology(e) => Some(e),
-            BuildPoolError::InvalidConfig(_) => None,
-        }
-    }
-}
-
-impl From<nws_topology::TopologyError> for BuildPoolError {
-    fn from(e: nws_topology::TopologyError) -> Self {
-        BuildPoolError::Topology(e)
-    }
-}
+impl std::error::Error for BuildPoolError {}
 
 #[cfg(test)]
 mod tests {
@@ -117,11 +100,8 @@ mod tests {
     #[test]
     fn error_display_and_source() {
         use std::error::Error;
-        let e = BuildPoolError::from(nws_topology::TopologyError::Empty);
-        assert!(e.to_string().contains("topology error"));
-        assert!(e.source().is_some());
-        let e2 = BuildPoolError::InvalidConfig("zero workers".into());
-        assert!(e2.to_string().contains("zero workers"));
-        assert!(e2.source().is_none());
+        let e = BuildPoolError::InvalidConfig("zero workers".into());
+        assert!(e.to_string().contains("zero workers"));
+        assert!(e.source().is_none());
     }
 }

@@ -221,7 +221,7 @@ fn lazy_join_promotion(frames: FrameStack) -> Vec<u32> {
     };
     let (w, s) = the_deque::<JobRef>(4);
     let t = thread::spawn(move || {
-        (0..2).filter_map(|_| s.steal_batch(0, |_| ())).collect::<Vec<JobRef>>()
+        (0..2).filter_map(|_| s.steal()).collect::<Vec<JobRef>>()
     });
     let forks: Vec<(JobRef, usize)> = refs
         .iter()

@@ -218,8 +218,10 @@ impl PoolBuilder {
         let topo = Topology::builder()
             .sockets(self.places)
             .cores_per_socket(self.workers.div_ceil(self.places))
-            .build()?;
-        let map = WorkerMap::new(&topo, self.workers, self.places)?;
+            .build()
+            .expect("workers >= places >= 1: every socket has at least one core");
+        let map = WorkerMap::new(&topo, self.workers, self.places)
+            .expect("workers >= places >= 1: the places' cores fit every worker");
         let (registry, owners) = Registry::new(&topo, map, self);
         let mut handles = Vec::with_capacity(self.workers);
         for (index, deque) in owners.into_iter().enumerate() {

@@ -818,16 +818,9 @@ impl WorkerThread {
     }
 
     /// One steal attempt following BIASEDSTEALWITHPUSH (Fig 5 l.28) under
-    /// NUMA-WS, or RANDOMSTEAL (Fig 2 l.24) under Classic, taking up to
-    /// half the victim's run in one trip (steal-half batching): the first
-    /// stolen job is returned to run now, the rest spill into our own
-    /// deque (or relay onward through PUSHBACK if earmarked elsewhere).
+    /// NUMA-WS, or RANDOMSTEAL (Fig 2 l.24) under Classic: one job per
+    /// successful steal, as in the paper and the simulator.
     fn steal_once(&self) -> Option<JobRef> {
-        /// Per-episode cap on spilled jobs: bounds the stack spill buffer
-        /// and how long a batch keeps re-CASing one victim. Half of a
-        /// decently loaded deque easily exceeds this; the point of the
-        /// batch is amortizing the trip, which 16 already does.
-        const STEAL_BATCH_MAX: usize = 16;
         let dist = self.registry.dists[self.index].as_ref()?;
         // The victim, then the policy's choice between its deque and its
         // mailbox: a fair coin under the paper's protocol (required for the
@@ -849,69 +842,19 @@ impl WorkerThread {
             // Outcome 1: mailbox empty — fall back to the deque.
         }
 
-        // Steal-half batching: one trip to the victim claims up to half its
-        // run — the first job comes back to run now, the rest spill into a
-        // fixed stack buffer (`JobRef` is `Copy`; no allocation on this
-        // path) and are re-routed below. `limit` is bounded by our own
-        // deque's spare capacity: only thieves remove from it and its owner
-        // is right here, so the spare can't shrink before we spill and the
-        // spill pushes are infallible (the `Full` arm below is defensive).
-        let mut spill = [None::<JobRef>; STEAL_BATCH_MAX];
-        let mut spilled = 0usize;
-        let limit = self.deque.spare_capacity().min(STEAL_BATCH_MAX);
-        let mut sink = |job: JobRef| {
-            spill[spilled] = Some(job);
-            spilled += 1;
-        };
         // The deque's "steal.handshake" fault point fires at the top of
-        // `steal_batch()`, before the handshake — there is no steal lock
-        // anymore, and nothing is claimed until each item's CAS commits. A
-        // `panic` action is caught here, never unwinding this frame: an
-        // unwind from the point leaves the indices untouched and no item
-        // consumed, so this simply becomes a failed steal attempt on a
-        // now-poisoned pool.
-        let job = self
-            .fault_guard(|| self.registry.stealers[victim].steal_batch(limit, &mut sink))
-            .ok()
-            .flatten()?;
+        // `steal()`, before the handshake — there is no steal lock, and
+        // nothing is claimed until the claim CAS commits. A `panic` action
+        // is caught here, never unwinding this frame: an unwind from the
+        // point leaves the indices untouched and no item consumed, so this
+        // simply becomes a failed steal attempt on a now-poisoned pool.
+        let job = self.fault_guard(|| self.registry.stealers[victim].steal()).ok().flatten()?;
         bump!(self.local, steals);
         // The only cross-worker counter write; it lands in the victim's
         // thief-block cacheline, never on its owner-counter lines.
         self.registry.worker_stats[victim].thief.stolen_from.fetch_add(1, Ordering::Relaxed);
         if self.registry.map.place_of(victim) != self.my_place() {
             bump!(self.local, remote_steals);
-        }
-        if spilled > 0 {
-            bump!(self.local, steal_batches);
-            bump!(self.local, batch_stolen_jobs, spilled as u64);
-            let mut kept_local = false;
-            for slot in &mut spill[..spilled] {
-                let job = slot.take().expect("spill slots 0..spilled are filled");
-                // Spilled foreign jobs respect the same earmarking protocol
-                // as a single steal: relay them toward their place's
-                // mailboxes, and only keep what the pushing threshold
-                // exhausts.
-                if let Some(job) = self.pushback(job) {
-                    // Raw deque push, not `Worker::push`: these jobs were
-                    // already spawned (and traced) by the victim; re-routing
-                    // them must not record phantom Spawn events or count as
-                    // new spawns.
-                    match self.deque.push(job) {
-                        Ok(()) => kept_local = true,
-                        // Unreachable per the `limit` argument above; if it
-                        // ever fires, run the job here rather than lose it.
-                        // SAFETY: a spilled job came out of the victim's
-                        // deque via a committed claim — live, owned by us,
-                        // and not yet executed.
-                        Err(Full(job)) => unsafe { self.execute(job) },
-                    }
-                }
-            }
-            if kept_local && self.registry.sleep.num_sleepers() > 0 {
-                // The spill refilled our deque with stealable work; let a
-                // sleeper come take its share, as `push` would.
-                self.registry.sleep.wake_one();
-            }
         }
         self.pushback(job)
     }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the threaded runtime: correctness under real
 //! parallelism, hint routing, panic propagation, and statistics.
 
-use numa_ws::{join, join4_at, join_at, Place, Pool, SchedPolicy};
+use numa_ws::{join, join4_at, join_at, scope, Place, Pool, SchedPolicy};
 use nws_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -85,6 +85,40 @@ fn steals_happen_under_load() {
     assert!(stats.total_spawns() > 10_000);
     // Every steal is counted once by its thief and once by its victim.
     assert_eq!(stats.total_steals(), stats.total_stolen_from(), "{stats:?}");
+}
+
+#[test]
+fn a_steal_takes_one_job() {
+    // The scope body spawns 16 tasks onto its owner's deque, then spins
+    // until one of them has run: the owner is busy spinning, so only the
+    // other worker — a thief — can run that task. The thief sees all 16
+    // entries at once, and still claims exactly one per steal.
+    let pool = Pool::builder().workers(2).build().unwrap();
+    let runs: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+    let any_ran = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    pool.install(|| {
+        scope(|s| {
+            for run in &runs {
+                let any_ran = &any_ran;
+                s.spawn(move |_| {
+                    run.fetch_add(1, Ordering::Relaxed);
+                    any_ran.store(true, Ordering::Release);
+                });
+            }
+            while !any_ran.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "no thief took a task within 60 s");
+                nws_sync::thread::yield_now();
+            }
+        })
+    });
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run.load(Ordering::Relaxed), 1, "task {i} must run exactly once");
+    }
+    let stats = pool.stats();
+    assert!(stats.total_steals() > 0, "a thief must have run a task: {stats:?}");
+    assert_eq!(stats.total_steals(), stats.total_stolen_from(), "{stats:?}");
+    assert_eq!(stats.total_batch_stolen_jobs(), 0, "one job per steal: {stats:?}");
 }
 
 #[test]

@@ -5,12 +5,11 @@
 //! unchanged in NUMA-WS (§II): the worker that owns the deque pushes and
 //! pops at the *tail* without any lock or fence on the common path, while
 //! thieves claim the oldest item at the *head* by lock-free CAS (the
-//! Chase-Lev protocol — the modern form of THE's thief side), through one
-//! claim, [`TheStealer::steal_batch`], that takes one item or a steal-half
-//! batch. Owner and
-//! thieves only synchronize when they might be going after the same (last)
-//! item, which is exactly the work-first principle — overhead lands on the
-//! steal path, not the work path.
+//! Chase-Lev protocol — the modern form of THE's thief side), one item per
+//! [`TheStealer::steal`]. Owner and thieves only synchronize when they
+//! might be going after the same (last) item, which is exactly the
+//! work-first principle — overhead lands on the steal path, not the work
+//! path.
 //!
 //! # Example
 //!
@@ -22,9 +21,8 @@
 //! worker.push(2).unwrap();
 //! // The owner works LIFO at the tail...
 //! assert_eq!(worker.pop(), Some(2));
-//! // ...while thieves take the oldest item at the head (`0`: no room to
-//! // spill a batch, so exactly one item).
-//! assert_eq!(stealer.steal_batch(0, |_| {}), Some(1));
+//! // ...while thieves take the oldest item at the head.
+//! assert_eq!(stealer.steal(), Some(1));
 //! assert_eq!(worker.pop(), None);
 //! ```
 
@@ -32,7 +30,4 @@
 
 mod the;
 
-pub use the::{
-    the_deque, the_deque_naive_batch_for_model, the_deque_weak_fence_for_model, Full, TheStealer,
-    TheWorker,
-};
+pub use the::{the_deque, the_deque_weak_fence_for_model, Full, TheStealer, TheWorker};

@@ -71,20 +71,6 @@
 //!   from its race detector; the checked tier's exactly-once assertions
 //!   are what verify the claims instead (`tests/model.rs`).
 //!
-//! ## Batching ([`TheStealer::steal_batch`])
-//!
-//! A batch steal claims up to ⌈n/2⌉ items (steal-half) as a bounded loop
-//! of single-item claims, each running the **full** handshake: fresh
-//! head, fence, fresh tail, speculative copy, CAS. Claiming several
-//! items with one `CAS(H, H+k)` is *unsound* — the owner's unarbitrated
-//! fast pop of an index in `(H, H+k)` can interleave with the wide claim
-//! under plain sequential consistency, double-taking that index — so the
-//! batch amortizes victim selection and the scheduler's per-steal
-//! bookkeeping, not the handshake itself. DESIGN.md §4 gives the
-//! interleaving; `the_deque_naive_batch_for_model` keeps the unsound
-//! variant armable by the model tier, which proves the checker finds the
-//! double-take.
-
 use nws_sync::atomic::{
     fence, AtomicIsize,
     Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst},
@@ -125,11 +111,6 @@ struct Inner<T> {
     /// builds read a folded-away constant `false`). Never set outside
     /// `the_deque_weak_fence_for_model`.
     weak_fence: nws_sync::ModelFlag,
-    /// Model-tier fault injection: make `steal_batch` claim two items
-    /// with a single wide CAS — the unsound shortcut the per-item claim
-    /// loop exists to avoid. Never set outside
-    /// `the_deque_naive_batch_for_model`.
-    naive_batch: nws_sync::ModelFlag,
 }
 
 // SAFETY: slots are transferred between threads with the protocol above;
@@ -247,7 +228,7 @@ pub struct TheWorker<T> {
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
 
-/// Thief half of a THE deque: claims the oldest item(s) by CAS, lock-free.
+/// Thief half of a THE deque: claims the oldest item by CAS, lock-free.
 /// Cloneable and shareable across any number of thieves.
 pub struct TheStealer<T> {
     inner: Arc<Inner<T>>,
@@ -278,7 +259,7 @@ impl<T> fmt::Debug for TheStealer<T> {
 ///
 /// Panics if `capacity == 0`.
 pub fn the_deque<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
-    new_deque(capacity, nws_sync::ModelFlag::off(), nws_sync::ModelFlag::off())
+    new_deque(capacity, nws_sync::ModelFlag::off())
 }
 
 /// Deliberately broken deque for the checked-interleaving tier: identical
@@ -295,31 +276,10 @@ pub fn the_deque<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
 ///
 /// Panics if `capacity == 0`.
 pub fn the_deque_weak_fence_for_model<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
-    new_deque(capacity, nws_sync::ModelFlag::for_model(true), nws_sync::ModelFlag::off())
+    new_deque(capacity, nws_sync::ModelFlag::for_model(true))
 }
 
-/// Deliberately broken deque for the checked-interleaving tier: identical
-/// to [`the_deque`] except [`TheStealer::steal_batch`] claims two items
-/// with a single wide `CAS(H, H+2)` *when compiled under the model tier*
-/// — the shortcut the per-item claim loop exists to avoid. The owner's
-/// unarbitrated fast pop of the middle index interleaves with the wide
-/// claim under plain sequential consistency (no weak memory needed), and
-/// the model checker must find the double-take; see `tests/model.rs` and
-/// DESIGN.md §4. In default builds the flag cannot be armed, so this is
-/// exactly [`the_deque`].
-///
-/// # Panics
-///
-/// Panics if `capacity == 0`.
-pub fn the_deque_naive_batch_for_model<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
-    new_deque(capacity, nws_sync::ModelFlag::off(), nws_sync::ModelFlag::for_model(true))
-}
-
-fn new_deque<T>(
-    capacity: usize,
-    weak_fence: nws_sync::ModelFlag,
-    naive_batch: nws_sync::ModelFlag,
-) -> (TheWorker<T>, TheStealer<T>) {
+fn new_deque<T>(capacity: usize, weak_fence: nws_sync::ModelFlag) -> (TheWorker<T>, TheStealer<T>) {
     assert!(capacity > 0, "deque capacity must be positive");
     let cap = capacity.next_power_of_two();
     let buf: Box<[UnsafeCell<MaybeUninit<T>>]> =
@@ -330,7 +290,6 @@ fn new_deque<T>(
         buf,
         mask: cap - 1,
         weak_fence,
-        naive_batch,
     });
     (TheWorker { inner: Arc::clone(&inner), _not_sync: PhantomData }, TheStealer { inner })
 }
@@ -440,15 +399,6 @@ impl<T> TheWorker<T> {
         self.inner.mask + 1
     }
 
-    /// Free slots at this instant. Only thieves can change occupancy
-    /// concurrently, and they only *remove* — so the returned value is a
-    /// lower bound that the owner can rely on: that many pushes cannot
-    /// fail. (This is what lets a batch-stealing scheduler size its spill
-    /// so the spill pushes are infallible.)
-    pub fn spare_capacity(&self) -> usize {
-        self.capacity() - self.len()
-    }
-
     /// A thief handle to this deque.
     pub fn stealer(&self) -> TheStealer<T> {
         TheStealer { inner: Arc::clone(&self.inner) }
@@ -456,31 +406,16 @@ impl<T> TheWorker<T> {
 }
 
 impl<T> TheStealer<T> {
-    /// Steals from the head, the only thief claim: read `H`, fence, read
-    /// `T`, speculative copy, claim by `CAS(H, H+1)`. Lock-free — a thief
-    /// never blocks the owner or other thieves, it only ever loses a CAS.
+    /// Steals the oldest item from the head: read `H`, fence, read `T`,
+    /// speculative copy, claim by `CAS(H, H+1)`. Lock-free — a thief never
+    /// blocks the owner or other thieves, it only ever loses a CAS.
+    /// Allocation-free.
     ///
-    /// Steal-half batching: claims up to ⌈n/2⌉ of the `n` items observed
-    /// (bounded by `limit + 1` total, so `limit == 0` steals one item),
-    /// returning the first claimed item and feeding each further one to
-    /// `sink` in FIFO order. The batch is a bounded loop of single-item
-    /// claims — each iteration re-runs the full handshake (fresh head,
-    /// fence, fresh tail, speculative copy, CAS), because claiming several
-    /// indices with one wide CAS is unsound against the owner's
-    /// unarbitrated fast pop (module docs, DESIGN.md §4). What the batch
-    /// amortizes is the scheduler's per-steal work: victim selection,
-    /// mailbox probing, counter traffic, and the trip back for more.
-    ///
-    /// `limit` is the most items the caller can absorb through `sink`
-    /// (e.g. the thief's own deque's spare capacity); `sink` is called
-    /// synchronously, between claims, and must not touch this deque.
-    /// Stops early on any lost CAS or observed-empty. Allocation-free.
-    ///
-    /// Returns `None` (without calling `sink`) if the deque is empty or
-    /// the first claim lost its CAS (to another thief, or to the owner
-    /// arbitrating the last item). A lost claim is not retried here: the
-    /// scheduler treats it as a failed attempt and re-picks a victim.
-    pub fn steal_batch(&self, limit: usize, mut sink: impl FnMut(T)) -> Option<T> {
+    /// Returns `None` if the deque is empty or the claim lost its CAS (to
+    /// another thief, or to the owner arbitrating the last item). A lost
+    /// claim is not retried here: the scheduler treats it as a failed
+    /// attempt and re-picks a victim.
+    pub fn steal(&self) -> Option<T> {
         let inner = &*self.inner;
         // Chaos-tier fault point (a no-op in default builds): `fail`
         // forces a steal retry, `delay` stalls the thief mid-protocol —
@@ -503,72 +438,7 @@ impl<T> TheStealer<T> {
         if h >= t {
             return None;
         }
-        // Steal-half: of the run observed now, take ⌈n/2⌉ — enough to
-        // halve a flooded victim per visit, while leaving the victim's
-        // owner its share (the work-first bound's steal-path argument
-        // only charges thieves for what they take).
-        let n = (t - h) as usize;
-        let target = n.div_ceil(2).min(limit.saturating_add(1));
-        if inner.naive_batch.get() {
-            return self.steal_batch_naive_wide_cas(h, t, target, sink);
-        }
-        let first = inner.claim(h)?;
-        let mut claimed = 1;
-        while claimed < target {
-            // Full handshake per claim: a fresh head (other thieves and
-            // the owner's arbitration move it), the fence, and a fresh
-            // tail (the owner may have popped the run out from under the
-            // batch — a stale tail here is exactly the unsound wide-CAS
-            // bug in per-item form).
-            let h = inner.head.load(Acquire);
-            inner.handshake_fence();
-            let t = inner.tail.load(Acquire);
-            if h >= t {
-                break;
-            }
-            match inner.claim(h) {
-                Some(v) => {
-                    sink(v);
-                    claimed += 1;
-                }
-                // Lost a CAS mid-batch: another thief is on this deque;
-                // stop contending and run with what we have.
-                None => break,
-            }
-        }
-        Some(first)
-    }
-
-    /// The deliberately unsound wide-CAS batch, armable only by the model
-    /// tier through [`the_deque_naive_batch_for_model`]: claims two items
-    /// with a single `CAS(H, H+2)`. The owner's unarbitrated fast pop of
-    /// index `H+1` (which reads a head that the wide CAS has not yet
-    /// published, on a tail this thief read before the owner decremented
-    /// it) interleaves with the claim and double-takes `H+1` — under
-    /// plain SC, no weak memory required. Kept so `tests/model.rs` can
-    /// prove the checker finds it; never reachable in default builds.
-    fn steal_batch_naive_wide_cas(
-        &self,
-        h: isize,
-        t: isize,
-        target: usize,
-        mut sink: impl FnMut(T),
-    ) -> Option<T> {
-        let inner = &*self.inner;
-        let k = if target >= 2 && t - h >= 2 { 2 } else { 1 };
-        let v0 = inner.read_speculative(h);
-        let v1 = if k == 2 { Some(inner.read_speculative(h + 1)) } else { None };
-        if inner.head.compare_exchange(h, h + k, SeqCst, Relaxed).is_err() {
-            return None;
-        }
-        if let Some(v1) = v1 {
-            // SAFETY: intentionally bogus — this is the seeded bug. The
-            // wide CAS only proves nobody claimed index h; it proves
-            // nothing about h + 1, which the owner may have fast-popped.
-            sink(unsafe { v1.assume_init() });
-        }
-        // SAFETY: index h's claim argument is the same as `claim`'s.
-        Some(unsafe { v0.assume_init() })
+        inner.claim(h)
     }
 
     /// Number of items currently in the deque (a racy snapshot).
@@ -596,11 +466,6 @@ mod tests {
     use super::*;
     use nws_sync::Mutex;
 
-    /// One single-item claim: a batch steal with no room to spill.
-    fn steal_one<T>(s: &TheStealer<T>) -> Option<T> {
-        s.steal_batch(0, |_| unreachable!("limit 0 spills nothing"))
-    }
-
     #[test]
     fn lifo_at_tail_fifo_at_head() {
         let (w, s) = the_deque::<i32>(8);
@@ -608,18 +473,18 @@ mod tests {
             w.push(i).unwrap();
         }
         assert_eq!(w.pop(), Some(3));
-        assert_eq!(steal_one(&s), Some(0));
-        assert_eq!(steal_one(&s), Some(1));
+        assert_eq!(s.steal(), Some(0));
+        assert_eq!(s.steal(), Some(1));
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), None);
-        assert_eq!(steal_one(&s), None);
+        assert_eq!(s.steal(), None);
     }
 
     #[test]
     fn empty_pop_and_steal() {
         let (w, s) = the_deque::<u8>(4);
         assert_eq!(w.pop(), None);
-        assert_eq!(steal_one(&s), None);
+        assert_eq!(s.steal(), None);
         assert!(w.is_empty());
         assert!(s.is_empty());
     }
@@ -633,7 +498,6 @@ mod tests {
         }
         assert_eq!(w.push(99), Err(Full(99)));
         assert_eq!(w.len(), 8);
-        assert_eq!(w.spare_capacity(), 0);
     }
 
     #[test]
@@ -642,49 +506,44 @@ mod tests {
         w.push(0).unwrap();
         w.push(1).unwrap();
         assert!(w.push(2).is_err());
-        assert_eq!(steal_one(&s), Some(0));
+        assert_eq!(s.steal(), Some(0));
         w.push(2).unwrap();
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), Some(1));
     }
 
     #[test]
-    fn steal_batch_takes_half_in_fifo_order() {
+    fn steal_takes_one_item_fifo_at_the_head() {
         let (w, s) = the_deque::<u32>(16);
-        for i in 0..8 {
+        for i in 0..4 {
             w.push(i).unwrap();
         }
-        let mut spilled = Vec::new();
-        // 8 observed -> ceil(8/2) = 4 claimed: one returned, three spilled.
-        let first = s.steal_batch(16, |v| spilled.push(v));
-        assert_eq!(first, Some(0));
-        assert_eq!(spilled, [1, 2, 3]);
-        assert_eq!(w.len(), 4);
-        // 4 observed -> 2 claimed.
-        spilled.clear();
-        assert_eq!(s.steal_batch(16, |v| spilled.push(v)), Some(4));
-        assert_eq!(spilled, [5]);
+        // Each call claims exactly the oldest item, however many remain.
+        assert_eq!(s.steal(), Some(0));
+        assert_eq!(w.len(), 3);
+        assert_eq!(s.steal(), Some(1));
+        assert_eq!(w.len(), 2);
         // Owner keeps its end meanwhile.
-        assert_eq!(w.pop(), Some(7));
+        assert_eq!(w.pop(), Some(3));
+        assert_eq!(s.steal(), Some(2));
+        assert_eq!(s.steal(), None);
+        assert!(s.is_empty());
     }
 
     #[test]
-    fn steal_batch_respects_limit_and_empty() {
+    fn steal_takes_one_item_per_call_until_empty() {
         let (w, s) = the_deque::<u32>(16);
         for i in 0..10 {
             w.push(i).unwrap();
         }
-        let mut spilled = Vec::new();
-        // ceil(10/2) = 5, but limit 2 caps the batch at 1 + 2 items.
-        assert_eq!(s.steal_batch(2, |v| spilled.push(v)), Some(0));
-        assert_eq!(spilled, [1, 2]);
-        // limit 0: plain single steal through the batch path.
-        spilled.clear();
-        assert_eq!(s.steal_batch(0, |v| spilled.push(v)), Some(3));
-        assert!(spilled.is_empty());
-        while steal_one(&s).is_some() {}
-        assert_eq!(s.steal_batch(8, |v| spilled.push(v)), None);
-        assert!(spilled.is_empty());
+        // However full the deque, no call claims more than one item.
+        for i in 0..10u32 {
+            assert_eq!(s.steal(), Some(i));
+            assert_eq!(w.len(), (9 - i) as usize);
+        }
+        assert_eq!(s.steal(), None);
+        assert_eq!(s.steal(), None);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -698,7 +557,7 @@ mod tests {
                     model.push_back(round);
                 }
                 3 => assert_eq!(w.pop(), model.pop_back()),
-                _ => assert_eq!(steal_one(&s), model.pop_front()),
+                _ => assert_eq!(s.steal(), model.pop_front()),
             }
             assert_eq!(w.len(), model.len());
         }
@@ -732,24 +591,13 @@ mod tests {
                 let done = &done;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    // Half the thieves steal one at a time, half in
-                    // batches, so single claims and batch claim loops
-                    // contend on the same head.
-                    let batching = tid % 2 == 0;
                     loop {
-                        let got = if batching {
-                            s.steal_batch(8, |v| local.push(v))
-                        } else {
-                            steal_one(&s)
-                        };
-                        match got {
+                        match s.steal() {
                             Some(v) => local.push(v),
-                            None if done.load(SeqCst) => {
-                                match s.steal_batch(8, |v| local.push(v)) {
-                                    Some(v) => local.push(v),
-                                    None => break,
-                                }
-                            }
+                            None if done.load(SeqCst) => match s.steal() {
+                                Some(v) => local.push(v),
+                                None => break,
+                            },
                             None => nws_sync::hint::spin_loop(),
                         }
                     }
@@ -796,7 +644,7 @@ mod tests {
             let (a, b) = std::thread::scope(|scope| {
                 let thief = scope.spawn(|| {
                     barrier.wait();
-                    steal_one(&s)
+                    s.steal()
                 });
                 barrier.wait();
                 let mine = w.pop();
@@ -819,8 +667,7 @@ mod tests {
     fn tiny_deque_wraparound_under_thieves() {
         // A capacity-2 ring forces constant slot reuse, hammering the
         // wrap-around edge the claim-CAS Release / push Acquire pairing
-        // protects. The thief alternates single and batch steals so both
-        // claim shapes hit the reused slots.
+        // protects.
         const ITEMS: u64 = 30_000;
         let (w, s) = the_deque::<u64>(2);
         let done = nws_sync::atomic::AtomicBool::new(false);
@@ -830,15 +677,8 @@ mod tests {
                 let done = &done;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    let mut round = 0u64;
                     loop {
-                        round += 1;
-                        let got = if round.is_multiple_of(2) {
-                            s.steal_batch(2, |v| local.push(v))
-                        } else {
-                            steal_one(&s)
-                        };
-                        if let Some(v) = got {
+                        if let Some(v) = s.steal() {
                             local.push(v);
                         } else if done.load(SeqCst) {
                             break;
@@ -875,7 +715,7 @@ mod tests {
     /// Regression for the `Full`-path cleanup: the owner hammers push at
     /// capacity (every push decided by the one unlocked occupancy read —
     /// the CAS-era replacement for the THE-era locked re-read) while a
-    /// batch thief drains. No push may be wrongly rejected into loss, no
+    /// thief drains. No push may be wrongly rejected into loss, no
     /// slot double-filled: exactly-once over everything, and every
     /// `Full` the owner sees must coexist with a genuinely full ring at
     /// the snapshot (occupancy can only shrink under it).
@@ -891,7 +731,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
-                        if let Some(v) = s.steal_batch(4, |v| local.push(v)) {
+                        if let Some(v) = s.steal() {
                             local.push(v);
                         } else if done.load(SeqCst) {
                             break;
@@ -905,7 +745,7 @@ mod tests {
             let mut kept = Vec::new();
             // Keep the ring pinned at capacity: push until Full, then
             // record the rejected item as "ran inline" — never pop. This
-            // maximizes pushes racing batch claims on a wrapping ring.
+            // maximizes pushes racing claims on a wrapping ring.
             for i in 0..ITEMS {
                 if let Err(Full(v)) = w.push(i) {
                     kept.push(v);

@@ -5,34 +5,23 @@
 //!   interleavings *and* weak-memory outcomes exhaustively (bounded
 //!   preemptions). The tier proves exactly-once over every explored
 //!   schedule for the lock-free CAS steal — last-item arbitration,
-//!   two thieves racing one owner, the capacity-2 wrap-around, a batch
-//!   steal racing the owner's pop, and demand-driven splitting (the owner
-//!   exposes one item at a time) — and, the teeth, proves the
-//!   checker *finds* the double-take in two deliberately weakened
-//!   variants: the handshake fence demoted from `SeqCst` to `AcqRel`
-//!   (a weak-memory bug, reproduced both by exhaustive search and from
-//!   a committed replay seed) and the batch claim collapsed to a single
-//!   wide CAS (a plain-interleaving bug — no weak memory needed).
+//!   two thieves racing one owner, the capacity-2 wrap-around, and
+//!   demand-driven splitting (the owner exposes one item at a time) —
+//!   and, the teeth, proves the checker *finds* the double-take in a
+//!   deliberately weakened variant: the handshake fence demoted from
+//!   `SeqCst` to `AcqRel` (a weak-memory bug, reproduced both by
+//!   exhaustive search and from a committed replay seed).
 //! - **Stress tier** (default): proptest sequential-model equivalence
 //!   plus slimmed concurrent ping-pong runs on real hardware. The heavy
 //!   stress counts live in `src/the.rs`'s unit tests; this tier keeps a
 //!   reduced variant so `cargo test` stays fast now that the checked tier
 //!   carries the exhaustive-interleaving burden.
 
-use nws_deque::TheStealer;
-
-/// One single-item claim: a batch steal with no room to spill. The
-/// runtime claims only through `steal_batch`, so both tiers test that code.
-fn steal_one<T>(s: &TheStealer<T>) -> Option<T> {
-    s.steal_batch(0, |_| unreachable!("limit 0 spills nothing"))
-}
-
 // `not_model!`/`model_only!` instead of raw `#[cfg(...)]`: the
 // cfg-confinement rule (DESIGN.md §10) keeps the cfg names inside
 // crates/sync.
 nws_sync::not_model! {
 mod stress {
-    use super::steal_one;
     use nws_deque::{the_deque, Full};
     use nws_sync::atomic::{AtomicBool, Ordering::SeqCst};
     use proptest::prelude::*;
@@ -65,7 +54,7 @@ mod stress {
                         model.push_back(v);
                     }
                     Op::Pop => prop_assert_eq!(w.pop(), model.pop_back()),
-                    Op::Steal => prop_assert_eq!(steal_one(&s), model.pop_front()),
+                    Op::Steal => prop_assert_eq!(s.steal(), model.pop_front()),
                 }
                 prop_assert_eq!(w.len(), model.len());
                 prop_assert_eq!(s.is_empty(), model.is_empty());
@@ -89,7 +78,7 @@ mod stress {
                 w.push(v).unwrap();
             }
             let mut stolen = Vec::new();
-            while let Some(v) = steal_one(&s) {
+            while let Some(v) = s.steal() {
                 stolen.push(v);
             }
             prop_assert_eq!(stolen, values);
@@ -108,21 +97,13 @@ mod stress {
         let mut harvested: Vec<u64> = Vec::with_capacity(items as usize);
         let stolen: Vec<Vec<u64>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..thieves)
-                .map(|tid| {
+                .map(|_| {
                     let s = s.clone();
                     let done = &done;
-                    // Alternate single steals and steal-half batches so
-                    // both claim shapes contend on the same head.
                     scope.spawn(move || {
                         let mut local = Vec::new();
-                        let batching = tid % 2 == 0;
                         loop {
-                            let got = if batching {
-                                s.steal_batch(4, |v| local.push(v))
-                            } else {
-                                steal_one(&s)
-                            };
-                            if let Some(v) = got {
+                            if let Some(v) = s.steal() {
                                 local.push(v);
                             } else if done.load(SeqCst) {
                                 break;
@@ -195,10 +176,7 @@ mod stress {
 
 nws_sync::model_only! {
 mod checked {
-    use super::steal_one;
-    use nws_deque::{
-        the_deque, the_deque_naive_batch_for_model, the_deque_weak_fence_for_model, Full,
-    };
+    use nws_deque::{the_deque, the_deque_weak_fence_for_model, Full};
     use nws_sync::model::{Builder, FailureKind};
     use nws_sync::thread;
 
@@ -224,7 +202,7 @@ mod checked {
             let t = thread::spawn(move || {
                 let mut got = Vec::new();
                 for _ in 0..2 {
-                    if let Some(v) = steal_one(&s) {
+                    if let Some(v) = s.steal() {
                         got.push(v);
                     }
                 }
@@ -258,7 +236,7 @@ mod checked {
             let t = thread::spawn(move || {
                 let mut got = Vec::new();
                 for _ in 0..3 {
-                    if let Some(v) = steal_one(&s) {
+                    if let Some(v) = s.steal() {
                         got.push(v);
                     }
                 }
@@ -297,8 +275,8 @@ mod checked {
             w.push(1).unwrap();
             w.push(2).unwrap();
             let s2 = s.clone();
-            let t1 = thread::spawn(move || steal_one(&s));
-            let t2 = thread::spawn(move || steal_one(&s2));
+            let t1 = thread::spawn(move || s.steal());
+            let t2 = thread::spawn(move || s2.steal());
             let mut all = Vec::new();
             all.extend(t1.join().unwrap());
             all.extend(t2.join().unwrap());
@@ -308,76 +286,6 @@ mod checked {
             all.sort_unstable();
             assert_eq!(all, [1, 2], "lost or duplicated an item");
         });
-    }
-
-    /// A steal-half batch racing the owner's pops, as a reusable body:
-    /// three items, a thief batch-stealing (observes up to 3, so claims
-    /// up to 2), the owner popping twice concurrently, then draining.
-    /// Returns every item handed out, sorted. With the per-item claim
-    /// loop this is `[1, 2, 3]` on every schedule; with the naive wide
-    /// CAS (`CAS(H, H+2)` claiming two indices at once) the owner's
-    /// unarbitrated fast pop of the middle index slips between the
-    /// thief's tail read and its claim, and an item is handed out twice —
-    /// under plain sequential interleaving, no weak memory required.
-    fn batch_vs_pop(naive: bool) -> Vec<u32> {
-        let (w, s) = if naive {
-            the_deque_naive_batch_for_model::<u32>(4)
-        } else {
-            the_deque::<u32>(4)
-        };
-        for v in [1, 2, 3] {
-            w.push(v).unwrap();
-        }
-        let t = thread::spawn(move || {
-            let mut got = Vec::new();
-            if let Some(v) = s.steal_batch(2, |v| got.push(v)) {
-                got.push(v);
-            }
-            got
-        });
-        let mut all = Vec::new();
-        for _ in 0..2 {
-            if let Some(v) = w.pop() {
-                all.push(v);
-            }
-        }
-        all.extend(t.join().unwrap());
-        while let Some(v) = w.pop() {
-            all.push(v);
-        }
-        all.sort_unstable();
-        all
-    }
-
-    /// The batch/owner-pop race on the real deque: exactly-once on every
-    /// explored schedule, because each batch claim re-runs the full
-    /// handshake (fresh head, fence, fresh tail, CAS).
-    #[test]
-    fn batch_steal_owner_pop_race_exactly_once() {
-        Builder::exhaustive(2, 200_000).run(|| {
-            assert_eq!(batch_vs_pop(false), [1, 2, 3], "each item must change hands exactly once");
-        });
-    }
-
-    /// THE BATCH ACCEPTANCE TEST: collapse the batch claim to one wide
-    /// CAS and the checker must find the double-take. This is the bug
-    /// that makes "one CAS per batch" unsound (DESIGN.md §4) and the
-    /// reason `steal_batch` claims item-by-item.
-    #[test]
-    fn naive_batch_double_take_found_exhaustive() {
-        let failure = Builder::exhaustive(2, 200_000)
-            .check(|| {
-                assert_eq!(
-                    batch_vs_pop(true),
-                    [1, 2, 3],
-                    "each item must change hands exactly once"
-                );
-            })
-            .expect_err("the wide-CAS batch must double-take under some schedule");
-        assert!(
-            matches!(failure.kind, FailureKind::Panic(ref m) if m.contains("exactly once")),
-            "expected the double-take assertion, got: {failure}"
-        );
     }
 
     /// The fence-sensitive race, as a reusable body. With CAS claims the
@@ -397,7 +305,7 @@ mod checked {
         let t = thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Some(v) = steal_one(&s) {
+                if let Some(v) = s.steal() {
                     got.push(v);
                 }
             }
@@ -430,7 +338,7 @@ mod checked {
         let t = thread::spawn(move || {
             let mut got = Vec::new();
             for _ in 0..2 {
-                if let Some(v) = steal_one(&s) {
+                if let Some(v) = s.steal() {
                     got.push(v);
                 }
             }

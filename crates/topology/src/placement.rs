@@ -181,10 +181,11 @@ mod tests {
             WorkerMap::new(&topo, 33, topo.packed_places(33)).unwrap_err(),
             TopologyError::TooManyWorkers { requested: 33, available: 32 }
         );
-        assert_eq!(
-            WorkerMap::new(&topo, 9, 1).unwrap_err(),
-            TopologyError::TooManyWorkers { requested: 9, available: 8 }
-        );
+        let err = WorkerMap::new(&topo, 9, 1).unwrap_err();
+        assert_eq!(err, TopologyError::TooManyWorkers { requested: 9, available: 8 });
+        // One place of the 32-core machine: the error names that place's
+        // cores, not the machine's.
+        assert_eq!(err.to_string(), "requested 9 workers but the places in use have 8 cores");
     }
 
     #[test]

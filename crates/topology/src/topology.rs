@@ -45,7 +45,10 @@ impl fmt::Display for TopologyError {
                 write!(f, "distance matrix describes {matrix} sockets but topology has {sockets}")
             }
             TopologyError::TooManyWorkers { requested, available } => {
-                write!(f, "requested {requested} workers but machine has {available} cores")
+                write!(
+                    f,
+                    "requested {requested} workers but the places in use have {available} cores"
+                )
             }
             TopologyError::ZeroRequested { what } => {
                 write!(f, "requested 0 {what}; a placement needs at least one")
