@@ -22,6 +22,12 @@
 //! worker's turn instead of rescanning the clocks after each one; the
 //! outcome is the one turn-by-turn stepping gives (DESIGN.md §2).
 //!
+//! A stepped steal attempt that fails draws the worker's next victim and
+//! coin at once, so the draw is off the chain from one turn to the next.
+//! The worker's next attempt consumes it; a take from its own mailbox or a
+//! fast-forward discards it and rewinds the stream, so every draw lands
+//! where turn-by-turn drawing puts it.
+//!
 //! The engine makes the paper's scheduling decisions through the policy
 //! methods the runtime's steal loop calls: `SchedPolicy::steal_target` for
 //! an idle worker's victim and coin, `push_home` and `pushback` for a
@@ -87,6 +93,16 @@ enum WState {
     CheckParent { parent: usize },
     /// In the scheduling loop, about to attempt a steal.
     Steal,
+}
+
+/// A victim and coin drawn at a failed stepped attempt for the worker's
+/// next one, with the worker's random stream as it stood before the draw
+/// (see [`Engine::step_steal`]).
+#[derive(Debug, Clone)]
+struct Held {
+    victim: u32,
+    try_mailbox: bool,
+    before: SmallRng,
 }
 
 /// One configured simulation, ready to [`run`](Simulation::run).
@@ -238,6 +254,9 @@ struct Engine<'a> {
     deques: Vec<VecDeque<Cont>>,
     mailboxes: Vec<VecDeque<Cont>>,
     rngs: Vec<SmallRng>,
+    /// Each idle worker's draw for its next attempt, made at its last
+    /// failed one; `rngs` is already past it.
+    held: Vec<Option<Held>>,
     dists: Vec<Option<StealDistribution>>,
     /// Each thief's probe cost, [`STEAL_BASE`] plus the hop to the victim,
     /// folded into its distribution's guide table for the idle
@@ -296,6 +315,7 @@ impl<'a> Engine<'a> {
             deques: (0..p).map(|_| VecDeque::new()).collect(),
             mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
             rngs: (0..p).map(|w| SmallRng::seed_from_u64(worker_rng_seed(cfg.seed, w))).collect(),
+            held: vec![None; p],
             dists,
             probe_costs,
             hops,
@@ -310,20 +330,42 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> SimReport {
-        let p = self.clocks.len();
         while self.done_at.is_none() {
-            // Min-clock worker acts next; ties broken by index for
-            // determinism.
-            let w = self.turns.next();
-            debug_assert_eq!(Some(w), (0..p).min_by_key(|&i| (self.clocks[i], i)));
-            if self.states[w] == WState::Steal && self.stealable == 0 {
+            self.pass();
+        }
+        self.report()
+    }
+
+    /// One pass of the engine loop: the next turn, or a whole
+    /// fast-forward.
+    #[inline]
+    fn pass(&mut self) {
+        // Min-clock worker acts next; ties broken by index for
+        // determinism.
+        let w = self.turns.next();
+        debug_assert_eq!(Some(w), (0..self.clocks.len()).min_by_key(|&i| (self.clocks[i], i)));
+        match self.states[w] {
+            WState::Steal if self.stealable == 0 => {
                 self.fast_forward_idle();
                 self.turns.rebuild(&self.clocks);
-            } else {
-                self.step(w);
+            }
+            WState::Steal => {
+                let clock = self.step_steal(w);
+                self.turns.update(w, clock);
+            }
+            WState::Exec { frame, step } => {
+                self.step_exec(w, frame, step);
+                self.turns.update(w, self.clocks[w]);
+            }
+            WState::CheckParent { parent } => {
+                self.step_check_parent(w, parent);
                 self.turns.update(w, self.clocks[w]);
             }
         }
+    }
+
+    fn report(self) -> SimReport {
+        let p = self.clocks.len();
         let makespan = self.done_at.unwrap();
         let workers = (0..p)
             .map(|w| {
@@ -358,8 +400,10 @@ impl<'a> Engine<'a> {
     /// the next busy turn — the smallest `(clock, index)` outside the loop.
     /// It draws exactly as [`step_steal`](Self::step_steal) does: the
     /// victim's value, whose probe cost its [`ProbeCosts`] gives without
-    /// naming the victim, then the coin's when the policy draws one. The
-    /// stream, clock and attempt count live in locals until it is done.
+    /// naming the victim, then the coin's when the policy draws one. A
+    /// worker's held draw is discarded: its stream restarts where that draw
+    /// began. The stream, clock and attempt count live in locals until it
+    /// is done.
     fn fast_forward_idle(&mut self) {
         debug_assert_eq!(
             self.stealable,
@@ -371,17 +415,32 @@ impl<'a> Engine<'a> {
             .map(|w| (self.clocks[w], w))
             .min()
             .expect("with nothing stealable, some worker holds the unfinished work");
+        let attempts = if self.cfg.policy.draws_coin() {
+            self.idle_attempts::<true>(busy_clock, busy)
+        } else {
+            self.idle_attempts::<false>(busy_clock, busy)
+        };
+        self.counters.steal_attempts += attempts;
+    }
+
+    /// [`fast_forward_idle`](Self::fast_forward_idle)'s attempts, with
+    /// [`SchedPolicy::draws_coin`](nws_topology::SchedPolicy::draws_coin)
+    /// as a constant so that the attempt loop holds no test of it.
+    fn idle_attempts<const COIN: bool>(&mut self, busy_clock: u64, busy: usize) -> u64 {
+        let p = self.clocks.len();
         let mut attempts = 0;
-        let draws_coin = self.cfg.policy.draws_coin();
         for w in (0..p).filter(|&w| self.states[w] == WState::Steal) {
             let costs = self.probe_costs[w].as_ref().expect("a lone worker never enters the loop");
             // `(clock, w) < (busy_clock, busy)` as one compare.
             let limit = busy_clock + u64::from(w < busy);
-            let mut rng = self.rngs[w].clone();
+            let mut rng = match self.held[w].take() {
+                Some(held) => held.before,
+                None => self.rngs[w].clone(),
+            };
             let mut clock = self.clocks[w];
             while clock < limit {
                 clock += costs.cost(rng.next_u64());
-                if draws_coin {
+                if COIN {
                     rng.next_u64();
                 }
                 attempts += 1;
@@ -389,15 +448,7 @@ impl<'a> Engine<'a> {
             self.rngs[w] = rng;
             self.clocks[w] = clock;
         }
-        self.counters.steal_attempts += attempts;
-    }
-
-    fn step(&mut self, w: usize) {
-        match self.states[w] {
-            WState::Exec { frame, step } => self.step_exec(w, frame, step),
-            WState::CheckParent { parent } => self.step_check_parent(w, parent),
-            WState::Steal => self.step_steal(w),
-        }
+        attempts
     }
 
     fn step_exec(&mut self, w: usize, frame: usize, step: u32) {
@@ -541,60 +592,97 @@ impl<'a> Engine<'a> {
         };
     }
 
-    fn step_steal(&mut self, w: usize) {
+    /// One trip through the scheduling loop: own mailbox first, then one
+    /// steal attempt. A failed attempt (the common case) is decided by one
+    /// test of the victim's occupancy, without a branch on the coin, and
+    /// draws the worker's next victim and coin (see the module docs).
+    /// Returns `w`'s clock, so that a failure's new clock reaches the turn
+    /// tree in a register.
+    fn step_steal(&mut self, w: usize) -> u64 {
+        let held = self.held[w].take();
         // Check own mailbox first (Fig 5 l.25-26): anything there is for
         // our place by construction.
         if let Some(cont) = self.mailboxes[w].pop_front() {
+            if let Some(held) = held {
+                self.rngs[w] = held.before;
+            }
             self.stealable -= 1;
             let cost = MAILBOX_TAKE;
             self.clocks[w] += cost;
             self.sched[w] += cost;
             self.counters.mailbox_takes += 1;
             self.states[w] = WState::Exec { frame: cont.0, step: cont.1 };
-            return;
+            return self.clocks[w];
         }
-        // The Figure 5 steal decision, shared with the runtime's steal
-        // loop: victim first, then (under a fair coin) the coin.
-        let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
-        let rng = &mut self.rngs[w];
-        let (victim, try_mailbox) = self.cfg.policy.steal_target(dist, || rng.next_u64());
+        let (victim, try_mailbox) = match held {
+            Some(held) => {
+                debug_assert_eq!(self.redraw(w, &held), (held.victim as usize, held.try_mailbox));
+                (held.victim as usize, held.try_mailbox)
+            }
+            None => self.draw(w),
+        };
         let probe_cost = STEAL_BASE + self.hops[w * self.clocks.len() + victim];
         self.counters.steal_attempts += 1;
-
-        if try_mailbox {
-            if let Some(cont) = self.mailboxes[victim].pop_front() {
-                self.stealable -= 1;
-                self.counters.mailbox_takes += 1;
-                // Earmarked for our socket: take it. Earmarked elsewhere:
-                // relay it with lazy pushing; if the episode exhausts the
-                // threshold, take it ourselves.
-                let take = self.push_home(w, cont.0).map_or(MAILBOX_TAKE, |_| 0);
-                self.clocks[w] += probe_cost + take;
-                self.sched[w] += probe_cost + take;
-                self.resume_full(w, cont);
-                return;
-            }
-            // Mailbox empty: fall through to the deque (outcome 1).
-        }
-        if let Some(cont) = self.deques[victim].pop_front() {
-            // Successful steal: promote to a full frame.
-            self.stealable -= 1;
-            self.stolen[cont.0] = true;
-            self.counters.steals += 1;
-            if let Some(log) = &mut self.schedule {
-                log.steals.push((w, victim, cont.0));
-            }
-            if self.map.place_of(victim) != self.map.place_of(w) {
-                self.counters.remote_steals += 1;
-            }
-            let cost = probe_cost + PROMOTE;
-            self.clocks[w] += cost;
-            self.sched[w] += cost;
-            self.resume_full(w, cont);
-        } else {
+        let parked = self.mailboxes[victim].len();
+        if self.deques[victim].len() | (usize::from(try_mailbox) * parked) == 0 {
             // Failed steal: idle cycles (accounted via makespan minus busy).
-            self.clocks[w] += probe_cost;
+            let clock = self.clocks[w] + probe_cost;
+            self.clocks[w] = clock;
+            let before = self.rngs[w].clone();
+            let (victim, try_mailbox) = self.draw(w);
+            self.held[w] = Some(Held { victim: victim as u32, try_mailbox, before });
+            return clock;
         }
+
+        if try_mailbox && parked > 0 {
+            let cont = self.mailboxes[victim].pop_front().expect("the mailbox holds an entry");
+            self.stealable -= 1;
+            self.counters.mailbox_takes += 1;
+            // Earmarked for our socket: take it. Earmarked elsewhere:
+            // relay it with lazy pushing; if the episode exhausts the
+            // threshold, take it ourselves.
+            let take = self.push_home(w, cont.0).map_or(MAILBOX_TAKE, |_| 0);
+            self.clocks[w] += probe_cost + take;
+            self.sched[w] += probe_cost + take;
+            self.resume_full(w, cont);
+            return self.clocks[w];
+        }
+        // The victim's mailbox is empty or the coin chose its deque
+        // (outcome 1): a successful steal, promoted to a full frame.
+        let cont = self.deques[victim].pop_front().expect("the deque holds an entry");
+        self.stealable -= 1;
+        self.stolen[cont.0] = true;
+        self.counters.steals += 1;
+        if let Some(log) = &mut self.schedule {
+            log.steals.push((w, victim, cont.0));
+        }
+        if self.map.place_of(victim) != self.map.place_of(w) {
+            self.counters.remote_steals += 1;
+        }
+        let cost = probe_cost + PROMOTE;
+        self.clocks[w] += cost;
+        self.sched[w] += cost;
+        self.resume_full(w, cont);
+        self.clocks[w]
+    }
+
+    /// The Figure 5 steal decision, shared with the runtime's steal loop:
+    /// victim first, then (under a fair coin) the coin, from `w`'s stream.
+    #[inline]
+    fn draw(&mut self, w: usize) -> (usize, bool) {
+        let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
+        let rng = &mut self.rngs[w];
+        self.cfg.policy.steal_target(dist, || rng.next_u64())
+    }
+
+    /// `held` drawn again from the stream position it saved; checks that
+    /// the stream ends where `w`'s stands now.
+    fn redraw(&self, w: usize, held: &Held) -> (usize, bool) {
+        let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
+        let mut rng = held.before.clone();
+        let drawn = self.cfg.policy.steal_target(dist, || rng.next_u64());
+        assert_eq!(rng.next_u64(), self.rngs[w].clone().next_u64(), "worker {w}'s stream moved");
+        drawn
     }
 }
 
@@ -603,7 +691,7 @@ mod tests {
     use super::*;
     use crate::dag::{tree, DagBuilder, Strand};
     use crate::memory::{PagePolicy, Touch};
-    use nws_topology::{presets, SchedPolicy};
+    use nws_topology::{presets, CoinFlip, SchedPolicy};
 
     #[test]
     fn serial_chain_single_worker() {
@@ -769,6 +857,68 @@ mod tests {
             "NUMA-WS should push hinted frames toward their places: {:?}",
             numa.counters
         );
+    }
+
+    #[test]
+    fn draws_made_ahead_keep_every_outcome() {
+        // The DAG of `hinted_frames_run_with_pushback_traffic`, run pass by
+        // pass under every ablation preset and coin rule. A held draw must
+        // survive each way its worker's next turn can go: discarded for the
+        // own mailbox, consumed by an attempt whose take then draws a
+        // PUSHBACK episode from the same stream, or discarded by a
+        // fast-forward. Debug builds re-derive every consumed draw.
+        let mut b = DagBuilder::new();
+        let data = b.alloc("d", 64, PagePolicy::Chunked { chunks: 4 });
+        b.frame(Place(0), |b| {
+            for q in 0..4u64 {
+                let touch =
+                    Touch { region: data, start_page: q * 16, pages: 16, lines_per_page: 64 };
+                let leaf = Strand { cycles: 20_000, touches: vec![touch] };
+                b.frame(Place(q as usize), |b| _ = b.strand(leaf));
+            }
+            b.sync();
+        });
+        let dag = b.build();
+        let topo = presets::paper_machine();
+        let coins = [CoinFlip::Fair, CoinFlip::MailboxFirst, CoinFlip::DequeOnly];
+        // `(makespan, steal_attempts, push_attempts, mailbox_takes)` per
+        // preset and coin rule, from the engine before draws were made
+        // ahead.
+        let pinned = [
+            [(135837, 38072, 0, 0); 3],
+            [(135468, 42169, 0, 0); 3],
+            [(136399, 38565, 4, 4), (136216, 38579, 8, 8), (187754, 54540, 3, 3)],
+            [(136014, 42289, 3, 3), (135671, 42218, 4, 4), (135761, 42251, 3, 3)],
+        ];
+        let (mut own_mailbox, mut pushback, mut fast_forward) = (0, 0, 0);
+        for ((_, preset), pinned) in SchedPolicy::ablation_grid().into_iter().zip(pinned) {
+            for (coin_flip, pinned) in coins.into_iter().zip(pinned) {
+                let cfg = SimConfig::with_policy(SchedPolicy { coin_flip, ..preset }, 32);
+                let map = WorkerMap::new(&topo, 32, topo.packed_places(32)).unwrap();
+                let mut e = Engine::new(&topo, &dag, &cfg, map);
+                while e.done_at.is_none() {
+                    let w = e.turns.next();
+                    let (held, pushes) = (e.held[w].is_some(), e.counters.push_attempts);
+                    if e.states[w] == WState::Steal && e.stealable == 0 {
+                        fast_forward += u64::from(e.held.iter().any(Option::is_some));
+                    } else if held {
+                        own_mailbox += u64::from(!e.mailboxes[w].is_empty());
+                    }
+                    e.pass();
+                    pushback += u64::from(held && e.counters.push_attempts > pushes);
+                }
+                let r = e.report();
+                let c = &r.counters;
+                assert_eq!(
+                    (r.makespan, c.steal_attempts, c.push_attempts, c.mailbox_takes),
+                    pinned,
+                    "{preset} coin={coin_flip:?}"
+                );
+            }
+        }
+        assert!(own_mailbox > 0, "no held draw was discarded for the own mailbox");
+        assert!(pushback > 0, "no consumed draw was followed by a PUSHBACK episode");
+        assert!(fast_forward > 0, "no fast-forward started while a draw was held");
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub struct StealDistribution {
     cumulative: Vec<u64>,
     /// The total weight, `cumulative[P - 1]`.
     total: u64,
-    /// The Lemire–Kaser–Kurz magic for `% total`, `u128::MAX / total + 1`.
-    magic: u128,
+    /// The Barrett magic for `% total`, `u64::MAX / total`.
+    magic: u64,
     /// Guide table: `guide[b]` is the victim of `r = b << shift`. Since
     /// `1 << shift` is at most the smallest nonzero weight, a bucket holds
     /// at most one victim boundary.
@@ -109,8 +109,7 @@ impl StealDistribution {
                 u32::try_from(v).expect("victim index fits in u32")
             })
             .collect();
-        // Wraps to 0 for a total of 1, which still yields `r % 1 == 0`.
-        let magic = (u128::MAX / u128::from(total)).wrapping_add(1);
+        let magic = u64::MAX / total;
         StealDistribution { cumulative, total, magic, guide, shift, thief }
     }
 
@@ -140,11 +139,12 @@ impl StealDistribution {
     /// Picks a victim from a uniformly random `u64`: the first victim whose
     /// cumulative weight exceeds `random % total`. Never returns the thief.
     ///
-    /// `O(1)` with no data-dependent branch. The remainder is the exact
-    /// Lemire–Kaser–Kurz one (four multiplies, no division). The guide
-    /// bucket of `r` names the victim of the bucket's first value; `r` lies
-    /// at most one boundary past it, and the victim after that boundary is
-    /// the next index, or the one after if the next is the thief.
+    /// `O(1)` with no data-dependent branch. The remainder is an exact
+    /// Barrett reduction (two multiplies and one correction, no division).
+    /// The guide bucket of `r` names the victim of the bucket's first
+    /// value; `r` lies at most one boundary past it, and the victim after
+    /// that boundary is the next index, or the one after if the next is
+    /// the thief.
     #[inline]
     pub fn sample(&self, random: u64) -> usize {
         let r = remainder(random, self.magic, self.total);
@@ -182,15 +182,21 @@ impl StealDistribution {
     }
 }
 
-/// `random % total`, exactly, by Lemire, Kaser and Kurz's direct
-/// computation with `magic = u128::MAX / total + 1` (four multiplies, no
-/// division).
+/// `random % total`, exactly, by a Barrett (Granlund–Montgomery)
+/// reduction with `magic = u64::MAX / total`: two multiplies, one
+/// correction, no division. Since `magic ≥ 2^64 / total − 1`, the quotient
+/// estimate `q = ⌊random · magic / 2^64⌋` is `⌊random / total⌋` or one
+/// less, so `random − q · total` lies in `[0, 2 · total)` and one
+/// conditional subtraction finishes it.
 #[inline]
-fn remainder(random: u64, magic: u128, total: u64) -> u64 {
-    let low = magic.wrapping_mul(u128::from(random));
-    // The high 64 bits of the 192-bit `low * total`.
-    let carry = (u128::from(low as u64) * u128::from(total)) >> 64;
-    (((low >> 64) * u128::from(total) + carry) >> 64) as u64
+fn remainder(random: u64, magic: u64, total: u64) -> u64 {
+    let q = ((u128::from(random) * u128::from(magic)) >> 64) as u64;
+    let r = random - q * total;
+    if r >= total {
+        r - total
+    } else {
+        r
+    }
 }
 
 /// One guide bucket folded over a cost per victim: a remainder in the
@@ -210,7 +216,7 @@ struct ProbeBucket {
 pub struct ProbeCosts {
     buckets: Vec<ProbeBucket>,
     total: u64,
-    magic: u128,
+    magic: u64,
     shift: u32,
 }
 
@@ -336,6 +342,27 @@ mod tests {
     #[should_panic(expected = "at least two workers")]
     fn lone_worker_rejected() {
         StealDistribution::uniform(1, 0);
+    }
+
+    #[test]
+    fn remainder_is_exact_on_every_total() {
+        let mut totals: Vec<u64> = (1..=4096).collect();
+        for k in 12..64 {
+            totals.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        totals.extend([(1 << 32) - 1, (1 << 32) + 1, u64::MAX]);
+        totals.dedup();
+        let mut rng = crate::SplitMix64::new(0x8E11_A7E5);
+        let draws: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        for &t in &totals {
+            let magic = u64::MAX / t;
+            let top = magic * t; // `k · t` for the largest `k`
+            let edges =
+                [0, t - 1, t, t.wrapping_add(1), top - 1, top, top.wrapping_add(1), u64::MAX];
+            for &x in edges.iter().chain(&draws) {
+                assert_eq!(remainder(x, magic, t), x % t, "total={t} x={x:#x}");
+            }
+        }
     }
 
     /// The `O(log P)` binary-search sampler `sample` replaced, kept as its
