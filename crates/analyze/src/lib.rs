@@ -1,7 +1,8 @@
 //! `nws_analyze` — workspace-native static analysis.
 //!
 //! Turns the repo's concurrency contract (DESIGN.md §7, §10) into five
-//! enforced rules with committed baselines:
+//! enforced rules with committed baselines, and keeps the design's
+//! citations honest with a sixth:
 //!
 //! 1. **facade-gate** — raw sync primitives (`std::sync::atomic`,
 //!    `Mutex`, `Condvar`, `RwLock`, `parking_lot`, `spin_loop`,
@@ -21,6 +22,9 @@
 //!    site is a reviewed diff.
 //! 5. **hot-path-alloc** — functions listed in `hotpath.manifest` must
 //!    not contain allocating constructs.
+//! 6. **design-citation** — every `DESIGN.md §N` citation in `crates/`,
+//!    `.github/` and the verify skill names an existing `## §N` heading,
+//!    and a quoted title after it a heading inside that section.
 //!
 //! The analyzer is dependency-free and lexes Rust itself (comments,
 //! strings, raw strings, char-vs-lifetime), so it never misfires on
@@ -28,6 +32,7 @@
 //! that rustfmt wrapped across lines.
 
 pub mod baseline;
+pub mod cite;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
@@ -139,9 +144,11 @@ fn is_sync_crate(rel: &str) -> bool {
     rel.starts_with("crates/sync/")
 }
 
-fn walk(root: &Path) -> Vec<String> {
+/// The files under `root/start` whose names pass `keep`, as sorted paths
+/// relative to `root`.
+fn walk(root: &Path, start: &str, keep: fn(&str) -> bool) -> Vec<String> {
     let mut files = Vec::new();
-    let mut stack = vec![PathBuf::new()];
+    let mut stack = vec![PathBuf::from(start)];
     while let Some(rel_dir) = stack.pop() {
         let abs = root.join(&rel_dir);
         let Ok(entries) = fs::read_dir(&abs) else { continue };
@@ -161,7 +168,7 @@ fn walk(root: &Path) -> Vec<String> {
                 if !skip_dir(&rel_str, &name) {
                     stack.push(rel);
                 }
-            } else if name.ends_with(".rs") {
+            } else if keep(&name) {
                 files.push(rel_str);
             }
         }
@@ -188,8 +195,10 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
     let mut seqcst: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
     let mut ledger_seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut manifest_hit = vec![false; manifest.len()];
+    let headings =
+        cite::Headings::parse(&fs::read_to_string(cfg.root.join("DESIGN.md")).unwrap_or_default());
 
-    for rel in walk(&cfg.root) {
+    for rel in walk(&cfg.root, "", |name| name.ends_with(".rs")) {
         let Ok(src) = fs::read_to_string(cfg.root.join(&rel)) else { continue };
         let lines: Vec<&str> = src.lines().collect();
         let toks = lexer::lex(&src);
@@ -227,6 +236,10 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
             for s in rules::seqcst_sites(&toks, &map) {
                 seqcst.entry((rel.clone(), s.func)).or_default().push(s.line);
             }
+        }
+
+        if rel.starts_with("crates/") {
+            cite::design_citations(&rel, &src, &headings, &mut diags);
         }
 
         for (mi, (mfile, mfn)) in manifest.iter().enumerate() {
@@ -325,6 +338,16 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
                 "hot-path-alloc",
                 format!("manifest entry `{mfile} {mfn}` matches no function; update it"),
             ));
+        }
+    }
+
+    // The design citations outside Rust code: CI workflows and the
+    // verify skill.
+    let mut docs = walk(&cfg.root, ".github", |_| true);
+    docs.push(".claude/skills/verify/SKILL.md".to_string());
+    for rel in docs {
+        if let Ok(text) = fs::read_to_string(cfg.root.join(&rel)) {
+            cite::design_citations(&rel, &text, &headings, &mut diags);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Fixture self-tests for the five contract rules.
+//! Fixture self-tests for the six rules.
 //!
 //! Each fail fixture under `tests/fixtures/` seeds at least one violation
 //! for its rule (the issue's acceptance bar: the analyzer must catch one
@@ -133,6 +133,36 @@ fn malformed_baselines_are_violations_not_silent_allows() {
     let diags = fixture("bad_baseline");
     assert_eq!(diags.len(), 3, "{diags:#?}");
     assert!(diags.iter().all(|d| d.rule == "baseline" && d.severity == Severity::Violation));
+}
+
+#[test]
+fn design_citations_must_name_existing_sections_and_headings() {
+    let diags = fixture("citation_fail");
+    assert!(diags.iter().all(|d| d.rule == "design-citation" && d.severity == Severity::Violation));
+    let at: Vec<_> = diags.iter().map(|d| (d.file.as_str(), d.line)).collect();
+    // Bare, backticked, listed, wrapped and titled citations that name a
+    // real section and heading stay silent, and so do CHANGES.md and a
+    // Rust file outside `crates/`.
+    assert_eq!(
+        at,
+        vec![
+            (".github/NOTES.md", 3),
+            (".github/workflows/ci.yml", 1),
+            ("crates/demo/src/lib.rs", 7),
+            ("crates/demo/src/lib.rs", 8),
+            ("crates/demo/src/lib.rs", 10),
+        ],
+        "{diags:#?}"
+    );
+    assert!(diags[0].message.contains("no heading \"Gamma epsilon\""), "{}", diags[0].message);
+    assert!(diags[1].message.contains("`## \u{a7}9`"), "{}", diags[1].message);
+    assert!(diags[2].message.contains("`## \u{a7}3`"), "{}", diags[2].message);
+    assert!(
+        diags[3].message.contains("no heading \"Alpha\" (that heading is in \u{a7}1)"),
+        "{}",
+        diags[3].message
+    );
+    assert!(diags[4].message.contains("`## \u{a7}4`"), "{}", diags[4].message);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! for NUMA-WS (work inflation 2.33× → 1.21×, T32 29.4 s → 14.9 s).
 //!
 //! The serial elision, the pool run and the simulator DAG read one
-//! recursion, `solve` (DESIGN.md §3, "One recursion per kernel").
+//! recursion, `solve` (DESIGN.md §6, "One recursion per kernel").
 
 use crate::common::{input_rng, pages_for};
 use crate::fork::{self, ForkJoin, Serial};
@@ -237,7 +237,7 @@ fn pass<F: ForkJoin<Model>>(
 /// solvers pass `f64::MIN_POSITIVE`, which for a `Csr::random_spd` matrix
 /// stops it only when `p` is 0 (to within underflow), and `dag`, whose
 /// sums are all 0, passes 0, so it records exactly `iters` iterations
-/// (DESIGN.md §3, "cg's loop rule").
+/// (DESIGN.md §6, "cg's banded passes").
 fn solve<F: ForkJoin<Model>>(
     f: &mut F,
     a: &Csr,

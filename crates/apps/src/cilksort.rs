@@ -8,7 +8,7 @@
 //! split that fills the lower half, so its fork tree depends only on sizes.
 //!
 //! The pool run and the simulator DAG read one recursion, `sort`, over
-//! `fork::ForkJoin` (DESIGN.md §3, "One recursion per kernel").
+//! `fork::ForkJoin` (DESIGN.md §6, "One recursion per kernel").
 
 use crate::common::pages_for;
 use crate::fork::{self, ForkJoin};

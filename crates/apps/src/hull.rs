@@ -9,7 +9,7 @@
 //! NUMA-WS more to work with (2.28× → 1.56×).
 //!
 //! The serial elision, the pool run and the simulator DAG read one
-//! recursion, `hull` (DESIGN.md §3, "hull's survivor tree").
+//! recursion, `hull` (DESIGN.md §6, "hull's recorded recursion").
 
 use crate::common::{pages_for, points_in_disk, points_on_circle, Point};
 use crate::fork::{self, ForkJoin, Serial};

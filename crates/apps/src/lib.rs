@@ -14,7 +14,7 @@
 //!
 //! Every kernel but [`gcmark`] writes the three forms once: one recursion
 //! over a fork-join trait, run serially, on the pool, or recorded into the
-//! DAG (DESIGN.md §3, "One recursion per kernel"). [`cilksort`] keeps a
+//! DAG (DESIGN.md §6, "One recursion per kernel"). [`cilksort`] keeps a
 //! separate serial sort as its `TS`, and [`gcmark`]'s DAG is a simulator
 //! model of its flood's BFS waves.
 //!

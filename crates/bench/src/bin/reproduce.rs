@@ -37,7 +37,7 @@ use nws_topology::SchedPolicy;
 
 /// The seed of the bounds and ablation tables: `SimConfig`'s default, the
 /// seed they were first printed with. The tables are single-seed, and at
-/// seed 42 some rows reverse (DESIGN.md §6).
+/// seed 42 some rows reverse (DESIGN.md §3, "The policy layer").
 const ABLATION_SEED: u64 = 0x5EED;
 
 /// The seven benchmarks of Figure 3 (no `-z` variants).

@@ -13,7 +13,8 @@
 //! Frames resolve newest-first and promote oldest-first, so the promoted
 //! frames are always a prefix `[0, promoted)` of the recorded ones
 //! `[0, top)`, and the deque stays oldest-at-head: anything a thief can
-//! take is older than anything still hidden (DESIGN.md §5).
+//! take is older than anything still hidden (DESIGN.md §3, "Work-first
+//! joins").
 //!
 //! Only the owner touches the stack, so it is plain [`Cell`]s, with no
 //! atomic, no fence and no allocation. A slot holds the two words of a

@@ -9,7 +9,7 @@
 //! concurrently injected job. Workers also scan the *other* places' queues
 //! as a last resort before going to sleep — starving work beats placed
 //! work — which keeps the locality bias without sacrificing progress.
-//! DESIGN.md §2 has the full protocol story.
+//! DESIGN.md §4 has the full protocol story.
 
 use crate::job::JobRef;
 use nws_sync::atomic::{AtomicUsize, Ordering};
@@ -20,11 +20,11 @@ use std::time::Duration;
 /// One place's ingress queue: a mutex-guarded FIFO plus a length hint that
 /// lets the (hot) empty check skip the lock.
 ///
-/// The hint is updated **while holding the queue lock**. The previous
-/// design updated it after dropping the lock, opening a window where a
-/// popper's fast-path check reads 0 for an already-enqueued job and naps
-/// instead of running it; `len_matches_queue_under_contention` below is the
-/// regression test for that window.
+/// The hint is updated **while holding the queue lock**. Updated after
+/// the unlock, it would leave a window in which a popper's fast-path check
+/// reads 0 for an already-enqueued job and naps instead of running it;
+/// `len_matches_queue_under_contention` below is the regression test for
+/// that window.
 ///
 /// The queue may be **bounded** (the service-scale ingress posture, see
 /// `OverflowPolicy`): `push` then bounces jobs back instead of growing

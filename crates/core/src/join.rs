@@ -4,7 +4,7 @@
 //! runs `a` on the current worker while `b` waits to be stolen by other
 //! workers — the same LIFO/FIFO discipline as Cilk's continuation
 //! stealing, with the roles of "continuation" and "child" swapped as
-//! Rust's stack model requires (see DESIGN.md §2). [`join_at`] attaches a
+//! Rust's stack model requires (see DESIGN.md §2, "Child stealing"). [`join_at`] attaches a
 //! **place hint** to the stealable half; under
 //! [`SchedPolicy::numa_ws`](crate::SchedPolicy::numa_ws) a thief that
 //! steals it on the wrong socket lazily pushes it toward its designated
@@ -14,7 +14,7 @@
 //! lazily: `b` is recorded in the worker's owner-only frame stack, not
 //! pushed, and runs in place after `a` unless the worker promoted it onto
 //! its deque meanwhile (it does so when the deque is empty, and before it
-//! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §5). Its
+//! blocks or pushes eagerly; see `crate::frames` and DESIGN.md §3). Its
 //! path without promotion inlines whole into the caller and stores only
 //! what a later promotion needs: `b`'s closure, its empty result and latch
 //! flag, the frame's two words and `top`, and the `spawns` count. It has

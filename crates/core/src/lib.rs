@@ -35,7 +35,7 @@
 //! drains, and idle workers sleep on a condition variable that ingress,
 //! mailbox deposits, and deque pushes signal — many concurrent roots make
 //! progress together, with no single-worker ingress bottleneck and no
-//! busy-wait while the pool is idle. See DESIGN.md §2.
+//! busy-wait while the pool is idle. See DESIGN.md §4.
 //!
 //! The service posture extends to overload and failure: ingress queues can
 //! be bounded ([`PoolBuilder::ingress_capacity`], [`Pool::try_spawn`],
@@ -53,7 +53,8 @@
 //! [`join`] and the continuation stays on the spawning worker's stack
 //! (as in Rayon). The sync-side migration paths this removes are exercised
 //! by the companion simulator crate (`nws-sim`), which runs the paper's
-//! Figure 2/Figure 5 pseudocode verbatim. See `DESIGN.md` §2.
+//! Figure 2/Figure 5 pseudocode verbatim. See `DESIGN.md` §2, "Child
+//! stealing".
 //!
 //! ## Quickstart
 //!

@@ -112,7 +112,7 @@ impl PoolBuilder {
     /// to 1. The pool's machine is its places: workers round-robin over
     /// them, and the steal bias sees every pair of places at the same
     /// remote distance (21, numactl's one hop). Workers are not pinned
-    /// (DESIGN.md §2).
+    /// (DESIGN.md §2, "Unpinned workers").
     pub fn places(&mut self, n: usize) -> &mut Self {
         self.places = n;
         self
@@ -146,8 +146,10 @@ impl PoolBuilder {
         self
     }
 
-    /// Per-worker deque capacity (slots). When a deque overflows, spawns
-    /// degrade gracefully to inline execution. Defaults to 8192.
+    /// Per-worker deque capacity (slots), rounded up to a power of two.
+    /// When a deque overflows, spawns degrade gracefully to inline
+    /// execution. Defaults to 8192; [`build`](Self::build) rejects 0 and a
+    /// capacity whose power of two does not fit in `usize`.
     pub fn deque_capacity(&mut self, cap: usize) -> &mut Self {
         self.deque_capacity = cap;
         self
@@ -211,6 +213,12 @@ impl PoolBuilder {
         }
         if self.deque_capacity == 0 {
             return Err(BuildPoolError::InvalidConfig("deque_capacity must be >= 1".into()));
+        }
+        if self.deque_capacity.checked_next_power_of_two().is_none() {
+            return Err(BuildPoolError::InvalidConfig(format!(
+                "deque_capacity ({}) rounds up to a power of two above usize::MAX",
+                self.deque_capacity
+            )));
         }
         if self.ingress_capacity == Some(0) {
             return Err(BuildPoolError::InvalidConfig("ingress_capacity must be >= 1".into()));
@@ -673,6 +681,10 @@ mod tests {
         assert!(Pool::builder().workers(2).places(3).build().is_err());
         for err in [
             Pool::builder().workers(2).deque_capacity(0).build().unwrap_err(),
+            // Its power of two overflows `usize`. Validation runs before
+            // any worker or deque exists, so this starts no thread and
+            // allocates no ring.
+            Pool::builder().workers(2).deque_capacity(usize::MAX).build().unwrap_err(),
             Pool::builder().workers(2).ingress_capacity(0).build().unwrap_err(),
         ] {
             assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "{err}");

@@ -776,7 +776,7 @@ impl WorkerThread {
     /// own mailbox, own place's ingress queue, one steal attempt, then
     /// remote ingress queues as a last resort. The order preserves the
     /// locality bias — own work first (scope spawns land on the own deque
-    /// and nobody else is obliged to steal them, DESIGN.md §5), then
+    /// and nobody else is obliged to steal them, DESIGN.md §4), then
     /// earmarked work, then place-local ingress, then the biased steal —
     /// while guaranteeing that no injected job can starve behind a busy
     /// place: any idle worker anywhere eventually picks it up.

@@ -30,7 +30,7 @@
 //! it eagerly: [`split_wanted`] tells it whether its worker's deque is
 //! empty, i.e. whether a thief would find anything to take. Spawning only
 //! then keeps one exposed split per worker and makes an un-stolen list
-//! cost its serial elision (DESIGN.md §5).
+//! cost its serial elision (DESIGN.md §4, "Demand-driven splitting").
 //!
 //! ## Place awareness
 //!
@@ -153,7 +153,8 @@ where
 /// `true` when its own deque is empty, so nothing it spawned is exposed to
 /// thieves. `false` outside a pool. An empty deque first takes the
 /// worker's oldest hidden `join` branch (lazy join promotion, DESIGN.md
-/// §5); only when there is none does the answer say split.
+/// §3, "Work-first joins"); only when there is none does the answer say
+/// split.
 ///
 /// This is the signal for *demand-driven splitting* of scope work lists: a
 /// task holding a local list spawns part of it only while this returns

@@ -1,18 +1,18 @@
 //! The worker sleep/wake layer.
 //!
-//! Idle workers used to end their backoff in a blind
-//! `sleep(Duration::from_micros(50))`, which burned CPU forever on an idle
-//! pool and added up to a nap period of latency before injected work was
-//! noticed. This module replaces the nap with a condition variable that
-//! work *producers* signal: [`Registry::inject`](crate::registry::Registry)
-//! on external ingress, PUSHBACK on a mailbox deposit, and
+//! An idle worker ends its backoff by waiting on a condition variable that
+//! work *producers* signal, not in a blind timed nap: a nap would burn CPU
+//! forever on an idle pool and add up to a nap period of latency before
+//! injected work was noticed. The producers are
+//! [`Registry::inject`](crate::registry::Registry) on external ingress,
+//! PUSHBACK on a mailbox deposit,
 //! [`WorkerThread::push`](crate::registry::WorkerThread) on a deque push
 //! made while any worker sleeps (the "first push after quiescence" — the
 //! sleeper count is checked with one relaxed load, so the no-sleeper spawn
-//! fast path stays free), and `SpinLatch::set_and_wake` when a thief finishes a
-//! stolen job whose joiner may have gone to sleep (same relaxed probe;
-//! join waiters therefore deep-sleep like everyone else instead of polling
-//! their latch in bounded slices).
+//! fast path stays free), and `SpinLatch::set_and_wake` when a thief
+//! finishes a stolen job whose joiner may have gone to sleep (same relaxed
+//! probe; join waiters therefore deep-sleep like everyone else instead of
+//! polling their latch in bounded slices).
 //!
 //! ## Lost-wakeup protocol
 //!

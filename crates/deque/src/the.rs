@@ -26,7 +26,7 @@
 //!
 //! The claim-before-read handshake still needs *some* ordering, but not
 //! `SeqCst` on every access. The orderings used here, and the invariant
-//! each one preserves (the full argument lives in DESIGN.md §4):
+//! each one preserves (the full argument lives in DESIGN.md §3, "The THE deque"):
 //!
 //! - **`push` is fence-free**: a `Relaxed` tail read (the owner is the
 //!   only tail writer), an `Acquire` head read (pairs with the `Release`
@@ -147,8 +147,8 @@ impl<T> Inner<T> {
         // SAFETY: the closure only copies bits out of the `MaybeUninit`
         // (no typed value is produced), exactly the `with_speculative`
         // contract; callers interpret the copy only after a successful
-        // CAS, which proves (DESIGN.md §4, wrap-around) the read did not
-        // race the owner.
+        // CAS, which proves (the wrap-around argument of DESIGN.md §3) the
+        // read did not race the owner.
         unsafe { slot.with_speculative(|p| std::ptr::read(p)) }
     }
 
@@ -191,7 +191,7 @@ impl<T> Inner<T> {
         // claim learns nothing it may act on.
         if self.head.compare_exchange(h, h + 1, SeqCst, Relaxed).is_ok() {
             // SAFETY: the CAS committed index `h` to us, and (DESIGN.md
-            // §4) its success proves the owner could not have reused the
+            // §3) its success proves the owner could not have reused the
             // slot before our copy: reuse requires the owner to observe
             // `head > h`, which only this CAS can make true.
             Some(unsafe { v.assume_init() })
@@ -257,7 +257,8 @@ impl<T> fmt::Debug for TheStealer<T> {
 ///
 /// # Panics
 ///
-/// Panics if `capacity == 0`.
+/// Panics if `capacity == 0`, or if `capacity` is above the largest
+/// power of two a `usize` holds.
 pub fn the_deque<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
     new_deque(capacity, nws_sync::ModelFlag::off())
 }
@@ -274,14 +275,16 @@ pub fn the_deque<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
 ///
 /// # Panics
 ///
-/// Panics if `capacity == 0`.
+/// As [`the_deque`].
 pub fn the_deque_weak_fence_for_model<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
     new_deque(capacity, nws_sync::ModelFlag::for_model(true))
 }
 
 fn new_deque<T>(capacity: usize, weak_fence: nws_sync::ModelFlag) -> (TheWorker<T>, TheStealer<T>) {
     assert!(capacity > 0, "deque capacity must be positive");
-    let cap = capacity.next_power_of_two();
+    let cap = capacity
+        .checked_next_power_of_two()
+        .expect("deque capacity rounds up to a power of two above usize::MAX");
     let buf: Box<[UnsafeCell<MaybeUninit<T>>]> =
         (0..cap).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
     let inner = Arc::new(Inner {
@@ -302,9 +305,8 @@ impl<T> TheWorker<T> {
     /// monotonic and thieves never overshoot it (a CAS claim either
     /// commits an item or moves nothing), so `tail - head` read here is
     /// an *exact* occupancy snapshot — at most stale in the direction of
-    /// overcounting, never undercounting. The locked nearly-full re-read
-    /// of the THE-era protocol is gone, and the full ring capacity is
-    /// usable.
+    /// overcounting, never undercounting. So a nearly full ring needs no
+    /// locked re-read, and the full ring capacity is usable.
     ///
     /// # Errors
     ///
@@ -318,7 +320,7 @@ impl<T> TheWorker<T> {
         // we observe head advanced past a slot we are about to reuse, the
         // thief that claimed that slot's previous tenant speculatively
         // read it *before* its CAS — so the read happened-before this
-        // write (the wrap-around edge; DESIGN.md §4).
+        // write (the wrap-around edge; DESIGN.md §3).
         let h = inner.head.load(Acquire);
         if (t - h) as usize > inner.mask {
             return Err(Full(v));
@@ -664,6 +666,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rounds up to a power of two above usize::MAX")]
+    fn capacity_past_the_largest_power_of_two_rejected() {
+        let _ = the_deque::<u8>(usize::MAX);
+    }
+
+    #[test]
     fn tiny_deque_wraparound_under_thieves() {
         // A capacity-2 ring forces constant slot reuse, hammering the
         // wrap-around edge the claim-CAS Release / push Acquire pairing
@@ -712,10 +720,9 @@ mod tests {
         assert_eq!(popped, (0..ITEMS).collect::<Vec<_>>(), "every item exactly once");
     }
 
-    /// Regression for the `Full`-path cleanup: the owner hammers push at
-    /// capacity (every push decided by the one unlocked occupancy read —
-    /// the CAS-era replacement for the THE-era locked re-read) while a
-    /// thief drains. No push may be wrongly rejected into loss, no
+    /// The owner hammers push at capacity, every push decided by the one
+    /// unlocked occupancy read, while a thief drains. No push may be
+    /// wrongly rejected into loss, no
     /// slot double-filled: exactly-once over everything, and every
     /// `Full` the owner sees must coexist with a genuinely full ring at
     /// the snapshot (occupancy can only shrink under it).

@@ -4,9 +4,10 @@
 //! recursion quadrant to the socket that will compute on it (paper §III-A:
 //! "allocate the physical pages mapped in the i-th quarters of the in and
 //! tmp arrays from the socket corresponding to the i-th virtual place",
-//! via `mmap`/`mbind`). This container has no NUMA pages to bind, so the
-//! plan produced here is consumed by the simulator's page table — the same
-//! decision, acted on by the substitute substrate (see DESIGN.md §2).
+//! via `mmap`/`mbind`). Without NUMA pages to bind, the simulated machine
+//! makes that decision instead: each kernel DAG homes its regions' pages
+//! by an `nws_sim::PagePolicy`, so nothing consumes the plan built here
+//! (DESIGN.md §3, "The Z-Morton layout").
 
 use nws_topology::Place;
 

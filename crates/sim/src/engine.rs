@@ -20,7 +20,7 @@
 //! count, so idle workers' turns commute with each other. The engine then
 //! runs an idle worker's attempts back to back up to the next busy
 //! worker's turn instead of rescanning the clocks after each one; the
-//! outcome is the one turn-by-turn stepping gives (DESIGN.md §2).
+//! outcome is the one turn-by-turn stepping gives (DESIGN.md §5).
 //!
 //! A stepped steal attempt that fails draws the worker's next victim and
 //! coin at once, so the draw is off the chain from one turn to the next.

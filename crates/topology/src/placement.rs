@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// the runtime spreads the workers evenly across those sockets).
 ///
 /// Place `i` is the `i`-th socket of the [`Topology`]. Workers are not
-/// pinned (DESIGN.md §2), so the map keeps no core per worker;
+/// pinned (DESIGN.md §2, "Unpinned workers"), so the map keeps no core per worker;
 /// [`WorkerMap::new`] still checks that every worker would have a core of
 /// its own on its socket.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -4,13 +4,11 @@
 //!
 //! The paper's evaluation is an ablation story — vanilla work stealing
 //! vs. NUMA-WS with distance-biased victims, single-entry mailboxes, the
-//! fair coin-flip steal protocol, and lazy pushback (§III–§V). Before this
-//! module existed the policy logic lived twice and disagreed: the simulator
-//! exposed coin-flip modes and mailbox capacities while the runtime
-//! hard-coded a fair coin and capacity-1 mailboxes. [`SchedPolicy`] is now
-//! the single source of truth: `PoolBuilder` consumes it at pool build,
-//! `SimConfig` embeds it, and the ablation presets
-//! ([`SchedPolicy::vanilla`], [`bias_only`](SchedPolicy::bias_only),
+//! fair coin-flip steal protocol, and lazy pushback (§III–§V). The policy
+//! logic lives only here, so that the two substrates cannot disagree on a
+//! knob: [`SchedPolicy`] is the single source of truth, `PoolBuilder`
+//! consumes it at pool build, `SimConfig` embeds it, and the ablation
+//! presets ([`SchedPolicy::vanilla`], [`bias_only`](SchedPolicy::bias_only),
 //! [`mailbox_only`](SchedPolicy::mailbox_only),
 //! [`numa_ws`](SchedPolicy::numa_ws)) describe the same protocols on both
 //! substrates.
