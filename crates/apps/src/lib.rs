@@ -27,15 +27,11 @@
 //! | [`matmul`] | 8-way D&C matmul (+`-z`) | dense f64 |
 //! | [`strassen`] | Strassen (+`-z`) | dense f64 |
 //!
-//! Two *irregular* workloads extend the suite beyond the paper (scheduler
-//! comparison coverage — see DESIGN.md §8):
+//! One *irregular* workload extends the suite beyond the paper:
 //!
 //! | module | shape | input |
 //! |---|---|---|
 //! | [`gcmark`] | GC mark-phase flood | random object graph |
-//! | [`pipeline`] | heterogeneous stage/service mix | seeded batches |
-//!
-//! `pipeline` has no simulator DAG; it runs on the real runtime only.
 
 #![warn(missing_docs)]
 
@@ -47,6 +43,5 @@ pub mod gcmark;
 pub mod heat;
 pub mod hull;
 pub mod matmul;
-pub mod pipeline;
 mod record;
 pub mod strassen;

@@ -37,7 +37,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use numa_ws::{join_at, PoisonedPool, Pool, SchedPolicy};
-use nws_apps::{cilksort, gcmark, pipeline};
+use nws_apps::{cilksort, gcmark};
 use nws_bench::Table;
 use nws_sync::fault::{self, FaultPlan, InjectedFault};
 use nws_topology::Place;
@@ -79,7 +79,7 @@ const COMMITTED_PLANS: &[&str] = &[
 const SEEDED_PLANS: u64 = 10;
 const SEED_BASE: u64 = 0xC4A0_5000;
 
-const WORKLOADS: &[&str] = &["count", "fib", "cilksort", "gcmark", "pipeline"];
+const WORKLOADS: &[&str] = &["count", "fib", "cilksort", "gcmark"];
 
 #[derive(Debug)]
 enum Outcome {
@@ -241,21 +241,6 @@ fn gcmark_workload() -> Result<bool, String> {
     Ok(pool.is_poisoned())
 }
 
-fn pipeline_workload() -> Result<bool, String> {
-    let p = pipeline::Params::test();
-    let mut serial = pipeline::initial_data(p);
-    pipeline::run_serial(&mut serial, p);
-    let want = pipeline::checksum(&serial);
-    let mut data = pipeline::initial_data(p);
-    let pool = build_pool();
-    pool.install(|| pipeline::run_parallel(&mut data, p));
-    let got = pipeline::checksum(&data);
-    if got != want {
-        return Err(format!("pipeline checksum {got:#x}, want {want:#x}"));
-    }
-    Ok(pool.is_poisoned())
-}
-
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
@@ -267,7 +252,6 @@ fn run_workload(name: &str) -> Outcome {
         "fib" => fib_workload(),
         "cilksort" => cilksort_workload(),
         "gcmark" => gcmark_workload(),
-        "pipeline" => pipeline_workload(),
         // Self-test plants: a fabricated double execution, and a stall the
         // watchdog must convert into HANG.
         "selftest-double" => {

@@ -1,26 +1,24 @@
 //! Cross-substrate determinism of the scheduling-policy layer.
 //!
-//! The runtime's steal loop and the simulator's engine both (a) derive a
-//! worker's random stream from `worker_rng_seed` + the SplitMix64 stream
-//! (the runtime steps `SplitMix64` directly; the simulator draws through
-//! the vendored `SmallRng`, which is pinned to the same stream), and (b)
-//! build victim distributions through `SchedPolicy::victim_distribution`.
-//! These tests pin the consequence: the same seed and the same policy
-//! produce the identical victim-index sequence from
-//! `StealDistribution::sample`, and the identical `(victim, try_mailbox)`
-//! decisions from `SchedPolicy::steal_target`, on both substrates — plus
-//! golden fixtures so the sequences themselves cannot drift silently.
+//! The runtime's steal loop and the simulator's engine both (a) seed a
+//! worker's random stream with `worker_rng_seed` and step the one
+//! `SplitMix64` generator (the runtime through its stateless `step`, the
+//! simulator through `next_u64`, held equal by the policy module's
+//! `splitmix_stateless_and_stateful_agree`), and (b) build victim
+//! distributions through `SchedPolicy::victim_distribution`. These tests
+//! pin the victim-index sequence from `StealDistribution::sample` and the
+//! `(victim, try_mailbox)` decisions from `SchedPolicy::steal_target` as
+//! golden fixtures, so the sequences cannot drift silently on either
+//! substrate, and replay a recorded trace through the simulator.
 
 use nws_topology::{presets, worker_rng_seed, SchedPolicy, SplitMix64, WorkerMap};
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
 
 /// The shared fixture: paper machine, 32 packed workers, run seed 0x5EED
 /// (both substrates' default).
 const SEED: u64 = 0x5EED;
 const WORKERS: usize = 32;
 
-fn victim_sequence_runtime_style(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<usize> {
+fn victim_sequence(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<usize> {
     let topo = presets::paper_machine();
     let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
     let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
@@ -28,55 +26,28 @@ fn victim_sequence_runtime_style(policy: &SchedPolicy, worker: usize, n: usize) 
     (0..n).map(|_| dist.sample(rng.next_u64())).collect()
 }
 
-fn victim_sequence_sim_style(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<usize> {
-    let topo = presets::paper_machine();
-    let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
-    let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
-    // The simulator draws through the vendored SmallRng; seed it exactly
-    // as `Engine::new` does.
-    let mut rng = SmallRng::seed_from_u64(worker_rng_seed(SEED, worker));
-    (0..n).map(|_| dist.sample(rng.next_u64())).collect()
-}
-
-#[test]
-fn same_policy_same_seed_same_victims_on_both_substrates() {
-    for (name, policy) in SchedPolicy::ablation_grid() {
-        for worker in [0usize, 7, 15, 31] {
-            let runtime = victim_sequence_runtime_style(&policy, worker, 256);
-            let sim = victim_sequence_sim_style(&policy, worker, 256);
-            assert_eq!(runtime, sim, "policy {name}, worker {worker}");
-            assert!(runtime.iter().all(|&v| v != worker && v < WORKERS));
-        }
-    }
-}
-
 #[test]
 fn golden_victim_sequence_fixture() {
     // Worker 0's first sixteen victims under each bias, pinned as
     // literals: a change to the RNG stream, the seed derivation, the
     // weight table, or the sampling arithmetic shows up here as a diff,
-    // on either substrate (the test above ties them together).
-    let uniform = victim_sequence_runtime_style(&SchedPolicy::vanilla(), 0, 16);
+    // on either substrate.
+    let uniform = victim_sequence(&SchedPolicy::vanilla(), 0, 16);
     assert_eq!(uniform, [9, 12, 22, 2, 28, 14, 2, 12, 4, 1, 11, 21, 11, 17, 2, 12]);
-    let biased = victim_sequence_runtime_style(&SchedPolicy::numa_ws(), 0, 16);
+    let biased = victim_sequence(&SchedPolicy::numa_ws(), 0, 16);
     assert_eq!(biased, [6, 31, 3, 28, 21, 2, 12, 12, 2, 22, 28, 16, 12, 20, 26, 14]);
     // The two biases must actually disagree somewhere on this fixture.
     assert_ne!(uniform, biased);
 }
 
-/// Worker `worker`'s first `n` Figure 5 steal decisions, drawn from the
-/// runtime's `SplitMix64` stream and from the simulator's `SmallRng`
-/// stream; the two must agree.
+/// Worker `worker`'s first `n` Figure 5 steal decisions from its
+/// `SplitMix64` stream, the one both substrates draw from.
 fn steal_decisions(policy: &SchedPolicy, worker: usize, n: usize) -> Vec<(usize, bool)> {
     let topo = presets::paper_machine();
     let map = WorkerMap::new(&topo, WORKERS, topo.packed_places(WORKERS)).unwrap();
     let dist = policy.victim_distribution(&topo, &map, worker).expect("P >= 2");
-    let mut runtime = SplitMix64::new(worker_rng_seed(SEED, worker));
-    let mut sim = SmallRng::seed_from_u64(worker_rng_seed(SEED, worker));
-    let a: Vec<_> = (0..n).map(|_| policy.steal_target(&dist, || runtime.next_u64())).collect();
-    let b: Vec<_> = (0..n).map(|_| policy.steal_target(&dist, || sim.next_u64())).collect();
-    assert_eq!(a, b, "both random streams must make the same decisions");
-    a
+    let mut rng = SplitMix64::new(worker_rng_seed(SEED, worker));
+    (0..n).map(|_| policy.steal_target(&dist, || rng.next_u64())).collect()
 }
 
 #[test]
@@ -134,7 +105,7 @@ fn golden_steal_decision_fixture() {
     let vanilla = steal_decisions(&SchedPolicy::vanilla(), 0, 16);
     assert!(vanilla.iter().all(|&(_, try_mailbox)| !try_mailbox));
     let victims: Vec<usize> = vanilla.iter().map(|&(v, _)| v).collect();
-    assert_eq!(victims, victim_sequence_runtime_style(&SchedPolicy::vanilla(), 0, 16));
+    assert_eq!(victims, victim_sequence(&SchedPolicy::vanilla(), 0, 16));
 }
 
 #[test]
@@ -149,8 +120,8 @@ fn biased_fixture_prefers_local_socket() {
     let home = map.place_of(0);
     let n = 10_000;
     let local = |seq: &[usize]| seq.iter().filter(|&&v| map.place_of(v) == home).count();
-    let uniform = victim_sequence_runtime_style(&SchedPolicy::vanilla(), 0, n);
-    let biased = victim_sequence_runtime_style(&SchedPolicy::numa_ws(), 0, n);
+    let uniform = victim_sequence(&SchedPolicy::vanilla(), 0, n);
+    let biased = victim_sequence(&SchedPolicy::numa_ws(), 0, n);
     assert!(
         local(&biased) as f64 > local(&uniform) as f64 * 1.5,
         "biased local {} vs uniform local {}",

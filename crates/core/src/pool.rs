@@ -2,7 +2,7 @@
 //! teardown.
 
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
-use crate::job::{HeapJob, StackJob};
+use crate::job::{HeapJob, JobRef, StackJob};
 use crate::latch::LockLatch;
 use crate::registry::{worker_main, Inject, Registry, WorkerThread};
 use crate::stats::PoolStats;
@@ -149,7 +149,9 @@ impl PoolBuilder {
     /// Per-worker deque capacity (slots), rounded up to a power of two.
     /// When a deque overflows, spawns degrade gracefully to inline
     /// execution. Defaults to 8192; [`build`](Self::build) rejects 0 and a
-    /// capacity whose power of two does not fit in `usize`.
+    /// capacity whose ring (the power of two times a job reference's size)
+    /// exceeds `isize::MAX` bytes. A representable ring the allocator
+    /// refuses aborts the process, like any failed allocation.
     pub fn deque_capacity(&mut self, cap: usize) -> &mut Self {
         self.deque_capacity = cap;
         self
@@ -191,7 +193,8 @@ impl PoolBuilder {
     ///
     /// Returns [`BuildPoolError`] when the configuration is inconsistent
     /// (zero workers/places, more places than workers, a zero deque or
-    /// ingress capacity, a policy mailbox capacity above 1).
+    /// ingress capacity, a deque ring above `isize::MAX` bytes, a policy
+    /// mailbox capacity above 1).
     pub fn build(&self) -> Result<Pool, BuildPoolError> {
         if self.policy.mailbox_capacity > 1 {
             return Err(BuildPoolError::InvalidConfig(format!(
@@ -214,9 +217,13 @@ impl PoolBuilder {
         if self.deque_capacity == 0 {
             return Err(BuildPoolError::InvalidConfig("deque_capacity must be >= 1".into()));
         }
-        if self.deque_capacity.checked_next_power_of_two().is_none() {
+        let ring_bytes = self
+            .deque_capacity
+            .checked_next_power_of_two()
+            .and_then(|slots| slots.checked_mul(std::mem::size_of::<JobRef>()));
+        if ring_bytes.is_none_or(|bytes| bytes > isize::MAX as usize) {
             return Err(BuildPoolError::InvalidConfig(format!(
-                "deque_capacity ({}) rounds up to a power of two above usize::MAX",
+                "deque_capacity ({}) needs a ring above isize::MAX bytes",
                 self.deque_capacity
             )));
         }
@@ -681,10 +688,12 @@ mod tests {
         assert!(Pool::builder().workers(2).places(3).build().is_err());
         for err in [
             Pool::builder().workers(2).deque_capacity(0).build().unwrap_err(),
-            // Its power of two overflows `usize`. Validation runs before
-            // any worker or deque exists, so this starts no thread and
-            // allocates no ring.
+            // Its power of two overflows `usize`, and 2^62 job references
+            // overflow `isize::MAX` bytes. Validation runs before any
+            // worker or deque exists, so these start no thread and
+            // allocate no ring.
             Pool::builder().workers(2).deque_capacity(usize::MAX).build().unwrap_err(),
+            Pool::builder().workers(2).deque_capacity(1 << 62).build().unwrap_err(),
             Pool::builder().workers(2).ingress_capacity(0).build().unwrap_err(),
         ] {
             assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "{err}");

@@ -369,9 +369,9 @@ pub(crate) struct WorkerThread {
     deque: TheWorker<JobRef>,
     /// Hidden `join` frames (lazy join promotion, `crate::frames`).
     frames: FrameStack,
-    /// SplitMix64 state (same stream as the vendored `SmallRng`); a plain
-    /// cell instead of `RefCell<SmallRng>` so a sample is two loads and a
-    /// store with no borrow-flag traffic on the steal path.
+    /// [`SplitMix64`] state; a plain cell instead of a `RefCell` so a
+    /// sample is two loads and a store with no borrow-flag traffic on the
+    /// steal path.
     rng: Cell<u64>,
     clock: Clock,
     /// Work-path counters; flushed into the shared atomics at steal-path
@@ -424,9 +424,8 @@ impl WorkerThread {
     fn next_random(&self) -> u64 {
         // SplitMix64 from the shared policy layer, stepped statelessly over
         // a plain cell: two loads and a store, no borrow-flag traffic on
-        // the steal path. The policy module pins this stream to the
-        // vendored `SmallRng`'s (see the test below), which the simulator
-        // draws from — same seed, same victim sequence on both substrates.
+        // the steal path. The simulator steps the same generator, so the
+        // same seed gives the same victim sequence on both substrates.
         let (state, out) = SplitMix64::step(self.rng.get());
         self.rng.set(state);
         out
@@ -1009,30 +1008,6 @@ fn worker_loop(worker: &WorkerThread) {
         while let Some(job) = worker.pop() {
             // SAFETY: as above.
             unsafe { worker.execute(job) };
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use nws_topology::SplitMix64;
-    use rand::rngs::SmallRng;
-    use rand::{RngCore, SeedableRng};
-
-    /// Pins the policy layer's [`SplitMix64`] — the stream this crate's
-    /// steal loop draws victims and coin flips from — to the vendored
-    /// `SmallRng` stream the simulator draws from. This equality is what
-    /// makes a seeded `SchedPolicy` select the identical victim sequence
-    /// on both substrates (the cross-substrate fixture test lives in the
-    /// `nws_bench` crate's `tests/policy_determinism.rs`).
-    #[test]
-    fn policy_splitmix_matches_vendored_smallrng_stream() {
-        for seed in [0u64, 1, 0x5EED_CAFE, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
-            let mut ours = SplitMix64::new(seed);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for i in 0..64 {
-                assert_eq!(ours.next_u64(), rng.next_u64(), "seed {seed:#x}, draw {i}");
-            }
         }
     }
 }

@@ -257,8 +257,10 @@ impl<T> fmt::Debug for TheStealer<T> {
 ///
 /// # Panics
 ///
-/// Panics if `capacity == 0`, or if `capacity` is above the largest
-/// power of two a `usize` holds.
+/// Panics if `capacity == 0`, if `capacity` is above the largest power of
+/// two a `usize` holds, or if the ring's byte size exceeds `isize::MAX`.
+/// A representable size the allocator refuses aborts, like any failed
+/// allocation.
 pub fn the_deque<T>(capacity: usize) -> (TheWorker<T>, TheStealer<T>) {
     new_deque(capacity, nws_sync::ModelFlag::off())
 }
@@ -399,11 +401,6 @@ impl<T> TheWorker<T> {
     /// Total ring capacity (the rounded-up power of two).
     pub fn capacity(&self) -> usize {
         self.inner.mask + 1
-    }
-
-    /// A thief handle to this deque.
-    pub fn stealer(&self) -> TheStealer<T> {
-        TheStealer { inner: Arc::clone(&self.inner) }
     }
 }
 

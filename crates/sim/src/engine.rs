@@ -38,11 +38,9 @@ use crate::dag::{Dag, FrameId, Step};
 use crate::memory::MemorySystem;
 use crate::report::{Counters, ScheduleLog, SimReport, WorkerTimes};
 use nws_topology::{
-    worker_rng_seed, Deposit, Place, ProbeCosts, StealDistribution, Topology, TopologyError,
-    WorkerMap,
+    worker_rng_seed, Deposit, Place, ProbeCosts, SplitMix64, StealDistribution, Topology,
+    TopologyError, WorkerMap,
 };
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
 
 // The scheduling costs of the one simulated machine, in cycles (DESIGN.md
@@ -98,11 +96,11 @@ enum WState {
 /// A victim and coin drawn at a failed stepped attempt for the worker's
 /// next one, with the worker's random stream as it stood before the draw
 /// (see [`Engine::step_steal`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Held {
     victim: u32,
     try_mailbox: bool,
-    before: SmallRng,
+    before: SplitMix64,
 }
 
 /// One configured simulation, ready to [`run`](Simulation::run).
@@ -253,7 +251,7 @@ struct Engine<'a> {
     states: Vec<WState>,
     deques: Vec<VecDeque<Cont>>,
     mailboxes: Vec<VecDeque<Cont>>,
-    rngs: Vec<SmallRng>,
+    rngs: Vec<SplitMix64>,
     /// Each idle worker's draw for its next attempt, made at its last
     /// failed one; `rngs` is already past it.
     held: Vec<Option<Held>>,
@@ -314,7 +312,7 @@ impl<'a> Engine<'a> {
             states,
             deques: (0..p).map(|_| VecDeque::new()).collect(),
             mailboxes: (0..p).map(|_| VecDeque::new()).collect(),
-            rngs: (0..p).map(|w| SmallRng::seed_from_u64(worker_rng_seed(cfg.seed, w))).collect(),
+            rngs: (0..p).map(|w| SplitMix64::new(worker_rng_seed(cfg.seed, w))).collect(),
             held: vec![None; p],
             dists,
             probe_costs,
@@ -433,10 +431,7 @@ impl<'a> Engine<'a> {
             let costs = self.probe_costs[w].as_ref().expect("a lone worker never enters the loop");
             // `(clock, w) < (busy_clock, busy)` as one compare.
             let limit = busy_clock + u64::from(w < busy);
-            let mut rng = match self.held[w].take() {
-                Some(held) => held.before,
-                None => self.rngs[w].clone(),
-            };
+            let mut rng = self.held[w].take().map_or(self.rngs[w], |held| held.before);
             let mut clock = self.clocks[w];
             while clock < limit {
                 clock += costs.cost(rng.next_u64());
@@ -628,7 +623,7 @@ impl<'a> Engine<'a> {
             // Failed steal: idle cycles (accounted via makespan minus busy).
             let clock = self.clocks[w] + probe_cost;
             self.clocks[w] = clock;
-            let before = self.rngs[w].clone();
+            let before = self.rngs[w];
             let (victim, try_mailbox) = self.draw(w);
             self.held[w] = Some(Held { victim: victim as u32, try_mailbox, before });
             return clock;
@@ -679,9 +674,9 @@ impl<'a> Engine<'a> {
     /// the stream ends where `w`'s stands now.
     fn redraw(&self, w: usize, held: &Held) -> (usize, bool) {
         let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
-        let mut rng = held.before.clone();
+        let mut rng = held.before;
         let drawn = self.cfg.policy.steal_target(dist, || rng.next_u64());
-        assert_eq!(rng.next_u64(), self.rngs[w].clone().next_u64(), "worker {w}'s stream moved");
+        assert_eq!(rng, self.rngs[w], "worker {w}'s stream moved");
         drawn
     }
 }
@@ -709,7 +704,7 @@ mod tests {
 
     #[test]
     fn turn_tree_picks_the_linear_minimum() {
-        let mut rng = SmallRng::seed_from_u64(0x7EE5);
+        let mut rng = SplitMix64::new(0x7EE5);
         for p in [1usize, 2, 3, 32, 33, 64] {
             // The largest clock a key holds next to an index below P's
             // power of two.

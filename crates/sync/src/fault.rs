@@ -27,6 +27,7 @@
 //! The plan *types* are compiled unconditionally (so the round-trip tests
 //! run in every tier); only the activation machinery is gated.
 
+use crate::splitmix64;
 use std::fmt;
 use std::str::FromStr;
 
@@ -140,31 +141,21 @@ const CATALOG: &[(&str, &[FaultAction])] = &[
     ("job.exec", &[FaultAction::Panic, FaultAction::Delay(0)]),
 ];
 
-/// SplitMix64 step (same constants as the policy layer's generator; a
-/// local copy keeps this crate at the bottom of the dependency graph).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// Derives a plan deterministically from `seed`: one to three ops over
     /// the [`POINTS`] catalog, with hit counts in the low range a short
     /// workload actually reaches.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut s = seed;
-        let n = 1 + (splitmix(&mut s) % 3) as usize;
+        let n = 1 + (splitmix64(&mut s) % 3) as usize;
         let ops = (0..n)
             .map(|_| {
-                let (point, menu) = CATALOG[(splitmix(&mut s) % CATALOG.len() as u64) as usize];
-                let action = match menu[(splitmix(&mut s) % menu.len() as u64) as usize] {
-                    FaultAction::Delay(_) => FaultAction::Delay(50 + splitmix(&mut s) % 2000),
+                let (point, menu) = CATALOG[(splitmix64(&mut s) % CATALOG.len() as u64) as usize];
+                let action = match menu[(splitmix64(&mut s) % menu.len() as u64) as usize] {
+                    FaultAction::Delay(_) => FaultAction::Delay(50 + splitmix64(&mut s) % 2000),
                     a => a,
                 };
-                FaultOp { point: point.to_string(), hit: 1 + splitmix(&mut s) % 24, action }
+                FaultOp { point: point.to_string(), hit: 1 + splitmix64(&mut s) % 24, action }
             })
             .collect();
         FaultPlan { seed, ops }

@@ -168,3 +168,15 @@ impl<T> From<T> for CachePadded<T> {
         CachePadded::new(value)
     }
 }
+
+/// One SplitMix64 step over `state`: the fault plans' generator and the
+/// model checker's schedule chooser. The arithmetic of the policy layer's
+/// `nws_topology::SplitMix64`, kept here so this crate stays at the bottom
+/// of the dependency graph.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -31,6 +31,7 @@
 
 use super::clock::{VClock, MAX_THREADS};
 use super::{Failure, FailureKind};
+use crate::splitmix64;
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as RawOrd};
@@ -193,14 +194,6 @@ pub(crate) enum Chooser {
 pub(crate) struct TapeEntry {
     pub(crate) taken: u32,
     pub(crate) options: u32,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 pub(crate) struct ExecState {
@@ -770,20 +763,6 @@ impl ExecShared {
             st.threads[tid].run = RunState::Runnable;
         }
         self.acquire_mutex(&mut st, tid, mid);
-    }
-
-    pub(crate) fn mutex_try_lock(&self, tid: usize, slot: &LocSlot) -> bool {
-        let mut st = self.lock();
-        st = self.schedule_point(st, tid, false);
-        let mid = {
-            let ExecState { mutexes, .. } = &mut *st;
-            self.register(slot, mutexes)
-        };
-        if st.mutexes[mid].locked_by.is_some() {
-            return false;
-        }
-        self.acquire_mutex(&mut st, tid, mid);
-        true
     }
 
     /// Unlock. Never panics and never blocks: it runs from guard drops,

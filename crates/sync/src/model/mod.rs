@@ -25,6 +25,7 @@ mod exec;
 
 pub(crate) use exec::{cur_ctx, ExecShared, LocSlot};
 
+use crate::splitmix64;
 use exec::{Chooser, TapeEntry};
 use std::fmt;
 use std::sync::Mutex as StdMutex;
@@ -99,13 +100,6 @@ pub struct Builder {
 /// threads) is sound but interleaves their worker pools unhelpfully, so
 /// serialize them.
 static RUN_LOCK: StdMutex<()> = StdMutex::new(());
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 impl Builder {
     /// Exhaustive DFS over schedules with at most `preemption_bound`
@@ -185,7 +179,8 @@ impl Builder {
             }
             Strategy::Random { schedules, seed, derive } => {
                 for i in 0..schedules {
-                    let s = if derive { splitmix64(seed.wrapping_add(i as u64)) } else { seed };
+                    let s =
+                        if derive { splitmix64(&mut seed.wrapping_add(i as u64)) } else { seed };
                     let exec = ExecShared::new(
                         Chooser::Random { state: s },
                         self.max_steps,

@@ -186,27 +186,6 @@ pub mod atomic {
                     }
                 }
 
-                /// Weak compare-and-exchange. The model backend never fails
-                /// spuriously (call sites must tolerate — not rely on —
-                /// spurious failure, so modeling fewer behaviors is sound
-                /// for bug *detection* on the retry loop itself).
-                ///
-                /// # Errors
-                ///
-                /// Returns the observed value on failure.
-                pub fn compare_exchange_weak(
-                    &self,
-                    current: $val,
-                    new: $val,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$val, $val> {
-                    match cur_ctx() {
-                        None => self.raw.compare_exchange_weak(current, new, success, failure),
-                        Some(_) => self.compare_exchange(current, new, success, failure),
-                    }
-                }
-
                 /// Non-atomic access through an exclusive reference.
                 pub fn get_mut(&mut self) -> &mut $val {
                     self.raw.get_mut()
@@ -272,27 +251,11 @@ pub mod atomic {
                     }
                 }
 
-                /// Atomic max, returning the previous value.
-                pub fn fetch_max(&self, val: $val, order: Ordering) -> $val {
-                    match cur_ctx() {
-                        None => self.raw.fetch_max(val, order),
-                        Some(_) => self.rmw(order, |old| old.max(val)),
-                    }
-                }
-
                 /// Atomic bitwise OR, returning the previous value.
                 pub fn fetch_or(&self, val: $val, order: Ordering) -> $val {
                     match cur_ctx() {
                         None => self.raw.fetch_or(val, order),
                         Some(_) => self.rmw(order, |old| old | val),
-                    }
-                }
-
-                /// Atomic bitwise AND, returning the previous value.
-                pub fn fetch_and(&self, val: $val, order: Ordering) -> $val {
-                    match cur_ctx() {
-                        None => self.raw.fetch_and(val, order),
-                        Some(_) => self.rmw(order, |old| old & val),
                     }
                 }
             }
@@ -308,40 +271,6 @@ pub mod atomic {
     atomic_arith!(AtomicIsize, isize);
     atomic_arith!(AtomicU32, u32);
     atomic_arith!(AtomicU64, u64);
-
-    impl AtomicBool {
-        /// Atomic bitwise OR, returning the previous value.
-        pub fn fetch_or(&self, val: bool, order: Ordering) -> bool {
-            match cur_ctx() {
-                None => self.raw.fetch_or(val, order),
-                Some(c) => Scalar::from_bits(c.exec.atomic_rmw(
-                    c.tid,
-                    &self.slot,
-                    self.init_bits(),
-                    order,
-                    Ordering::Relaxed,
-                    |old| Some(((old != 0) | val).to_bits()),
-                    |bits| self.raw.store(Scalar::from_bits(bits), Ordering::Relaxed),
-                )),
-            }
-        }
-
-        /// Atomic bitwise AND, returning the previous value.
-        pub fn fetch_and(&self, val: bool, order: Ordering) -> bool {
-            match cur_ctx() {
-                None => self.raw.fetch_and(val, order),
-                Some(c) => Scalar::from_bits(c.exec.atomic_rmw(
-                    c.tid,
-                    &self.slot,
-                    self.init_bits(),
-                    order,
-                    Ordering::Relaxed,
-                    |old| Some(((old != 0) & val).to_bits()),
-                    |bits| self.raw.store(Scalar::from_bits(bits), Ordering::Relaxed),
-                )),
-            }
-        }
-    }
 
     /// Facade atomic pointer (model-intercepted; pointers are transported
     /// through the store history as their address bits).
@@ -674,25 +603,6 @@ impl<T: ?Sized> Mutex<T> {
                 let raw =
                     self.inner.try_lock().expect("model mutex granted while the raw lock was held");
                 MutexGuard { mutex: self, raw: Some(raw), model: true }
-            }
-        }
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match cur_ctx() {
-            None => self.inner.try_lock().map(|g| MutexGuard {
-                mutex: self,
-                raw: Some(g),
-                model: false,
-            }),
-            Some(c) => {
-                if !c.exec.mutex_try_lock(c.tid, &self.slot) {
-                    return None;
-                }
-                let raw =
-                    self.inner.try_lock().expect("model mutex granted while the raw lock was held");
-                Some(MutexGuard { mutex: self, raw: Some(raw), model: true })
             }
         }
     }

@@ -72,23 +72,6 @@ pub mod atomic {
                     self.inner.compare_exchange(current, new, success, failure)
                 }
 
-                /// Weak compare-and-exchange (may fail spuriously).
-                ///
-                /// # Errors
-                ///
-                /// Returns the observed value on failure, which may equal
-                /// `current` (spurious failure).
-                #[inline(always)]
-                pub fn compare_exchange_weak(
-                    &self,
-                    current: $val,
-                    new: $val,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$val, $val> {
-                    self.inner.compare_exchange_weak(current, new, success, failure)
-                }
-
                 /// Non-atomic access through an exclusive reference.
                 #[inline(always)]
                 pub fn get_mut(&mut self) -> &mut $val {
@@ -131,22 +114,10 @@ pub mod atomic {
                     self.inner.fetch_sub(val, order)
                 }
 
-                /// Atomic max, returning the previous value.
-                #[inline(always)]
-                pub fn fetch_max(&self, val: $val, order: Ordering) -> $val {
-                    self.inner.fetch_max(val, order)
-                }
-
                 /// Atomic bitwise OR, returning the previous value.
                 #[inline(always)]
                 pub fn fetch_or(&self, val: $val, order: Ordering) -> $val {
                     self.inner.fetch_or(val, order)
-                }
-
-                /// Atomic bitwise AND, returning the previous value.
-                #[inline(always)]
-                pub fn fetch_and(&self, val: $val, order: Ordering) -> $val {
-                    self.inner.fetch_and(val, order)
                 }
             }
         };
@@ -161,20 +132,6 @@ pub mod atomic {
     atomic_arith!(AtomicIsize, isize);
     atomic_arith!(AtomicU32, u32);
     atomic_arith!(AtomicU64, u64);
-
-    impl AtomicBool {
-        /// Atomic bitwise OR, returning the previous value.
-        #[inline(always)]
-        pub fn fetch_or(&self, val: bool, order: Ordering) -> bool {
-            self.inner.fetch_or(val, order)
-        }
-
-        /// Atomic bitwise AND, returning the previous value.
-        #[inline(always)]
-        pub fn fetch_and(&self, val: bool, order: Ordering) -> bool {
-            self.inner.fetch_and(val, order)
-        }
-    }
 
     /// Facade atomic pointer; passthrough delegates to `std`'s `AtomicPtr`.
     #[repr(transparent)]
@@ -410,12 +367,6 @@ impl<T: ?Sized> Mutex<T> {
     #[inline(always)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard { inner: self.inner.lock() }
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    #[inline(always)]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        self.inner.try_lock().map(|g| MutexGuard { inner: g })
     }
 
     /// Exclusive access without locking (`&mut self` proves exclusivity).

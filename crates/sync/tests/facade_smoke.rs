@@ -23,7 +23,7 @@ fn atomics_round_trip() {
     assert_eq!(i.load(Ordering::SeqCst), -3);
 
     let b = AtomicBool::new(false);
-    assert!(!b.fetch_or(true, Ordering::AcqRel));
+    assert!(!b.swap(true, Ordering::AcqRel));
     assert!(b.load(Ordering::Acquire));
 
     let mut x = 7u32;

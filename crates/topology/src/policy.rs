@@ -17,11 +17,10 @@
 //! (the steal decision), [`SchedPolicy::push_home`] and
 //! [`SchedPolicy::pushback`] (lazy pushing): the runtime's steal loop and
 //! the simulator's engine both call them. Determinism is part of the contract:
-//! both substrates derive their per-worker random streams from
-//! [`worker_rng_seed`] and a SplitMix64 generator ([`SplitMix64`], pinned to
-//! the vendored `SmallRng` stream), so the same seed and the same policy
-//! produce the identical `(victim, try_mailbox)` sequence in the runtime
-//! and in the simulator.
+//! both substrates seed per-worker streams with [`worker_rng_seed`] and
+//! step the one generator [`SplitMix64`], so the same seed and the same
+//! policy produce the identical `(victim, try_mailbox)` sequence in the
+//! runtime and in the simulator.
 
 use crate::{Place, StealDistribution, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
@@ -182,9 +181,9 @@ impl SchedPolicy {
     /// says so. With vanilla knobs this is Figure 2's RANDOMSTEAL: one
     /// uniform draw, deque only.
     ///
-    /// Both substrates decide through this one method — the runtime over
-    /// its `SplitMix64` cell, the simulator over its `SmallRng` — so a
-    /// seeded policy makes the same decisions on both.
+    /// Both substrates decide through this one method over a
+    /// [`SplitMix64`] stream — the runtime's in a cell, the simulator's in
+    /// its engine — so a seeded policy makes the same decisions on both.
     #[inline]
     pub fn steal_target(
         &self,
@@ -291,11 +290,9 @@ pub fn worker_rng_seed(seed: u64, index: usize) -> u64 {
 }
 
 /// SplitMix64 (Steele, Lea, Flood 2014): the random stream behind victim
-/// selection and coin flips on both substrates. Deliberately the same
-/// stream the vendored `SmallRng` produces for the same seed (pinned by a
-/// test below), so the simulator — which draws through `rand` — and the
-/// runtime — which steps this struct directly — sample identical victim
-/// sequences for the same seed and policy.
+/// selection and coin flips on both substrates. The simulator steps this
+/// struct and the runtime steps [`step`](Self::step) over a cell, so both
+/// sample identical victim sequences for the same seed and policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64(u64);
 
@@ -498,14 +495,20 @@ mod tests {
         assert!(SchedPolicy::numa_ws().victim_distribution(&topo, &map, 0).is_none());
     }
 
+    /// The runtime draws through the stateless `step`, the simulator
+    /// through `next_u64`: their equality is what makes a seeded policy
+    /// select the same victims on both substrates.
     #[test]
     fn splitmix_stateless_and_stateful_agree() {
-        let mut rng = SplitMix64::new(0x5EED);
-        let mut state = 0x5EEDu64;
-        for _ in 0..32 {
-            let (next, out) = SplitMix64::step(state);
-            state = next;
-            assert_eq!(rng.next_u64(), out);
+        for seed in [0u64, 1, 0x5EED_CAFE, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+            let mut rng = SplitMix64::new(seed);
+            let mut state = seed;
+            for i in 0..64 {
+                let (next, out) = SplitMix64::step(state);
+                state = next;
+                assert_eq!(rng.next_u64(), out, "seed {seed:#x}, draw {i}");
+            }
+            assert_eq!(rng, SplitMix64::new(state), "seed {seed:#x}");
         }
     }
 
