@@ -17,16 +17,18 @@
 //!
 //! While no deque or mailbox holds an entry, every steal attempt fails and
 //! touches nothing but its thief's random stream, clock and the attempt
-//! count, so idle workers' turns commute with each other. The engine then
-//! runs an idle worker's attempts back to back up to the next busy
-//! worker's turn instead of rescanning the clocks after each one; the
-//! outcome is the one turn-by-turn stepping gives (DESIGN.md §5).
+//! count, which no busy worker reads. So when an idle worker would act with
+//! nothing stealable, the engine defers every idle worker and lets only
+//! busy workers take turns. At the first busy turn that makes work
+//! stealable, goes idle itself or ends the run, each idle worker makes, back
+//! to back, every attempt that turn-by-turn stepping puts before that turn;
+//! the outcome is the one stepping gives (DESIGN.md §5).
 //!
 //! A stepped steal attempt that fails draws the worker's next victim and
 //! coin at once, so the draw is off the chain from one turn to the next.
 //! The worker's next attempt consumes it; a take from its own mailbox or a
-//! fast-forward discards it and rewinds the stream, so every draw lands
-//! where turn-by-turn drawing puts it.
+//! catch-up discards it and rewinds the stream, so every draw lands where
+//! turn-by-turn drawing puts it.
 //!
 //! The engine makes the paper's scheduling decisions through the policy
 //! methods the runtime's steal loop calls: `SchedPolicy::steal_target` for
@@ -171,7 +173,8 @@ impl<'a> Simulation<'a> {
 
 /// A min-tree over the workers' `(clock, index)`: the root holds the
 /// worker whose turn is next. Leaves sit at `n..n + P` for `n` the next
-/// power of two; padding leaves hold `u64::MAX` and never win.
+/// power of two; padding leaves and deferred workers' leaves hold
+/// `u64::MAX` and never win.
 #[derive(Debug)]
 struct TurnTree {
     /// `(clock << index_bits) | index` per node, so one integer compare (a
@@ -186,21 +189,21 @@ impl TurnTree {
     fn new(workers: usize) -> Self {
         let n = workers.next_power_of_two();
         let mut tree = TurnTree { nodes: vec![u64::MAX; 2 * n], index_bits: n.trailing_zeros() };
-        tree.rebuild(&vec![0; workers]);
+        tree.rebuild(&vec![0; workers], |_| false);
         tree
     }
 
-    /// Worker `w`'s key at `clock`. No real key ties a padding leaf's
-    /// `u64::MAX`: a padding leaf's index is at least `P`, and a real key
-    /// whose index bits are all ones belongs to a `P` with no padding.
+    /// Worker `w`'s key at `clock`, always below `u64::MAX`, so no real key
+    /// ties a padding or deferred leaf.
     ///
     /// # Panics
     ///
-    /// Panics if `clock` needs more than `64 - index_bits` bits (past
-    /// 2^58 cycles at P = 64), instead of wrapping into the index.
+    /// Panics if the key would reach `u64::MAX` or `clock` needs more than
+    /// `64 - index_bits` bits (past 2^58 cycles at P = 64), instead of
+    /// wrapping into the index.
     #[inline]
     fn key(&self, clock: u64, w: usize) -> u64 {
-        assert!(clock.leading_zeros() >= self.index_bits, "clock {clock} overflows the turn key");
+        assert!(clock < u64::MAX >> self.index_bits, "clock {clock} overflows the turn key");
         (clock << self.index_bits) | w as u64
     }
 
@@ -211,12 +214,23 @@ impl TurnTree {
     }
 
     /// Worker `w`'s clock became `clock`: refresh its leaf-to-root path.
-    /// The path's new minimum travels up in a register and meets only
-    /// each sibling, so no level waits on the store of the level below.
     #[inline]
     fn update(&mut self, w: usize, clock: u64) {
+        self.set(w, self.key(clock, w));
+    }
+
+    /// Worker `w` is deferred: its leaf takes the padding key.
+    #[inline]
+    fn defer(&mut self, w: usize) {
+        self.set(w, u64::MAX);
+    }
+
+    /// Worker `w`'s leaf holds `key` now. The path's new minimum travels up
+    /// in a register and meets only each sibling, so no level waits on the
+    /// store of the level below.
+    #[inline]
+    fn set(&mut self, w: usize, mut key: u64) {
         let mut i = self.nodes.len() / 2 + w;
-        let mut key = self.key(clock, w);
         self.nodes[i] = key;
         while i > 1 {
             key = key.min(self.nodes[i ^ 1]);
@@ -225,11 +239,12 @@ impl TurnTree {
         }
     }
 
-    /// Any number of clocks changed: refill every leaf and node in place.
-    fn rebuild(&mut self, clocks: &[u64]) {
+    /// Any number of clocks changed: refill every leaf and node in place,
+    /// with the padding key at each worker that is `deferred`.
+    fn rebuild(&mut self, clocks: &[u64], deferred: impl Fn(usize) -> bool) {
         let n = self.nodes.len() / 2;
         for (w, &clock) in clocks.iter().enumerate() {
-            self.nodes[n + w] = self.key(clock, w);
+            self.nodes[n + w] = if deferred(w) { u64::MAX } else { self.key(clock, w) };
         }
         for i in (1..n).rev() {
             self.nodes[i] = self.nodes[2 * i].min(self.nodes[2 * i + 1]);
@@ -258,7 +273,7 @@ struct Engine<'a> {
     dists: Vec<Option<StealDistribution>>,
     /// Each thief's probe cost, [`STEAL_BASE`] plus the hop to the victim,
     /// folded into its distribution's guide table for the idle
-    /// fast-forward, which needs the cost but not the victim.
+    /// catch-up, which needs the cost but not the victim.
     probe_costs: Vec<Option<ProbeCosts>>,
     /// The distance term of a steal probe or push attempt from worker `a`
     /// to worker `b`, `STEAL_PER_DISTANCE · distance`, at `hops[a * P + b]`.
@@ -266,6 +281,10 @@ struct Engine<'a> {
     /// Entries in all deques and mailboxes together: zero means every
     /// steal attempt fails.
     stealable: usize,
+    /// A quiet stretch is on: nothing is stealable, and every idle worker
+    /// is deferred, its leaf at the padding key and its attempts left to
+    /// the catch-up.
+    quiet: bool,
 
     join: Vec<u32>,
     stolen: Vec<bool>,
@@ -318,6 +337,7 @@ impl<'a> Engine<'a> {
             probe_costs,
             hops,
             stealable: 0,
+            quiet: false,
             join: vec![0; dag.num_frames()],
             stolen: vec![false; dag.num_frames()],
             suspended: vec![None; dag.num_frames()],
@@ -334,31 +354,52 @@ impl<'a> Engine<'a> {
         self.report()
     }
 
-    /// One pass of the engine loop: the next turn, or a whole
-    /// fast-forward.
+    /// One pass of the engine loop: the next turn, or the start of a quiet
+    /// stretch.
     #[inline]
     fn pass(&mut self) {
         // Min-clock worker acts next; ties broken by index for
         // determinism.
         let w = self.turns.next();
-        debug_assert_eq!(Some(w), (0..self.clocks.len()).min_by_key(|&i| (self.clocks[i], i)));
+        debug_assert_eq!(
+            Some(w),
+            (0..self.clocks.len())
+                .filter(|&i| !(self.quiet && self.states[i] == WState::Steal))
+                .min_by_key(|&i| (self.clocks[i], i))
+        );
         match self.states[w] {
-            WState::Steal if self.stealable == 0 => {
-                self.fast_forward_idle();
-                self.turns.rebuild(&self.clocks);
-            }
+            WState::Steal if self.stealable == 0 => self.defer_idle(),
             WState::Steal => {
-                let clock = self.step_steal(w);
+                let clock = self.step_steal::<true>(w);
                 self.turns.update(w, clock);
             }
             WState::Exec { frame, step } => {
+                let start = self.clocks[w];
                 self.step_exec(w, frame, step);
-                self.turns.update(w, self.clocks[w]);
+                self.end_busy_turn(w, start);
             }
             WState::CheckParent { parent } => {
+                let start = self.clocks[w];
                 self.step_check_parent(w, parent);
-                self.turns.update(w, self.clocks[w]);
+                self.end_busy_turn(w, start);
             }
+        }
+    }
+
+    /// Worker `w`'s busy turn, started at `clock`, is done. In a quiet
+    /// stretch, a turn that makes work stealable or ends the run ends the
+    /// stretch with the catch-up, and a turn that puts `w` in the
+    /// scheduling loop defers `w` too.
+    #[inline]
+    fn end_busy_turn(&mut self, w: usize, clock: u64) {
+        if !self.quiet {
+            self.turns.update(w, self.clocks[w]);
+        } else if self.stealable > 0 || self.done_at.is_some() {
+            self.catch_up(clock, w);
+        } else if self.states[w] == WState::Steal {
+            self.turns.defer(w);
+        } else {
+            self.turns.update(w, self.clocks[w]);
         }
     }
 
@@ -390,40 +431,49 @@ impl<'a> Engine<'a> {
         self.cfg.policy.push_home(&self.map, w, self.dag.frame(FrameId(f)).place)
     }
 
-    /// Nothing is stealable and an idle worker has the next turn. Until a
-    /// busy worker (one outside the scheduling loop) acts, every steal
-    /// attempt fails and changes only its thief's random stream and clock
-    /// and the attempt count, so idle workers' attempts commute. Each idle
-    /// worker therefore makes, back to back, every attempt that precedes
-    /// the next busy turn — the smallest `(clock, index)` outside the loop.
-    /// It draws exactly as [`step_steal`](Self::step_steal) does: the
+    /// Nothing is stealable and an idle worker has the next turn: a quiet
+    /// stretch starts. Until a busy worker makes work stealable, every
+    /// steal attempt fails and changes only its thief's random stream and
+    /// clock and the attempt count, none of which a busy turn reads. So
+    /// every idle worker is deferred, as is each busy worker that goes idle
+    /// in the stretch, and only busy workers take turns until
+    /// [`catch_up`](Self::catch_up).
+    fn defer_idle(&mut self) {
+        self.quiet = true;
+        let states = &self.states;
+        self.turns.rebuild(&self.clocks, |w| states[w] == WState::Steal);
+    }
+
+    /// The busy turn that started at `(clock, busy)` ends the quiet
+    /// stretch. Each idle worker makes, back to back, every attempt that
+    /// turn-by-turn stepping puts before that turn: the attempts with
+    /// `(clock_w, w) < (clock, busy)`. Attempts up to the stretch's earlier
+    /// busy turns come first in the same run, and their order cannot
+    /// matter, since idle workers' attempts commute.
+    fn catch_up(&mut self, clock: u64, busy: usize) {
+        debug_assert_eq!(
+            self.stealable,
+            self.deques.iter().chain(&self.mailboxes).map(VecDeque::len).sum::<usize>()
+        );
+        let attempts = if self.cfg.policy.draws_coin() {
+            self.idle_attempts::<true>(clock, busy)
+        } else {
+            self.idle_attempts::<false>(clock, busy)
+        };
+        self.counters.steal_attempts += attempts;
+        self.quiet = false;
+        self.turns.rebuild(&self.clocks, |_| false);
+    }
+
+    /// [`catch_up`](Self::catch_up)'s attempts, with
+    /// [`SchedPolicy::draws_coin`](nws_topology::SchedPolicy::draws_coin)
+    /// as a constant so that the attempt loop holds no test of it. Each
+    /// attempt draws exactly as [`step_steal`](Self::step_steal) does: the
     /// victim's value, whose probe cost its [`ProbeCosts`] gives without
     /// naming the victim, then the coin's when the policy draws one. A
     /// worker's held draw is discarded: its stream restarts where that draw
     /// began. The stream, clock and attempt count live in locals until it
     /// is done.
-    fn fast_forward_idle(&mut self) {
-        debug_assert_eq!(
-            self.stealable,
-            self.deques.iter().chain(&self.mailboxes).map(VecDeque::len).sum::<usize>()
-        );
-        let p = self.clocks.len();
-        let (busy_clock, busy) = (0..p)
-            .filter(|&w| self.states[w] != WState::Steal)
-            .map(|w| (self.clocks[w], w))
-            .min()
-            .expect("with nothing stealable, some worker holds the unfinished work");
-        let attempts = if self.cfg.policy.draws_coin() {
-            self.idle_attempts::<true>(busy_clock, busy)
-        } else {
-            self.idle_attempts::<false>(busy_clock, busy)
-        };
-        self.counters.steal_attempts += attempts;
-    }
-
-    /// [`fast_forward_idle`](Self::fast_forward_idle)'s attempts, with
-    /// [`SchedPolicy::draws_coin`](nws_topology::SchedPolicy::draws_coin)
-    /// as a constant so that the attempt loop holds no test of it.
     fn idle_attempts<const COIN: bool>(&mut self, busy_clock: u64, busy: usize) -> u64 {
         let p = self.clocks.len();
         let mut attempts = 0;
@@ -589,11 +639,11 @@ impl<'a> Engine<'a> {
 
     /// One trip through the scheduling loop: own mailbox first, then one
     /// steal attempt. A failed attempt (the common case) is decided by one
-    /// test of the victim's occupancy, without a branch on the coin, and
-    /// draws the worker's next victim and coin (see the module docs).
-    /// Returns `w`'s clock, so that a failure's new clock reaches the turn
-    /// tree in a register.
-    fn step_steal(&mut self, w: usize) -> u64 {
+    /// test of the victim's occupancy, without a branch on the coin, and,
+    /// with `AHEAD`, draws the worker's next victim and coin (see the
+    /// module docs). Returns `w`'s clock, so that a failure's new clock
+    /// reaches the turn tree in a register.
+    fn step_steal<const AHEAD: bool>(&mut self, w: usize) -> u64 {
         let held = self.held[w].take();
         // Check own mailbox first (Fig 5 l.25-26): anything there is for
         // our place by construction.
@@ -610,10 +660,7 @@ impl<'a> Engine<'a> {
             return self.clocks[w];
         }
         let (victim, try_mailbox) = match held {
-            Some(held) => {
-                debug_assert_eq!(self.redraw(w, &held), (held.victim as usize, held.try_mailbox));
-                (held.victim as usize, held.try_mailbox)
-            }
+            Some(held) => (held.victim as usize, held.try_mailbox),
             None => self.draw(w),
         };
         let probe_cost = STEAL_BASE + self.hops[w * self.clocks.len() + victim];
@@ -623,9 +670,11 @@ impl<'a> Engine<'a> {
             // Failed steal: idle cycles (accounted via makespan minus busy).
             let clock = self.clocks[w] + probe_cost;
             self.clocks[w] = clock;
-            let before = self.rngs[w];
-            let (victim, try_mailbox) = self.draw(w);
-            self.held[w] = Some(Held { victim: victim as u32, try_mailbox, before });
+            if AHEAD {
+                let before = self.rngs[w];
+                let (victim, try_mailbox) = self.draw(w);
+                self.held[w] = Some(Held { victim: victim as u32, try_mailbox, before });
+            }
             return clock;
         }
 
@@ -661,6 +710,25 @@ impl<'a> Engine<'a> {
         self.clocks[w]
     }
 
+    /// The stepping reference that [`run`](Self::run) must equal in every
+    /// report field: each turn goes to the linear minimum of
+    /// `(clock, index)`, and every steal attempt is a stepped turn that
+    /// makes its own draw. Nothing is fast-forwarded or drawn ahead; the
+    /// step functions, costs and memory model are the ones `run` uses.
+    #[cfg(test)]
+    fn run_stepped(mut self) -> SimReport {
+        let p = self.clocks.len();
+        while self.done_at.is_none() {
+            let w = (0..p).min_by_key(|&i| (self.clocks[i], i)).expect("a run has a worker");
+            match self.states[w] {
+                WState::Steal => _ = self.step_steal::<false>(w),
+                WState::Exec { frame, step } => self.step_exec(w, frame, step),
+                WState::CheckParent { parent } => self.step_check_parent(w, parent),
+            }
+        }
+        self.report()
+    }
+
     /// The Figure 5 steal decision, shared with the runtime's steal loop:
     /// victim first, then (under a fair coin) the coin, from `w`'s stream.
     #[inline]
@@ -669,16 +737,6 @@ impl<'a> Engine<'a> {
         let rng = &mut self.rngs[w];
         self.cfg.policy.steal_target(dist, || rng.next_u64())
     }
-
-    /// `held` drawn again from the stream position it saved; checks that
-    /// the stream ends where `w`'s stands now.
-    fn redraw(&self, w: usize, held: &Held) -> (usize, bool) {
-        let dist = self.dists[w].as_ref().expect("a lone worker never enters the scheduling loop");
-        let mut rng = held.before;
-        let drawn = self.cfg.policy.steal_target(dist, || rng.next_u64());
-        assert_eq!(rng, self.rngs[w], "worker {w}'s stream moved");
-        drawn
-    }
 }
 
 #[cfg(test)]
@@ -686,7 +744,44 @@ mod tests {
     use super::*;
     use crate::dag::{tree, DagBuilder, Strand};
     use crate::memory::{PagePolicy, Touch};
+    use crate::recipe::{build, recipe};
     use nws_topology::{presets, CoinFlip, SchedPolicy};
+    use proptest::prelude::*;
+
+    /// Every field of a report, the schedule log included.
+    type Outcome = (u64, Vec<WorkerTimes>, Counters, [u64; 5], Option<ScheduleLog>);
+
+    fn outcome(r: SimReport) -> Outcome {
+        (r.makespan, r.workers, r.counters, r.class_lines, r.schedule)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn run_equals_the_stepping_reference(
+            r in recipe(),
+            preset in 0usize..4,
+            coin in 0usize..3,
+            workers in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            let dag = build(&r);
+            let topo = presets::paper_machine();
+            let coin_flip = [CoinFlip::Fair, CoinFlip::MailboxFirst, CoinFlip::DequeOnly][coin];
+            let policy = SchedPolicy { coin_flip, ..SchedPolicy::ablation_grid()[preset].1 };
+            let p = [1, 2, 3, 8, 32][workers];
+            let cfg = SimConfig::with_policy(policy, p).with_seed(seed).with_log_schedule(true);
+            let map = WorkerMap::new(&topo, p, topo.packed_places(p)).unwrap();
+            let fast = outcome(Engine::new(&topo, &dag, &cfg, map.clone()).run());
+            let stepped = outcome(Engine::new(&topo, &dag, &cfg, map).run_stepped());
+            prop_assert!(
+                fast == stepped,
+                "{policy} coin={coin_flip:?} P={p} seed={seed}: makespan {} vs {}, counters {:?} vs {:?}",
+                fast.0, stepped.0, fast.2, stepped.2
+            );
+        }
+    }
 
     #[test]
     fn serial_chain_single_worker() {
@@ -708,32 +803,46 @@ mod tests {
         for p in [1usize, 2, 3, 32, 33, 64] {
             // The largest clock a key holds next to an index below P's
             // power of two.
-            let max_clock = u64::MAX >> p.next_power_of_two().trailing_zeros();
+            let max_clock = (u64::MAX >> p.next_power_of_two().trailing_zeros()) - 1;
             // From 0, and from a few cycles below the packing limit, with
             // clocks that stop at it (ties at the largest keys).
             for (start, rounds) in [(0, 2_000), (max_clock - 16, 400)] {
                 let mut clocks = vec![start; p];
+                // Deferred workers, as in a quiet stretch; never all of them.
+                let mut deferred = vec![false; p];
                 let mut tree = TurnTree::new(p);
-                tree.rebuild(&clocks);
-                let linear_min = |clocks: &[u64]| (0..p).min_by_key(|&i| (clocks[i], i)).unwrap();
+                tree.rebuild(&clocks, |_| false);
+                let linear_min = |clocks: &[u64], deferred: &[bool]| {
+                    (0..p).filter(|&i| !deferred[i]).min_by_key(|&i| (clocks[i], i)).unwrap()
+                };
                 let bump = |c: &mut u64, by: u64| *c = c.saturating_add(by).min(max_clock);
                 for round in 0..rounds {
                     if round % 50 == 49 {
-                        // Several clocks move at once, as in a fast-forward.
+                        // Several clocks move at once, as at a catch-up, and
+                        // every fourth refill defers some workers.
                         for c in clocks.iter_mut() {
                             bump(c, rng.next_u64() % 3);
                         }
-                        tree.rebuild(&clocks);
+                        let kept = rng.next_u64() as usize % p;
+                        for (w, d) in deferred.iter_mut().enumerate() {
+                            *d = round % 200 == 49 && w != kept && rng.next_u64() & 1 == 0;
+                        }
+                        tree.rebuild(&clocks, |w| deferred[w]);
                     } else {
                         // One clock moves, the next worker's or any other's,
                         // often onto a tie (small bumps on clocks that start
-                        // equal).
+                        // equal); an update takes a worker out of deferral.
                         let w =
                             if round % 2 == 0 { tree.next() } else { rng.next_u64() as usize % p };
                         bump(&mut clocks[w], rng.next_u64() % 4);
+                        deferred[w] = false;
                         tree.update(w, clocks[w]);
                     }
-                    assert_eq!(tree.next(), linear_min(&clocks), "P={p} round {round}: {clocks:?}");
+                    assert_eq!(
+                        tree.next(),
+                        linear_min(&clocks, &deferred),
+                        "P={p} round {round}: {clocks:?} deferred {deferred:?}"
+                    );
                 }
             }
         }
@@ -748,23 +857,45 @@ mod tests {
 
     #[test]
     fn idle_attempts_stop_at_the_busy_workers_turn() {
-        // Worker 0 runs one strand of `cycles` while worker 1, with nothing
-        // to steal, probes worker 0 at a fixed cost. Worker 1 acts while
+        // Worker 0 runs a chain of strands while every other worker, with
+        // nothing to steal, probes at its own cost. The whole run is one
+        // quiet stretch: the idle workers are deferred at their first turn
+        // and make every attempt in one catch-up at the root's return.
+        //
+        // At P = 2, worker 1 probes worker 0 at a fixed cost and acts while
         // `(clock, 1) < (cycles, 0)`, i.e. while its clock is below
         // `cycles`: a clock tie goes to the lower index, so an attempt that
         // lands exactly on `cycles` is the last one.
         let topo = presets::paper_machine();
-        let cfg = SimConfig::vanilla(2);
         let map = WorkerMap::new(&topo, 2, topo.packed_places(2)).unwrap();
         let hops = topo.distances().distance(map.place_of(1), map.place_of(0)) as u64;
         let probe = STEAL_BASE + STEAL_PER_DISTANCE * hops;
-        for (cycles, attempts) in [(100 * probe, 100), (100 * probe + 1, 101)] {
+        let chain: Vec<u64> = (0..40).map(|i| 500 + 37 * i).collect();
+        // `(workers, strands, makespan, steal_attempts)`; the P = 32 pair is
+        // from the engine that fast-forwarded before every busy turn.
+        let cases = [
+            (2, vec![100 * probe], 100 * probe, 100),
+            (2, vec![100 * probe + 1], 100 * probe + 1, 101),
+            (32, chain, 48_860, 14_706),
+        ];
+        for (p, strands, makespan, attempts) in cases {
             let mut b = DagBuilder::new();
-            b.frame(Place::ANY, |b| _ = b.compute(cycles));
+            b.frame(Place::ANY, |b| strands.iter().for_each(|&cycles| _ = b.compute(cycles)));
             let dag = b.build();
-            let r = Simulation::new(&topo, cfg.clone(), &dag).unwrap().run();
-            assert_eq!(r.makespan, cycles);
-            assert_eq!(r.counters.steal_attempts, attempts, "strand of {cycles} cycles");
+            let cfg = SimConfig::vanilla(p);
+            let map = WorkerMap::new(&topo, p, topo.packed_places(p)).unwrap();
+            let mut e = Engine::new(&topo, &dag, &cfg, map);
+            let (mut stretches, mut catch_ups) = (0, 0);
+            while e.done_at.is_none() {
+                let quiet = e.quiet;
+                e.pass();
+                stretches += u64::from(!quiet && e.quiet);
+                catch_ups += u64::from(quiet && !e.quiet);
+            }
+            let r = e.report();
+            let case = format!("P={p}, {} strands", strands.len());
+            assert_eq!((stretches, catch_ups), (1, 1), "{case}");
+            assert_eq!((r.makespan, r.counters.steal_attempts), (makespan, attempts), "{case}");
         }
     }
 
@@ -861,7 +992,7 @@ mod tests {
         // survive each way its worker's next turn can go: discarded for the
         // own mailbox, consumed by an attempt whose take then draws a
         // PUSHBACK episode from the same stream, or discarded by a
-        // fast-forward. Debug builds re-derive every consumed draw.
+        // catch-up.
         let mut b = DagBuilder::new();
         let data = b.alloc("d", 64, PagePolicy::Chunked { chunks: 4 });
         b.frame(Place(0), |b| {
@@ -885,7 +1016,7 @@ mod tests {
             [(136399, 38565, 4, 4), (136216, 38579, 8, 8), (187754, 54540, 3, 3)],
             [(136014, 42289, 3, 3), (135671, 42218, 4, 4), (135761, 42251, 3, 3)],
         ];
-        let (mut own_mailbox, mut pushback, mut fast_forward) = (0, 0, 0);
+        let (mut own_mailbox, mut pushback, mut catch_up) = (0, 0, 0);
         for ((_, preset), pinned) in SchedPolicy::ablation_grid().into_iter().zip(pinned) {
             for (coin_flip, pinned) in coins.into_iter().zip(pinned) {
                 let cfg = SimConfig::with_policy(SchedPolicy { coin_flip, ..preset }, 32);
@@ -894,13 +1025,13 @@ mod tests {
                 while e.done_at.is_none() {
                     let w = e.turns.next();
                     let (held, pushes) = (e.held[w].is_some(), e.counters.push_attempts);
-                    if e.states[w] == WState::Steal && e.stealable == 0 {
-                        fast_forward += u64::from(e.held.iter().any(Option::is_some));
-                    } else if held {
+                    let deferred_held = e.quiet && e.held.iter().any(Option::is_some);
+                    if held {
                         own_mailbox += u64::from(!e.mailboxes[w].is_empty());
                     }
                     e.pass();
                     pushback += u64::from(held && e.counters.push_attempts > pushes);
+                    catch_up += u64::from(deferred_held && !e.quiet);
                 }
                 let r = e.report();
                 let c = &r.counters;
@@ -913,7 +1044,7 @@ mod tests {
         }
         assert!(own_mailbox > 0, "no held draw was discarded for the own mailbox");
         assert!(pushback > 0, "no consumed draw was followed by a PUSHBACK episode");
-        assert!(fast_forward > 0, "no fast-forward started while a draw was held");
+        assert!(catch_up > 0, "no catch-up discarded a held draw");
     }
 
     #[test]

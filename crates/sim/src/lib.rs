@@ -40,6 +40,8 @@ mod config;
 mod dag;
 mod engine;
 mod memory;
+#[cfg(test)]
+mod recipe;
 mod replay;
 mod report;
 

@@ -13,9 +13,10 @@
 //! - each socket has a shared last-level cache and each worker a private
 //!   cache, both modeled as FIFO page sets (a standard O(1) approximation
 //!   of LRU — reuse shapes at this granularity are driven by working-set
-//!   fit, not replacement nuance). Each set is a residency bitset over
-//!   every page of the run plus a ring of its pages in arrival order, so
-//!   a lookup is one word load and a miss costs no hashing;
+//!   fit, not replacement nuance). Each set is a ring of its pages in
+//!   arrival order plus residency bits over every page of the run: a
+//!   bitset per private cache, and one mask per page naming the LLCs that
+//!   hold it, so a lookup is one load and a miss costs no hashing;
 //! - an access is charged per cache line according to where it is serviced:
 //!   private cache, local LLC, a remote LLC (probe across `h` hops), local
 //!   DRAM, or remote DRAM across `h` hops — the five latency classes §I
@@ -23,7 +24,6 @@
 
 use nws_topology::{Place, Topology, WorkerMap};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Bytes per simulated page (4 KiB, the Linux default the paper binds).
 pub const PAGE_BYTES: u64 = 4096;
@@ -141,20 +141,48 @@ const QPI_MAX_MULTIPLIER: f64 = 5.0;
 /// layout "traverse the matrices in a way that enables the prefetcher".
 pub const STREAM_DISCOUNT_PCT: u64 = 45;
 
+/// A cache's pages in arrival order: a ring of `cap` slots, allocated
+/// once, that fills up and then replaces its oldest page.
+#[derive(Debug, Clone)]
+struct Fifo {
+    pages: Vec<PageId>,
+    cap: usize,
+    /// The oldest page's slot once the ring is full.
+    oldest: usize,
+}
+
+impl Fifo {
+    fn new(cap: usize) -> Self {
+        Fifo { pages: Vec::with_capacity(cap), cap, oldest: 0 }
+    }
+
+    /// Appends `p`, a page not in the ring, and returns the page it
+    /// evicts when the ring is full. `cap` must be above 0.
+    #[inline]
+    fn push(&mut self, p: PageId) -> Option<PageId> {
+        if self.pages.len() < self.cap {
+            self.pages.push(p);
+            return None;
+        }
+        let old = std::mem::replace(&mut self.pages[self.oldest], p);
+        self.oldest = if self.oldest + 1 == self.cap { 0 } else { self.oldest + 1 };
+        Some(old)
+    }
+}
+
 /// A FIFO page set approximating an LRU cache: `resident` has one bit per
 /// page of the run, and `order` holds the resident pages oldest first.
 #[derive(Debug, Clone)]
 pub(crate) struct FifoCache {
     resident: Vec<u64>,
-    order: VecDeque<PageId>,
-    cap: usize,
+    order: Fifo,
 }
 
 impl FifoCache {
     /// Creates a cache holding at most `cap` of the pages `0..pages`.
     pub(crate) fn new(cap: usize, pages: u64) -> Self {
         let words = pages.div_ceil(64) as usize;
-        FifoCache { resident: vec![0; words], order: VecDeque::new(), cap }
+        FifoCache { resident: vec![0; words], order: Fifo::new(cap) }
     }
 
     /// The word of `resident` holding page `p`'s bit, and the bit.
@@ -174,23 +202,21 @@ impl FifoCache {
     /// resident page is a no-op (FIFO, not LRU: no refresh).
     #[inline]
     pub(crate) fn insert(&mut self, p: PageId) {
-        if self.contains(p) || self.cap == 0 {
+        if self.contains(p) || self.order.cap == 0 {
             return;
         }
-        if self.order.len() == self.cap {
-            let (word, bit) =
-                Self::slot(self.order.pop_front().expect("a full cache holds a page"));
+        if let Some(old) = self.order.push(p) {
+            let (word, bit) = Self::slot(old);
             self.resident[word] &= !bit;
         }
         let (word, bit) = Self::slot(p);
         self.resident[word] |= bit;
-        self.order.push_back(p);
     }
 
     /// Number of resident pages.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.order.len()
+        self.order.pages.len()
     }
 }
 
@@ -208,18 +234,27 @@ pub struct Touch {
     pub lines_per_page: u64,
 }
 
+/// A first-touch page whose home is not resolved yet, in
+/// [`MemorySystem`]'s `homes`.
+const UNRESOLVED: u8 = u8::MAX;
+
 /// The whole memory subsystem state for one simulation run.
 #[derive(Debug)]
 pub(crate) struct MemorySystem {
     regions: Vec<Region>,
     /// Home place of every page, indexed by machine-wide page number;
-    /// `None` = unresolved first-touch page (homes on first access).
-    homes: Vec<Option<Place>>,
-    /// One shared LLC per socket.
-    llcs: Vec<FifoCache>,
+    /// [`UNRESOLVED`] for a first-touch page until its first access.
+    homes: Vec<u8>,
+    /// Per page, bit `s` set while socket `s`'s shared LLC holds it.
+    llc_holders: Vec<u64>,
+    /// Each socket's shared LLC pages, oldest first.
+    llc_order: Vec<Fifo>,
     /// One private cache per worker.
     privates: Vec<FifoCache>,
-    topo_distances: Vec<Vec<u32>>, // [socket][socket] hop-scaled distance
+    /// Sockets in use.
+    sockets: usize,
+    /// numactl distance from socket `a` to socket `b` at `a * sockets + b`.
+    distances: Vec<u32>,
     /// Each worker's place, which is the index of its socket's LLC.
     worker_socket: Vec<usize>,
     /// Per-socket (epoch id, remote lines this epoch).
@@ -232,43 +267,40 @@ pub(crate) struct MemorySystem {
 impl MemorySystem {
     /// Builds the memory system for a run: resolves page homes from each
     /// region's policy given the number of places in use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run uses more than 64 places, the width of a page's
+    /// LLC mask.
     pub(crate) fn new(topo: &Topology, map: &WorkerMap, regions: Vec<Region>) -> Self {
         let places = map.num_places();
+        assert!(places <= 64, "{places} places: the memory model holds at most 64");
         let total_pages: u64 = regions.iter().map(|r| r.pages).sum();
         let mut homes = Vec::with_capacity(total_pages as usize);
         for r in &regions {
-            for p in 0..r.pages {
-                let place_idx = match &r.policy {
-                    PagePolicy::Bind(pl) => pl % places,
-                    PagePolicy::Interleave => (p % places as u64) as usize,
-                    PagePolicy::FirstTouch => {
-                        homes.push(None); // resolved on first access
-                        continue;
-                    }
-                    PagePolicy::Chunked { chunks } => {
-                        let chunk = (p * *chunks as u64 / r.pages) as usize;
-                        chunk % places
-                    }
-                };
-                homes.push(Some(Place(place_idx)));
-            }
-        }
-        let n_sockets = topo.num_sockets();
-        let mut dist = vec![vec![0u32; n_sockets]; n_sockets];
-        for (a, row) in dist.iter_mut().enumerate() {
-            for (b, cell) in row.iter_mut().enumerate() {
-                *cell = topo.distances().distance(Place(a), Place(b));
-            }
+            homes.extend((0..r.pages).map(|p| match &r.policy {
+                PagePolicy::Bind(pl) => (pl % places) as u8,
+                PagePolicy::Interleave => (p % places as u64) as u8,
+                PagePolicy::FirstTouch => UNRESOLVED,
+                PagePolicy::Chunked { chunks } => {
+                    let chunk = (p * *chunks as u64 / r.pages) as usize;
+                    (chunk % places) as u8
+                }
+            }));
         }
         MemorySystem {
             homes,
-            llcs: (0..n_sockets).map(|_| FifoCache::new(LLC_PAGES, total_pages)).collect(),
+            llc_holders: vec![0; total_pages as usize],
+            llc_order: (0..places).map(|_| Fifo::new(LLC_PAGES)).collect(),
             privates: (0..map.num_workers())
                 .map(|_| FifoCache::new(PRIVATE_PAGES, total_pages))
                 .collect(),
-            topo_distances: dist,
+            sockets: places,
+            distances: (0..places * places)
+                .map(|i| topo.distances().distance(Place(i / places), Place(i % places)))
+                .collect(),
             worker_socket: (0..map.num_workers()).map(|w| map.place_of(w).0).collect(),
-            qpi_load: vec![(0, 0); n_sockets],
+            qpi_load: vec![(0, 0); places],
             class_lines: [0; 5],
             regions,
         }
@@ -278,34 +310,32 @@ impl MemorySystem {
     /// rounding to the nearest tier (10 → 0 hops, 21 → 1, 31 → 2, ...).
     #[inline]
     fn hops(&self, a: usize, b: usize) -> u64 {
-        let d = u64::from(self.topo_distances[a][b]);
+        let d = u64::from(self.distances[a * self.sockets + b]);
         ((d.saturating_sub(10) + 5) / 10).min(4)
-    }
-
-    /// Machine-wide page id for `(region, page_within_region)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is outside the region.
-    #[inline]
-    fn page_id(&self, region: RegionId, page: u64) -> PageId {
-        let r = &self.regions[region.0];
-        assert!(page < r.pages, "page {page} outside region '{}' ({} pages)", r.name, r.pages);
-        PageId(r.first_page + page)
     }
 
     /// Charges one [`Touch`] performed by `worker` at simulated time `now`
     /// and returns its cost in cycles. Updates cache state and
     /// interconnect load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the touch reaches past its region.
     pub(crate) fn access(&mut self, worker: usize, touch: &Touch, now: u64) -> u64 {
+        let r = &self.regions[touch.region.0];
+        let end = touch.start_page + touch.pages;
+        if touch.pages > 0 && end > r.pages {
+            let page = touch.start_page.max(r.pages);
+            panic!("page {page} outside region '{}' ({} pages)", r.name, r.pages);
+        }
+        let first = r.first_page + touch.start_page;
         let mut cost = 0u64;
         let my_socket = self.worker_socket[worker];
         let lines = touch.lines_per_page.clamp(1, LINES_PER_PAGE);
         // Streaming runs (full pages, several in a row) are prefetchable.
         let streaming = touch.pages >= 2 && lines == LINES_PER_PAGE;
-        for p in touch.start_page..touch.start_page + touch.pages {
-            let page = self.page_id(touch.region, p);
-            cost += self.access_page(worker, my_socket, page, lines, streaming, now);
+        for page in first..first + touch.pages {
+            cost += self.access_page(worker, my_socket, PageId(page), lines, streaming, now);
         }
         cost
     }
@@ -343,29 +373,40 @@ impl MemorySystem {
             return lines * PRIVATE_HIT;
         }
         let mut remote = false;
-        let per_line = if self.llcs[my_socket].contains(page) {
+        let holders = self.llc_holders[page.0 as usize];
+        let per_line = if holders & (1 << my_socket) != 0 {
             self.class_lines[1] += lines;
             LLC_LOCAL
-        } else if let Some(holder) = self.nearest_llc_holder(page, my_socket) {
-            self.class_lines[2] += lines;
-            remote = true;
-            let h = self.hops(my_socket, holder);
-            LLC_REMOTE_BASE + LLC_REMOTE_PER_HOP * h
         } else {
-            // First-touch pages home on their first accessor's socket.
-            let home = self.homes[page.0 as usize].get_or_insert(Place(my_socket)).0;
-            let h = self.hops(my_socket, home);
-            if h == 0 {
-                self.class_lines[3] += lines;
-                DRAM_LOCAL
-            } else {
-                self.class_lines[4] += lines;
+            let per_line = if holders != 0 {
+                self.class_lines[2] += lines;
                 remote = true;
-                DRAM_LOCAL + DRAM_REMOTE_PER_HOP * h
+                let h = self.hops(my_socket, self.nearest(holders, my_socket));
+                LLC_REMOTE_BASE + LLC_REMOTE_PER_HOP * h
+            } else {
+                // First-touch pages home on their first accessor's socket.
+                let home = &mut self.homes[page.0 as usize];
+                if *home == UNRESOLVED {
+                    *home = my_socket as u8;
+                }
+                let home = usize::from(*home);
+                let h = self.hops(my_socket, home);
+                if h == 0 {
+                    self.class_lines[3] += lines;
+                    DRAM_LOCAL
+                } else {
+                    self.class_lines[4] += lines;
+                    remote = true;
+                    DRAM_LOCAL + DRAM_REMOTE_PER_HOP * h
+                }
+            };
+            // The fetched page becomes resident in the local LLC.
+            if let Some(old) = self.llc_order[my_socket].push(page) {
+                self.llc_holders[old.0 as usize] &= !(1 << my_socket);
             }
+            self.llc_holders[page.0 as usize] |= 1 << my_socket;
+            per_line
         };
-        // The fetched page becomes resident locally.
-        self.llcs[my_socket].insert(page);
         self.privates[worker].insert(page);
         let mut cost = lines * per_line;
         if streaming {
@@ -379,10 +420,21 @@ impl MemorySystem {
         cost
     }
 
-    fn nearest_llc_holder(&self, page: PageId, my_socket: usize) -> Option<usize> {
-        (0..self.llcs.len())
-            .filter(|&s| s != my_socket && self.llcs[s].contains(page))
-            .min_by_key(|&s| self.topo_distances[my_socket][s])
+    /// The socket of `holders`, a nonempty LLC mask without `my_socket`,
+    /// nearest to `my_socket`; a tie goes to the lowest socket.
+    #[inline]
+    fn nearest(&self, mut holders: u64, my_socket: usize) -> usize {
+        let row = &self.distances[my_socket * self.sockets..][..self.sockets];
+        let mut best = holders.trailing_zeros() as usize;
+        holders &= holders - 1;
+        while holders != 0 {
+            let s = holders.trailing_zeros() as usize;
+            if row[s] < row[best] {
+                best = s;
+            }
+            holders &= holders - 1;
+        }
+        best
     }
 }
 
@@ -392,7 +444,7 @@ mod tests {
     use nws_topology::presets;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
-    use std::collections::HashSet;
+    use std::collections::{HashSet, VecDeque};
 
     fn system(workers: usize, regions: Vec<Region>) -> MemorySystem {
         let topo = presets::paper_machine();
@@ -499,36 +551,35 @@ mod tests {
         // On the paper machine's index ring, sockets 1 and 3 are both one
         // hop from socket 0.
         let mut sys = system(32, one_region(1, PagePolicy::Bind(1)));
-        assert_eq!(sys.topo_distances[0][1], sys.topo_distances[0][3]);
+        assert_eq!(sys.distances[1], sys.distances[3]);
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         // Workers 3 and 1 fault the page into sockets 3 and 1, higher first.
         sys.access(3, &t, 0);
         sys.access(1, &t, 0);
-        assert!(sys.llcs[1].contains(PageId(0)) && sys.llcs[3].contains(PageId(0)));
-        assert!(!sys.llcs[2].contains(PageId(0)));
-        assert_eq!(sys.nearest_llc_holder(PageId(0), 0), Some(1));
-        assert_eq!(sys.nearest_llc_holder(PageId(0), 2), Some(1));
+        assert_eq!(sys.llc_holders[0], 0b1010, "sockets 1 and 3 hold the page");
+        assert_eq!(sys.nearest(sys.llc_holders[0], 0), 1);
+        assert_eq!(sys.nearest(sys.llc_holders[0], 2), 1);
     }
 
     #[test]
     fn bind_policy_homes_on_bound_socket() {
         let sys = system(32, one_region(8, PagePolicy::Bind(2)));
         for p in 0..8 {
-            assert_eq!(sys.homes[p], Some(Place(2)));
+            assert_eq!(sys.homes[p], 2);
         }
     }
 
     #[test]
     fn first_touch_resolves_to_first_accessor() {
         let mut sys = system(32, one_region(8, PagePolicy::FirstTouch));
-        assert_eq!(sys.homes[0], None, "unresolved before any access");
+        assert_eq!(sys.homes[0], UNRESOLVED, "unresolved before any access");
         // Worker 2 (socket 2 under packed round-robin) touches page 0 first.
         let t = Touch { region: RegionId(0), start_page: 0, pages: 1, lines_per_page: 1 };
         sys.access(2, &t, 0);
-        assert_eq!(sys.homes[0], Some(Place(2)));
+        assert_eq!(sys.homes[0], 2);
         // A later accessor does not move the page.
         sys.access(0, &t, 0);
-        assert_eq!(sys.homes[0], Some(Place(2)));
+        assert_eq!(sys.homes[0], 2);
     }
 
     #[test]
@@ -542,15 +593,13 @@ mod tests {
     #[test]
     fn interleave_round_robins() {
         let sys = system(32, one_region(8, PagePolicy::Interleave));
-        let homes: Vec<usize> = (0..8).map(|p| sys.homes[p].unwrap().0).collect();
-        assert_eq!(homes, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(sys.homes, [0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
     #[test]
     fn chunked_splits_contiguously() {
         let sys = system(32, one_region(8, PagePolicy::Chunked { chunks: 4 }));
-        let homes: Vec<usize> = (0..8).map(|p| sys.homes[p].unwrap().0).collect();
-        assert_eq!(homes, vec![0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(sys.homes, [0, 0, 1, 1, 2, 2, 3, 3]);
     }
 
     #[test]
@@ -558,8 +607,7 @@ mod tests {
         let topo = presets::paper_machine();
         let map = WorkerMap::new(&topo, 4, 2).unwrap();
         let sys = MemorySystem::new(&topo, &map, one_region(4, PagePolicy::Chunked { chunks: 4 }));
-        let homes: Vec<usize> = (0..4).map(|p| sys.homes[p].unwrap().0).collect();
-        assert_eq!(homes, vec![0, 1, 0, 1]);
+        assert_eq!(sys.homes, [0, 1, 0, 1]);
     }
 
     #[test]

@@ -3,26 +3,12 @@
 //! determinism.
 
 use nws_sim::{Dag, DagBuilder, FrameId, SimConfig, Simulation, Step};
-use nws_topology::{presets, Place};
+use nws_topology::presets;
 use proptest::prelude::*;
 
-/// A recipe for a random series-parallel computation.
-#[derive(Debug, Clone)]
-struct Recipe {
-    /// Per internal node: number of children (1..=3) at each level.
-    fanouts: Vec<u8>,
-    leaf_cycles: u64,
-    places: Vec<u8>,
-}
-
-fn recipe() -> impl Strategy<Value = Recipe> {
-    (
-        proptest::collection::vec(1u8..=3, 1..5),
-        100u64..5_000,
-        proptest::collection::vec(0u8..5, 1..8),
-    )
-        .prop_map(|(fanouts, leaf_cycles, places)| Recipe { fanouts, leaf_cycles, places })
-}
+#[path = "../src/recipe.rs"]
+mod recipe;
+use recipe::{build, recipe};
 
 /// The simulated machine's work-path costs in cycles: a spawn's deque push
 /// plus the pop at its child's return, and a sync that was never stolen.
@@ -40,30 +26,6 @@ fn serial_plus_work_path(dag: &Dag) -> u64 {
     Simulation::serial_elision(&topo, dag)
         + dag.num_spawns() * SPAWN_PUSH_AND_POP
         + syncs * SYNC_TRIVIAL
-}
-
-fn build(recipe: &Recipe) -> Dag {
-    fn rec(b: &mut DagBuilder, recipe: &Recipe, depth: usize, idx: &mut usize) {
-        let place = match recipe.places[*idx % recipe.places.len()] {
-            4 => Place::ANY,
-            p => Place(p as usize),
-        };
-        *idx += 1;
-        b.open(place);
-        if depth >= recipe.fanouts.len() {
-            b.compute(recipe.leaf_cycles);
-        } else {
-            b.compute(recipe.leaf_cycles / 4);
-            for _ in 0..recipe.fanouts[depth] {
-                rec(b, recipe, depth + 1, idx);
-            }
-            b.sync().compute(recipe.leaf_cycles / 4);
-        }
-        b.close();
-    }
-    let mut b = DagBuilder::new();
-    rec(&mut b, recipe, 0, &mut 0);
-    b.build()
 }
 
 proptest! {
