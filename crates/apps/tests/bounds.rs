@@ -3,7 +3,7 @@
 //! schedulers, across worker counts.
 
 use nws_sim::{tree, SimConfig, Simulation};
-use nws_topology::presets;
+use nws_topology::{presets, Topology};
 
 #[test]
 fn greedy_bound_holds_for_both_schedulers() {
@@ -63,7 +63,7 @@ fn pushes_amortize_against_steals() {
 fn single_socket_numa_ws_degenerates_to_classic() {
     // With one place there is nothing to push and no bias tiers: the two
     // schedulers should perform near-identically.
-    let topo = presets::single_socket(8);
+    let topo = Topology::builder().sockets(1).cores_per_socket(8).build().unwrap();
     let dag = tree(512, 2_000);
     let tc = Simulation::new(&topo, SimConfig::vanilla(8), &dag).unwrap().run();
     let tn = Simulation::new(&topo, SimConfig::numa_ws(8), &dag).unwrap().run();

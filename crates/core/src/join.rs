@@ -215,10 +215,11 @@ fn pop_back(worker: &WorkerThread, id: *const ()) -> bool {
 /// Four-way fork with per-branch place hints — the shape of the paper's
 /// Figure 4 mergesort top level (`@p0..@p3`).
 ///
-/// Branch `a` runs inline (implicitly at the current place, like the
-/// first `cilk_spawn`); `b`, `c`, `d` are hinted at `places[1..4]`;
-/// `places[0]` hints the `(a, b)` subtree's stealable half and is normally
-/// the current place.
+/// Composed as `join_at(join_at(a, b, places[1]), join_at(c, d, places[3]),
+/// places[2])`: the `(c, d)` half is hinted at `places[2]`, then `b` at
+/// `places[1]` and `d` at `places[3]`. Branch `a` runs inline at the
+/// current place, like the first `cilk_spawn`, so `places[0]` hints
+/// nothing.
 ///
 /// # Panics
 ///

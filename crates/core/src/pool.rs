@@ -2,7 +2,7 @@
 //! teardown.
 
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
-use crate::job::{HeapJob, JobRef, StackJob};
+use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
 use crate::registry::{worker_main, Inject, Registry, WorkerThread};
 use crate::stats::PoolStats;
@@ -60,7 +60,6 @@ pub struct PoolBuilder {
     pub(crate) policy: SchedPolicy,
     pub(crate) seed: u64,
     pub(crate) stats_enabled: bool,
-    pub(crate) deque_capacity: usize,
     pub(crate) record_trace: bool,
     pub(crate) ingress_capacity: Option<usize>,
     pub(crate) overflow: OverflowPolicy,
@@ -74,7 +73,6 @@ impl std::fmt::Debug for PoolBuilder {
             .field("policy", &self.policy)
             .field("seed", &self.seed)
             .field("stats_enabled", &self.stats_enabled)
-            .field("deque_capacity", &self.deque_capacity)
             .field("record_trace", &self.record_trace)
             .field("ingress_capacity", &self.ingress_capacity)
             .field("overflow", &self.overflow)
@@ -93,7 +91,6 @@ impl Default for PoolBuilder {
             policy: SchedPolicy::numa_ws(),
             seed: 0x5EED_CAFE,
             stats_enabled: true,
-            deque_capacity: 8192,
             record_trace: false,
             ingress_capacity: None,
             overflow: OverflowPolicy::Block,
@@ -146,17 +143,6 @@ impl PoolBuilder {
         self
     }
 
-    /// Per-worker deque capacity (slots), rounded up to a power of two.
-    /// When a deque overflows, spawns degrade gracefully to inline
-    /// execution. Defaults to 8192; [`build`](Self::build) rejects 0 and a
-    /// capacity whose ring (the power of two times a job reference's size)
-    /// exceeds `isize::MAX` bytes. A representable ring the allocator
-    /// refuses aborts the process, like any failed allocation.
-    pub fn deque_capacity(&mut self, cap: usize) -> &mut Self {
-        self.deque_capacity = cap;
-        self
-    }
-
     /// Enables DAG trace recording: every spawn edge and execution interval
     /// is logged into per-worker lanes, retrievable with
     /// [`Pool::take_trace`] and replayable through the simulator's
@@ -192,9 +178,8 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// Returns [`BuildPoolError`] when the configuration is inconsistent
-    /// (zero workers/places, more places than workers, a zero deque or
-    /// ingress capacity, a deque ring above `isize::MAX` bytes, a policy
-    /// mailbox capacity above 1).
+    /// (zero workers/places, more places than workers, a zero ingress
+    /// capacity, a policy mailbox capacity above 1).
     pub fn build(&self) -> Result<Pool, BuildPoolError> {
         if self.policy.mailbox_capacity > 1 {
             return Err(BuildPoolError::InvalidConfig(format!(
@@ -212,19 +197,6 @@ impl PoolBuilder {
             return Err(BuildPoolError::InvalidConfig(format!(
                 "places ({}) cannot exceed workers ({})",
                 self.places, self.workers
-            )));
-        }
-        if self.deque_capacity == 0 {
-            return Err(BuildPoolError::InvalidConfig("deque_capacity must be >= 1".into()));
-        }
-        let ring_bytes = self
-            .deque_capacity
-            .checked_next_power_of_two()
-            .and_then(|slots| slots.checked_mul(std::mem::size_of::<JobRef>()));
-        if ring_bytes.is_none_or(|bytes| bytes > isize::MAX as usize) {
-            return Err(BuildPoolError::InvalidConfig(format!(
-                "deque_capacity ({}) needs a ring above isize::MAX bytes",
-                self.deque_capacity
             )));
         }
         if self.ingress_capacity == Some(0) {
@@ -597,8 +569,11 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Panics if the event soup violates the exactly-once contract, which
-    /// indicates either a non-quiescent drain or a runtime bug.
+    /// Panics if `label` holds a line break ([`Trace::validate`]), or if
+    /// the event soup violates the exactly-once contract, which indicates
+    /// either a non-quiescent drain or a runtime bug.
+    ///
+    /// [`Trace::validate`]: nws_trace::Trace::validate
     pub fn take_trace(&self, label: &str) -> Option<nws_trace::Trace> {
         let sink = self.registry.trace.as_ref()?;
         // A job's completion is observable (its latch set, its scope count
@@ -621,7 +596,7 @@ impl Pool {
             label: label.to_string(),
         };
         let events = sink.drain();
-        Some(nws_trace::Trace::from_events(meta, &events).expect("trace drained mid-execution"))
+        Some(nws_trace::Trace::from_events(meta, &events).expect("invalid recorded trace"))
     }
 }
 
@@ -686,18 +661,8 @@ mod tests {
         assert!(Pool::builder().workers(0).build().is_err());
         assert!(Pool::builder().workers(2).places(0).build().is_err());
         assert!(Pool::builder().workers(2).places(3).build().is_err());
-        for err in [
-            Pool::builder().workers(2).deque_capacity(0).build().unwrap_err(),
-            // Its power of two overflows `usize`, and 2^62 job references
-            // overflow `isize::MAX` bytes. Validation runs before any
-            // worker or deque exists, so these start no thread and
-            // allocate no ring.
-            Pool::builder().workers(2).deque_capacity(usize::MAX).build().unwrap_err(),
-            Pool::builder().workers(2).deque_capacity(1 << 62).build().unwrap_err(),
-            Pool::builder().workers(2).ingress_capacity(0).build().unwrap_err(),
-        ] {
-            assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "{err}");
-        }
+        let err = Pool::builder().workers(2).ingress_capacity(0).build().unwrap_err();
+        assert!(matches!(err, BuildPoolError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -25,6 +25,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Slots in each worker's deque. A spawn that finds its deque full runs
+/// inline instead (counted in `spawn_overflows`).
+pub(crate) const DEQUE_CAPACITY: usize = 8192;
+
 /// Outcome of [`Registry::inject`].
 pub(crate) enum Inject {
     /// The job is on an ingress queue; workers were woken.
@@ -142,7 +146,7 @@ impl Registry {
         let mut owners = Vec::with_capacity(p);
         let mut stealers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (w, st) = the_deque::<JobRef>(builder.deque_capacity);
+            let (w, st) = the_deque::<JobRef>(DEQUE_CAPACITY);
             owners.push(w);
             stealers.push(st);
         }

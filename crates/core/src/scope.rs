@@ -499,19 +499,25 @@ mod tests {
 
     #[test]
     fn deque_full_spawns_degrade_to_inline() {
-        // Capacity-8 deque, 100 spawns from a single worker: most pushes
-        // are rejected and must run inline, losing nothing.
-        let pool = Pool::builder().workers(1).deque_capacity(8).build().unwrap();
+        // One worker, so no thief drains the deque: the first
+        // `DEQUE_CAPACITY` spawns park on it, and the next 100 find it full
+        // and must run inline, before the body returns, losing nothing.
+        use crate::registry::DEQUE_CAPACITY;
+        let pool = Pool::builder().workers(1).build().unwrap();
         let hits = AtomicUsize::new(0);
-        pool.install(|| {
+        let inline = pool.install(|| {
             scope(|s| {
-                for _ in 0..100 {
+                for _ in 0..DEQUE_CAPACITY + 100 {
                     s.spawn(|_| {
                         hits.fetch_add(1, Ordering::SeqCst);
                     });
                 }
+                hits.load(Ordering::SeqCst)
             })
         });
-        assert_eq!(hits.into_inner(), 100);
+        assert_eq!(inline, 100);
+        assert_eq!(hits.into_inner(), DEQUE_CAPACITY + 100);
+        let stats = pool.stats();
+        assert_eq!(stats.total_spawn_overflows(), 100, "{stats:?}");
     }
 }

@@ -329,9 +329,26 @@ fn idle_workers_wake_for_ingress() {
     assert_eq!(stats.total_injector_takes(), 1);
 }
 
+/// The runtime deque's fixed size.
+const DEQUE_SLOTS: u64 = 8192;
+
+/// Runs `body` in a scope on a one-worker pool after parking `parked`
+/// no-op spawns: no thief drains them, so they hold that many deque slots
+/// until the body returns. Returns `body`'s result.
+fn with_parked_spawns<R: Send>(pool: &Pool, parked: u64, body: impl FnOnce() -> R + Send) -> R {
+    pool.scope(|s| {
+        for _ in 0..parked {
+            s.spawn(|_| ());
+        }
+        body()
+    })
+}
+
 /// Only accepted deque pushes count as spawns; overflow fallbacks land in
 /// `spawn_overflows`. Place-hinted joins fork eagerly (one push attempt
-/// each), so the two counters partition the join count.
+/// each): with all but 8 slots parked, the joins of the tree's top 8 levels
+/// push and the deeper ones overflow, and the two counters partition the
+/// join count.
 #[test]
 fn spawn_counter_excludes_overflows() {
     fn count(depth: u32) -> u64 {
@@ -343,15 +360,16 @@ fn spawn_counter_excludes_overflows() {
     }
     const DEPTH: u32 = 12;
     let joins = (1u64 << DEPTH) - 1; // interior nodes of the binary tree
-    let pool = Pool::builder().workers(2).deque_capacity(8).build().unwrap();
-    assert_eq!(pool.install(|| count(DEPTH)), 1 << DEPTH);
+    let pool = Pool::builder().workers(1).build().unwrap();
+    assert_eq!(with_parked_spawns(&pool, DEQUE_SLOTS - 8, || count(DEPTH)), 1 << DEPTH);
     let stats = pool.stats();
+    let tree_spawns = stats.total_spawns() - stats.total_scope_spawns();
     assert!(
-        stats.total_spawn_overflows() > 0,
-        "a capacity-8 deque must overflow on a 2^12 tree: {stats:?}"
+        tree_spawns > 0 && stats.total_spawn_overflows() > 0,
+        "8 free slots must take some joins and overflow on a 2^12 tree: {stats:?}"
     );
     assert_eq!(
-        stats.total_spawns() + stats.total_spawn_overflows(),
+        tree_spawns + stats.total_spawn_overflows(),
         joins,
         "spawns + overflows must partition the {joins} joins: {stats:?}"
     );
@@ -359,10 +377,10 @@ fn spawn_counter_excludes_overflows() {
 
 /// The unhinted twin of `spawn_counter_excludes_overflows`: lazy joins keep
 /// their branches in the frame stack and promote only into an empty deque
-/// (or before blocking), so the same capacity-8 deque never overflows and
-/// every join counts one spawn.
+/// (or before blocking), so a full deque never overflows and every join
+/// counts one spawn.
 #[test]
-fn lazy_join_frames_never_overflow_a_small_deque() {
+fn lazy_join_frames_never_overflow_a_full_deque() {
     fn count(depth: u32) -> u64 {
         if depth == 0 {
             return 1;
@@ -372,9 +390,10 @@ fn lazy_join_frames_never_overflow_a_small_deque() {
     }
     const DEPTH: u32 = 12;
     let joins = (1u64 << DEPTH) - 1;
-    let pool = Pool::builder().workers(2).deque_capacity(8).build().unwrap();
-    assert_eq!(pool.install(|| count(DEPTH)), 1 << DEPTH);
+    let pool = Pool::builder().workers(1).build().unwrap();
+    assert_eq!(with_parked_spawns(&pool, DEQUE_SLOTS, || count(DEPTH)), 1 << DEPTH);
     let stats = pool.stats();
     assert_eq!(stats.total_spawn_overflows(), 0, "{stats:?}");
-    assert_eq!(stats.total_spawns(), joins, "one spawn per join: {stats:?}");
+    assert_eq!(stats.total_scope_spawns(), DEQUE_SLOTS, "{stats:?}");
+    assert_eq!(stats.total_spawns(), DEQUE_SLOTS + joins, "one spawn per join: {stats:?}");
 }

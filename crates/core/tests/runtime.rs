@@ -352,18 +352,23 @@ fn recording_pool_forks_joins_lazily() {
 
 #[test]
 fn recording_pool_brackets_overflowed_spawns() {
-    // A one-slot deque overflows scope spawns and eager forks alike; each
-    // overflowed job runs inline inside its own Start/End bracket.
-    let pool = Pool::builder().workers(1).deque_capacity(1).record_trace(true).build().unwrap();
+    // One worker, so no thief drains its deque: the first 8,192 scope
+    // spawns (the runtime deque's fixed size) fill it, and everything
+    // forked after overflows, scope spawns and eager (hinted) forks alike.
+    // Each overflowed job runs inline inside its own Start/End bracket.
+    let pool = Pool::builder().workers(1).record_trace(true).build().unwrap();
     pool.scope(|s| {
+        for _ in 0..8192 {
+            s.spawn(|_| ());
+        }
         for _ in 0..8 {
             s.spawn(|_| {
-                std::hint::black_box(fib(4));
+                std::hint::black_box(join_at(|| fib(4), || fib(4), Place(0)));
             });
         }
     });
     let stats = pool.stats();
-    assert!(stats.total_spawn_overflows() > 0, "{stats:?}");
+    assert_eq!(stats.total_spawn_overflows(), 16, "8 spawns and 8 hinted forks: {stats:?}");
     let trace = pool.take_trace("overflow").expect("recording was on");
     trace.validate().expect("well-formed trace");
     assert_eq!(trace.num_started(), trace.tasks.len());
@@ -401,21 +406,6 @@ fn thief_takes_hidden_branch_of_a_scope_blocked_owner() {
         });
         assert!(b_ran.load(Ordering::Acquire));
     }
-}
-
-#[test]
-fn deep_recursion_survives_deque_overflow() {
-    // Deque capacity 64: a 2^14-leaf tree overflows it constantly; spawns
-    // must degrade to inline execution without losing results.
-    fn count(depth: u32) -> u64 {
-        if depth == 0 {
-            return 1;
-        }
-        let (a, b) = join(|| count(depth - 1), || count(depth - 1));
-        a + b
-    }
-    let pool = Pool::builder().workers(4).deque_capacity(64).build().unwrap();
-    assert_eq!(pool.install(|| count(14)), 1 << 14);
 }
 
 #[test]

@@ -87,6 +87,27 @@ fn place_hints_are_recorded() {
     );
 }
 
+/// `join4_at` is `join_at(join_at(a, b, places[1]), join_at(c, d,
+/// places[3]), places[2])`: its three Spawns carry `places[2]` (the
+/// `(c, d)` half, forked first), then `places[1]` and `places[3]`, and
+/// `places[0]` reaches none, since `a` runs inline.
+#[test]
+fn join4_at_spawns_carry_places_2_1_and_3() {
+    let pool = recording_pool(4, 4);
+    let places = [Place(0), Place(1), Place(2), Place(3)];
+    let r = pool.install(|| numa_ws::join4_at(places, || 1, || 2, || 3, || 4));
+    assert_eq!(r, (1, 2, 3, 4));
+    let trace = pool.take_trace("join4_at").expect("trace");
+    let [root, first, rest @ ..] = &trace.tasks[..] else { panic!("{trace}") };
+    assert_eq!(root.parent, None, "the install root");
+    assert_eq!(first.place, Some(2), "places[2] hints the first fork");
+    // `b`'s and `d`'s Spawns, in either order if a thief took `(c, d)`;
+    // no Spawn carries `places[0]`.
+    let mut rest: Vec<_> = rest.iter().map(|t| t.place).collect();
+    rest.sort();
+    assert_eq!(rest, [Some(1), Some(3)], "{trace}");
+}
+
 #[test]
 fn scope_spawns_are_recorded_as_children() {
     let pool = recording_pool(3, 1);

@@ -14,11 +14,7 @@
 //! - [`zmorton`] — bit-interleaved Z-curve index math (Figure 6a);
 //! - [`Matrix`] — plain row-major matrix, the baseline layout;
 //! - [`BlockedZ`] — the blocked Z-Morton matrix (Figure 6b) with
-//!   round-trip transformations to and from row-major;
-//! - [`BlockPlacement`] — maps each block to the [`Place`] whose quadrant of
-//!   the recursion owns it, for page binding at allocation time.
-//!
-//! [`Place`]: nws_topology::Place
+//!   round-trip transformations to and from row-major.
 //!
 //! # Example
 //!
@@ -36,9 +32,7 @@
 
 mod blocked;
 mod matrix;
-mod placement;
 pub mod zmorton;
 
 pub use blocked::BlockedZ;
 pub use matrix::Matrix;
-pub use placement::BlockPlacement;

@@ -23,7 +23,6 @@
 //!   describes.
 
 use nws_topology::{Place, Topology, WorkerMap};
-use serde::{Deserialize, Serialize};
 
 /// Bytes per simulated page (4 KiB, the Linux default the paper binds).
 pub const PAGE_BYTES: u64 = 4096;
@@ -43,7 +42,7 @@ pub struct RegionId(pub usize);
 /// Where the pages of a region live — the simulated analogue of the
 /// allocation-time binding the paper's library functions perform with
 /// `mmap`/`mbind` (§III-A).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// All pages home on the socket backing one place — `mbind` to a node.
     Bind(usize),

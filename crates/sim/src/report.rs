@@ -1,7 +1,5 @@
 //! Simulation results: per-worker time breakdowns and event counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-worker time accounting, in cycles.
 ///
 /// Matches the paper's §II taxonomy: **work** time is useful computation
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// non-trivial syncs, suspensions, CHECKPARENT, pushes, mailbox traffic),
 /// and **idle** time is everything else up to the makespan — the time the
 /// worker spent failing to find work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerTimes {
     /// Useful work incl. spawn overhead and memory stalls.
     pub work: u64,
@@ -21,7 +19,7 @@ pub struct WorkerTimes {
 }
 
 /// Event counters across the whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Steal attempts (successful or not), including mailbox inspections.
     pub steal_attempts: u64,
@@ -49,7 +47,7 @@ pub struct Counters {
 /// [`SimConfig::log_schedule`](crate::SimConfig) is set: enough to assert
 /// two runs made identical scheduling decisions, which is how the
 /// record→replay golden tests define determinism.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleLog {
     /// Successful deque steals in commit order: `(thief, victim, frame)`.
     pub steals: Vec<(usize, usize, usize)>,
@@ -60,7 +58,7 @@ pub struct ScheduleLog {
 }
 
 /// The result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Completion time of the computation, in cycles.
     pub makespan: u64,

@@ -1,7 +1,6 @@
 //! numactl-style inter-socket distance matrices.
 
 use crate::Place;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symmetric matrix of relative memory-access distances between sockets,
@@ -13,7 +12,7 @@ use std::fmt;
 /// according to the distances between virtual places, where the distances
 /// are determined by the output from numactl" (paper §III-B); this type is
 /// that input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
     /// Row-major `n x n` distances.
@@ -70,19 +69,10 @@ impl DistanceMatrix {
         Self::from_rows(n, d)
     }
 
-    /// A matrix for `n` sockets arranged on a ring (each socket has two
-    /// one-hop neighbours). Distance grows by `per_hop` for each hop along
-    /// the shorter arc: `10 + per_hop * hops`.
-    ///
-    /// The paper's Figure 1 machine (21 for one hop, 31 for two) is not
-    /// linear in hops, so it is built with [`ring_with`].
-    ///
-    /// [`ring_with`]: DistanceMatrix::ring_with
-    pub fn ring(n: usize, per_hop: u32) -> Self {
-        Self::ring_with(n, |hops| Self::LOCAL + per_hop * hops)
-    }
-
-    /// A ring matrix where the distance for `h` hops is `f(h)`.
+    /// A matrix for `n` sockets on a ring (each socket has two one-hop
+    /// neighbours), where the distance for `h` hops along the shorter arc
+    /// is `f(h)`. The paper's Figure 1 machine maps one hop to 21 and two
+    /// to 31.
     ///
     /// # Panics
     ///
@@ -116,15 +106,6 @@ impl DistanceMatrix {
     pub fn distance(&self, a: Place, b: Place) -> u32 {
         assert!(a.0 < self.n && b.0 < self.n, "place out of range");
         self.d[a.0 * self.n + b.0]
-    }
-
-    /// The distinct distance values in ascending order (always starts with
-    /// [`Self::LOCAL`]). Useful for bucketing sockets into locality tiers.
-    pub fn tiers(&self) -> Vec<u32> {
-        let mut t: Vec<u32> = self.d.clone();
-        t.sort_unstable();
-        t.dedup();
-        t
     }
 }
 
@@ -187,20 +168,23 @@ mod tests {
         let m = DistanceMatrix::uniform(3, 20);
         assert_eq!(m.distance(Place(0), Place(0)), 10);
         assert_eq!(m.distance(Place(0), Place(2)), 20);
-        assert_eq!(m.tiers(), vec![10, 20]);
+        assert_eq!(m.distance(Place(2), Place(1)), 20);
     }
 
     #[test]
     fn single_socket_matrix() {
         let m = DistanceMatrix::uniform(1, 20);
         assert_eq!(m.num_sockets(), 1);
-        assert_eq!(m.tiers(), vec![10]);
+        assert_eq!(m.distance(Place(0), Place(0)), 10);
     }
 
     #[test]
     fn tiers_sorted_and_deduped() {
+        // Socket 0's distances to the sockets zero, one and two hops away:
+        // one tier per hop count, rising.
         let m = paper_matrix();
-        assert_eq!(m.tiers(), vec![10, 21, 31]);
+        let tiers = [0, 1, 2].map(|j| m.distance(Place(0), Place(j)));
+        assert_eq!(tiers, [10, 21, 31]);
     }
 
     #[test]

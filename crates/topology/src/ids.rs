@@ -1,6 +1,5 @@
 //! The virtual place: the one index of a socket in use.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A **virtual place**: the unit of locality in the NUMA-WS programming
@@ -13,7 +12,7 @@ use std::fmt;
 /// oblivious to how many physical sockets exist.
 ///
 /// [`DistanceMatrix`]: crate::DistanceMatrix
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Place(pub usize);
 
 impl Place {

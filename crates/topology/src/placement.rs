@@ -1,7 +1,6 @@
 //! Assignment of worker threads to virtual places.
 
 use crate::{Place, Topology, TopologyError};
-use serde::{Deserialize, Serialize};
 
 /// The fixed worker → place assignment for one run (paper §III-A: the user
 /// decides at startup how many cores and sockets an application runs on;
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// pinned (DESIGN.md §2, "Unpinned workers"), so the map keeps no core per worker;
 /// [`WorkerMap::new`] still checks that every worker would have a core of
 /// its own on its socket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerMap {
     places: Vec<Place>,
     workers_per_place: Vec<Vec<usize>>,

@@ -23,11 +23,10 @@
 //! runtime and in the simulator.
 
 use crate::{Place, StealDistribution, Topology, WorkerMap};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How a thief chooses its victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StealBias {
     /// Uniform victim selection over all other workers — classic work
     /// stealing (paper Figure 2).
@@ -42,7 +41,7 @@ pub enum StealBias {
 /// How a NUMA-WS thief chooses between a victim's deque and its mailbox.
 /// `Fair` is the paper's protocol; the others exist for the ablation that
 /// §IV argues motivates the coin flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoinFlip {
     /// Flip a fair coin (the paper's protocol, required for the bounds:
     /// the critical node at a deque head is found with probability
@@ -78,7 +77,7 @@ pub enum Deposit<J> {
 /// | [`bias_only`](SchedPolicy::bias_only) | inverse-distance | none | deque-only |
 /// | [`mailbox_only`](SchedPolicy::mailbox_only) | uniform | capacity 1 | fair |
 /// | [`numa_ws`](SchedPolicy::numa_ws) | inverse-distance | capacity 1 | fair |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedPolicy {
     /// Victim-selection bias.
     pub bias: StealBias,

@@ -19,19 +19,10 @@ pub fn paper_machine() -> Topology {
         .expect("paper machine is well-formed")
 }
 
-/// A single-socket machine with `cores` cores — the degenerate case where
-/// NUMA-WS must behave exactly like classic work stealing.
-pub fn single_socket(cores: usize) -> Topology {
-    Topology::builder()
-        .sockets(1)
-        .cores_per_socket(cores)
-        .build()
-        .expect("single socket is well-formed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Place;
 
     #[test]
     fn paper_machine_matches_figure_1() {
@@ -39,13 +30,17 @@ mod tests {
         assert_eq!(t.num_sockets(), 4);
         assert_eq!(t.cores_per_socket(), 8);
         assert_eq!(t.num_cores(), 32);
-        assert_eq!(t.distances().tiers(), vec![10, 21, 31]);
+        let d = t.distances();
+        for (a, b, dist) in [(0, 0, 10), (0, 1, 21), (0, 2, 31), (0, 3, 21), (1, 3, 31)] {
+            assert_eq!(d.distance(Place(a), Place(b)), dist, "sockets {a} and {b}");
+        }
     }
 
     #[test]
     fn single_socket_has_one_tier() {
-        let t = single_socket(24);
+        let t = Topology::builder().sockets(1).cores_per_socket(24).build().unwrap();
         assert_eq!(t.num_cores(), 24);
-        assert_eq!(t.distances().tiers(), vec![10]);
+        assert_eq!(t.distances().num_sockets(), 1);
+        assert_eq!(t.distances().distance(Place(0), Place(0)), DistanceMatrix::LOCAL);
     }
 }

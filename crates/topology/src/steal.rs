@@ -16,7 +16,6 @@
 //! most remote tier).
 
 use crate::{Topology, WorkerMap};
-use serde::{Deserialize, Serialize};
 
 /// Fixed-point scale for integer weights (one unit of weight = `1/SCALE`).
 const SCALE: u64 = 10_080; // divisible by 10, 21 and 31's rounding needs
@@ -28,7 +27,7 @@ const SCALE: u64 = 10_080; // divisible by 10, 21 and 31's rounding needs
 /// real runtime and the simulator.
 ///
 /// [`sample`]: StealDistribution::sample
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StealDistribution {
     /// Cumulative weights per victim index; the thief, the only victim
     /// with zero weight, contributes no increment.

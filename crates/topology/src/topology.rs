@@ -1,7 +1,6 @@
 //! Machine descriptions: sockets, cores, and their distances.
 
 use crate::DistanceMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced when constructing or using a [`Topology`].
@@ -68,7 +67,7 @@ impl std::error::Error for TopologyError {}
 ///
 /// Cores are numbered socket-major, matching the paper's Figure 1: cores
 /// `0..8` on socket 0, `8..16` on socket 1, and so on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     sockets: usize,
     cores_per_socket: usize,

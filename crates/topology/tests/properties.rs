@@ -57,8 +57,11 @@ proptest! {
             let total: f64 = (0..workers).map(|v| d.probability_of(v)).sum();
             prop_assert!((total - 1.0).abs() < 1e-9, "probabilities sum to {total}");
             prop_assert_eq!(d.probability_of(thief), 0.0, "thief never picks itself");
-            // Minimum victim probability ≥ 1/(cP) for c = max distance / 10.
-            let c = topo.distances().tiers().last().copied().unwrap() as f64 / 10.0;
+            // Minimum victim probability ≥ 1/(cP) for c = max distance / 10;
+            // `machine()`'s distances are uniform, so socket 0 to the last
+            // socket is the largest.
+            let last = Place(topo.num_sockets() - 1);
+            let c = topo.distances().distance(Place(0), last) as f64 / 10.0;
             let floor = 1.0 / (c * workers as f64) / 2.0; // slack factor 2
             for v in 0..workers {
                 if v != thief {
@@ -86,7 +89,7 @@ proptest! {
 
     #[test]
     fn ring_distances_symmetric_and_triangleish(n in 1usize..=12, per_hop in 1u32..30) {
-        let m = DistanceMatrix::ring(n, per_hop);
+        let m = DistanceMatrix::ring_with(n, |h| DistanceMatrix::LOCAL + per_hop * h);
         for i in 0..n {
             for j in 0..n {
                 let a = m.distance(Place(i), Place(j));

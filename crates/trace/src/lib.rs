@@ -6,9 +6,9 @@
 //! execution); [`Trace::from_events`] folds the event soup into a
 //! validated task table; and the text codec ([`Trace::to_text`] /
 //! [`Trace::parse`]) is what the committed golden trace persists and
-//! `reproduce` reads back — the vendored `serde` is a no-op stub, so the
-//! hand-rolled line format *is* the on-disk format, exactly as the policy
-//! layer's `Display` encoding is for `SchedPolicy`.
+//! `reproduce` reads back: the hand-rolled line format *is* the on-disk
+//! format, exactly as the policy layer's `Display` encoding is for
+//! `SchedPolicy`.
 //!
 //! The simulator side lives in `nws_sim::replay`, which lowers a [`Trace`]
 //! onto the series-parallel DAG model and replays it under any
@@ -70,17 +70,6 @@ pub enum TraceEvent {
         /// Nanoseconds since the sink was created.
         at_ns: u64,
     },
-}
-
-impl TraceEvent {
-    /// The task this event concerns.
-    pub fn task(&self) -> u64 {
-        match *self {
-            TraceEvent::Spawn { task, .. }
-            | TraceEvent::Start { task, .. }
-            | TraceEvent::End { task, .. } => task,
-        }
-    }
 }
 
 /// A concurrent event recorder: one lane (shard) per worker plus one for
@@ -180,7 +169,8 @@ pub struct TraceMeta {
     pub places: usize,
     /// The recorded pool's RNG seed.
     pub seed: u64,
-    /// Free-form label (single line).
+    /// Free-form label on one line: [`Trace::validate`] refuses a `\n`
+    /// or `\r` in it, which the text format could not read back.
     pub label: String,
 }
 
@@ -305,8 +295,13 @@ impl Trace {
     /// earlier (smaller id) — the invariants the replay loader's parent
     /// lookup and spawn-tree walk lean on — and every bracket well formed:
     /// a started task ends no earlier than it starts, and an unstarted one
-    /// has the empty bracket `0..0`.
+    /// has the empty bracket `0..0`. The label holds no line break, so
+    /// [`to_text`](Trace::to_text) writes it on the meta line that
+    /// [`parse`](Trace::parse) reads back.
     pub fn validate(&self) -> Result<(), TraceError> {
+        if self.meta.label.contains(['\n', '\r']) {
+            return err(format!("label {:?} holds a line break", self.meta.label));
+        }
         for w in self.tasks.windows(2) {
             if w[0].id >= w[1].id {
                 return err(format!("ids not strictly ascending at {}", w[1].id));
@@ -617,6 +612,21 @@ mod tests {
         };
         let back: Trace = trace.to_text().parse().unwrap();
         assert_eq!(back.meta.label, "fib 16 quick");
+    }
+
+    #[test]
+    fn labels_with_line_breaks_are_refused() {
+        // `to_text` ends the meta line with the label, so "a\nb" would leave
+        // a stray line "b" and `lines()` would drop the '\r' of "a\r".
+        for label in ["a\nb", "a\r"] {
+            let meta = TraceMeta { workers: 1, places: 1, seed: 0, label: label.into() };
+            let e = Trace::from_events(meta.clone(), &[]).unwrap_err();
+            assert!(e.to_string().contains("line break"), "{e}");
+            assert_eq!(Trace { meta, tasks: vec![] }.validate(), Err(e));
+        }
+        let text = "nws-trace v1\nmeta workers=1 places=1 seed=0 tasks=0 label=a\rb\n";
+        let e = Trace::parse(text).unwrap_err();
+        assert!(e.to_string().contains("line break"), "{e}");
     }
 
     #[test]
