@@ -15,8 +15,8 @@ use std::fmt;
 /// ([`Pool::spawn`](crate::Pool::spawn) / `spawn_at`).
 /// [`Pool::install`](crate::Pool::install) is synchronous and always waits
 /// for queue space (its caller is blocked on the result anyway), and
-/// [`Pool::try_spawn`](crate::Pool::try_spawn) never waits regardless of
-/// policy — it hands the closure back instead.
+/// [`Pool::try_spawn_at`](crate::Pool::try_spawn_at) never waits regardless
+/// of policy — it hands the closure back instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum OverflowPolicy {
     /// `spawn` blocks until the ingress queue has space (backpressure).
@@ -64,8 +64,8 @@ impl std::error::Error for PoisonedPool {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildPoolError {
     /// A builder setting out of range: zero workers or places, more places
-    /// than workers, a zero deque or ingress capacity, or a policy mailbox
-    /// capacity above 1.
+    /// than workers, a zero ingress capacity, or a policy mailbox capacity
+    /// above 1.
     InvalidConfig(String),
 }
 

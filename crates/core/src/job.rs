@@ -292,7 +292,7 @@ where
         Box::from_raw(job.id() as *mut Self)
     }
 
-    /// Unwraps the closure (to hand back to a `try_spawn` caller).
+    /// Unwraps the closure (to hand back to a `try_spawn_at` caller).
     pub(crate) fn into_func(self) -> F {
         self.func
     }

@@ -23,10 +23,11 @@
 //! efficiency.
 //!
 //! Dynamic task sets — N children discovered at runtime, borrowing the
-//! parent's environment — enter through the structured [`scope`] /
-//! [`scope_at`] subsystem: [`Scope::spawn`] / [`Scope::spawn_at`] enqueue
-//! place-hinted jobs and the scope returns only when all of them have
-//! finished (see [`scope`]'s documentation).
+//! parent's environment — run in a structured [`scope`]: its body and
+//! tasks call [`Scope::spawn`] / [`Scope::spawn_at`], which push
+//! (optionally place-hinted) jobs onto the spawning worker's deque, and the
+//! scope returns only when all of them have finished (see [`scope`]'s
+//! documentation).
 //!
 //! Beyond the paper's single-root model, the pool is **service-shaped**:
 //! external threads enter through per-place ingress queues
@@ -38,7 +39,7 @@
 //! busy-wait while the pool is idle. See DESIGN.md §4.
 //!
 //! The service posture extends to overload and failure: ingress queues can
-//! be bounded ([`PoolBuilder::ingress_capacity`], [`Pool::try_spawn`],
+//! be bounded ([`PoolBuilder::ingress_capacity`], [`Pool::try_spawn_at`],
 //! [`OverflowPolicy`]), fire-and-forget job panics are caught and counted
 //! ([`WorkerStatsSnapshot::job_panics`]), and a panic in *runtime*
 //! code poisons the pool ([`PoisonedPool`]) — it drains and shuts down
@@ -106,7 +107,7 @@ mod stats;
 pub use config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 pub use join::{join, join4, join4_at, join_at};
 pub use pool::{Pool, PoolBuilder};
-pub use scope::{scope, scope_at, split_wanted, Scope};
+pub use scope::{scope, split_wanted, Scope};
 pub use stats::{PoolStats, WorkerStatsSnapshot};
 
 // Re-export the place type and the shared scheduling-policy layer: both

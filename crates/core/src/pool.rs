@@ -4,7 +4,7 @@
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
-use crate::registry::{worker_main, Inject, Registry, WorkerThread};
+use crate::registry::{worker_main, Registry, WorkerThread};
 use crate::stats::PoolStats;
 use nws_topology::{Place, SchedPolicy, Topology, WorkerMap};
 use std::sync::Arc;
@@ -145,9 +145,9 @@ impl PoolBuilder {
 
     /// Enables DAG trace recording: every spawn edge and execution interval
     /// is logged into per-worker lanes, retrievable with
-    /// [`Pool::take_trace`] and replayable through the simulator's
-    /// scheduler implementations (see `nws_trace`). Off by default — the
-    /// recording hooks then compile down to a `None` check on the work
+    /// [`Pool::take_trace`] and replayable on the simulated machine
+    /// (`nws_sim::trace_to_dag` lowers a trace to a DAG). Off by default —
+    /// the recording hooks then compile down to a `None` check on the work
     /// path.
     pub fn record_trace(&mut self, enabled: bool) -> &mut Self {
         self.record_trace = enabled;
@@ -158,7 +158,7 @@ impl PoolBuilder {
     /// service-scale posture: external submission backpressure instead of
     /// unbounded queue growth). What happens at the bound is decided per
     /// entry point: [`Pool::install`] waits for space,
-    /// [`Pool::try_spawn`] hands the closure back, and [`Pool::spawn`]
+    /// [`Pool::try_spawn_at`] hands the closure back, and [`Pool::spawn`]
     /// follows [`overflow`](PoolBuilder::overflow). Unbounded by default.
     pub fn ingress_capacity(&mut self, cap: usize) -> &mut Self {
         self.ingress_capacity = Some(cap);
@@ -302,9 +302,6 @@ impl Pool {
             // to its own pool's thieves.
             worker.promote_all();
         }
-        if self.registry.is_poisoned() {
-            std::panic::panic_any(PoisonedPool::new(self.registry.poison_message()));
-        }
         let job = StackJob::new(LockLatch::new(), f);
         // SAFETY: we block on the latch below (or prove the ref can never
         // run again before abandoning it), so the job outlives its
@@ -315,16 +312,13 @@ impl Pool {
         // thread would break any nested `join`/`scope`, which require a
         // worker context. Backpressure is the correct service semantic for
         // a blocking call anyway.
-        match self.registry.inject(job_ref, true) {
-            Inject::Queued => {}
-            Inject::Full(_) | Inject::Refused(_) => {
-                // A waiting inject only refuses on shutdown or poison.
-                // Shutdown is unreachable from safe code (`Drop` takes the
-                // pool by value), so report the poisoning; the returned ref
-                // targets our own stack job, which no worker has seen —
-                // dropping it is sound.
-                std::panic::panic_any(PoisonedPool::new(self.registry.poison_message()));
-            }
+        if self.registry.inject(job_ref, true).is_err() {
+            // A waiting inject only refuses on shutdown or poison. Shutdown
+            // is unreachable from safe code (`Drop` takes the pool by
+            // value), so report the poisoning; the returned ref targets our
+            // own stack job, which no worker has seen — dropping it is
+            // sound.
+            std::panic::panic_any(PoisonedPool::new(self.registry.poison_message()));
         }
         // Poisoning-aware wait. The common path is one (possibly long)
         // timed wait per 50ms slice with zero extra synchronization; the
@@ -368,9 +362,10 @@ impl Pool {
     /// With a bounded [`ingress_capacity`](PoolBuilder::ingress_capacity),
     /// a full queue makes `spawn` block for space under
     /// [`OverflowPolicy::Block`] (default) or drop the closure unrun under
-    /// [`OverflowPolicy::Reject`] (counted in
-    /// [`PoolStats::sheds`](crate::PoolStats::sheds)); use
-    /// [`try_spawn`](Pool::try_spawn) to get the closure back instead.
+    /// [`OverflowPolicy::Reject`]. A poisoned pool drops it unrun too. Each
+    /// dropped closure counts in [`PoolStats::sheds`](crate::PoolStats::sheds);
+    /// use [`try_spawn_at`](Pool::try_spawn_at) to get the closure back
+    /// instead.
     ///
     /// # Example
     ///
@@ -408,60 +403,29 @@ impl Pool {
         let job = HeapJob::new(f);
         // SAFETY: workers execute every injected ref exactly once, and the
         // shutdown drain guarantees no ref is abandoned (see worker_main),
-        // so the box is always reclaimed; a refused ref is reclaimed or
-        // executed right here before it can leak.
+        // so the box is always reclaimed; a refused ref is reclaimed right
+        // here before it can leak.
         let job_ref = unsafe { job.into_job_ref(place) };
         let wait = self.registry.overflow == OverflowPolicy::Block;
-        match self.registry.inject(job_ref, wait) {
-            Inject::Queued => {}
-            Inject::Full(jr) => {
-                // Reject policy, full queue: shed. Reclaim the box so the
-                // closure's destructor runs, but the closure never does.
-                self.registry.count_shed();
-                // SAFETY: the refused ref came back unexecuted and unshared.
-                drop(unsafe { HeapJob::<F>::reclaim_unexecuted(jr) });
-            }
-            Inject::Refused(jr) => {
-                if self.registry.is_poisoned() {
-                    // No worker will ever run it; shedding (not running on
-                    // this thread) keeps poisoned-pool behavior uniform.
-                    self.registry.count_shed();
-                    // SAFETY: as above.
-                    drop(unsafe { HeapJob::<F>::reclaim_unexecuted(jr) });
-                } else {
-                    // Shutdown race (unreachable from safe code — `Drop`
-                    // takes the pool by value): run inline rather than
-                    // silently lose a spawn.
-                    // SAFETY: as above; executing consumes the ref once.
-                    unsafe { jr.execute() };
-                }
-            }
+        if let Err(jr) = self.registry.inject(job_ref, wait) {
+            // Shed: reclaim the box so the closure's destructor runs, but
+            // the closure never does.
+            self.registry.count_shed();
+            // SAFETY: the refused ref came back unexecuted and unshared.
+            drop(unsafe { HeapJob::<F>::reclaim_unexecuted(jr) });
         }
     }
 
     /// Attempts a **non-blocking** fire-and-forget submission: like
-    /// [`spawn`](Pool::spawn), but when the job cannot be queued right now —
-    /// its bounded ingress queue is full, or the pool is shutting down or
-    /// poisoned — the closure is handed back as `Err` instead of being
-    /// waited, run, or shed. Every `Err` is counted in
+    /// [`spawn_at`](Pool::spawn_at), but when the job cannot be queued
+    /// right now — its bounded ingress queue is full, or the pool is
+    /// shutting down or poisoned — the closure is handed back as `Err`
+    /// instead of being waited or shed. Every `Err` is counted in
     /// [`PoolStats::ingress_rejects`](crate::PoolStats::ingress_rejects).
     ///
     /// This is the load-shedding service entry point: the caller keeps
     /// ownership of rejected work and decides itself whether to retry,
     /// divert, or drop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the closure when the pool cannot accept it.
-    pub fn try_spawn<F>(&self, f: F) -> Result<(), F>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.try_spawn_at(Place::ANY, f)
-    }
-
-    /// As [`try_spawn`](Pool::try_spawn), but hints the job toward `place`
-    /// (wrapping modulo the pool's place count).
     ///
     /// # Errors
     ///
@@ -473,15 +437,12 @@ impl Pool {
         let job = HeapJob::new(f);
         // SAFETY: as in `spawn_at`; a refused ref is reclaimed below.
         let job_ref = unsafe { job.into_job_ref(place) };
-        match self.registry.inject(job_ref, false) {
-            Inject::Queued => Ok(()),
-            Inject::Full(jr) | Inject::Refused(jr) => {
-                self.registry.count_ingress_reject();
-                // SAFETY: the refused ref came back unexecuted and
-                // unshared, so the box round-trips to its closure.
-                Err(unsafe { HeapJob::<F>::reclaim_unexecuted(jr) }.into_func())
-            }
-        }
+        self.registry.inject(job_ref, false).map_err(|jr| {
+            self.registry.count_ingress_reject();
+            // SAFETY: the refused ref came back unexecuted and unshared, so
+            // the box round-trips to its closure.
+            unsafe { HeapJob::<F>::reclaim_unexecuted(jr) }.into_func()
+        })
     }
 
     /// Runs `f` inside the pool with a [`Scope`](crate::Scope) for
@@ -509,17 +470,6 @@ impl Pool {
         R: Send,
     {
         self.install(|| crate::scope(f))
-    }
-
-    /// As [`scope`](Pool::scope), but the scope's default spawn hint is
-    /// `place` and the body enters the pool at `place`; see
-    /// [`scope_at`](crate::scope_at).
-    pub fn scope_at<'scope, F, R>(&self, place: Place, f: F) -> R
-    where
-        F: FnOnce(&crate::Scope<'scope>) -> R + Send,
-        R: Send,
-    {
-        self.install_at(place, || crate::scope_at(place, f))
     }
 
     /// Number of workers.
@@ -750,11 +700,15 @@ mod tests {
         let pool = Pool::builder().workers(1).ingress_capacity(1).build().unwrap();
         let gate = gate_single_worker(&pool);
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        assert!(pool.try_spawn(move || done_tx.send(()).unwrap()).is_ok(), "one slot free");
-        assert!(pool.try_spawn(|| ()).is_err(), "queue full: closure handed back");
+        assert!(
+            pool.try_spawn_at(Place::ANY, move || done_tx.send(()).unwrap()).is_ok(),
+            "one slot free"
+        );
+        assert!(pool.try_spawn_at(Place::ANY, || ()).is_err(), "queue full: closure handed back");
         let hit = Arc::new(AtomicBool::new(false));
         let hit2 = Arc::clone(&hit);
-        let back = pool.try_spawn(move || hit2.store(true, Ordering::SeqCst)).unwrap_err();
+        let back =
+            pool.try_spawn_at(Place::ANY, move || hit2.store(true, Ordering::SeqCst)).unwrap_err();
         back(); // the returned closure is the original, still runnable
         assert!(hit.load(Ordering::SeqCst));
         gate.send(()).unwrap();
@@ -796,6 +750,44 @@ mod tests {
         gate.send(()).unwrap();
         drop(pool); // drains the one queued job
         assert_eq!(ran.load(Ordering::SeqCst), 1, "shed closures never ran");
+    }
+
+    #[test]
+    fn a_poisoned_pool_refuses_every_entry_point() {
+        use nws_sync::atomic::{AtomicBool, Ordering};
+        let pool = Pool::new(2).unwrap();
+        pool.registry.poison(&"test");
+
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.install(|| 1)))
+            .expect_err("install on a poisoned pool must panic");
+        let poisoned = payload.downcast_ref::<PoisonedPool>().expect("a PoisonedPool payload");
+        assert_eq!(poisoned.message(), "test");
+
+        // `spawn_at` sheds: the closure is dropped (its capture released)
+        // without running.
+        let ran = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(());
+        {
+            let ran = Arc::clone(&ran);
+            let held = Arc::clone(&held);
+            pool.spawn_at(Place::ANY, move || {
+                let _keep = &held;
+                ran.store(true, Ordering::SeqCst);
+            });
+        }
+        assert_eq!(Arc::strong_count(&held), 1, "the shed closure must drop its captures");
+        assert!(!ran.load(Ordering::SeqCst), "a shed closure never runs");
+        assert_eq!(pool.stats().sheds, 1);
+
+        // `try_spawn_at` hands the closure back, still runnable.
+        let ran2 = Arc::clone(&ran);
+        let back = pool
+            .try_spawn_at(Place::ANY, move || ran2.store(true, Ordering::SeqCst))
+            .expect_err("a poisoned pool refuses try_spawn_at");
+        back();
+        assert!(ran.load(Ordering::SeqCst));
+        let stats = pool.stats();
+        assert_eq!((stats.ingress_rejects, stats.sheds), (1, 1));
     }
 
     #[test]

@@ -29,18 +29,6 @@ use std::time::Duration;
 /// inline instead (counted in `spawn_overflows`).
 pub(crate) const DEQUE_CAPACITY: usize = 8192;
 
-/// Outcome of [`Registry::inject`].
-pub(crate) enum Inject {
-    /// The job is on an ingress queue; workers were woken.
-    Queued,
-    /// The designated (bounded) ingress queue is full; the job comes back
-    /// to the caller untouched.
-    Full(JobRef),
-    /// The pool is shutting down or poisoned; no queue would ever drain the
-    /// job, so it comes back to the caller untouched.
-    Refused(JobRef),
-}
-
 /// A count of workers that have passed a point, and a condvar to wait on
 /// until all of them have (no busy-spin).
 pub(crate) struct WorkerGate {
@@ -113,12 +101,12 @@ pub(crate) struct Registry {
     pub(crate) exited: WorkerGate,
     /// What `spawn` does when a bounded ingress queue is full.
     pub(crate) overflow: OverflowPolicy,
-    /// `try_spawn` submissions handed back to their callers. Pool-level
+    /// `try_spawn_at` submissions handed back to their callers. Pool-level
     /// atomics (not per-worker cells): the bumping thread is the external
     /// submitter, which has no `LocalCounters`. Cache-padded so a storm of
     /// rejects doesn't false-share with neighbouring fields.
     ingress_rejects: CachePadded<AtomicU64>,
-    /// `spawn`-accepted jobs dropped unrun under [`OverflowPolicy::Reject`].
+    /// `spawn` closures dropped unrun because `inject` refused them.
     ingress_sheds: CachePadded<AtomicU64>,
     pub(crate) seed: u64,
     /// DAG trace recorder, present when the pool was built with
@@ -182,25 +170,29 @@ impl Registry {
     /// Enqueues an externally submitted job on its designated place's
     /// ingress queue (`Place::ANY` round-robins across places) and wakes
     /// the pool. With `wait`, a full bounded queue blocks until space frees
-    /// (giving up — [`Inject::Refused`] — if the pool shuts down or poisons
-    /// meanwhile); without it, a full queue hands the job straight back as
-    /// [`Inject::Full`]. The caller decides what refusal means: `install`
-    /// panics with [`PoisonedPool`](crate::PoisonedPool), `spawn` sheds or
-    /// blocks per [`OverflowPolicy`], `try_spawn` reports `Err`. Only a
-    /// queued job leaves a Spawn in the trace.
+    /// or the pool shuts down or poisons. Only a queued job leaves a Spawn
+    /// in the trace.
     ///
     /// Ingress is the latency-critical external entry point, so on success
     /// it broadcasts rather than waking one worker: a single `notify_one`
     /// could land on a join-waiter whose latch was just set, which would
     /// resume its continuation without ever looking for this job.
-    pub(crate) fn inject(&self, mut job: JobRef, wait: bool) -> Inject {
+    ///
+    /// # Errors
+    ///
+    /// Hands the job back untouched when it is not queued: the pool is
+    /// shutting down or poisoned, or, without `wait`, the bounded queue is
+    /// full. The caller decides what refusal means: `install` panics with
+    /// [`PoisonedPool`](crate::PoisonedPool), `spawn` sheds, `try_spawn_at`
+    /// hands the closure back.
+    pub(crate) fn inject(&self, mut job: JobRef, wait: bool) -> Result<(), JobRef> {
         // Chaos-tier fault point (no-op in default builds): models the
         // submitting thread dying at the pool boundary. It fires before any
         // queueing, so a `panic` action unwinds with the job still owned by
         // the caller — nothing is half-enqueued.
         nws_sync::fault::point("ingress.push");
         if self.is_shutting_down() || self.is_poisoned() {
-            return Inject::Refused(job);
+            return Err(job);
         }
         let hint = job.place();
         let place = match self.map.home_of(hint) {
@@ -213,9 +205,10 @@ impl Registry {
         let spawn = self.trace.as_ref().map(|tr| {
             let id = tr.next_id();
             job.set_trace(id);
-            // A pool worker may reach inject (a scope handle that crossed
-            // threads, a nested install): attribute the spawn edge to it;
-            // truly external submissions go to the external lane, rootless.
+            // A job running on this pool may submit to it (`spawn`,
+            // `try_spawn_at`): attribute the spawn edge to its worker;
+            // external submissions, a nested install from another pool's
+            // worker included, go to the external lane, rootless.
             let (lane, parent) = match WorkerThread::current() {
                 Some(w) if std::ptr::eq(Arc::as_ptr(&w.registry), self) => {
                     (w.index, w.trace_task.get())
@@ -224,24 +217,17 @@ impl Registry {
             };
             (tr, lane, id, parent)
         });
-        let pushed = if wait {
+        if wait {
             self.injectors[place]
-                .push_blocking(job, || self.is_shutting_down() || self.is_poisoned())
+                .push_blocking(job, || self.is_shutting_down() || self.is_poisoned())?;
         } else {
-            self.injectors[place].push(job)
-        };
-        match pushed {
-            Ok(()) => {
-                if let Some((tr, lane, id, parent)) = spawn {
-                    record_spawn_on(tr, lane, id, parent, hint);
-                }
-                self.sleep.wake_all();
-                Inject::Queued
-            }
-            // A blocking push only fails when its give-up condition fired.
-            Err(job) if wait => Inject::Refused(job),
-            Err(job) => Inject::Full(job),
+            self.injectors[place].push(job)?;
         }
+        if let Some((tr, lane, id, parent)) = spawn {
+            record_spawn_on(tr, lane, id, parent, hint);
+        }
+        self.sleep.wake_all();
+        Ok(())
     }
 
     pub(crate) fn begin_shutdown(&self) {
@@ -289,14 +275,15 @@ impl Registry {
         self.poison_msg.lock().clone().unwrap_or_default()
     }
 
-    /// Bumps the reject counter: a `try_spawn` submission was handed back
-    /// to its caller (full bounded queue, shutdown, or poison).
+    /// Bumps the reject counter: a `try_spawn_at` submission was handed
+    /// back to its caller (full bounded queue, shutdown, or poison).
     pub(crate) fn count_ingress_reject(&self) {
         self.ingress_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bumps the shed counter: an accepted `spawn` closure is being dropped
-    /// unrun under [`OverflowPolicy::Reject`].
+    /// Bumps the shed counter: a `spawn` closure that `inject` refused (a
+    /// full queue under [`OverflowPolicy::Reject`], or a poisoned pool) is
+    /// being dropped unrun.
     pub(crate) fn count_shed(&self) {
         self.ingress_sheds.fetch_add(1, Ordering::Relaxed);
     }
@@ -435,8 +422,8 @@ impl WorkerThread {
         out
     }
 
-    /// Counts one scope spawn (called by `Scope::spawn_at` next to the
-    /// deque push, which separately counts into `spawns`).
+    /// Counts one scope spawn (called by `Scope::spawn_at` once the deque
+    /// accepted its push, which also counted it into `spawns`).
     #[inline]
     pub(crate) fn note_scope_spawn(&self) {
         bump!(self.local, scope_spawns);

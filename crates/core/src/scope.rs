@@ -4,25 +4,32 @@
 //! [`join`](crate::join) expresses exactly two-way forks whose closures may
 //! borrow from the enclosing stack. Workloads that discover *N* children at
 //! runtime (a graph flood such as gcmark's, a request handler fanning out
-//! subqueries) need the other classic shape:
-//! [`scope`] / [`scope_at`] run a closure that may call
-//! [`Scope::spawn`] / [`Scope::spawn_at`] any number of times — from the
-//! body, from spawned tasks (siblings spawning siblings), or from nested
-//! scopes — and return only when every spawned task has finished. Spawned
-//! closures may borrow anything that outlives the scope (`'scope`), exactly
-//! like Rayon's `scope`: the wait-at-exit is what makes the borrow sound.
+//! subqueries) need the other classic shape: [`scope`] runs a closure that
+//! may call [`Scope::spawn`] / [`Scope::spawn_at`] any number of times —
+//! from the body, from spawned tasks (siblings spawning siblings), or from
+//! nested scopes — and returns only when every spawned task has finished.
+//! Spawned closures may borrow anything that outlives the scope
+//! (`'scope`), exactly like Rayon's `scope`: the wait-at-exit is what makes
+//! the borrow sound.
 //!
 //! ## Work-first accounting
 //!
 //! A `Scope::spawn` costs one heap allocation (the job must survive the
 //! spawning frame, unlike a `join` branch) plus one deque push — no locks,
 //! no latch traffic, no `Arc` clone. Everything else is paid at the edges:
-//! scope *creation* clones one `Arc` and initializes two atomics, and scope
-//! *exit* is a greedy steal-while-wait ([`WorkerThread::wait_until`]): the
-//! owner executes its own spawns (they are on its deque tail, popped LIFO)
-//! and steals anything else until the [`CountLatch`] drains. A scope on a
-//! single worker therefore degenerates to depth-first sequential execution
-//! of its spawns in reverse spawn order — the same discipline as `join`.
+//! scope *creation* clones one `Arc` and initializes the latch and the
+//! panic slot, and scope *exit* is a greedy steal-while-wait
+//! ([`WorkerThread::wait_until`]): the owner executes its own spawns (they
+//! are on its deque tail, popped LIFO) and steals anything else until the
+//! [`CountLatch`] drains. A scope on a single worker therefore degenerates
+//! to depth-first sequential execution of its spawns in reverse spawn
+//! order — the same discipline as `join`.
+//!
+//! A spawn is a worker operation, as `cilk_spawn` is in the paper: it
+//! pushes onto the spawning worker's deque. The body and the tasks run on
+//! the scope's pool, so they may spawn; any other thread that reaches a
+//! `&Scope` panics at `spawn` before the task is counted (it may enter
+//! the pool with [`Pool::install`](crate::Pool::install) and spawn there).
 //!
 //! ## Demand-driven splitting
 //!
@@ -34,9 +41,9 @@
 //!
 //! ## Place awareness
 //!
-//! [`scope_at`]`(place, f)` sets the scope's *default* place hint: plain
-//! [`Scope::spawn`] tags jobs with it, [`Scope::spawn_at`] overrides per
-//! spawn. Hints behave exactly as in [`join_at`](crate::join_at) — under
+//! [`Scope::spawn`] leaves its job unhinted ([`Place::ANY`]);
+//! [`Scope::spawn_at`] hints one spawn. Hints behave exactly as in
+//! [`join_at`](crate::join_at) — under
 //! [`SchedPolicy::numa_ws`](crate::SchedPolicy::numa_ws) a thief that steals a
 //! hinted job on the wrong socket lazily pushes it toward its designated
 //! place, and hints wrap modulo the pool's place count.
@@ -52,26 +59,23 @@
 use crate::latch::CountLatch;
 use crate::registry::{Registry, WorkerThread};
 use crate::sleep::Sleep;
-use nws_sync::atomic::{AtomicPtr, Ordering};
+use nws_sync::Mutex;
 use nws_topology::Place;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::ptr;
 use std::sync::Arc;
 
 /// A structured-concurrency scope: spawn dynamic task sets that may borrow
-/// from the enclosing stack. Created by [`scope`] / [`scope_at`] (or the
-/// [`Pool::scope`](crate::Pool::scope) conveniences); see the module docs.
+/// from the enclosing stack. Created by [`scope`] (or the
+/// [`Pool::scope`](crate::Pool::scope) convenience); see the module docs.
 pub struct Scope<'scope> {
     registry: Arc<Registry>,
-    /// Default place hint for [`spawn`](Scope::spawn).
-    place: Place,
     /// One count for the body plus one per unfinished spawn.
     latch: CountLatch,
-    /// First panic captured from a spawned task (a leaked
-    /// `Box<Box<dyn Any + Send>>`; null = none).
-    panic: AtomicPtr<Box<dyn Any + Send + 'static>>,
+    /// First panic captured from a spawned task. Only a panicking task and
+    /// [`conclude`](Scope::conclude) touch it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Makes `'scope` invariant: the compiler may neither shrink it (a
     /// spawned closure could outlive borrowed data) nor grow it (the scope
     /// could smuggle shorter-lived references into longer-lived spawns).
@@ -85,7 +89,8 @@ type InvariantScope<'scope> = PhantomData<Box<dyn FnOnce(&Scope<'scope>) + Send 
 
 /// Runs `f`, which may spawn tasks into the scope it receives, and returns
 /// once `f` **and every spawned task** (transitively: spawns may spawn)
-/// have finished. Equivalent to [`scope_at`] with [`Place::ANY`].
+/// have finished. The body `f` runs inline on the calling worker, matching
+/// the paper's rule that the first child runs where its parent runs.
 ///
 /// Spawned closures may borrow anything that outlives the `scope` call:
 ///
@@ -118,26 +123,9 @@ where
     F: FnOnce(&Scope<'scope>) -> R + Send,
     R: Send,
 {
-    scope_at(Place::ANY, f)
-}
-
-/// As [`scope`], but `place` becomes the scope's default spawn hint: every
-/// [`Scope::spawn`] tags its job for `place` (wrapping modulo the pool's
-/// place count), as if spawned with [`Scope::spawn_at`]`(place, ..)`. The
-/// body `f` itself runs inline on the calling worker, matching the paper's
-/// rule that the first child runs where its parent runs.
-///
-/// # Panics
-///
-/// As [`scope`].
-pub fn scope_at<'scope, F, R>(place: Place, f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
     let worker = WorkerThread::current()
         .expect("numa_ws::scope must be called from within a pool; enter one with Pool::install");
-    let scope = Scope::new(worker, place);
+    let scope = Scope::new(worker);
     // Hold a body panic until the spawn count drains: spawned tasks may be
     // running right now, borrowing this very frame.
     let body = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
@@ -169,37 +157,50 @@ pub fn split_wanted() -> bool {
 }
 
 impl<'scope> Scope<'scope> {
-    fn new(worker: &WorkerThread, place: Place) -> Self {
+    fn new(worker: &WorkerThread) -> Self {
         Scope {
             registry: Arc::clone(&worker.registry),
-            place,
             latch: CountLatch::new(),
-            panic: AtomicPtr::new(ptr::null_mut()),
+            panic: Mutex::new(None),
             marker: PhantomData,
         }
     }
 
-    /// Spawns `task` into the scope with the scope's default place hint
-    /// (that of [`scope_at`], or [`Place::ANY`] for [`scope`]).
+    /// Spawns `task` into the scope, unhinted ([`Place::ANY`]).
     ///
     /// The task receives `&Scope` and may spawn siblings; it runs at the
     /// latest before the enclosing [`scope`] call returns. Work-first cost:
     /// one heap job + one deque push (the owner pops its own spawns back
     /// LIFO when not stolen).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the task is counted, if the calling thread is not a
+    /// worker of the scope's pool (see the module docs).
     pub fn spawn<F>(&self, task: F)
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
-        self.spawn_at(self.place, task);
+        self.spawn_at(Place::ANY, task);
     }
 
     /// As [`spawn`](Scope::spawn), but hints the task toward `place`
     /// (wrapping modulo the pool's place count) — the scope rendering of
     /// the paper's `@p#` annotation.
+    ///
+    /// # Panics
+    ///
+    /// As [`spawn`](Scope::spawn).
     pub fn spawn_at<F>(&self, place: Place, task: F)
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
     {
+        let worker = WorkerThread::current()
+            .filter(|worker| Arc::ptr_eq(&worker.registry, &self.registry))
+            .expect(concat!(
+                "numa_ws::Scope::spawn must be called from within the scope's pool; ",
+                "enter it with Pool::install"
+            ));
         // Count the task before its JobRef can possibly execute.
         self.latch.increment();
         let job = Box::new(ScopeJob { scope: self as *const Scope<'scope>, task });
@@ -208,74 +209,16 @@ impl<'scope> Scope<'scope> {
         // `conclude`'s wait keeps `self` (and all `'scope` borrows) alive
         // until the CountLatch records that execution.
         let mut job_ref = unsafe { crate::job::JobRef::new(Box::into_raw(job), place) };
-        match WorkerThread::current() {
-            Some(worker) if Arc::ptr_eq(&worker.registry, &self.registry) => {
-                worker.note_scope_spawn();
-                job_ref.set_trace(worker.record_spawn(place));
-                if let Err(full) = worker.push(job_ref) {
-                    // Deque full: run the task now (losing stealability,
-                    // never correctness) — same degradation as `join`, in
-                    // the task's own trace bracket.
-                    // SAFETY: rejected by push, so not executable elsewhere.
-                    worker.run_traced(full.0.trace(), || unsafe { full.0.execute() })
-                }
-            }
-            // Spawn from outside the pool (the scope handle crossed
-            // threads): enter through the ingress queues like any external
-            // submission. The latch count above is already committed, so a
-            // task the pool cannot queue (bounded queue full with the pool
-            // poisoned, shutdown race, or an `ingress.push` fault-point
-            // panic) must still execute exactly once: run it inline on this
-            // thread — the scope owner is blocked waiting on the latch, so
-            // the `'scope` borrows are alive right here.
-            _ => {
-                let outcome = if nws_sync::fault::enabled() {
-                    match panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.registry.inject(job_ref, true)
-                    })) {
-                        Ok(o) => o,
-                        Err(payload) => {
-                            // An `ingress.push` fault models this *client*
-                            // thread dying at the pool boundary — it fires
-                            // before any queueing, so the ref is still ours
-                            // (JobRef is Copy) and the pool is healthy. The
-                            // committed latch count obliges us to run the
-                            // task exactly once before re-raising to the
-                            // external caller.
-                            // SAFETY: never queued, unexecuted, unshared.
-                            unsafe { job_ref.execute() }
-                            panic::resume_unwind(payload);
-                        }
-                    }
-                } else {
-                    self.registry.inject(job_ref, true)
-                };
-                match outcome {
-                    crate::registry::Inject::Queued => {}
-                    crate::registry::Inject::Full(jr) | crate::registry::Inject::Refused(jr) => {
-                        // SAFETY: the ref came back unexecuted and
-                        // unshared; executing here consumes it exactly
-                        // once under the live scope borrow.
-                        unsafe { jr.execute() }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a task panic; the first one wins and is resumed at scope
-    /// exit. Only the panic path pays for the allocation and CAS.
-    fn store_panic(&self, err: Box<dyn Any + Send + 'static>) {
-        let p = Box::into_raw(Box::new(err));
-        if self
-            .panic
-            .compare_exchange(ptr::null_mut(), p, Ordering::Release, Ordering::Relaxed)
-            .is_err()
-        {
-            // A sibling already stored its panic; keep the first.
-            // SAFETY: `p` was just leaked above and lost the race, so this
-            // thread still owns it exclusively.
-            drop(unsafe { Box::from_raw(p) });
+        job_ref.set_trace(worker.record_spawn(place));
+        match worker.push(job_ref) {
+            // Counted once the deque took it, so scope spawns stay a
+            // subset of `spawns`.
+            Ok(()) => worker.note_scope_spawn(),
+            // Deque full: run the task now (losing stealability, never
+            // correctness) — same degradation as `join`, in the task's own
+            // trace bracket.
+            // SAFETY: rejected by push, so not executable elsewhere.
+            Err(full) => worker.run_traced(full.0.trace(), || unsafe { full.0.execute() }),
         }
     }
 
@@ -287,8 +230,8 @@ impl<'scope> Scope<'scope> {
     /// pop the frame holding `self`, so the [`Sleep`] reference is copied
     /// out *first* and nothing of `self` is touched afterwards. The `Sleep`
     /// itself lives in the registry, which the executing worker's own
-    /// `Arc` keeps alive (scope jobs only execute on pool workers, or
-    /// inline under the spawner's borrow — both outlive this call).
+    /// `Arc` keeps alive (scope jobs only execute on pool workers, which
+    /// outlive this call).
     fn complete_one(&self) {
         let sleep: *const Sleep = &self.registry.sleep;
         if self.latch.set_one() {
@@ -304,44 +247,17 @@ impl<'scope> Scope<'scope> {
     /// Resolves the scope after the count has drained: resume the body's
     /// panic, else the first task panic, else hand back the body's value.
     fn conclude<R>(self, body: Result<R, Box<dyn Any + Send>>) -> R {
-        let stored = self.panic.swap(ptr::null_mut(), Ordering::Acquire);
-        match body {
-            Err(body_panic) => {
-                if !stored.is_null() {
-                    // SAFETY: non-null means a task leaked it via
-                    // `store_panic`; the swap above made us the sole owner.
-                    drop(unsafe { Box::from_raw(stored) });
-                }
-                panic::resume_unwind(body_panic)
-            }
-            Ok(value) => {
-                if !stored.is_null() {
-                    // SAFETY: as above.
-                    panic::resume_unwind(*unsafe { Box::from_raw(stored) });
-                }
-                value
-            }
-        }
-    }
-}
-
-impl Drop for Scope<'_> {
-    fn drop(&mut self) {
-        // `conclude` swaps the panic slot empty on every normal exit; this
-        // only fires if the scope is abandoned mid-flight (e.g. a panic in
-        // the wait machinery itself) and keeps that path leak-free.
-        let p = self.panic.swap(ptr::null_mut(), Ordering::Acquire);
-        if !p.is_null() {
-            // SAFETY: a non-null slot is a leaked `store_panic` box; the
-            // swap transferred ownership to us.
-            drop(unsafe { Box::from_raw(p) });
+        match (body, self.panic.into_inner()) {
+            (Err(body_panic), _) => panic::resume_unwind(body_panic),
+            (Ok(_), Some(task_panic)) => panic::resume_unwind(task_panic),
+            (Ok(value), None) => value,
         }
     }
 }
 
 impl std::fmt::Debug for Scope<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope").field("place", &self.place).finish_non_exhaustive()
+        f.debug_struct("Scope").finish_non_exhaustive()
     }
 }
 
@@ -370,7 +286,8 @@ where
         let scope = &*this.scope;
         let task = this.task;
         if let Err(err) = panic::catch_unwind(AssertUnwindSafe(move || task(scope))) {
-            scope.store_panic(err);
+            // The first panic wins; a later one is dropped here.
+            scope.panic.lock().get_or_insert(err);
         }
         // Flush before the completion becomes visible — the same
         // flush-before-latch-set rule as StackJob/HeapJob (stats docs):
@@ -386,15 +303,15 @@ where
 }
 
 // SAFETY: the raw scope pointer is what stops the auto-impl; the pointee is
-// a `Scope` (Sync — all-atomic interior) kept alive by the scope exit wait,
-// and `F: Send` covers the payload.
+// a `Scope` (Sync: atomics, an `Arc` and a mutex) kept alive by the scope
+// exit wait, and `F: Send` covers the payload.
 unsafe impl<'scope, F> Send for ScopeJob<'scope, F> where F: FnOnce(&Scope<'scope>) + Send + 'scope {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Pool;
-    use nws_sync::atomic::AtomicUsize;
+    use nws_sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_scope_returns_value() {
@@ -519,5 +436,40 @@ mod tests {
         assert_eq!(hits.into_inner(), DEQUE_CAPACITY + 100);
         let stats = pool.stats();
         assert_eq!(stats.total_spawn_overflows(), 100, "{stats:?}");
+        // Only the accepted pushes count as scope spawns, a subset of
+        // `spawns`.
+        assert_eq!(stats.total_scope_spawns(), DEQUE_CAPACITY as u64, "{stats:?}");
+        assert!(stats.total_spawns() >= stats.total_scope_spawns(), "{stats:?}");
+    }
+
+    #[test]
+    fn off_pool_spawn_panics_before_it_counts() {
+        // A thread outside the pool that reaches the scope handle may not
+        // spawn into it; the scope still waits for its on-pool spawns.
+        let pool = Pool::new(2).unwrap();
+        let hits = AtomicUsize::new(0);
+        let payload = pool.install(|| {
+            scope(|s| {
+                s.spawn(|_| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                });
+                let outside = std::thread::scope(|ts| {
+                    ts.spawn(|| s.spawn(|_| unreachable!("an off-pool spawn must not run"))).join()
+                });
+                s.spawn(|_| {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                });
+                outside.expect_err("a spawn from outside the pool must panic")
+            })
+        });
+        let message = payload.downcast_ref::<String>().expect("a message payload");
+        assert!(
+            message
+                .starts_with("numa_ws::Scope::spawn must be called from within the scope's pool"),
+            "{message}"
+        );
+        assert_eq!(hits.into_inner(), 2, "both on-pool spawns ran before the scope returned");
+        let stats = pool.stats();
+        assert_eq!(stats.total_scope_spawns(), 2, "the off-pool spawn is not counted: {stats:?}");
     }
 }

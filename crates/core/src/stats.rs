@@ -214,10 +214,10 @@ counters! {
         /// [`spawns`]: WorkerStatsSnapshot::spawns
         join_promotions => total_join_promotions,
         /// Tasks spawned through the structured [`Scope`](crate::Scope)
-        /// subsystem (`Scope::spawn` / `spawn_at`). A subset of [`spawns`]
-        /// when the spawner was a pool worker (scope spawns also push onto
-        /// the spawner's deque), counted separately so ablation tables can
-        /// show dynamic-task-set traffic per policy.
+        /// subsystem (`Scope::spawn` / `spawn_at`) that the spawner's deque
+        /// accepted: a subset of [`spawns`] (a spawn that overflowed the
+        /// deque counts in neither), counted separately so ablation tables
+        /// can show dynamic-task-set traffic per policy.
         ///
         /// [`spawns`]: WorkerStatsSnapshot::spawns
         scope_spawns => total_scope_spawns,
@@ -310,16 +310,15 @@ pub struct PoolStats {
     /// One snapshot per worker, by index.
     pub workers: Vec<WorkerStatsSnapshot>,
     /// Submissions handed back to the caller: every `Err` from
-    /// [`Pool::try_spawn`](crate::Pool::try_spawn) or
     /// [`Pool::try_spawn_at`](crate::Pool::try_spawn_at) (a full bounded
     /// ingress queue, or a shutting-down or poisoned pool). Nothing else
     /// counts here: `install` waits for space and `spawn` sheds into
     /// [`sheds`](Self::sheds). Pool-level (not per-worker) because the
     /// bouncing thread is external.
     pub ingress_rejects: u64,
-    /// Jobs accepted by `spawn` but dropped unrun under
-    /// [`OverflowPolicy::Reject`](crate::OverflowPolicy::Reject) because
-    /// the ingress queue was full. Each shed closure is dropped (its
+    /// Closures passed to `spawn` but dropped unrun: the ingress queue was
+    /// full under [`OverflowPolicy::Reject`](crate::OverflowPolicy::Reject),
+    /// or the pool was poisoned. Each shed closure is dropped (its
     /// destructor runs) but never executed.
     pub sheds: u64,
 }

@@ -471,15 +471,26 @@ fn hints_wrap_modulo_places() {
 
 #[test]
 fn remote_steals_counted_on_multi_place_pool() {
-    // See steals_happen_under_load for the debug/release sizing rationale.
-    let n = if cfg!(debug_assertions) { 24 } else { 29 };
-    let pool = Pool::builder().workers(8).places(4).policy(SchedPolicy::vanilla()).build().unwrap();
-    pool.install(|| fib(n));
+    // Two workers on two places, so the only possible thief sits at the
+    // other place. The waiting join of steals_happen_under_load makes the
+    // steal certain: the owner spins in the first branch until the second
+    // has run, so the other worker must steal it, remotely.
+    let pool = Pool::builder().workers(2).places(2).policy(SchedPolicy::vanilla()).build().unwrap();
+    let b_ran = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    pool.install(|| {
+        join(
+            || {
+                while !b_ran.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "no thief took the branch within 60 s");
+                    nws_sync::thread::yield_now();
+                }
+            },
+            || b_ran.store(true, Ordering::Release),
+        )
+    });
     let stats = pool.stats();
-    assert!(
-        stats.total_remote_steals() > 0,
-        "uniform stealing across 4 places must cross sockets: {stats:?}"
-    );
+    assert!(stats.total_remote_steals() > 0, "the only thief is at the other place: {stats:?}");
 }
 
 #[test]

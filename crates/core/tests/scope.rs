@@ -1,8 +1,8 @@
 //! Integration tests for the structured scope subsystem: stack borrows,
 //! panic propagation, nested scopes, dynamic sibling spawning, and place
-//! hints — the contract surface of `scope` / `scope_at`.
+//! hints — the contract surface of `scope`.
 
-use numa_ws::{scope, scope_at, Place, Pool, SchedPolicy, Scope};
+use numa_ws::{scope, Place, Pool, SchedPolicy, Scope};
 use nws_sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -172,17 +172,17 @@ fn nested_scope_panic_does_not_leak_into_outer() {
 }
 
 #[test]
-fn scope_at_hints_and_spawn_at_overrides() {
+fn spawn_at_hints_wrap_and_run_once() {
     // Correctness under heavy hinting: every task runs exactly once no
     // matter where it was earmarked, across both scheduler modes.
     for policy in [SchedPolicy::numa_ws(), SchedPolicy::vanilla()] {
         let pool = Pool::builder().workers(8).places(4).policy(policy).build().unwrap();
         let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
         pool.install(|| {
-            scope_at(Place(1), |s| {
+            scope(|s| {
                 for (i, h) in hits.iter().enumerate() {
                     if i % 2 == 0 {
-                        // Scope default hint (Place(1)).
+                        // Unhinted.
                         s.spawn(move |_| {
                             h.fetch_add(1, Ordering::SeqCst);
                         });
@@ -219,17 +219,6 @@ fn pool_scope_convenience_enters_the_pool() {
     });
     assert_eq!(r, "done");
     assert_eq!(total.load(Ordering::SeqCst), 4950);
-
-    // And the placed variant.
-    let counted = AtomicUsize::new(0);
-    pool.scope_at(Place(1), |s| {
-        for _ in 0..10 {
-            s.spawn(|_| {
-                counted.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-    });
-    assert_eq!(counted.into_inner(), 10);
 }
 
 #[test]
