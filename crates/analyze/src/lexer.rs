@@ -88,21 +88,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
             }
             '"' => {
                 let start_line = line;
-                i += 1;
-                while i < b.len() {
-                    match b[i] {
-                        '\\' => i += 2,
-                        '\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        _ => i += 1,
-                    }
-                }
+                i = skip_escaped_string(&b, i + 1, &mut line);
                 toks.push(Tok { kind: Kind::Literal, text: String::new(), line: start_line });
             }
             'r' | 'b' if starts_raw_or_byte_string(&b, i) => {
@@ -120,20 +106,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     i += 1;
                     if hashes == 0 && raw_prefix_is_plain_byte(&b, i) {
                         // `b"..."`: escapes are live.
-                        while i < b.len() {
-                            match b[i] {
-                                '\\' => i += 2,
-                                '\n' => {
-                                    line += 1;
-                                    i += 1;
-                                }
-                                '"' => {
-                                    i += 1;
-                                    break;
-                                }
-                                _ => i += 1,
-                            }
-                        }
+                        i = skip_escaped_string(&b, i, &mut line);
                     } else {
                         // Raw string: ends at `"` followed by `hashes` hashes;
                         // no escapes.
@@ -228,6 +201,30 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
     }
     toks
+}
+
+/// Skips the body of a `"…"` or `b"…"` literal from `i`, just past its
+/// opening quote, and returns the index past its closing quote. Every
+/// newline in the body counts toward `line`, the one an escape (a `\` at
+/// the end of a line) skips included.
+fn skip_escaped_string(b: &[char], mut i: usize, line: &mut usize) -> usize {
+    while i < b.len() {
+        match b[i] {
+            '\\' => {
+                if b.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
+            '\n' => {
+                *line += 1;
+                i += 1;
+            }
+            '"' => return i + 1,
+            _ => i += 1,
+        }
+    }
+    i
 }
 
 fn lex_ident(b: &[char], mut i: usize, line: usize) -> (Tok, usize) {
@@ -331,6 +328,16 @@ let z = 'a';
         let toks = lex(src);
         let b = toks.iter().find(|t| t.is(Kind::Ident, "b")).unwrap();
         assert_eq!(b.line, 4);
+    }
+
+    #[test]
+    fn an_escaped_newline_counts_as_a_line() {
+        let src = "let s = \"one \\\n two\";\nlet t = b\"three \\\n four\";\nafter";
+        let toks = lex(src);
+        let t = toks.iter().find(|t| t.is(Kind::Ident, "t")).unwrap();
+        assert_eq!(t.line, 3);
+        let after = toks.iter().find(|t| t.is(Kind::Ident, "after")).unwrap();
+        assert_eq!(after.line, 5);
     }
 
     #[test]

@@ -24,11 +24,15 @@ pub fn counter() -> usize {
 /// # Safety
 /// `p` must be valid for writes of one byte.
 pub unsafe fn zero(p: *mut u8) {
+    let _continued = b"a byte string \
+        continued on the next line";
     // SAFETY: the function's own contract guarantees validity.
     unsafe { *p = 0 }
 }
 
 pub fn deref(p: *const u8) -> u8 {
+    let _continued = "a string \
+        continued on the next line";
     // SAFETY: the pointer is non-null per the caller's check.
     unsafe { *p }
 }

@@ -110,7 +110,7 @@ enum Scan {
     /// segment's own window.
     Pack,
     /// A top-level pack, unhinted: its destinations follow a prefix sum,
-    /// not the reader's position (the paper's hull1 "prefix sum [which]
+    /// not the reader's position (the paper's hull1 "prefix sum \[which\]
     /// simply does not have much locality").
     TopPack,
 }

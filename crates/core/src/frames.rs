@@ -1,6 +1,6 @@
 //! Lazy join promotion: the owner-only stack of hidden `join` frames.
 //!
-//! An unhinted [`join`](crate::join) does not push its second branch onto
+//! An unhinted [`join`](fn@crate::join) does not push its second branch onto
 //! the THE deque. It records the branch's job here, runs the first branch,
 //! and then runs the second in place unless the frame was promoted
 //! meanwhile. Promotion is done by the owning worker only, through the

@@ -1,10 +1,12 @@
 //! Per-place external ingress queues.
 //!
-//! External threads enter the pool through these queues ([`Pool::install`],
-//! [`Pool::install_at`], [`Pool::spawn`], [`Pool::spawn_at`] — see
-//! `crate::pool`). There is **one queue per virtual place**, and every
-//! worker of a place drains its own queue as part of its normal scheduling
-//! loop (between its mailbox and a steal attempt), so ingress never funnels
+//! External threads enter the pool through these queues
+//! ([`Pool::install`](crate::Pool::install),
+//! [`install_at`](crate::Pool::install_at), [`spawn`](crate::Pool::spawn),
+//! [`spawn_at`](crate::Pool::spawn_at) — see `crate::pool`). There is
+//! **one queue per virtual place**, and every worker of a place drains its
+//! own queue as part of its normal scheduling loop (between its mailbox
+//! and a steal attempt), so ingress never funnels
 //! through a single worker: a root task blocking worker 0 cannot starve a
 //! concurrently injected job. Workers also scan the *other* places' queues
 //! as a last resort before going to sleep — starving work beats placed

@@ -9,15 +9,15 @@
 //! deque; a *steal* is where the runtime pays for latches, result
 //! plumbing, and possibly a PUSHBACK episode (promotion to full).
 //!
-//! Three concrete representations implement [`Job`]: [`StackJob`] (a
-//! `join` branch / `install` root, owned by a blocked caller frame),
-//! [`HeapJob`] (a fire-and-forget `Pool::spawn`, owning its closure), and
-//! `ScopeJob` (a `Scope::spawn`, heap-owned like `HeapJob` but reporting
-//! back to a waiting scope — see `crate::scope`). The ownership split is
+//! Two concrete representations implement [`Job`]: [`StackJob`] (a
+//! `join` branch / `install` root, owned by a caller frame that waits for
+//! it) and [`HeapJob`] (a `Pool::spawn` or a `Scope::spawn`, which owns its
+//! closure and frees itself when it runs; a scope task's closure reports
+//! back to its waiting scope — see `crate::scope`). The ownership split is
 //! what the shutdown protocol leans on: stack jobs always have a live
-//! waiter, so only the heap representations can be "stranded", and for
-//! them executing *is* reclaiming — the drains in `worker_main` and
-//! `Mailbox::drop` run leftovers rather than leak them.
+//! waiter, so only heap jobs can be "stranded", and for them executing
+//! *is* reclaiming — the drains in `worker_main` and `Mailbox::drop` run
+//! leftovers rather than leak them.
 
 use crate::latch::Latch;
 use nws_topology::Place;
@@ -142,9 +142,10 @@ pub(crate) enum JobResult<R> {
 /// A job allocated on the spawning worker's stack (the `join` fast path —
 /// no heap allocation on the work path, per the work-first principle).
 ///
-/// Generic over the latch: `join` uses a [`SpinLatch`] (the waiter steals
-/// while spinning), [`Pool::install`](crate::Pool::install) a blocking
-/// [`LockLatch`](crate::latch::LockLatch).
+/// Generic over the latch: `join` uses a
+/// [`SpinLatch`](crate::latch::SpinLatch) (the waiter steals while
+/// spinning), [`Pool::install`](crate::Pool::install) a blocking
+/// [`Gate`](crate::latch::Gate) of one pass.
 pub(crate) struct StackJob<L, F, R> {
     func: UnsafeCell<ManuallyDrop<F>>,
     result: UnsafeCell<JobResult<R>>,
@@ -244,20 +245,26 @@ where
     }
 }
 
-/// A heap-allocated fire-and-forget job — the representation behind
-/// [`Pool::spawn`](crate::Pool::spawn) / `spawn_at`, where no caller stack
-/// frame outlives the submission. The box frees itself on execution, so
-/// unlike [`StackJob`] there is no owner to report back to: results go
-/// through whatever channel the closure captures, and a panic is caught —
-/// the pool must survive a panicking spawn — then counted (see
-/// `registry::note_job_panic`) instead of being silently discarded.
+/// A heap-allocated job that no caller frame waits for: the
+/// representation behind [`Pool::spawn`](crate::Pool::spawn) / `spawn_at`
+/// and [`Scope::spawn`](crate::Scope::spawn). The box frees itself on
+/// execution, so unlike [`StackJob`] there is no owner to report back to:
+/// results go through whatever the closure captures (a scope task's
+/// closure stores its panic in, and completes, its scope), and a panic that
+/// escapes the closure is caught — the pool must survive a panicking
+/// spawn — then counted (see `registry::note_job_panic`) instead of being
+/// silently discarded.
+///
+/// `F` need not be `'static`: a scope task borrows from the scope's frame,
+/// which its exit wait keeps alive until the task has run (see
+/// [`into_job_ref`](HeapJob::into_job_ref)).
 pub(crate) struct HeapJob<F> {
     func: F,
 }
 
 impl<F> HeapJob<F>
 where
-    F: FnOnce() + Send + 'static,
+    F: FnOnce() + Send,
 {
     pub(crate) fn new(func: F) -> Box<Self> {
         Box::new(HeapJob { func })
@@ -267,12 +274,12 @@ where
     ///
     /// # Safety
     ///
-    /// The returned ref must be executed exactly once; executing reclaims
-    /// the allocation, so the ref is dead afterwards. A ref that is never
-    /// executed leaks the box — the shutdown path therefore *runs*
-    /// leftovers wherever one can hide: the queue re-check and mailbox
-    /// drain in `worker_main`, and `Mailbox::drop` as the final net for a
-    /// deposit that raced the drain.
+    /// The returned ref must be executed exactly once, while everything `F`
+    /// borrows is alive; executing reclaims the allocation, so the ref is
+    /// dead afterwards. A ref that is never executed leaks the box — the
+    /// shutdown path therefore *runs* leftovers wherever one can hide: the
+    /// work and mailbox drains in `worker_main`, and `Mailbox::drop` as the
+    /// final net for a deposit that raced the drain.
     pub(crate) unsafe fn into_job_ref(self: Box<Self>, place: Place) -> JobRef {
         JobRef::new(Box::into_raw(self), place)
     }
@@ -300,7 +307,7 @@ where
 
 impl<F> Job for HeapJob<F>
 where
-    F: FnOnce() + Send + 'static,
+    F: FnOnce() + Send,
 {
     // SAFETY: per the `Job::execute` contract, `this` is the leaked box pointer
     // from `into_job_ref`, executed exactly once, so reclaiming it here is

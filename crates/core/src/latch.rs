@@ -98,7 +98,7 @@ impl Latch for SpinLatch {
 
 /// A counting latch: "set" once its count returns to zero.
 ///
-/// This is the completion gate of a [`scope`](crate::scope): it starts at
+/// This is the completion gate of a [`scope`](fn@crate::scope): it starts at
 /// one (the scope body itself), each `Scope::spawn` increments it, and each
 /// finished spawn — plus the body, on its way out — decrements it. The
 /// scope owner steals-while-waiting until the count drains.
@@ -108,10 +108,8 @@ impl Latch for SpinLatch {
 /// the instant the count hits zero the owner may return and pop that frame,
 /// so the completing thread must not touch any `Scope` (or latch) memory
 /// afterwards — including a `sleep` reference stored next to the counter.
-/// Callers therefore copy the pool's [`Sleep`] handle out *before* the
-/// terminal decrement and wake through the copy (`Scope::complete_one` —
-/// the same hazard discipline as [`SpinLatch::set_and_wake`], shifted one level up
-/// because only the caller knows which memory stays valid).
+/// `Scope::complete_one` therefore wakes through the executing worker's
+/// [`Sleep`] (the hazard discipline of [`SpinLatch::set_and_wake`]).
 #[derive(Debug)]
 pub(crate) struct CountLatch {
     counter: AtomicUsize,
@@ -149,43 +147,63 @@ impl Probe for CountLatch {
     }
 }
 
-/// A blocking latch for external (non-worker) threads, e.g. the caller of
-/// [`Pool::install`](crate::Pool::install).
-#[derive(Debug, Default)]
-pub(crate) struct LockLatch {
-    mutex: Mutex<bool>,
+/// A count-down gate that threads block on until `n` passes have opened
+/// it (no busy-spin): the pool's `started` and `exited` gates pass once
+/// per worker (`n = P`), and [`Pool::install`](crate::Pool::install)'s
+/// root is a [`Latch`] of one pass, set by the worker that runs it.
+#[derive(Debug)]
+pub(crate) struct Gate {
+    remaining: Mutex<usize>,
     cond: Condvar,
 }
 
-impl LockLatch {
-    pub(crate) fn new() -> Self {
-        Self::default()
+impl Gate {
+    /// A gate that opens after `n` passes.
+    pub(crate) fn new(n: usize) -> Self {
+        Gate { remaining: Mutex::new(n), cond: Condvar::new() }
     }
 
-    /// Blocks until the latch is set or `timeout` elapses; returns whether
-    /// the latch is set. Used by `Pool::install`'s poisoning-aware wait: the
+    /// Counts one pass; the last wakes the waiters under the lock, so none
+    /// can return and drop the gate before the notify.
+    pub(crate) fn pass(&self) {
+        let mut remaining = self.remaining.lock();
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Blocks until the gate is open.
+    pub(crate) fn wait(&self) {
+        let mut remaining = self.remaining.lock();
+        while *remaining > 0 {
+            self.cond.wait(&mut remaining);
+        }
+    }
+
+    /// Blocks until the gate is open or `timeout` elapses; returns whether
+    /// it is open. Used by `Pool::install`'s poisoning-aware wait: the
     /// caller loops, interleaving bounded waits with pool-health checks, so
     /// a pool whose workers all died cannot strand it forever.
     pub(crate) fn wait_for(&self, timeout: std::time::Duration) -> bool {
-        let mut guard = self.mutex.lock();
-        if !*guard {
-            let _ = self.cond.wait_for(&mut guard, timeout);
+        let mut remaining = self.remaining.lock();
+        if *remaining > 0 {
+            let _ = self.cond.wait_for(&mut remaining, timeout);
         }
-        *guard
+        *remaining == 0
     }
 
-    /// Whether the latch has been set (non-blocking).
-    pub(crate) fn probe(&self) -> bool {
-        *self.mutex.lock()
+    /// Whether the gate is open (non-blocking).
+    pub(crate) fn is_open(&self) -> bool {
+        *self.remaining.lock() == 0
     }
 }
 
-impl Latch for LockLatch {
-    /// Wakes its blocked waiter through its own condvar; `sleep` is unused.
+impl Latch for Gate {
+    /// Passes the gate, which wakes its blocked waiters through its own
+    /// condvar; `sleep` is unused.
     fn set(&self, _sleep: Option<&Sleep>) {
-        let mut guard = self.mutex.lock();
-        *guard = true;
-        self.cond.notify_all();
+        self.pass();
     }
 }
 
@@ -225,28 +243,40 @@ mod tests {
     }
 
     #[test]
-    fn lock_latch_unblocks_waiter() {
-        let l = Arc::new(LockLatch::new());
+    fn gate_unblocks_waiter() {
+        let l = Arc::new(Gate::new(1));
         let l2 = Arc::clone(&l);
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             l2.set(None);
         });
-        // Poll as install does: bounded waits until the latch lands.
+        // Poll as install does: bounded waits until the pass lands.
         while !l.wait_for(std::time::Duration::from_millis(50)) {}
         t.join().unwrap();
     }
 
     #[test]
-    fn lock_latch_wait_for_times_out_then_succeeds() {
-        let l = LockLatch::new();
-        assert!(!l.probe());
+    fn gate_wait_for_times_out_then_succeeds() {
+        let l = Gate::new(1);
+        assert!(!l.is_open());
         let start = std::time::Instant::now();
-        assert!(!l.wait_for(std::time::Duration::from_millis(10)), "unset latch must time out");
+        assert!(!l.wait_for(std::time::Duration::from_millis(10)), "a closed gate must time out");
         assert!(start.elapsed() >= std::time::Duration::from_millis(5));
         l.set(None);
-        assert!(l.probe());
-        assert!(l.wait_for(std::time::Duration::from_secs(5)), "set latch returns immediately");
+        assert!(l.is_open());
+        assert!(l.wait_for(std::time::Duration::from_secs(5)), "an open gate returns immediately");
+    }
+
+    #[test]
+    fn gate_opens_after_its_last_pass() {
+        let gate = Gate::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| gate.pass());
+            }
+            gate.wait();
+            assert!(gate.is_open());
+        });
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! efficiency.
 //!
 //! Dynamic task sets — N children discovered at runtime, borrowing the
-//! parent's environment — run in a structured [`scope`]: its body and
-//! tasks call [`Scope::spawn`] / [`Scope::spawn_at`], which push
-//! (optionally place-hinted) jobs onto the spawning worker's deque, and the
-//! scope returns only when all of them have finished (see [`scope`]'s
-//! documentation).
+//! parent's environment — run in a structured [`scope`](fn@scope): its
+//! body and tasks call [`Scope::spawn`] / [`Scope::spawn_at`], which push
+//! (optionally place-hinted) jobs onto the spawning worker's deque, and
+//! the scope returns only when all of them have finished (see
+//! [`scope`](fn@scope)'s documentation).
 //!
 //! Beyond the paper's single-root model, the pool is **service-shaped**:
 //! external threads enter through per-place ingress queues
@@ -51,7 +51,7 @@
 //!
 //! Cilk's continuation stealing requires compiler-managed cactus stacks;
 //! in native Rust the stealable deque entry is the *other branch* of a
-//! [`join`] and the continuation stays on the spawning worker's stack
+//! [`join`](fn@join) and the continuation stays on the spawning worker's stack
 //! (as in Rayon). The sync-side migration paths this removes are exercised
 //! by the companion simulator crate (`nws-sim`), which runs the paper's
 //! Figure 2/Figure 5 pseudocode verbatim. See `DESIGN.md` §2, "Child

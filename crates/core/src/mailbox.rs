@@ -16,17 +16,18 @@
 //!
 //! ## Shutdown
 //!
-//! A deposited job may be a heap job (`Pool::spawn` / `spawn_at`) that was
-//! lazily pushed toward its place — a job that *owns* its closure and must
-//! run to be reclaimed. The shutdown path therefore drains mailboxes twice:
-//! `worker_main` executes anything left in its own mailbox after its main
-//! loop exits (and PUSHBACK stops depositing once shutdown is observed, see
-//! `WorkerThread::pushback`), and [`Mailbox::drop`] — which runs only after
-//! every worker has exited, since workers hold the registry alive —
-//! executes a leftover deposit as the final safety net rather than leaking
-//! it. Stack jobs can never be stranded here: their owners block inside the
-//! pool until the latch is set, which keeps the pool from shutting down
-//! around them.
+//! A deposited job may be a heap job from `Pool::spawn` / `spawn_at` that
+//! was lazily pushed toward its place — a job that *owns* its closure and
+//! must run to be reclaimed. The shutdown path therefore drains mailboxes
+//! twice: `worker_main` executes anything left in its own mailbox after its
+//! scheduling loop returns (and PUSHBACK stops depositing once shutdown is
+//! observed, see `WorkerThread::pushback`), and [`Mailbox::drop`] — which
+//! runs only after every worker has exited, since workers hold the registry
+//! alive — executes a leftover deposit as the final safety net rather than
+//! leaking it. Stack jobs and scope tasks (heap jobs whose scope waits for
+//! them) can never be stranded here: their owners block inside the pool
+//! until they complete, which keeps the pool from shutting down around
+//! them.
 
 use crate::job::JobRef;
 use nws_sync::atomic::{AtomicBool, AtomicPtr, Ordering};

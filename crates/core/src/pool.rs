@@ -3,7 +3,7 @@
 
 use crate::config::{BuildPoolError, OverflowPolicy, PoisonedPool};
 use crate::job::{HeapJob, StackJob};
-use crate::latch::LockLatch;
+use crate::latch::Gate;
 use crate::registry::{worker_main, Registry, WorkerThread};
 use crate::stats::PoolStats;
 use nws_topology::{Place, SchedPolicy, Topology, WorkerMap};
@@ -16,7 +16,7 @@ use std::time::Duration;
 /// Workers are created at construction with a fixed worker→place map
 /// (paper §III-A: affinity is decided at startup and never changes) and run
 /// until the pool is dropped. Application code enters through
-/// [`install`](Pool::install) and forks with [`join`](crate::join) /
+/// [`install`](Pool::install) and forks with [`join`](fn@crate::join) /
 /// [`join_at`](crate::join_at).
 ///
 /// # Example
@@ -52,7 +52,7 @@ impl std::fmt::Debug for Pool {
 }
 
 /// Configures and builds a [`Pool`].
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct PoolBuilder {
     workers: usize,
     places: usize,
@@ -63,21 +63,6 @@ pub struct PoolBuilder {
     pub(crate) record_trace: bool,
     pub(crate) ingress_capacity: Option<usize>,
     pub(crate) overflow: OverflowPolicy,
-}
-
-impl std::fmt::Debug for PoolBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolBuilder")
-            .field("workers", &self.workers)
-            .field("places", &self.places)
-            .field("policy", &self.policy)
-            .field("seed", &self.seed)
-            .field("stats_enabled", &self.stats_enabled)
-            .field("record_trace", &self.record_trace)
-            .field("ingress_capacity", &self.ingress_capacity)
-            .field("overflow", &self.overflow)
-            .finish()
-    }
 }
 
 impl Default for PoolBuilder {
@@ -302,7 +287,7 @@ impl Pool {
             // to its own pool's thieves.
             worker.promote_all();
         }
-        let job = StackJob::new(LockLatch::new(), f);
+        let job = StackJob::new(Gate::new(1), f);
         // SAFETY: we block on the latch below (or prove the ref can never
         // run again before abandoning it), so the job outlives its
         // execution and is executed at most once.
@@ -334,7 +319,7 @@ impl Pool {
             }
             if self.registry.is_poisoned() {
                 self.registry.exited.wait();
-                if job.latch.probe() {
+                if job.latch.is_open() {
                     break;
                 }
                 std::panic::panic_any(PoisonedPool::new(self.registry.poison_message()));
@@ -448,7 +433,7 @@ impl Pool {
     /// Runs `f` inside the pool with a [`Scope`](crate::Scope) for
     /// spawning dynamic task sets; returns when `f` **and every spawned
     /// task** have finished. Shorthand for
-    /// `pool.install(|| numa_ws::scope(f))`; see [`scope`](crate::scope).
+    /// `pool.install(|| numa_ws::scope(f))`; see [`scope`](fn@crate::scope).
     ///
     /// ```
     /// use numa_ws::sync::atomic::{AtomicU32, Ordering};

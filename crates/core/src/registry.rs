@@ -6,14 +6,14 @@ use crate::config::OverflowPolicy;
 use crate::frames::FrameStack;
 use crate::injector::IngressQueue;
 use crate::job::JobRef;
-use crate::latch::Probe;
+use crate::latch::{Gate, Probe};
 use crate::mailbox::Mailbox;
 use crate::pool::PoolBuilder;
 use crate::sleep::{Sleep, SleepOutcome};
 use crate::stats::{bump, Category, Clock, LocalCounters, PoolStats, WorkerStats};
 use nws_deque::{the_deque, Full, TheStealer, TheWorker};
 use nws_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use nws_sync::{CachePadded, Condvar, Mutex};
+use nws_sync::{CachePadded, Mutex};
 use nws_topology::{
     worker_rng_seed, Deposit, Place, SchedPolicy, SplitMix64, StealDistribution, Topology,
     WorkerMap,
@@ -28,37 +28,6 @@ use std::time::Duration;
 /// Slots in each worker's deque. A spawn that finds its deque full runs
 /// inline instead (counted in `spawn_overflows`).
 pub(crate) const DEQUE_CAPACITY: usize = 8192;
-
-/// A count of workers that have passed a point, and a condvar to wait on
-/// until all of them have (no busy-spin).
-pub(crate) struct WorkerGate {
-    passed: Mutex<usize>,
-    cv: Condvar,
-    workers: usize,
-}
-
-impl WorkerGate {
-    fn new(workers: usize) -> Self {
-        WorkerGate { passed: Mutex::new(0), cv: Condvar::new(), workers }
-    }
-
-    /// Called once by each worker as it passes the gate's point.
-    fn pass(&self) {
-        let mut passed = self.passed.lock();
-        *passed += 1;
-        if *passed == self.workers {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until every worker has passed.
-    pub(crate) fn wait(&self) {
-        let mut passed = self.passed.lock();
-        while *passed < self.workers {
-            self.cv.wait(&mut passed);
-        }
-    }
-}
 
 /// Shared state of a pool.
 pub(crate) struct Registry {
@@ -87,18 +56,18 @@ pub(crate) struct Registry {
     poisoned: AtomicBool,
     /// First-wins summary of the panic payload that poisoned the pool.
     poison_msg: Mutex<Option<String>>,
-    /// Passed by each worker as it enters its main loop. Pool construction
-    /// waits on it, so install never races thread startup; startup of P
-    /// threads can take milliseconds under load, which is not worth
-    /// burning an external thread's CPU on.
-    pub(crate) started: WorkerGate,
-    /// Passed by each worker after its main loop returns — after the final
-    /// drain, so a job can no longer execute on that worker.
+    /// Passed by each worker as it enters its scheduling loop. Pool
+    /// construction waits on it, so install never races thread startup;
+    /// startup of P threads can take milliseconds under load, which is not
+    /// worth burning an external thread's CPU on.
+    pub(crate) started: Gate,
+    /// Passed by each worker after its scheduling loop returns — after the
+    /// final drain, so a job can no longer execute on that worker.
     /// `Pool::install`'s poisoning-aware wait blocks on it: once every
     /// worker has passed, no job will ever execute again, so an unset root
     /// latch is provably stranded (and an abandoned root frame provably
     /// unreachable).
-    pub(crate) exited: WorkerGate,
+    pub(crate) exited: Gate,
     /// What `spawn` does when a bounded ingress queue is full.
     pub(crate) overflow: OverflowPolicy,
     /// `try_spawn_at` submissions handed back to their callers. Pool-level
@@ -112,10 +81,10 @@ pub(crate) struct Registry {
     /// DAG trace recorder, present when the pool was built with
     /// [`record_trace`](crate::PoolBuilder::record_trace). Spawn edges are
     /// recorded at the spawn points ([`WorkerThread::record_spawn`],
-    /// [`inject`]), Start/End brackets around execution (and around a job
-    /// run in place, [`WorkerThread::run_traced`]); each worker writes only
-    /// its own lane, so recording adds no cross-worker contention beyond
-    /// the id counter.
+    /// [`inject`](Registry::inject)), Start/End brackets around execution
+    /// (and around a job run in place, [`WorkerThread::run_traced`]); each
+    /// worker writes only its own lane, so recording adds no cross-worker
+    /// contention beyond the id counter.
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
@@ -153,8 +122,8 @@ impl Registry {
             shutdown: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             poison_msg: Mutex::new(None),
-            started: WorkerGate::new(p),
-            exited: WorkerGate::new(p),
+            started: Gate::new(p),
+            exited: Gate::new(p),
             overflow: builder.overflow,
             ingress_rejects: CachePadded::new(AtomicU64::new(0)),
             ingress_sheds: CachePadded::new(AtomicU64::new(0)),
@@ -315,9 +284,17 @@ impl Registry {
             return true;
         }
         // Including our own deque: a scope task executed here may have
-        // spawned siblings onto it, and both the main loop and `wait_until`
-        // drain the own deque before stealing.
+        // spawned siblings onto it, and `wait_until` drains the own deque
+        // before stealing.
         self.stealers.iter().any(|st| !st.is_empty())
+    }
+}
+
+/// [`worker_main`]'s wait lasts until the pool shuts down (acquire, so the
+/// drain after it sees every job injected before `begin_shutdown`).
+impl Probe for Registry {
+    fn probe(&self) -> bool {
+        self.is_shutting_down()
     }
 }
 
@@ -673,10 +650,11 @@ impl WorkerThread {
         r
     }
 
-    /// Steals-while-waiting until `latch` is set (the join and scope slow
-    /// paths; any [`Probe`] works — `join` passes a
+    /// Steals-while-waiting until `latch` is set: the one scheduling loop.
+    /// Any [`Probe`] works — `join` passes a
     /// [`SpinLatch`](crate::latch::SpinLatch), `scope` a
-    /// [`CountLatch`](crate::latch::CountLatch)).
+    /// [`CountLatch`](crate::latch::CountLatch), and [`worker_main`] the
+    /// [`Registry`], whose probe is its shutdown flag.
     ///
     /// An idle waiter participates in the full work-finding protocol —
     /// including external ingress — so a service pool never wastes a
@@ -913,8 +891,9 @@ fn record_spawn_on(tr: &TraceSink, lane: usize, id: u64, parent: u64, place: Pla
     tr.record(lane, TraceEvent::Spawn { task: id, parent, place: place.index() });
 }
 
-/// Body of each worker OS thread: a thin supervisor around
-/// [`worker_loop`].
+/// Body of each worker OS thread: the scheduling loop a blocked `join` or
+/// `scope` also runs ([`WorkerThread::wait_until`]), waiting on the pool's
+/// shutdown, then the shutdown drains, under a thin supervisor.
 ///
 /// The supervisor's `catch_unwind` is the belt-and-braces net for
 /// **genuine runtime bugs** — injected faults never reach it, because each
@@ -941,7 +920,37 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
     WORKER.with(|w| w.set(&worker as *const WorkerThread));
     worker.registry.started.pass();
 
-    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| worker_loop(&worker))) {
+    let run = || {
+        worker.wait_until(&*worker.registry);
+        // The shutdown interval counts as idle time.
+        worker.switch_to(Category::Idle);
+        // Drain after observing shutdown: the probe's acquire read makes
+        // every inject that happened before `begin_shutdown` visible, so a
+        // job enqueued just ahead of the pool's drop can never be stranded
+        // (fire-and-forget spawns run or are joined, never leaked). Work
+        // spawned *by* drained jobs lands on the own deque, which
+        // `find_work` pops first.
+        while let Some(job) = worker.find_work() {
+            // SAFETY: protocol-found jobs are live and unexecuted.
+            unsafe { worker.execute(job) };
+        }
+        // Final mailbox drain: a PUSHBACK episode on a worker that had not
+        // yet observed shutdown can deposit into our mailbox *after* the
+        // last `find_work` above came up empty (the pushback shutdown gate
+        // closes that window going forward, but a stale `is_shutting_down`
+        // read can leak one deposit through). Execute leftovers — they are
+        // heap jobs under the shutdown-drain guarantee — plus anything they
+        // spawn onto our deque.
+        while let Some(job) = worker.registry.mailboxes[index].take() {
+            // SAFETY: deposited jobs are live and unexecuted.
+            unsafe { worker.execute(job) };
+            while let Some(job) = worker.pop() {
+                // SAFETY: as above.
+                unsafe { worker.execute(job) };
+            }
+        }
+    };
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) {
         worker.registry.poison(payload.as_ref());
     }
 
@@ -949,56 +958,4 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize, deque: TheWorke
     worker.clock.flush(worker.stats());
     WORKER.with(|w| w.set(std::ptr::null()));
     worker.registry.exited.pass();
-}
-
-/// The scheduling loop proper (plus the shutdown drains).
-fn worker_loop(worker: &WorkerThread) {
-    let index = worker.index;
-    let mut spins = 0u32;
-    loop {
-        // find_work starts with the own deque: a scope task executed here
-        // may have spawned siblings onto it without waiting for them (only
-        // the scope owner waits), and nobody else is obliged to steal them.
-        if let Some(job) = worker.find_work() {
-            // SAFETY: protocol-found jobs are live and unexecuted.
-            unsafe { worker.execute(job) };
-            spins = 0;
-            continue;
-        }
-        if worker.registry.is_shutting_down() {
-            // Drain after observing shutdown: the acquire load above makes
-            // every inject that happened before `begin_shutdown` visible,
-            // so a job enqueued just ahead of the pool's drop can never be
-            // stranded (fire-and-forget spawns run or are joined, never
-            // leaked). Work spawned *by* drained jobs is found by the
-            // spawning worker on its next trip through this loop.
-            if let Some(job) = worker.find_work() {
-                // SAFETY: as above.
-                unsafe { worker.execute(job) };
-                spins = 0;
-                continue;
-            }
-            break;
-        }
-        // Deep sleep until a producer signals (inject, deposit, or a deque
-        // push while we sleep); the timeout is only a safety net.
-        worker.idle_backoff(&mut spins, || {
-            worker.registry.work_available(index) || worker.registry.is_shutting_down()
-        });
-    }
-    // Final mailbox drain: a PUSHBACK episode on a worker that had not yet
-    // observed shutdown can deposit into our mailbox *after* the last
-    // `find_work` above came up empty (the pushback shutdown gate closes
-    // that window going forward, but a stale `is_shutting_down` read can
-    // leak one deposit through). Execute leftovers — they are heap jobs
-    // under the shutdown-drain guarantee — plus anything they spawn onto
-    // our deque.
-    while let Some(job) = worker.registry.mailboxes[index].take() {
-        // SAFETY: deposited jobs are live and unexecuted.
-        unsafe { worker.execute(job) };
-        while let Some(job) = worker.pop() {
-            // SAFETY: as above.
-            unsafe { worker.execute(job) };
-        }
-    }
 }

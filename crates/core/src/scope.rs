@@ -1,7 +1,7 @@
 //! Structured, place-aware task scopes — dynamic task sets under the
 //! work-first principle.
 //!
-//! [`join`](crate::join) expresses exactly two-way forks whose closures may
+//! [`join`](fn@crate::join) expresses exactly two-way forks whose closures may
 //! borrow from the enclosing stack. Workloads that discover *N* children at
 //! runtime (a graph flood such as gcmark's, a request handler fanning out
 //! subqueries) need the other classic shape: [`scope`] runs a closure that
@@ -56,6 +56,7 @@
 //! from a dead frame. A panic in the scope body itself takes precedence —
 //! it, too, is resumed only after the spawn count drains.
 
+use crate::job::HeapJob;
 use crate::latch::CountLatch;
 use crate::registry::{Registry, WorkerThread};
 use crate::sleep::Sleep;
@@ -203,12 +204,28 @@ impl<'scope> Scope<'scope> {
             ));
         // Count the task before its JobRef can possibly execute.
         self.latch.increment();
-        let job = Box::new(ScopeJob { scope: self as *const Scope<'scope>, task });
+        let job = HeapJob::new(move || {
+            if let Err(err) = panic::catch_unwind(AssertUnwindSafe(|| task(self))) {
+                // The first panic wins; a later one is dropped here.
+                self.panic.lock().get_or_insert(err);
+            }
+            // Flush before the completion becomes visible — the same
+            // flush-before-latch-set rule as a join branch's (stats docs):
+            // whoever observes the scope's completion sees every counter
+            // this task bumped.
+            let worker = WorkerThread::current();
+            if let Some(worker) = worker {
+                worker.flush_counters();
+            }
+            // MUST be last: the owner may pop the scope's frame the moment
+            // the count drains.
+            self.complete_one(worker.map(|worker| &worker.registry.sleep));
+        });
         // SAFETY: the JobRef is executed exactly once — by a worker that
         // found it, or inline on the deque-full fallback below — and
-        // `conclude`'s wait keeps `self` (and all `'scope` borrows) alive
+        // `scope`'s exit wait keeps `self` (and all `'scope` borrows) alive
         // until the CountLatch records that execution.
-        let mut job_ref = unsafe { crate::job::JobRef::new(Box::into_raw(job), place) };
+        let mut job_ref = unsafe { job.into_job_ref(place) };
         job_ref.set_trace(worker.record_spawn(place));
         match worker.push(job_ref) {
             // Counted once the deque took it, so scope spawns stay a
@@ -223,22 +240,18 @@ impl<'scope> Scope<'scope> {
     }
 
     /// Removes one count from the scope's latch on task completion, waking
-    /// the owner if it went to sleep waiting.
+    /// the owner if it went to sleep waiting on `sleep`, the sleep layer of
+    /// the executing worker's pool (`None` off a worker).
     ///
     /// The latch-hazard discipline (see [`CountLatch`]): the instant the
     /// terminal decrement lands, the owner may return from [`scope`] and
-    /// pop the frame holding `self`, so the [`Sleep`] reference is copied
-    /// out *first* and nothing of `self` is touched afterwards. The `Sleep`
-    /// itself lives in the registry, which the executing worker's own
-    /// `Arc` keeps alive (scope jobs only execute on pool workers, which
-    /// outlive this call).
-    fn complete_one(&self) {
-        let sleep: *const Sleep = &self.registry.sleep;
+    /// pop the frame holding `self`, so nothing of `self` is touched
+    /// afterwards. `sleep` lives in the registry, which the executing
+    /// worker's own `Arc` keeps alive; it is the scope's pool's, since
+    /// only that pool's workers run its tasks.
+    fn complete_one(&self, sleep: Option<&Sleep>) {
         if self.latch.set_one() {
-            // SAFETY: `sleep` points into the registry (see above), not
-            // into the possibly-dead scope frame.
-            let sleep = unsafe { &*sleep };
-            if sleep.num_sleepers() > 0 {
+            if let Some(sleep) = sleep.filter(|sleep| sleep.num_sleepers() > 0) {
                 sleep.wake_all();
             }
         }
@@ -260,52 +273,6 @@ impl std::fmt::Debug for Scope<'_> {
         f.debug_struct("Scope").finish_non_exhaustive()
     }
 }
-
-/// The heap representation behind one [`Scope::spawn`]: the task closure
-/// plus a back-pointer to its scope. Type- and lifetime-erased into a
-/// [`JobRef`](crate::job::JobRef); the scope's exit wait is what keeps the
-/// erased `'scope` honest.
-struct ScopeJob<'scope, F>
-where
-    F: FnOnce(&Scope<'scope>) + Send + 'scope,
-{
-    scope: *const Scope<'scope>,
-    task: F,
-}
-
-impl<'scope, F> crate::job::Job for ScopeJob<'scope, F>
-where
-    F: FnOnce(&Scope<'scope>) + Send + 'scope,
-{
-    // SAFETY: per the `Job::execute` contract, `this` is the leaked box pointer
-    // from the spawn, executed exactly once; the scope it points into is
-    // kept alive by the completion count until this task finishes.
-    unsafe fn execute(this: *const ()) {
-        // Reclaim the box; the closure moves out and runs here.
-        let this = Box::from_raw(this as *mut Self);
-        let scope = &*this.scope;
-        let task = this.task;
-        if let Err(err) = panic::catch_unwind(AssertUnwindSafe(move || task(scope))) {
-            // The first panic wins; a later one is dropped here.
-            scope.panic.lock().get_or_insert(err);
-        }
-        // Flush before the completion becomes visible — the same
-        // flush-before-latch-set rule as StackJob/HeapJob (stats docs):
-        // whoever observes the scope's completion sees every counter this
-        // task bumped.
-        if let Some(worker) = WorkerThread::current() {
-            worker.flush_counters();
-        }
-        // MUST be last: the owner may pop the scope's frame the moment the
-        // count drains.
-        scope.complete_one();
-    }
-}
-
-// SAFETY: the raw scope pointer is what stops the auto-impl; the pointee is
-// a `Scope` (Sync: atomics, an `Arc` and a mutex) kept alive by the scope
-// exit wait, and `F: Send` covers the payload.
-unsafe impl<'scope, F> Send for ScopeJob<'scope, F> where F: FnOnce(&Scope<'scope>) + Send + 'scope {}
 
 #[cfg(test)]
 mod tests {

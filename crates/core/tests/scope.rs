@@ -287,3 +287,34 @@ fn many_concurrent_scopes_via_par_for() {
     });
     assert_eq!(total.into_inner(), 64 * 8);
 }
+
+fn fib(n: u64) -> u64 {
+    if n < 2 {
+        return n;
+    }
+    let (a, b) = numa_ws::join(|| fib(n - 1), || fib(n - 2));
+    a + b
+}
+
+#[test]
+fn scope_task_counters_are_exact_when_the_scope_returns() {
+    // A scope task flushes its worker's counters before its completion
+    // becomes visible, so the moment `install` returns, every spawn and
+    // steal of the round is in the snapshot: N scope spawns plus fib(10)'s
+    // 88 joins per task, and one `stolen_from` per steal.
+    const TASKS: u64 = 16;
+    let pool = Pool::builder().workers(2).build().unwrap();
+    for round in 0..300 {
+        pool.reset_stats();
+        pool.install(|| {
+            scope(|s| {
+                for _ in 0..TASKS {
+                    s.spawn(|_| assert_eq!(fib(10), 55));
+                }
+            })
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.total_spawns(), TASKS + 88 * TASKS, "round {round}: {stats:?}");
+        assert_eq!(stats.total_steals(), stats.total_stolen_from(), "round {round}: {stats:?}");
+    }
+}
