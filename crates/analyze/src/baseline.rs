@@ -1,19 +1,14 @@
 //! Parsers for the committed baseline files.
 //!
-//! All three formats are whitespace-separated columns with `#` comments,
+//! Both formats are whitespace-separated columns with `#` comments,
 //! chosen to diff line-per-fact in review:
 //!
 //! - `seqcst.allow`: `<file> <fn|-> <count> <one-line justification>` —
 //!   the SeqCst budget, keyed by (file, enclosing function) so line churn
 //!   does not invalidate entries but *new sites* always show up as a diff.
-//! - `unsafe.ledger`: `<file> <count>` — how many *undocumented* unsafe
-//!   sites a file is allowed. Committed empty: every site carries a
-//!   `// SAFETY:` comment (or `# Safety` doc for `unsafe fn`), and growth
-//!   without documentation fails CI.
 //! - `hotpath.manifest`: `<file> <fn>` — functions that must stay free of
 //!   allocating constructs.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -68,27 +63,6 @@ pub fn parse_seqcst_allow(path: &Path) -> (Vec<SeqCstAllow>, Vec<BaselineError>)
                 file: name.clone(),
                 line,
                 message: "expected `<file> <fn|-> <count> <justification>`".to_string(),
-            }),
-        }
-    }
-    (out, errs)
-}
-
-pub fn parse_unsafe_ledger(path: &Path) -> (BTreeMap<String, usize>, Vec<BaselineError>) {
-    let name = path.display().to_string();
-    let text = read(path);
-    let mut out = BTreeMap::new();
-    let mut errs = Vec::new();
-    for (line, l) in data_lines(&text) {
-        let mut cols = l.split_whitespace();
-        match (cols.next(), cols.next().and_then(|c| c.parse::<usize>().ok()), cols.next()) {
-            (Some(file), Some(count), None) => {
-                out.insert(file.to_string(), count);
-            }
-            _ => errs.push(BaselineError {
-                file: name.clone(),
-                line,
-                message: "expected `<file> <count>`".to_string(),
             }),
         }
     }

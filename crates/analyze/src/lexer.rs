@@ -2,11 +2,10 @@
 //!
 //! The point of lexing (instead of grepping) is that comments, strings,
 //! raw strings, byte strings, and char literals are classified correctly,
-//! so a rule looking for `std::sync::atomic` never fires on a doc example
-//! inside `//!` or on `"std::sync::atomic"` in an error message — and
-//! conversely an identifier split across lines by rustfmt is still seen as
-//! one path. Comments are kept as tokens (the unsafe-audit rule reads
-//! them); rules that only care about code skip them.
+//! so a rule looking for `SeqCst` or `nws_model` never fires on a doc
+//! example inside `//!` or on a name inside an error message. Comments are
+//! kept as tokens (the unsafe-audit rule reads them); rules that only care
+//! about code skip them.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,35 +1,32 @@
 //! `nws_analyze` — workspace-native static analysis.
 //!
-//! Turns the repo's concurrency contract (DESIGN.md §7, §10) into five
+//! Turns the repo's concurrency contract (DESIGN.md §10) into four
 //! enforced rules with committed baselines, and keeps the design's
-//! citations honest with a sixth:
+//! citations honest with a fifth:
 //!
-//! 1. **facade-gate** — raw sync primitives (`std::sync::atomic`,
-//!    `Mutex`, `Condvar`, `RwLock`, `parking_lot`, `spin_loop`,
-//!    `yield_now`) may only be named inside `crates/sync` and `vendor/`;
-//!    everything else goes through `nws_sync`. Resolved through `use`
-//!    aliases, so `use std::sync::atomic as a; a::AtomicUsize::new(0)`
-//!    is caught where a grep is blind.
-//! 2. **cfg-confinement** — the `nws_model` / `nws_fault` cfg names are
+//! 1. **cfg-confinement** — the `nws_model` / `nws_fault` cfg names are
 //!    spelled only inside `crates/sync`; other crates opt in through the
 //!    `nws_sync::model_only!` / `not_model!` macros.
-//! 3. **unsafe-audit** — every `unsafe` block / fn / impl / trait carries
-//!    a `// SAFETY:` comment immediately above (attributes skipped); the
-//!    per-file exception ledger `unsafe.ledger` is committed empty.
-//! 4. **seqcst-budget** — every `Ordering::SeqCst` site in non-vendor,
+//! 2. **unsafe-audit** — every `unsafe` block / fn / impl / trait carries
+//!    a `// SAFETY:` comment immediately above (attributes skipped), with
+//!    no exception list.
+//! 3. **seqcst-budget** — every `Ordering::SeqCst` site in non-vendor,
 //!    non-test code must be justified in `seqcst.allow`, keyed by
 //!    (file, enclosing fn) so the budget survives line churn but any new
 //!    site is a reviewed diff.
-//! 5. **hot-path-alloc** — functions listed in `hotpath.manifest` must
+//! 4. **hot-path-alloc** — functions listed in `hotpath.manifest` must
 //!    not contain allocating constructs.
-//! 6. **design-citation** — every `DESIGN.md §N` citation in `crates/`,
+//! 5. **design-citation** — every `DESIGN.md §N` citation in `crates/`,
 //!    `.github/` and the verify skill names an existing `## §N` heading,
 //!    and a quoted title after it a heading inside that section.
 //!
+//! The sync-facade rule (DESIGN.md §7) is not here: clippy's
+//! `disallowed-types`/`disallowed-methods` in `clippy.toml` enforce it,
+//! and CI runs clippy under every build cfg.
+//!
 //! The analyzer is dependency-free and lexes Rust itself (comments,
 //! strings, raw strings, char-vs-lifetime), so it never misfires on
-//! `"std::sync::atomic"` inside an error message and never misses a path
-//! that rustfmt wrapped across lines.
+//! `"nws_model"` inside an error message or `SeqCst` in a comment.
 
 pub mod baseline;
 pub mod cite;
@@ -99,21 +96,16 @@ impl fmt::Display for Diag {
 /// Where to analyze and where the baselines live.
 pub struct Config {
     pub root: PathBuf,
-    /// Directory holding `seqcst.allow`, `unsafe.ledger`,
-    /// `hotpath.manifest`. Defaults to `<root>/crates/analyze`; fixture
-    /// trees point it at themselves.
+    /// Directory holding `seqcst.allow` and `hotpath.manifest`. Defaults
+    /// to `<root>/crates/analyze`; fixture trees point it at themselves.
     pub baseline_dir: PathBuf,
-    /// Cross-check `clippy.toml`'s disallowed lists against the facade
-    /// rule's banned set. On iff `<root>/clippy.toml` exists.
-    pub check_clippy: bool,
 }
 
 impl Config {
     pub fn new(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
         let baseline_dir = root.join("crates/analyze");
-        let check_clippy = root.join("clippy.toml").exists();
-        Self { root, baseline_dir, check_clippy }
+        Self { root, baseline_dir }
     }
 }
 
@@ -139,7 +131,7 @@ fn is_test_path(rel: &str) -> bool {
         || rel.contains("/fixtures/")
 }
 
-/// Is `rel` inside the facade (allowed to name raw primitives and cfgs)?
+/// Is `rel` inside the facade (allowed to spell the backend cfgs)?
 fn is_sync_crate(rel: &str) -> bool {
     rel.starts_with("crates/sync/")
 }
@@ -182,18 +174,15 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
     let mut diags = Vec::new();
 
     let (allow, allow_errs) = baseline::parse_seqcst_allow(&cfg.baseline_dir.join("seqcst.allow"));
-    let (ledger, ledger_errs) =
-        baseline::parse_unsafe_ledger(&cfg.baseline_dir.join("unsafe.ledger"));
     let (manifest, manifest_errs) =
         baseline::parse_hotpath_manifest(&cfg.baseline_dir.join("hotpath.manifest"));
-    for e in allow_errs.into_iter().chain(ledger_errs).chain(manifest_errs) {
+    for e in allow_errs.into_iter().chain(manifest_errs) {
         // A malformed baseline must fail the run, not silently allow.
         diags.push(Diag::violation(&e.file, e.line, "baseline", e.message));
     }
 
     // Aggregated across files for the cross-file comparisons.
     let mut seqcst: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-    let mut ledger_seen: BTreeMap<String, usize> = BTreeMap::new();
     let mut manifest_hit = vec![false; manifest.len()];
     let headings =
         cite::Headings::parse(&fs::read_to_string(cfg.root.join("DESIGN.md")).unwrap_or_default());
@@ -206,31 +195,13 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
         let first_new = diags.len();
 
         if !is_sync_crate(&rel) {
-            rules::facade_gate(&rel, &toks, &map, &mut diags);
             rules::cfg_confinement(&rel, &toks, &mut diags);
         }
 
         // unsafe-audit applies everywhere, tests included: a SAFETY
         // comment is the review record for the site, and test unsafe is
         // still unsafe.
-        let sites = rules::unsafe_audit(&toks, &lines);
-        let allowed = ledger.get(&rel).copied().unwrap_or(0);
-        ledger_seen.insert(rel.clone(), sites.len());
-        if sites.len() > allowed {
-            for s in &sites {
-                let quota = if allowed == 0 {
-                    String::new()
-                } else {
-                    format!(" (unsafe.ledger allows {allowed}, found {})", sites.len())
-                };
-                diags.push(Diag::violation(
-                    &rel,
-                    s.line,
-                    "unsafe-audit",
-                    format!("{} without a `// SAFETY:` comment immediately above{quota}", s.what),
-                ));
-            }
-        }
+        rules::unsafe_audit(&rel, &toks, &lines, &mut diags);
 
         if !is_sync_crate(&rel) && !is_test_path(&rel) {
             for s in rules::seqcst_sites(&toks, &map) {
@@ -313,22 +284,6 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
         }
     }
 
-    // Ledger entries must track reality downward too.
-    for (file, allowed) in &ledger {
-        let actual = ledger_seen.get(file).copied().unwrap_or(0);
-        if actual < *allowed {
-            diags.push(Diag::stale(
-                "crates/analyze/unsafe.ledger",
-                1,
-                "unsafe-audit",
-                format!(
-                    "ledger allows {allowed} undocumented unsafe sites in `{file}` but \
-                     {actual} remain; shrink the entry"
-                ),
-            ));
-        }
-    }
-
     // Manifest functions must still exist.
     for (mi, (mfile, mfn)) in manifest.iter().enumerate() {
         if !manifest_hit[mi] {
@@ -351,72 +306,8 @@ pub fn analyze(cfg: &Config) -> Vec<Diag> {
         }
     }
 
-    if cfg.check_clippy {
-        clippy_sync(&cfg.root, &mut diags);
-    }
-
     diags.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     diags
-}
-
-/// Consistency check: `clippy.toml`'s disallowed-types/methods and the
-/// analyzer's facade rule must cover the same primitives — neither checker
-/// silently drifting ahead of the other. clippy sees through type
-/// inference; the analyzer sees doc comments, strings-free source, and
-/// aliases; the contract is only as strong as their intersection.
-fn clippy_sync(root: &Path, diags: &mut Vec<Diag>) {
-    let Ok(text) = fs::read_to_string(root.join("clippy.toml")) else {
-        diags.push(Diag::violation(
-            "clippy.toml",
-            1,
-            "clippy-sync",
-            "clippy.toml missing but consistency check requested".to_string(),
-        ));
-        return;
-    };
-    // `core::` and `std::` re-export the same items; compare normalized.
-    let norm = |p: &str| p.replace("core::", "std::");
-    let mut clippy_paths = Vec::new();
-    for (i, l) in text.lines().enumerate() {
-        if let Some(rest) = l.split("path = \"").nth(1) {
-            if let Some(p) = rest.split('"').next() {
-                clippy_paths.push((i + 1, p.to_string()));
-            }
-        }
-    }
-    // Direction 1: everything clippy disallows must be facade-banned here.
-    // (`std::sync::atomic::Ordering` is deliberately NOT disallowed by
-    // clippy; nothing checks it here either — the facade re-exports it.)
-    for (line, p) in &clippy_paths {
-        let n = norm(p);
-        let covered = rules::FACADE_BANNED
-            .iter()
-            .any(|b| n == norm(b) || n.starts_with(&format!("{}::", norm(b))));
-        if !covered {
-            diags.push(Diag::violation(
-                "clippy.toml",
-                *line,
-                "clippy-sync",
-                format!("`{p}` is clippy-disallowed but not in the analyzer's facade ban list"),
-            ));
-        }
-    }
-    // Direction 2: every facade-banned prefix must have clippy teeth.
-    for b in rules::FACADE_BANNED {
-        let nb = norm(b);
-        let covered = clippy_paths.iter().any(|(_, p)| {
-            let np = norm(p);
-            np == nb || np.starts_with(&format!("{nb}::")) || nb.starts_with(&format!("{np}::"))
-        });
-        if !covered {
-            diags.push(Diag::violation(
-                "clippy.toml",
-                1,
-                "clippy-sync",
-                format!("facade-banned `{b}` has no clippy disallowed-types/methods entry"),
-            ));
-        }
-    }
 }
 
 /// Prints the diagnostics and returns the process exit code. Violations

@@ -1,288 +1,14 @@
-//! The five contract rules.
+//! The four per-file code rules; the fifth, design citations, is in
+//! `cite.rs`.
 //!
-//! Each rule takes the lexed tokens, the structural [`FileMap`], and the
-//! file's raw lines, and appends [`Diag`]s. Cross-file baseline
-//! comparison (SeqCst budget, unsafe ledger, hot-path manifest) happens in
-//! `lib.rs` after all files are scanned; the per-file passes here only
-//! collect sites.
+//! Each rule takes the lexed tokens and, where it needs them, the
+//! structural [`FileMap`] or the file's raw lines. Cross-file baseline
+//! comparison (SeqCst budget, hot-path manifest) happens in `lib.rs` after
+//! all files are scanned; the per-file passes here report sites.
 
 use crate::lexer::{Kind, Tok};
-use crate::scan::FileMap;
+use crate::scan::{next_code, FileMap};
 use crate::Diag;
-use std::collections::HashMap;
-
-/// Path prefixes banned outside `crates/sync` + `vendor/` by the
-/// facade-gate rule. A resolved path hits the ban if it equals a prefix or
-/// continues it segment-wise. Kept in sync with clippy.toml's
-/// disallowed-types/methods by `clippy_sync::check` — change both or CI
-/// fails.
-pub const FACADE_BANNED: &[&str] = &[
-    "std::sync::atomic",
-    "core::sync::atomic",
-    "std::sync::Mutex",
-    "std::sync::Condvar",
-    "std::sync::RwLock",
-    "parking_lot",
-    "std::hint::spin_loop",
-    "core::hint::spin_loop",
-    "std::thread::yield_now",
-];
-
-/// Roots a path expression can start from without local context. Anything
-/// else (a local module, `crate::`, a variable) cannot reach the banned
-/// set except through a `use` alias, which the alias map resolves.
-const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc", "parking_lot"];
-
-fn is_banned(path: &str) -> bool {
-    FACADE_BANNED.iter().any(|b| path == *b || path.starts_with(&format!("{b}::")))
-}
-
-/// Does a glob import of module `m` overlap the banned set (either the
-/// glob sits under a banned prefix, or a banned prefix sits under it)?
-fn glob_overlaps_ban(m: &str) -> bool {
-    FACADE_BANNED
-        .iter()
-        .any(|b| m == *b || m.starts_with(&format!("{b}::")) || b.starts_with(&format!("{m}::")))
-}
-
-/// One name introduced by a `use` declaration.
-#[derive(Debug)]
-pub struct UseBinding {
-    pub name: String,
-    pub path: Vec<String>,
-    pub glob: bool,
-    pub line: usize,
-}
-
-/// Parses every `use` declaration into bindings (`use a::b as c` binds
-/// `c` → `a::b`; `use a::{b, c::*}` binds `b` → `a::b` and a glob of
-/// `a::c`). Understands nested groups, renames, `self` in groups, and
-/// leading `::`.
-pub fn parse_uses(toks: &[Tok], map: &FileMap) -> Vec<UseBinding> {
-    let mut out = Vec::new();
-    for &(start, end) in &map.use_spans {
-        let code: Vec<&Tok> =
-            toks[start..=end].iter().filter(|t| t.kind != Kind::Comment).collect();
-        // code[0] is `use`; the tree follows.
-        parse_tree(&code[1..], &mut Vec::new(), &mut out);
-    }
-    out
-}
-
-/// Recursive-descent over one use tree, `prefix` carrying outer segments.
-fn parse_tree(code: &[&Tok], prefix: &mut Vec<String>, out: &mut Vec<UseBinding>) {
-    let mut i = 0;
-    let depth_at_entry = prefix.len();
-    while i < code.len() {
-        let t = code[i];
-        match (t.kind, t.text.as_str()) {
-            (Kind::Ident, "as") => {
-                // `... as name`: rebind the path collected so far.
-                if let (Some(b), Some(name)) = (out.last_mut(), code.get(i + 1)) {
-                    b.name = name.text.clone();
-                }
-                i += 2;
-            }
-            (Kind::Ident, "self") => {
-                // `{self, ...}`: binds the prefix module itself.
-                out.push(UseBinding {
-                    name: prefix.last().cloned().unwrap_or_default(),
-                    path: prefix.clone(),
-                    glob: false,
-                    line: t.line,
-                });
-                i += 1;
-            }
-            (Kind::Ident, _) => {
-                prefix.push(t.text.clone());
-                // Lookahead: `::` continues the path; anything else ends a
-                // leaf binding here.
-                if matches!(code.get(i + 1), Some(n) if n.is(Kind::Punct, ":"))
-                    && matches!(code.get(i + 2), Some(n) if n.is(Kind::Punct, ":"))
-                {
-                    i += 3;
-                } else {
-                    out.push(UseBinding {
-                        name: t.text.clone(),
-                        path: prefix.clone(),
-                        glob: false,
-                        line: t.line,
-                    });
-                    prefix.pop();
-                    i += 1;
-                }
-            }
-            (Kind::Punct, "*") => {
-                out.push(UseBinding {
-                    name: String::new(),
-                    path: prefix.clone(),
-                    glob: true,
-                    line: t.line,
-                });
-                i += 1;
-            }
-            (Kind::Punct, "{") => {
-                // Group: find the matching close, recurse on each
-                // comma-separated subtree.
-                let mut depth = 0;
-                let mut close = i;
-                for (j, t) in code.iter().enumerate().skip(i) {
-                    match t.text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = j;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let mut item_start = i + 1;
-                let mut d = 0;
-                for j in i + 1..close {
-                    match code[j].text.as_str() {
-                        "{" => d += 1,
-                        "}" => d -= 1,
-                        "," if d == 0 => {
-                            parse_tree(&code[item_start..j], prefix, out);
-                            item_start = j + 1;
-                        }
-                        _ => {}
-                    }
-                }
-                if item_start < close {
-                    parse_tree(&code[item_start..close], prefix, out);
-                }
-                i = close + 1;
-            }
-            (Kind::Punct, ",") | (Kind::Punct, ";") => i += 1,
-            // Leading `::` of an absolute path, or stray tokens.
-            _ => i += 1,
-        }
-    }
-    prefix.truncate(depth_at_entry);
-}
-
-/// **facade-gate**: no raw sync primitive may be named outside
-/// `crates/sync` + `vendor/`, resolved through `use` aliases rather than
-/// by text matching.
-pub fn facade_gate(rel: &str, toks: &[Tok], map: &FileMap, diags: &mut Vec<Diag>) {
-    let uses = parse_uses(toks, map);
-
-    // Flag banned imports at the use site.
-    for b in &uses {
-        let full = b.path.join("::");
-        if b.glob {
-            if glob_overlaps_ban(&full) {
-                diags.push(Diag::violation(
-                    rel,
-                    b.line,
-                    "facade-gate",
-                    format!(
-                        "glob import of `{full}` can smuggle facade-banned primitives; \
-                         import items explicitly through `nws_sync` (DESIGN.md \u{a7}7/\u{a7}10)"
-                    ),
-                ));
-            }
-        } else if is_banned(&full) {
-            diags.push(Diag::violation(
-                rel,
-                b.line,
-                "facade-gate",
-                format!(
-                    "`{full}` is facade-banned; use the `nws_sync` equivalent (DESIGN.md \u{a7}7)"
-                ),
-            ));
-        }
-    }
-
-    // Alias map for resolving path expressions: name → full path. A glob
-    // cannot be resolved name-by-name (already flagged above if it
-    // overlaps the ban).
-    let aliases: HashMap<&str, &UseBinding> =
-        uses.iter().filter(|b| !b.glob).map(|b| (b.name.as_str(), b)).collect();
-
-    // Scan path expressions in code.
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].kind != Kind::Ident || map.in_use(i) {
-            i += 1;
-            continue;
-        }
-        // A path segment continues from `ident::`; only start a new path
-        // when the previous code token is not `::` or `.` (field/method
-        // access never reaches a module path).
-        if i > 0 {
-            if let Some(prev) = toks[..i].iter().rev().find(|t| t.kind != Kind::Comment) {
-                if prev.is(Kind::Punct, ":") || prev.is(Kind::Punct, ".") {
-                    i += 1;
-                    continue;
-                }
-            }
-        }
-        // Collect the maximal `seg(::seg)*` sequence.
-        let mut segs = vec![toks[i].text.clone()];
-        let line = toks[i].line;
-        let mut j = i + 1;
-        while let Some(c1) = next_code_idx(toks, j) {
-            if !toks[c1].is(Kind::Punct, ":") {
-                break;
-            }
-            let Some(c2) = next_code_idx(toks, c1 + 1) else { break };
-            if !toks[c2].is(Kind::Punct, ":") {
-                break;
-            }
-            let Some(c3) = next_code_idx(toks, c2 + 1) else { break };
-            if toks[c3].kind != Kind::Ident {
-                break;
-            }
-            segs.push(toks[c3].text.clone());
-            j = c3 + 1;
-        }
-        // Resolve the head through the alias map, or accept it as an
-        // external root.
-        let head = segs[0].as_str();
-        let resolved: Option<Vec<String>> = if let Some(b) = aliases.get(head) {
-            let mut p = b.path.clone();
-            p.extend(segs[1..].iter().cloned());
-            Some(p)
-        } else if EXTERNAL_ROOTS.contains(&head) {
-            Some(segs.clone())
-        } else {
-            None
-        };
-        if let Some(p) = resolved {
-            let full = p.join("::");
-            if is_banned(&full) {
-                let shown = segs.join("::");
-                let via =
-                    if shown == full { String::new() } else { format!(" (written `{shown}`)") };
-                diags.push(Diag::violation(
-                    rel,
-                    line,
-                    "facade-gate",
-                    format!(
-                        "`{full}`{via} is facade-banned; use the `nws_sync` \
-                         equivalent (DESIGN.md \u{a7}7)"
-                    ),
-                ));
-            }
-        }
-        i = j.max(i + 1);
-    }
-}
-
-fn next_code_idx(toks: &[Tok], mut i: usize) -> Option<usize> {
-    while i < toks.len() {
-        if toks[i].kind != Kind::Comment {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
 
 /// **cfg-confinement**: the `nws_model` / `nws_fault` cfg names must not
 /// appear as code tokens outside `crates/sync`. Gating on the raw cfg
@@ -308,30 +34,22 @@ pub fn cfg_confinement(rel: &str, toks: &[Tok], diags: &mut Vec<Diag>) {
     }
 }
 
-/// An undocumented unsafe site (pre-ledger).
-#[derive(Debug)]
-pub struct UnsafeSite {
-    pub line: usize,
-    pub what: &'static str,
-}
-
-/// **unsafe-audit** per-file pass: every `unsafe` block / fn / impl /
-/// trait must carry a `// SAFETY:` comment on the line(s) immediately
-/// above (attribute lines in between are skipped); an `unsafe fn` may
-/// alternatively document its contract with a `# Safety` doc section.
-/// Returns the undocumented sites; `lib.rs` nets them against the ledger.
-pub fn unsafe_audit(toks: &[Tok], lines: &[&str]) -> Vec<UnsafeSite> {
-    let mut sites = Vec::new();
+/// **unsafe-audit**: every `unsafe` block / fn / impl / trait must carry
+/// a `// SAFETY:` comment on the line(s) immediately above (attribute
+/// lines in between are skipped); an `unsafe fn` may alternatively
+/// document its contract with a `# Safety` doc section. There is no
+/// exception list.
+pub fn unsafe_audit(rel: &str, toks: &[Tok], lines: &[&str], diags: &mut Vec<Diag>) {
     for (i, t) in toks.iter().enumerate() {
         if !(t.kind == Kind::Ident && t.text == "unsafe") {
             continue;
         }
-        let Some(n) = next_code_idx(toks, i + 1) else { continue };
+        let Some(n) = next_code(toks, i + 1) else { continue };
         let what = match toks[n].text.as_str() {
             "fn" => {
                 // `unsafe fn(...)` with no name is a fn-pointer type, not
                 // an item.
-                match next_code_idx(toks, n + 1) {
+                match next_code(toks, n + 1) {
                     Some(m) if toks[m].kind == Kind::Ident => "unsafe fn",
                     _ => continue,
                 }
@@ -343,10 +61,14 @@ pub fn unsafe_audit(toks: &[Tok], lines: &[&str]) -> Vec<UnsafeSite> {
             _ => continue,
         };
         if !documented(lines, t.line, what == "unsafe fn") {
-            sites.push(UnsafeSite { line: t.line, what });
+            diags.push(Diag::violation(
+                rel,
+                t.line,
+                "unsafe-audit",
+                format!("{what} without a `// SAFETY:` comment immediately above"),
+            ));
         }
     }
-    sites
 }
 
 /// Is there a `SAFETY:` comment (or, for fns, a `# Safety` doc section)
@@ -443,11 +165,11 @@ pub fn hotpath_scan(
         let t = &toks[i];
         if t.kind == Kind::Ident {
             // `A::B` path pairs.
-            if let Some(c1) = next_code_idx(toks, i + 1) {
+            if let Some(c1) = next_code(toks, i + 1) {
                 if toks[c1].is(Kind::Punct, ":") {
-                    if let Some(c2) = next_code_idx(toks, c1 + 1) {
+                    if let Some(c2) = next_code(toks, c1 + 1) {
                         if toks[c2].is(Kind::Punct, ":") {
-                            if let Some(c3) = next_code_idx(toks, c2 + 1) {
+                            if let Some(c3) = next_code(toks, c2 + 1) {
                                 let pair = (t.text.as_str(), toks[c3].text.as_str());
                                 if ALLOC_PATHS.contains(&pair) {
                                     diags.push(Diag::violation(
@@ -468,7 +190,7 @@ pub fn hotpath_scan(
             }
             // `vec!` / `format!` macros.
             if ALLOC_MACROS.contains(&t.text.as_str()) {
-                if let Some(c1) = next_code_idx(toks, i + 1) {
+                if let Some(c1) = next_code(toks, i + 1) {
                     if toks[c1].is(Kind::Punct, "!") {
                         diags.push(Diag::violation(
                             rel,
@@ -485,7 +207,7 @@ pub fn hotpath_scan(
         }
         // `.method(` on any receiver.
         if t.is(Kind::Punct, ".") {
-            if let Some(c1) = next_code_idx(toks, i + 1) {
+            if let Some(c1) = next_code(toks, i + 1) {
                 if toks[c1].kind == Kind::Ident && ALLOC_METHODS.contains(&toks[c1].text.as_str()) {
                     diags.push(Diag::violation(
                         rel,

@@ -9,8 +9,8 @@
 //!   `#[test]` (composed cfgs like `#[cfg(all(test, ...))]` count;
 //!   `#[cfg(not(test))]` and `#[cfg_attr(not(test), ...)]` do not), so
 //!   rules scoped to production code can skip test modules;
-//! - **use spans**: token ranges of `use` declarations, so path scanning
-//!   does not double-report an import as a use *site*.
+//! - **use spans**: token ranges of `use` declarations, so the SeqCst
+//!   budget does not count an import as a site.
 
 use crate::lexer::{Kind, Tok};
 
@@ -55,7 +55,7 @@ impl FileMap {
 }
 
 /// Index of the next non-comment token at or after `i`.
-fn next_code(toks: &[Tok], mut i: usize) -> Option<usize> {
+pub(crate) fn next_code(toks: &[Tok], mut i: usize) -> Option<usize> {
     while i < toks.len() {
         if toks[i].kind != Kind::Comment {
             return Some(i);

@@ -126,6 +126,7 @@ impl FrameStack {
 }
 
 nws_sync::model_only! {
+    #[cfg(test)]
     impl FrameStack {
         /// The seeded bug the model tier must catch: promotion leaves the
         /// promoted mark where it was.

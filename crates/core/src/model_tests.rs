@@ -39,7 +39,7 @@ fn mailbox_concurrent_takers_get_exactly_one() {
     Builder::exhaustive(2, 200_000).run(|| {
         let hits = Arc::new(AtomicUsize::new(0));
         let m = Arc::new(Mailbox::new());
-        m.try_deposit(counting_job(&hits, Place(0))).ok().expect("deposit into empty mailbox");
+        assert!(m.try_deposit(counting_job(&hits, Place(0))).is_ok(), "deposit into empty mailbox");
         let m2 = Arc::clone(&m);
         let t = thread::spawn(move || m2.take());
         let mine = m.take();
@@ -66,7 +66,7 @@ fn mailbox_deposit_take_interleaving_is_exact() {
     Builder::exhaustive(2, 200_000).run(|| {
         let hits = Arc::new(AtomicUsize::new(0));
         let m = Arc::new(Mailbox::new());
-        m.try_deposit(counting_job(&hits, Place(0))).ok().expect("first deposit");
+        assert!(m.try_deposit(counting_job(&hits, Place(0))).is_ok(), "first deposit");
         let (m2, h2) = (Arc::clone(&m), Arc::clone(&hits));
         let t = thread::spawn(move || match m2.try_deposit(counting_job(&h2, Place(1))) {
             Ok(()) => true,

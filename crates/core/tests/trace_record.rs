@@ -98,14 +98,14 @@ fn join4_at_spawns_carry_places_2_1_and_3() {
     let r = pool.install(|| numa_ws::join4_at(places, || 1, || 2, || 3, || 4));
     assert_eq!(r, (1, 2, 3, 4));
     let trace = pool.take_trace("join4_at").expect("trace");
-    let [root, first, rest @ ..] = &trace.tasks[..] else { panic!("{trace}") };
+    let [root, first, rest @ ..] = &trace.tasks[..] else { panic!("{}", trace.to_text()) };
     assert_eq!(root.parent, None, "the install root");
     assert_eq!(first.place, Some(2), "places[2] hints the first fork");
     // `b`'s and `d`'s Spawns, in either order if a thief took `(c, d)`;
     // no Spawn carries `places[0]`.
     let mut rest: Vec<_> = rest.iter().map(|t| t.place).collect();
     rest.sort();
-    assert_eq!(rest, [Some(1), Some(3)], "{trace}");
+    assert_eq!(rest, [Some(1), Some(3)], "{}", trace.to_text());
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn trace_text_round_trips() {
     pool.install(|| fib(9));
     let trace = pool.take_trace("round trip label").expect("trace");
     let text = trace.to_text();
-    let back: Trace = text.parse().expect("parses");
+    let back = Trace::parse(&text).expect("parses");
     assert_eq!(back, trace);
 }
 

@@ -24,8 +24,8 @@
 //! The facade is enforced statically: `clippy.toml` disallows
 //! `std::sync::atomic::*`, `std::sync::Mutex`/`Condvar`, and raw
 //! `parking_lot` types everywhere outside this crate and `vendor/`, and
-//! `nws_analyze`'s facade gate checks the same rule through `use` aliases
-//! and rustfmt-wrapped paths (DESIGN.md §10).
+//! CI runs clippy under the default, `nws_model` and `nws_fault` cfgs
+//! (DESIGN.md §7).
 //!
 //! Under `nws_model`, facade primitives used *outside* a `model::model`
 //! execution (for example by the ordinary unit tests of a crate compiled

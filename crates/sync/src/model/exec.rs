@@ -552,14 +552,14 @@ impl ExecShared {
 
     /// Read-modify-write: reads the newest store in modification order
     /// (RMW atomicity), then appends a new store if `f` returns `Some`.
+    /// `(success, failure)` are the orderings of the two outcomes.
     /// Returns the value read.
     pub(crate) fn atomic_rmw(
         &self,
         tid: usize,
         slot: &LocSlot,
         init: u64,
-        success: Ordering,
-        failure: Ordering,
+        (success, failure): (Ordering, Ordering),
         f: impl FnOnce(u64) -> Option<u64>,
         raw: impl FnOnce(u64),
     ) -> u64 {

@@ -145,8 +145,7 @@ pub mod atomic {
                             c.tid,
                             &self.slot,
                             self.init_bits(),
-                            order,
-                            Ordering::Relaxed,
+                            (order, Ordering::Relaxed),
                             |_| Some(val.to_bits()),
                             |bits| self.raw.store(Scalar::from_bits(bits), Ordering::Relaxed),
                         )),
@@ -172,8 +171,7 @@ pub mod atomic {
                                 c.tid,
                                 &self.slot,
                                 self.init_bits(),
-                                success,
-                                failure,
+                                (success, failure),
                                 |old| (old == current.to_bits()).then(|| new.to_bits()),
                                 |bits| self.raw.store(Scalar::from_bits(bits), Ordering::Relaxed),
                             );
@@ -227,8 +225,7 @@ pub mod atomic {
                             c.tid,
                             &self.slot,
                             self.init_bits(),
-                            order,
-                            Ordering::Relaxed,
+                            (order, Ordering::Relaxed),
                             |old| Some(f(Scalar::from_bits(old)).to_bits()),
                             |bits| self.raw.store(Scalar::from_bits(bits), Ordering::Relaxed),
                         )),
@@ -328,8 +325,7 @@ pub mod atomic {
                     c.tid,
                     &self.slot,
                     self.init_bits(),
-                    order,
-                    Ordering::Relaxed,
+                    (order, Ordering::Relaxed),
                     |_| Some(ptr_bits(p)),
                     |bits| self.raw.store(bits_ptr(bits), Ordering::Relaxed),
                 )),
@@ -355,8 +351,7 @@ pub mod atomic {
                         c.tid,
                         &self.slot,
                         self.init_bits(),
-                        success,
-                        failure,
+                        (success, failure),
                         |old| (old == ptr_bits(current)).then(|| ptr_bits(new)),
                         |bits| self.raw.store(bits_ptr(bits), Ordering::Relaxed),
                     );

@@ -2,7 +2,7 @@
 //! to `std::sync::atomic` and the vendored `parking_lot`.
 //!
 //! Newtypes, not re-exports, on purpose: clippy's `disallowed-types`
-//! facade gate matches *resolved definitions*, so a `pub use
+//! ban matches *resolved definitions*, so a `pub use
 //! std::sync::atomic::AtomicUsize` would make every downstream use of the
 //! facade trip the very lint that enforces it. The newtypes have their own
 //! def-ids while compiling to identical code (every method is a direct

@@ -252,7 +252,7 @@ fn condvar_unconditional_wait_loses_wakeup() {
 /// exact seed reproduces the same failure deterministically.
 #[test]
 fn random_strategy_failure_replays_from_seed() {
-    let failure = Builder::random(4096, 0xD5EA7_5EED)
+    let failure = Builder::random(4096, 0xD_5EA7_5EED)
         .check(|| {
             let (r0, r1) = store_buffering(Ordering::AcqRel);
             assert!(r0 == 1 || r1 == 1, "store buffering through AcqRel fences");

@@ -38,7 +38,6 @@
 use nws_sync::atomic::{AtomicU64, Ordering};
 use nws_sync::Mutex;
 use std::fmt;
-use std::str::FromStr;
 use std::time::Instant;
 
 /// One recorded task transition.
@@ -471,20 +470,6 @@ impl Trace {
     }
 }
 
-impl fmt::Display for Trace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_text())
-    }
-}
-
-impl FromStr for Trace {
-    type Err = TraceError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Trace::parse(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,7 +595,7 @@ mod tests {
             meta: TraceMeta { workers: 1, places: 1, seed: 0, label: "fib 16 quick".into() },
             tasks: vec![],
         };
-        let back: Trace = trace.to_text().parse().unwrap();
+        let back = Trace::parse(&trace.to_text()).unwrap();
         assert_eq!(back.meta.label, "fib 16 quick");
     }
 

@@ -41,7 +41,7 @@ fn concurrent_emitters_never_lose_or_duplicate_events() {
         let trace = Trace::from_events(meta(), &events).expect("exactly-once holds");
         assert_eq!(trace.tasks.len(), 2);
         assert_eq!(trace.num_started(), 2);
-        assert_eq!(trace.tasks[0].place, trace.tasks[0].worker.map(|w| w));
+        assert_eq!(trace.tasks[0].place, trace.tasks[0].worker);
     });
 }
 
